@@ -8,7 +8,6 @@ without retraining. Synthetic scenarios with exact posterior oracles and
 Monte-Carlo bound checks validate every estimator.
 """
 
-from ._kernels import BACKEND
 from .core import (
     AmbiguousStationary,
     DegenerateSample,
@@ -65,3 +64,6 @@ from .simulate import (
 )
 
 __version__ = "0.1.0"
+
+# The only numeric backend; kept as a name for callers that record it.
+BACKEND = "numpy"

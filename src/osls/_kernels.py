@@ -1,565 +1,161 @@
-"""Hot numeric kernels with numba-JIT and pure-numpy implementations.
+"""The EM kernel shared by the open-set fits and the closed-set baselines.
 
-The numba path is used by default whenever numba imports cleanly; set the
-environment variable ``OSLS_DISABLE_NUMBA=1`` to force the numpy fallback.
-Both implementations are importable side by side (``*_nb`` / ``*_py``) so the
-benchmark in ``benchmarks/bench_backends.py`` can compare them directly.
+All four fits (open-set MLE and MAP, MLLS and MAPLS) are one EM loop over a
+column-scaled output matrix ``W`` and a vector ``x`` of mixing weights on its
+columns, with per-sample likelihoods ``d = W @ x``:
 
-Kernels return flat tuples instead of raising so both backends behave
-identically; wrappers in ``osls.em`` / ``osls.baselines`` translate the
-``degenerate`` index into exceptions.
+* open-set: ``W = fe / ce`` over the K+1 extended classes and
+  ``x = [rho * pi, 1 - rho]``;
+* closed-set: ``W = f / c`` over the K classes and ``x = pi``.
 
-EM fit return convention:
+The E-step needs only the column sums of the responsibilities
+``x_j W_ij / d_i``, which are ``x * (W.T @ (1 / d))``: two matrix-vector
+products, with no N x K responsibility matrix. The M-steps apply the
+Dirichlet/Beta priors through ``alpha - 1``; all-ones priors make every prior
+term exactly zero, so maximum likelihood is MAP with unit priors.
+
+The fit returns a flat tuple instead of raising; ``osls.em`` and
+``osls.baselines`` translate the degenerate index into ``DegenerateSample``:
+
     (pi, rho, obj, iters_run, converged, pi_frozen, degenerate_index)
-where ``obj`` has ``iters_run + 1`` meaningful entries (initial iterate plus
-one per update) and ``degenerate_index`` is -1 on success.
+
+``rho`` is None for closed-set fits, ``obj`` has ``iters_run + 1`` entries
+(initial iterate plus one per update) and ``degenerate_index`` is -1 on
+success.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 LIK_FLOOR = 1e-300
 
-_DISABLE = os.environ.get("OSLS_DISABLE_NUMBA", "").strip().lower() in ("1", "true", "yes")
-
-try:
-    if _DISABLE:
-        raise ImportError("numba disabled by OSLS_DISABLE_NUMBA")
-    import warnings
-
-    from numba import njit, prange
-    from numba.core.errors import NumbaWarning
-
-    # Sandboxed environments often ship a TBB too old for numba's threading
-    # layer; numba falls back to omp/workqueue, so the probe warning is noise.
-    warnings.filterwarnings("ignore", message=".*TBB.*", category=NumbaWarning)
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag
-    njit = None
-    prange = range
-    HAVE_NUMBA = False
+# Grid cells evaluated at once by the K=2 grid oracle, bounding its memory.
+_GRID_CELLS_PER_BLOCK = 1 << 18
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def _em_denoms_py(fe, ce, pi, rho):
-    k = ce.size - 1
-    ratio = np.empty(k + 1)
-    ratio[:k] = rho * pi / ce[:k]
-    ratio[k] = (1.0 - rho) / ce[k]
-    return fe @ ratio, ratio
+def mixing(pi: np.ndarray, rho) -> np.ndarray:
+    """Column weights x: ``[rho * pi, 1 - rho]`` open-set, ``pi`` when rho is None."""
+    return pi if rho is None else np.append(rho * pi, 1.0 - rho)
 
 
-def em_fit_mle_py(fe, ce, pi0, rho0, max_iters, tol):
-    n, kp1 = fe.shape
-    k = kp1 - 1
-    nf = float(n)
-    pi = pi0.astype(np.float64).copy()
-    rho = float(rho0)
-    obj = np.empty(max_iters + 1)
-    converged = 0
-    frozen = 0
-    d, ratio = _em_denoms_py(fe, ce, pi, rho)
-    obj[0] = -np.sum(np.log(np.maximum(d, LIK_FLOOR)))
-    iters = 0
+def e_step(w: np.ndarray, x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Column sums of the responsibilities ``x_j W_ij / d_i``, given ``d = W @ x > 0``."""
+    return x * (w.T @ (1.0 / d))
+
+
+def nll(d: np.ndarray, axis=None):
+    """Negative log likelihood from per-sample likelihoods along ``axis``, floored at 1e-300."""
+    return -np.sum(np.log(np.maximum(d, LIK_FLOOR)), axis=axis)
+
+
+def objective(d, pi, rho, am1, bm1) -> float:
+    """NLL minus the log prior density (normalizing constants dropped).
+
+    ``am1`` is ``alpha - 1`` per class and ``bm1`` the pair ``alpha_out - 1``
+    for rho and 1 - rho, which a closed-set fit (rho None) leaves out.
+    """
+    val = nll(d) - float(np.sum(am1 * np.log(np.maximum(pi, LIK_FLOOR))))
+    if rho is not None:
+        val -= bm1[0] * np.log(max(rho, LIK_FLOOR))
+        val -= bm1[1] * np.log(max(1.0 - rho, LIK_FLOOR))
+    return val
+
+
+def open_m_step(s: np.ndarray, n: float, am1: np.ndarray, bm1):
+    """Open-set M-step from the K+1 E-step column sums; returns (pi, rho).
+
+    pi is None when its update is undefined (all mass on the OOD class under
+    maximum likelihood), in which case the previous pi should be kept.
+    """
+    k = s.size - 1
+    n_in = n - s[k]
+    denom_pi = n_in + float(np.sum(am1))
+    pi = None if denom_pi == 0.0 else (s[:k] + am1) / denom_pi
+    rho = (n_in + bm1[0]) / (n + bm1[0] + bm1[1])
+    return pi, float(rho)
+
+
+def closed_m_step(s: np.ndarray, n: float, am1: np.ndarray) -> np.ndarray:
+    """Closed-set M-step from the K E-step column sums."""
+    return (s + am1) / (n + float(np.sum(am1)))
+
+
+def em_fit(w, pi0, rho0, alpha, alpha_out, max_iters, tol):
+    """EM for (pi, rho) on W = fe / ce, or for pi alone on W = f / c when rho0 is None.
+
+    ``alpha`` holds the K Dirichlet parameters on pi and ``alpha_out`` the Beta
+    pair on (rho, 1 - rho). Iteration stops after ``max_iters`` updates or,
+    when ``tol > 0``, once an update moves (pi, rho) by less than ``tol`` in
+    L-infinity.
+    """
+    n = float(w.shape[0])
+    am1 = np.asarray(alpha, dtype=np.float64) - 1.0
+    bm1 = (float(alpha_out[0]) - 1.0, float(alpha_out[1]) - 1.0)
+    pi = np.array(pi0, dtype=np.float64)
+    rho = None if rho0 is None else float(rho0)
+    frozen = False
+    x = mixing(pi, rho)
+    d = w @ x
+    obj = [objective(d, pi, rho, am1, bm1)]
     for _ in range(max_iters):
-        if np.any(d <= 0.0):
-            return pi, rho, obj, iters, 0, frozen, int(np.argmax(d <= 0.0))
-        g = fe * ratio / d[:, None]
-        s = g.sum(axis=0)
-        denom_pi = nf - s[k]
-        if denom_pi == 0.0:
-            pi_new = pi
-            frozen = 1
+        bad = d <= 0.0
+        if bad.any():
+            return pi, rho, np.array(obj), len(obj) - 1, False, frozen, int(np.argmax(bad))
+        s = e_step(w, x, d)
+        if rho is None:
+            pi_new, rho_new = closed_m_step(s, n, am1), None
+            change = float(np.max(np.abs(pi_new - pi)))
         else:
-            pi_new = s[:k] / denom_pi
-        rho_new = (nf - s[k]) / nf
-        change = max(float(np.max(np.abs(pi_new - pi))), abs(rho_new - rho))
-        pi = pi_new
-        rho = rho_new
-        d, ratio = _em_denoms_py(fe, ce, pi, rho)
-        iters += 1
-        obj[iters] = -np.sum(np.log(np.maximum(d, LIK_FLOOR)))
+            pi_new, rho_new = open_m_step(s, n, am1, bm1)
+            if pi_new is None:
+                pi_new, frozen = pi, True
+            change = max(float(np.max(np.abs(pi_new - pi))), abs(rho_new - rho))
+        pi, rho = pi_new, rho_new
+        x = mixing(pi, rho)
+        d = w @ x
+        obj.append(objective(d, pi, rho, am1, bm1))
         if tol > 0.0 and change < tol:
-            converged = 1
-            break
-    return pi, rho, obj, iters, converged, frozen, -1
+            return pi, rho, np.array(obj), len(obj) - 1, True, frozen, -1
+    return pi, rho, np.array(obj), len(obj) - 1, False, frozen, -1
 
 
-def em_fit_map_py(fe, ce, pi0, rho0, alpha_in, a1, a2, max_iters, tol):
-    n, kp1 = fe.shape
-    k = kp1 - 1
-    nf = float(n)
-    pi = pi0.astype(np.float64).copy()
-    rho = float(rho0)
-    alpha_in = np.asarray(alpha_in, dtype=np.float64)
-    sum_am1 = float(np.sum(alpha_in - 1.0))
-    prior_mask = alpha_in != 1.0
-    has_prior = bool(prior_mask.any() or a1 != 1.0 or a2 != 1.0)
-    obj = np.empty(max_iters + 1)
-    converged = 0
-    frozen = 0
-
-    def objective(d, pi, rho):
-        val = -np.sum(np.log(np.maximum(d, LIK_FLOOR)))
-        if has_prior:
-            val -= np.sum(
-                (alpha_in[prior_mask] - 1.0)
-                * np.log(np.maximum(pi[prior_mask], LIK_FLOOR))
-            )
-            if a1 != 1.0:
-                val -= (a1 - 1.0) * np.log(max(rho, LIK_FLOOR))
-            if a2 != 1.0:
-                val -= (a2 - 1.0) * np.log(max(1.0 - rho, LIK_FLOOR))
-        return val
-
-    d, ratio = _em_denoms_py(fe, ce, pi, rho)
-    obj[0] = objective(d, pi, rho)
-    iters = 0
-    for _ in range(max_iters):
-        if np.any(d <= 0.0):
-            return pi, rho, obj, iters, 0, frozen, int(np.argmax(d <= 0.0))
-        g = fe * ratio / d[:, None]
-        s = g.sum(axis=0)
-        denom_pi = nf - s[k] + sum_am1
-        if denom_pi == 0.0:
-            pi_new = pi
-            frozen = 1
-        else:
-            pi_new = (s[:k] + (alpha_in - 1.0)) / denom_pi
-        rho_new = (nf - s[k] + (a1 - 1.0)) / (nf + a1 + a2 - 2.0)
-        change = max(float(np.max(np.abs(pi_new - pi))), abs(rho_new - rho))
-        pi = pi_new
-        rho = rho_new
-        d, ratio = _em_denoms_py(fe, ce, pi, rho)
-        iters += 1
-        obj[iters] = objective(d, pi, rho)
-        if tol > 0.0 and change < tol:
-            converged = 1
-            break
-    return pi, rho, obj, iters, converged, frozen, -1
+def _cell_nll(grid, u, dd, j):
+    """K=2 NLL at grid columns j (shape (rows, m)) of rows with u = p1 * a + (1 - p1) * b."""
+    t = grid[j][:, :, None]
+    return nll(t * u[:, None, :] + (1.0 - t) * dd, axis=2)
 
 
-def nll_grid_k2_py(fe, ce, n_side):
-    """NLL surface over pi_1 x rho_t on a uniform n_side x n_side grid of [0,1]^2."""
-    a = fe[:, 0] / ce[0]
-    b = fe[:, 1] / ce[1]
-    dd = fe[:, 2] / ce[2]
+def nll_grid_k2_argmin(w: np.ndarray, n_side: int):
+    """Lowest-index argmin of the K=2 NLL on an n_side x n_side grid of (pi_1, rho_t).
+
+    ``w`` is ``fe / ce`` with columns (class 1, class 2, OOD). Returns
+    (i, j, nll) for the cell (pi_1, rho_t) = (i, j) / (n_side - 1). For a fixed
+    pi_1 the NLL is -sum log of a function affine in rho_t, hence convex in
+    rho_t, so each row's minimum is found by bisection on the sign of the
+    forward difference: the lowest j with nll(j) <= nll(j + 1). Cells are
+    evaluated with the same arithmetic as a full scan of the surface, so the
+    result is the lowest-index argmin of the flattened surface.
+    """
     grid = np.linspace(0.0, 1.0, n_side)
-    out = np.empty((n_side, n_side))
-    for i, p1 in enumerate(grid):
-        u = p1 * a + (1.0 - p1) * b
-        inner = grid[:, None] * u[None, :] + (1.0 - grid)[:, None] * dd[None, :]
-        out[i, :] = -np.sum(np.log(np.maximum(inner, LIK_FLOOR)), axis=1)
-    return out
-
-
-def mlls_fit_py(f, c, max_iters, tol):
-    n, k = f.shape
-    nf = float(n)
-    pi = c.astype(np.float64).copy()
-    obj = np.empty(max_iters + 1)
-    converged = 0
-    w = f / c
-    d = w @ pi
-    obj[0] = -np.sum(np.log(np.maximum(d, LIK_FLOOR)))
-    iters = 0
-    for _ in range(max_iters):
-        if np.any(d <= 0.0):
-            return pi, obj, iters, 0, int(np.argmax(d <= 0.0))
-        g = w * pi / d[:, None]
-        s = g.sum(axis=0)
-        pi_new = s / nf
-        change = float(np.max(np.abs(pi_new - pi)))
-        pi = pi_new
-        d = w @ pi
-        iters += 1
-        obj[iters] = -np.sum(np.log(np.maximum(d, LIK_FLOOR)))
-        if tol > 0.0 and change < tol:
-            converged = 1
-            break
-    return pi, obj, iters, converged, -1
-
-
-def mapls_fit_py(f, c, alpha, max_iters, tol):
-    n, k = f.shape
-    nf = float(n)
-    pi = c.astype(np.float64).copy()
-    alpha = np.asarray(alpha, dtype=np.float64)
-    sum_am1 = float(np.sum(alpha - 1.0))
-    prior_mask = alpha != 1.0
-    has_prior = bool(prior_mask.any())
-    obj = np.empty(max_iters + 1)
-    converged = 0
-    w = f / c
-
-    def objective(d, pi):
-        val = -np.sum(np.log(np.maximum(d, LIK_FLOOR)))
-        if has_prior:
-            val -= np.sum(
-                (alpha[prior_mask] - 1.0) * np.log(np.maximum(pi[prior_mask], LIK_FLOOR))
-            )
-        return val
-
-    d = w @ pi
-    obj[0] = objective(d, pi)
-    iters = 0
-    for _ in range(max_iters):
-        if np.any(d <= 0.0):
-            return pi, obj, iters, 0, int(np.argmax(d <= 0.0))
-        g = w * pi / d[:, None]
-        s = g.sum(axis=0)
-        pi_new = (s + (alpha - 1.0)) / (nf + sum_am1)
-        change = float(np.max(np.abs(pi_new - pi)))
-        pi = pi_new
-        d = w @ pi
-        iters += 1
-        obj[iters] = objective(d, pi)
-        if tol > 0.0 and change < tol:
-            converged = 1
-            break
-    return pi, obj, iters, converged, -1
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def em_fit_mle_nb(fe, ce, pi0, rho0, max_iters, tol):
-        n, kp1 = fe.shape
-        k = kp1 - 1
-        nf = float(n)
-        pi = pi0.copy()
-        rho = rho0
-        ratio = np.empty(kp1)
-        d = np.empty(n)
-        s = np.empty(kp1)
-        obj = np.empty(max_iters + 1)
-        converged = 0
-        frozen = 0
-
-        for j in range(k):
-            ratio[j] = rho * pi[j] / ce[j]
-        ratio[k] = (1.0 - rho) / ce[k]
-        val = 0.0
-        for i in range(n):
-            acc = 0.0
-            for j in range(kp1):
-                acc += ratio[j] * fe[i, j]
-            d[i] = acc
-            val -= np.log(max(acc, LIK_FLOOR))
-        obj[0] = val
-
-        iters = 0
-        for _ in range(max_iters):
-            for i in range(n):
-                if d[i] <= 0.0:
-                    return pi, rho, obj, iters, 0, frozen, i
-            for j in range(kp1):
-                s[j] = 0.0
-            for i in range(n):
-                for j in range(kp1):
-                    s[j] += ratio[j] * fe[i, j] / d[i]
-            denom_pi = nf - s[k]
-            change = 0.0
-            if denom_pi == 0.0:
-                frozen = 1
-            else:
-                for j in range(k):
-                    pj = s[j] / denom_pi
-                    diff = abs(pj - pi[j])
-                    if diff > change:
-                        change = diff
-                    pi[j] = pj
-            rho_new = (nf - s[k]) / nf
-            if abs(rho_new - rho) > change:
-                change = abs(rho_new - rho)
-            rho = rho_new
-
-            for j in range(k):
-                ratio[j] = rho * pi[j] / ce[j]
-            ratio[k] = (1.0 - rho) / ce[k]
-            val = 0.0
-            for i in range(n):
-                acc = 0.0
-                for j in range(kp1):
-                    acc += ratio[j] * fe[i, j]
-                d[i] = acc
-                val -= np.log(max(acc, LIK_FLOOR))
-            iters += 1
-            obj[iters] = val
-            if tol > 0.0 and change < tol:
-                converged = 1
-                break
-        return pi, rho, obj, iters, converged, frozen, -1
-
-    @njit(cache=True)
-    def em_fit_map_nb(fe, ce, pi0, rho0, alpha_in, a1, a2, max_iters, tol):
-        n, kp1 = fe.shape
-        k = kp1 - 1
-        nf = float(n)
-        pi = pi0.copy()
-        rho = rho0
-        sum_am1 = 0.0
-        has_prior = a1 != 1.0 or a2 != 1.0
-        for j in range(k):
-            sum_am1 += alpha_in[j] - 1.0
-            if alpha_in[j] != 1.0:
-                has_prior = True
-        ratio = np.empty(kp1)
-        d = np.empty(n)
-        s = np.empty(kp1)
-        obj = np.empty(max_iters + 1)
-        converged = 0
-        frozen = 0
-
-        for j in range(k):
-            ratio[j] = rho * pi[j] / ce[j]
-        ratio[k] = (1.0 - rho) / ce[k]
-        val = 0.0
-        for i in range(n):
-            acc = 0.0
-            for j in range(kp1):
-                acc += ratio[j] * fe[i, j]
-            d[i] = acc
-            val -= np.log(max(acc, LIK_FLOOR))
-        if has_prior:
-            for j in range(k):
-                if alpha_in[j] != 1.0:
-                    val -= (alpha_in[j] - 1.0) * np.log(max(pi[j], LIK_FLOOR))
-            if a1 != 1.0:
-                val -= (a1 - 1.0) * np.log(max(rho, LIK_FLOOR))
-            if a2 != 1.0:
-                val -= (a2 - 1.0) * np.log(max(1.0 - rho, LIK_FLOOR))
-        obj[0] = val
-
-        iters = 0
-        for _ in range(max_iters):
-            for i in range(n):
-                if d[i] <= 0.0:
-                    return pi, rho, obj, iters, 0, frozen, i
-            for j in range(kp1):
-                s[j] = 0.0
-            for i in range(n):
-                for j in range(kp1):
-                    s[j] += ratio[j] * fe[i, j] / d[i]
-            denom_pi = nf - s[k] + sum_am1
-            change = 0.0
-            if denom_pi == 0.0:
-                frozen = 1
-            else:
-                for j in range(k):
-                    pj = (s[j] + (alpha_in[j] - 1.0)) / denom_pi
-                    diff = abs(pj - pi[j])
-                    if diff > change:
-                        change = diff
-                    pi[j] = pj
-            rho_new = (nf - s[k] + (a1 - 1.0)) / (nf + a1 + a2 - 2.0)
-            if abs(rho_new - rho) > change:
-                change = abs(rho_new - rho)
-            rho = rho_new
-
-            for j in range(k):
-                ratio[j] = rho * pi[j] / ce[j]
-            ratio[k] = (1.0 - rho) / ce[k]
-            val = 0.0
-            for i in range(n):
-                acc = 0.0
-                for j in range(kp1):
-                    acc += ratio[j] * fe[i, j]
-                d[i] = acc
-                val -= np.log(max(acc, LIK_FLOOR))
-            if has_prior:
-                for j in range(k):
-                    if alpha_in[j] != 1.0:
-                        val -= (alpha_in[j] - 1.0) * np.log(max(pi[j], LIK_FLOOR))
-                if a1 != 1.0:
-                    val -= (a1 - 1.0) * np.log(max(rho, LIK_FLOOR))
-                if a2 != 1.0:
-                    val -= (a2 - 1.0) * np.log(max(1.0 - rho, LIK_FLOOR))
-            iters += 1
-            obj[iters] = val
-            if tol > 0.0 and change < tol:
-                converged = 1
-                break
-        return pi, rho, obj, iters, converged, frozen, -1
-
-    @njit(cache=True, parallel=True)
-    def nll_grid_k2_nb(fe, ce, n_side):
-        n = fe.shape[0]
-        a = np.empty(n)
-        b = np.empty(n)
-        dd = np.empty(n)
-        for i in range(n):
-            a[i] = fe[i, 0] / ce[0]
-            b[i] = fe[i, 1] / ce[1]
-            dd[i] = fe[i, 2] / ce[2]
-        step = 1.0 / (n_side - 1.0)
-        out = np.empty((n_side, n_side))
-        for gi in prange(n_side):
-            p1 = gi * step
-            u = np.empty(n)
-            for i in range(n):
-                u[i] = p1 * a[i] + (1.0 - p1) * b[i]
-            for gj in range(n_side):
-                rt = gj * step
-                acc = 0.0
-                for i in range(n):
-                    inner = rt * u[i] + (1.0 - rt) * dd[i]
-                    acc -= np.log(max(inner, LIK_FLOOR))
-                out[gi, gj] = acc
-        return out
-
-    @njit(cache=True)
-    def mlls_fit_nb(f, c, max_iters, tol):
-        n, k = f.shape
-        nf = float(n)
-        pi = c.copy()
-        w = np.empty((n, k))
-        for i in range(n):
-            for j in range(k):
-                w[i, j] = f[i, j] / c[j]
-        d = np.empty(n)
-        s = np.empty(k)
-        obj = np.empty(max_iters + 1)
-        converged = 0
-
-        val = 0.0
-        for i in range(n):
-            acc = 0.0
-            for j in range(k):
-                acc += w[i, j] * pi[j]
-            d[i] = acc
-            val -= np.log(max(acc, LIK_FLOOR))
-        obj[0] = val
-
-        iters = 0
-        for _ in range(max_iters):
-            for i in range(n):
-                if d[i] <= 0.0:
-                    return pi, obj, iters, 0, i
-            for j in range(k):
-                s[j] = 0.0
-            for i in range(n):
-                for j in range(k):
-                    s[j] += w[i, j] * pi[j] / d[i]
-            change = 0.0
-            for j in range(k):
-                pj = s[j] / nf
-                diff = abs(pj - pi[j])
-                if diff > change:
-                    change = diff
-                pi[j] = pj
-            val = 0.0
-            for i in range(n):
-                acc = 0.0
-                for j in range(k):
-                    acc += w[i, j] * pi[j]
-                d[i] = acc
-                val -= np.log(max(acc, LIK_FLOOR))
-            iters += 1
-            obj[iters] = val
-            if tol > 0.0 and change < tol:
-                converged = 1
-                break
-        return pi, obj, iters, converged, -1
-
-    @njit(cache=True)
-    def mapls_fit_nb(f, c, alpha, max_iters, tol):
-        n, k = f.shape
-        nf = float(n)
-        pi = c.copy()
-        sum_am1 = 0.0
-        has_prior = False
-        for j in range(k):
-            sum_am1 += alpha[j] - 1.0
-            if alpha[j] != 1.0:
-                has_prior = True
-        w = np.empty((n, k))
-        for i in range(n):
-            for j in range(k):
-                w[i, j] = f[i, j] / c[j]
-        d = np.empty(n)
-        s = np.empty(k)
-        obj = np.empty(max_iters + 1)
-        converged = 0
-
-        val = 0.0
-        for i in range(n):
-            acc = 0.0
-            for j in range(k):
-                acc += w[i, j] * pi[j]
-            d[i] = acc
-            val -= np.log(max(acc, LIK_FLOOR))
-        if has_prior:
-            for j in range(k):
-                if alpha[j] != 1.0:
-                    val -= (alpha[j] - 1.0) * np.log(max(pi[j], LIK_FLOOR))
-        obj[0] = val
-
-        iters = 0
-        for _ in range(max_iters):
-            for i in range(n):
-                if d[i] <= 0.0:
-                    return pi, obj, iters, 0, i
-            for j in range(k):
-                s[j] = 0.0
-            for i in range(n):
-                for j in range(k):
-                    s[j] += w[i, j] * pi[j] / d[i]
-            change = 0.0
-            for j in range(k):
-                pj = (s[j] + (alpha[j] - 1.0)) / (nf + sum_am1)
-                diff = abs(pj - pi[j])
-                if diff > change:
-                    change = diff
-                pi[j] = pj
-            val = 0.0
-            for i in range(n):
-                acc = 0.0
-                for j in range(k):
-                    acc += w[i, j] * pi[j]
-                d[i] = acc
-                val -= np.log(max(acc, LIK_FLOOR))
-            if has_prior:
-                for j in range(k):
-                    if alpha[j] != 1.0:
-                        val -= (alpha[j] - 1.0) * np.log(max(pi[j], LIK_FLOOR))
-            iters += 1
-            obj[iters] = val
-            if tol > 0.0 and change < tol:
-                converged = 1
-                break
-        return pi, obj, iters, converged, -1
-
-else:  # pragma: no cover - exercised via env flag
-    em_fit_mle_nb = None
-    em_fit_map_nb = None
-    nll_grid_k2_nb = None
-    mlls_fit_nb = None
-    mapls_fit_nb = None
-
-
-if HAVE_NUMBA:
-    BACKEND = "numba"
-    em_fit_mle = em_fit_mle_nb
-    em_fit_map = em_fit_map_nb
-    nll_grid_k2 = nll_grid_k2_nb
-    mlls_fit = mlls_fit_nb
-    mapls_fit = mapls_fit_nb
-else:
-    BACKEND = "numpy"
-    em_fit_mle = em_fit_mle_py
-    em_fit_map = em_fit_map_py
-    nll_grid_k2 = nll_grid_k2_py
-    mlls_fit = mlls_fit_py
-    mapls_fit = mapls_fit_py
+    a, b, dd = w[:, 0], w[:, 1], w[:, 2]
+    rows_per_block = max(1, _GRID_CELLS_PER_BLOCK // (2 * max(w.shape[0], 1)))
+    best_j = np.empty(n_side, dtype=np.int64)
+    best_val = np.empty(n_side)
+    for start in range(0, n_side, rows_per_block):
+        p1 = grid[start : start + rows_per_block]
+        u = p1[:, None] * a + (1.0 - p1)[:, None] * b
+        lo = np.zeros(p1.size, dtype=np.int64)
+        hi = np.full(p1.size, n_side - 1, dtype=np.int64)
+        active = np.flatnonzero(lo < hi)
+        while active.size:
+            mid = (lo[active] + hi[active]) // 2
+            vals = _cell_nll(grid, u[active], dd, np.stack([mid, mid + 1], axis=1))
+            rising = vals[:, 0] <= vals[:, 1]
+            hi[active[rising]] = mid[rising]
+            lo[active[~rising]] = mid[~rising] + 1
+            active = np.flatnonzero(lo < hi)
+        best_j[start : start + p1.size] = lo
+        best_val[start : start + p1.size] = _cell_nll(grid, u, dd, lo[:, None])[:, 0]
+    i = int(np.argmin(best_val))
+    return i, int(best_j[i]), float(best_val[i])

@@ -23,7 +23,6 @@ from .core import (
 )
 
 _COND_LIMIT = 1e8
-_PIVOT_TOL = 1e-300
 
 ProbsLike = Union[np.ndarray, Sequence]
 
@@ -95,6 +94,15 @@ def _coerce_source_prior(c, k: int) -> np.ndarray:
     return np.ascontiguousarray(c)
 
 
+def _closed_set_fit(f, c, alpha, max_iters, tol, return_trace):
+    pi, _, obj, _, _, _, degenerate = _kernels.em_fit(f / c, c, None, alpha, (1.0, 1.0),
+                                                      max_iters, tol)
+    if degenerate >= 0:
+        raise DegenerateSample(degenerate)
+    result = ProbabilityVector(pi)
+    return (result, obj) if return_trace else result
+
+
 def mlls(
     target_f: ProbsLike,
     c,
@@ -106,13 +114,7 @@ def mlls(
     """Maximum-likelihood target label distribution from classifier posteriors."""
     f = _coerce_prob_rows(target_f)
     c = _coerce_source_prior(c, f.shape[1])
-    pi, obj, iters, _converged, degenerate = _kernels.mlls_fit(f, c, max_iters, tol)
-    if degenerate >= 0:
-        raise DegenerateSample(int(degenerate))
-    result = ProbabilityVector(pi)
-    if return_trace:
-        return result, np.array(obj[: iters + 1])
-    return result
+    return _closed_set_fit(f, c, np.ones(c.size), max_iters, tol, return_trace)
 
 
 def mapls(
@@ -127,46 +129,19 @@ def mapls(
     """MAP variant of mlls with a per-class Dirichlet prior (alpha >= 1)."""
     f = _coerce_prob_rows(target_f)
     c = _coerce_source_prior(c, f.shape[1])
-    alpha = np.ascontiguousarray(np.asarray(alpha, dtype=float))
+    alpha = np.asarray(alpha, dtype=float)
     if alpha.size != f.shape[1] or np.any(alpha < 1.0):
         raise ValidationError("alpha must have K entries, all >= 1")
-    pi, obj, iters, _converged, degenerate = _kernels.mapls_fit(f, c, alpha, max_iters, tol)
-    if degenerate >= 0:
-        raise DegenerateSample(int(degenerate))
-    result = ProbabilityVector(pi)
-    if return_trace:
-        return result, np.array(obj[: iters + 1])
-    return result
-
-
-def _gauss_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b by Gaussian elimination with partial pivoting."""
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    n = a.shape[0]
-    for col in range(n):
-        pivot = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[pivot, col]) < _PIVOT_TOL:
-            raise IllConditioned("singular confusion matrix")
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            b[[col, pivot]] = b[[pivot, col]]
-        for row in range(col + 1, n):
-            m = a[row, col] / a[col, col]
-            a[row, col:] -= m * a[col, col:]
-            b[row] -= m * b[col]
-    x = np.zeros(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
-    return x
+    return _closed_set_fit(f, c, alpha, max_iters, tol, return_trace)
 
 
 def _cond_1(a: np.ndarray) -> float:
-    n = a.shape[0]
-    inv = np.column_stack([_gauss_solve(a, e) for e in np.eye(n)])
-    norm = np.abs(a).sum(axis=0).max()
-    inv_norm = np.abs(inv).sum(axis=0).max()
-    return float(norm * inv_norm)
+    """1-norm condition number ||a||_1 ||a^-1||_1."""
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        raise IllConditioned("singular confusion matrix") from None
+    return float(np.abs(a).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())
 
 
 def bbse(confusion: ConfusionMatrix, target_pred_freq) -> ProbabilityVector:
@@ -182,9 +157,9 @@ def bbse(confusion: ConfusionMatrix, target_pred_freq) -> ProbabilityVector:
         raise ValidationError(f"target frequencies have {q.size} entries, expected {confusion.k}")
     cm = confusion.entries
     cond = _cond_1(cm)
-    if cond >= _COND_LIMIT:
+    if not cond < _COND_LIMIT:  # also rejects a NaN condition number
         raise IllConditioned(f"confusion matrix condition number {cond:.3g} >= {_COND_LIMIT:.0e}")
-    w = _gauss_solve(cm, q)
+    w = np.linalg.solve(cm, q)
     pi_unnorm = np.maximum(w, 0.0) * confusion.class_marginals()
     total = pi_unnorm.sum()
     if total <= 0.0:

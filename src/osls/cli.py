@@ -27,6 +27,7 @@ from .estimators import bound_coverage_rho_s, bound_coverage_rho_t
 from .metrics import EvalReport, ece, rho_abs_error, top1_accuracy, w_mse
 from .pipeline import (
     ALL_METHODS,
+    DEFAULT_ALPHA,
     EstimateResult,
     correct_with_estimate,
     estimate,
@@ -283,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", dest="method", action="store_const", const="osls-map")
     p.add_argument("--gamma", type=float, default=0.2, help="pseudo-OOD noise blend weight")
     p.add_argument("--T", type=float, default=2.0, help="pseudo-OOD score mean rescale factor")
-    p.add_argument("--alpha-in", type=float, default=2.0,
+    p.add_argument("--alpha-in", type=float, default=DEFAULT_ALPHA,
                    help="per-class Dirichlet prior strength for MAP runs (and mapls)")
     p.add_argument("--alpha-out", type=float, nargs=2, default=(1.0, 1.0),
                    metavar=("A1", "A2"), help="Beta prior on the target ID ratio")

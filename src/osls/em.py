@@ -20,7 +20,6 @@ import numpy as np
 
 from . import _kernels
 from .core import (
-    LIK_FLOOR,
     DegenerateSample,
     ProbabilityVector,
     RecordSet,
@@ -98,12 +97,21 @@ class EmTrace:
     pi_update_frozen: bool = False
 
 
-def _extended_inputs(source: SourceLabelModel, target: RecordSet):
+def _scaled_outputs(source: SourceLabelModel, target: RecordSet) -> np.ndarray:
+    """The EM kernel's W = fe / ce: combined outputs scaled by the source extended prior."""
     if target.k != source.k:
         raise ValidationError(f"target has K={target.k} but source has K={source.k}")
-    fe = np.ascontiguousarray(target.extended_f())
-    ce = np.ascontiguousarray(source.extended().entries)
-    return fe, ce
+    w = target.extended_f()
+    w /= source.extended().entries
+    return w
+
+
+def _fit(w, pi0, rho0, config: EmConfig, k: int, max_iters: int):
+    out = _kernels.em_fit(w, pi0, rho0, config.resolved_alpha_in(k), config.alpha_out,
+                          max_iters, config.tol)
+    if out[-1] >= 0:
+        raise DegenerateSample(out[-1])
+    return out
 
 
 def osls_nll(
@@ -118,10 +126,8 @@ def osls_nll(
     contribute a large but finite penalty.
     """
     target = RecordSet.coerce(target)
-    fe, ce = _extended_inputs(source, target)
-    pie = extend_distribution(pi, rho_t).entries
-    inner = fe @ (pie / ce)
-    return float(-np.sum(np.log(np.maximum(inner, LIK_FLOOR))))
+    w = _scaled_outputs(source, target)
+    return float(_kernels.nll(w @ extend_distribution(pi, rho_t).entries))
 
 
 def m_step_update(
@@ -139,13 +145,8 @@ def m_step_update(
     col_sums = np.asarray(col_sums, dtype=float)
     k = col_sums.size - 1
     a_in = np.ones(k) if alpha_in is None else np.asarray(alpha_in, dtype=float)
-    a1, a2 = float(alpha_out[0]), float(alpha_out[1])
-    nf = float(n)
-    s_ood = col_sums[k]
-    denom_pi = nf - s_ood + float(np.sum(a_in - 1.0))
-    pi = None if denom_pi == 0.0 else (col_sums[:k] + (a_in - 1.0)) / denom_pi
-    rho = (nf - s_ood + (a1 - 1.0)) / (nf + a1 + a2 - 2.0)
-    return pi, float(rho)
+    bm1 = (float(alpha_out[0]) - 1.0, float(alpha_out[1]) - 1.0)
+    return _kernels.open_m_step(col_sums, float(n), a_in - 1.0, bm1)
 
 
 def em_step(
@@ -163,19 +164,8 @@ def em_step(
         raise ValidationError("em_step requires strictly positive pi")
     if not (0.0 < rho_t < 1.0):
         raise ValidationError("em_step requires rho_t strictly in (0, 1)")
-    fe, ce = _extended_inputs(source, target)
-    pie = extend_distribution(pi, rho_t).entries
-    w = fe * (pie / ce)
-    denom = w.sum(axis=1)
-    if np.any(denom <= 0.0):
-        raise DegenerateSample(int(np.argmax(denom <= 0.0)))
-    g = w / denom[:, None]
-    col_sums = g.sum(axis=0)
-    pi_new, rho_new = m_step_update(
-        col_sums, len(target), config.resolved_alpha_in(target.k), config.alpha_out
-    )
-    if pi_new is None:
-        pi_new = pi
+    w = _scaled_outputs(source, target)
+    pi_new, rho_new = _fit(w, pi, rho_t, config, target.k, 1)[:2]
     return ProbabilityVector(pi_new), rho_new
 
 
@@ -188,39 +178,27 @@ def run_em(
     """Fit (pi, rho_t) by EM, starting from pi = c and rho_t = rho_s by default."""
     config = config or EmConfig()
     target = RecordSet.coerce(target)
-    fe, ce = _extended_inputs(source, target)
+    w = _scaled_outputs(source, target)
     if init is None:
-        pi0 = source.c.entries.copy()
+        pi0 = source.c.entries
         rho0 = source.rho_s
     else:
-        pi0 = init.pi.entries.copy()
+        pi0 = init.pi.entries
         rho0 = float(init.rho_t)
         if np.any(pi0 <= 0.0):
             raise ValidationError("initial pi must be strictly positive")
         if not (0.0 < rho0 < 1.0):
             raise ValidationError("initial rho_t must lie strictly in (0, 1)")
-    pi0 = np.ascontiguousarray(pi0)
-
-    if config.is_mle:
-        out = _kernels.em_fit_mle(fe, ce, pi0, rho0, config.max_iters, config.tol)
-    else:
-        alpha_in = np.ascontiguousarray(config.resolved_alpha_in(target.k))
-        a1, a2 = config.alpha_out
-        out = _kernels.em_fit_map(
-            fe, ce, pi0, rho0, alpha_in, a1, a2, config.max_iters, config.tol
-        )
-    pi, rho, obj, iters, converged, frozen, degenerate = out
-    if degenerate >= 0:
-        raise DegenerateSample(int(degenerate))
-    trace = np.array(obj[: iters + 1])
-    trace.flags.writeable = False
+    pi, rho, obj, iters, converged, frozen, _ = _fit(w, pi0, rho0, config, target.k,
+                                                     config.max_iters)
+    obj.flags.writeable = False
     return EmTrace(
-        nll_per_iter=trace,
+        nll_per_iter=obj,
         pi_final=ProbabilityVector(pi),
-        rho_t_final=float(rho),
-        iterations_run=int(iters),
-        converged=bool(converged),
-        pi_update_frozen=bool(frozen),
+        rho_t_final=rho,
+        iterations_run=iters,
+        converged=converged,
+        pi_update_frozen=frozen,
     )
 
 
@@ -241,18 +219,16 @@ def nll_grid_argmin(
     target: TargetLike,
     resolution: float = 0.001,
 ) -> Tuple[float, float, float]:
-    """Exhaustive NLL minimization over a uniform (pi_1, rho_t) grid, K = 2 only.
+    """NLL minimization over a uniform (pi_1, rho_t) grid, K = 2 only.
 
-    Returns (pi_1, rho_t, nll) at the grid argmin. This is the brute-force
-    route used to cross-check the EM optimizer.
+    Returns (pi_1, rho_t, nll) at the grid argmin, the lowest-index one on
+    ties. Each pi_1 row is searched by bisection over rho_t, in which the NLL
+    is convex; this is the grid route used to cross-check the EM optimizer.
     """
     target = RecordSet.coerce(target)
     if target.k != 2:
         raise ValidationError("grid search is implemented for K = 2 only")
-    fe, ce = _extended_inputs(source, target)
     n_side = int(round(1.0 / resolution)) + 1
-    surface = _kernels.nll_grid_k2(fe, ce, n_side)
-    flat = int(np.argmin(surface))
-    i, j = divmod(flat, n_side)
+    i, j, value = _kernels.nll_grid_k2_argmin(_scaled_outputs(source, target), n_side)
     step = 1.0 / (n_side - 1)
-    return i * step, j * step, float(surface[i, j])
+    return i * step, j * step, value

@@ -25,6 +25,8 @@ from .simulate import Scenario
 OSLS_METHODS = ("osls-mle", "osls-map")
 CLOSED_SET_METHODS = ("mlls", "mapls", "bbse")
 ALL_METHODS = OSLS_METHODS + CLOSED_SET_METHODS + ("uniform",)
+# Dirichlet prior strength of osls-map and mapls when no other is given.
+DEFAULT_ALPHA = 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +116,7 @@ def estimate(
     mu0_hat: Optional[float] = None,
     n_ood: Optional[int] = None,
     em_config: Optional[EmConfig] = None,
-    mapls_alpha: float = 2.0,
+    mapls_alpha: float = DEFAULT_ALPHA,
     apply_rho_correction: bool = True,
 ) -> EstimateResult:
     """Run one estimation method and return the uniform report.
@@ -245,6 +247,8 @@ def _run_sweep_point(args) -> Tuple[Tuple[str, float, int], dict]:
     config = scenario_from_kv(kv)
     source, target, ood_ref, truth = make_scenario(config)
     mu0_hat = float(np.mean(ood_ref.records.h))
+    mle_config = EmConfig(max_iters=em_iters)
+    map_config = EmConfig(max_iters=em_iters, alpha_in=np.full(config.k, DEFAULT_ALPHA))
     out = {}
     for method in methods:
         try:
@@ -254,7 +258,7 @@ def _run_sweep_point(args) -> Tuple[Tuple[str, float, int], dict]:
                 target.records,
                 mu0_hat=mu0_hat,
                 n_ood=len(ood_ref),
-                em_config=EmConfig(max_iters=em_iters),
+                em_config=map_config if method == "osls-map" else mle_config,
             )
             err = w_mse(result.pi_hat, truth.pi, config.c)
             rho_hat = (

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from osls import _kernels
 from osls.simulate import ShiftSpec, ring_config
 
 
@@ -42,3 +43,26 @@ def overlap_config(k=5, *, seed=0, shift=None, r=1.0, n=10_000, n_ood=5000, rho_
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def mle_em_path(w, pi0, rho0, iters):
+    """Open-set EM written with the maximum-likelihood updates and no prior terms.
+
+    The path a MAP fit with all-ones priors must reproduce bitwise: pi = s_in /
+    (n - s_ood), rho = (n - s_ood) / n and the objective is the plain NLL.
+    Returns (pi, rho, objective trace).
+    """
+    n = float(w.shape[0])
+    k = pi0.size
+    pi, rho = np.array(pi0, dtype=float), float(rho0)
+    x = np.append(rho * pi, 1.0 - rho)
+    d = w @ x
+    trace = [_kernels.nll(d)]
+    for _ in range(iters):
+        s = _kernels.e_step(w, x, d)
+        n_in = n - s[k]
+        pi, rho = s[:k] / n_in, float(n_in / n)
+        x = np.append(rho * pi, 1.0 - rho)
+        d = w @ x
+        trace.append(_kernels.nll(d))
+    return pi, rho, np.array(trace)

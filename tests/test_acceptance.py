@@ -24,7 +24,7 @@ from osls.metrics import ece, top1_accuracy, w_mse
 from osls.pipeline import correct_with_estimate, estimate
 from osls.simulate import ShiftSpec, distort_scorer, make_scenario, ring_config
 
-from conftest import easy_config, overlap_config
+from conftest import easy_config, mle_em_path, overlap_config
 
 
 def _report(num, description, detail):
@@ -103,13 +103,10 @@ def test_c03_mle_map_bitwise_degeneracy():
         cfg = overlap_config(k=k, seed=200 + seed, n=1000, shift=ShiftSpec.dirichlet(1.0))
         _, target, _, _ = make_scenario(cfg)
         source = SourceLabelModel(cfg.c, cfg.rho_s)
-        fe = np.ascontiguousarray(target.records.extended_f())
-        ce = np.ascontiguousarray(source.extended().entries)
-        pi0 = np.ascontiguousarray(source.c.entries)
-        mle = _kernels.em_fit_mle(fe, ce, pi0, source.rho_s, 60, 0.0)
-        mapped = _kernels.em_fit_map(
-            fe, ce, pi0, source.rho_s, np.ones(k), 1.0, 1.0, 60, 0.0
-        )
+        w = target.records.extended_f() / source.extended().entries
+        pi0 = source.c.entries
+        mle = mle_em_path(w, pi0, source.rho_s, 60)
+        mapped = _kernels.em_fit(w, pi0, source.rho_s, np.ones(k), (1.0, 1.0), 60, 0.0)
         assert np.array_equal(mle[0], mapped[0])
         assert mle[1] == mapped[1]
         assert np.array_equal(mle[2][:61], mapped[2][:61])

@@ -4,6 +4,7 @@ import pytest
 from osls import _kernels
 from osls.baselines import (
     ConfusionMatrix,
+    _cond_1,
     argmax_labels,
     bbse,
     mapls,
@@ -63,8 +64,8 @@ class TestMapls:
 
     def test_prior_mode_zero_data(self):
         # N = 0 through the kernel: the M-step lands on the prior mode
-        out = _kernels.mapls_fit(np.zeros((0, 2)), np.array([0.5, 0.5]),
-                                 np.array([3.0, 2.0]), 5, 0.0)
+        out = _kernels.em_fit(np.zeros((0, 2)), np.array([0.5, 0.5]), None,
+                              np.array([3.0, 2.0]), (1.0, 1.0), 5, 0.0)
         np.testing.assert_allclose(out[0], [2 / 3, 1 / 3])
 
     def test_direct_substitution(self):
@@ -114,6 +115,18 @@ class TestBbse:
 
     def test_singular_raises(self):
         confusion = ConfusionMatrix(np.array([[0.25, 0.25], [0.25, 0.25]]))
+        with pytest.raises(IllConditioned):
+            bbse(confusion, ProbabilityVector([0.5, 0.5]))
+
+    def test_cond_1_matches_numpy(self, rng):
+        for k in (2, 5, 30):
+            cm = rng.dirichlet(np.ones(k), size=k) + 3.0 * np.eye(k)
+            cm /= cm.sum()
+            assert _cond_1(cm) == pytest.approx(np.linalg.cond(cm, 1), rel=1e-12)
+
+    def test_near_singular_raises(self):
+        eps = 1e-12
+        confusion = ConfusionMatrix(np.array([[0.25, 0.25], [0.25, 0.25 + eps]]) / (1.0 + eps))
         with pytest.raises(IllConditioned):
             bbse(confusion, ProbabilityVector([0.5, 0.5]))
 

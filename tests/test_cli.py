@@ -281,6 +281,34 @@ class TestSweep:
         direct = w_mse_fn(result.pi_hat, truth.pi, config.c)
         assert cells[0]["w_mse_mean"] == pytest.approx(direct, rel=1e-12)
 
+    def test_osls_map_cell_uses_the_default_prior(self):
+        from osls.em import EmConfig
+        from osls.io import scenario_from_kv
+        from osls.metrics import w_mse as w_mse_fn
+        from osls.pipeline import DEFAULT_ALPHA, run_sweep
+        from osls.pipeline import estimate as estimate_fn
+        from osls.simulate import make_scenario
+
+        base_kv = {"k": "2", "radius": "4.0", "scale": "0.8", "rho_s": "0.7",
+                   "n_source": "500", "n_target": "500", "n_ood_ref": "300"}
+        cells, failures = run_sweep(base_kv, ["lt:10:forward"], [1.0], [1],
+                                    ["osls-mle", "osls-map"], em_iters=50)
+        assert not failures
+        by_method = {cell.method: cell for cell in cells}
+
+        kv = dict(base_kv, shift="lt:10:forward", r="1.0", seed="1")
+        config = scenario_from_kv(kv)
+        source, target, ood_ref, truth = make_scenario(config)
+        result = estimate_fn(
+            "osls-map", source.records, target.records,
+            mu0_hat=float(ood_ref.records.h.mean()), n_ood=len(ood_ref),
+            em_config=EmConfig(max_iters=50, alpha_in=np.full(2, DEFAULT_ALPHA)),
+        )
+        assert result.method == "osls-map"
+        direct = w_mse_fn(result.pi_hat, truth.pi, config.c)
+        assert by_method["osls-map"].w_mse_mean == direct
+        assert by_method["osls-map"].w_mse_mean != by_method["osls-mle"].w_mse_mean
+
 
 class TestBoundCheckCli:
     def test_theorem1_passes(self, capsys):

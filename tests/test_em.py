@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osls import _kernels
 from osls.core import (
@@ -22,9 +24,9 @@ from osls.em import (
     run_em,
 )
 from osls.estimators import threshold_rescale
-from osls.simulate import ShiftSpec, make_scenario
+from osls.simulate import ShiftSpec, make_scenario, ring_config
 
-from conftest import easy_config, overlap_config
+from conftest import easy_config, mle_em_path, overlap_config
 
 
 def _direct_nll(pi, rho_t, c, rho_s, f, h):
@@ -121,6 +123,22 @@ class TestEmStep:
             em_step([0.5, 0.5], 1.0, source, target)
 
 
+class TestEStepKernel:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 12))
+    def test_matvec_equals_responsibility_column_sums(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(1e-3, 5.0, size=(n, k))
+        x = rng.uniform(1e-3, 1.0, size=k)
+        d = w @ x
+        resp = np.empty((n, k))
+        for i in range(n):
+            row = x * w[i]
+            resp[i] = row / row.sum()
+        want = resp.sum(axis=0)
+        np.testing.assert_allclose(_kernels.e_step(w, x, d), want, rtol=1e-12, atol=0.0)
+
+
 class TestRunEm:
     def test_no_shift_consistency(self):
         # target sampled exactly from the source model: r chosen so rho_t = rho_s
@@ -140,10 +158,9 @@ class TestRunEm:
 
     def test_prior_mode_zero_data_kernel(self):
         # zero-weight emulation via the kernel with an empty target block
-        fe = np.zeros((0, 3))
-        ce = np.array([0.35, 0.35, 0.3])
-        out = _kernels.em_fit_map(fe, ce, np.array([0.5, 0.5]), 0.5,
-                                  np.array([2.0, 2.0]), 2.0, 2.0, 5, 0.0)
+        w = np.zeros((0, 3))
+        out = _kernels.em_fit(w, np.array([0.5, 0.5]), 0.5,
+                              np.array([2.0, 2.0]), (2.0, 2.0), 5, 0.0)
         pi, rho = out[0], out[1]
         np.testing.assert_allclose(pi, [0.5, 0.5])
         assert rho == pytest.approx(0.5)
@@ -170,12 +187,10 @@ class TestRunEm:
         cfg = overlap_config(k=4, seed=3, n=1000, shift=ShiftSpec.dirichlet(1.0))
         _, target, _, _ = make_scenario(cfg)
         source = SourceLabelModel(cfg.c, cfg.rho_s)
-        fe = np.ascontiguousarray(target.records.extended_f())
-        ce = np.ascontiguousarray(source.extended().entries)
-        pi0 = np.ascontiguousarray(source.c.entries)
-        mle = _kernels.em_fit_mle(fe, ce, pi0, source.rho_s, 50, 0.0)
-        ones = np.ones(4)
-        mapped = _kernels.em_fit_map(fe, ce, pi0, source.rho_s, ones, 1.0, 1.0, 50, 0.0)
+        w = target.records.extended_f() / source.extended().entries
+        pi0 = source.c.entries
+        mle = mle_em_path(w, pi0, source.rho_s, 50)
+        mapped = _kernels.em_fit(w, pi0, source.rho_s, np.ones(4), (1.0, 1.0), 50, 0.0)
         assert np.array_equal(mle[0], mapped[0])  # pi bitwise
         assert mle[1] == mapped[1]  # rho bitwise
         assert np.array_equal(mle[2][:51], mapped[2][:51])  # objective trace bitwise
@@ -195,7 +210,7 @@ class TestRunEm:
         fe = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         ce = np.array([0.35, 0.35, 0.3])
         pi0 = np.array([1.0, 0.0])
-        out = _kernels.em_fit_mle(fe, ce, pi0, 1.0, 10, 0.0)
+        out = _kernels.em_fit(fe / ce, pi0, 1.0, np.ones(2), (1.0, 1.0), 10, 0.0)
         assert out[-1] == 0  # first sample has zero posterior mass
         err = DegenerateSample(int(out[-1]))
         assert err.index == 0 and "0" in str(err)
@@ -234,7 +249,39 @@ class TestClosedFormRhoT:
         assert abs(trace.rho_t_final - closed_form_rho_t(binary_target)) < 1e-6
 
 
+def _full_grid_surface(fe, ce, n_side):
+    """NLL over every cell of the n_side x n_side (pi_1, rho_t) grid, K = 2."""
+    a = fe[:, 0] / ce[0]
+    b = fe[:, 1] / ce[1]
+    dd = fe[:, 2] / ce[2]
+    grid = np.linspace(0.0, 1.0, n_side)
+    out = np.empty((n_side, n_side))
+    for i, p1 in enumerate(grid):
+        u = p1 * a + (1.0 - p1) * b
+        inner = grid[:, None] * u[None, :] + (1.0 - grid)[:, None] * dd[None, :]
+        out[i, :] = -np.sum(np.log(np.maximum(inner, 1e-300)), axis=1)
+    return out
+
+
 class TestGridOracle:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bisection_matches_full_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        cfg = ring_config(2, radius=float(rng.uniform(1.5, 4.0)), scale=1.0,
+                          rho_s=float(rng.uniform(0.3, 0.9)), n_source=500,
+                          n_target=int(rng.integers(20, 400)), n_ood_ref=500,
+                          shift=ShiftSpec.dirichlet(1.0),
+                          r=float(np.exp(rng.uniform(np.log(0.1), np.log(10.0)))),
+                          seed=seed)
+        _, target, _, _ = make_scenario(cfg)
+        source = SourceLabelModel(cfg.c, cfg.rho_s)
+        surface = _full_grid_surface(target.records.extended_f(), source.extended().entries,
+                                     101)
+        i, j = divmod(int(np.argmin(surface)), 101)
+        p1, rho, value = nll_grid_argmin(source, target.records, resolution=0.01)
+        assert (p1, rho) == (i * (1.0 / 100), j * (1.0 / 100))
+        assert value == surface[i, j]
+
     def test_matches_em(self):
         cfg = overlap_config(k=2, seed=14, n=300, shift=ShiftSpec.ordered_lt(10), separation=2.5)
         _, target, ood_ref, _ = make_scenario(cfg)
