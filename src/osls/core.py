@@ -248,6 +248,9 @@ class RecordSet:
             raise ValidationError(f"f has {f.shape[0]} rows but h has {h.size} entries")
         if f.shape[0] == 0:
             raise ValidationError("empty record set")
+        finite = np.isfinite(f).all(axis=1) & np.isfinite(h)
+        if not finite.all():
+            raise ValidationError(f"row {int(np.argmin(finite))} has a non-finite value in f or h")
         sums = f.sum(axis=1)
         if np.any(f < -SIMPLEX_TOL) or np.any(np.abs(sums - 1.0) > SIMPLEX_TOL):
             bad = int(np.argmax((np.abs(sums - 1.0) > SIMPLEX_TOL) | (f < -SIMPLEX_TOL).any(axis=1)))
@@ -261,9 +264,15 @@ class RecordSet:
             y = np.asarray(y)
             if y.shape != h.shape:
                 raise ValidationError("y must have one entry per record")
+            bad = (y < 1) | (y > f.shape[1] + 1)
+            if y.dtype.kind == "f":
+                bad |= y != np.floor(y)
+            if bad.any():
+                raise ValidationError(
+                    f"label {y[np.argmax(bad)]} at row {int(np.argmax(bad))} is not an "
+                    f"integer in 1..{f.shape[1] + 1}"
+                )
             y = y.astype(np.int64)
-            if np.any(y < 1) or np.any(y > f.shape[1] + 1):
-                raise ValidationError(f"labels must lie in 1..{f.shape[1] + 1}")
             y.flags.writeable = False
         f.flags.writeable = False
         h.flags.writeable = False

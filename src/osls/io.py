@@ -1,15 +1,29 @@
-"""File formats: prediction records, truth files, reports, and config parsing.
+"""File formats: prediction records, corrected predictions, features, reports and configs.
 
 Prediction files are line-delimited JSON objects ``{"f": [...], "h": x, "y": k}``
 (``y`` optional); a CSV alternative with header ``f1,...,fK,h[,y]`` is selected
-by the ``.csv`` extension on both read and write. All files are UTF-8 and
-floats are serialized with repr (shortest exact round-trip), so fixed inputs
-produce byte-identical outputs.
+by the ``.csv`` extension on both read and write. Corrected files hold
+``{"g": [...], "y_hat": j, "y": k}`` lines (CSV header ``g1,...,gK+1,y_hat[,y]``)
+and feature files are CSV with header ``x1,...,xd``. All files are UTF-8.
+
+Tables are written and read ``BLOCK_ROWS`` rows at a time. A block of floats
+is formatted with one ``repr`` of its nested list, which spells every finite
+float as ``float.__repr__`` (shortest exact round-trip) does, exactly as
+``json.dumps`` would, so fixed inputs produce byte-identical outputs. A block
+of JSON lines is parsed with one ``json.loads`` and its columns are converted
+with numpy.
+
+Values must be finite and labels integral. Input that is not raises
+``ValidationError`` naming the file and the 1-based line: a block that fails
+is parsed again line by line to find it. Writers refuse non-finite values,
+which no JSON text encodes.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Union
 
@@ -20,89 +34,86 @@ from .simulate import ScenarioConfig, ShiftSpec
 
 PathLike = Union[str, Path]
 
+# Rows formatted or parsed per step: large enough that the per-block calls
+# are cheap, small enough that only one block of Python objects is alive.
+BLOCK_ROWS = 4096
+
+# Joins a block of JSON lines into one array text. A raw newline can sit in no
+# JSON string, so each separator parses as one NaN constant; the block then
+# parses to 2n - 1 values with a separator at every odd position, and no other
+# constant, only when each of the n lines holds exactly one value.
+_SEPARATOR = "\n,NaN,\n"
+_SEPARATOR_MARK = object()
+
+# Labels beyond this magnitude are not exact as float64 and not sensible labels.
+_MAX_LABEL = 2.0**53
+
+# What converting a malformed row can raise; ValidationError is a ValueError.
+_ROW_ERRORS = (ValueError, TypeError, LookupError, AttributeError, OverflowError, RecursionError)
+
 
 def _is_csv(path: PathLike) -> bool:
     return str(path).lower().endswith(".csv")
 
 
-def read_records(path: PathLike) -> RecordSet:
-    """Read a prediction file (JSONL by default, CSV by extension)."""
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    try:
-        if _is_csv(path):
-            return _records_from_csv(text)
-        return _records_from_jsonl(text)
-    except ValidationError:
-        raise
-    except (ValueError, KeyError, IndexError) as exc:
-        raise ValidationError(f"cannot parse prediction file {path}: {exc}") from exc
+# --- writing -----------------------------------------------------------------
 
 
-def _records_from_jsonl(text: str) -> RecordSet:
-    f_rows, h_vals, y_vals = [], [], []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        obj = json.loads(line)
-        f_rows.append([float(v) for v in obj["f"]])
-        h_vals.append(float(obj["h"]))
-        y_vals.append(int(obj["y"]) if "y" in obj and obj["y"] is not None else None)
-    if not f_rows:
-        raise ValidationError("prediction file contains no records")
-    y = None
-    if all(v is not None for v in y_vals):
-        y = np.array(y_vals, dtype=np.int64)
-    return RecordSet(np.array(f_rows), np.array(h_vals), y)
+def _float_rows(block: np.ndarray, sep: str) -> list:
+    """Each row of a finite 2-D float block as the reprs of its entries joined by ``sep``."""
+    text = repr(block.tolist())[2:-2]
+    if sep != ", ":
+        text = text.replace(", ", sep)
+    return text.split("]" + sep + "[")
 
 
-def _records_from_csv(text: str) -> RecordSet:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2:
-        raise ValidationError("CSV prediction file needs a header and at least one row")
-    header = [h.strip() for h in lines[0].split(",")]
-    if "h" not in header:
-        raise ValidationError("CSV header must contain an 'h' column")
-    h_col = header.index("h")
-    has_y = "y" in header
-    y_col = header.index("y") if has_y else -1
-    k = h_col
-    if header[:k] != [f"f{j + 1}" for j in range(k)]:
-        raise ValidationError("CSV header must start with f1,...,fK")
-    f_rows, h_vals, y_vals = [], [], []
-    for line in lines[1:]:
-        cells = [cell.strip() for cell in line.split(",")]
-        f_rows.append([float(v) for v in cells[:k]])
-        h_vals.append(float(cells[h_col]))
-        if has_y:
-            y_vals.append(int(float(cells[y_col])))
-    y = np.array(y_vals, dtype=np.int64) if has_y else None
-    return RecordSet(np.array(f_rows), np.array(h_vals), y)
+def _write_table(path: PathLike, header: Optional[str], template: str, columns: list,
+                 sep: str) -> None:
+    """Write one ``template.format(*cells)`` line per row, BLOCK_ROWS rows at a time.
+
+    ``columns`` holds 2-D float arrays, whose rows become ``sep``-joined reprs,
+    and 1-D integer arrays. Nothing is written unless every float is finite.
+    """
+    n = columns[0].shape[0]
+    for col in columns:
+        if col.shape[0] != n:
+            raise ValidationError(f"cannot write {path}: columns have {n} and {col.shape[0]} rows")
+        if col.ndim == 2:
+            finite = np.isfinite(col).all(axis=1)
+            if not finite.all():
+                raise ValidationError(
+                    f"cannot write {path}: row {int(np.argmin(finite))} has a non-finite value"
+                )
+    with open(path, "w", encoding="utf-8") as out:
+        if header is not None:
+            out.write(header + "\n")
+        for start in range(0, n, BLOCK_ROWS):
+            cells = [
+                _float_rows(col[start : start + BLOCK_ROWS], sep)
+                if col.ndim == 2
+                else map(str, col[start : start + BLOCK_ROWS].tolist())
+                for col in columns
+            ]
+            out.write("\n".join(map(template.format, *cells)) + "\n")
+
+
+def _csv_template(columns: list) -> str:
+    return ",".join(["{}"] * len(columns))
 
 
 def write_records(path: PathLike, records: RecordSet) -> None:
     """Write a prediction file; format chosen by extension."""
-    path = Path(path)
+    columns = [records.f, records.h[:, None]]
+    if records.y is not None:
+        columns.append(records.y)
     if _is_csv(path):
         header = [f"f{j + 1}" for j in range(records.k)] + ["h"]
         if records.y is not None:
             header.append("y")
-        lines = [",".join(header)]
-        for i in range(len(records)):
-            cells = [repr(float(v)) for v in records.f[i]] + [repr(float(records.h[i]))]
-            if records.y is not None:
-                cells.append(str(int(records.y[i])))
-            lines.append(",".join(cells))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_table(path, ",".join(header), _csv_template(columns), columns, ",")
         return
-    lines = []
-    for i in range(len(records)):
-        obj = {"f": [float(v) for v in records.f[i]], "h": float(records.h[i])}
-        if records.y is not None:
-            obj["y"] = int(records.y[i])
-        lines.append(json.dumps(obj))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    template = '{{"f": [{}], "h": {}}}' if records.y is None else '{{"f": [{}], "h": {}, "y": {}}}'
+    _write_table(path, None, template, columns, ", ")
 
 
 def write_corrected(
@@ -112,76 +123,289 @@ def write_corrected(
     y: Optional[np.ndarray] = None,
 ) -> None:
     """Write corrected (K+1)-class posteriors with argmax labels."""
-    path = Path(path)
     posteriors = np.atleast_2d(np.asarray(posteriors, dtype=float))
-    labels = np.asarray(labels, dtype=np.int64).ravel()
+    columns = [posteriors, np.asarray(labels, dtype=np.int64).ravel()]
+    if y is not None:
+        columns.append(np.asarray(y, dtype=np.int64).ravel())
     if _is_csv(path):
         header = [f"g{j + 1}" for j in range(posteriors.shape[1])] + ["y_hat"]
         if y is not None:
             header.append("y")
-        lines = [",".join(header)]
-        for i in range(posteriors.shape[0]):
-            cells = [repr(float(v)) for v in posteriors[i]] + [str(int(labels[i]))]
-            if y is not None:
-                cells.append(str(int(y[i])))
-            lines.append(",".join(cells))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_table(path, ",".join(header), _csv_template(columns), columns, ",")
         return
-    lines = []
-    for i in range(posteriors.shape[0]):
-        obj = {"g": [float(v) for v in posteriors[i]], "y_hat": int(labels[i])}
-        if y is not None:
-            obj["y"] = int(y[i])
-        lines.append(json.dumps(obj))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_corrected(path: PathLike) -> dict:
-    """Read a corrected predictions file into arrays g, y_hat and optional y."""
-    path = Path(path)
-    g_rows, y_hat, y_vals = [], [], []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        obj = json.loads(line)
-        g_rows.append([float(v) for v in obj["g"]])
-        y_hat.append(int(obj["y_hat"]))
-        y_vals.append(int(obj["y"]) if "y" in obj and obj["y"] is not None else None)
-    if not g_rows:
-        raise ValidationError(f"corrected file {path} contains no records")
-    y = None
-    if all(v is not None for v in y_vals):
-        y = np.array(y_vals, dtype=np.int64)
-    return {"g": np.array(g_rows), "y_hat": np.array(y_hat, dtype=np.int64), "y": y}
+    template = '{{"g": [{}], "y_hat": {}}}' if y is None else '{{"g": [{}], "y_hat": {}, "y": {}}}'
+    _write_table(path, None, template, columns, ", ")
 
 
 def write_features(path: PathLike, x: np.ndarray) -> None:
     """Write raw feature rows as CSV with header x1,...,xd."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    lines = [",".join(f"x{j + 1}" for j in range(x.shape[1]))]
-    for row in x:
-        lines.append(",".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = ",".join(f"x{j + 1}" for j in range(x.shape[1]))
+    _write_table(path, header, _csv_template([x]), [x], ",")
+
+
+# --- reading -----------------------------------------------------------------
+
+
+def _read_lines(path: Path) -> list:
+    try:
+        return path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _non_blank(lines: list) -> list:
+    return [line for line in lines if line.strip()]
+
+
+def _read_table(path: Path, lines: list, rows: list, skip: int, parse_block, parse_line,
+                convert) -> list:
+    """Convert ``rows`` to column arrays, BLOCK_ROWS rows at a time.
+
+    ``rows`` are the non-blank ``lines`` after the first ``skip`` of them.
+    ``parse_block`` turns a list of lines, and ``parse_line`` one line, into a
+    list of parsed rows; ``convert(parsed, width)`` turns those into checked
+    column arrays, the first 2-D and ``width`` wide once a block has set it. A
+    block that fails is converted again line by line, so the error names the
+    first bad line.
+    """
+    blocks, width = [], None
+    for start in range(0, len(rows), BLOCK_ROWS):
+        block = rows[start : start + BLOCK_ROWS]
+        try:
+            columns = convert(parse_block(block), width)
+        except _ROW_ERRORS:
+            numbers = [i for i, line in enumerate(lines, 1) if line.strip()]
+            columns = _convert_lines(path, block, numbers[skip + start :], parse_line,
+                                     convert, width)
+        width = columns[0].shape[1]
+        blocks.append(columns)
+    return [np.concatenate(parts) for parts in zip(*blocks)]
+
+
+def _convert_lines(path, block, numbers, parse_line, convert, width) -> list:
+    rows = []
+    for number, line in zip(numbers, block):
+        try:
+            columns = convert(parse_line(line), width)
+        except _ROW_ERRORS as exc:
+            raise ValidationError(f"{path}: line {number}: {exc}") from None
+        width = columns[0].shape[1]
+        rows.append(columns)
+    return [np.concatenate(parts) for parts in zip(*rows)]
+
+
+def _non_finite_constant(name: str):
+    raise ValidationError(f"{name} is not a finite number")
+
+
+def _loads_block(lines: list) -> list:
+    """The JSON values of ``lines`` from one ``json.loads`` call.
+
+    Raises ValueError unless each line holds exactly one JSON value and no
+    NaN or Infinity constant.
+    """
+    constants = []
+
+    def separator(name):
+        constants.append(name)
+        return _SEPARATOR_MARK
+
+    values = json.loads("[" + _SEPARATOR.join(lines) + "]", parse_constant=separator)
+    n = len(lines)
+    if (len(constants) != n - 1 or len(values) != 2 * n - 1
+            or values[1::2].count(_SEPARATOR_MARK) != n - 1):
+        raise ValueError("block does not parse as one finite JSON value per line")
+    return values[::2]
+
+
+def _loads_line(line: str) -> list:
+    return [json.loads(line, parse_constant=_non_finite_constant)]
+
+
+def _field(objs: list, key: str, optional: bool = False) -> list:
+    try:
+        return [obj.get(key) for obj in objs] if optional else [obj[key] for obj in objs]
+    except KeyError:
+        raise ValidationError(f"missing field {key!r}") from None
+    except (TypeError, AttributeError):
+        raise ValidationError("a record must be a JSON object") from None
+
+
+def _floats(values, what: str) -> np.ndarray:
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what}: {exc}") from None
+
+
+def _finite(col: np.ndarray, what: str) -> np.ndarray:
+    ok = np.isfinite(col) if col.ndim == 1 else np.isfinite(col).all(axis=1)
+    if not ok.all():
+        raise ValidationError(f"{what} is not finite")
+    return col
+
+
+def _integral(col: np.ndarray, what: str, nulls: Optional[np.ndarray] = None) -> np.ndarray:
+    """``col`` if every entry not flagged in ``nulls`` is an integer label."""
+    ok = (col == np.floor(col)) & (np.abs(col) <= _MAX_LABEL)
+    if nulls is not None:
+        ok |= nulls
+    if not ok.all():
+        raise ValidationError(f"{what} must be an integer, got {col[np.argmin(ok)]}")
+    return col
+
+
+def _vectors(values: list, key: str, width: Optional[int]) -> np.ndarray:
+    col = _floats(values, repr(key))
+    if col.ndim != 2 or (width is not None and col.shape[1] != width):
+        raise ValidationError(f"{key!r} must be a list of {width or 'K'} numbers")
+    return _finite(col, repr(key))
+
+
+def _numbers(values: list, key: str) -> np.ndarray:
+    col = _floats(values, repr(key))
+    if col.ndim != 1:
+        raise ValidationError(f"{key!r} must be a number")
+    return _finite(col, repr(key))
+
+
+def _labels(values: list, key: str, optional: bool = False) -> np.ndarray:
+    """Integer labels as floats; NaN where an optional label is null or absent."""
+    col = _floats(values, repr(key))
+    if col.ndim != 1:
+        raise ValidationError(f"{key!r} must be an integer")
+    nulls = None
+    if optional:
+        nulls = np.isnan(col)
+        if np.count_nonzero(nulls) != values.count(None):
+            nulls = None  # a NaN that is not a null: report it
+    return _integral(col, repr(key), nulls)
+
+
+def _record_columns(objs: list, width: Optional[int]) -> tuple:
+    return (
+        _vectors(_field(objs, "f"), "f", width),
+        _numbers(_field(objs, "h"), "h"),
+        _labels(_field(objs, "y", optional=True), "y", optional=True),
+    )
+
+
+def _corrected_columns(objs: list, width: Optional[int]) -> tuple:
+    return (
+        _vectors(_field(objs, "g"), "g", width),
+        _labels(_field(objs, "y_hat"), "y_hat"),
+        _labels(_field(objs, "y", optional=True), "y", optional=True),
+    )
+
+
+def _split_cells(lines: list) -> list:
+    return [line.split(",") for line in lines]
+
+
+def _split_line(line: str) -> list:
+    return [line.split(",")]
+
+
+def _csv_table(rows: list, columns: list) -> np.ndarray:
+    """The cells of ``columns`` in each split CSV row, as an (n, len(columns)) array."""
+    try:
+        picked = list(map(itemgetter(*columns), rows))
+    except IndexError:
+        raise ValidationError(f"a row needs at least {max(columns) + 1} cells") from None
+    return _floats(picked, "cell").reshape(len(rows), len(columns))
+
+
+def _labels_or_none(y: np.ndarray) -> Optional[np.ndarray]:
+    """Labels when every row has one, else None."""
+    return None if np.isnan(y).any() else y.astype(np.int64)
+
+
+def read_records(path: PathLike) -> RecordSet:
+    """Read a prediction file (JSONL by default, CSV by extension)."""
+    path = Path(path)
+    lines = _read_lines(path)
+    rows = _non_blank(lines)
+    if _is_csv(path):
+        return _records_from_csv(path, lines, rows)
+    if not rows:
+        raise ValidationError(f"prediction file {path} contains no records")
+    f, h, y = _read_table(path, lines, rows, 0, _loads_block, _loads_line, _record_columns)
+    return RecordSet(f, h, _labels_or_none(y))
+
+
+def _records_from_csv(path: Path, lines: list, rows: list) -> RecordSet:
+    if len(rows) < 2:
+        raise ValidationError("CSV prediction file needs a header and at least one row")
+    header = [h.strip() for h in rows[0].split(",")]
+    if "h" not in header:
+        raise ValidationError("CSV header must contain an 'h' column")
+    k = header.index("h")
+    if header[:k] != [f"f{j + 1}" for j in range(k)]:
+        raise ValidationError("CSV header must start with f1,...,fK")
+    has_y = "y" in header
+    columns = list(range(k + 1)) + ([header.index("y")] if has_y else [])
+
+    def convert(cells, width):
+        table = _csv_table(cells, columns)
+        out = (_finite(table[:, :k], "f"), _finite(table[:, k], "h"))
+        return out + (_integral(table[:, k + 1], "y"),) if has_y else out
+
+    out = _read_table(path, lines, rows[1:], 1, _split_cells, _split_line, convert)
+    return RecordSet(out[0], out[1], out[2].astype(np.int64) if has_y else None)
+
+
+def read_corrected(path: PathLike) -> dict:
+    """Read a corrected predictions file into arrays g, y_hat and optional y."""
+    path = Path(path)
+    lines = _read_lines(path)
+    rows = _non_blank(lines)
+    if not rows:
+        raise ValidationError(f"corrected file {path} contains no records")
+    g, y_hat, y = _read_table(path, lines, rows, 0, _loads_block, _loads_line,
+                              _corrected_columns)
+    return {"g": g, "y_hat": y_hat.astype(np.int64), "y": _labels_or_none(y)}
 
 
 def read_features(path: PathLike) -> np.ndarray:
-    lines = [ln.strip() for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
-    if len(lines) < 2:
+    """Read a feature CSV written by ``write_features``."""
+    path = Path(path)
+    lines = _read_lines(path)
+    rows = _non_blank(lines)
+    if len(rows) < 2:
         raise ValidationError(f"feature file {path} needs a header and at least one row")
-    try:
-        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse feature file {path}: {exc}") from exc
-    return np.array(rows)
+    columns = list(range(len(rows[0].split(","))))
+
+    def convert(cells, width):
+        return (_finite(_csv_table(cells, columns), "feature row"),)
+
+    return _read_table(path, lines, rows[1:], 1, _split_cells, _split_line, convert)[0]
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValidationError(f"{text} is not a finite number")
+    return value
 
 
 def write_json(path: PathLike, obj: dict) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+    """Write ``obj`` as indented JSON; non-finite floats raise ValidationError."""
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def read_json(path: PathLike) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a JSON file; NaN, Infinity and overflowing numbers raise ValidationError."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"),
+                          parse_constant=_non_finite_constant, parse_float=_finite_float)
+    except ValueError as exc:
+        raise ValidationError(f"cannot parse JSON file {path}: {exc}") from None
 
 
 def write_truth(path: PathLike, c, rho_s: float, pi, rho_t: float) -> None:

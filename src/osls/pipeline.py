@@ -78,21 +78,27 @@ class EstimateResult:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "EstimateResult":
-        return cls(
-            method=obj["method"],
-            k=int(obj["K"]),
-            pi_hat=ProbabilityVector(np.array(obj["pi_hat"], dtype=float)),
-            c_hat=ProbabilityVector(np.array(obj["c_hat"], dtype=float)),
-            rho_s_hat=obj.get("rho_s_hat"),
-            mu1_hat=obj.get("mu1_hat"),
-            mu0_hat=obj.get("mu0_hat"),
-            rho_t_hat=obj.get("rho_t_hat"),
-            rho_t_star=obj.get("rho_t_star"),
-            nll_initial=obj.get("nll_initial"),
-            nll_final=obj.get("nll_final"),
-            iterations=obj.get("iterations"),
-            converged=obj.get("converged"),
-        )
+        """Rebuild an estimate from its report; a bad or missing field raises ValidationError."""
+        try:
+            return cls(
+                method=obj["method"],
+                k=int(obj["K"]),
+                pi_hat=ProbabilityVector(np.array(obj["pi_hat"], dtype=float)),
+                c_hat=ProbabilityVector(np.array(obj["c_hat"], dtype=float)),
+                rho_s_hat=obj.get("rho_s_hat"),
+                mu1_hat=obj.get("mu1_hat"),
+                mu0_hat=obj.get("mu0_hat"),
+                rho_t_hat=obj.get("rho_t_hat"),
+                rho_t_star=obj.get("rho_t_star"),
+                nll_initial=obj.get("nll_initial"),
+                nll_final=obj.get("nll_final"),
+                iterations=obj.get("iterations"),
+                converged=obj.get("converged"),
+            )
+        except KeyError as exc:
+            raise ValidationError(f"estimate report is missing field {exc.args[0]!r}") from None
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ValidationError(f"malformed estimate report: {exc}") from None
 
 
 def source_class_frequencies(source: RecordSet) -> ProbabilityVector:

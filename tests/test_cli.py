@@ -404,3 +404,65 @@ class TestEvaluateMultipleEstimates:
         rows = json.loads(eval_path.read_text())["rows"]
         assert [row["source"] for row in rows] == ["osls-mle", "mlls", "mapls", "bbse"]
         assert all("w_mse" in row for row in rows)
+
+
+class TestMalformedInputExitsTwo:
+    """Malformed or non-finite input ends with exit 2 and names its line or field."""
+
+    GOOD = '{"f": [0.5, 0.5], "h": 0.5, "y": 1}'
+
+    @pytest.fixture
+    def estimate_path(self, sim_dir, tmp_path):
+        path = tmp_path / "est.json"
+        assert main(["estimate", "--source", str(sim_dir / "source.jsonl"),
+                     "--target", str(sim_dir / "target.jsonl"),
+                     "--ood-ref", str(sim_dir / "ood_ref.jsonl"), "--out", str(path)]) == 0
+        return path
+
+    def _correct(self, estimate, target, tmp_path, capsys):
+        out = tmp_path / "corrected.jsonl"
+        code = main(["correct", "--estimate", str(estimate), "--target", str(target),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert not out.exists()
+        return code, err
+
+    @pytest.mark.parametrize("name,bad", [
+        ("t.jsonl", '{"f": [0.5, 0.5], "h": null, "y": 1}'),
+        ("t.jsonl", "[0.5, 0.5]"),
+        ("t.jsonl", '{"f": [0.5, 0.5], "h": 0.5, "y": 1.7}'),
+        ("t.jsonl", '{"f": [0.5, 0.5], "h": NaN, "y": 1}'),
+        ("t.csv", "0.5,0.5,nan,1"),
+        ("t.csv", "0.5,0.5,0.5,1.7"),
+    ])
+    def test_bad_target_line(self, estimate_path, tmp_path, capsys, name, bad):
+        lines = ["f1,f2,h,y", "0.5,0.5,0.5,1"] if name.endswith(".csv") else [self.GOOD]
+        target = tmp_path / name
+        target.write_text("\n".join(lines + [bad, lines[-1]]) + "\n", encoding="utf-8")
+        code, err = self._correct(estimate_path, target, tmp_path, capsys)
+        assert code == 2
+        assert f"line {len(lines) + 1}: " in err and "Traceback" not in err
+
+    def test_estimate_without_method(self, estimate_path, sim_dir, tmp_path, capsys):
+        report = json.loads(estimate_path.read_text())
+        del report["method"]
+        estimate_path.write_text(json.dumps(report))
+        code, err = self._correct(estimate_path, sim_dir / "target.jsonl", tmp_path, capsys)
+        assert code == 2 and "missing field 'method'" in err
+
+    def test_estimate_with_nan(self, estimate_path, sim_dir, tmp_path, capsys):
+        text = estimate_path.read_text()
+        report = json.loads(text)
+        estimate_path.write_text(text.replace(repr(report["rho_t_hat"]), "NaN"))
+        code, err = self._correct(estimate_path, sim_dir / "target.jsonl", tmp_path, capsys)
+        assert code == 2 and "NaN is not a finite number" in err
+
+    def test_estimate_names_bad_source_line(self, sim_dir, tmp_path, capsys):
+        source = tmp_path / "source.jsonl"
+        lines = (sim_dir / "source.jsonl").read_text().splitlines()
+        lines[6] = lines[6].replace('"h": ', '"h": -Infinity, "x": ')
+        source.write_text("\n".join(lines) + "\n")
+        code = main(["estimate", "--source", str(source),
+                     "--target", str(sim_dir / "target.jsonl"),
+                     "--ood-ref", str(sim_dir / "ood_ref.jsonl")])
+        assert code == 2 and "line 7: " in capsys.readouterr().err

@@ -155,6 +155,22 @@ class TestRecordSet:
         with pytest.raises(ValidationError):
             RecordSet(np.array([[1.0]]), np.array([1.0]), np.array([3]))
 
+    def test_rejects_non_finite_values_naming_the_row(self):
+        f = np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
+        for bad_f, bad_h in ((np.nan, 0.5), (0.5, np.nan), (0.5, np.inf), (-np.inf, 0.5)):
+            ff, hh = f.copy(), np.full(3, 0.5)
+            ff[1, 0], hh[1] = bad_f, bad_h
+            with pytest.raises(ValidationError, match="row 1 has a non-finite value"):
+                RecordSet(ff, hh)
+
+    def test_rejects_non_integral_labels(self):
+        f, h = np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([0.5, 0.5])
+        for bad in (1.7, np.nan, np.inf):
+            with pytest.raises(ValidationError, match="at row 1 is not an integer"):
+                RecordSet(f, h, np.array([1.0, bad]))
+        rs = RecordSet(f, h, np.array([3.0, 1.0]))
+        assert rs.y.dtype == np.int64 and rs.y.tolist() == [3, 1]
+
     def test_immutable(self):
         rs = RecordSet(np.array([[0.5, 0.5]]), np.array([0.5]))
         with pytest.raises(ValueError):

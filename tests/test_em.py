@@ -195,6 +195,27 @@ class TestRunEm:
         assert mle[1] == mapped[1]  # rho bitwise
         assert np.array_equal(mle[2][:51], mapped[2][:51])  # objective trace bitwise
 
+    def test_fortran_order_matches_c_order(self):
+        # W is built column-major for speed; the layout changes only BLAS summation order
+        cfg = easy_config(k=10, seed=4, n=20_000, separation=4.0, shift=ShiftSpec.dirichlet(1.0))
+        _, target, _, _ = make_scenario(cfg)
+        source = SourceLabelModel(cfg.c, cfg.rho_s)
+        open_w = target.records.extended_f() / source.extended().entries
+        closed_w = target.records.f / source.c.entries
+        for w, rho0 in ((open_w, source.rho_s), (closed_w, None)):
+            for alpha in (1.0, 2.0):
+                c_fit, f_fit = (
+                    _kernels.em_fit(layout(w), source.c.entries, rho0, np.full(10, alpha),
+                                    (1.0, 1.0), 500, 1e-8)
+                    for layout in (np.ascontiguousarray, np.asfortranarray)
+                )
+                np.testing.assert_allclose(f_fit[0], c_fit[0], rtol=0, atol=1e-13)  # pi
+                if rho0 is not None:
+                    assert abs(f_fit[1] - c_fit[1]) <= 1e-13  # rho
+                scale = np.abs(c_fit[2]).max()
+                np.testing.assert_allclose(f_fit[2], c_fit[2], rtol=0, atol=1e-13 * scale)
+                assert c_fit[4] and f_fit[4] and f_fit[3] == c_fit[3]  # same updates to tol
+
     def test_early_stop(self):
         cfg = easy_config(k=2, seed=1, n=500)
         _, target, _, _ = make_scenario(cfg)

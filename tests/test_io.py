@@ -1,0 +1,565 @@
+"""The block-wise codec in ``osls.io`` against the row-loop codec it replaced.
+
+The reference functions below are the previous row-at-a-time readers and
+writers, kept verbatim: the new writers must produce the same bytes and the
+new readers the same arrays on every valid file, while malformed and
+non-finite input must raise ``ValidationError`` naming the line.
+"""
+
+import json
+from pathlib import Path
+from types import SimpleNamespace
+from typing import Optional, Union
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from osls import io as osls_io
+from osls.core import RecordSet, ValidationError
+
+# --- reference codec (the previous osls.io row loops, verbatim) -------------
+
+
+PathLike = Union[str, Path]
+
+
+def _is_csv(path: PathLike) -> bool:
+    return str(path).lower().endswith(".csv")
+
+
+def read_records(path: PathLike) -> RecordSet:
+    """Read a prediction file (JSONL by default, CSV by extension)."""
+    path = Path(path)
+    text = path.read_text(encoding="utf-8")
+    try:
+        if _is_csv(path):
+            return _records_from_csv(text)
+        return _records_from_jsonl(text)
+    except ValidationError:
+        raise
+    except (ValueError, KeyError, IndexError) as exc:
+        raise ValidationError(f"cannot parse prediction file {path}: {exc}") from exc
+
+
+def _records_from_jsonl(text: str) -> RecordSet:
+    f_rows, h_vals, y_vals = [], [], []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        obj = json.loads(line)
+        f_rows.append([float(v) for v in obj["f"]])
+        h_vals.append(float(obj["h"]))
+        y_vals.append(int(obj["y"]) if "y" in obj and obj["y"] is not None else None)
+    if not f_rows:
+        raise ValidationError("prediction file contains no records")
+    y = None
+    if all(v is not None for v in y_vals):
+        y = np.array(y_vals, dtype=np.int64)
+    return RecordSet(np.array(f_rows), np.array(h_vals), y)
+
+
+def _records_from_csv(text: str) -> RecordSet:
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if len(lines) < 2:
+        raise ValidationError("CSV prediction file needs a header and at least one row")
+    header = [h.strip() for h in lines[0].split(",")]
+    if "h" not in header:
+        raise ValidationError("CSV header must contain an 'h' column")
+    h_col = header.index("h")
+    has_y = "y" in header
+    y_col = header.index("y") if has_y else -1
+    k = h_col
+    if header[:k] != [f"f{j + 1}" for j in range(k)]:
+        raise ValidationError("CSV header must start with f1,...,fK")
+    f_rows, h_vals, y_vals = [], [], []
+    for line in lines[1:]:
+        cells = [cell.strip() for cell in line.split(",")]
+        f_rows.append([float(v) for v in cells[:k]])
+        h_vals.append(float(cells[h_col]))
+        if has_y:
+            y_vals.append(int(float(cells[y_col])))
+    y = np.array(y_vals, dtype=np.int64) if has_y else None
+    return RecordSet(np.array(f_rows), np.array(h_vals), y)
+
+
+def write_records(path: PathLike, records: RecordSet) -> None:
+    """Write a prediction file; format chosen by extension."""
+    path = Path(path)
+    if _is_csv(path):
+        header = [f"f{j + 1}" for j in range(records.k)] + ["h"]
+        if records.y is not None:
+            header.append("y")
+        lines = [",".join(header)]
+        for i in range(len(records)):
+            cells = [repr(float(v)) for v in records.f[i]] + [repr(float(records.h[i]))]
+            if records.y is not None:
+                cells.append(str(int(records.y[i])))
+            lines.append(",".join(cells))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return
+    lines = []
+    for i in range(len(records)):
+        obj = {"f": [float(v) for v in records.f[i]], "h": float(records.h[i])}
+        if records.y is not None:
+            obj["y"] = int(records.y[i])
+        lines.append(json.dumps(obj))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_corrected(
+    path: PathLike,
+    posteriors: np.ndarray,
+    labels: np.ndarray,
+    y: Optional[np.ndarray] = None,
+) -> None:
+    """Write corrected (K+1)-class posteriors with argmax labels."""
+    path = Path(path)
+    posteriors = np.atleast_2d(np.asarray(posteriors, dtype=float))
+    labels = np.asarray(labels, dtype=np.int64).ravel()
+    if _is_csv(path):
+        header = [f"g{j + 1}" for j in range(posteriors.shape[1])] + ["y_hat"]
+        if y is not None:
+            header.append("y")
+        lines = [",".join(header)]
+        for i in range(posteriors.shape[0]):
+            cells = [repr(float(v)) for v in posteriors[i]] + [str(int(labels[i]))]
+            if y is not None:
+                cells.append(str(int(y[i])))
+            lines.append(",".join(cells))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return
+    lines = []
+    for i in range(posteriors.shape[0]):
+        obj = {"g": [float(v) for v in posteriors[i]], "y_hat": int(labels[i])}
+        if y is not None:
+            obj["y"] = int(y[i])
+        lines.append(json.dumps(obj))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_corrected(path: PathLike) -> dict:
+    """Read a corrected predictions file into arrays g, y_hat and optional y."""
+    path = Path(path)
+    g_rows, y_hat, y_vals = [], [], []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        obj = json.loads(line)
+        g_rows.append([float(v) for v in obj["g"]])
+        y_hat.append(int(obj["y_hat"]))
+        y_vals.append(int(obj["y"]) if "y" in obj and obj["y"] is not None else None)
+    if not g_rows:
+        raise ValidationError(f"corrected file {path} contains no records")
+    y = None
+    if all(v is not None for v in y_vals):
+        y = np.array(y_vals, dtype=np.int64)
+    return {"g": np.array(g_rows), "y_hat": np.array(y_hat, dtype=np.int64), "y": y}
+
+
+def write_features(path: PathLike, x: np.ndarray) -> None:
+    """Write raw feature rows as CSV with header x1,...,xd."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    lines = [",".join(f"x{j + 1}" for j in range(x.shape[1]))]
+    for row in x:
+        lines.append(",".join(repr(float(v)) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_features(path: PathLike) -> np.ndarray:
+    lines = [ln.strip() for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
+    if len(lines) < 2:
+        raise ValidationError(f"feature file {path} needs a header and at least one row")
+    try:
+        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+    except ValueError as exc:
+        raise ValidationError(f"cannot parse feature file {path}: {exc}") from exc
+    return np.array(rows)
+
+
+# --- generated inputs --------------------------------------------------------
+
+BLOCK = osls_io.BLOCK_ROWS
+SIZES = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)
+SPECIAL_FLOATS = (
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.5e-310, 1e-05, 1e16, 1.7976931348623157e308,
+    0.1 + 0.2, 1 / 3, -123456789.12345679,
+)
+finite_floats = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def tables(draw):
+    """(n rows, k columns, a pool of drawn floats, a numpy seed)."""
+    n = draw(st.sampled_from(SIZES))
+    k = draw(st.integers(1, 12))
+    pool = np.array(draw(st.lists(finite_floats, min_size=1, max_size=16)))
+    return n, k, pool, draw(st.integers(0, 2**32 - 1))
+
+
+def _fill(rng, pool, shape):
+    """Entries from ``pool`` mixed with 17-significant-digit values over 60 decades."""
+    wide = rng.random(shape) * 10.0 ** rng.integers(-30, 30, size=shape)
+    return np.where(rng.random(shape) < 0.5, rng.choice(pool, size=shape), wide)
+
+
+def _at_every_size(layouts_=None):
+    """Explicit examples: each block-boundary size at K=3, with one reader layout per size."""
+    def decorate(test):
+        for i, n in enumerate(SIZES):
+            args = [(n, 3, np.array(SPECIAL_FLOATS), i)]
+            if layouts_:
+                args.append(layouts_[i])
+            test = example(*args)(test)
+        return test
+    return decorate
+
+
+class RawRecords(SimpleNamespace):
+    """A RecordSet's attributes without its validation, so any finite float reaches a writer."""
+
+    def __len__(self):
+        return self.h.size
+
+
+def _writer_args(kind, with_y, n, k, pool, rng):
+    y = rng.integers(-3, 10**6, n) if with_y else None
+    if kind == "records":
+        return (RawRecords(f=_fill(rng, pool, (n, k)), h=_fill(rng, pool, n), y=y, k=k),)
+    if kind == "corrected":
+        return (_fill(rng, pool, (n, k)), rng.integers(1, k + 2, n), y)
+    return (_fill(rng, pool, (n, k)),)
+
+
+WRITERS = {
+    "records": (write_records, osls_io.write_records),
+    "corrected": (write_corrected, osls_io.write_corrected),
+    "features": (write_features, osls_io.write_features),
+}
+WRITER_CASES = [
+    (kind, ext, with_y)
+    for kind in ("records", "corrected")
+    for ext in (".jsonl", ".csv")
+    for with_y in (False, True)
+] + [("features", ".csv", False)]
+
+
+class TestWritersMatchReference:
+    @pytest.mark.parametrize("kind,ext,with_y", WRITER_CASES)
+    @settings(max_examples=4, deadline=None)
+    @given(tables())
+    @_at_every_size()
+    def test_same_bytes(self, tmp_path_factory, kind, ext, with_y, table):
+        n, k, pool, seed = table
+        args = _writer_args(kind, with_y, n, k, pool, np.random.default_rng(seed))
+        ref_writer, new_writer = WRITERS[kind]
+        out = tmp_path_factory.mktemp("w")
+        ref_writer(out / f"ref{ext}", *args)
+        new_writer(out / f"new{ext}", *args)
+        assert (out / f"new{ext}").read_bytes() == (out / f"ref{ext}").read_bytes()
+
+
+# --- readers ----------------------------------------------------------------
+
+Y_MODES = ("all", "float", "none", "null", "mixed")
+
+
+def _y_cell(rng, mode, label):
+    """The JSON text of ``"y"`` for one row, or None to leave the key out."""
+    if mode == "all" or (mode == "mixed" and rng.random() < 0.6):
+        return json.dumps(int(label))
+    if mode == "float":
+        return json.dumps(float(label))
+    if mode == "null" or rng.random() < 0.5:
+        return "null"
+    return None
+
+
+def _json_line(rng, fields, spaced, shuffled, extra):
+    """One JSON object line from (key, JSON text) pairs, in one of several layouts."""
+    fields = list(fields)
+    if extra:
+        fields.append(("note", json.dumps({"id": int(rng.integers(1000)), "tags": ["a", "]"]})))
+    if shuffled:
+        fields = [fields[i] for i in rng.permutation(len(fields))]
+    if spaced:
+        body = " ,\t".join(f' {json.dumps(key)} :  {text} ' for key, text in fields)
+        return f"  {{ {body} }} "
+    return "{" + ", ".join(f"{json.dumps(key)}: {text}" for key, text in fields) + "}"
+
+
+def _vector_text(values, spaced):
+    return json.dumps(values, separators=(" ,  ", ":") if spaced else (", ", ": "))
+
+
+def _file_text(rng, lines, crlf, blanks):
+    out = []
+    for line in lines:
+        if blanks and rng.random() < 0.05:
+            out.append(rng.choice(["", "   ", "\t"]))
+        out.append(line)
+    return ("\r\n" if crlf else "\n").join(out) + ("\r\n" if crlf else "\n")
+
+
+LAYOUT_KEYS = ("crlf", "blanks", "spaced", "shuffled", "extra")
+# One layout per size for the explicit examples; together they set every flag and y mode.
+EXPLICIT_LAYOUTS = [
+    dict(zip(LAYOUT_KEYS, flags), y_mode=y_mode)
+    for flags, y_mode in (
+        ((True, True, True, True, True), "mixed"),
+        ((False, False, False, False, False), "all"),
+        ((True, False, True, False, True), "float"),
+        ((False, True, False, True, False), "none"),
+        ((True, True, False, False, True), "null"),
+    )
+]
+layouts = st.fixed_dictionaries({
+    "crlf": st.booleans(), "blanks": st.booleans(), "spaced": st.booleans(),
+    "shuffled": st.booleans(), "extra": st.booleans(), "y_mode": st.sampled_from(Y_MODES),
+})
+
+
+def _prediction_rows(rng, n, k, pool):
+    f = rng.dirichlet(np.ones(k), n)
+    onehot = rng.random(n) < 0.1
+    f[onehot] = np.eye(k)[rng.integers(0, k, onehot.sum())]
+    h = np.where(rng.random(n) < 0.2, rng.choice([0.0, 1.0, 5e-324, 1e-05, 1 / 3], n),
+                 rng.random(n))
+    return f, h, rng.integers(1, k + 2, n)
+
+
+def _assert_same_bits(new, ref):
+    assert new.dtype == ref.dtype and new.shape == ref.shape
+    assert new.tobytes() == ref.tobytes()
+
+
+class TestReadersMatchReference:
+    @settings(max_examples=5, deadline=None)
+    @given(tables(), layouts)
+    @_at_every_size(EXPLICIT_LAYOUTS)
+    def test_records_jsonl(self, tmp_path_factory, table, layout):
+        n, k, pool, seed = table
+        rng = np.random.default_rng(seed)
+        f, h, y = _prediction_rows(rng, n, k, pool)
+        lines = []
+        for i in range(n):
+            f_text = ("[" + ", ".join("1" if v == 1.0 else "0" for v in f[i]) + "]"
+                      if f[i].max() == 1.0 else _vector_text(f[i].tolist(), layout["spaced"]))
+            fields = [("f", f_text), ("h", json.dumps(float(h[i])))]
+            y_text = _y_cell(rng, layout["y_mode"], y[i])
+            if y_text is not None:
+                fields.append(("y", y_text))
+            lines.append(_json_line(rng, fields, layout["spaced"], layout["shuffled"],
+                                    layout["extra"]))
+        path = tmp_path_factory.mktemp("r") / "records.jsonl"
+        path.write_bytes(_file_text(rng, lines, layout["crlf"], layout["blanks"]).encode())
+        new, ref = osls_io.read_records(path), read_records(path)
+        _assert_same_bits(new.f, ref.f)
+        _assert_same_bits(new.h, ref.h)
+        assert (new.y is None) == (ref.y is None)
+        if ref.y is not None:
+            _assert_same_bits(new.y, ref.y)
+
+    @settings(max_examples=5, deadline=None)
+    @given(tables(), layouts)
+    @_at_every_size(EXPLICIT_LAYOUTS)
+    def test_corrected_jsonl(self, tmp_path_factory, table, layout):
+        n, k, pool, seed = table
+        rng = np.random.default_rng(seed)
+        g = _fill(rng, pool, (n, k))
+        y_hat, y = rng.integers(1, k + 1, n), rng.integers(1, k + 1, n)
+        lines = []
+        for i in range(n):
+            fields = [("g", _vector_text(g[i].tolist(), layout["spaced"])),
+                      ("y_hat", json.dumps(int(y_hat[i])))]
+            y_text = _y_cell(rng, layout["y_mode"], y[i])
+            if y_text is not None:
+                fields.append(("y", y_text))
+            lines.append(_json_line(rng, fields, layout["spaced"], layout["shuffled"],
+                                    layout["extra"]))
+        path = tmp_path_factory.mktemp("r") / "corrected.jsonl"
+        path.write_bytes(_file_text(rng, lines, layout["crlf"], layout["blanks"]).encode())
+        new, ref = osls_io.read_corrected(path), read_corrected(path)
+        _assert_same_bits(new["g"], ref["g"])
+        _assert_same_bits(new["y_hat"], ref["y_hat"])
+        assert (new["y"] is None) == (ref["y"] is None)
+        if ref["y"] is not None:
+            _assert_same_bits(new["y"], ref["y"])
+
+    @settings(max_examples=5, deadline=None)
+    @given(tables(), layouts)
+    @_at_every_size(EXPLICIT_LAYOUTS)
+    def test_csv(self, tmp_path_factory, table, layout):
+        n, k, pool, seed = table
+        rng = np.random.default_rng(seed)
+        f, h, y = _prediction_rows(rng, n, k, pool)
+        x = _fill(rng, pool, (n, k))
+        pad = " \t" if layout["spaced"] else ""
+        with_y = layout["y_mode"] in ("all", "float")
+
+        def row(cells):
+            return ",".join(f"{pad}{cell}{pad}" for cell in cells)
+
+        header = [f"f{j + 1}" for j in range(k)] + ["h"] + (["y"] if with_y else [])
+        records = [row(header)] + [
+            row([repr(v) for v in f[i].tolist()] + [repr(float(h[i]))]
+                + ([str(y[i]) if layout["y_mode"] == "all" else repr(float(y[i]))]
+                   if with_y else []))
+            for i in range(n)
+        ]
+        features = [row(f"x{j + 1}" for j in range(k))] + [
+            row(repr(v) for v in x[i].tolist()) for i in range(n)
+        ]
+        out = tmp_path_factory.mktemp("r")
+        (out / "records.csv").write_bytes(
+            _file_text(rng, records, layout["crlf"], layout["blanks"]).encode())
+        (out / "x.csv").write_bytes(
+            _file_text(rng, features, layout["crlf"], layout["blanks"]).encode())
+        new, ref = osls_io.read_records(out / "records.csv"), read_records(out / "records.csv")
+        _assert_same_bits(new.f, ref.f)
+        _assert_same_bits(new.h, ref.h)
+        assert (new.y is None) == (ref.y is None)
+        if ref.y is not None:
+            _assert_same_bits(new.y, ref.y)
+        _assert_same_bits(osls_io.read_features(out / "x.csv"), read_features(out / "x.csv"))
+
+
+# --- malformed and non-finite input ------------------------------------------
+
+GOOD_RECORD = '{"f": [0.5, 0.5], "h": 0.5, "y": 1}'
+BAD_RECORDS = {
+    "h null": ['{"f": [0.5, 0.5], "h": null, "y": 1}'],
+    "not an object": ["[0.5, 0.5]"],
+    "fractional label": ['{"f": [0.5, 0.5], "h": 0.5, "y": 1.7}'],
+    "string label": ['{"f": [0.5, 0.5], "h": 0.5, "y": "x"}'],
+    "infinite label": ['{"f": [0.5, 0.5], "h": 0.5, "y": 1e400}'],
+    "NaN": ['{"f": [0.5, 0.5], "h": NaN, "y": 1}'],
+    "Infinity": ['{"f": [0.5, Infinity], "h": 0.5}'],
+    "-Infinity": ['{"f": [0.5, 0.5], "h": -Infinity}'],
+    "overflow": ['{"f": [0.5, 0.5], "h": 1e400}'],
+    "NaN in an extra key": ['{"f": [0.5, 0.5], "h": 0.5, "note": [NaN]}'],
+    "missing h": ['{"f": [0.5, 0.5]}'],
+    "missing f": ['{"h": 0.5}'],
+    "f not a list": ['{"f": 0.5, "h": 0.5}'],
+    "f nested": ['{"f": [[0.5], [0.5]], "h": 0.5}'],
+    "f of strings": ['{"f": ["a", "b"], "h": 0.5}'],
+    "h a list": ['{"f": [0.5, 0.5], "h": [0.5]}'],
+    "wrong width": ['{"f": [0.2, 0.3, 0.5], "h": 0.5}'],
+    "truncated": ['{"f": [0.5, 0.5], "h": 0.5'],
+    "two values": [GOOD_RECORD + " " + GOOD_RECORD],
+    # Lines that only parse when joined: each alone is not one JSON value.
+    "split object": ['{"f": [0.5, 0.5], "h": 0.5}, {"f": [0.5, 0.5], "h": 0.5, "z": [{}',
+                     '{}]}'],
+    "split string": ['{"f": [0.5, 0.5], "h": 0.5, "z": "a', 'b"}'],
+}
+GOOD_CSV = "0.5,0.5,0.5,1"
+BAD_CSV = {
+    "nan": "nan,0.5,0.5,1", "inf": "0.5,0.5,inf,1", "overflow": "0.5,0.5,1e999,1",
+    "fractional label": "0.5,0.5,0.5,1.7", "short row": "0.5,0.5,0.5",
+    "not a number": "0.5,abc,0.5,1", "empty cell": "0.5,,0.5,1",
+}
+GOOD_CORRECTED = '{"g": [0.2, 0.3, 0.5], "y_hat": 3, "y": 2}'
+BAD_CORRECTED = {
+    "fractional y_hat": '{"g": [0.2, 0.3, 0.5], "y_hat": 1.5}',
+    "missing y_hat": '{"g": [0.2, 0.3, 0.5], "y": 2}',
+    "NaN in g": '{"g": [0.2, NaN, 0.5], "y_hat": 3}',
+    "infinite y": '{"g": [0.2, 0.3, 0.5], "y_hat": 3, "y": Infinity}',
+    "wrong width": '{"g": [0.2, 0.8], "y_hat": 3}',
+}
+GOOD_FEATURE = "0.25,-1.5"
+BAD_FEATURES = {"nan": "nan,1", "short row": "1", "not a number": "1,abc", "overflow": "1e999,0"}
+
+
+def _with_bad_line(tmp_path, name, header, good, bad_lines, before):
+    """A file with ``before`` good rows, a blank line, ``bad_lines``, and a good row.
+
+    Returns the path and the 1-based number of the first bad line.
+    """
+    lines = ([header] if header else []) + [good] * before + [""] + bad_lines + [good]
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path, len(lines) - len(bad_lines)
+
+
+# After one good row (the first row sets the width K), and in the second block.
+POSITIONS = (1, BLOCK + 5)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("before", POSITIONS)
+    @pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+    def test_records_jsonl(self, tmp_path, case, before):
+        path, line = _with_bad_line(tmp_path, "t.jsonl", None, GOOD_RECORD, BAD_RECORDS[case],
+                                    before)
+        with pytest.raises(ValidationError, match=f"line {line}: "):
+            osls_io.read_records(path)
+
+    @pytest.mark.parametrize("before", POSITIONS)
+    @pytest.mark.parametrize("case", sorted(BAD_CSV))
+    def test_records_csv(self, tmp_path, case, before):
+        path, line = _with_bad_line(tmp_path, "t.csv", "f1,f2,h,y", GOOD_CSV, [BAD_CSV[case]],
+                                    before)
+        with pytest.raises(ValidationError, match=f"line {line}: "):
+            osls_io.read_records(path)
+
+    @pytest.mark.parametrize("before", POSITIONS)
+    @pytest.mark.parametrize("case", sorted(BAD_CORRECTED))
+    def test_corrected(self, tmp_path, case, before):
+        path, line = _with_bad_line(tmp_path, "c.jsonl", None, GOOD_CORRECTED,
+                                    [BAD_CORRECTED[case]], before)
+        with pytest.raises(ValidationError, match=f"line {line}: "):
+            osls_io.read_corrected(path)
+
+    @pytest.mark.parametrize("before", POSITIONS)
+    @pytest.mark.parametrize("case", sorted(BAD_FEATURES))
+    def test_features(self, tmp_path, case, before):
+        path, line = _with_bad_line(tmp_path, "x.csv", "x1,x2", GOOD_FEATURE,
+                                    [BAD_FEATURES[case]], before)
+        with pytest.raises(ValidationError, match=f"line {line}: "):
+            osls_io.read_features(path)
+
+    def test_integral_float_labels_accepted(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"f": [0.5, 0.5], "h": 0.5, "y": 3.0}\n', encoding="utf-8")
+        assert osls_io.read_records(path).y.tolist() == [3]
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b'{"f": [0.5, 0.5], "h": 0.5, "y": "\xff"}\n')
+        with pytest.raises(ValidationError, match="not UTF-8"):
+            osls_io.read_records(path)
+
+    @pytest.mark.parametrize("text", ['{"a": NaN}', '{"a": [Infinity]}', '{"a": 1e400}', "{"])
+    def test_json_files(self, tmp_path, text):
+        path = tmp_path / "e.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError, match="e.json"):
+            osls_io.read_json(path)
+
+
+class TestWritersRefuseNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("ext", [".jsonl", ".csv"])
+    def test_table_writers(self, tmp_path, bad, ext):
+        values = np.full((5, 3), 0.25)
+        values[3, 1] = bad
+        records = RawRecords(f=values[:, :2], h=values[:, 2], y=None, k=2)
+        for write, args in (
+            (osls_io.write_records, (records,)),
+            (osls_io.write_corrected, (values, np.ones(5, dtype=np.int64))),
+            (osls_io.write_features, (values,)),
+        ):
+            path = tmp_path / f"out{ext}"
+            with pytest.raises(ValidationError, match="row 3 has a non-finite value"):
+                write(path, *args)
+            assert not path.exists()
+
+    def test_json(self, tmp_path):
+        with pytest.raises(ValidationError, match="out.json"):
+            osls_io.write_json(tmp_path / "out.json", {"a": [1.0, float("nan")]})
+        assert not (tmp_path / "out.json").exists()
