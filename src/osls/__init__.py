@@ -15,13 +15,11 @@ from .core import (
     ExtendedDistribution,
     IllConditioned,
     OslsError,
-    PredictionRecord,
     ProbabilityVector,
     RecordSet,
     SourceLabelModel,
     TargetLabelModel,
     ValidationError,
-    extend_classifier_output,
     extend_distribution,
     validate_simplex,
 )
@@ -39,18 +37,11 @@ from .estimators import (
     threshold_rescale,
 )
 from .baselines import ConfusionMatrix, bbse, mapls, mlls
-from .correction import (
-    CorrectedPosterior,
-    classify,
-    correct_posterior,
-    correct_posterior_closed_set,
-    correct_records,
-)
+from .correction import correct_posterior_closed_set, correct_records
 from .metrics import EvalReport, ece, rho_abs_error, top1_accuracy, w_mse
 from .pipeline import EstimateResult, estimate
 from .simulate import (
     LabeledDataset,
-    LabeledSample,
     Scenario,
     ScenarioConfig,
     ShiftSpec,

@@ -20,11 +20,12 @@ from .core import (
     IllConditioned,
     ProbabilityVector,
     ValidationError,
+    _as_probability_vector,
 )
 
 _COND_LIMIT = 1e8
 
-ProbsLike = Union[np.ndarray, Sequence]
+ProbsLike = Union[np.ndarray, Sequence[Sequence[float]]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,16 +67,7 @@ class ConfusionMatrix:
 
 
 def _coerce_prob_rows(target_f: ProbsLike) -> np.ndarray:
-    if isinstance(target_f, np.ndarray) and target_f.ndim == 2:
-        rows = np.asarray(target_f, dtype=float)
-    else:
-        items = list(target_f)
-        if not items:
-            raise ValidationError("empty target set")
-        if isinstance(items[0], ProbabilityVector):
-            rows = np.stack([p.entries for p in items])
-        else:
-            rows = np.asarray(items, dtype=float)
+    rows = np.asarray(target_f, dtype=float)
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise ValidationError("target posteriors must form a non-empty (N, K) matrix")
     sums = rows.sum(axis=1)
@@ -86,7 +78,7 @@ def _coerce_prob_rows(target_f: ProbsLike) -> np.ndarray:
 
 
 def _coerce_source_prior(c, k: int) -> np.ndarray:
-    c = c.entries if isinstance(c, ProbabilityVector) else ProbabilityVector(c).entries
+    c = _as_probability_vector(c).entries
     if c.size != k:
         raise ValidationError(f"c has {c.size} entries, expected {k}")
     if np.any(c <= 0.0):
@@ -153,8 +145,7 @@ def bbse(confusion: ConfusionMatrix, target_pred_freq) -> ProbabilityVector:
     predicted-label frequencies), clips negative weights to zero, and maps
     back to a distribution via pi_j proportional to w_j * c_j.
     """
-    q = target_pred_freq
-    q = q.entries if isinstance(q, ProbabilityVector) else ProbabilityVector(q).entries
+    q = _as_probability_vector(target_pred_freq).entries
     if q.size != confusion.k:
         raise ValidationError(f"target frequencies have {q.size} entries, expected {confusion.k}")
     cm = confusion.entries

@@ -177,15 +177,7 @@ def cmd_evaluate(args) -> int:
         report = EvalReport(
             top1=top1_accuracy(corrected["y_hat"], corrected["y"]),
             ece=(
-                ece(
-                    list(
-                        zip(
-                            corrected["g"].max(axis=1),
-                            corrected["y_hat"] == corrected["y"],
-                        )
-                    ),
-                    args.bins,
-                )
+                ece(corrected["g"].max(axis=1), corrected["y_hat"] == corrected["y"], args.bins)
                 if args.ece
                 else None
             ),

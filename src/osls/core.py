@@ -1,13 +1,15 @@
 """Shared probability types, simplex arithmetic and extended (K+1)-class constructions.
 
 Label convention: ID classes are 1..K, the out-of-distribution class is K+1.
-All types are immutable after construction and safe to share across threads.
+Classifier outputs enter only as a ``RecordSet``, which validates whole
+columns at once. All types are immutable after construction and safe to
+share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -18,9 +20,6 @@ SIMPLEX_TOL = 1e-9
 MIN_CLASS_PROB = 1e-6
 # Open-interval clamp for ID-ratio estimates that seed EM divisions.
 RHO_EPS = 1e-6
-# Likelihood floor inside logs: underflowed samples contribute a large but
-# finite penalty instead of infinity.
-LIK_FLOOR = 1e-300
 
 
 class OslsError(Exception):
@@ -196,47 +195,13 @@ class TargetLabelModel:
         return extend_distribution(self.pi, self.rho_t)
 
 
-@dataclass(frozen=True, eq=False)
-class PredictionRecord:
-    """One sample's classifier outputs: ID posteriors f and ID score h.
-
-    ``label`` is an optional ground-truth class in 1..K+1 (K+1 = OOD);
-    records never carry raw inputs.
-    """
-
-    f: ProbabilityVector
-    h: float
-    label: Optional[int] = None
-
-    def __post_init__(self):
-        f = _as_probability_vector(self.f)
-        h = float(self.h)
-        if not (-SIMPLEX_TOL <= h <= 1.0 + SIMPLEX_TOL):
-            raise ValidationError(f"h must lie in [0, 1]; got {h}")
-        h = min(max(h, 0.0), 1.0)
-        label = self.label
-        if label is not None:
-            label = int(label)
-            if not 1 <= label <= f.k + 1:
-                raise ValidationError(f"label must lie in 1..{f.k + 1}; got {label}")
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "label", label)
-
-    @property
-    def k(self) -> int:
-        return self.f.k
-
-    def extended(self) -> ExtendedDistribution:
-        return extend_classifier_output(self)
-
-
 class RecordSet:
     """An immutable column-wise batch of prediction records.
 
     Stores ``f`` as an (N, K) array, ``h`` as (N,), and optionally ground-truth
-    labels ``y`` as (N,) ints in 1..K+1. This is the in-memory representation
-    every estimator consumes; ``PredictionRecord`` is the per-row view.
+    labels ``y`` as (N,) ints in 1..K+1. This is the one in-memory
+    representation of classifier outputs: every estimator, the correction and
+    the file readers and writers consume or produce it.
     """
 
     __slots__ = ("f", "h", "y")
@@ -280,25 +245,6 @@ class RecordSet:
         self.h = h
         self.y = y
 
-    @classmethod
-    def from_records(cls, records: Iterable[PredictionRecord]) -> "RecordSet":
-        records = list(records)
-        if not records:
-            raise ValidationError("empty record set")
-        f = np.stack([r.f.entries for r in records])
-        h = np.array([r.h for r in records])
-        labels = [r.label for r in records]
-        y = None
-        if all(lbl is not None for lbl in labels):
-            y = np.array(labels, dtype=np.int64)
-        return cls(f, h, y)
-
-    @classmethod
-    def coerce(cls, target) -> "RecordSet":
-        if isinstance(target, RecordSet):
-            return target
-        return cls.from_records(target)
-
     @property
     def k(self) -> int:
         return self.f.shape[1]
@@ -316,14 +262,6 @@ class RecordSet:
     def __len__(self) -> int:
         return self.h.size
 
-    def __getitem__(self, i: int) -> PredictionRecord:
-        label = None if self.y is None else int(self.y[i])
-        return PredictionRecord(ProbabilityVector(self.f[i]), float(self.h[i]), label)
-
-    def __iter__(self) -> Iterator[PredictionRecord]:
-        for i in range(len(self)):
-            yield self[i]
-
 
 def extend_distribution(base: Union[ProbabilityVector, VectorLike], rho: float) -> ExtendedDistribution:
     """Combine an ID distribution and an ID ratio into one (K+1)-class vector."""
@@ -332,10 +270,4 @@ def extend_distribution(base: Union[ProbabilityVector, VectorLike], rho: float) 
     if not (0.0 <= rho <= 1.0):
         raise ValidationError(f"rho must lie in [0, 1]; got {rho}")
     entries = np.concatenate([rho * base.entries, [1.0 - rho]])
-    return ExtendedDistribution(entries)
-
-
-def extend_classifier_output(record: PredictionRecord) -> ExtendedDistribution:
-    """Combine ID posteriors and the ID score into one (K+1)-class output."""
-    entries = np.concatenate([record.h * record.f.entries, [1.0 - record.h]])
     return ExtendedDistribution(entries)

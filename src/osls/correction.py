@@ -1,32 +1,25 @@
 """Target-adapted (K+1)-class posteriors built by reweighting classifier outputs.
 
-Each record's combined output [h*f, 1-h] is multiplied by the per-class ratio
-of target to source extended probabilities and renormalized. The ratio vector
-depends only on the estimates, so batch correction computes it once.
+Each row's combined output [h*f, 1-h] is multiplied by the per-class ratio of
+target to source extended probabilities and renormalized. The ratio vector
+depends only on the estimates, so the correction computes it once for the
+whole record set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
 from .core import (
     DegenerateSample,
     ExtendedDistribution,
-    PredictionRecord,
     ProbabilityVector,
     RecordSet,
     ValidationError,
+    _as_probability_vector,
 )
-
-
-@dataclass(frozen=True, eq=False)
-class CorrectedPosterior:
-    """A (K+1)-class posterior adapted to the target domain."""
-
-    probs: ExtendedDistribution
 
 
 def _ratio_vector(c_ext: ExtendedDistribution, pi_ext: ExtendedDistribution) -> np.ndarray:
@@ -37,38 +30,11 @@ def _ratio_vector(c_ext: ExtendedDistribution, pi_ext: ExtendedDistribution) -> 
     return pi_ext.entries / c_ext.entries
 
 
-def correct_posterior(
-    record: PredictionRecord,
-    c_ext: ExtendedDistribution,
-    pi_ext: ExtendedDistribution,
-) -> CorrectedPosterior:
-    """Reweight one record's combined output toward the target label model."""
-    ratios = _ratio_vector(c_ext, pi_ext)
-    if record.k + 1 != ratios.size:
-        raise ValidationError(f"record has K={record.k} but distributions have K={ratios.size - 1}")
-    unnorm = ratios * record.extended().entries
-    total = unnorm.sum()
-    if total <= 0.0:
-        raise DegenerateSample(0, "zero normalizer while correcting record")
-    return CorrectedPosterior(ExtendedDistribution(unnorm / total))
-
-
-def classify(posterior: Union[CorrectedPosterior, ExtendedDistribution, Sequence[float]]) -> int:
-    """1-based argmax label; ties break toward the smallest index."""
-    if isinstance(posterior, CorrectedPosterior):
-        entries = posterior.probs.entries
-    elif isinstance(posterior, ExtendedDistribution):
-        entries = posterior.entries
-    else:
-        entries = np.asarray(posterior, dtype=float)
-    return int(np.argmax(entries)) + 1
-
-
 def correct_posterior_closed_set(f, c, pi) -> ProbabilityVector:
-    """The same reweighting restricted to the K ID classes."""
-    f = f.entries if isinstance(f, ProbabilityVector) else ProbabilityVector(f).entries
-    c = c.entries if isinstance(c, ProbabilityVector) else ProbabilityVector(c).entries
-    pi = pi.entries if isinstance(pi, ProbabilityVector) else ProbabilityVector(pi).entries
+    """The same reweighting restricted to the K ID classes, for one posterior."""
+    f = _as_probability_vector(f).entries
+    c = _as_probability_vector(c).entries
+    pi = _as_probability_vector(pi).entries
     if np.any(c <= 0.0):
         raise ValidationError("c must be strictly positive")
     unnorm = (pi / c) * f
@@ -79,16 +45,15 @@ def correct_posterior_closed_set(f, c, pi) -> ProbabilityVector:
 
 
 def correct_records(
-    records: Union[RecordSet, Sequence[PredictionRecord]],
+    records: RecordSet,
     c_ext: ExtendedDistribution,
     pi_ext: ExtendedDistribution,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Correct a whole record set; returns the (N, K+1) posteriors and labels.
 
-    The ratio vector is computed once for the batch so per-record numerics are
-    identical to correct_posterior.
+    Labels are the 1-based argmax of each posterior row, ties broken toward
+    the smallest index, so K+1 means OOD.
     """
-    records = RecordSet.coerce(records)
     ratios = _ratio_vector(c_ext, pi_ext)
     if records.k + 1 != ratios.size:
         raise ValidationError(

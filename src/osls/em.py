@@ -29,8 +29,6 @@ from .core import (
     extend_distribution,
 )
 
-TargetLike = Union[RecordSet, Sequence]
-
 
 @dataclass(frozen=True, eq=False)
 class EmConfig:
@@ -119,14 +117,13 @@ def osls_nll(
     pi: Union[ProbabilityVector, Sequence[float], np.ndarray],
     rho_t: float,
     source: SourceLabelModel,
-    target: TargetLike,
+    target: RecordSet,
 ) -> float:
     """Negative log likelihood of (pi, rho_t), constant data term dropped.
 
     Inner sums are floored at 1e-300 before the log so underflowed samples
     contribute a large but finite penalty.
     """
-    target = RecordSet.coerce(target)
     w = _scaled_outputs(source, target)
     return float(_kernels.nll(w @ extend_distribution(pi, rho_t).entries))
 
@@ -154,12 +151,11 @@ def em_step(
     pi: Union[ProbabilityVector, Sequence[float], np.ndarray],
     rho_t: float,
     source: SourceLabelModel,
-    target: TargetLike,
+    target: RecordSet,
     config: Optional[EmConfig] = None,
 ) -> Tuple[ProbabilityVector, float]:
     """One E+M update of (pi, rho_t)."""
     config = config or EmConfig()
-    target = RecordSet.coerce(target)
     pi = pi.entries if isinstance(pi, ProbabilityVector) else np.asarray(pi, dtype=float)
     if np.any(pi <= 0.0):
         raise ValidationError("em_step requires strictly positive pi")
@@ -172,13 +168,12 @@ def em_step(
 
 def run_em(
     source: SourceLabelModel,
-    target: TargetLike,
+    target: RecordSet,
     config: Optional[EmConfig] = None,
     init: Optional[TargetLabelModel] = None,
 ) -> EmTrace:
     """Fit (pi, rho_t) by EM, starting from pi = c and rho_t = rho_s by default."""
     config = config or EmConfig()
-    target = RecordSet.coerce(target)
     w = _scaled_outputs(source, target)
     if init is None:
         pi0 = source.c.entries
@@ -203,9 +198,8 @@ def run_em(
     )
 
 
-def closed_form_rho_t(target: TargetLike) -> float:
+def closed_form_rho_t(target: RecordSet) -> float:
     """Mean of h over the target set; valid for an exactly binary scorer."""
-    target = RecordSet.coerce(target)
     binary = (target.h == 0.0) | (target.h == 1.0)
     if not np.all(binary):
         bad = int(np.argmin(binary))
@@ -217,7 +211,7 @@ def closed_form_rho_t(target: TargetLike) -> float:
 
 def nll_grid_argmin(
     source: SourceLabelModel,
-    target: TargetLike,
+    target: RecordSet,
     resolution: float = 0.001,
 ) -> Tuple[float, float, float]:
     """NLL minimization over a uniform (pi_1, rho_t) grid, K = 2 only.
@@ -226,7 +220,6 @@ def nll_grid_argmin(
     ties. Each pi_1 row is searched by bisection over rho_t, in which the NLL
     is convex; this is the grid route used to cross-check the EM optimizer.
     """
-    target = RecordSet.coerce(target)
     if target.k != 2:
         raise ValidationError("grid search is implemented for K = 2 only")
     n_side = int(round(1.0 / resolution)) + 1

@@ -16,6 +16,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .core import (
+    RHO_EPS,
     AmbiguousStationary,
     DegenerateScorer,
     ProbabilityVector,
@@ -26,8 +27,6 @@ from .core import (
 # the estimators error out instead of returning a clamped guess, since the
 # matching bounds blow up as the denominator vanishes.
 EPS_DEN = 1e-6
-# Clamp interval for rho_s estimates, which seed EM divisions.
-RHO_CLAMP = 1e-6
 
 _PGD_MAX_ITERS = 10_000
 _PGD_GRAD_TOL = 1e-10
@@ -89,7 +88,7 @@ def estimate_rho_s(means: ScoreMeans) -> float:
             f"scorer cannot identify rho_s: |1 - mu1 + mu0| = {abs(den):.3g} < {EPS_DEN}"
         )
     rho = means.mu0_hat / den
-    return min(max(rho, RHO_CLAMP), 1.0 - RHO_CLAMP)
+    return min(max(rho, RHO_EPS), 1.0 - RHO_EPS)
 
 
 def rho_s_bound(mu1: float, mu0: float, n_ood: int, n_id: int, delta: float) -> BoundReport:

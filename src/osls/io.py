@@ -3,8 +3,9 @@
 Prediction files are line-delimited JSON objects ``{"f": [...], "h": x, "y": k}``
 (``y`` optional); a CSV alternative with header ``f1,...,fK,h[,y]`` is selected
 by the ``.csv`` extension on both read and write. Corrected files hold
-``{"g": [...], "y_hat": j, "y": k}`` lines (CSV header ``g1,...,gK+1,y_hat[,y]``)
-and feature files are CSV with header ``x1,...,xd``. All files are UTF-8.
+``{"g": [...], "y_hat": j, "y": k}`` lines, with the CSV alternative
+``g1,...,gK+1,y_hat[,y]`` chosen the same way. Feature files are CSV with
+header ``x1,...,xd``. All files are UTF-8.
 
 Tables are written and read ``BLOCK_ROWS`` rows at a time. A block of floats
 is formatted with one ``repr`` of its nested list, which spells every finite
@@ -321,50 +322,64 @@ def _labels_or_none(y: np.ndarray) -> Optional[np.ndarray]:
     return None if np.isnan(y).any() else y.astype(np.int64)
 
 
+def _csv_prediction_columns(path: Path, lines: list, rows: list, prefix: str, scalar: str,
+                            check_scalar) -> tuple:
+    """The columns of a CSV file with header ``{prefix}1,...,{prefix}K,{scalar}[,y]``.
+
+    Returns the (N, K) vectors, the checked scalar column and the int64
+    labels, or None when the header has no ``y``.
+    """
+    if len(rows) < 2:
+        raise ValidationError(f"CSV file {path} needs a header and at least one row")
+    header = [h.strip() for h in rows[0].split(",")]
+    if scalar not in header:
+        raise ValidationError(f"CSV header must contain the {scalar!r} column")
+    k = header.index(scalar)
+    if header[:k] != [f"{prefix}{j + 1}" for j in range(k)]:
+        raise ValidationError(f"CSV header must start with {prefix}1,{prefix}2,...")
+    has_y = "y" in header
+    columns = list(range(k + 1)) + ([header.index("y")] if has_y else [])
+
+    def convert(cells, width):
+        table = _csv_table(cells, columns)
+        out = (_finite(table[:, :k], prefix), check_scalar(table[:, k], scalar))
+        return out + (_integral(table[:, k + 1], "y"),) if has_y else out
+
+    out = _read_table(path, lines, rows[1:], 1, _split_cells, _split_line, convert)
+    return out[0], out[1], out[2].astype(np.int64) if has_y else None
+
+
 def read_records(path: PathLike) -> RecordSet:
     """Read a prediction file (JSONL by default, CSV by extension)."""
     path = Path(path)
     lines = _read_lines(path)
     rows = _non_blank(lines)
     if _is_csv(path):
-        return _records_from_csv(path, lines, rows)
+        return RecordSet(*_csv_prediction_columns(path, lines, rows, "f", "h", _finite))
     if not rows:
         raise ValidationError(f"prediction file {path} contains no records")
     f, h, y = _read_table(path, lines, rows, 0, _loads_block, _loads_line, _record_columns)
     return RecordSet(f, h, _labels_or_none(y))
 
 
-def _records_from_csv(path: Path, lines: list, rows: list) -> RecordSet:
-    if len(rows) < 2:
-        raise ValidationError("CSV prediction file needs a header and at least one row")
-    header = [h.strip() for h in rows[0].split(",")]
-    if "h" not in header:
-        raise ValidationError("CSV header must contain an 'h' column")
-    k = header.index("h")
-    if header[:k] != [f"f{j + 1}" for j in range(k)]:
-        raise ValidationError("CSV header must start with f1,...,fK")
-    has_y = "y" in header
-    columns = list(range(k + 1)) + ([header.index("y")] if has_y else [])
-
-    def convert(cells, width):
-        table = _csv_table(cells, columns)
-        out = (_finite(table[:, :k], "f"), _finite(table[:, k], "h"))
-        return out + (_integral(table[:, k + 1], "y"),) if has_y else out
-
-    out = _read_table(path, lines, rows[1:], 1, _split_cells, _split_line, convert)
-    return RecordSet(out[0], out[1], out[2].astype(np.int64) if has_y else None)
-
-
 def read_corrected(path: PathLike) -> dict:
-    """Read a corrected predictions file into arrays g, y_hat and optional y."""
+    """Read a corrected predictions file (JSONL by default, CSV by extension).
+
+    Returns arrays ``g``, ``y_hat`` and ``y``, the last None unless every row
+    has a label.
+    """
     path = Path(path)
     lines = _read_lines(path)
     rows = _non_blank(lines)
-    if not rows:
-        raise ValidationError(f"corrected file {path} contains no records")
-    g, y_hat, y = _read_table(path, lines, rows, 0, _loads_block, _loads_line,
-                              _corrected_columns)
-    return {"g": g, "y_hat": y_hat.astype(np.int64), "y": _labels_or_none(y)}
+    if _is_csv(path):
+        g, y_hat, y = _csv_prediction_columns(path, lines, rows, "g", "y_hat", _integral)
+    else:
+        if not rows:
+            raise ValidationError(f"corrected file {path} contains no records")
+        g, y_hat, y = _read_table(path, lines, rows, 0, _loads_block, _loads_line,
+                                  _corrected_columns)
+        y = _labels_or_none(y)
+    return {"g": g, "y_hat": y_hat.astype(np.int64), "y": y}
 
 
 def read_features(path: PathLike) -> np.ndarray:

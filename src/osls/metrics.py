@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -59,27 +59,30 @@ def top1_accuracy(
 
 
 def ece(
-    confidences: Iterable[Tuple[float, bool]],
+    confidences: Union[Sequence[float], np.ndarray],
+    correct: Union[Sequence[bool], np.ndarray],
     n_bins: int = 15,
 ) -> float:
     """Expected calibration error with equal-width confidence bins on [0, 1].
 
-    Bin boundaries are assigned to the lower bin (1.0 therefore lands in the
-    top bin); empty bins contribute nothing.
+    ``correct[i]`` says whether the prediction made with ``confidences[i]``
+    was right. Bin boundaries are assigned to the lower bin (1.0 therefore
+    lands in the top bin); empty bins contribute nothing.
     """
     if n_bins < 1:
         raise ValidationError("n_bins must be >= 1")
-    pairs = list(confidences)
-    if not pairs:
+    probs = np.asarray(confidences, dtype=float).ravel()
+    hits = np.asarray(correct, dtype=bool).ravel().astype(float)
+    if probs.size != hits.size:
+        raise ValidationError(f"length mismatch: {probs.size} confidences vs {hits.size} outcomes")
+    if probs.size == 0:
         raise ValidationError("empty confidence list")
-    probs = np.array([p for p, _ in pairs], dtype=float)
-    correct = np.array([bool(c) for _, c in pairs], dtype=float)
     if np.any(probs < 0.0) or np.any(probs > 1.0):
         raise ValidationError("confidences must lie in [0, 1]")
     bins = np.clip(np.ceil(probs * n_bins).astype(int) - 1, 0, n_bins - 1)
     counts = np.bincount(bins, minlength=n_bins).astype(float)
     conf_sums = np.bincount(bins, weights=probs, minlength=n_bins)
-    acc_sums = np.bincount(bins, weights=correct, minlength=n_bins)
+    acc_sums = np.bincount(bins, weights=hits, minlength=n_bins)
     occupied = counts > 0
     gaps = np.abs(acc_sums[occupied] / counts[occupied] - conf_sums[occupied] / counts[occupied])
     return float(np.sum(counts[occupied] / probs.size * gaps))

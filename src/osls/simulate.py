@@ -5,7 +5,8 @@ Source and target domains share one set of class-conditional components and
 differ only in priors, so the label-shift premise holds by construction. The
 simulated classifier outputs f and h are the exact posteriors under the
 source priors (oracle mode); a temperature above 1 softens them on the
-log-odds scale to emulate mis-calibration.
+log-odds scale to emulate mis-calibration. Each draw is a ``LabeledDataset``:
+a labeled ``RecordSet`` plus the feature rows that produced it.
 
 Random streams are split per purpose from the root seed so that, e.g.,
 drawing more OOD reference samples never perturbs the target data.
@@ -19,7 +20,6 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import (
-    PredictionRecord,
     ProbabilityVector,
     RecordSet,
     TargetLabelModel,
@@ -299,14 +299,6 @@ def ring_config(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledSample:
-    """One simulated sample: classifier outputs plus the ground-truth label."""
-
-    record: PredictionRecord
-    true_label: int
-
-
 class LabeledDataset:
     """A record set with ground-truth labels and the features that produced it.
 
@@ -337,13 +329,6 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def __getitem__(self, i: int) -> LabeledSample:
-        return LabeledSample(record=self.records[i], true_label=int(self.records.y[i]))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -471,7 +456,7 @@ def gen_pseudo_ood(source_features: np.ndarray, gamma: float, seed) -> np.ndarra
     return (1.0 - gamma) * x + gamma * eps
 
 
-DatasetLike = Union[LabeledDataset, RecordSet, Sequence[LabeledSample]]
+DatasetLike = Union[LabeledDataset, RecordSet]
 
 
 def _coerce_labeled(target: DatasetLike) -> Tuple[RecordSet, Optional[np.ndarray]]:
@@ -481,15 +466,7 @@ def _coerce_labeled(target: DatasetLike) -> Tuple[RecordSet, Optional[np.ndarray
         if target.y is None:
             raise ValidationError("record set has no labels")
         return target, None
-    samples = list(target)
-    if not samples:
-        raise ValidationError("empty sample list")
-    records = RecordSet(
-        np.stack([s.record.f.entries for s in samples]),
-        np.array([s.record.h for s in samples]),
-        np.array([s.true_label for s in samples], dtype=np.int64),
-    )
-    return records, None
+    raise TypeError(f"expected a LabeledDataset or a RecordSet, got {type(target).__name__}")
 
 
 def _rebuild(records: RecordSet, features: Optional[np.ndarray]):

@@ -295,7 +295,7 @@ def test_c12_oracle_calibration():
     fe = target.records.extended_f()
     confidences = fe.max(axis=1)
     correct = (fe.argmax(axis=1) + 1) == target.records.y
-    value = ece(list(zip(confidences, correct)), n_bins=15)
+    value = ece(confidences, correct, n_bins=15)
     assert value <= 0.01, f"ECE {value:.4f}"
     _report(12, "oracle-mode classifier calibration at N=1e5, 15 bins",
             f"ECE {value:.4f} <= 0.01")

@@ -203,6 +203,20 @@ class TestCorrectAndEvaluate:
         assert rows[0]["w_mse"] < 0.05
         assert 0.0 <= rows[1]["ece"] <= 1.0
 
+    def test_csv_corrected_evaluates_like_jsonl(self, sim_dir, tmp_path, capsys):
+        est_path = self._estimate(sim_dir, tmp_path)
+        printed = {}
+        for name in ("corrected.jsonl", "corrected.csv"):
+            out = tmp_path / name
+            assert main(["correct", "--estimate", str(est_path),
+                         "--target", str(sim_dir / "target.jsonl"), "--out", str(out)]) == 0
+            capsys.readouterr()
+            assert main(["evaluate", "--corrected", str(out), "--truth",
+                         str(sim_dir / "truth.json"), "--ece", "--format", "json"]) == 0
+            printed[name] = json.loads(capsys.readouterr().out)["rows"]
+        assert printed["corrected.csv"] == printed["corrected.jsonl"]
+        assert {"top1", "ece"} <= set(printed["corrected.csv"][0])
+
     def test_truth_as_estimate_gives_zero_error(self, sim_dir, tmp_path):
         truth = osls_io.read_truth(sim_dir / "truth.json")
         fake = {

@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 
 from osls.core import (
     ExtendedDistribution,
-    PredictionRecord,
     ProbabilityVector,
     RecordSet,
     SourceLabelModel,
     TargetLabelModel,
     ValidationError,
-    extend_classifier_output,
     extend_distribution,
     validate_simplex,
 )
@@ -74,22 +72,22 @@ class TestExtendDistribution:
 
 class TestExtendClassifierOutput:
     def test_basic(self):
-        rec = PredictionRecord(ProbabilityVector([0.7, 0.3]), 0.9)
-        np.testing.assert_allclose(rec.extended().entries, [0.63, 0.27, 0.10], atol=1e-15)
+        rs = RecordSet(np.array([[0.7, 0.3]]), np.array([0.9]))
+        np.testing.assert_allclose(rs.extended_f(), [[0.63, 0.27, 0.10]], atol=1e-15)
 
     def test_certain_id(self):
-        rec = PredictionRecord(ProbabilityVector([1.0]), 1.0)
-        np.testing.assert_allclose(extend_classifier_output(rec).entries, [1.0, 0.0])
+        rs = RecordSet(np.array([[1.0]]), np.array([1.0]))
+        np.testing.assert_allclose(rs.extended_f(), [[1.0, 0.0]])
 
     def test_certain_ood(self):
-        rec = PredictionRecord(ProbabilityVector([0.5, 0.5]), 0.0)
-        np.testing.assert_allclose(extend_classifier_output(rec).entries, [0.0, 0.0, 1.0])
+        rs = RecordSet(np.array([[0.5, 0.5]]), np.array([0.0]))
+        np.testing.assert_allclose(rs.extended_f(), [[0.0, 0.0, 1.0]])
 
     @settings(max_examples=200, deadline=None)
     @given(simplexes(), st.floats(0.0, 1.0))
     def test_sums_to_one(self, f, h):
-        rec = PredictionRecord(ProbabilityVector(f), h)
-        assert abs(extend_classifier_output(rec).entries.sum() - 1.0) <= 1e-12
+        rs = RecordSet(f[None, :], np.array([h]))
+        assert abs(rs.extended_f().sum() - 1.0) <= 1e-12
 
 
 class TestTypes:
@@ -121,23 +119,15 @@ class TestTypes:
         assert abs(ext.rho - 0.8) < 1e-15
 
     def test_record_label_range(self):
-        PredictionRecord(ProbabilityVector([0.5, 0.5]), 0.5, label=3)
+        f, h = np.array([[0.5, 0.5]]), np.array([0.5])
+        assert RecordSet(f, h, np.array([3])).y.tolist() == [3]
         with pytest.raises(ValidationError):
-            PredictionRecord(ProbabilityVector([0.5, 0.5]), 0.5, label=4)
+            RecordSet(f, h, np.array([4]))
         with pytest.raises(ValidationError):
-            PredictionRecord(ProbabilityVector([0.5, 0.5]), 1.5)
+            RecordSet(f, np.array([1.5]))
 
 
 class TestRecordSet:
-    def test_round_trip(self):
-        records = [
-            PredictionRecord(ProbabilityVector([0.7, 0.3]), 0.9, 1),
-            PredictionRecord(ProbabilityVector([0.2, 0.8]), 0.1, 3),
-        ]
-        rs = RecordSet.from_records(records)
-        assert len(rs) == 2
-        assert rs[1].label == 3
-        np.testing.assert_allclose(rs[0].f.entries, [0.7, 0.3])
 
     def test_extended_f(self):
         rs = RecordSet(np.array([[0.7, 0.3]]), np.array([0.9]))

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from osls import _kernels
 from osls.core import (
     DegenerateSample,
-    PredictionRecord,
     ProbabilityVector,
     RecordSet,
     SourceLabelModel,
@@ -44,20 +43,17 @@ def _direct_nll(pi, rho_t, c, rho_s, f, h):
 class TestOslsNll:
     def test_single_class_cancellation(self):
         source = SourceLabelModel(ProbabilityVector([1.0]), 0.5)
-        target = [PredictionRecord(ProbabilityVector([1.0]), 0.5)]
+        target = RecordSet([[1.0]], [0.5])
         assert osls_nll([1.0], 0.5, source, target) == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_reweighting_is_zero(self):
         source = SourceLabelModel(ProbabilityVector([0.3, 0.7]), 0.6)
-        target = [
-            PredictionRecord(ProbabilityVector([0.2, 0.8]), 0.9),
-            PredictionRecord(ProbabilityVector([0.5, 0.5]), 0.1),
-        ]
+        target = RecordSet([[0.2, 0.8], [0.5, 0.5]], [0.9, 0.1])
         assert osls_nll(source.c, source.rho_s, source, target) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_computed_value(self):
         source = SourceLabelModel(ProbabilityVector([0.5, 0.5]), 0.5)
-        target = [PredictionRecord(ProbabilityVector([0.5, 0.5]), 1.0)]
+        target = RecordSet([[0.5, 0.5]], [1.0])
         got = osls_nll([1.0, 0.0], 1.0, source, target)
         assert got == pytest.approx(-np.log(2.0), abs=1e-12)
         direct = _direct_nll([1.0, 0.0], 1.0, [0.5, 0.5], 0.5,
@@ -81,17 +77,14 @@ class TestOslsNll:
 class TestEmStep:
     def test_certain_id_sample(self):
         source = SourceLabelModel(ProbabilityVector([1.0]), 0.5)
-        target = [PredictionRecord(ProbabilityVector([1.0]), 1.0)]
+        target = RecordSet([[1.0]], [1.0])
         pi, rho = em_step([1.0], 0.5, source, target)
         np.testing.assert_allclose(pi.entries, [1.0])
         assert rho == pytest.approx(1.0)
 
     def test_balanced_certain_samples(self):
         source = SourceLabelModel(ProbabilityVector([1.0]), 0.5)
-        target = [
-            PredictionRecord(ProbabilityVector([1.0]), 1.0),
-            PredictionRecord(ProbabilityVector([1.0]), 0.0),
-        ]
+        target = RecordSet([[1.0], [1.0]], [1.0, 0.0])
         pi, rho = em_step([1.0], 0.5, source, target)
         np.testing.assert_allclose(pi.entries, [1.0])
         assert rho == pytest.approx(0.5)
@@ -116,7 +109,7 @@ class TestEmStep:
 
     def test_validates_inputs(self):
         source = SourceLabelModel(ProbabilityVector([0.5, 0.5]), 0.5)
-        target = [PredictionRecord(ProbabilityVector([0.5, 0.5]), 0.5)]
+        target = RecordSet([[0.5, 0.5]], [0.5])
         with pytest.raises(ValidationError):
             em_step([1.0, 0.0], 0.5, source, target)
         with pytest.raises(ValidationError):
@@ -151,7 +144,7 @@ class TestRunEm:
 
     def test_single_certain_sample_one_step(self):
         source = SourceLabelModel(ProbabilityVector([1.0]), 0.5)
-        target = [PredictionRecord(ProbabilityVector([1.0]), 1.0)]
+        target = RecordSet([[1.0]], [1.0])
         trace = run_em(source, target, EmConfig(max_iters=1))
         np.testing.assert_allclose(trace.pi_final.entries, [1.0])
         assert trace.rho_t_final == pytest.approx(1.0)

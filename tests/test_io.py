@@ -428,6 +428,27 @@ class TestReadersMatchReference:
             _assert_same_bits(new.y, ref.y)
         _assert_same_bits(osls_io.read_features(out / "x.csv"), read_features(out / "x.csv"))
 
+    @pytest.mark.parametrize("with_y", (False, True))
+    @settings(max_examples=5, deadline=None)
+    @given(tables())
+    @_at_every_size()
+    def test_corrected_csv_matches_jsonl(self, tmp_path_factory, with_y, table):
+        n, k, pool, seed = table
+        rng = np.random.default_rng(seed)
+        g, y_hat = _fill(rng, pool, (n, k)), rng.integers(1, k + 1, n)
+        y = rng.integers(1, k + 1, n) if with_y else None
+        out = tmp_path_factory.mktemp("r")
+        osls_io.write_corrected(out / "c.csv", g, y_hat, y)
+        osls_io.write_corrected(out / "c.jsonl", g, y_hat, y)
+        from_csv = osls_io.read_corrected(out / "c.csv")
+        from_jsonl = osls_io.read_corrected(out / "c.jsonl")
+        _assert_same_bits(from_csv["g"], from_jsonl["g"])
+        _assert_same_bits(from_csv["y_hat"], from_jsonl["y_hat"])
+        if y is None:
+            assert from_csv["y"] is None and from_jsonl["y"] is None
+        else:
+            _assert_same_bits(from_csv["y"], from_jsonl["y"])
+
 
 # --- malformed and non-finite input ------------------------------------------
 
@@ -471,6 +492,12 @@ BAD_CORRECTED = {
     "infinite y": '{"g": [0.2, 0.3, 0.5], "y_hat": 3, "y": Infinity}',
     "wrong width": '{"g": [0.2, 0.8], "y_hat": 3}',
 }
+GOOD_CORRECTED_CSV = "0.2,0.3,0.5,3,2"
+BAD_CORRECTED_CSV = {
+    "nan in g": "0.2,nan,0.5,3,2", "overflow": "0.2,0.3,1e999,3,2",
+    "fractional y_hat": "0.2,0.3,0.5,1.5,2", "infinite y": "0.2,0.3,0.5,3,inf",
+    "short row": "0.2,0.3,0.5,3", "not a number": "0.2,0.3,0.5,x,2", "empty cell": "0.2,,0.5,3,2",
+}
 GOOD_FEATURE = "0.25,-1.5"
 BAD_FEATURES = {"nan": "nan,1", "short row": "1", "not a number": "1,abc", "overflow": "1e999,0"}
 
@@ -513,6 +540,21 @@ class TestMalformedInput:
         path, line = _with_bad_line(tmp_path, "c.jsonl", None, GOOD_CORRECTED,
                                     [BAD_CORRECTED[case]], before)
         with pytest.raises(ValidationError, match=f"line {line}: "):
+            osls_io.read_corrected(path)
+
+    @pytest.mark.parametrize("before", POSITIONS)
+    @pytest.mark.parametrize("case", sorted(BAD_CORRECTED_CSV))
+    def test_corrected_csv(self, tmp_path, case, before):
+        path, line = _with_bad_line(tmp_path, "c.csv", "g1,g2,g3,y_hat,y", GOOD_CORRECTED_CSV,
+                                    [BAD_CORRECTED_CSV[case]], before)
+        with pytest.raises(ValidationError, match=f"line {line}: "):
+            osls_io.read_corrected(path)
+
+    @pytest.mark.parametrize("header", ("g1,g2,g3,y", "g1,g3,g2,y_hat", ""))
+    def test_corrected_csv_header(self, tmp_path, header):
+        path = tmp_path / "c.csv"
+        path.write_text(header + "\n" + GOOD_CORRECTED_CSV + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="CSV"):
             osls_io.read_corrected(path)
 
     @pytest.mark.parametrize("before", POSITIONS)

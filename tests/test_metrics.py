@@ -59,37 +59,42 @@ class TestTop1:
 class TestEce:
     def test_perfectly_calibrated_bins(self, rng):
         # construct bins whose accuracy equals their mean confidence
-        pairs = []
+        confidences, correct = [], []
         for conf in (0.1, 0.5, 0.9):
             n = 2000
-            correct = rng.random(n) < conf
-            pairs.extend((conf, bool(c)) for c in correct)
-        assert ece(pairs, n_bins=10) <= 1 / 20 + 0.02
+            confidences.append(np.full(n, conf))
+            correct.append(rng.random(n) < conf)
+        value = ece(np.concatenate(confidences), np.concatenate(correct), n_bins=10)
+        assert value <= 1 / 20 + 0.02
 
     def test_overconfident(self):
-        pairs = [(1.0, True)] * 50 + [(1.0, False)] * 50
-        assert ece(pairs) == pytest.approx(0.5)
+        correct = np.r_[np.ones(50, dtype=bool), np.zeros(50, dtype=bool)]
+        assert ece(np.ones(100), correct) == pytest.approx(0.5)
 
     def test_boundary_binning(self):
         # 0.2 sits on the bin edge and must fall in the lower bin: with 5 bins
         # the (0, 0.2] bin holds both samples
-        pairs = [(0.2, True), (0.15, False)]
-        assert ece(pairs, n_bins=5) == pytest.approx(abs(0.5 - 0.175))
+        assert ece([0.2, 0.15], [True, False], n_bins=5) == pytest.approx(abs(0.5 - 0.175))
 
     def test_top_bin_for_one(self):
-        pairs = [(1.0, True)] * 10
-        assert ece(pairs, n_bins=15) == 0.0
+        assert ece(np.ones(10), np.ones(10, dtype=bool), n_bins=15) == 0.0
 
     def test_empty_error(self):
         with pytest.raises(ValidationError):
-            ece([])
+            ece([], [])
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValidationError, match="length mismatch"):
+            ece([0.5, 0.5], [True])
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.booleans()), min_size=1, max_size=60))
     def test_range_and_permutation_invariance(self, pairs):
-        value = ece(pairs)
+        confidences = np.array([p for p, _ in pairs])
+        correct = np.array([c for _, c in pairs])
+        value = ece(confidences, correct)
         assert 0.0 <= value <= 1.0
-        assert ece(list(reversed(pairs))) == pytest.approx(value)
+        assert ece(confidences[::-1], correct[::-1]) == pytest.approx(value)
 
 
 class TestRhoAbsError:
