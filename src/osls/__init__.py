@@ -23,7 +23,7 @@ from .core import (
     extend_distribution,
     validate_simplex,
 )
-from .em import EmConfig, EmTrace, closed_form_rho_t, em_step, nll_grid_argmin, osls_nll, run_em
+from .em import EmConfig, EmTrace, closed_form_rho_t, nll_grid_argmin, osls_nll, run_em
 from .estimators import (
     BoundReport,
     ScoreMeans,

@@ -14,14 +14,22 @@ products, with no N x K responsibility matrix. The M-steps apply the
 Dirichlet/Beta priors through ``alpha - 1``; all-ones priors make every prior
 term exactly zero, so maximum likelihood is MAP with unit priors.
 
+One EM map is the E-step followed by ``open_m_step`` or ``closed_m_step``.
+With a tolerance ``tol > 0`` the fit stops once a map moves (pi, rho) by less
+than ``tol``, and SQUAREM (Varadhan & Roland 2008, Scand. J. Statist.
+35:335-353) extrapolates along every two maps, falling back to the plain
+iterate whenever the extrapolation would leave the open simplex or raise the
+objective. ``tol = 0`` runs exactly ``max_iters`` plain EM updates.
+
 The fit returns a flat tuple instead of raising; ``osls.em`` and
 ``osls.baselines`` translate the degenerate index into ``DegenerateSample``:
 
-    (pi, rho, obj, iters_run, converged, pi_frozen, degenerate_index)
+    (pi, rho, obj, iters_run, converged, pi_frozen, maps, degenerate_index)
 
 ``rho`` is None for closed-set fits, ``obj`` has ``iters_run + 1`` entries
-(initial iterate plus one per update) and ``degenerate_index`` is -1 on
-success.
+(initial iterate plus one per accepted iterate), ``maps`` counts EM map
+evaluations (never more than ``max_iters``) and ``degenerate_index`` is -1
+on success.
 """
 
 from __future__ import annotations
@@ -81,13 +89,65 @@ def closed_m_step(s: np.ndarray, n: float, am1: np.ndarray) -> np.ndarray:
     return (s + am1) / (n + float(np.sum(am1)))
 
 
+def _em_map(w, n, am1, bm1, pi, rho, x, d):
+    """One EM map from (pi, rho), given x = mixing(pi, rho) and d = W @ x > 0.
+
+    Returns (pi, rho, change, frozen): the updated pair, its L-infinity move
+    and whether the pi update was skipped because it was undefined.
+    """
+    s = e_step(w, x, d)
+    if rho is None:
+        pi_new = closed_m_step(s, n, am1)
+        return pi_new, None, float(np.max(np.abs(pi_new - pi))), False
+    pi_new, rho_new = open_m_step(s, n, am1, bm1)
+    frozen = pi_new is None
+    if frozen:
+        pi_new = pi
+    change = max(float(np.max(np.abs(pi_new - pi))), abs(rho_new - rho))
+    return pi_new, rho_new, change, frozen
+
+
+def _extrapolate(x0, x1, x2, open_set: bool):
+    """SQUAREM step from three successive mixing vectors; (pi, rho) or None.
+
+    ``x0 - 2 a r + a^2 v`` with ``r = x1 - x0``, ``v = x2 - 2 x1 + x0`` and
+    step length ``a = min(-|r| / |v|, -1)``; ``a = -1`` gives back ``x2``.
+    None when the point leaves the open simplex or ``v`` vanishes.
+    """
+    r = x1 - x0
+    v = x2 - x1 - r
+    norm_v = float(np.sqrt(v @ v))
+    if norm_v == 0.0:
+        return None
+    a = min(-float(np.sqrt(r @ r)) / norm_v, -1.0)
+    x = x0 - 2.0 * a * r + (a * a) * v
+    if not np.all(x > 0.0):
+        return None
+    if not open_set:
+        return x / x.sum(), None
+    x_in = float(x[:-1].sum())
+    return x[:-1] / x_in, x_in / (x_in + float(x[-1]))
+
+
 def em_fit(w, pi0, rho0, alpha, alpha_out, max_iters, tol):
     """EM for (pi, rho) on W = fe / ce, or for pi alone on W = f / c when rho0 is None.
 
     ``alpha`` holds the K Dirichlet parameters on pi and ``alpha_out`` the Beta
-    pair on (rho, 1 - rho). Iteration stops after ``max_iters`` updates or,
-    when ``tol > 0``, once an update moves (pi, rho) by less than ``tol`` in
-    L-infinity.
+    pair on (rho, 1 - rho). At most ``max_iters`` EM maps are evaluated.
+
+    With ``tol = 0`` every map is a plain EM update and all ``max_iters`` run.
+    With ``tol > 0`` the fit stops once one map moves (pi, rho) by less than
+    ``tol`` in L-infinity, and every two accepted maps are followed by a
+    SQUAREM extrapolation (Varadhan & Roland 2008) on the mixing weights x and
+    one stabilising map from the extrapolated point. The stabilised point is
+    kept only if the extrapolation stayed in the open simplex with every
+    ``d > 0``, its map did not freeze pi, and its objective is no higher than
+    the last accepted one; otherwise the fit goes on from the plain iterate,
+    so the objective never rises at an extrapolation.
+
+    Returns (pi, rho, obj, iters_run, converged, pi_frozen, maps, degenerate_index)
+    where ``obj`` holds the objective at the initial iterate and at each of
+    the ``iters_run`` accepted iterates, and ``maps`` counts EM map evaluations.
     """
     n = float(w.shape[0])
     am1 = np.asarray(alpha, dtype=np.float64) - 1.0
@@ -98,26 +158,52 @@ def em_fit(w, pi0, rho0, alpha, alpha_out, max_iters, tol):
     x = mixing(pi, rho)
     d = w @ x
     obj = [objective(d, pi, rho, am1, bm1)]
-    for _ in range(max_iters):
+    maps = 0
+    cycle = [x]  # mixing vectors since the last extrapolation or restart
+
+    def result(converged, degenerate=-1):
+        return pi, rho, np.array(obj), len(obj) - 1, converged, frozen, maps, degenerate
+
+    while maps < max_iters:
         bad = d <= 0.0
         if bad.any():
-            return pi, rho, np.array(obj), len(obj) - 1, False, frozen, int(np.argmax(bad))
-        s = e_step(w, x, d)
-        if rho is None:
-            pi_new, rho_new = closed_m_step(s, n, am1), None
-            change = float(np.max(np.abs(pi_new - pi)))
-        else:
-            pi_new, rho_new = open_m_step(s, n, am1, bm1)
-            if pi_new is None:
-                pi_new, frozen = pi, True
-            change = max(float(np.max(np.abs(pi_new - pi))), abs(rho_new - rho))
-        pi, rho = pi_new, rho_new
+            return result(False, int(np.argmax(bad)))
+        pi, rho, change, froze = _em_map(w, n, am1, bm1, pi, rho, x, d)
+        maps += 1
+        frozen |= froze
         x = mixing(pi, rho)
         d = w @ x
         obj.append(objective(d, pi, rho, am1, bm1))
         if tol > 0.0 and change < tol:
-            return pi, rho, np.array(obj), len(obj) - 1, True, frozen, -1
-    return pi, rho, np.array(obj), len(obj) - 1, False, frozen, -1
+            return result(True)
+        if tol == 0.0:
+            continue
+        cycle = [x] if froze else cycle + [x]
+        if len(cycle) < 3 or maps == max_iters:
+            continue
+        trial = _extrapolate(*cycle, rho is not None)
+        cycle = [x]
+        if trial is None:
+            continue
+        x_ex = mixing(*trial)
+        d_ex = w @ x_ex
+        if np.any(d_ex <= 0.0):
+            continue
+        pi_y, rho_y, change, froze = _em_map(w, n, am1, bm1, *trial, x_ex, d_ex)
+        maps += 1
+        if froze:
+            continue
+        x_y = mixing(pi_y, rho_y)
+        d_y = w @ x_y
+        obj_y = objective(d_y, pi_y, rho_y, am1, bm1)
+        if not obj_y <= obj[-1]:
+            continue
+        pi, rho, x, d = pi_y, rho_y, x_y, d_y
+        obj.append(obj_y)
+        cycle = [x]
+        if change < tol:
+            return result(True)
+    return result(False)
 
 
 def _cell_nll(grid, u, dd, j):

@@ -89,8 +89,8 @@ def _coerce_source_prior(c, k: int) -> np.ndarray:
 def _closed_set_fit(f, c, alpha, max_iters, tol, return_trace):
     # Column-major W makes both E-step matrix-vector products about twice as fast.
     w = np.asfortranarray(f / c)
-    pi, _, obj, _, _, _, degenerate = _kernels.em_fit(w, c, None, alpha, (1.0, 1.0),
-                                                      max_iters, tol)
+    pi, _, obj, _, _, _, _, degenerate = _kernels.em_fit(w, c, None, alpha, (1.0, 1.0),
+                                                         max_iters, tol)
     if degenerate >= 0:
         raise DegenerateSample(degenerate)
     result = ProbabilityVector(pi)
@@ -102,10 +102,15 @@ def mlls(
     c,
     max_iters: int = 100,
     *,
-    tol: float = 0.0,
+    tol: float = 1e-10,
     return_trace: bool = False,
 ):
-    """Maximum-likelihood target label distribution from classifier posteriors."""
+    """Maximum-likelihood target label distribution from classifier posteriors.
+
+    EM stops once one map moves pi by less than ``tol``, with SQUAREM
+    acceleration, or after ``max_iters`` maps; ``tol=0.0`` runs exactly
+    ``max_iters`` plain EM updates.
+    """
     f = _coerce_prob_rows(target_f)
     c = _coerce_source_prior(c, f.shape[1])
     return _closed_set_fit(f, c, np.ones(c.size), max_iters, tol, return_trace)
@@ -117,10 +122,10 @@ def mapls(
     alpha: Union[Sequence[float], np.ndarray],
     max_iters: int = 100,
     *,
-    tol: float = 0.0,
+    tol: float = 1e-10,
     return_trace: bool = False,
 ):
-    """MAP variant of mlls with a per-class Dirichlet prior (alpha >= 1)."""
+    """MAP variant of mlls with a per-class Dirichlet prior (alpha >= 1); same stopping rule."""
     f = _coerce_prob_rows(target_f)
     c = _coerce_source_prior(c, f.shape[1])
     alpha = np.asarray(alpha, dtype=float)

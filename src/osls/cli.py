@@ -280,8 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-class Dirichlet prior strength for MAP runs (and mapls)")
     p.add_argument("--alpha-out", type=float, nargs=2, default=(1.0, 1.0),
                    metavar=("A1", "A2"), help="Beta prior on the target ID ratio")
-    p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--tol", type=float, default=0.0)
+    p.add_argument("--iters", type=int, default=100,
+                   help="most EM map evaluations per osls fit (default: %(default)s)")
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="stop once one EM map moves (pi, rho_t) by less than this in "
+                        "L-infinity, with SQUAREM acceleration; 0 runs exactly --iters "
+                        "plain EM updates (default: %(default)s)")
     p.add_argument("--no-rho-correction", action="store_true")
     _add_common_output(p)
     p.set_defaults(func=cmd_estimate)
@@ -305,7 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="key=value grid config file")
     p.add_argument("--workers", type=int, default=0,
                    help="concurrent cells (default: OSLS_WORKERS or 1)")
-    p.add_argument("--iters", type=int, default=100)
+    p.add_argument("--iters", type=int, default=100,
+                   help="most EM map evaluations per osls fit; each fit stops at the "
+                        "default tolerance 1e-10 (default: %(default)s)")
     _add_common_output(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -13,6 +13,7 @@ a probability vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -32,23 +33,25 @@ from .core import (
 
 @dataclass(frozen=True, eq=False)
 class EmConfig:
-    """EM settings: iteration budget, early-stop tolerance and prior strengths.
+    """EM settings: map budget, stopping tolerance and prior strengths.
 
-    ``tol`` is the L-infinity change in (pi, rho_t) below which iteration stops;
-    the default 0.0 means "run all iterations". All-ones priors reduce the MAP
-    updates to plain maximum likelihood.
+    ``max_iters`` caps the number of EM map evaluations. ``tol`` is the
+    L-infinity move of (pi, rho_t) under one EM map below which the fit stops
+    as converged; any ``tol > 0`` also turns on SQUAREM extrapolation. ``tol =
+    0.0`` runs exactly ``max_iters`` plain EM updates. All-ones priors reduce
+    the MAP updates to plain maximum likelihood.
     """
 
     max_iters: int = 100
-    tol: float = 0.0
+    tol: float = 1e-10
     alpha_in: Optional[np.ndarray] = None
     alpha_out: Tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
-        if self.tol < 0.0:
-            raise ValidationError("tol must be >= 0")
+        if not (0.0 <= self.tol < math.inf):
+            raise ValidationError(f"tol must be a finite number >= 0, got {self.tol}")
         if self.alpha_in is not None:
             arr = np.asarray(self.alpha_in, dtype=float)
             if arr.ndim != 1 or np.any(arr < 1.0):
@@ -81,10 +84,13 @@ class EmTrace:
     """Fit result: objective trace and final iterate.
 
     ``nll_per_iter[0]`` is the objective at the initial iterate and each later
-    entry follows one EM update; for MAP runs the objective is the negative
-    log-posterior (prior normalizing constants dropped). ``pi_update_frozen``
-    flags iterations where all responsibility mass fell on the OOD class and
-    the pi update was skipped.
+    entry follows one accepted iterate, so ``iterations_run ==
+    len(nll_per_iter) - 1``; for MAP runs the objective is the negative
+    log-posterior (prior normalizing constants dropped). ``map_evaluations``
+    counts EM maps, including stabilising maps after rejected SQUAREM
+    extrapolations, and never exceeds ``EmConfig.max_iters``.
+    ``pi_update_frozen`` flags iterations where all responsibility mass fell
+    on the OOD class and the pi update was skipped.
     """
 
     nll_per_iter: np.ndarray
@@ -93,6 +99,7 @@ class EmTrace:
     iterations_run: int
     converged: bool
     pi_update_frozen: bool = False
+    map_evaluations: int = 0
 
 
 def _scaled_outputs(source: SourceLabelModel, target: RecordSet) -> np.ndarray:
@@ -103,14 +110,6 @@ def _scaled_outputs(source: SourceLabelModel, target: RecordSet) -> np.ndarray:
     w = np.asfortranarray(target.extended_f())
     w /= source.extended().entries
     return w
-
-
-def _fit(w, pi0, rho0, config: EmConfig, k: int, max_iters: int):
-    out = _kernels.em_fit(w, pi0, rho0, config.resolved_alpha_in(k), config.alpha_out,
-                          max_iters, config.tol)
-    if out[-1] >= 0:
-        raise DegenerateSample(out[-1])
-    return out
 
 
 def osls_nll(
@@ -126,44 +125,6 @@ def osls_nll(
     """
     w = _scaled_outputs(source, target)
     return float(_kernels.nll(w @ extend_distribution(pi, rho_t).entries))
-
-
-def m_step_update(
-    col_sums: np.ndarray,
-    n: int,
-    alpha_in: Optional[np.ndarray] = None,
-    alpha_out: Tuple[float, float] = (1.0, 1.0),
-) -> Tuple[Optional[np.ndarray], float]:
-    """One M-step from E-step column sums over the K+1 classes.
-
-    Returns (pi, rho_t); pi is None when its update is undefined (all mass on
-    the OOD class under maximum likelihood), in which case the previous pi
-    should be kept.
-    """
-    col_sums = np.asarray(col_sums, dtype=float)
-    k = col_sums.size - 1
-    a_in = np.ones(k) if alpha_in is None else np.asarray(alpha_in, dtype=float)
-    bm1 = (float(alpha_out[0]) - 1.0, float(alpha_out[1]) - 1.0)
-    return _kernels.open_m_step(col_sums, float(n), a_in - 1.0, bm1)
-
-
-def em_step(
-    pi: Union[ProbabilityVector, Sequence[float], np.ndarray],
-    rho_t: float,
-    source: SourceLabelModel,
-    target: RecordSet,
-    config: Optional[EmConfig] = None,
-) -> Tuple[ProbabilityVector, float]:
-    """One E+M update of (pi, rho_t)."""
-    config = config or EmConfig()
-    pi = pi.entries if isinstance(pi, ProbabilityVector) else np.asarray(pi, dtype=float)
-    if np.any(pi <= 0.0):
-        raise ValidationError("em_step requires strictly positive pi")
-    if not (0.0 < rho_t < 1.0):
-        raise ValidationError("em_step requires rho_t strictly in (0, 1)")
-    w = _scaled_outputs(source, target)
-    pi_new, rho_new = _fit(w, pi, rho_t, config, target.k, 1)[:2]
-    return ProbabilityVector(pi_new), rho_new
 
 
 def run_em(
@@ -185,8 +146,11 @@ def run_em(
             raise ValidationError("initial pi must be strictly positive")
         if not (0.0 < rho0 < 1.0):
             raise ValidationError("initial rho_t must lie strictly in (0, 1)")
-    pi, rho, obj, iters, converged, frozen, _ = _fit(w, pi0, rho0, config, target.k,
-                                                     config.max_iters)
+    pi, rho, obj, iters, converged, frozen, maps, degenerate = _kernels.em_fit(
+        w, pi0, rho0, config.resolved_alpha_in(target.k), config.alpha_out,
+        config.max_iters, config.tol)
+    if degenerate >= 0:
+        raise DegenerateSample(degenerate)
     obj.flags.writeable = False
     return EmTrace(
         nll_per_iter=obj,
@@ -195,6 +159,7 @@ def run_em(
         iterations_run=iters,
         converged=converged,
         pi_update_frozen=frozen,
+        map_evaluations=maps,
     )
 
 

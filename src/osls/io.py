@@ -14,10 +14,11 @@ float as ``float.__repr__`` (shortest exact round-trip) does, exactly as
 of JSON lines is parsed with one ``json.loads`` and its columns are converted
 with numpy.
 
-Values must be finite and labels integral. Input that is not raises
-``ValidationError`` naming the file and the 1-based line: a block that fails
-is parsed again line by line to find it. Writers refuse non-finite values,
-which no JSON text encodes.
+Values must be finite and labels integral, and in corrected files each ``g``
+row must be a probability vector and each label lie in 1..K+1. Input that is
+not raises ``ValidationError`` naming the file and the 1-based line: a block
+that fails is parsed again line by line to find it. Writers refuse
+non-finite values, which no JSON text encodes.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import ProbabilityVector, RecordSet, ValidationError
+from .core import SIMPLEX_TOL, ProbabilityVector, RecordSet, ValidationError
 from .simulate import ScenarioConfig, ShiftSpec
 
 PathLike = Union[str, Path]
@@ -292,12 +293,29 @@ def _record_columns(objs: list, width: Optional[int]) -> tuple:
     )
 
 
+def _corrected_rows(columns: tuple) -> tuple:
+    """``(g, y_hat[, y])`` if each g row is a probability vector and each label lies in 1..K+1.
+
+    ``g`` is (N, K+1); null labels are NaN, which no range test flags.
+    """
+    g = columns[0]
+    on_simplex = (g >= -SIMPLEX_TOL).all(axis=1) & (np.abs(g.sum(axis=1) - 1.0) <= SIMPLEX_TOL)
+    if not on_simplex.all():
+        raise ValidationError(f"'g' is not a probability vector within {SIMPLEX_TOL}")
+    width = g.shape[1]
+    for key, col in zip(("y_hat", "y"), columns[1:]):
+        outside = (col < 1) | (col > width)
+        if outside.any():
+            raise ValidationError(f"{key!r} must lie in 1..{width}, got {col[np.argmax(outside)]}")
+    return columns
+
+
 def _corrected_columns(objs: list, width: Optional[int]) -> tuple:
-    return (
+    return _corrected_rows((
         _vectors(_field(objs, "g"), "g", width),
         _labels(_field(objs, "y_hat"), "y_hat"),
         _labels(_field(objs, "y", optional=True), "y", optional=True),
-    )
+    ))
 
 
 def _split_cells(lines: list) -> list:
@@ -323,11 +341,12 @@ def _labels_or_none(y: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _csv_prediction_columns(path: Path, lines: list, rows: list, prefix: str, scalar: str,
-                            check_scalar) -> tuple:
+                            check_scalar, check_rows=None) -> tuple:
     """The columns of a CSV file with header ``{prefix}1,...,{prefix}K,{scalar}[,y]``.
 
     Returns the (N, K) vectors, the checked scalar column and the int64
-    labels, or None when the header has no ``y``.
+    labels, or None when the header has no ``y``. ``check_rows``, when given,
+    checks each block's column tuple and returns it.
     """
     if len(rows) < 2:
         raise ValidationError(f"CSV file {path} needs a header and at least one row")
@@ -343,7 +362,9 @@ def _csv_prediction_columns(path: Path, lines: list, rows: list, prefix: str, sc
     def convert(cells, width):
         table = _csv_table(cells, columns)
         out = (_finite(table[:, :k], prefix), check_scalar(table[:, k], scalar))
-        return out + (_integral(table[:, k + 1], "y"),) if has_y else out
+        if has_y:
+            out += (_integral(table[:, k + 1], "y"),)
+        return out if check_rows is None else check_rows(out)
 
     out = _read_table(path, lines, rows[1:], 1, _split_cells, _split_line, convert)
     return out[0], out[1], out[2].astype(np.int64) if has_y else None
@@ -366,13 +387,15 @@ def read_corrected(path: PathLike) -> dict:
     """Read a corrected predictions file (JSONL by default, CSV by extension).
 
     Returns arrays ``g``, ``y_hat`` and ``y``, the last None unless every row
-    has a label.
+    has a label. Each ``g`` row must be a probability vector within
+    ``SIMPLEX_TOL`` and each label must lie in 1..K+1, K+1 being the width of ``g``.
     """
     path = Path(path)
     lines = _read_lines(path)
     rows = _non_blank(lines)
     if _is_csv(path):
-        g, y_hat, y = _csv_prediction_columns(path, lines, rows, "g", "y_hat", _integral)
+        g, y_hat, y = _csv_prediction_columns(path, lines, rows, "g", "y_hat", _integral,
+                                              _corrected_rows)
     else:
         if not rows:
             raise ValidationError(f"corrected file {path} contains no records")

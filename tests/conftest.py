@@ -72,3 +72,30 @@ def mle_em_path(w, pi0, rho0, iters):
         d = w @ x
         trace.append(_kernels.nll(d))
     return pi, rho, np.array(trace)
+
+
+def plain_em(w, pi0, rho0, alpha, alpha_out, tol, max_iters):
+    """Plain EM (no extrapolation) to an L-infinity step below ``tol``, for reference fits.
+
+    Built from the kernel's E-step, M-steps and objective, but with its own
+    loop. Returns (pi, rho, final objective, updates run, converged); ``rho``
+    is None for a closed-set fit (rho0 None).
+    """
+    n = float(w.shape[0])
+    am1 = np.asarray(alpha, dtype=float) - 1.0
+    bm1 = (alpha_out[0] - 1.0, alpha_out[1] - 1.0)
+    pi, rho = np.array(pi0, dtype=float), rho0
+    d = w @ _kernels.mixing(pi, rho)
+    for update in range(1, max_iters + 1):
+        s = _kernels.e_step(w, _kernels.mixing(pi, rho), d)
+        if rho is None:
+            pi_new, rho_new, change = _kernels.closed_m_step(s, n, am1), None, 0.0
+        else:
+            pi_new, rho_new = _kernels.open_m_step(s, n, am1, bm1)
+            change = abs(rho_new - rho)
+        change = max(change, float(np.max(np.abs(pi_new - pi))))
+        pi, rho = pi_new, rho_new
+        d = w @ _kernels.mixing(pi, rho)
+        if change < tol:
+            break
+    return pi, rho, _kernels.objective(d, pi, rho, am1, bm1), update, change < tol

@@ -457,6 +457,31 @@ class TestMalformedInputExitsTwo:
         assert code == 2
         assert f"line {len(lines) + 1}: " in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("name,header,good,bad", [
+        ("c.jsonl", None, '{"g": [0.2, 0.3, 0.5], "y_hat": 3, "y": 3}',
+         '{"g": [7.0, -3.0, 0.5], "y_hat": 9, "y": 9}'),
+        ("c.jsonl", None, '{"g": [0.2, 0.3, 0.5], "y_hat": 3, "y": 3}',
+         '{"g": [0.2, 0.3, 0.5], "y_hat": 3, "y": 4}'),
+        ("c.csv", "g1,g2,g3,y_hat,y", "0.2,0.3,0.5,3,3", "0.2,0.3,0.4,3,3"),
+        ("c.csv", "g1,g2,g3,y_hat,y", "0.2,0.3,0.5,3,3", "0.2,0.3,0.5,0,3"),
+    ])
+    def test_bad_corrected_line(self, sim_dir, tmp_path, capsys, name, header, good, bad):
+        lines = ([header] if header else []) + [good]
+        corrected = tmp_path / name
+        corrected.write_text("\n".join(lines + [bad, good]) + "\n", encoding="utf-8")
+        code = main(["evaluate", "--corrected", str(corrected),
+                     "--truth", str(sim_dir / "truth.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{name}: line {len(lines) + 1}: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_estimate_rejects_bad_tol(self, sim_dir, capsys, tol):
+        code = main(["estimate", "--source", str(sim_dir / "source.jsonl"),
+                     "--target", str(sim_dir / "target.jsonl"),
+                     "--ood-ref", str(sim_dir / "ood_ref.jsonl"), "--tol", tol])
+        assert code == 2 and "tol must be" in capsys.readouterr().err
+
     def test_estimate_without_method(self, estimate_path, sim_dir, tmp_path, capsys):
         report = json.loads(estimate_path.read_text())
         del report["method"]

@@ -16,8 +16,6 @@ from osls.core import (
 from osls.em import (
     EmConfig,
     closed_form_rho_t,
-    em_step,
-    m_step_update,
     nll_grid_argmin,
     osls_nll,
     run_em,
@@ -25,7 +23,7 @@ from osls.em import (
 from osls.estimators import threshold_rescale
 from osls.simulate import ShiftSpec, make_scenario, ring_config
 
-from conftest import easy_config, mle_em_path, overlap_config
+from conftest import easy_config, mle_em_path, overlap_config, plain_em
 
 
 def _direct_nll(pi, rho_t, c, rho_s, f, h):
@@ -74,36 +72,52 @@ class TestOslsNll:
         assert got == pytest.approx(want, rel=1e-10)
 
 
+ONE_UPDATE = EmConfig(max_iters=1, tol=0.0)
+
+
+def _one_update(pi, rho_t, source, target):
+    """One plain E+M update of (pi, rho_t) through run_em, which validates the start."""
+    trace = run_em(source, target, ONE_UPDATE, init=TargetLabelModel(pi, rho_t))
+    return trace.pi_final, trace.rho_t_final
+
+
+def _m_step(col_sums, n, alpha_in=None, alpha_out=(1.0, 1.0)):
+    """The open-set M-step kernel from K+1 column sums and the prior parameters."""
+    k = col_sums.size - 1
+    am1 = (np.ones(k) if alpha_in is None else np.asarray(alpha_in, dtype=float)) - 1.0
+    return _kernels.open_m_step(col_sums, float(n), am1, (alpha_out[0] - 1.0, alpha_out[1] - 1.0))
+
+
 class TestEmStep:
     def test_certain_id_sample(self):
         source = SourceLabelModel(ProbabilityVector([1.0]), 0.5)
         target = RecordSet([[1.0]], [1.0])
-        pi, rho = em_step([1.0], 0.5, source, target)
+        pi, rho = _one_update([1.0], 0.5, source, target)
         np.testing.assert_allclose(pi.entries, [1.0])
         assert rho == pytest.approx(1.0)
 
     def test_balanced_certain_samples(self):
         source = SourceLabelModel(ProbabilityVector([1.0]), 0.5)
         target = RecordSet([[1.0], [1.0]], [1.0, 0.0])
-        pi, rho = em_step([1.0], 0.5, source, target)
+        pi, rho = _one_update([1.0], 0.5, source, target)
         np.testing.assert_allclose(pi.entries, [1.0])
         assert rho == pytest.approx(0.5)
 
     def test_m_step_direct_substitution(self):
-        pi, rho = m_step_update(np.array([3.0, 1.0, 1.0]), 5,
-                                alpha_in=np.array([2.0, 2.0]), alpha_out=(1.0, 1.0))
+        pi, rho = _m_step(np.array([3.0, 1.0, 1.0]), 5,
+                          alpha_in=np.array([2.0, 2.0]), alpha_out=(1.0, 1.0))
         np.testing.assert_allclose(pi, [4 / 6, 2 / 6])
         assert rho == pytest.approx(0.8)
 
     def test_m_step_prior_mode(self):
         # zero-data limit: the update lands on the prior mode
-        pi, rho = m_step_update(np.zeros(3), 0,
-                                alpha_in=np.array([2.0, 2.0]), alpha_out=(2.0, 2.0))
+        pi, rho = _m_step(np.zeros(3), 0,
+                          alpha_in=np.array([2.0, 2.0]), alpha_out=(2.0, 2.0))
         np.testing.assert_allclose(pi, [0.5, 0.5])
         assert rho == pytest.approx(0.5)
 
     def test_m_step_all_mass_ood(self):
-        pi, rho = m_step_update(np.array([0.0, 0.0, 5.0]), 5)
+        pi, rho = _m_step(np.array([0.0, 0.0, 5.0]), 5)
         assert pi is None
         assert rho == pytest.approx(0.0)
 
@@ -111,9 +125,11 @@ class TestEmStep:
         source = SourceLabelModel(ProbabilityVector([0.5, 0.5]), 0.5)
         target = RecordSet([[0.5, 0.5]], [0.5])
         with pytest.raises(ValidationError):
-            em_step([1.0, 0.0], 0.5, source, target)
+            _one_update([1.0, 0.0], 0.5, source, target)
         with pytest.raises(ValidationError):
-            em_step([0.5, 0.5], 1.0, source, target)
+            _one_update([0.5, 0.5], 1.0, source, target)
+        with pytest.raises(ValidationError):  # not a probability vector
+            _one_update([0.5, 0.9], 0.5, source, RecordSet([[0.7, 0.3], [0.2, 0.8]], [0.9, 0.4]))
 
 
 class TestEStepKernel:
@@ -166,6 +182,15 @@ class TestRunEm:
             trace = run_em(source, target.records, config)
             assert np.all(np.diff(trace.nll_per_iter) <= 1e-9)
 
+    def test_monotone_nll_plain(self):
+        cfg = overlap_config(k=3, seed=2, n=2000, shift=ShiftSpec.dirichlet(1.0))
+        _, target, _, _ = make_scenario(cfg)
+        source = SourceLabelModel(cfg.c, cfg.rho_s)
+        for alpha in (None, np.full(3, 2.0)):
+            trace = run_em(source, target.records, EmConfig(tol=0.0, alpha_in=alpha))
+            assert trace.iterations_run == 100
+            assert np.all(np.diff(trace.nll_per_iter) <= 1e-9)
+
     def test_extended_iterate_stays_on_simplex(self):
         cfg = overlap_config(k=3, seed=9, n=500)
         _, target, _, _ = make_scenario(cfg)
@@ -174,7 +199,7 @@ class TestRunEm:
         for _ in range(20):
             ext = extend_distribution(pi, rho)
             assert abs(ext.entries.sum() - 1.0) <= 1e-9
-            pi, rho = em_step(pi, rho, source, target.records)
+            pi, rho = _one_update(pi, rho, source, target.records)
 
     def test_mle_map_bitwise_degeneracy(self):
         cfg = overlap_config(k=4, seed=3, n=1000, shift=ShiftSpec.dirichlet(1.0))
@@ -236,6 +261,93 @@ class TestRunEm:
         bad = TargetLabelModel(ProbabilityVector([1.0, 0.0]), 0.5)
         with pytest.raises(ValidationError):
             run_em(source, target.records, init=bad)
+
+
+def _fit_cases(cfg):
+    """Open-set and closed-set (W, rho0) inputs of one scenario, each with MLE and MAP priors."""
+    _, target, _, _ = make_scenario(cfg)
+    source = SourceLabelModel(cfg.c, cfg.rho_s)
+    k = cfg.k
+    open_w = target.records.extended_f() / source.extended().entries
+    closed_w = target.records.f / source.c.entries
+    for w, rho0 in ((open_w, source.rho_s), (closed_w, None)):
+        for a in (1.0, 2.0):
+            alpha_out = (a, a) if rho0 is not None else (1.0, 1.0)
+            yield w, source.c.entries, rho0, np.full(k, a), alpha_out
+
+
+class TestSquarem:
+    """The accelerated loop that runs whenever tol > 0."""
+
+    DEFAULT = EmConfig()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_plain_em_to_tight_tol(self, seed):
+        # Ordered long-tailed targets keep every class share >= 1/10 of the largest, so
+        # each optimum is interior; at a boundary optimum a stop on the step size does
+        # not bound the objective gap to 1e-12.
+        maps = plain_updates = 0
+        for k in (2, 10):
+            cfg = easy_config(k=k, seed=seed, n=2000, separation=4.0,
+                              shift=ShiftSpec.ordered_lt(10), r=[1.0, 0.5, 2.0][seed % 3])
+            for args in _fit_cases(cfg):
+                fit = _kernels.em_fit(*args, self.DEFAULT.max_iters, self.DEFAULT.tol)
+                assert fit[4], "the default fit did not converge"
+                ref = plain_em(*args, 1e-13, 100_000)
+                assert ref[4]
+                assert np.max(np.abs(fit[0] - ref[0])) <= 1e-7
+                if args[2] is not None:
+                    assert abs(fit[1] - ref[1]) <= 1e-7
+                assert fit[2][-1] <= ref[2] + 1e-12 * abs(ref[2])
+                maps += fit[6]
+                plain_updates += plain_em(*args, self.DEFAULT.tol, 100_000)[3]
+        assert maps < 0.6 * plain_updates  # extrapolation saves maps over plain EM
+
+    def test_rejected_extrapolation_keeps_trace_non_increasing(self):
+        cfg = overlap_config(k=10, seed=0, n=3000, shift=ShiftSpec.ordered_lt(10))
+        rejected = 0
+        for args in _fit_cases(cfg):
+            fit = _kernels.em_fit(*args, 100, 1e-10)
+            rejected += fit[6] - fit[3]  # stabilising maps whose point was not kept
+            assert fit[6] <= 100 and fit[3] == fit[2].size - 1
+            assert np.all(np.diff(fit[2]) <= 1e-9)
+        assert rejected > 0
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 3, 4, 5, 7, 10, 31])
+    def test_map_evaluations_within_cap(self, max_iters):
+        for cfg in (overlap_config(k=10, seed=0, n=3000, shift=ShiftSpec.ordered_lt(10)),
+                    easy_config(k=3, seed=1, n=500)):
+            source = SourceLabelModel(cfg.c, cfg.rho_s)
+            _, target, _, _ = make_scenario(cfg)
+            for alpha in (None, np.full(cfg.k, 2.0)):
+                config = EmConfig(max_iters=max_iters, alpha_in=alpha)
+                trace = run_em(source, target.records, config)
+                assert 1 <= trace.map_evaluations <= max_iters
+                assert trace.iterations_run == trace.nll_per_iter.size - 1
+                assert trace.iterations_run <= trace.map_evaluations
+                if max_iters == 1:  # no room to extrapolate: one plain update
+                    plain = run_em(source, target.records,
+                                   EmConfig(max_iters=1, tol=0.0, alpha_in=alpha))
+                    assert np.array_equal(trace.pi_final.entries, plain.pi_final.entries)
+                    assert trace.rho_t_final == plain.rho_t_final
+
+    def test_default_converges_under_cap(self):
+        # K=10, radius 4: plain EM needs more than 100 updates to reach tol 1e-10 here
+        cfg = ring_config(10, radius=4.0, rho_s=0.7, n_source=10_000, n_target=10_000,
+                          n_ood_ref=5000, shift=ShiftSpec.dirichlet(1.0), r=0.1, seed=0)
+        _, target, _, _ = make_scenario(cfg)
+        source = SourceLabelModel(cfg.c, cfg.rho_s)
+        trace = run_em(source, target.records)
+        assert trace.converged
+        assert trace.map_evaluations < 100
+
+    def test_zero_tol_runs_every_update(self):
+        cfg = easy_config(k=3, seed=1, n=500)
+        _, target, _, _ = make_scenario(cfg)
+        source = SourceLabelModel(cfg.c, cfg.rho_s)
+        trace = run_em(source, target.records, EmConfig(max_iters=37, tol=0.0))
+        assert not trace.converged
+        assert trace.iterations_run == trace.map_evaluations == 37
 
 
 class TestClosedFormRhoT:
@@ -321,6 +433,14 @@ class TestEmConfig:
             EmConfig(alpha_out=(0.9, 1.0))
         with pytest.raises(ValidationError):
             EmConfig(max_iters=0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-12])
+    def test_tol_validation(self, tol):
+        with pytest.raises(ValidationError, match="tol"):
+            EmConfig(tol=tol)
+
+    def test_defaults(self):
+        assert EmConfig().max_iters == 100 and EmConfig().tol == 1e-10
 
     def test_is_mle(self):
         assert EmConfig().is_mle

@@ -371,7 +371,7 @@ class TestReadersMatchReference:
     def test_corrected_jsonl(self, tmp_path_factory, table, layout):
         n, k, pool, seed = table
         rng = np.random.default_rng(seed)
-        g = _fill(rng, pool, (n, k))
+        g = _prediction_rows(rng, n, k, pool)[0]  # the reader accepts probability rows only
         y_hat, y = rng.integers(1, k + 1, n), rng.integers(1, k + 1, n)
         lines = []
         for i in range(n):
@@ -435,7 +435,7 @@ class TestReadersMatchReference:
     def test_corrected_csv_matches_jsonl(self, tmp_path_factory, with_y, table):
         n, k, pool, seed = table
         rng = np.random.default_rng(seed)
-        g, y_hat = _fill(rng, pool, (n, k)), rng.integers(1, k + 1, n)
+        g, y_hat = _prediction_rows(rng, n, k, pool)[0], rng.integers(1, k + 1, n)
         y = rng.integers(1, k + 1, n) if with_y else None
         out = tmp_path_factory.mktemp("r")
         osls_io.write_corrected(out / "c.csv", g, y_hat, y)
@@ -491,12 +491,21 @@ BAD_CORRECTED = {
     "NaN in g": '{"g": [0.2, NaN, 0.5], "y_hat": 3}',
     "infinite y": '{"g": [0.2, 0.3, 0.5], "y_hat": 3, "y": Infinity}',
     "wrong width": '{"g": [0.2, 0.8], "y_hat": 3}',
+    "g off the simplex": '{"g": [7.0, -3.0, 0.5], "y_hat": 9, "y": 9}',
+    "g sums below one": '{"g": [0.2, 0.3, 0.4], "y_hat": 3}',
+    "negative g": '{"g": [-0.1, 0.6, 0.5], "y_hat": 2}',
+    "y_hat zero": '{"g": [0.2, 0.3, 0.5], "y_hat": 0}',
+    "y_hat above K+1": '{"g": [0.2, 0.3, 0.5], "y_hat": 4}',
+    "y above K+1": '{"g": [0.2, 0.3, 0.5], "y_hat": 3, "y": 4}',
+    "negative y": '{"g": [0.2, 0.3, 0.5], "y_hat": 3, "y": -1}',
 }
 GOOD_CORRECTED_CSV = "0.2,0.3,0.5,3,2"
 BAD_CORRECTED_CSV = {
     "nan in g": "0.2,nan,0.5,3,2", "overflow": "0.2,0.3,1e999,3,2",
     "fractional y_hat": "0.2,0.3,0.5,1.5,2", "infinite y": "0.2,0.3,0.5,3,inf",
     "short row": "0.2,0.3,0.5,3", "not a number": "0.2,0.3,0.5,x,2", "empty cell": "0.2,,0.5,3,2",
+    "g off the simplex": "7.0,-3.0,0.5,9,9", "g sums below one": "0.2,0.3,0.4,3,2",
+    "y_hat zero": "0.2,0.3,0.5,0,2", "y above K+1": "0.2,0.3,0.5,3,4",
 }
 GOOD_FEATURE = "0.25,-1.5"
 BAD_FEATURES = {"nan": "nan,1", "short row": "1", "not a number": "1,abc", "overflow": "1e999,0"}
