@@ -13,15 +13,14 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import _kernels
 from .core import (
     SIMPLEX_TOL,
-    DegenerateSample,
     IllConditioned,
     ProbabilityVector,
     ValidationError,
     _as_probability_vector,
 )
+from .em import EmConfig, EmTrace, fit
 
 _COND_LIMIT = 1e8
 
@@ -86,52 +85,39 @@ def _coerce_source_prior(c, k: int) -> np.ndarray:
     return np.ascontiguousarray(c)
 
 
-def _closed_set_fit(f, c, alpha, max_iters, tol, return_trace):
+def _closed_set_fit(target_f: ProbsLike, c, config: EmConfig) -> EmTrace:
+    f = _coerce_prob_rows(target_f)
+    c = _coerce_source_prior(c, f.shape[1])
     # Column-major W makes both E-step matrix-vector products about twice as fast.
-    w = np.asfortranarray(f / c)
-    pi, _, obj, _, _, _, _, degenerate = _kernels.em_fit(w, c, None, alpha, (1.0, 1.0),
-                                                         max_iters, tol)
-    if degenerate >= 0:
-        raise DegenerateSample(degenerate)
-    result = ProbabilityVector(pi)
-    return (result, obj) if return_trace else result
+    return fit(np.asfortranarray(f / c), c, None, config)
 
 
 def mlls(
     target_f: ProbsLike,
     c,
-    max_iters: int = 100,
+    max_iters: int = EmConfig.max_iters,
     *,
-    tol: float = 1e-10,
-    return_trace: bool = False,
-):
+    tol: float = EmConfig.tol,
+) -> EmTrace:
     """Maximum-likelihood target label distribution from classifier posteriors.
 
     EM stops once one map moves pi by less than ``tol``, with SQUAREM
     acceleration, or after ``max_iters`` maps; ``tol=0.0`` runs exactly
-    ``max_iters`` plain EM updates.
+    ``max_iters`` plain EM updates. The estimate is the trace's ``pi_final``.
     """
-    f = _coerce_prob_rows(target_f)
-    c = _coerce_source_prior(c, f.shape[1])
-    return _closed_set_fit(f, c, np.ones(c.size), max_iters, tol, return_trace)
+    return _closed_set_fit(target_f, c, EmConfig(max_iters, tol))
 
 
 def mapls(
     target_f: ProbsLike,
     c,
     alpha: Union[Sequence[float], np.ndarray],
-    max_iters: int = 100,
+    max_iters: int = EmConfig.max_iters,
     *,
-    tol: float = 1e-10,
-    return_trace: bool = False,
-):
+    tol: float = EmConfig.tol,
+) -> EmTrace:
     """MAP variant of mlls with a per-class Dirichlet prior (alpha >= 1); same stopping rule."""
-    f = _coerce_prob_rows(target_f)
-    c = _coerce_source_prior(c, f.shape[1])
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.size != f.shape[1] or np.any(alpha < 1.0):
-        raise ValidationError("alpha must have K entries, all >= 1")
-    return _closed_set_fit(f, c, alpha, max_iters, tol, return_trace)
+    return _closed_set_fit(target_f, c, EmConfig(max_iters, tol, alpha_in=alpha))
 
 
 def _cond_1(a: np.ndarray) -> float:

@@ -7,7 +7,6 @@ sweep cells, failed bound checks), 2 for usage and I/O errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -113,9 +112,7 @@ def cmd_estimate(args) -> int:
         else:
             raise ValidationError("osls estimation needs --ood-ref or --pseudo-ood")
 
-    alpha_in = None
-    if method == "osls-map" and args.alpha_in != 1.0:
-        alpha_in = np.full(target.k, float(args.alpha_in))
+    alpha_in = np.full(target.k, args.alpha_in) if method == "osls-map" else None
     em_config = EmConfig(
         max_iters=args.iters,
         tol=args.tol,
@@ -193,7 +190,6 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     grid = osls_io.sweep_from_kv(osls_io.parse_kv_file(args.config))
-    workers = args.workers or int(os.environ.get("OSLS_WORKERS", "1"))
     cells, failures = run_sweep(
         grid["base"],
         grid["shifts"],
@@ -201,7 +197,7 @@ def cmd_sweep(args) -> int:
         grid["seeds"],
         grid["methods"],
         em_iters=args.iters,
-        workers=workers,
+        workers=args.workers,
     )
     rows = [cell.to_dict() for cell in cells]
     obj = {"cells": rows, "failures": failures}
@@ -280,9 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-class Dirichlet prior strength for MAP runs (and mapls)")
     p.add_argument("--alpha-out", type=float, nargs=2, default=(1.0, 1.0),
                    metavar=("A1", "A2"), help="Beta prior on the target ID ratio")
-    p.add_argument("--iters", type=int, default=100,
-                   help="most EM map evaluations per osls fit (default: %(default)s)")
-    p.add_argument("--tol", type=float, default=1e-10,
+    p.add_argument("--iters", type=int, default=EmConfig.max_iters,
+                   help="most EM map evaluations per EM fit (default: %(default)s)")
+    p.add_argument("--tol", type=float, default=EmConfig.tol,
                    help="stop once one EM map moves (pi, rho_t) by less than this in "
                         "L-infinity, with SQUAREM acceleration; 0 runs exactly --iters "
                         "plain EM updates (default: %(default)s)")
@@ -307,11 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a simulate-estimate-evaluate grid")
     p.add_argument("--config", required=True, help="key=value grid config file")
-    p.add_argument("--workers", type=int, default=0,
-                   help="concurrent cells (default: OSLS_WORKERS or 1)")
-    p.add_argument("--iters", type=int, default=100,
-                   help="most EM map evaluations per osls fit; each fit stops at the "
-                        "default tolerance 1e-10 (default: %(default)s)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="concurrent cells (default: %(default)s)")
+    p.add_argument("--iters", type=int, default=EmConfig.max_iters,
+                   help="most EM map evaluations per EM fit; each fit stops at the "
+                        f"default tolerance {EmConfig.tol:g} (default: %(default)s)")
     _add_common_output(p)
     p.set_defaults(func=cmd_sweep)
 

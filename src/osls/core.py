@@ -8,7 +8,7 @@ share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -106,6 +106,22 @@ class ProbabilityVector:
 
     def __repr__(self) -> str:
         return f"ProbabilityVector({self.entries.tolist()})"
+
+
+def report_dict(report) -> dict:
+    """A report dataclass as a JSON object, one key per field in declaration order.
+
+    Fields that are None are left out, a field's ``metadata["key"]`` replaces
+    its name as the key, and probability vectors become lists of floats.
+    """
+    out = {}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if value is not None:
+            if isinstance(value, ProbabilityVector):
+                value = value.entries.tolist()
+            out[f.metadata.get("key", f.name)] = value
+    return out
 
 
 def _as_probability_vector(p: Union[ProbabilityVector, VectorLike]) -> ProbabilityVector:

@@ -6,9 +6,28 @@ source extended distribution [rho_s*c, 1-rho_s] using the combined classifier
 output [h*f, 1-h] per sample. With all-ones priors the updates are maximum
 likelihood; Dirichlet/Beta priors (alpha >= 1) give the MAP variant.
 
-The per-sample posterior responsibilities are normalized over all K+1 classes
-(the OOD class included), which is the form that makes each row of the E-step
-a probability vector.
+All four fits (open-set MLE and MAP, and the closed-set MLLS and MAPLS of
+``osls.baselines``) are one EM loop, ``fit``, over a column-scaled output
+matrix ``W`` and a vector ``x`` of mixing weights on its columns, with
+per-sample likelihoods ``d = W @ x``:
+
+* open-set: ``W = fe / ce`` over the K+1 extended classes and
+  ``x = [rho * pi, 1 - rho]``;
+* closed-set: ``W = f / c`` over the K classes and ``x = pi``.
+
+The E-step needs only the column sums of the responsibilities
+``x_j W_ij / d_i``, which are ``x * (W.T @ (1 / d))``: two matrix-vector
+products, with no N x K responsibility matrix. The responsibilities are
+normalized over all K+1 classes (the OOD class included). The M-steps apply
+the Dirichlet/Beta priors through ``alpha - 1``; all-ones priors make every
+prior term exactly zero, so maximum likelihood is MAP with unit priors.
+
+One EM map is the E-step followed by ``open_m_step`` or ``closed_m_step``.
+With a tolerance ``tol > 0`` the fit stops once a map moves (pi, rho) by less
+than ``tol``, and SQUAREM (Varadhan & Roland 2008, Scand. J. Statist.
+35:335-353) extrapolates along every two maps, falling back to the plain
+iterate whenever the extrapolation would leave the open simplex or raise the
+objective. ``tol = 0`` runs exactly ``max_iters`` plain EM updates.
 """
 
 from __future__ import annotations
@@ -19,7 +38,6 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import _kernels
 from .core import (
     DegenerateSample,
     ProbabilityVector,
@@ -30,6 +48,10 @@ from .core import (
     extend_distribution,
 )
 
+LIK_FLOOR = 1e-300
+
+# Grid cells evaluated at once by the K=2 grid oracle, bounding its memory.
+_GRID_CELLS_PER_BLOCK = 1 << 18
 
 @dataclass(frozen=True, eq=False)
 class EmConfig:
@@ -54,12 +76,12 @@ class EmConfig:
             raise ValidationError(f"tol must be a finite number >= 0, got {self.tol}")
         if self.alpha_in is not None:
             arr = np.asarray(self.alpha_in, dtype=float)
-            if arr.ndim != 1 or np.any(arr < 1.0):
+            if arr.ndim != 1 or not np.all(arr >= 1.0):
                 raise ValidationError("alpha_in entries must be >= 1")
             arr.flags.writeable = False
             object.__setattr__(self, "alpha_in", arr)
         a1, a2 = self.alpha_out
-        if a1 < 1.0 or a2 < 1.0:
+        if not (a1 >= 1.0 and a2 >= 1.0):
             raise ValidationError("alpha_out entries must be >= 1")
         object.__setattr__(self, "alpha_out", (float(a1), float(a2)))
 
@@ -83,10 +105,11 @@ class EmConfig:
 class EmTrace:
     """Fit result: objective trace and final iterate.
 
-    ``nll_per_iter[0]`` is the objective at the initial iterate and each later
-    entry follows one accepted iterate, so ``iterations_run ==
-    len(nll_per_iter) - 1``; for MAP runs the objective is the negative
-    log-posterior (prior normalizing constants dropped). ``map_evaluations``
+    ``rho_t_final`` is None for a closed-set fit. ``nll_per_iter[0]`` is the
+    objective at the initial iterate and each later entry follows one accepted
+    iterate, so ``iterations_run == len(nll_per_iter) - 1``; for MAP runs the
+    objective is the negative log-posterior (prior normalizing constants
+    dropped). ``map_evaluations``
     counts EM maps, including stabilising maps after rejected SQUAREM
     extrapolations, and never exceeds ``EmConfig.max_iters``.
     ``pi_update_frozen`` flags iterations where all responsibility mass fell
@@ -95,15 +118,196 @@ class EmTrace:
 
     nll_per_iter: np.ndarray
     pi_final: ProbabilityVector
-    rho_t_final: float
+    rho_t_final: Optional[float]
     iterations_run: int
     converged: bool
-    pi_update_frozen: bool = False
-    map_evaluations: int = 0
+    pi_update_frozen: bool
+    map_evaluations: int
+
+
+def mixing(pi: np.ndarray, rho) -> np.ndarray:
+    """Column weights x: ``[rho * pi, 1 - rho]`` open-set, ``pi`` when rho is None."""
+    return pi if rho is None else np.append(rho * pi, 1.0 - rho)
+
+
+def e_step(w: np.ndarray, x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Column sums of the responsibilities ``x_j W_ij / d_i``, given ``d = W @ x > 0``."""
+    return x * (w.T @ (1.0 / d))
+
+
+def nll(d: np.ndarray, axis=None):
+    """Negative log likelihood from per-sample likelihoods along ``axis``, floored at 1e-300."""
+    return -np.sum(np.log(np.maximum(d, LIK_FLOOR)), axis=axis)
+
+
+def objective(d, pi, rho, am1, bm1) -> float:
+    """NLL minus the log prior density (normalizing constants dropped).
+
+    ``am1`` is ``alpha - 1`` per class and ``bm1`` the pair ``alpha_out - 1``
+    for rho and 1 - rho, which a closed-set fit (rho None) leaves out.
+    """
+    val = nll(d) - float(np.sum(am1 * np.log(np.maximum(pi, LIK_FLOOR))))
+    if rho is not None:
+        val -= bm1[0] * np.log(max(rho, LIK_FLOOR))
+        val -= bm1[1] * np.log(max(1.0 - rho, LIK_FLOOR))
+    return val
+
+
+def open_m_step(s: np.ndarray, n: float, am1: np.ndarray, bm1):
+    """Open-set M-step from the K+1 E-step column sums; returns (pi, rho).
+
+    pi is None when its update is undefined (all mass on the OOD class under
+    maximum likelihood), in which case the previous pi should be kept.
+    """
+    k = s.size - 1
+    n_in = n - s[k]
+    denom_pi = n_in + float(np.sum(am1))
+    pi = None if denom_pi == 0.0 else (s[:k] + am1) / denom_pi
+    rho = (n_in + bm1[0]) / (n + bm1[0] + bm1[1])
+    return pi, float(rho)
+
+
+def closed_m_step(s: np.ndarray, n: float, am1: np.ndarray) -> np.ndarray:
+    """Closed-set M-step from the K E-step column sums."""
+    return (s + am1) / (n + float(np.sum(am1)))
+
+
+def _em_map(w, n, am1, bm1, pi, rho, x, d):
+    """One EM map from (pi, rho), given x = mixing(pi, rho) and d = W @ x > 0.
+
+    Returns (pi, rho, change, frozen): the updated pair, its L-infinity move
+    and whether the pi update was skipped because it was undefined.
+    """
+    s = e_step(w, x, d)
+    if rho is None:
+        pi_new = closed_m_step(s, n, am1)
+        return pi_new, None, float(np.max(np.abs(pi_new - pi))), False
+    pi_new, rho_new = open_m_step(s, n, am1, bm1)
+    frozen = pi_new is None
+    if frozen:
+        pi_new = pi
+    change = max(float(np.max(np.abs(pi_new - pi))), abs(rho_new - rho))
+    return pi_new, rho_new, change, frozen
+
+
+def _extrapolate(x0, x1, x2, open_set: bool):
+    """SQUAREM step from three successive mixing vectors; (pi, rho) or None.
+
+    ``x0 - 2 a r + a^2 v`` with ``r = x1 - x0``, ``v = x2 - 2 x1 + x0`` and
+    step length ``a = min(-|r| / |v|, -1)``; ``a = -1`` gives back ``x2``.
+    None when the point leaves the open simplex or ``v`` vanishes.
+    """
+    r = x1 - x0
+    v = x2 - x1 - r
+    norm_v = float(np.sqrt(v @ v))
+    if norm_v == 0.0:
+        return None
+    a = min(-float(np.sqrt(r @ r)) / norm_v, -1.0)
+    x = x0 - 2.0 * a * r + (a * a) * v
+    if not np.all(x > 0.0):
+        return None
+    if not open_set:
+        return x / x.sum(), None
+    x_in = float(x[:-1].sum())
+    return x[:-1] / x_in, x_in / (x_in + float(x[-1]))
+
+
+def fit(w: np.ndarray, pi0, rho0, config: EmConfig) -> EmTrace:
+    """EM for (pi, rho) on W = fe / ce, or for pi alone on W = f / c when rho0 is None.
+
+    ``config`` gives the K Dirichlet parameters on pi, the Beta pair on
+    (rho, 1 - rho), which a closed-set fit ignores, and the stopping rule: at
+    most ``config.max_iters`` EM maps are evaluated.
+
+    With ``tol = 0`` every map is a plain EM update and all ``max_iters`` run.
+    With ``tol > 0`` the fit stops once one map moves (pi, rho) by less than
+    ``tol`` in L-infinity, and every two accepted maps are followed by a
+    SQUAREM extrapolation (Varadhan & Roland 2008) on the mixing weights x and
+    one stabilising map from the extrapolated point. The stabilised point is
+    kept only if the extrapolation stayed in the open simplex with every
+    ``d > 0``, its map did not freeze pi, and its objective is no higher than
+    the last accepted one; otherwise the fit goes on from the plain iterate,
+    so the objective never rises at an extrapolation.
+
+    Raises DegenerateSample, naming the first sample, when an iterate gives a
+    sample zero likelihood.
+    """
+    max_iters, tol = config.max_iters, config.tol
+    n = float(w.shape[0])
+    pi = np.array(pi0, dtype=np.float64)
+    rho = None if rho0 is None else float(rho0)
+    am1 = config.resolved_alpha_in(pi.size) - 1.0
+    bm1 = (config.alpha_out[0] - 1.0, config.alpha_out[1] - 1.0)
+    frozen = False
+    x = mixing(pi, rho)
+    d = w @ x
+    obj = [objective(d, pi, rho, am1, bm1)]
+    maps = 0
+    cycle = [x]  # mixing vectors since the last extrapolation or restart
+    converged = False
+
+    while maps < max_iters:
+        bad = d <= 0.0
+        if bad.any():
+            raise DegenerateSample(int(np.argmax(bad)))
+        pi, rho, change, froze = _em_map(w, n, am1, bm1, pi, rho, x, d)
+        maps += 1
+        frozen |= froze
+        x = mixing(pi, rho)
+        d = w @ x
+        obj.append(objective(d, pi, rho, am1, bm1))
+        if tol > 0.0 and change < tol:
+            converged = True
+            break
+        if tol == 0.0:
+            continue
+        cycle = [x] if froze else cycle + [x]
+        if len(cycle) < 3 or maps == max_iters:
+            continue
+        trial = _extrapolate(*cycle, rho is not None)
+        cycle = [x]
+        if trial is None:
+            continue
+        x_ex = mixing(*trial)
+        d_ex = w @ x_ex
+        if np.any(d_ex <= 0.0):
+            continue
+        pi_y, rho_y, change, froze = _em_map(w, n, am1, bm1, *trial, x_ex, d_ex)
+        maps += 1
+        if froze:
+            continue
+        x_y = mixing(pi_y, rho_y)
+        d_y = w @ x_y
+        obj_y = objective(d_y, pi_y, rho_y, am1, bm1)
+        if not obj_y <= obj[-1]:
+            continue
+        pi, rho, x, d = pi_y, rho_y, x_y, d_y
+        obj.append(obj_y)
+        cycle = [x]
+        if change < tol:
+            converged = True
+            break
+    trace = np.array(obj)
+    trace.flags.writeable = False
+    return EmTrace(
+        nll_per_iter=trace,
+        pi_final=ProbabilityVector(pi),
+        rho_t_final=rho,
+        iterations_run=len(obj) - 1,
+        converged=converged,
+        pi_update_frozen=frozen,
+        map_evaluations=maps,
+    )
+
+
+def _cell_nll(grid, u, dd, j):
+    """K=2 NLL at grid columns j (shape (rows, m)) of rows with u = p1 * a + (1 - p1) * b."""
+    t = grid[j][:, :, None]
+    return nll(t * u[:, None, :] + (1.0 - t) * dd, axis=2)
 
 
 def _scaled_outputs(source: SourceLabelModel, target: RecordSet) -> np.ndarray:
-    """The EM kernel's W = fe / ce: combined outputs scaled by the source extended prior."""
+    """The EM fit's W = fe / ce: combined outputs scaled by the source extended prior."""
     if target.k != source.k:
         raise ValidationError(f"target has K={target.k} but source has K={source.k}")
     # Column-major W makes both E-step matrix-vector products about twice as fast.
@@ -124,7 +328,7 @@ def osls_nll(
     contribute a large but finite penalty.
     """
     w = _scaled_outputs(source, target)
-    return float(_kernels.nll(w @ extend_distribution(pi, rho_t).entries))
+    return float(nll(w @ extend_distribution(pi, rho_t).entries))
 
 
 def run_em(
@@ -146,21 +350,7 @@ def run_em(
             raise ValidationError("initial pi must be strictly positive")
         if not (0.0 < rho0 < 1.0):
             raise ValidationError("initial rho_t must lie strictly in (0, 1)")
-    pi, rho, obj, iters, converged, frozen, maps, degenerate = _kernels.em_fit(
-        w, pi0, rho0, config.resolved_alpha_in(target.k), config.alpha_out,
-        config.max_iters, config.tol)
-    if degenerate >= 0:
-        raise DegenerateSample(degenerate)
-    obj.flags.writeable = False
-    return EmTrace(
-        nll_per_iter=obj,
-        pi_final=ProbabilityVector(pi),
-        rho_t_final=rho,
-        iterations_run=iters,
-        converged=converged,
-        pi_update_frozen=frozen,
-        map_evaluations=maps,
-    )
+    return fit(w, pi0, rho0, config)
 
 
 def closed_form_rho_t(target: RecordSet) -> float:
@@ -182,12 +372,37 @@ def nll_grid_argmin(
     """NLL minimization over a uniform (pi_1, rho_t) grid, K = 2 only.
 
     Returns (pi_1, rho_t, nll) at the grid argmin, the lowest-index one on
-    ties. Each pi_1 row is searched by bisection over rho_t, in which the NLL
-    is convex; this is the grid route used to cross-check the EM optimizer.
+    ties; this is the grid route used to cross-check the EM optimizer. For a
+    fixed pi_1 the NLL is -sum log of a function affine in rho_t, hence convex
+    in rho_t, so each row's minimum is found by bisection on the sign of the
+    forward difference: the lowest j with nll(j) <= nll(j + 1). Cells are
+    evaluated with the same arithmetic as a full scan of the surface, so the
+    result is the lowest-index argmin of the flattened surface.
     """
     if target.k != 2:
         raise ValidationError("grid search is implemented for K = 2 only")
     n_side = int(round(1.0 / resolution)) + 1
-    i, j, value = _kernels.nll_grid_k2_argmin(_scaled_outputs(source, target), n_side)
+    w = _scaled_outputs(source, target)
+    grid = np.linspace(0.0, 1.0, n_side)
+    a, b, dd = w[:, 0], w[:, 1], w[:, 2]
+    rows_per_block = max(1, _GRID_CELLS_PER_BLOCK // (2 * max(w.shape[0], 1)))
+    best_j = np.empty(n_side, dtype=np.int64)
+    best_val = np.empty(n_side)
+    for start in range(0, n_side, rows_per_block):
+        p1 = grid[start : start + rows_per_block]
+        u = p1[:, None] * a + (1.0 - p1)[:, None] * b
+        lo = np.zeros(p1.size, dtype=np.int64)
+        hi = np.full(p1.size, n_side - 1, dtype=np.int64)
+        active = np.flatnonzero(lo < hi)
+        while active.size:
+            mid = (lo[active] + hi[active]) // 2
+            vals = _cell_nll(grid, u[active], dd, np.stack([mid, mid + 1], axis=1))
+            rising = vals[:, 0] <= vals[:, 1]
+            hi[active[rising]] = mid[rising]
+            lo[active[~rising]] = mid[~rising] + 1
+            active = np.flatnonzero(lo < hi)
+        best_j[start : start + p1.size] = lo
+        best_val[start : start + p1.size] = _cell_nll(grid, u, dd, lo[:, None])[:, 0]
+    i = int(np.argmin(best_val))
     step = 1.0 / (n_side - 1)
-    return i * step, j * step, value
+    return i * step, int(best_j[i]) * step, float(best_val[i])

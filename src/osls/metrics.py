@@ -7,7 +7,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ValidationError, _as_probability_vector
+from .core import ValidationError, _as_probability_vector, report_dict
 
 MIN_METRIC_CLASS_PROB = 1e-6
 
@@ -23,11 +23,7 @@ class EvalReport:
     ece: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
-            name: getattr(self, name)
-            for name in ("w_mse", "top1", "rho_t_abs_err", "rho_t_star_abs_err", "ece")
-            if getattr(self, name) is not None
-        }
+        return report_dict(self)
 
 
 def w_mse(pi_hat, pi_true, c) -> float:

@@ -9,13 +9,21 @@ compare methods row for row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+import contextlib
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Optional, Sequence, Tuple, get_args, get_type_hints
 
 import numpy as np
 
 from . import baselines as bl
-from .core import ProbabilityVector, RecordSet, SourceLabelModel, ValidationError
+from .core import (
+    ProbabilityVector,
+    RecordSet,
+    SourceLabelModel,
+    ValidationError,
+    extend_distribution,
+    report_dict,
+)
 from .correction import correct_records
 from .em import EmConfig, run_em
 from .estimators import ScoreMeans, correct_rho, estimate_rho_s
@@ -39,9 +47,9 @@ class EstimateResult:
     """
 
     method: str
-    k: int
-    pi_hat: ProbabilityVector
+    k: int = field(metadata={"key": "K"})
     c_hat: ProbabilityVector
+    pi_hat: ProbabilityVector
     rho_s_hat: Optional[float] = None
     mu1_hat: Optional[float] = None
     mu0_hat: Optional[float] = None
@@ -52,53 +60,49 @@ class EstimateResult:
     iterations: Optional[int] = None
     converged: Optional[bool] = None
 
+    @property
+    def rho_t(self) -> Optional[float]:
+        """The target ratio a correction uses: rho_t_star when reported, else rho_t_hat."""
+        return self.rho_t_hat if self.rho_t_star is None else self.rho_t_star
+
     def to_dict(self) -> dict:
-        out = {
-            "method": self.method,
-            "K": self.k,
-            "c_hat": [float(v) for v in self.c_hat.entries],
-            "pi_hat": [float(v) for v in self.pi_hat.entries],
-        }
-        for name in (
-            "rho_s_hat",
-            "mu1_hat",
-            "mu0_hat",
-            "rho_t_hat",
-            "rho_t_star",
-            "nll_initial",
-            "nll_final",
-            "iterations",
-        ):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        if self.converged is not None:
-            out["converged"] = bool(self.converged)
-        return out
+        return report_dict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "EstimateResult":
         """Rebuild an estimate from its report; a bad or missing field raises ValidationError."""
+        if not isinstance(obj, dict):
+            raise ValidationError("estimate report must be a JSON object")
+        hints = get_type_hints(cls)
+        values = {}
+        for f in fields(cls):
+            key = f.metadata.get("key", f.name)
+            required = f.default is MISSING
+            if required and key not in obj:
+                raise ValidationError(f"estimate report is missing field {key!r}")
+            value = obj.get(key)
+            if required or value is not None:
+                values[f.name] = _report_value(key, hints[f.name], value)
+        result = cls(**values)
+        if not result.k == result.c_hat.k == result.pi_hat.k:
+            raise ValidationError(f"estimate report field 'K' is {result.k}, but c_hat has "
+                                  f"{result.c_hat.k} entries and pi_hat {result.pi_hat.k}")
+        return result
+
+
+def _report_value(key: str, hint, value):
+    """``value`` of report field ``key``, checked against its declared type."""
+    kind = next((t for t in get_args(hint) if t is not type(None)), hint)
+    if kind is ProbabilityVector:
         try:
-            return cls(
-                method=obj["method"],
-                k=int(obj["K"]),
-                pi_hat=ProbabilityVector(np.array(obj["pi_hat"], dtype=float)),
-                c_hat=ProbabilityVector(np.array(obj["c_hat"], dtype=float)),
-                rho_s_hat=obj.get("rho_s_hat"),
-                mu1_hat=obj.get("mu1_hat"),
-                mu0_hat=obj.get("mu0_hat"),
-                rho_t_hat=obj.get("rho_t_hat"),
-                rho_t_star=obj.get("rho_t_star"),
-                nll_initial=obj.get("nll_initial"),
-                nll_final=obj.get("nll_final"),
-                iterations=obj.get("iterations"),
-                converged=obj.get("converged"),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"estimate report is missing field {exc.args[0]!r}") from None
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise ValidationError(f"malformed estimate report: {exc}") from None
+            return ProbabilityVector(np.array(value, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"estimate report field {key!r}: {exc}") from None
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ValidationError(
+            f"estimate report field {key!r} must be {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def source_class_frequencies(source: RecordSet) -> ProbabilityVector:
@@ -129,7 +133,9 @@ def estimate(
 
     ``mu0_hat`` is the OOD-reference score mean (already rescaled when it
     comes from pseudo-OOD samples); it is required for the osls methods and
-    ignored by the closed-set ones.
+    ignored by the closed-set ones. ``em_config``'s ``max_iters`` and ``tol``
+    apply to every EM fit (osls, mlls and mapls); its priors apply to the osls
+    fits only, and mapls takes ``mapls_alpha``.
     """
     method = method.lower()
     if method not in ALL_METHODS:
@@ -138,11 +144,11 @@ def estimate(
         raise ValidationError("source and target record sets have different K")
     c_hat = source_class_frequencies(source)
     k = source.k
+    em_config = em_config or EmConfig()
 
     if method in OSLS_METHODS:
         if mu0_hat is None:
             raise ValidationError("osls methods need an OOD reference score mean")
-        em_config = em_config or EmConfig()
         if method == "osls-map" and em_config.is_mle:
             method = "osls-mle"
         if method == "osls-mle" and not em_config.is_mle:
@@ -177,10 +183,11 @@ def estimate(
         )
 
     if method == "mlls":
-        pi_hat = bl.mlls(target.f, c_hat)
+        pi_hat = bl.mlls(target.f, c_hat, em_config.max_iters, tol=em_config.tol).pi_final
     elif method == "mapls":
         alpha = np.full(k, float(mapls_alpha))
-        pi_hat = bl.mapls(target.f, c_hat, alpha)
+        pi_hat = bl.mapls(target.f, c_hat, alpha, em_config.max_iters,
+                          tol=em_config.tol).pi_final
     elif method == "bbse":
         pred = bl.argmax_labels(source.f)
         confusion = bl.ConfusionMatrix.from_labels(pred, source.y, k)
@@ -194,13 +201,10 @@ def estimate(
 
 def correct_with_estimate(result: EstimateResult, target: RecordSet):
     """Apply the (K+1)-class correction using a pipeline estimate."""
-    from .core import extend_distribution
-
     if result.rho_s_hat is None or result.rho_t_hat is None:
         raise ValidationError(f"method {result.method!r} does not produce ratio estimates")
-    rho_t = result.rho_t_star if result.rho_t_star is not None else result.rho_t_hat
     c_ext = extend_distribution(result.c_hat, result.rho_s_hat)
-    pi_ext = extend_distribution(result.pi_hat, rho_t)
+    pi_ext = extend_distribution(result.pi_hat, result.rho_t)
     return correct_records(target, c_ext, pi_ext)
 
 
@@ -226,18 +230,7 @@ class SweepCell:
         return (self.method, self.shift, self.r)
 
     def to_dict(self) -> dict:
-        out = {
-            "method": self.method,
-            "shift": self.shift,
-            "r": self.r,
-            "seeds": self.seeds,
-            "w_mse_mean": self.w_mse_mean,
-            "w_mse_std": self.w_mse_std,
-        }
-        if self.rho_err_mean is not None:
-            out["rho_err_mean"] = self.rho_err_mean
-            out["rho_err_std"] = self.rho_err_std
-        return out
+        return report_dict(self)
 
 
 def _run_sweep_point(args) -> Tuple[Tuple[str, float, int], dict]:
@@ -267,10 +260,8 @@ def _run_sweep_point(args) -> Tuple[Tuple[str, float, int], dict]:
                 em_config=map_config if method == "osls-map" else mle_config,
             )
             err = w_mse(result.pi_hat, truth.pi, config.c)
-            rho_hat = (
-                result.rho_t_star if result.rho_t_star is not None else result.rho_t_hat
-            )
-            rho_err = None if rho_hat is None else rho_abs_error(rho_hat, truth.rho_t)
+            rho_t = result.rho_t
+            rho_err = None if rho_t is None else rho_abs_error(rho_t, truth.rho_t)
             out[method] = {"w_mse": err, "rho_err": rho_err}
         except Exception as exc:  # cell failures are recorded, sweep continues
             out[method] = {"error": f"{type(exc).__name__}: {exc}"}
@@ -284,7 +275,7 @@ def run_sweep(
     seeds: Sequence[int],
     methods: Sequence[str],
     *,
-    em_iters: int = 100,
+    em_iters: int = EmConfig.max_iters,
     workers: int = 1,
 ) -> Tuple[list, list]:
     """Run the simulate-estimate-evaluate grid; returns (cells, failures).
@@ -299,17 +290,13 @@ def run_sweep(
         for r in r_values
         for seed in seeds
     ]
-    results = {}
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    with contextlib.ExitStack() as stack:
+        run = map
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, value in pool.map(_run_sweep_point, points):
-                results[key] = value
-    else:
-        for point in points:
-            key, value = _run_sweep_point(point)
-            results[key] = value
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        results = dict(run(_run_sweep_point, points))
 
     cells = []
     failures = []

@@ -7,7 +7,7 @@ from hypothesis import settings
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 
-from osls import _kernels
+from osls import em
 from osls.simulate import ShiftSpec, ring_config
 
 
@@ -63,21 +63,21 @@ def mle_em_path(w, pi0, rho0, iters):
     pi, rho = np.array(pi0, dtype=float), float(rho0)
     x = np.append(rho * pi, 1.0 - rho)
     d = w @ x
-    trace = [_kernels.nll(d)]
+    trace = [em.nll(d)]
     for _ in range(iters):
-        s = _kernels.e_step(w, x, d)
+        s = em.e_step(w, x, d)
         n_in = n - s[k]
         pi, rho = s[:k] / n_in, float(n_in / n)
         x = np.append(rho * pi, 1.0 - rho)
         d = w @ x
-        trace.append(_kernels.nll(d))
+        trace.append(em.nll(d))
     return pi, rho, np.array(trace)
 
 
 def plain_em(w, pi0, rho0, alpha, alpha_out, tol, max_iters):
     """Plain EM (no extrapolation) to an L-infinity step below ``tol``, for reference fits.
 
-    Built from the kernel's E-step, M-steps and objective, but with its own
+    Built from osls.em's E-step, M-steps and objective, but with its own
     loop. Returns (pi, rho, final objective, updates run, converged); ``rho``
     is None for a closed-set fit (rho0 None).
     """
@@ -85,17 +85,17 @@ def plain_em(w, pi0, rho0, alpha, alpha_out, tol, max_iters):
     am1 = np.asarray(alpha, dtype=float) - 1.0
     bm1 = (alpha_out[0] - 1.0, alpha_out[1] - 1.0)
     pi, rho = np.array(pi0, dtype=float), rho0
-    d = w @ _kernels.mixing(pi, rho)
+    d = w @ em.mixing(pi, rho)
     for update in range(1, max_iters + 1):
-        s = _kernels.e_step(w, _kernels.mixing(pi, rho), d)
+        s = em.e_step(w, em.mixing(pi, rho), d)
         if rho is None:
-            pi_new, rho_new, change = _kernels.closed_m_step(s, n, am1), None, 0.0
+            pi_new, rho_new, change = em.closed_m_step(s, n, am1), None, 0.0
         else:
-            pi_new, rho_new = _kernels.open_m_step(s, n, am1, bm1)
+            pi_new, rho_new = em.open_m_step(s, n, am1, bm1)
             change = abs(rho_new - rho)
         change = max(change, float(np.max(np.abs(pi_new - pi))))
         pi, rho = pi_new, rho_new
-        d = w @ _kernels.mixing(pi, rho)
+        d = w @ em.mixing(pi, rho)
         if change < tol:
             break
-    return pi, rho, _kernels.objective(d, pi, rho, am1, bm1), update, change < tol
+    return pi, rho, em.objective(d, pi, rho, am1, bm1), update, change < tol

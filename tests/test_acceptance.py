@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from osls import _kernels
+from osls import em
 from osls.baselines import ConfusionMatrix, bbse, mapls, mlls
 from osls.cli import main as cli_main
 from osls.core import ProbabilityVector, SourceLabelModel
@@ -106,10 +106,10 @@ def test_c03_mle_map_bitwise_degeneracy():
         w = target.records.extended_f() / source.extended().entries
         pi0 = source.c.entries
         mle = mle_em_path(w, pi0, source.rho_s, 60)
-        mapped = _kernels.em_fit(w, pi0, source.rho_s, np.ones(k), (1.0, 1.0), 60, 0.0)
-        assert np.array_equal(mle[0], mapped[0])
-        assert mle[1] == mapped[1]
-        assert np.array_equal(mle[2][:61], mapped[2][:61])
+        mapped = em.fit(w, pi0, source.rho_s, EmConfig(60, 0.0))
+        assert np.array_equal(ProbabilityVector(mle[0]).entries, mapped.pi_final.entries)
+        assert mle[1] == mapped.rho_t_final
+        assert np.array_equal(mle[2][:61], mapped.nll_per_iter[:61])
     _report(3, "MAP with all-ones priors is bitwise identical to the MLE path",
             "10 seeded instances, pi/rho/objective traces")
 
@@ -185,7 +185,7 @@ def test_c08_open_set_advantage():
             source, target, ood_ref, truth = make_scenario(cfg)
             res = estimate("osls-mle", source.records, target.records,
                            mu0_hat=float(ood_ref.records.h.mean()), n_ood=len(ood_ref))
-            pi_mlls = mlls(target.records.f, res.c_hat)
+            pi_mlls = mlls(target.records.f, res.c_hat).pi_final
             wins += int(
                 w_mse(res.pi_hat, truth.pi, cfg.c) < w_mse(pi_mlls, truth.pi, cfg.c)
             )
@@ -265,7 +265,7 @@ def test_c11_baseline_sanity():
         _, target, _, _ = make_scenario(cfg)
         f = target.records.f
         c = ProbabilityVector([0.5, 0.5])
-        pi = mlls(f, c, max_iters=5000, tol=1e-13)
+        pi = mlls(f, c, max_iters=5000, tol=1e-13).pi_final
         ticks = np.arange(0.0, 1.0005, 0.001)
         ratios = f / c.entries
         inner = np.outer(ticks, ratios[:, 0]) + np.outer(1.0 - ticks, ratios[:, 1])
@@ -277,9 +277,10 @@ def test_c11_baseline_sanity():
     # bitwise prior degeneracy
     f = np.random.default_rng(11).dirichlet(np.ones(4), size=400)
     c4 = ProbabilityVector(np.full(4, 0.25))
-    pi_a, tr_a = mlls(f, c4, return_trace=True)
-    pi_b, tr_b = mapls(f, c4, np.ones(4), return_trace=True)
-    assert np.array_equal(pi_a.entries, pi_b.entries) and np.array_equal(tr_a, tr_b)
+    fit_a = mlls(f, c4)
+    fit_b = mapls(f, c4, np.ones(4))
+    assert np.array_equal(fit_a.pi_final.entries, fit_b.pi_final.entries)
+    assert np.array_equal(fit_a.nll_per_iter, fit_b.nll_per_iter)
     _report(11, "baseline sanity: exact diagonal solve, grid oracle, prior degeneracy",
             f"worst MLLS grid diff {worst:.2e}")
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from osls import _kernels
 from osls.baselines import (
     ConfusionMatrix,
     _cond_1,
@@ -12,6 +11,7 @@ from osls.baselines import (
     predicted_class_frequencies,
 )
 from osls.core import IllConditioned, ProbabilityVector, ValidationError
+from osls.em import EmConfig, fit
 
 
 def _closed_set_grid_argmin(f, c, resolution=0.001):
@@ -25,27 +25,27 @@ def _closed_set_grid_argmin(f, c, resolution=0.001):
 
 class TestMlls:
     def test_point_mass(self):
-        pi = mlls(np.array([[1.0, 0.0]]), ProbabilityVector([0.5, 0.5]))
+        pi = mlls(np.array([[1.0, 0.0]]), ProbabilityVector([0.5, 0.5])).pi_final
         np.testing.assert_allclose(pi.entries, [1.0, 0.0], atol=1e-12)
 
     def test_fixed_point(self):
         c = ProbabilityVector([0.3, 0.7])
         f = np.tile(c.entries, (20, 1))
-        pi, trace = mlls(f, c, return_trace=True)
-        np.testing.assert_allclose(pi.entries, c.entries, atol=1e-12)
-        np.testing.assert_allclose(trace, trace[0], atol=1e-9)
+        out = mlls(f, c)
+        np.testing.assert_allclose(out.pi_final.entries, c.entries, atol=1e-12)
+        np.testing.assert_allclose(out.nll_per_iter, out.nll_per_iter[0], atol=1e-9)
 
     def test_matches_grid_oracle(self):
         f = np.array([[0.9, 0.1]] * 9 + [[0.1, 0.9]])
         c = ProbabilityVector([0.5, 0.5])
-        pi = mlls(f, c, max_iters=2000, tol=1e-13)
+        pi = mlls(f, c, max_iters=2000, tol=1e-13).pi_final
         oracle = _closed_set_grid_argmin(f, c.entries)
         assert abs(pi.entries[0] - oracle) <= 2e-3
 
     def test_trace_non_increasing(self, rng):
         f = rng.dirichlet(np.ones(4), size=300)
         c = ProbabilityVector(np.full(4, 0.25))
-        _, trace = mlls(f, c, return_trace=True)
+        trace = mlls(f, c).nll_per_iter
         assert np.all(np.diff(trace) <= 1e-9)
 
     def test_rejects_empty(self):
@@ -57,22 +57,22 @@ class TestMapls:
     def test_all_ones_equals_mlls_bitwise(self, rng):
         f = rng.dirichlet(np.ones(3), size=100)
         c = ProbabilityVector(np.full(3, 1 / 3))
-        pi_mlls, tr_mlls = mlls(f, c, return_trace=True)
-        pi_mapls, tr_mapls = mapls(f, c, np.ones(3), return_trace=True)
-        assert np.array_equal(pi_mlls.entries, pi_mapls.entries)
-        assert np.array_equal(tr_mlls, tr_mapls)
+        fit_mlls = mlls(f, c)
+        fit_mapls = mapls(f, c, np.ones(3))
+        assert np.array_equal(fit_mlls.pi_final.entries, fit_mapls.pi_final.entries)
+        assert np.array_equal(fit_mlls.nll_per_iter, fit_mapls.nll_per_iter)
 
     def test_prior_mode_zero_data(self):
-        # N = 0 through the kernel: the M-step lands on the prior mode
-        out = _kernels.em_fit(np.zeros((0, 2)), np.array([0.5, 0.5]), None,
-                              np.array([3.0, 2.0]), (1.0, 1.0), 5, 0.0)
-        np.testing.assert_allclose(out[0], [2 / 3, 1 / 3])
+        # N = 0 through the EM loop: the M-step lands on the prior mode
+        out = fit(np.zeros((0, 2)), np.array([0.5, 0.5]), None,
+                  EmConfig(5, 0.0, alpha_in=np.array([3.0, 2.0])))
+        np.testing.assert_allclose(out.pi_final.entries, [2 / 3, 1 / 3])
 
     def test_direct_substitution(self):
         # one-hot rows give column sums [3, 1] in the first E-step
         f = np.array([[1.0, 0.0]] * 3 + [[0.0, 1.0]])
         c = ProbabilityVector([0.5, 0.5])
-        pi = mapls(f, c, np.array([2.0, 2.0]), max_iters=1)
+        pi = mapls(f, c, np.array([2.0, 2.0]), max_iters=1).pi_final
         np.testing.assert_allclose(pi.entries, [4 / 6, 2 / 6], atol=1e-12)
 
     def test_alpha_validation(self):

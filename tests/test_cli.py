@@ -160,6 +160,18 @@ class TestEstimate:
             assert json.loads(p.read_text())["method"] == method
 
 
+    @pytest.mark.parametrize("method", ["mlls", "mapls"])
+    def test_iters_and_tol_reach_closed_set_fits(self, sim_dir, tmp_path, method):
+        reports = []
+        for extra in ([], ["--tol", "0", "--iters", "1"]):
+            p = tmp_path / f"{method}{len(extra)}.json"
+            assert main(["estimate", "--source", str(sim_dir / "source.jsonl"),
+                         "--target", str(sim_dir / "target.jsonl"),
+                         "--method", method, "--out", str(p), *extra]) == 0
+            reports.append(json.loads(p.read_text()))
+        assert reports[0]["pi_hat"] != reports[1]["pi_hat"]
+
+
 class TestCorrectAndEvaluate:
     def _estimate(self, sim_dir, tmp_path, *extra):
         p = tmp_path / "est.json"
@@ -260,6 +272,17 @@ class TestSweep:
         assert all(cell["seeds"] == 3 for cell in cells)
         keys = [(c["method"], c["shift"], c["r"]) for c in cells]
         assert keys == sorted(keys)
+
+    def test_workers_write_the_serial_output(self, tmp_path):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(SWEEP_CFG.replace("r_values = 1, 0.1, 0.01", "r_values = 1"))
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"sweep{workers}.json"
+            assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                         "--workers", workers]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_single_cell_matches_direct_estimate(self, tmp_path):
         cfg = tmp_path / "grid.cfg"
@@ -488,6 +511,27 @@ class TestMalformedInputExitsTwo:
         estimate_path.write_text(json.dumps(report))
         code, err = self._correct(estimate_path, sim_dir / "target.jsonl", tmp_path, capsys)
         assert code == 2 and "missing field 'method'" in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("rho_t_star", "abc"),
+        ("rho_t_star", [0.5]),
+        ("rho_t_star", True),
+        ("iterations", "x"),
+        ("K", 2.5),
+        ("K", 3),
+        ("pi_hat", "abc"),
+    ])
+    def test_estimate_with_mistyped_field(self, estimate_path, sim_dir, tmp_path, capsys,
+                                          field, value):
+        report = json.loads(estimate_path.read_text())
+        report[field] = value
+        estimate_path.write_text(json.dumps(report))
+        code, err = self._correct(estimate_path, sim_dir / "target.jsonl", tmp_path, capsys)
+        assert code == 2 and f"field {field!r}" in err and "Traceback" not in err
+        code = main(["evaluate", "--estimate", str(estimate_path),
+                     "--truth", str(sim_dir / "truth.json")])
+        err = capsys.readouterr().err
+        assert code == 2 and f"field {field!r}" in err and "Traceback" not in err
 
     def test_estimate_with_nan(self, estimate_path, sim_dir, tmp_path, capsys):
         text = estimate_path.read_text()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osls import _kernels
+from osls import em
 from osls.core import (
     DegenerateSample,
     ProbabilityVector,
@@ -82,10 +82,10 @@ def _one_update(pi, rho_t, source, target):
 
 
 def _m_step(col_sums, n, alpha_in=None, alpha_out=(1.0, 1.0)):
-    """The open-set M-step kernel from K+1 column sums and the prior parameters."""
+    """The open-set M-step from K+1 column sums and the prior parameters."""
     k = col_sums.size - 1
     am1 = (np.ones(k) if alpha_in is None else np.asarray(alpha_in, dtype=float)) - 1.0
-    return _kernels.open_m_step(col_sums, float(n), am1, (alpha_out[0] - 1.0, alpha_out[1] - 1.0))
+    return em.open_m_step(col_sums, float(n), am1, (alpha_out[0] - 1.0, alpha_out[1] - 1.0))
 
 
 class TestEmStep:
@@ -145,7 +145,7 @@ class TestEStepKernel:
             row = x * w[i]
             resp[i] = row / row.sum()
         want = resp.sum(axis=0)
-        np.testing.assert_allclose(_kernels.e_step(w, x, d), want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(em.e_step(w, x, d), want, rtol=1e-12, atol=0.0)
 
 
 class TestRunEm:
@@ -166,13 +166,12 @@ class TestRunEm:
         assert trace.rho_t_final == pytest.approx(1.0)
 
     def test_prior_mode_zero_data_kernel(self):
-        # zero-weight emulation via the kernel with an empty target block
+        # zero-weight emulation via the EM loop with an empty target block
         w = np.zeros((0, 3))
-        out = _kernels.em_fit(w, np.array([0.5, 0.5]), 0.5,
-                              np.array([2.0, 2.0]), (2.0, 2.0), 5, 0.0)
-        pi, rho = out[0], out[1]
-        np.testing.assert_allclose(pi, [0.5, 0.5])
-        assert rho == pytest.approx(0.5)
+        out = em.fit(w, np.array([0.5, 0.5]), 0.5,
+                     EmConfig(5, 0.0, alpha_in=np.array([2.0, 2.0]), alpha_out=(2.0, 2.0)))
+        np.testing.assert_allclose(out.pi_final.entries, [0.5, 0.5])
+        assert out.rho_t_final == pytest.approx(0.5)
 
     def test_monotone_nll(self):
         cfg = overlap_config(k=3, seed=2, n=2000, shift=ShiftSpec.dirichlet(1.0))
@@ -208,10 +207,11 @@ class TestRunEm:
         w = target.records.extended_f() / source.extended().entries
         pi0 = source.c.entries
         mle = mle_em_path(w, pi0, source.rho_s, 50)
-        mapped = _kernels.em_fit(w, pi0, source.rho_s, np.ones(4), (1.0, 1.0), 50, 0.0)
-        assert np.array_equal(mle[0], mapped[0])  # pi bitwise
-        assert mle[1] == mapped[1]  # rho bitwise
-        assert np.array_equal(mle[2][:51], mapped[2][:51])  # objective trace bitwise
+        mapped = em.fit(w, pi0, source.rho_s, EmConfig(50, 0.0))
+        # pi bitwise, both as the ProbabilityVector every fit returns
+        assert np.array_equal(ProbabilityVector(mle[0]).entries, mapped.pi_final.entries)
+        assert mle[1] == mapped.rho_t_final  # rho bitwise
+        assert np.array_equal(mle[2][:51], mapped.nll_per_iter[:51])  # objective trace bitwise
 
     def test_fortran_order_matches_c_order(self):
         # W is built column-major for speed; the layout changes only BLAS summation order
@@ -222,17 +222,20 @@ class TestRunEm:
         closed_w = target.records.f / source.c.entries
         for w, rho0 in ((open_w, source.rho_s), (closed_w, None)):
             for alpha in (1.0, 2.0):
+                config = EmConfig(500, 1e-8, alpha_in=np.full(10, alpha))
                 c_fit, f_fit = (
-                    _kernels.em_fit(layout(w), source.c.entries, rho0, np.full(10, alpha),
-                                    (1.0, 1.0), 500, 1e-8)
+                    em.fit(layout(w), source.c.entries, rho0, config)
                     for layout in (np.ascontiguousarray, np.asfortranarray)
                 )
-                np.testing.assert_allclose(f_fit[0], c_fit[0], rtol=0, atol=1e-13)  # pi
+                np.testing.assert_allclose(f_fit.pi_final.entries, c_fit.pi_final.entries,
+                                           rtol=0, atol=1e-13)
                 if rho0 is not None:
-                    assert abs(f_fit[1] - c_fit[1]) <= 1e-13  # rho
-                scale = np.abs(c_fit[2]).max()
-                np.testing.assert_allclose(f_fit[2], c_fit[2], rtol=0, atol=1e-13 * scale)
-                assert c_fit[4] and f_fit[4] and f_fit[3] == c_fit[3]  # same updates to tol
+                    assert abs(f_fit.rho_t_final - c_fit.rho_t_final) <= 1e-13
+                scale = np.abs(c_fit.nll_per_iter).max()
+                np.testing.assert_allclose(f_fit.nll_per_iter, c_fit.nll_per_iter,
+                                           rtol=0, atol=1e-13 * scale)
+                assert c_fit.converged and f_fit.converged  # same updates to tol
+                assert f_fit.iterations_run == c_fit.iterations_run
 
     def test_early_stop(self):
         cfg = easy_config(k=2, seed=1, n=500)
@@ -245,14 +248,14 @@ class TestRunEm:
 
     def test_degenerate_sample_index(self):
         # adversarial iterate with an exact zero: reachable only past validation,
-        # so drive the kernel directly and check the reported sample index
+        # so drive the fit directly and check the reported sample index
         fe = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         ce = np.array([0.35, 0.35, 0.3])
         pi0 = np.array([1.0, 0.0])
-        out = _kernels.em_fit(fe / ce, pi0, 1.0, np.ones(2), (1.0, 1.0), 10, 0.0)
-        assert out[-1] == 0  # first sample has zero posterior mass
-        err = DegenerateSample(int(out[-1]))
-        assert err.index == 0 and "0" in str(err)
+        with pytest.raises(DegenerateSample) as info:
+            em.fit(fe / ce, pi0, 1.0, EmConfig(10, 0.0))
+        err = info.value
+        assert err.index == 0 and "0" in str(err)  # first sample has zero posterior mass
 
     def test_init_validation(self):
         cfg = easy_config(k=2, seed=1, n=100)
@@ -264,7 +267,7 @@ class TestRunEm:
 
 
 def _fit_cases(cfg):
-    """Open-set and closed-set (W, rho0) inputs of one scenario, each with MLE and MAP priors."""
+    """Open-set and closed-set (W, pi0, rho0, alpha, alpha_out) of one scenario, MLE and MAP."""
     _, target, _, _ = make_scenario(cfg)
     source = SourceLabelModel(cfg.c, cfg.rho_s)
     k = cfg.k
@@ -274,6 +277,12 @@ def _fit_cases(cfg):
         for a in (1.0, 2.0):
             alpha_out = (a, a) if rho0 is not None else (1.0, 1.0)
             yield w, source.c.entries, rho0, np.full(k, a), alpha_out
+
+
+def _fit(w, pi0, rho0, alpha, alpha_out, config):
+    """em.fit on one _fit_cases input, with its priors and config's stopping rule."""
+    return em.fit(w, pi0, rho0, EmConfig(config.max_iters, config.tol,
+                                         alpha_in=alpha, alpha_out=alpha_out))
 
 
 class TestSquarem:
@@ -291,15 +300,15 @@ class TestSquarem:
             cfg = easy_config(k=k, seed=seed, n=2000, separation=4.0,
                               shift=ShiftSpec.ordered_lt(10), r=[1.0, 0.5, 2.0][seed % 3])
             for args in _fit_cases(cfg):
-                fit = _kernels.em_fit(*args, self.DEFAULT.max_iters, self.DEFAULT.tol)
-                assert fit[4], "the default fit did not converge"
+                fit = _fit(*args, self.DEFAULT)
+                assert fit.converged, "the default fit did not converge"
                 ref = plain_em(*args, 1e-13, 100_000)
                 assert ref[4]
-                assert np.max(np.abs(fit[0] - ref[0])) <= 1e-7
+                assert np.max(np.abs(fit.pi_final.entries - ref[0])) <= 1e-7
                 if args[2] is not None:
-                    assert abs(fit[1] - ref[1]) <= 1e-7
-                assert fit[2][-1] <= ref[2] + 1e-12 * abs(ref[2])
-                maps += fit[6]
+                    assert abs(fit.rho_t_final - ref[1]) <= 1e-7
+                assert fit.nll_per_iter[-1] <= ref[2] + 1e-12 * abs(ref[2])
+                maps += fit.map_evaluations
                 plain_updates += plain_em(*args, self.DEFAULT.tol, 100_000)[3]
         assert maps < 0.6 * plain_updates  # extrapolation saves maps over plain EM
 
@@ -307,10 +316,12 @@ class TestSquarem:
         cfg = overlap_config(k=10, seed=0, n=3000, shift=ShiftSpec.ordered_lt(10))
         rejected = 0
         for args in _fit_cases(cfg):
-            fit = _kernels.em_fit(*args, 100, 1e-10)
-            rejected += fit[6] - fit[3]  # stabilising maps whose point was not kept
-            assert fit[6] <= 100 and fit[3] == fit[2].size - 1
-            assert np.all(np.diff(fit[2]) <= 1e-9)
+            fit = _fit(*args, EmConfig(100, 1e-10))
+            # stabilising maps whose point was not kept
+            rejected += fit.map_evaluations - fit.iterations_run
+            assert fit.map_evaluations <= 100
+            assert fit.iterations_run == fit.nll_per_iter.size - 1
+            assert np.all(np.diff(fit.nll_per_iter) <= 1e-9)
         assert rejected > 0
 
     @pytest.mark.parametrize("max_iters", [1, 2, 3, 4, 5, 7, 10, 31])
@@ -430,7 +441,11 @@ class TestEmConfig:
         with pytest.raises(ValidationError):
             EmConfig(alpha_in=np.array([0.5, 2.0]))
         with pytest.raises(ValidationError):
+            EmConfig(alpha_in=np.array([np.nan, 2.0]))
+        with pytest.raises(ValidationError):
             EmConfig(alpha_out=(0.9, 1.0))
+        with pytest.raises(ValidationError):
+            EmConfig(alpha_out=(np.nan, 1.0))
         with pytest.raises(ValidationError):
             EmConfig(max_iters=0)
 

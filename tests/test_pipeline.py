@@ -1,0 +1,77 @@
+import json
+
+import numpy as np
+import pytest
+
+from osls import baselines as bl
+from osls.em import EmConfig
+from osls.pipeline import EstimateResult, estimate, run_sweep, source_class_frequencies
+from osls.simulate import ShiftSpec, make_scenario
+
+from conftest import easy_config
+
+# The estimate report's keys in the order every report has written them.
+REPORT_KEYS = ["method", "K", "c_hat", "pi_hat", "rho_s_hat", "mu1_hat", "mu0_hat",
+               "rho_t_hat", "rho_t_star", "nll_initial", "nll_final", "iterations",
+               "converged"]
+
+
+@pytest.fixture(scope="module")
+def scenario():
+    cfg = easy_config(k=3, seed=4, n=1000, n_ood=500, shift=ShiftSpec.ordered_lt(10))
+    source, target, ood_ref, _ = make_scenario(cfg)
+    return source.records, target.records, float(np.mean(ood_ref.records.h))
+
+
+class TestEstimateReport:
+    @pytest.mark.parametrize("method,keys", [
+        ("osls-mle", REPORT_KEYS),
+        ("mlls", REPORT_KEYS[:4]),
+        ("uniform", REPORT_KEYS[:4] + ["rho_t_hat"]),
+    ])
+    def test_round_trip_keeps_keys_and_values(self, scenario, method, keys):
+        source, target, mu0_hat = scenario
+        result = estimate(method, source, target, mu0_hat=mu0_hat)
+        report = result.to_dict()
+        assert list(report) == keys
+        back = EstimateResult.from_dict(json.loads(json.dumps(report))).to_dict()
+        assert list(back) == keys
+        vectors = ("c_hat", "pi_hat")  # renormalized on reading, so equal to the last bit
+        for key in vectors:
+            np.testing.assert_allclose(back[key], report[key], rtol=0, atol=1e-15)
+        assert ({k: v for k, v in back.items() if k not in vectors}
+                == {k: v for k, v in report.items() if k not in vectors})
+
+    def test_correction_ratio_rule(self, scenario):
+        source, target, mu0_hat = scenario
+        osls = estimate("osls-mle", source, target, mu0_hat=mu0_hat)
+        assert osls.rho_t == osls.rho_t_star != osls.rho_t_hat
+        raw = estimate("osls-mle", source, target, mu0_hat=mu0_hat,
+                       apply_rho_correction=False)
+        assert raw.rho_t == raw.rho_t_hat
+        assert estimate("uniform", source, target).rho_t == 0.5
+        assert estimate("mlls", source, target).rho_t is None
+
+
+class TestClosedSetFitSettings:
+    def test_estimate_passes_iters_and_tol(self, scenario):
+        source, target, _ = scenario
+        one = EmConfig(max_iters=1, tol=0.0)
+        c_hat = source_class_frequencies(source)
+        alpha = np.full(3, 2.0)
+        for method, fit in (("mlls", bl.mlls(target.f, c_hat, 1, tol=0.0)),
+                            ("mapls", bl.mapls(target.f, c_hat, alpha, 1, tol=0.0))):
+            assert fit.iterations_run == 1
+            short = estimate(method, source, target, em_config=one).pi_hat.entries
+            assert np.array_equal(short, fit.pi_final.entries)
+            assert not np.array_equal(short, estimate(method, source, target).pi_hat.entries)
+
+    def test_sweep_iters_reach_closed_set_cells(self):
+        base_kv = {"k": "2", "radius": "4.0", "scale": "0.8", "rho_s": "0.7",
+                   "n_source": "500", "n_target": "500", "n_ood_ref": "300"}
+        grid = (base_kv, ["lt:10:forward"], [1.0], [1], ["mlls", "mapls"])
+        short, failures = run_sweep(*grid, em_iters=1)
+        assert not failures
+        default, _ = run_sweep(*grid)
+        for a, b in zip(short, default):
+            assert a.method == b.method and a.w_mse_mean != b.w_mse_mean
