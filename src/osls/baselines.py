@@ -19,6 +19,7 @@ from .core import (
     ProbabilityVector,
     ValidationError,
     _as_probability_vector,
+    on_simplex,
 )
 from .em import EmConfig, EmTrace, fit
 
@@ -69,8 +70,7 @@ def _coerce_prob_rows(target_f: ProbsLike) -> np.ndarray:
     rows = np.asarray(target_f, dtype=float)
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise ValidationError("target posteriors must form a non-empty (N, K) matrix")
-    sums = rows.sum(axis=1)
-    if np.any(rows < -SIMPLEX_TOL) or np.any(np.abs(sums - 1.0) > SIMPLEX_TOL):
+    if not on_simplex(rows).all():
         raise ValidationError("each target posterior must be a probability vector")
     rows = np.clip(rows, 0.0, None)
     return np.ascontiguousarray(rows / rows.sum(axis=1, keepdims=True))

@@ -146,22 +146,19 @@ def cmd_correct(args) -> int:
 
 def cmd_evaluate(args) -> int:
     truth = osls_io.read_truth(args.truth)
-    pi_true = np.array(truth["pi"], dtype=float)
-    c_true = np.array(truth["c"], dtype=float)
-    rho_t_true = float(truth["rho_t"])
 
     rows = []
     for path in args.estimate or []:
         result = EstimateResult.from_dict(osls_io.read_json(path))
         report = EvalReport(
-            w_mse=w_mse(result.pi_hat, pi_true, c_true),
+            w_mse=w_mse(result.pi_hat, truth["pi"], truth["c"]),
             rho_t_abs_err=(
-                rho_abs_error(result.rho_t_hat, rho_t_true)
+                rho_abs_error(result.rho_t_hat, truth["rho_t"])
                 if result.rho_t_hat is not None
                 else None
             ),
             rho_t_star_abs_err=(
-                rho_abs_error(result.rho_t_star, rho_t_true)
+                rho_abs_error(result.rho_t_star, truth["rho_t"])
                 if result.rho_t_star is not None
                 else None
             ),
@@ -190,15 +187,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     grid = osls_io.sweep_from_kv(osls_io.parse_kv_file(args.config))
-    cells, failures = run_sweep(
-        grid["base"],
-        grid["shifts"],
-        grid["r_values"],
-        grid["seeds"],
-        grid["methods"],
-        em_iters=args.iters,
-        workers=args.workers,
-    )
+    cells, failures = run_sweep(**grid, em_iters=args.iters, workers=args.workers)
     rows = [cell.to_dict() for cell in cells]
     obj = {"cells": rows, "failures": failures}
     columns = [

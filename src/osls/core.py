@@ -57,12 +57,22 @@ class IllConditioned(OslsError):
 VectorLike = Union[Sequence[float], np.ndarray]
 
 
+def on_simplex(rows: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
+    """Mask over the last axis: every entry >= -tol and the entries sum to 1 within tol.
+
+    A NaN fails the sum test. The per-row entry test runs only when some entry
+    is below -tol, since a reduction along a short last axis is slow.
+    """
+    ok = np.abs(rows.sum(axis=-1) - 1.0) <= tol
+    if (rows < -tol).any():
+        ok &= (rows >= -tol).all(axis=-1)
+    return ok
+
+
 def validate_simplex(v: VectorLike, tol: float = SIMPLEX_TOL) -> bool:
-    """True iff every entry >= -tol and the entries sum to 1 within tol."""
+    """True iff ``v`` is a non-empty vector on the simplex within ``tol``."""
     arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        return False
-    return bool(np.all(arr >= -tol) and abs(float(arr.sum()) - 1.0) <= tol)
+    return arr.ndim == 1 and arr.size > 0 and bool(on_simplex(arr, tol))
 
 
 def as_simplex(v: VectorLike, tol: float = SIMPLEX_TOL) -> np.ndarray:
@@ -75,12 +85,6 @@ def as_simplex(v: VectorLike, tol: float = SIMPLEX_TOL) -> np.ndarray:
         raise ValidationError(f"not a probability vector within tol={tol}: {arr!r}")
     arr = np.clip(arr, 0.0, None)
     out = arr / arr.sum()
-    out.flags.writeable = False
-    return out
-
-
-def _frozen_array(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
 
@@ -106,6 +110,19 @@ class ProbabilityVector:
 
     def __repr__(self) -> str:
         return f"ProbabilityVector({self.entries.tolist()})"
+
+
+def json_value(kind: type, value):
+    """A JSON ``value`` as ``kind``: int, float (an int too), bool, str or an ndarray of numbers."""
+    if kind is np.ndarray:
+        arr = np.array(value)
+        if arr.dtype.kind not in "iuf":
+            raise ValidationError(f"must be numbers, got {value!r}")
+        return arr.astype(float)
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ValidationError(f"must be {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def report_dict(report) -> dict:
@@ -232,10 +249,9 @@ class RecordSet:
         finite = np.isfinite(f).all(axis=1) & np.isfinite(h)
         if not finite.all():
             raise ValidationError(f"row {int(np.argmin(finite))} has a non-finite value in f or h")
-        sums = f.sum(axis=1)
-        if np.any(f < -SIMPLEX_TOL) or np.any(np.abs(sums - 1.0) > SIMPLEX_TOL):
-            bad = int(np.argmax((np.abs(sums - 1.0) > SIMPLEX_TOL) | (f < -SIMPLEX_TOL).any(axis=1)))
-            raise ValidationError(f"row {bad} of f is not a probability vector")
+        rows_ok = on_simplex(f)
+        if not rows_ok.all():
+            raise ValidationError(f"row {int(np.argmin(rows_ok))} of f is not a probability vector")
         f = np.clip(f, 0.0, None)
         f = f / f.sum(axis=1, keepdims=True)
         if np.any(h < -SIMPLEX_TOL) or np.any(h > 1.0 + SIMPLEX_TOL):

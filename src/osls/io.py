@@ -25,14 +25,18 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
+from dataclasses import MISSING, fields, replace
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
-from .core import SIMPLEX_TOL, ProbabilityVector, RecordSet, ValidationError
-from .simulate import ScenarioConfig, ShiftSpec
+from .core import (SIMPLEX_TOL, ProbabilityVector, RecordSet, ValidationError, json_value,
+                   on_simplex)
+from .simulate import ScenarioConfig, ShiftSpec, ring_config
 
 PathLike = Union[str, Path]
 
@@ -99,51 +103,47 @@ def _write_table(path: PathLike, header: Optional[str], template: str, columns: 
             out.write("\n".join(map(template.format, *cells)) + "\n")
 
 
-def _csv_template(columns: list) -> str:
-    return ",".join(["{}"] * len(columns))
+# A prediction file kind: its vector column, its scalar column and whether it
+# is corrected, so that its vector rows are probability vectors and its scalar
+# a label in 1..width. Every kind has an optional label column ``y``.
+_Layout = namedtuple("_Layout", "name vector scalar corrected")
+_RECORDS = _Layout("prediction", "f", "h", corrected=False)
+_CORRECTED = _Layout("corrected", "g", "y_hat", corrected=True)
+
+
+def _write_predictions(path: PathLike, layout: _Layout, vectors, scalar, y) -> None:
+    """Write a prediction table of kind ``layout``; format chosen by extension."""
+    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
+    columns = [vectors, np.asarray(scalar, dtype=np.int64).ravel() if layout.corrected
+               else np.asarray(scalar, dtype=float)[:, None]]
+    keys = [layout.scalar]
+    if y is not None:
+        columns.append(np.asarray(y, dtype=np.int64).ravel())
+        keys.append("y")
+    if _is_csv(path):
+        header = [f"{layout.vector}{j + 1}" for j in range(vectors.shape[1])] + keys
+        _write_table(path, ",".join(header), ",".join(["{}"] * len(columns)), columns, ",")
+    else:
+        members = [f'"{layout.vector}": [{{}}]'] + [f'"{key}": {{}}' for key in keys]
+        _write_table(path, None, "{{" + ", ".join(members) + "}}", columns, ", ")
 
 
 def write_records(path: PathLike, records: RecordSet) -> None:
     """Write a prediction file; format chosen by extension."""
-    columns = [records.f, records.h[:, None]]
-    if records.y is not None:
-        columns.append(records.y)
-    if _is_csv(path):
-        header = [f"f{j + 1}" for j in range(records.k)] + ["h"]
-        if records.y is not None:
-            header.append("y")
-        _write_table(path, ",".join(header), _csv_template(columns), columns, ",")
-        return
-    template = '{{"f": [{}], "h": {}}}' if records.y is None else '{{"f": [{}], "h": {}, "y": {}}}'
-    _write_table(path, None, template, columns, ", ")
+    _write_predictions(path, _RECORDS, records.f, records.h, records.y)
 
 
-def write_corrected(
-    path: PathLike,
-    posteriors: np.ndarray,
-    labels: np.ndarray,
-    y: Optional[np.ndarray] = None,
-) -> None:
+def write_corrected(path: PathLike, posteriors: np.ndarray, labels: np.ndarray,
+                    y: Optional[np.ndarray] = None) -> None:
     """Write corrected (K+1)-class posteriors with argmax labels."""
-    posteriors = np.atleast_2d(np.asarray(posteriors, dtype=float))
-    columns = [posteriors, np.asarray(labels, dtype=np.int64).ravel()]
-    if y is not None:
-        columns.append(np.asarray(y, dtype=np.int64).ravel())
-    if _is_csv(path):
-        header = [f"g{j + 1}" for j in range(posteriors.shape[1])] + ["y_hat"]
-        if y is not None:
-            header.append("y")
-        _write_table(path, ",".join(header), _csv_template(columns), columns, ",")
-        return
-    template = '{{"g": [{}], "y_hat": {}}}' if y is None else '{{"g": [{}], "y_hat": {}, "y": {}}}'
-    _write_table(path, None, template, columns, ", ")
+    _write_predictions(path, _CORRECTED, posteriors, labels, y)
 
 
 def write_features(path: PathLike, x: np.ndarray) -> None:
     """Write raw feature rows as CSV with header x1,...,xd."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     header = ",".join(f"x{j + 1}" for j in range(x.shape[1]))
-    _write_table(path, header, _csv_template([x]), [x], ",")
+    _write_table(path, header, "{}", [x], ",")
 
 
 # --- reading -----------------------------------------------------------------
@@ -225,12 +225,12 @@ def _loads_line(line: str) -> list:
     return [json.loads(line, parse_constant=_non_finite_constant)]
 
 
-def _field(objs: list, key: str, optional: bool = False) -> list:
+def _field(objs: list, key: str) -> list:
     try:
-        return [obj.get(key) for obj in objs] if optional else [obj[key] for obj in objs]
+        return [obj[key] for obj in objs]
     except KeyError:
         raise ValidationError(f"missing field {key!r}") from None
-    except (TypeError, AttributeError):
+    except TypeError:
         raise ValidationError("a record must be a JSON object") from None
 
 
@@ -258,64 +258,40 @@ def _integral(col: np.ndarray, what: str, nulls: Optional[np.ndarray] = None) ->
     return col
 
 
-def _vectors(values: list, key: str, width: Optional[int]) -> np.ndarray:
-    col = _floats(values, repr(key))
-    if col.ndim != 2 or (width is not None and col.shape[1] != width):
-        raise ValidationError(f"{key!r} must be a list of {width or 'K'} numbers")
-    return _finite(col, repr(key))
+def _prediction_columns(layout: _Layout, vectors: np.ndarray, scalar: np.ndarray,
+                        y: Optional[np.ndarray], nulls: Optional[np.ndarray] = None) -> tuple:
+    """One block's ``(vectors, scalar, y)`` if every row is valid for ``layout``.
 
-
-def _numbers(values: list, key: str) -> np.ndarray:
-    col = _floats(values, repr(key))
-    if col.ndim != 1:
-        raise ValidationError(f"{key!r} must be a number")
-    return _finite(col, repr(key))
-
-
-def _labels(values: list, key: str, optional: bool = False) -> np.ndarray:
-    """Integer labels as floats; NaN where an optional label is null or absent."""
-    col = _floats(values, repr(key))
-    if col.ndim != 1:
-        raise ValidationError(f"{key!r} must be an integer")
-    nulls = None
-    if optional:
-        nulls = np.isnan(col)
-        if np.count_nonzero(nulls) != values.count(None):
-            nulls = None  # a NaN that is not a null: report it
-    return _integral(col, repr(key), nulls)
-
-
-def _record_columns(objs: list, width: Optional[int]) -> tuple:
-    return (
-        _vectors(_field(objs, "f"), "f", width),
-        _numbers(_field(objs, "h"), "h"),
-        _labels(_field(objs, "y", optional=True), "y", optional=True),
-    )
-
-
-def _corrected_rows(columns: tuple) -> tuple:
-    """``(g, y_hat[, y])`` if each g row is a probability vector and each label lies in 1..K+1.
-
-    ``g`` is (N, K+1); null labels are NaN, which no range test flags.
+    ``y`` is None for a table without labels; it comes back NaN there and
+    where ``nulls`` flags a row without one, which no range test flags.
     """
-    g = columns[0]
-    on_simplex = (g >= -SIMPLEX_TOL).all(axis=1) & (np.abs(g.sum(axis=1) - 1.0) <= SIMPLEX_TOL)
-    if not on_simplex.all():
-        raise ValidationError(f"'g' is not a probability vector within {SIMPLEX_TOL}")
-    width = g.shape[1]
-    for key, col in zip(("y_hat", "y"), columns[1:]):
-        outside = (col < 1) | (col > width)
-        if outside.any():
-            raise ValidationError(f"{key!r} must lie in 1..{width}, got {col[np.argmax(outside)]}")
-    return columns
+    _finite(vectors, repr(layout.vector))
+    (_integral if layout.corrected else _finite)(scalar, repr(layout.scalar))
+    y = np.full(scalar.size, np.nan) if y is None else _integral(y, "'y'", nulls)
+    if layout.corrected:
+        if not on_simplex(vectors).all():
+            raise ValidationError(
+                f"{layout.vector!r} is not a probability vector within {SIMPLEX_TOL}")
+        width = vectors.shape[1]
+        for key, col in ((layout.scalar, scalar), ("y", y)):
+            outside = (col < 1) | (col > width)
+            if outside.any():
+                raise ValidationError(
+                    f"{key!r} must lie in 1..{width}, got {col[np.argmax(outside)]}")
+    return vectors, scalar, y
 
 
-def _corrected_columns(objs: list, width: Optional[int]) -> tuple:
-    return _corrected_rows((
-        _vectors(_field(objs, "g"), "g", width),
-        _labels(_field(objs, "y_hat"), "y_hat"),
-        _labels(_field(objs, "y", optional=True), "y", optional=True),
-    ))
+def _json_columns(layout: _Layout, objs: list, width: Optional[int]) -> tuple:
+    vectors = _floats(_field(objs, layout.vector), repr(layout.vector))
+    if vectors.ndim != 2 or (width is not None and vectors.shape[1] != width):
+        raise ValidationError(f"{layout.vector!r} must be a list of {width or 'K'} numbers")
+    scalar = _floats(_field(objs, layout.scalar), repr(layout.scalar))
+    labels = [obj.get("y") for obj in objs]
+    y = _floats(labels, "'y'")
+    if scalar.ndim != 1 or y.ndim != 1:
+        raise ValidationError(f"{layout.scalar!r} and 'y' must be numbers")
+    return _prediction_columns(layout, vectors, scalar, y,
+                               np.array([label is None for label in labels]))
 
 
 def _split_cells(lines: list) -> list:
@@ -335,52 +311,48 @@ def _csv_table(rows: list, columns: list) -> np.ndarray:
     return _floats(picked, "cell").reshape(len(rows), len(columns))
 
 
-def _labels_or_none(y: np.ndarray) -> Optional[np.ndarray]:
-    """Labels when every row has one, else None."""
-    return None if np.isnan(y).any() else y.astype(np.int64)
-
-
-def _csv_prediction_columns(path: Path, lines: list, rows: list, prefix: str, scalar: str,
-                            check_scalar, check_rows=None) -> tuple:
-    """The columns of a CSV file with header ``{prefix}1,...,{prefix}K,{scalar}[,y]``.
-
-    Returns the (N, K) vectors, the checked scalar column and the int64
-    labels, or None when the header has no ``y``. ``check_rows``, when given,
-    checks each block's column tuple and returns it.
-    """
-    if len(rows) < 2:
-        raise ValidationError(f"CSV file {path} needs a header and at least one row")
-    header = [h.strip() for h in rows[0].split(",")]
-    if scalar not in header:
-        raise ValidationError(f"CSV header must contain the {scalar!r} column")
-    k = header.index(scalar)
-    if header[:k] != [f"{prefix}{j + 1}" for j in range(k)]:
-        raise ValidationError(f"CSV header must start with {prefix}1,{prefix}2,...")
-    has_y = "y" in header
-    columns = list(range(k + 1)) + ([header.index("y")] if has_y else [])
+def _csv_columns(layout: _Layout, header: str):
+    """The block converter of a CSV table of kind ``layout`` with this header line."""
+    names = [name.strip() for name in header.split(",")]
+    if layout.scalar not in names:
+        raise ValidationError(f"CSV header must contain the {layout.scalar!r} column")
+    k = names.index(layout.scalar)
+    if names[:k] != [f"{layout.vector}{j + 1}" for j in range(k)]:
+        raise ValidationError(f"CSV header must start with {layout.vector}1,{layout.vector}2,...")
+    has_y = "y" in names
+    columns = list(range(k + 1)) + ([names.index("y")] if has_y else [])
 
     def convert(cells, width):
         table = _csv_table(cells, columns)
-        out = (_finite(table[:, :k], prefix), check_scalar(table[:, k], scalar))
-        if has_y:
-            out += (_integral(table[:, k + 1], "y"),)
-        return out if check_rows is None else check_rows(out)
+        return _prediction_columns(layout, table[:, :k], table[:, k],
+                                   table[:, k + 1] if has_y else None)
 
-    out = _read_table(path, lines, rows[1:], 1, _split_cells, _split_line, convert)
-    return out[0], out[1], out[2].astype(np.int64) if has_y else None
+    return convert
+
+
+def _read_predictions(path: PathLike, layout: _Layout) -> tuple:
+    """The ``(vectors, scalar, y)`` columns of a JSONL, or by extension CSV, prediction table.
+
+    ``y`` holds int64 labels, or is None unless every row has one.
+    """
+    path = Path(path)
+    lines = _read_lines(path)
+    rows = _non_blank(lines)
+    skip = 1 if _is_csv(path) else 0
+    if len(rows) <= skip:
+        needs = "a CSV header and at least one row" if skip else "at least one row"
+        raise ValidationError(f"{layout.name} file {path} needs {needs}")
+    if skip:
+        parsers = (_split_cells, _split_line, _csv_columns(layout, rows[0]))
+    else:
+        parsers = (_loads_block, _loads_line, partial(_json_columns, layout))
+    vectors, scalar, y = _read_table(path, lines, rows[skip:], skip, *parsers)
+    return vectors, scalar, None if np.isnan(y).any() else y.astype(np.int64)
 
 
 def read_records(path: PathLike) -> RecordSet:
     """Read a prediction file (JSONL by default, CSV by extension)."""
-    path = Path(path)
-    lines = _read_lines(path)
-    rows = _non_blank(lines)
-    if _is_csv(path):
-        return RecordSet(*_csv_prediction_columns(path, lines, rows, "f", "h", _finite))
-    if not rows:
-        raise ValidationError(f"prediction file {path} contains no records")
-    f, h, y = _read_table(path, lines, rows, 0, _loads_block, _loads_line, _record_columns)
-    return RecordSet(f, h, _labels_or_none(y))
+    return RecordSet(*_read_predictions(path, _RECORDS))
 
 
 def read_corrected(path: PathLike) -> dict:
@@ -390,18 +362,7 @@ def read_corrected(path: PathLike) -> dict:
     has a label. Each ``g`` row must be a probability vector within
     ``SIMPLEX_TOL`` and each label must lie in 1..K+1, K+1 being the width of ``g``.
     """
-    path = Path(path)
-    lines = _read_lines(path)
-    rows = _non_blank(lines)
-    if _is_csv(path):
-        g, y_hat, y = _csv_prediction_columns(path, lines, rows, "g", "y_hat", _integral,
-                                              _corrected_rows)
-    else:
-        if not rows:
-            raise ValidationError(f"corrected file {path} contains no records")
-        g, y_hat, y = _read_table(path, lines, rows, 0, _loads_block, _loads_line,
-                                  _corrected_columns)
-        y = _labels_or_none(y)
+    g, y_hat, y = _read_predictions(path, _CORRECTED)
     return {"g": g, "y_hat": y_hat.astype(np.int64), "y": y}
 
 
@@ -461,54 +422,66 @@ def write_truth(path: PathLike, c, rho_s: float, pi, rho_t: float) -> None:
     )
 
 
+def _parsed(what: str, key: str, parse, *args):
+    """``parse(*args)``; a failure raises ValidationError naming ``key``."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise ValidationError(f"{what} {key!r}: {exc}") from None
+
+
+def _json_fields(obj, what: str, kinds: dict, optional=()) -> dict:
+    """``obj``'s values as ``kinds`` gives; a missing or mistyped key raises ValidationError."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    missing = [key for key in kinds if key not in obj and key not in optional]
+    if missing:
+        raise ValidationError(f"{what} is missing field {missing[0]!r}")
+    return {key: _parsed(f"{what} field", key, json_value, kind, obj[key])
+            for key, kind in kinds.items() if key in obj}
+
+
 def read_truth(path: PathLike) -> dict:
+    """Read a truth file: integer ``K``, lists ``c`` and ``pi`` of K numbers and
+    numbers ``rho_s`` and ``rho_t``; a missing or mistyped field raises ValidationError.
+    """
     obj = read_json(path)
-    for key in ("K", "c", "rho_s", "pi", "rho_t"):
-        if key not in obj:
-            raise ValidationError(f"truth file {path} is missing field {key!r}")
+    what = f"truth file {path}"
+    truth = _json_fields(obj, what, dict(K=int, c=np.ndarray, rho_s=float, pi=np.ndarray,
+                                         rho_t=float))
+    for key in ("c", "pi"):
+        if truth[key].shape != (truth["K"],):
+            raise ValidationError(f"{what} field {key!r} must be a list of {truth['K']} numbers")
     return obj
 
 
+# The scenario file's fields in order, each with the type of its JSON value.
+_SCENARIO_JSON = dict(
+    k=int, feature_dim=int, class_means=np.ndarray, class_scales=np.ndarray, c=np.ndarray,
+    rho_s=float, n_source=int, n_target=int, n_ood_ref=int, shift=str, r=float, seed=int,
+    temperature=float,
+)
+
+
 def scenario_to_dict(config: ScenarioConfig) -> dict:
-    return {
-        "k": config.k,
-        "feature_dim": config.feature_dim,
-        "class_means": [[float(v) for v in row] for row in config.class_means],
-        "class_scales": [float(v) for v in config.class_scales],
-        "c": [float(v) for v in config.c.entries],
-        "rho_s": config.rho_s,
-        "n_source": config.n_source,
-        "n_target": config.n_target,
-        "n_ood_ref": config.n_ood_ref,
-        "shift": config.shift.key(),
-        "r": config.r,
-        "seed": config.seed,
-        "temperature": config.temperature,
-    }
+    out = {key: getattr(config, key) for key in _SCENARIO_JSON}
+    out.update(class_means=config.class_means.tolist(), class_scales=config.class_scales.tolist(),
+               c=config.c.entries.tolist(), shift=config.shift.key())
+    return out
 
 
 def scenario_from_dict(obj: dict) -> ScenarioConfig:
-    return ScenarioConfig(
-        k=int(obj["k"]),
-        class_means=np.array(obj["class_means"], dtype=float),
-        class_scales=np.array(obj["class_scales"], dtype=float),
-        c=ProbabilityVector(np.array(obj["c"], dtype=float)),
-        rho_s=float(obj["rho_s"]),
-        n_source=int(obj["n_source"]),
-        n_target=int(obj["n_target"]),
-        n_ood_ref=int(obj["n_ood_ref"]),
-        shift=ShiftSpec.parse(obj["shift"]),
-        r=float(obj["r"]),
-        seed=int(obj["seed"]),
-        feature_dim=int(obj["feature_dim"]),
-        temperature=float(obj.get("temperature", 1.0)),
-    )
+    """Rebuild ``scenario_to_dict``'s config; fields with a default may be left out."""
+    optional = [f.name for f in fields(ScenarioConfig) if f.default is not MISSING]
+    values = _json_fields(obj, "scenario", _SCENARIO_JSON, optional)
+    values["shift"] = _parsed("scenario field", "shift", ShiftSpec.parse, values["shift"])
+    return ScenarioConfig(**values)
 
 
 def parse_kv_file(path: PathLike) -> dict:
     """Parse a plain-text key = value configuration file ('#' starts a comment)."""
     out = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in _read_lines(Path(path)):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -519,80 +492,62 @@ def parse_kv_file(path: PathLike) -> dict:
     return out
 
 
-def _parse_floats(text: str) -> list:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+def _tokens(text: str) -> list:
+    return text.replace(",", " ").split()
+
+
+def _kv_numbers(text: str) -> np.ndarray:
+    return np.array([_finite_float(tok) for tok in _tokens(text)])
+
+
+def _kv_rows(text: str) -> np.ndarray:
+    return np.array([_kv_numbers(row) for row in text.split(";")])
+
+
+# The parser of each scenario config key's text: the ring layout's keys
+# radius, scale and ood_scale, or explicit class_means and class_scales.
+_KV_PARSERS = {
+    **dict.fromkeys(("k", "seed", "feature_dim", "n_source", "n_target", "n_ood_ref"), int),
+    **dict.fromkeys(("rho_s", "r", "temperature", "radius", "scale", "ood_scale"), _finite_float),
+    **dict.fromkeys(("c", "class_scales"), _kv_numbers),
+    "class_means": _kv_rows,
+    "shift": ShiftSpec.parse,
+}
 
 
 def scenario_from_kv(kv: dict) -> ScenarioConfig:
-    """Build a scenario config from key-value pairs.
+    """Build a scenario config from key-value pairs; only ``k`` is required.
 
-    Means come either from the ring layout keys (radius / scale / ood_scale)
-    or from an explicit ``class_means`` row list separated by semicolons.
+    Omitted keys take ``ring_config``'s defaults. Explicit ``class_means``
+    (rows separated by semicolons) and ``class_scales`` replace the ring
+    layout's; ``class_means`` then sets the feature dimension. A malformed
+    value raises ValidationError naming its key.
     """
-    try:
-        k = int(kv["k"])
-        seed = int(kv.get("seed", "0"))
-    except KeyError as exc:
-        raise ValidationError(f"scenario config is missing key {exc}") from exc
-    feature_dim = int(kv.get("feature_dim", "2"))
-    shift = ShiftSpec.parse(kv.get("shift", "none"))
-    c = None
-    if "c" in kv:
-        c = np.array(_parse_floats(kv["c"]))
-
-    common = dict(
-        rho_s=float(kv.get("rho_s", "0.7")),
-        n_source=int(kv.get("n_source", "10000")),
-        n_target=int(kv.get("n_target", "10000")),
-        n_ood_ref=int(kv.get("n_ood_ref", "5000")),
-        r=float(kv.get("r", "1.0")),
-        temperature=float(kv.get("temperature", "1.0")),
-    )
-    if "class_means" in kv:
-        means = np.array([_parse_floats(row) for row in kv["class_means"].split(";")])
-        scales = (
-            np.array(_parse_floats(kv["class_scales"]))
-            if "class_scales" in kv
-            else np.full(k + 1, float(kv.get("scale", "1.0")))
-        )
-        return ScenarioConfig(
-            k=k,
-            class_means=means,
-            class_scales=scales,
-            c=ProbabilityVector(c if c is not None else np.full(k, 1.0 / k)),
-            shift=shift,
-            seed=seed,
-            feature_dim=means.shape[1],
-            **common,
-        )
-    from .simulate import ring_config
-
-    ood_scale = float(kv["ood_scale"]) if "ood_scale" in kv else None
-    return ring_config(
-        k,
-        radius=float(kv.get("radius", "3.0")),
-        scale=float(kv.get("scale", "1.0")),
-        ood_scale=ood_scale,
-        c=c,
-        shift=shift,
-        seed=seed,
-        feature_dim=feature_dim,
-        **common,
-    )
+    values = {key: _parsed("config key", key, parse, kv[key])
+              for key, parse in _KV_PARSERS.items() if key in kv}
+    if "k" not in values:
+        raise ValidationError("scenario config is missing key 'k'")
+    explicit = {key: values.pop(key) for key in ("class_means", "class_scales") if key in values}
+    if "class_means" in explicit:
+        values.pop("feature_dim", None)
+        explicit["feature_dim"] = explicit["class_means"].shape[1]
+    config = ring_config(**values)
+    return replace(config, **explicit) if explicit else config
 
 
 def sweep_from_kv(kv: dict) -> dict:
-    """Split a sweep config into grid axes and the base scenario keys."""
+    """Split a sweep config into ``run_sweep``'s grid: axes and the parsed base scenario.
+
+    ``shifts`` and ``methods`` are comma-separated; ``r_values`` and integer
+    ``seeds`` are separated by commas or spaces. A malformed value raises
+    ValidationError naming its key.
+    """
     grid_keys = ("shifts", "r_values", "seeds", "methods")
     shifts = [s.strip() for s in kv.get("shifts", "none").split(",") if s.strip()]
-    r_values = _parse_floats(kv.get("r_values", "1.0"))
-    seeds = [int(float(s)) for s in _parse_floats(kv.get("seeds", "0"))]
+    for shift in shifts:
+        _parsed("config key", "shifts", ShiftSpec.parse, shift)
+    r_values = _parsed("config key", "r_values", _kv_numbers, kv.get("r_values", "1.0"))
+    seeds = [_parsed("config key", "seeds", int, tok) for tok in _tokens(kv.get("seeds", "0"))]
     methods = [m.strip().lower() for m in kv.get("methods", "osls-mle,mlls").split(",") if m.strip()]
-    base = {key: value for key, value in kv.items() if key not in grid_keys}
-    return {
-        "shifts": shifts,
-        "r_values": r_values,
-        "seeds": seeds,
-        "methods": methods,
-        "base": base,
-    }
+    base = scenario_from_kv({key: value for key, value in kv.items() if key not in grid_keys})
+    return dict(shifts=shifts, r_values=r_values.tolist(), seeds=seeds, methods=methods, base=base)

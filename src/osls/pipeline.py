@@ -10,7 +10,7 @@ compare methods row for row.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Optional, Sequence, Tuple, get_args, get_type_hints
 
 import numpy as np
@@ -22,13 +22,14 @@ from .core import (
     SourceLabelModel,
     ValidationError,
     extend_distribution,
+    json_value,
     report_dict,
 )
 from .correction import correct_records
 from .em import EmConfig, run_em
 from .estimators import ScoreMeans, correct_rho, estimate_rho_s
 from .metrics import rho_abs_error, w_mse
-from .simulate import Scenario
+from .simulate import Scenario, ScenarioConfig, ShiftSpec
 
 OSLS_METHODS = ("osls-mle", "osls-map")
 CLOSED_SET_METHODS = ("mlls", "mapls", "bbse")
@@ -93,16 +94,12 @@ class EstimateResult:
 def _report_value(key: str, hint, value):
     """``value`` of report field ``key``, checked against its declared type."""
     kind = next((t for t in get_args(hint) if t is not type(None)), hint)
-    if kind is ProbabilityVector:
-        try:
-            return ProbabilityVector(np.array(value, dtype=float))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"estimate report field {key!r}: {exc}") from None
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise ValidationError(
-            f"estimate report field {key!r} must be {kind.__name__}, got {value!r}")
-    return kind(value)
+    try:
+        if kind is ProbabilityVector:
+            return ProbabilityVector(json_value(np.ndarray, value))
+        return json_value(kind, value)
+    except ValueError as exc:
+        raise ValidationError(f"estimate report field {key!r}: {exc}") from None
 
 
 def source_class_frequencies(source: RecordSet) -> ProbabilityVector:
@@ -235,15 +232,10 @@ class SweepCell:
 
 def _run_sweep_point(args) -> Tuple[Tuple[str, float, int], dict]:
     """One (shift, r, seed) grid point: simulate once, estimate with all methods."""
-    from .io import scenario_from_kv
     from .simulate import make_scenario
 
-    base_kv, shift_text, r, seed, methods, em_iters = args
-    kv = dict(base_kv)
-    kv["shift"] = shift_text
-    kv["r"] = repr(float(r))
-    kv["seed"] = str(int(seed))
-    config = scenario_from_kv(kv)
+    base, shift, r, seed, methods, em_iters = args
+    config = replace(base, shift=ShiftSpec.parse(shift), r=r, seed=seed)
     source, target, ood_ref, truth = make_scenario(config)
     mu0_hat = float(np.mean(ood_ref.records.h))
     mle_config = EmConfig(max_iters=em_iters)
@@ -265,11 +257,11 @@ def _run_sweep_point(args) -> Tuple[Tuple[str, float, int], dict]:
             out[method] = {"w_mse": err, "rho_err": rho_err}
         except Exception as exc:  # cell failures are recorded, sweep continues
             out[method] = {"error": f"{type(exc).__name__}: {exc}"}
-    return (shift_text, float(r), int(seed)), out
+    return (shift, float(r), int(seed)), out
 
 
 def run_sweep(
-    base_kv: dict,
+    base: ScenarioConfig,
     shifts: Sequence[str],
     r_values: Sequence[float],
     seeds: Sequence[int],
@@ -280,12 +272,13 @@ def run_sweep(
 ) -> Tuple[list, list]:
     """Run the simulate-estimate-evaluate grid; returns (cells, failures).
 
-    Cells aggregate mean and standard deviation across seeds per
-    (method, shift, r) and come back sorted by that key so output files are
-    order-independent of scheduling.
+    Each grid point is ``base`` with its shift (parsed by ``ShiftSpec.parse``),
+    r and seed replaced. Cells aggregate mean and standard deviation across
+    seeds per (method, shift, r) and come back sorted by that key so output
+    files are order-independent of scheduling.
     """
     points = [
-        (dict(base_kv), shift, r, seed, tuple(methods), em_iters)
+        (base, shift, r, seed, tuple(methods), em_iters)
         for shift in shifts
         for r in r_values
         for seed in seeds

@@ -274,6 +274,8 @@ def ring_config(
     temperature: float = 1.0,
 ) -> ScenarioConfig:
     """Standard layout: ID means on a circle of given radius, OOD at the origin."""
+    if k < 1:
+        raise ValidationError("k must be >= 1")
     if feature_dim < 2:
         raise ValidationError("ring layout needs feature_dim >= 2")
     angles = 2.0 * np.pi * np.arange(k) / k

@@ -328,7 +328,7 @@ class TestSweep:
 
         base_kv = {"k": "2", "radius": "4.0", "scale": "0.8", "rho_s": "0.7",
                    "n_source": "500", "n_target": "500", "n_ood_ref": "300"}
-        cells, failures = run_sweep(base_kv, ["lt:10:forward"], [1.0], [1],
+        cells, failures = run_sweep(scenario_from_kv(base_kv), ["lt:10:forward"], [1.0], [1],
                                     ["osls-mle", "osls-map"], em_iters=50)
         assert not failures
         by_method = {cell.method: cell for cell in cells}
@@ -549,3 +549,71 @@ class TestMalformedInputExitsTwo:
                      "--target", str(sim_dir / "target.jsonl"),
                      "--ood-ref", str(sim_dir / "ood_ref.jsonl")])
         assert code == 2 and "line 7: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_source", "abc"),
+        ("rho_s", "nan"),
+        ("shift", "lt:abc"),
+        ("c", "0.5 x"),
+        ("class_means", "3 0; -3; 0 0"),
+    ])
+    def test_simulate_names_bad_config_value(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SCENARIO_CFG + f"{key} = {value}\n")
+        code = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2 and f"key {key!r}" in err and "Traceback" not in err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(SCENARIO_CFG.encode() + b"# \xff\n")
+        code = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == 2 and "not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("shifts", "lt:10, lt:abc"),
+        ("r_values", "1.0, x"),
+        ("seeds", "1.5, 1"),
+        ("n_source", "5e2"),
+    ])
+    def test_sweep_names_bad_config_value(self, tmp_path, capsys, key, value):
+        lines = [line for line in SWEEP_CFG.splitlines() if not line.startswith(key)]
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        out = tmp_path / "sweep.json"
+        code = main(["sweep", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and f"key {key!r}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_target", None), ("n_target", 2.5), ("class_means", "abc"), ("shift", "lt:x"),
+    ])
+    def test_pseudo_ood_names_bad_scenario_key(self, sim_dir, tmp_path, capsys, key, value):
+        scenario = json.loads((sim_dir / "scenario.json").read_text())
+        if value is None:
+            del scenario[key]
+        else:
+            scenario[key] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        code = main(["estimate", "--source", str(sim_dir / "source.jsonl"),
+                     "--target", str(sim_dir / "target.jsonl"), "--pseudo-ood",
+                     "--features", str(sim_dir / "source_features.csv"),
+                     "--scenario", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2 and f"field {key!r}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("rho_t", "abc"), ("rho_s", [0.7]), ("K", 2.5), ("K", True), ("pi", [0.5, "x"]),
+        ("c", [0.5, 0.25, 0.25]), ("pi", 0.5),
+    ])
+    def test_evaluate_names_bad_truth_field(self, estimate_path, sim_dir, tmp_path, capsys,
+                                            field, value):
+        truth = json.loads((sim_dir / "truth.json").read_text())
+        truth[field] = value
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(truth))
+        code = main(["evaluate", "--estimate", str(estimate_path), "--truth", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2 and f"field {field!r}" in err and "Traceback" not in err

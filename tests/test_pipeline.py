@@ -5,6 +5,7 @@ import pytest
 
 from osls import baselines as bl
 from osls.em import EmConfig
+from osls.io import scenario_from_kv
 from osls.pipeline import EstimateResult, estimate, run_sweep, source_class_frequencies
 from osls.simulate import ShiftSpec, make_scenario
 
@@ -69,7 +70,7 @@ class TestClosedSetFitSettings:
     def test_sweep_iters_reach_closed_set_cells(self):
         base_kv = {"k": "2", "radius": "4.0", "scale": "0.8", "rho_s": "0.7",
                    "n_source": "500", "n_target": "500", "n_ood_ref": "300"}
-        grid = (base_kv, ["lt:10:forward"], [1.0], [1], ["mlls", "mapls"])
+        grid = (scenario_from_kv(base_kv), ["lt:10:forward"], [1.0], [1], ["mlls", "mapls"])
         short, failures = run_sweep(*grid, em_iters=1)
         assert not failures
         default, _ = run_sweep(*grid)

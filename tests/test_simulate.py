@@ -150,6 +150,9 @@ class TestMakeScenario:
             GaussianComponents(np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([1.0, 1.0]))
         with pytest.raises(ValidationError):
             ring_config(2, scale=-1.0)
+        for k in (0, -1):
+            with pytest.raises(ValidationError, match="k must be >= 1"):
+                ring_config(k)
         with pytest.raises(ValidationError):
             easy_config(k=2, r=-0.5)
 
