@@ -520,9 +520,12 @@ def scenario_from_kv(kv: dict) -> ScenarioConfig:
 
     Omitted keys take ``ring_config``'s defaults. Explicit ``class_means``
     (rows separated by semicolons) and ``class_scales`` replace the ring
-    layout's; ``class_means`` then sets the feature dimension. A malformed
-    value raises ValidationError naming its key.
+    layout's; ``class_means`` then sets the feature dimension. An unknown key
+    or a malformed value raises ValidationError naming the key.
     """
+    unknown = [key for key in kv if key not in _KV_PARSERS]
+    if unknown:
+        raise ValidationError(f"unknown config key {unknown[0]!r}")
     values = {key: _parsed("config key", key, parse, kv[key])
               for key, parse in _KV_PARSERS.items() if key in kv}
     if "k" not in values:
@@ -538,9 +541,9 @@ def scenario_from_kv(kv: dict) -> ScenarioConfig:
 def sweep_from_kv(kv: dict) -> dict:
     """Split a sweep config into ``run_sweep``'s grid: axes and the parsed base scenario.
 
-    ``shifts`` and ``methods`` are comma-separated; ``r_values`` and integer
-    ``seeds`` are separated by commas or spaces. A malformed value raises
-    ValidationError naming its key.
+    ``shifts`` and ``methods`` are comma-separated; ``r_values`` and distinct
+    integer ``seeds`` are separated by commas or spaces. An unknown key, a
+    malformed value or a repeated seed raises ValidationError naming the key.
     """
     grid_keys = ("shifts", "r_values", "seeds", "methods")
     shifts = [s.strip() for s in kv.get("shifts", "none").split(",") if s.strip()]
@@ -548,6 +551,9 @@ def sweep_from_kv(kv: dict) -> dict:
         _parsed("config key", "shifts", ShiftSpec.parse, shift)
     r_values = _parsed("config key", "r_values", _kv_numbers, kv.get("r_values", "1.0"))
     seeds = [_parsed("config key", "seeds", int, tok) for tok in _tokens(kv.get("seeds", "0"))]
+    repeated = [seed for i, seed in enumerate(seeds) if seed in seeds[:i]]
+    if repeated:
+        raise ValidationError(f"config key 'seeds': seed {repeated[0]} is repeated")
     methods = [m.strip().lower() for m in kv.get("methods", "osls-mle,mlls").split(",") if m.strip()]
     base = scenario_from_kv({key: value for key, value in kv.items() if key not in grid_keys})
     return dict(shifts=shifts, r_values=r_values.tolist(), seeds=seeds, methods=methods, base=base)

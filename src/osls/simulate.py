@@ -14,7 +14,7 @@ drawing more OOD reference samples never perturbs the target data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -148,12 +148,22 @@ class GaussianComponents:
         scales = np.asarray(scales, dtype=float).ravel()
         if means.shape[0] != scales.size:
             raise ValidationError("one scale per component is required")
+        if not np.all(np.isfinite(means)):
+            raise ValidationError("component means must be finite")
+        if not np.all(np.isfinite(scales)):
+            raise ValidationError("scales must be finite")
         if np.any(scales <= 0.0):
             raise ValidationError("scales must be > 0")
-        for i in range(means.shape[0]):
-            for j in range(i + 1, means.shape[0]):
-                if np.allclose(means[i], means[j]):
-                    raise ValidationError(f"component means {i} and {j} coincide")
+        # np.allclose(means[i], means[j]) for every pair at once: on finite
+        # values it is |m_i - m_j| <= 1e-8 + 1e-5 * |m_j| on every coordinate.
+        close = np.all(
+            np.abs(means[:, None, :] - means[None, :, :]) <= 1e-8 + 1e-5 * np.abs(means)[None],
+            axis=2,
+        )
+        pairs = np.argwhere(np.triu(close, 1))
+        if pairs.size:
+            i, j = pairs[0]
+            raise ValidationError(f"component means {i} and {j} coincide")
         means = means.copy()
         scales = scales.copy()
         means.flags.writeable = False
@@ -173,13 +183,23 @@ class GaussianComponents:
         """(N, n_components) log densities (isotropic normal, constants kept)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         d = self.dim
-        diff = x[:, None, :] - self.means[None, :, :]
-        sq = np.sum(diff * diff, axis=2)
-        return (
-            -0.5 * sq / (self.scales**2)[None, :]
-            - d * np.log(self.scales)[None, :]
-            - 0.5 * d * np.log(2.0 * np.pi)
-        )
+        if d < 8:
+            # np.sum adds fewer than 8 terms left to right, so summing one
+            # coordinate at a time gives its bits without an (N, K+1, d) array.
+            sq = np.subtract.outer(x[:, 0], self.means[:, 0])
+            sq *= sq
+            for c in range(1, d):
+                term = np.subtract.outer(x[:, c], self.means[:, c])
+                term *= term
+                sq += term
+        else:
+            diff = x[:, None, :] - self.means[None, :, :]
+            sq = np.sum(diff * diff, axis=2)
+        sq *= -0.5
+        sq /= (self.scales**2)[None, :]
+        sq -= d * np.log(self.scales)[None, :]
+        sq -= 0.5 * d * np.log(2.0 * np.pi)
+        return sq
 
     def sample(self, labels0: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Features for 0-based component labels."""
@@ -194,7 +214,8 @@ class ScenarioConfig:
     ``class_means`` and ``class_scales`` cover K+1 components, the last being
     the OOD class. ``r`` is the target OOD-to-ID sample ratio, so the target
     ID data ratio is 1 / (1 + r). ``temperature`` = 1 keeps the simulated
-    classifier outputs exactly calibrated.
+    classifier outputs exactly calibrated. ``components`` is built from the
+    means and scales once, when the config is.
     """
 
     k: int
@@ -210,6 +231,7 @@ class ScenarioConfig:
     seed: int
     feature_dim: int = 2
     temperature: float = 1.0
+    components: GaussianComponents = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -237,19 +259,16 @@ class ScenarioConfig:
             raise ValidationError("r must be > 0")
         if self.temperature <= 0.0:
             raise ValidationError("temperature must be > 0")
-        means = means.copy()
-        scales = scales.copy()
-        means.flags.writeable = False
-        scales.flags.writeable = False
-        object.__setattr__(self, "class_means", means)
-        object.__setattr__(self, "class_scales", scales)
+        # Means must be pairwise distinct for the posteriors to be informative.
+        components = GaussianComponents(means, scales)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "class_means", components.means)
+        object.__setattr__(self, "class_scales", components.scales)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "rho_s", float(self.rho_s))
         object.__setattr__(self, "r", float(self.r))
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "temperature", float(self.temperature))
-        # Means must be pairwise distinct for the posteriors to be informative.
-        GaussianComponents(means, scales)
 
     @property
     def rho_t(self) -> float:
@@ -347,7 +366,7 @@ class Scenario:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.components = GaussianComponents(config.class_means, config.class_scales)
+        self.components = config.components
         # Structural embodiment of the shared-conditionals premise: both
         # domains sample from the very same component object.
         self.source_components = self.components
@@ -364,19 +383,23 @@ class Scenario:
     def oracle_scores(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Exact posteriors (f, h) under the source priors, temperature applied."""
         cfg = self.config
-        logp = self.components.log_pdf(x)
-        log_prior = np.concatenate(
+        joint = self.components.log_pdf(x)
+        joint += np.concatenate(
             [np.log(cfg.rho_s) + np.log(cfg.c.entries), [np.log(1.0 - cfg.rho_s)]]
-        )
-        joint = logp + log_prior[None, :]
+        )[None, :]
         joint_id = joint[:, : cfg.k]
         m = joint_id.max(axis=1, keepdims=True)
         tau = cfg.temperature
-        ef = np.exp((joint_id - m) / tau)
-        f = ef / ef.sum(axis=1, keepdims=True)
-        lse_id = (m[:, 0] + np.log(np.exp(joint_id - m).sum(axis=1)))
+        shifted = joint_id - m
+        ef = np.exp(shifted)
+        total = ef.sum(axis=1)
+        lse_id = m[:, 0] + np.log(total)
+        if tau != 1.0:
+            ef = np.exp(shifted / tau)
+            total = ef.sum(axis=1)
+        ef /= total[:, None]
         h = _sigmoid((lse_id - joint[:, cfg.k]) / tau)
-        return f, h
+        return ef, h
 
     def _dataset(self, labels0: np.ndarray, rng: np.random.Generator) -> LabeledDataset:
         x = self.components.sample(labels0, rng)

@@ -556,6 +556,8 @@ class TestMalformedInputExitsTwo:
         ("shift", "lt:abc"),
         ("c", "0.5 x"),
         ("class_means", "3 0; -3; 0 0"),
+        ("n_sourse", "100"),  # unknown keys: a typo and a sweep-only key
+        ("seeds", "1, 2"),
     ])
     def test_simulate_names_bad_config_value(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "bad.cfg"
@@ -574,7 +576,9 @@ class TestMalformedInputExitsTwo:
         ("shifts", "lt:10, lt:abc"),
         ("r_values", "1.0, x"),
         ("seeds", "1.5, 1"),
+        ("seeds", "1, 2, 1"),
         ("n_source", "5e2"),
+        ("n_sourse", "500"),
     ])
     def test_sweep_names_bad_config_value(self, tmp_path, capsys, key, value):
         lines = [line for line in SWEEP_CFG.splitlines() if not line.startswith(key)]

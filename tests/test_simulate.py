@@ -157,6 +157,114 @@ class TestMakeScenario:
             easy_config(k=2, r=-0.5)
 
 
+def _loop_first_coinciding_pair(means):
+    """The pairwise loop the component check replaces: lowest i first, then lowest j."""
+    for i in range(means.shape[0]):
+        for j in range(i + 1, means.shape[0]):
+            if np.allclose(means[i], means[j]):
+                return i, j
+    return None
+
+
+class TestComponentCheck:
+    def test_names_the_loops_first_pair(self):
+        means = np.stack([np.arange(10.0), np.zeros(10)], axis=1)
+        means[7] = means[2]  # pair (2, 7): lowest i
+        means[4] = means[3]  # pair (3, 4): lower j, higher i
+        assert _loop_first_coinciding_pair(means) == (2, 7)
+        with pytest.raises(ValidationError, match="component means 2 and 7 coincide"):
+            GaussianComponents(means, np.ones(10))
+
+    @pytest.mark.parametrize("means,coincide", [
+        # |m_i - m_j| <= 1e-8 + 1e-5 * |m_j| holds with equality
+        ([[1e-8, 0.0], [0.0, 0.0]], True),
+        ([[np.nextafter(1e-8, 1.0), 0.0], [0.0, 0.0]], False),
+        ([[1000.0, 5.0], [1000.0099, 5.0]], True),
+        ([[1000.0, 5.0], [1000.0101, 5.0]], False),
+        # only one order is within tolerance: the test scales by the later mean
+        ([[1000.0], [1000.01000006]], True),
+        ([[1000.01000006], [1000.0]], False),
+    ])
+    def test_tolerance_is_allcloses(self, means, coincide):
+        means = np.array(means)
+        assert np.allclose(means[0], means[1]) is coincide
+        if coincide:
+            with pytest.raises(ValidationError, match="component means 0 and 1 coincide"):
+                GaussianComponents(means, np.ones(2))
+        else:
+            GaussianComponents(means, np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        means = np.array([[0.0, 0.0], [3.0, 0.0], [bad, 0.0]])
+        with pytest.raises(ValidationError, match="means must be finite"):
+            GaussianComponents(means, np.ones(3))
+        with pytest.raises(ValidationError, match="scales must be finite"):
+            GaussianComponents(means[:2], np.array([1.0, bad]))
+        with pytest.raises(ValidationError, match="scales must be finite"):
+            ring_config(2, ood_scale=bad)
+
+    def test_scenario_shares_the_configs_components(self):
+        cfg = easy_config(k=3, n=10)
+        assert Scenario(cfg).components is cfg.components
+        np.testing.assert_array_equal(cfg.components.means, cfg.class_means)
+
+
+def _restated_log_pdf(means, scales, x):
+    """log_pdf as first written: a broadcast (N, K+1, d) difference summed on axis 2."""
+    d = means.shape[1]
+    diff = x[:, None, :] - means[None, :, :]
+    sq = np.sum(diff * diff, axis=2)
+    return (
+        -0.5 * sq / (scales**2)[None, :]
+        - d * np.log(scales)[None, :]
+        - 0.5 * d * np.log(2.0 * np.pi)
+    )
+
+
+def _restated_oracle_scores(cfg, x):
+    """oracle_scores as first written: one exp for f and another for h's log-sum-exp."""
+    logp = _restated_log_pdf(cfg.class_means, cfg.class_scales, x)
+    log_prior = np.concatenate(
+        [np.log(cfg.rho_s) + np.log(cfg.c.entries), [np.log(1.0 - cfg.rho_s)]]
+    )
+    joint = logp + log_prior[None, :]
+    joint_id = joint[:, : cfg.k]
+    m = joint_id.max(axis=1, keepdims=True)
+    tau = cfg.temperature
+    ef = np.exp((joint_id - m) / tau)
+    f = ef / ef.sum(axis=1, keepdims=True)
+    lse_id = m[:, 0] + np.log(np.exp(joint_id - m).sum(axis=1))
+    z = (lse_id - joint[:, cfg.k]) / tau
+    e = np.exp(-np.abs(z))
+    return f, np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+class TestOracleBitIdentity:
+    """The sampler's arrays are the restated formulas' to the bit."""
+
+    @pytest.mark.parametrize("temperature", [1.0, 2.5])
+    @pytest.mark.parametrize("d", [2, 5, 9])
+    @pytest.mark.parametrize("k", [1, 2, 10, 100])
+    def test_matches_restated_formulas(self, k, d, temperature):
+        rng = np.random.default_rng(1000 * k + 10 * d + int(temperature))
+        cfg = ScenarioConfig(
+            k=k, class_means=3.0 * rng.standard_normal((k + 1, d)),
+            class_scales=rng.uniform(0.5, 2.0, k + 1),
+            c=ProbabilityVector(rng.dirichlet(np.ones(k))), rho_s=0.7, n_source=10,
+            n_target=10, n_ood_ref=10, shift=ShiftSpec.none(), r=1.0, seed=0,
+            feature_dim=d, temperature=temperature,
+        )
+        x = 4.0 * rng.standard_normal((500, d))
+        scenario = Scenario(cfg)
+        got = scenario.components.log_pdf(x)
+        assert np.array_equal(got, _restated_log_pdf(cfg.class_means, cfg.class_scales, x))
+        f, h = scenario.oracle_scores(x)
+        f_ref, h_ref = _restated_oracle_scores(cfg, x)
+        assert np.array_equal(f, f_ref)
+        assert np.array_equal(h, h_ref)
+
+
 class TestGenPseudoOod:
     def test_gamma_zero_identity(self, rng):
         x = rng.standard_normal((50, 3))
