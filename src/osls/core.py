@@ -98,6 +98,22 @@ class ProbabilityVector:
     def __post_init__(self):
         object.__setattr__(self, "entries", as_simplex(self.entries))
 
+    @classmethod
+    def as_written(cls, v: VectorLike, tol: float = SIMPLEX_TOL) -> "ProbabilityVector":
+        """``v`` unchanged but for in-tolerance negative entries, which become 0.
+
+        It must be on the simplex within ``tol``, as for the constructor, which
+        also renormalizes and so can move a vector read back from a report off
+        the one written in its last bit.
+        """
+        arr = np.asarray(v, dtype=float)
+        as_simplex(arr, tol)  # raises unless on the simplex within tol
+        entries = np.where(arr < 0.0, 0.0, arr)
+        entries.flags.writeable = False
+        out = object.__new__(cls)
+        object.__setattr__(out, "entries", entries)
+        return out
+
     @property
     def k(self) -> int:
         return self.entries.size

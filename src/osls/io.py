@@ -12,7 +12,11 @@ is formatted with one ``repr`` of its nested list, which spells every finite
 float as ``float.__repr__`` (shortest exact round-trip) does, exactly as
 ``json.dumps`` would, so fixed inputs produce byte-identical outputs. A block
 of JSON lines is parsed with one ``json.loads`` and its columns are converted
-with numpy.
+with numpy. A table of more than one block is formatted and parsed by a pool
+of forked workers, one per core the process may use, and the blocks are
+written and joined in file order, so the bytes and arrays are those of one
+process. A file is read a chunk at a time, never as one text, and split into
+lines exactly as ``str.splitlines`` splits its whole text.
 
 Values must be finite and labels integral, and in corrected files each ``g``
 row must be a probability vector and each label lie in 1..K+1. Input that is
@@ -23,11 +27,17 @@ non-finite values, which no JSON text encodes.
 
 from __future__ import annotations
 
+import atexit
+import codecs
 import json
 import math
-from collections import namedtuple
-from dataclasses import MISSING, fields, replace
+import os
+import threading
+import time
+from collections import deque, namedtuple
+from dataclasses import MISSING, astuple, fields, replace
 from functools import partial
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Union
@@ -41,8 +51,15 @@ from .simulate import ScenarioConfig, ShiftSpec, ring_config
 PathLike = Union[str, Path]
 
 # Rows formatted or parsed per step: large enough that the per-block calls
-# are cheap, small enough that only one block of Python objects is alive.
+# and their trips to a worker are cheap, small enough that only a few blocks
+# of Python objects are alive.
 BLOCK_ROWS = 4096
+
+# Bytes read and decoded per step.
+_CHUNK_BYTES = 1 << 20
+
+# What ``str.splitlines`` ends a line at, besides "\r\n".
+_LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
 
 # Joins a block of JSON lines into one array text. A raw newline can sit in no
 # JSON string, so each separator parses as one NaN constant; the block then
@@ -62,6 +79,91 @@ def _is_csv(path: PathLike) -> bool:
     return str(path).lower().endswith(".csv")
 
 
+# --- the block pool ------------------------------------------------------------
+
+# The process's worker pool as (pid of the process that forked it, executor,
+# worker count), created for the first table of more than one block. A
+# process forked from this one must not use the parent's executor, so it
+# starts its own.
+_POOL = None
+
+
+def _close_pool() -> None:
+    """Stop the workers at exit, while the modules the executor's clean-up uses still exist."""
+    global _POOL
+    if _POOL is not None and _POOL[0] == os.getpid():
+        _POOL[1].shutdown(cancel_futures=True)
+    _POOL = None
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(0.5)
+    os._exit(1)
+
+
+def _start_worker(parent: int) -> None:
+    """Set up a worker: leave Ctrl-C to the parent, and exit once the parent has gone.
+
+    A parent that exits normally stops its workers, but one that is killed
+    cannot, and a worker waiting for blocks would then wait for ever.
+    """
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(target=_exit_when_orphaned, args=(parent,), daemon=True).start()
+
+
+def _pool():
+    """``(executor, workers)``: the worker pool, one worker per usable core; None on one core."""
+    global _POOL
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cores < 2:
+        return None
+    if _POOL is None or _POOL[0] != os.getpid():
+        # Forked, not spawned: a spawned worker would first import numpy and
+        # this package again, about 0.2 s of every command.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        executor = ProcessPoolExecutor(cores, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_start_worker, initargs=(os.getpid(),))
+        _POOL = (os.getpid(), executor, cores)
+        atexit.register(_close_pool)
+    return _POOL[1:]
+
+
+def _map_blocks(fn, blocks):
+    """``(block, fn(block))`` for each of ``blocks``, in order.
+
+    Blocks go to the worker pool when there are at least two and more than one
+    core, and otherwise through ``fn`` in this process. At most two blocks per
+    worker are in flight, so the parent reads or writes one while workers
+    convert the next and only a few blocks are alive at once.
+    """
+    blocks = iter(blocks)
+    head = list(islice(blocks, 2))
+    pool = _pool() if len(head) == 2 else None
+    if pool is None:
+        for block in chain(head, blocks):
+            yield block, fn(block)
+        return
+    executor, workers = pool
+    pending, window = deque(), 2 * workers
+    try:
+        for block in chain(head, blocks):
+            pending.append((block, executor.submit(fn, block)))
+            if len(pending) >= window:
+                block, future = pending.popleft()
+                yield block, future.result()
+        while pending:
+            block, future = pending.popleft()
+            yield block, future.result()
+    finally:
+        for _, future in pending:
+            future.cancel()
+
+
 # --- writing -----------------------------------------------------------------
 
 
@@ -71,6 +173,12 @@ def _float_rows(block: np.ndarray, sep: str) -> list:
     if sep != ", ":
         text = text.replace(", ", sep)
     return text.split("]" + sep + "[")
+
+
+def _format_block(template: str, sep: str, block: list) -> bytes:
+    """The UTF-8 lines of one block of ``_write_table``'s columns."""
+    cells = [_float_rows(col, sep) if col.ndim == 2 else map(str, col.tolist()) for col in block]
+    return ("\n".join(map(template.format, *cells)) + "\n").encode("utf-8")
 
 
 def _write_table(path: PathLike, header: Optional[str], template: str, columns: list,
@@ -90,17 +198,13 @@ def _write_table(path: PathLike, header: Optional[str], template: str, columns: 
                 raise ValidationError(
                     f"cannot write {path}: row {int(np.argmin(finite))} has a non-finite value"
                 )
-    with open(path, "w", encoding="utf-8") as out:
+    blocks = ([col[start : start + BLOCK_ROWS] for col in columns]
+              for start in range(0, n, BLOCK_ROWS))
+    with open(path, "wb") as out:
         if header is not None:
-            out.write(header + "\n")
-        for start in range(0, n, BLOCK_ROWS):
-            cells = [
-                _float_rows(col[start : start + BLOCK_ROWS], sep)
-                if col.ndim == 2
-                else map(str, col[start : start + BLOCK_ROWS].tolist())
-                for col in columns
-            ]
-            out.write("\n".join(map(template.format, *cells)) + "\n")
+            out.write((header + "\n").encode("utf-8"))
+        for _, text in _map_blocks(partial(_format_block, template, sep), blocks):
+            out.write(text)
 
 
 # A prediction file kind: its vector column, its scalar column and whether it
@@ -149,40 +253,87 @@ def write_features(path: PathLike, x: np.ndarray) -> None:
 # --- reading -----------------------------------------------------------------
 
 
-def _read_lines(path: Path) -> list:
-    try:
-        return path.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+def _lines(path: Path):
+    """The lines of the UTF-8 file at ``path``, as ``str.splitlines`` of its text.
 
-
-def _non_blank(lines: list) -> list:
-    return [line for line in lines if line.strip()]
-
-
-def _read_table(path: Path, lines: list, rows: list, skip: int, parse_block, parse_line,
-                convert) -> list:
-    """Convert ``rows`` to column arrays, BLOCK_ROWS rows at a time.
-
-    ``rows`` are the non-blank ``lines`` after the first ``skip`` of them.
-    ``parse_block`` turns a list of lines, and ``parse_line`` one line, into a
-    list of parsed rows; ``convert(parsed, width)`` turns those into checked
-    column arrays, the first 2-D and ``width`` wide once a block has set it. A
-    block that fails is converted again line by line, so the error names the
-    first bad line.
+    The file is read and decoded ``_CHUNK_BYTES`` at a time; a chunk's last
+    line is held back until the next chunk shows where it ends, and a line
+    ending in "\\r" until it shows whether "\\n" follows. Yields lists of lines.
     """
-    blocks, width = [], None
-    for start in range(0, len(rows), BLOCK_ROWS):
-        block = rows[start : start + BLOCK_ROWS]
-        try:
-            columns = convert(parse_block(block), width)
-        except _ROW_ERRORS:
-            numbers = [i for i, line in enumerate(lines, 1) if line.strip()]
-            columns = _convert_lines(path, block, numbers[skip + start :], parse_line,
-                                     convert, width)
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    tail = ""
+    with open(path, "rb") as handle:
+        while True:
+            chunk = handle.read(_CHUNK_BYTES)
+            try:
+                text = tail + decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+            lines = text.splitlines()
+            if not chunk:
+                yield lines
+                return
+            end, tail = text[-1:], ""
+            if end == "\r":
+                tail = lines.pop() + "\r"
+            elif end and end not in _LINE_BREAKS:
+                tail = lines.pop()
+            yield lines
+
+
+def _row_blocks(path: Path):
+    """The non-blank lines of the file at ``path`` as ``(numbers, rows)`` blocks.
+
+    ``rows`` are BLOCK_ROWS lines, fewer in the last block, and ``numbers``
+    their 1-based line numbers. A file without such a line yields one empty block.
+    """
+    numbers, rows, start = [], [], 1
+    for lines in _lines(path):
+        kept = [line for line in lines if line.strip()]
+        numbers += (range(start, start + len(lines)) if len(kept) == len(lines)
+                    else [i for i, line in enumerate(lines, start) if line.strip()])
+        rows += kept
+        start += len(lines)
+        while len(rows) > BLOCK_ROWS:
+            yield numbers[:BLOCK_ROWS], rows[:BLOCK_ROWS]
+            del numbers[:BLOCK_ROWS], rows[:BLOCK_ROWS]
+    yield numbers, rows
+
+
+def _convert_block(parse_block, convert, block: tuple):
+    """``convert(parse_block(rows), None)`` of a ``(numbers, rows)`` block, or None if it fails."""
+    try:
+        return convert(parse_block(block[1]), None)
+    except _ROW_ERRORS:
+        return None
+
+
+def _read_table(path: Path, what: str, skip: int, parse_block, parse_line, converter) -> list:
+    """The checked column arrays of the table at ``path``, BLOCK_ROWS rows at a time.
+
+    The table's rows are its non-blank lines after the first ``skip`` of them,
+    the header. ``converter(header)`` gives the block converter: ``convert(parsed,
+    width)`` turns rows parsed by ``parse_block`` (a list of lines) or
+    ``parse_line`` (one line) into checked column arrays, the first 2-D and
+    ``width`` wide once a block has set it. A block that fails, or has another
+    width than the first, is converted again line by line, so the error names
+    the first bad line.
+    """
+    blocks = _row_blocks(path)
+    numbers, rows = next(blocks)
+    if len(rows) <= skip:
+        needs = "a CSV header and at least one row" if skip else "at least one row"
+        raise ValidationError(f"{what} file {path} needs {needs}")
+    convert = converter(rows[0] if skip else None)
+    first = (numbers[skip:], rows[skip:])
+    parts, width = [], None
+    for (numbers, rows), columns in _map_blocks(partial(_convert_block, parse_block, convert),
+                                                chain([first], blocks)):
+        if columns is None or (width is not None and columns[0].shape[1] != width):
+            columns = _convert_lines(path, rows, numbers, parse_line, convert, width)
         width = columns[0].shape[1]
-        blocks.append(columns)
-    return [np.concatenate(parts) for parts in zip(*blocks)]
+        parts.append(columns)
+    return [np.concatenate(part) for part in zip(*parts)]
 
 
 def _convert_lines(path, block, numbers, parse_line, convert, width) -> list:
@@ -311,6 +462,12 @@ def _csv_table(rows: list, columns: list) -> np.ndarray:
     return _floats(picked, "cell").reshape(len(rows), len(columns))
 
 
+def _csv_convert(layout: _Layout, k: int, columns: list, cells: list, width) -> tuple:
+    table = _csv_table(cells, columns)
+    return _prediction_columns(layout, table[:, :k], table[:, k],
+                               table[:, k + 1] if len(columns) > k + 1 else None)
+
+
 def _csv_columns(layout: _Layout, header: str):
     """The block converter of a CSV table of kind ``layout`` with this header line."""
     names = [name.strip() for name in header.split(",")]
@@ -319,15 +476,8 @@ def _csv_columns(layout: _Layout, header: str):
     k = names.index(layout.scalar)
     if names[:k] != [f"{layout.vector}{j + 1}" for j in range(k)]:
         raise ValidationError(f"CSV header must start with {layout.vector}1,{layout.vector}2,...")
-    has_y = "y" in names
-    columns = list(range(k + 1)) + ([names.index("y")] if has_y else [])
-
-    def convert(cells, width):
-        table = _csv_table(cells, columns)
-        return _prediction_columns(layout, table[:, :k], table[:, k],
-                                   table[:, k + 1] if has_y else None)
-
-    return convert
+    columns = list(range(k + 1)) + ([names.index("y")] if "y" in names else [])
+    return partial(_csv_convert, layout, k, columns)
 
 
 def _read_predictions(path: PathLike, layout: _Layout) -> tuple:
@@ -336,17 +486,11 @@ def _read_predictions(path: PathLike, layout: _Layout) -> tuple:
     ``y`` holds int64 labels, or is None unless every row has one.
     """
     path = Path(path)
-    lines = _read_lines(path)
-    rows = _non_blank(lines)
-    skip = 1 if _is_csv(path) else 0
-    if len(rows) <= skip:
-        needs = "a CSV header and at least one row" if skip else "at least one row"
-        raise ValidationError(f"{layout.name} file {path} needs {needs}")
-    if skip:
-        parsers = (_split_cells, _split_line, _csv_columns(layout, rows[0]))
+    if _is_csv(path):
+        parsers = (1, _split_cells, _split_line, partial(_csv_columns, layout))
     else:
-        parsers = (_loads_block, _loads_line, partial(_json_columns, layout))
-    vectors, scalar, y = _read_table(path, lines, rows[skip:], skip, *parsers)
+        parsers = (0, _loads_block, _loads_line, lambda header: partial(_json_columns, layout))
+    vectors, scalar, y = _read_table(path, layout.name, *parsers)
     return vectors, scalar, None if np.isnan(y).any() else y.astype(np.int64)
 
 
@@ -366,19 +510,18 @@ def read_corrected(path: PathLike) -> dict:
     return {"g": g, "y_hat": y_hat.astype(np.int64), "y": y}
 
 
+def _feature_columns(columns: list, cells: list, width) -> tuple:
+    return (_finite(_csv_table(cells, columns), "feature row"),)
+
+
+def _feature_converter(header: str):
+    return partial(_feature_columns, list(range(len(header.split(",")))))
+
+
 def read_features(path: PathLike) -> np.ndarray:
     """Read a feature CSV written by ``write_features``."""
-    path = Path(path)
-    lines = _read_lines(path)
-    rows = _non_blank(lines)
-    if len(rows) < 2:
-        raise ValidationError(f"feature file {path} needs a header and at least one row")
-    columns = list(range(len(rows[0].split(","))))
-
-    def convert(cells, width):
-        return (_finite(_csv_table(cells, columns), "feature row"),)
-
-    return _read_table(path, lines, rows[1:], 1, _split_cells, _split_line, convert)[0]
+    return _read_table(Path(path), "feature", 1, _split_cells, _split_line,
+                       _feature_converter)[0]
 
 
 def _finite_float(text: str) -> float:
@@ -481,7 +624,7 @@ def scenario_from_dict(obj: dict) -> ScenarioConfig:
 def parse_kv_file(path: PathLike) -> dict:
     """Parse a plain-text key = value configuration file ('#' starts a comment)."""
     out = {}
-    for raw in _read_lines(Path(path)):
+    for raw in chain.from_iterable(_lines(Path(path))):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -538,22 +681,34 @@ def scenario_from_kv(kv: dict) -> ScenarioConfig:
     return replace(config, **explicit) if explicit else config
 
 
+def _distinct(key: str, tokens: list, values: list) -> list:
+    """``values`` if no two are equal; else ValidationError naming ``key`` and the repeated token."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValidationError(f"config key {key!r}: {tokens[i]} is repeated")
+    return values
+
+
 def sweep_from_kv(kv: dict) -> dict:
     """Split a sweep config into ``run_sweep``'s grid: axes and the parsed base scenario.
 
-    ``shifts`` and ``methods`` are comma-separated; ``r_values`` and distinct
-    integer ``seeds`` are separated by commas or spaces. An unknown key, a
-    malformed value or a repeated seed raises ValidationError naming the key.
+    ``shifts`` and ``methods`` are comma-separated; ``r_values`` and integer
+    ``seeds`` are separated by commas or spaces. Each axis holds distinct
+    values: shifts that parse to the same spec and r values of the same number
+    (``1.0, 1``) are repeats. An unknown key, a malformed value or a repeated
+    one raises ValidationError naming the key.
     """
     grid_keys = ("shifts", "r_values", "seeds", "methods")
     shifts = [s.strip() for s in kv.get("shifts", "none").split(",") if s.strip()]
-    for shift in shifts:
-        _parsed("config key", "shifts", ShiftSpec.parse, shift)
-    r_values = _parsed("config key", "r_values", _kv_numbers, kv.get("r_values", "1.0"))
-    seeds = [_parsed("config key", "seeds", int, tok) for tok in _tokens(kv.get("seeds", "0"))]
-    repeated = [seed for i, seed in enumerate(seeds) if seed in seeds[:i]]
-    if repeated:
-        raise ValidationError(f"config key 'seeds': seed {repeated[0]} is repeated")
+    _distinct("shifts", shifts,
+              [astuple(_parsed("config key", "shifts", ShiftSpec.parse, s)) for s in shifts])
+    r_text = kv.get("r_values", "1.0")
+    r_values = _distinct("r_values", _tokens(r_text),
+                         _parsed("config key", "r_values", _kv_numbers, r_text).tolist())
+    seed_tokens = _tokens(kv.get("seeds", "0"))
+    seeds = _distinct("seeds", seed_tokens,
+                      [_parsed("config key", "seeds", int, tok) for tok in seed_tokens])
     methods = [m.strip().lower() for m in kv.get("methods", "osls-mle,mlls").split(",") if m.strip()]
+    _distinct("methods", methods, methods)
     base = scenario_from_kv({key: value for key, value in kv.items() if key not in grid_keys})
-    return dict(shifts=shifts, r_values=r_values.tolist(), seeds=seeds, methods=methods, base=base)
+    return dict(shifts=shifts, r_values=r_values, seeds=seeds, methods=methods, base=base)

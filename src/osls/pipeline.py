@@ -96,7 +96,7 @@ def _report_value(key: str, hint, value):
     kind = next((t for t in get_args(hint) if t is not type(None)), hint)
     try:
         if kind is ProbabilityVector:
-            return ProbabilityVector(json_value(np.ndarray, value))
+            return ProbabilityVector.as_written(json_value(np.ndarray, value))
         return json_value(kind, value)
     except ValueError as exc:
         raise ValidationError(f"estimate report field {key!r}: {exc}") from None

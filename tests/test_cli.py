@@ -1,4 +1,9 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -577,6 +582,10 @@ class TestMalformedInputExitsTwo:
         ("r_values", "1.0, x"),
         ("seeds", "1.5, 1"),
         ("seeds", "1, 2, 1"),
+        ("shifts", "lt:10, dirichlet:1.0, lt:10"),
+        ("shifts", "lt:10, ordered_lt:10:forward"),
+        ("r_values", "1.0, 0.1, 1"),
+        ("methods", "mlls, osls-mle, MLLS"),
         ("n_source", "5e2"),
         ("n_sourse", "500"),
     ])
@@ -621,3 +630,72 @@ class TestMalformedInputExitsTwo:
         code = main(["evaluate", "--estimate", str(estimate_path), "--truth", str(path)])
         err = capsys.readouterr().err
         assert code == 2 and f"field {field!r}" in err and "Traceback" not in err
+
+
+class TestNoWorkerOutlivesCommand:
+    """``osls correct`` on a table of several blocks, run in a session of its own."""
+
+    @staticmethod
+    def _start(tmp_path, n, bad_line=None):
+        rng = np.random.default_rng(3)
+        target = tmp_path / "target.jsonl"
+        osls_io.write_records(target, RecordSet(rng.dirichlet(np.ones(2), n), rng.random(n),
+                                                rng.integers(1, 4, n)))
+        if bad_line is not None:
+            lines = target.read_text().splitlines()
+            lines[bad_line - 1] = '{"f": [0.5, 0.5], "h": NaN}'
+            target.write_text("\n".join(lines) + "\n")
+        estimate = tmp_path / "estimate.json"
+        estimate.write_text(json.dumps({"method": "osls-mle", "K": 2, "c_hat": [0.5, 0.5],
+                                        "pi_hat": [0.3, 0.7], "rho_s_hat": 0.7,
+                                        "rho_t_hat": 0.5}))
+        src = str(Path(osls_io.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        # stderr goes to a file: a worker left running would hold a pipe open.
+        with open(tmp_path / "stderr.txt", "wb") as err:
+            return subprocess.Popen(
+                [sys.executable, "-m", "osls.cli", "correct", "--estimate", str(estimate),
+                 "--target", str(target), "--out", str(tmp_path / "corrected.jsonl")],
+                env=env, start_new_session=True, stdout=subprocess.DEVNULL, stderr=err)
+
+    @staticmethod
+    def _group_ends(command, seconds):
+        """Whether the command's process group is gone within ``seconds``; kills what is left."""
+        try:
+            for _ in range(int(seconds / 0.05)):
+                try:
+                    os.killpg(command.pid, 0)
+                except ProcessLookupError:
+                    return True
+                time.sleep(0.05)
+            return False
+        finally:
+            try:
+                os.killpg(command.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+    @pytest.mark.parametrize("bad_line", [None, 2 * osls_io.BLOCK_ROWS + 5])
+    def test_correct(self, tmp_path, bad_line):
+        command = self._start(tmp_path, 2 * osls_io.BLOCK_ROWS + 100, bad_line)
+        code = command.wait(timeout=120)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(command.pid, 0)
+        self._group_ends(command, 0)
+        err = (tmp_path / "stderr.txt").read_text()
+        if bad_line is None:
+            assert code == 0, err
+        else:
+            assert code == 2 and f"line {bad_line}: " in err
+
+    def test_killed_correct(self, tmp_path):
+        # The output file opens once the target, read on the pool, is in memory.
+        command = self._start(tmp_path, 40 * osls_io.BLOCK_ROWS)
+        out = tmp_path / "corrected.jsonl"
+        deadline = time.monotonic() + 120
+        while not out.exists() and command.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        command.kill()
+        command.wait(timeout=60)
+        assert self._group_ends(command, 10)

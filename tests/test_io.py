@@ -450,6 +450,64 @@ class TestReadersMatchReference:
             _assert_same_bits(from_csv["y"], from_jsonl["y"])
 
 
+class TestPoolMatchesInProcess:
+    """Tables of three blocks, converted on the block pool and in this process."""
+
+    @pytest.mark.parametrize("kind,ext,with_y", WRITER_CASES)
+    def test_same_bytes_and_arrays(self, tmp_path, monkeypatch, pools, kind, ext, with_y):
+        n, k = 2 * BLOCK + 3, 4
+        rng = np.random.default_rng(7)
+        f, h, y = _prediction_rows(rng, n, k, np.array(SPECIAL_FLOATS))
+        y = y if with_y else None
+        write, read, args = {
+            "records": (osls_io.write_records, osls_io.read_records, (RecordSet(f, h, y),)),
+            "corrected": (osls_io.write_corrected, osls_io.read_corrected,
+                          (f, rng.integers(1, k + 1, n), None if y is None else y.clip(1, k))),
+            "features": (osls_io.write_features, osls_io.read_features,
+                         (_fill(rng, np.array(SPECIAL_FLOATS), (n, k)),)),
+        }[kind]
+        write(tmp_path / f"pool{ext}", *args)
+        assert len(pools) == 1 and pools[0] is not None
+        _in_process(monkeypatch, write, tmp_path / f"local{ext}", *args)
+        assert (tmp_path / f"pool{ext}").read_bytes() == (tmp_path / f"local{ext}").read_bytes()
+
+        def columns(table):
+            if isinstance(table, RecordSet):
+                table = {"f": table.f, "h": table.h, "y": table.y}
+            if isinstance(table, dict):
+                return [col for col in table.values() if col is not None]
+            return [table]
+
+        pooled = columns(read(tmp_path / f"pool{ext}"))
+        assert len(pools) == 2 and pools[1] == pools[0]
+        local = columns(_in_process(monkeypatch, read, tmp_path / f"pool{ext}"))
+        assert len(pooled) == len(local) == 1 + (kind != "features") + with_y
+        for new, ref in zip(pooled, local):
+            _assert_same_bits(new, ref)
+
+
+# Pieces of text that hold each line break ``str.splitlines`` knows, next to
+# characters of one to four UTF-8 bytes.
+LINE_PIECES = ("a", "é", "€", "\U0001F600", " ", "\r", "\n", "\r\n", "\x0b", "\x0c", "\x1c",
+               "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+class TestLines:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(LINE_PIECES), max_size=40), st.integers(1, 9))
+    @example(["a", "\r", "\n", "b"], 2)  # a chunk ends inside "\r\n"
+    @example(["\r"], 1)
+    @example(["a", "\r"], 2)
+    def test_lines_are_splitlines(self, tmp_path_factory, pieces, chunk_bytes):
+        text = "".join(pieces)
+        path = tmp_path_factory.mktemp("l") / "t.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(osls_io, "_CHUNK_BYTES", chunk_bytes)
+            lines = [line for chunk in osls_io._lines(path) for line in chunk]
+        assert lines == text.splitlines()
+
+
 # --- malformed and non-finite input ------------------------------------------
 
 GOOD_RECORD = '{"f": [0.5, 0.5], "h": 0.5, "y": 1}'
@@ -522,42 +580,71 @@ def _with_bad_line(tmp_path, name, header, good, bad_lines, before):
     return path, len(lines) - len(bad_lines)
 
 
-# After one good row (the first row sets the width K), and in the second block.
-POSITIONS = (1, BLOCK + 5)
+# After one good row (the first row sets the width K), in the second block,
+# and in the third, where the reader runs on the block pool.
+POSITIONS = (1, BLOCK + 5, 2 * BLOCK + 5)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The block pools handed out during a test, run even on a one-core machine."""
+    monkeypatch.setattr(osls_io.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    handed_out, real = [], osls_io._pool
+
+    def spy():
+        pool = real()
+        handed_out.append(pool)
+        return pool
+
+    monkeypatch.setattr(osls_io, "_pool", spy)
+    return handed_out
+
+
+def _in_process(monkeypatch, call, *args):
+    """``call(*args)`` with every block converted in this process."""
+    with monkeypatch.context() as patch:
+        patch.setattr(osls_io, "_pool", lambda: None)
+        return call(*args)
+
+
+def _raises_at(monkeypatch, pools, read, path, line):
+    """``read(path)`` fails at ``line``, with the same message on the pool and in process."""
+    with pytest.raises(ValidationError, match=f"line {line}: ") as pooled:
+        read(path)
+    assert all(pools) and len(pools) == (line > BLOCK)
+    with pytest.raises(ValidationError) as in_process:
+        _in_process(monkeypatch, read, path)
+    assert str(pooled.value) == str(in_process.value)
 
 
 class TestMalformedInput:
     @pytest.mark.parametrize("before", POSITIONS)
     @pytest.mark.parametrize("case", sorted(BAD_RECORDS))
-    def test_records_jsonl(self, tmp_path, case, before):
+    def test_records_jsonl(self, tmp_path, monkeypatch, pools, case, before):
         path, line = _with_bad_line(tmp_path, "t.jsonl", None, GOOD_RECORD, BAD_RECORDS[case],
                                     before)
-        with pytest.raises(ValidationError, match=f"line {line}: "):
-            osls_io.read_records(path)
+        _raises_at(monkeypatch, pools, osls_io.read_records, path, line)
 
     @pytest.mark.parametrize("before", POSITIONS)
     @pytest.mark.parametrize("case", sorted(BAD_CSV))
-    def test_records_csv(self, tmp_path, case, before):
+    def test_records_csv(self, tmp_path, monkeypatch, pools, case, before):
         path, line = _with_bad_line(tmp_path, "t.csv", "f1,f2,h,y", GOOD_CSV, [BAD_CSV[case]],
                                     before)
-        with pytest.raises(ValidationError, match=f"line {line}: "):
-            osls_io.read_records(path)
+        _raises_at(monkeypatch, pools, osls_io.read_records, path, line)
 
     @pytest.mark.parametrize("before", POSITIONS)
     @pytest.mark.parametrize("case", sorted(BAD_CORRECTED))
-    def test_corrected(self, tmp_path, case, before):
+    def test_corrected(self, tmp_path, monkeypatch, pools, case, before):
         path, line = _with_bad_line(tmp_path, "c.jsonl", None, GOOD_CORRECTED,
                                     [BAD_CORRECTED[case]], before)
-        with pytest.raises(ValidationError, match=f"line {line}: "):
-            osls_io.read_corrected(path)
+        _raises_at(monkeypatch, pools, osls_io.read_corrected, path, line)
 
     @pytest.mark.parametrize("before", POSITIONS)
     @pytest.mark.parametrize("case", sorted(BAD_CORRECTED_CSV))
-    def test_corrected_csv(self, tmp_path, case, before):
+    def test_corrected_csv(self, tmp_path, monkeypatch, pools, case, before):
         path, line = _with_bad_line(tmp_path, "c.csv", "g1,g2,g3,y_hat,y", GOOD_CORRECTED_CSV,
                                     [BAD_CORRECTED_CSV[case]], before)
-        with pytest.raises(ValidationError, match=f"line {line}: "):
-            osls_io.read_corrected(path)
+        _raises_at(monkeypatch, pools, osls_io.read_corrected, path, line)
 
     @pytest.mark.parametrize("header", ("g1,g2,g3,y", "g1,g3,g2,y_hat", ""))
     def test_corrected_csv_header(self, tmp_path, header):
@@ -568,11 +655,22 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("before", POSITIONS)
     @pytest.mark.parametrize("case", sorted(BAD_FEATURES))
-    def test_features(self, tmp_path, case, before):
+    def test_features(self, tmp_path, monkeypatch, pools, case, before):
         path, line = _with_bad_line(tmp_path, "x.csv", "x1,x2", GOOD_FEATURE,
                                     [BAD_FEATURES[case]], before)
-        with pytest.raises(ValidationError, match=f"line {line}: "):
-            osls_io.read_features(path)
+        _raises_at(monkeypatch, pools, osls_io.read_features, path, line)
+
+    @pytest.mark.parametrize("read,good,wide", [
+        (osls_io.read_records, GOOD_RECORD, '{"f": [0.2, 0.3, 0.5], "h": 0.5, "y": 1}'),
+        (osls_io.read_corrected, GOOD_CORRECTED, '{"g": [0.5, 0.5], "y_hat": 1}'),
+    ])
+    def test_width_change_in_a_later_block(self, tmp_path, monkeypatch, pools, read, good,
+                                           wide):
+        # The third block alone parses, at a width the first two did not have.
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join([good] * 2 * BLOCK + [wide] * BLOCK) + "\n", encoding="utf-8")
+        _raises_at(monkeypatch, pools, read, path, 2 * BLOCK + 1)
+        assert "must be a list of" in str(pytest.raises(ValidationError, read, path).value)
 
     def test_integral_float_labels_accepted(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -584,6 +682,17 @@ class TestMalformedInput:
         path.write_bytes(b'{"f": [0.5, 0.5], "h": 0.5, "y": "\xff"}\n')
         with pytest.raises(ValidationError, match="not UTF-8"):
             osls_io.read_records(path)
+
+    def test_not_utf8_in_a_late_chunk(self, tmp_path, pools):
+        # The bad byte lies past the first read chunk, after blocks of the
+        # first chunk have gone to the pool.
+        path = tmp_path / "t.jsonl"
+        good = (GOOD_RECORD + "\n").encode() * (10 * BLOCK)
+        path.write_bytes(good + b'{"f": [0.5, 0.5], "h": 0.5, "y": "\xff"}\n')
+        assert len(good) > osls_io._CHUNK_BYTES
+        with pytest.raises(ValidationError, match="not UTF-8"):
+            osls_io.read_records(path)
+        assert pools and all(pools)
 
     @pytest.mark.parametrize("text", ['{"a": NaN}', '{"a": [Infinity]}', '{"a": 1e400}', "{"])
     def test_json_files(self, tmp_path, text):

@@ -37,11 +37,7 @@ class TestEstimateReport:
         assert list(report) == keys
         back = EstimateResult.from_dict(json.loads(json.dumps(report))).to_dict()
         assert list(back) == keys
-        vectors = ("c_hat", "pi_hat")  # renormalized on reading, so equal to the last bit
-        for key in vectors:
-            np.testing.assert_allclose(back[key], report[key], rtol=0, atol=1e-15)
-        assert ({k: v for k, v in back.items() if k not in vectors}
-                == {k: v for k, v in report.items() if k not in vectors})
+        assert back == report
 
     def test_correction_ratio_rule(self, scenario):
         source, target, mu0_hat = scenario
