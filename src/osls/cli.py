@@ -293,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a simulate-estimate-evaluate grid")
     p.add_argument("--config", required=True, help="key=value grid config file")
     p.add_argument("--workers", type=int, default=1,
-                   help="concurrent cells (default: %(default)s)")
+                   help="most processes running grid points, capped by usable cores and grid "
+                        "points; they exit with the command or when it is killed (default: 1)")
     p.add_argument("--iters", type=int, default=EmConfig.max_iters,
                    help="most EM map evaluations per EM fit; each fit stops at the "
                         f"default tolerance {EmConfig.tol:g} (default: %(default)s)")

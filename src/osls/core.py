@@ -286,12 +286,15 @@ class RecordSet:
                     f"integer in 1..{f.shape[1] + 1}"
                 )
             y = y.astype(np.int64)
-            y.flags.writeable = False
-        f.flags.writeable = False
-        h.flags.writeable = False
-        self.f = f
-        self.h = h
-        self.y = y
+        self._set(f, h, y)
+
+    def _set(self, f: np.ndarray, h: np.ndarray, y: Optional[np.ndarray]) -> "RecordSet":
+        """Hold the checked columns, read-only and as they are."""
+        for column in (f, h, y):
+            if column is not None:
+                column.flags.writeable = False
+        self.f, self.h, self.y = f, h, y
+        return self
 
     @property
     def k(self) -> int:
@@ -302,10 +305,17 @@ class RecordSet:
         return np.concatenate([self.f * self.h[:, None], (1.0 - self.h)[:, None]], axis=1)
 
     def with_h(self, h: np.ndarray) -> "RecordSet":
-        return RecordSet(self.f, h, self.y)
+        """These records with scores ``h``, checked as the constructor checks them;
+        ``f`` and ``y`` are kept bit for bit, not normalized again."""
+        return RecordSet.__new__(RecordSet)._set(self.f, RecordSet(self.f, h).h, self.y)
 
     def take(self, idx: np.ndarray) -> "RecordSet":
-        return RecordSet(self.f[idx], self.h[idx], None if self.y is None else self.y[idx])
+        """The records at the indices ``idx``, each column kept bit for bit."""
+        h = self.h[idx]
+        if h.size == 0:
+            raise ValidationError("empty record set")
+        y = None if self.y is None else self.y[idx]
+        return RecordSet.__new__(RecordSet)._set(self.f[idx], h, y)
 
     def __len__(self) -> int:
         return self.h.size

@@ -232,6 +232,20 @@ class CoverageReport:
         return self.violation_rate <= self.threshold
 
 
+def _coverage(theorem: int, estimator, trial_args: list, truth: float,
+              report: BoundReport) -> CoverageReport:
+    """How often ``estimator(*args)``, one call per trial, misses ``truth`` by more than the
+    bound; a trial whose scorer cannot identify the ratio misses it."""
+    violations = 0
+    for args in trial_args:
+        try:
+            violations += abs(estimator(*args) - truth) > report.bound
+        except DegenerateScorer:
+            violations += 1
+    return CoverageReport(theorem=theorem, trials=len(trial_args), violations=violations,
+                          delta=report.delta, bound=report.bound)
+
+
 def bound_coverage_rho_s(
     mu1: float = 0.9,
     mu0: float = 0.1,
@@ -243,21 +257,19 @@ def bound_coverage_rho_s(
     """Monte-Carlo check of the source-ratio bound with Bernoulli scorers.
 
     Each trial draws n ID scores with mean mu1 and n OOD scores with mean mu0,
-    forms rho_s_hat, and tests it against the bound built from the population
-    means. The violation rate should not exceed 2*delta.
+    forms rho_s_hat with ``estimate_rho_s``, and tests it against the bound
+    built from the population means. The violation rate should not exceed
+    2*delta.
     """
     if trials < 1 or n < 1:
         raise ValidationError("trials and n must be >= 1")
     rng = np.random.default_rng(seed)
     mu1_hat = (rng.random((trials, n)) < mu1).mean(axis=1)
     mu0_hat = (rng.random((trials, n)) < mu0).mean(axis=1)
-    rho_hat = mu0_hat / (1.0 - mu1_hat + mu0_hat)
     rho_true = mu0 / (1.0 - mu1 + mu0)
-    report = rho_s_bound(mu1, mu0, n, n, delta)
-    violations = int(np.sum(np.abs(rho_hat - rho_true) > report.bound))
-    return CoverageReport(
-        theorem=1, trials=trials, violations=violations, delta=delta, bound=report.bound
-    )
+    return _coverage(1, lambda m1, m0: estimate_rho_s(ScoreMeans(m1, m0, n, n)),
+                     list(zip(mu1_hat.tolist(), mu0_hat.tolist())), rho_true,
+                     rho_s_bound(mu1, mu0, n, n, delta))
 
 
 def bound_coverage_rho_t(
@@ -275,8 +287,8 @@ def bound_coverage_rho_t(
 
     The base Bernoulli scorer (ID mean mu1, OOD mean mu0) is distorted to
     h' = a + b*h. Each trial estimates mu1', mu0' from n-sample references,
-    averages h' over an n-sample target with ID fraction rho_t, applies the
-    affine correction and tests the error against the population bound.
+    averages h' over an n-sample target with ID fraction rho_t, applies
+    ``correct_rho`` and tests the error against the population bound.
     """
     if trials < 1 or n < 1:
         raise ValidationError("trials and n must be >= 1")
@@ -298,10 +310,6 @@ def bound_coverage_rho_t(
     mu1p_hat = id_scores.mean(axis=1)
     mu0p_hat = ood_scores.mean(axis=1)
     rho_prime = target_scores.mean(axis=1)
-    rho_star = np.clip((rho_prime - mu0p_hat) / (mu1p_hat - mu0p_hat), 0.0, 1.0)
-
-    report = rho_t_bound(mu1p, mu0p, n, delta)
-    violations = int(np.sum(np.abs(rho_star - rho_t) > report.bound))
-    return CoverageReport(
-        theorem=3, trials=trials, violations=violations, delta=delta, bound=report.bound
-    )
+    return _coverage(3, correct_rho,
+                     list(zip(rho_prime.tolist(), mu1p_hat.tolist(), mu0p_hat.tolist())),
+                     rho_t, rho_t_bound(mu1p, mu0p, n, delta))

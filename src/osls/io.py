@@ -12,8 +12,8 @@ is formatted with one ``repr`` of its nested list, which spells every finite
 float as ``float.__repr__`` (shortest exact round-trip) does, exactly as
 ``json.dumps`` would, so fixed inputs produce byte-identical outputs. A block
 of JSON lines is parsed with one ``json.loads`` and its columns are converted
-with numpy. A table of more than one block is formatted and parsed by a pool
-of forked workers, one per core the process may use, and the blocks are
+with numpy. A table of more than one block is formatted and parsed on
+``osls.pool``'s workers, one per core the process may use, and the blocks are
 written and joined in file order, so the bytes and arrays are those of one
 process. A file is read a chunk at a time, never as one text, and split into
 lines exactly as ``str.splitlines`` splits its whole text.
@@ -27,17 +27,13 @@ non-finite values, which no JSON text encodes.
 
 from __future__ import annotations
 
-import atexit
 import codecs
 import json
 import math
-import os
-import threading
-import time
-from collections import deque, namedtuple
+from collections import namedtuple
 from dataclasses import MISSING, astuple, fields, replace
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Union
@@ -46,6 +42,8 @@ import numpy as np
 
 from .core import (SIMPLEX_TOL, ProbabilityVector, RecordSet, ValidationError, json_value,
                    on_simplex)
+from .pipeline import ALL_METHODS
+from .pool import map_in_order
 from .simulate import ScenarioConfig, ShiftSpec, ring_config
 
 PathLike = Union[str, Path]
@@ -77,91 +75,6 @@ _ROW_ERRORS = (ValueError, TypeError, LookupError, AttributeError, OverflowError
 
 def _is_csv(path: PathLike) -> bool:
     return str(path).lower().endswith(".csv")
-
-
-# --- the block pool ------------------------------------------------------------
-
-# The process's worker pool as (pid of the process that forked it, executor,
-# worker count), created for the first table of more than one block. A
-# process forked from this one must not use the parent's executor, so it
-# starts its own.
-_POOL = None
-
-
-def _close_pool() -> None:
-    """Stop the workers at exit, while the modules the executor's clean-up uses still exist."""
-    global _POOL
-    if _POOL is not None and _POOL[0] == os.getpid():
-        _POOL[1].shutdown(cancel_futures=True)
-    _POOL = None
-
-
-def _exit_when_orphaned(parent: int) -> None:
-    while os.getppid() == parent:
-        time.sleep(0.5)
-    os._exit(1)
-
-
-def _start_worker(parent: int) -> None:
-    """Set up a worker: leave Ctrl-C to the parent, and exit once the parent has gone.
-
-    A parent that exits normally stops its workers, but one that is killed
-    cannot, and a worker waiting for blocks would then wait for ever.
-    """
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    threading.Thread(target=_exit_when_orphaned, args=(parent,), daemon=True).start()
-
-
-def _pool():
-    """``(executor, workers)``: the worker pool, one worker per usable core; None on one core."""
-    global _POOL
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if cores < 2:
-        return None
-    if _POOL is None or _POOL[0] != os.getpid():
-        # Forked, not spawned: a spawned worker would first import numpy and
-        # this package again, about 0.2 s of every command.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        executor = ProcessPoolExecutor(cores, mp_context=multiprocessing.get_context("fork"),
-                                       initializer=_start_worker, initargs=(os.getpid(),))
-        _POOL = (os.getpid(), executor, cores)
-        atexit.register(_close_pool)
-    return _POOL[1:]
-
-
-def _map_blocks(fn, blocks):
-    """``(block, fn(block))`` for each of ``blocks``, in order.
-
-    Blocks go to the worker pool when there are at least two and more than one
-    core, and otherwise through ``fn`` in this process. At most two blocks per
-    worker are in flight, so the parent reads or writes one while workers
-    convert the next and only a few blocks are alive at once.
-    """
-    blocks = iter(blocks)
-    head = list(islice(blocks, 2))
-    pool = _pool() if len(head) == 2 else None
-    if pool is None:
-        for block in chain(head, blocks):
-            yield block, fn(block)
-        return
-    executor, workers = pool
-    pending, window = deque(), 2 * workers
-    try:
-        for block in chain(head, blocks):
-            pending.append((block, executor.submit(fn, block)))
-            if len(pending) >= window:
-                block, future = pending.popleft()
-                yield block, future.result()
-        while pending:
-            block, future = pending.popleft()
-            yield block, future.result()
-    finally:
-        for _, future in pending:
-            future.cancel()
 
 
 # --- writing -----------------------------------------------------------------
@@ -203,7 +116,7 @@ def _write_table(path: PathLike, header: Optional[str], template: str, columns: 
     with open(path, "wb") as out:
         if header is not None:
             out.write((header + "\n").encode("utf-8"))
-        for _, text in _map_blocks(partial(_format_block, template, sep), blocks):
+        for _, text in map_in_order(partial(_format_block, template, sep), blocks):
             out.write(text)
 
 
@@ -327,8 +240,8 @@ def _read_table(path: Path, what: str, skip: int, parse_block, parse_line, conve
     convert = converter(rows[0] if skip else None)
     first = (numbers[skip:], rows[skip:])
     parts, width = [], None
-    for (numbers, rows), columns in _map_blocks(partial(_convert_block, parse_block, convert),
-                                                chain([first], blocks)):
+    for (numbers, rows), columns in map_in_order(partial(_convert_block, parse_block, convert),
+                                                 chain([first], blocks)):
         if columns is None or (width is not None and columns[0].shape[1] != width):
             columns = _convert_lines(path, rows, numbers, parse_line, convert, width)
         width = columns[0].shape[1]
@@ -695,8 +608,9 @@ def sweep_from_kv(kv: dict) -> dict:
     ``shifts`` and ``methods`` are comma-separated; ``r_values`` and integer
     ``seeds`` are separated by commas or spaces. Each axis holds distinct
     values: shifts that parse to the same spec and r values of the same number
-    (``1.0, 1``) are repeats. An unknown key, a malformed value or a repeated
-    one raises ValidationError naming the key.
+    (``1.0, 1``) are repeats. An unknown key, a malformed value, a repeated
+    one, a method not in ``ALL_METHODS`` or an r value no scenario takes
+    raises ValidationError naming the key, before any grid point runs.
     """
     grid_keys = ("shifts", "r_values", "seeds", "methods")
     shifts = [s.strip() for s in kv.get("shifts", "none").split(",") if s.strip()]
@@ -710,5 +624,11 @@ def sweep_from_kv(kv: dict) -> dict:
                       [_parsed("config key", "seeds", int, tok) for tok in seed_tokens])
     methods = [m.strip().lower() for m in kv.get("methods", "osls-mle,mlls").split(",") if m.strip()]
     _distinct("methods", methods, methods)
+    unknown = [method for method in methods if method not in ALL_METHODS]
+    if unknown:
+        raise ValidationError(f"config key 'methods': unknown method {unknown[0]!r}; "
+                              f"expected one of {ALL_METHODS}")
     base = scenario_from_kv({key: value for key, value in kv.items() if key not in grid_keys})
+    for r in r_values:
+        _parsed("config key", "r_values", partial(replace, base, r=r))
     return dict(shifts=shifts, r_values=r_values, seeds=seeds, methods=methods, base=base)

@@ -9,8 +9,9 @@ compare methods row for row.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
+from operator import itemgetter
 from typing import Optional, Sequence, Tuple, get_args, get_type_hints
 
 import numpy as np
@@ -27,8 +28,9 @@ from .core import (
 )
 from .correction import correct_records
 from .em import EmConfig, run_em
-from .estimators import ScoreMeans, correct_rho, estimate_rho_s
+from .estimators import ScoreMeans, correct_rho, estimate_rho_s, rescale_mu0
 from .metrics import rho_abs_error, w_mse
+from .pool import map_in_order
 from .simulate import Scenario, ScenarioConfig, ShiftSpec
 
 OSLS_METHODS = ("osls-mle", "osls-map")
@@ -223,18 +225,15 @@ class SweepCell:
     rho_err_mean: Optional[float]
     rho_err_std: Optional[float]
 
-    def key(self) -> Tuple[str, str, float]:
-        return (self.method, self.shift, self.r)
-
     def to_dict(self) -> dict:
         return report_dict(self)
 
 
-def _run_sweep_point(args) -> Tuple[Tuple[str, float, int], dict]:
+def _run_sweep_point(base: ScenarioConfig, methods: tuple, em_iters: int, point: tuple) -> dict:
     """One (shift, r, seed) grid point: simulate once, estimate with all methods."""
     from .simulate import make_scenario
 
-    base, shift, r, seed, methods, em_iters = args
+    shift, r, seed = point
     config = replace(base, shift=ShiftSpec.parse(shift), r=r, seed=seed)
     source, target, ood_ref, truth = make_scenario(config)
     mu0_hat = float(np.mean(ood_ref.records.h))
@@ -243,21 +242,15 @@ def _run_sweep_point(args) -> Tuple[Tuple[str, float, int], dict]:
     out = {}
     for method in methods:
         try:
-            result = estimate(
-                method,
-                source.records,
-                target.records,
-                mu0_hat=mu0_hat,
-                n_ood=len(ood_ref),
-                em_config=map_config if method == "osls-map" else mle_config,
-            )
+            result = estimate(method, source.records, target.records, mu0_hat=mu0_hat,
+                              n_ood=len(ood_ref),
+                              em_config=map_config if method == "osls-map" else mle_config)
             err = w_mse(result.pi_hat, truth.pi, config.c)
-            rho_t = result.rho_t
-            rho_err = None if rho_t is None else rho_abs_error(rho_t, truth.rho_t)
+            rho_err = None if result.rho_t is None else rho_abs_error(result.rho_t, truth.rho_t)
             out[method] = {"w_mse": err, "rho_err": rho_err}
         except Exception as exc:  # cell failures are recorded, sweep continues
             out[method] = {"error": f"{type(exc).__name__}: {exc}"}
-    return (shift, float(r), int(seed)), out
+    return out
 
 
 def run_sweep(
@@ -273,65 +266,35 @@ def run_sweep(
     """Run the simulate-estimate-evaluate grid; returns (cells, failures).
 
     Each grid point is ``base`` with its shift (parsed by ``ShiftSpec.parse``),
-    r and seed replaced. Cells aggregate mean and standard deviation across
-    seeds per (method, shift, r) and come back sorted by that key so output
-    files are order-independent of scheduling.
+    r and seed replaced. The points run on ``osls.pool``'s workers, at most
+    ``workers`` of them and no more than there are usable cores or points, and
+    come back in grid order, so the result is the same for any worker count.
+    Cells aggregate mean and standard deviation across seeds per (method,
+    shift, r) and come back sorted by that key.
     """
-    points = [
-        (base, shift, r, seed, tuple(methods), em_iters)
-        for shift in shifts
-        for r in r_values
-        for seed in seeds
-    ]
-    with contextlib.ExitStack() as stack:
-        run = map
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        results = dict(run(_run_sweep_point, points))
-
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1; got {workers}")
+    points = [(shift, r, seed) for shift in shifts for r in r_values for seed in seeds]
+    run = partial(_run_sweep_point, base, tuple(methods), em_iters)
+    scores, failures = {}, []
+    for (shift, r, seed), out in map_in_order(run, points, min(workers, len(points))):
+        for method, res in out.items():
+            if "error" in res:
+                failures.append({"method": method, "shift": shift, "r": float(r),
+                                 "seed": int(seed), "error": res["error"]})
+            else:
+                scores.setdefault((method, shift, float(r)), []).append(res)
     cells = []
-    failures = []
-    for shift in shifts:
-        for r in r_values:
-            per_method = {m: {"w_mse": [], "rho_err": []} for m in methods}
-            for seed in seeds:
-                point = results[(shift, float(r), int(seed))]
-                for method in methods:
-                    res = point[method]
-                    if "error" in res:
-                        failures.append(
-                            {"method": method, "shift": shift, "r": float(r),
-                             "seed": int(seed), "error": res["error"]}
-                        )
-                        continue
-                    per_method[method]["w_mse"].append(res["w_mse"])
-                    per_method[method]["rho_err"].append(res["rho_err"])
-            for method in methods:
-                vals = per_method[method]["w_mse"]
-                if not vals:
-                    continue
-                rho_errs = [v for v in per_method[method]["rho_err"] if v is not None]
-                cells.append(
-                    SweepCell(
-                        method=method,
-                        shift=shift,
-                        r=float(r),
-                        seeds=len(vals),
-                        w_mse_mean=float(np.mean(vals)),
-                        w_mse_std=float(np.std(vals)),
-                        rho_err_mean=float(np.mean(rho_errs)) if rho_errs else None,
-                        rho_err_std=float(np.std(rho_errs)) if rho_errs else None,
-                    )
-                )
-    cells.sort(key=lambda cell: cell.key())
+    for (method, shift, r), found in sorted(scores.items(), key=itemgetter(0)):
+        vals = [res["w_mse"] for res in found]
+        rho_errs = [res["rho_err"] for res in found if res["rho_err"] is not None]
+        rho = [float(np.mean(rho_errs)), float(np.std(rho_errs))] if rho_errs else [None, None]
+        cells.append(SweepCell(method, shift, r, len(vals), float(np.mean(vals)),
+                               float(np.std(vals)), *rho))
     return cells, failures
 
 
 def pseudo_ood_mu0(scenario: Scenario, features: np.ndarray, gamma: float, T: float) -> float:
     """Pseudo-OOD score mean: blend, score through the scenario oracle, rescale."""
-    from .estimators import rescale_mu0
-
     h = scenario.pseudo_ood_scores(features, gamma)
     return rescale_mu0(float(np.mean(h)), T)

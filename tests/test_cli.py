@@ -289,6 +289,14 @@ class TestSweep:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_rejects_no_workers(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(SWEEP_CFG)
+        out = tmp_path / "sweep.json"
+        code = main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "0"])
+        assert code == 2 and "workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_cell_matches_direct_estimate(self, tmp_path):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(
@@ -586,6 +594,8 @@ class TestMalformedInputExitsTwo:
         ("shifts", "lt:10, ordered_lt:10:forward"),
         ("r_values", "1.0, 0.1, 1"),
         ("methods", "mlls, osls-mle, MLLS"),
+        ("methods", "mlls, foo"),
+        ("r_values", "1.0, -1"),
         ("n_source", "5e2"),
         ("n_sourse", "500"),
     ])
@@ -633,10 +643,22 @@ class TestMalformedInputExitsTwo:
 
 
 class TestNoWorkerOutlivesCommand:
-    """``osls correct`` on a table of several blocks, run in a session of its own."""
+    """Commands that use the process pool, each run in a session of its own: ``osls correct``
+    on a table of several blocks, and ``osls sweep --workers 2``."""
 
     @staticmethod
-    def _start(tmp_path, n, bad_line=None):
+    def _osls(tmp_path, *args):
+        src = str(Path(osls_io.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        # stderr goes to a file: a worker left running would hold a pipe open.
+        with open(tmp_path / "stderr.txt", "wb") as err:
+            return subprocess.Popen([sys.executable, "-m", "osls.cli", *args], env=env,
+                                    start_new_session=True, stdout=subprocess.DEVNULL,
+                                    stderr=err)
+
+    @classmethod
+    def _start(cls, tmp_path, n, bad_line=None):
         rng = np.random.default_rng(3)
         target = tmp_path / "target.jsonl"
         osls_io.write_records(target, RecordSet(rng.dirichlet(np.ones(2), n), rng.random(n),
@@ -649,15 +671,21 @@ class TestNoWorkerOutlivesCommand:
         estimate.write_text(json.dumps({"method": "osls-mle", "K": 2, "c_hat": [0.5, 0.5],
                                         "pi_hat": [0.3, 0.7], "rho_s_hat": 0.7,
                                         "rho_t_hat": 0.5}))
-        src = str(Path(osls_io.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-        # stderr goes to a file: a worker left running would hold a pipe open.
-        with open(tmp_path / "stderr.txt", "wb") as err:
-            return subprocess.Popen(
-                [sys.executable, "-m", "osls.cli", "correct", "--estimate", str(estimate),
-                 "--target", str(target), "--out", str(tmp_path / "corrected.jsonl")],
-                env=env, start_new_session=True, stdout=subprocess.DEVNULL, stderr=err)
+        return cls._osls(tmp_path, "correct", "--estimate", str(estimate), "--target",
+                         str(target), "--out", str(tmp_path / "corrected.jsonl"))
+
+    @staticmethod
+    def _group_size(pgid):
+        """How many processes are in process group ``pgid``."""
+        size = 0
+        for pid in filter(str.isdigit, os.listdir("/proc")):
+            try:
+                with open(f"/proc/{pid}/stat") as stat:
+                    # Fields after the command name: state, ppid, pgrp, ...
+                    size += int(stat.read().rsplit(")", 1)[1].split()[2]) == pgid
+            except (OSError, IndexError, ValueError):
+                pass
+        return size
 
     @staticmethod
     def _group_ends(command, seconds):
@@ -696,6 +724,25 @@ class TestNoWorkerOutlivesCommand:
         deadline = time.monotonic() + 120
         while not out.exists() and command.poll() is None and time.monotonic() < deadline:
             time.sleep(0.01)
+        command.kill()
+        command.wait(timeout=60)
+        assert self._group_ends(command, 10)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs Linux's /proc and two usable cores")
+    def test_killed_sweep(self, tmp_path):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("k = 2\nn_source = 20000\nn_target = 20000\nn_ood_ref = 5000\n"
+                       "shifts = lt:10\nr_values = 1\nmethods = osls-mle, mlls\n"
+                       f"seeds = {', '.join(map(str, range(200)))}\n")
+        command = self._osls(tmp_path, "sweep", "--config", str(cfg), "--workers", "2",
+                             "--out", str(tmp_path / "sweep.json"))
+        # Kill the command once both workers run grid points.
+        deadline = time.monotonic() + 120
+        while (self._group_size(command.pid) < 3 and command.poll() is None
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert command.poll() is None, (tmp_path / "stderr.txt").read_text()
         command.kill()
         command.wait(timeout=60)
         assert self._group_ends(command, 10)

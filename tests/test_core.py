@@ -161,6 +161,18 @@ class TestRecordSet:
         rs = RecordSet(f, h, np.array([3.0, 1.0]))
         assert rs.y.dtype == np.int64 and rs.y.tolist() == [3, 1]
 
+    def test_with_h_and_take_check_what_they_change(self):
+        rs = RecordSet(np.array([[0.5, 0.5], [0.25, 0.75]]), np.array([0.5, 0.5]),
+                       np.array([1, 3]))
+        for bad in ([0.5, 1.5], [0.5, np.nan], [0.5]):
+            with pytest.raises(ValidationError):
+                rs.with_h(np.array(bad))
+        assert rs.with_h(np.array([0.0, 1.0 + 1e-12])).h.tolist() == [0.0, 1.0]
+        with pytest.raises(ValidationError, match="empty record set"):
+            rs.take(np.array([], dtype=int))
+        taken = rs.take(np.array([1]))
+        assert taken.f.tolist() == [[0.25, 0.75]] and taken.y.tolist() == [3]
+
     def test_immutable(self):
         rs = RecordSet(np.array([[0.5, 0.5]]), np.array([0.5]))
         with pytest.raises(ValueError):

@@ -231,3 +231,31 @@ class TestCoverage:
         report = bound_coverage_rho_t(mu1=0.9, mu0=0.1, a=0.2, b=0.6, rho_t=0.6,
                                       n=2000, delta=0.05, trials=1000, seed=7)
         assert report.violation_rate <= report.threshold
+
+    def test_violation_counts(self):
+        assert bound_coverage_rho_s().violations == 0
+        assert bound_coverage_rho_t().violations == 0
+        assert bound_coverage_rho_s(delta=0.4).violations == 4
+
+    def test_drivers_call_the_pipeline_formulas(self, monkeypatch):
+        import osls.estimators as est
+
+        calls = []
+
+        def spy(real):
+            def call(*args):
+                calls.append(real.__name__)
+                return real(*args)
+            return call
+
+        for name in ("estimate_rho_s", "correct_rho"):
+            monkeypatch.setattr(est, name, spy(getattr(est, name)))
+        bound_coverage_rho_s(trials=10, n=50)
+        bound_coverage_rho_t(trials=20, n=50)
+        assert calls == ["estimate_rho_s"] * 10 + ["correct_rho"] * 20
+
+    def test_unidentifiable_trial_is_a_violation(self):
+        # With one draw per reference, mu1' and mu0' coincide in about half the
+        # trials; the bound is wider than [0, 1], so only those can violate it.
+        report = bound_coverage_rho_t(mu1=0.6, mu0=0.4, n=1, trials=200, seed=0)
+        assert report.bound > 1.0 and 50 < report.violations < 150

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from osls import io as osls_io
+from osls import pool as osls_pool
 from osls.core import RecordSet, ValidationError
 
 # --- reference codec (the previous osls.io row loops, verbatim) -------------
@@ -588,22 +589,22 @@ POSITIONS = (1, BLOCK + 5, 2 * BLOCK + 5)
 @pytest.fixture
 def pools(monkeypatch):
     """The block pools handed out during a test, run even on a one-core machine."""
-    monkeypatch.setattr(osls_io.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    handed_out, real = [], osls_io._pool
+    monkeypatch.setattr(osls_pool.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    handed_out, real = [], osls_pool._pool
 
-    def spy():
-        pool = real()
+    def spy(workers):
+        pool = real(workers)
         handed_out.append(pool)
         return pool
 
-    monkeypatch.setattr(osls_io, "_pool", spy)
+    monkeypatch.setattr(osls_pool, "_pool", spy)
     return handed_out
 
 
 def _in_process(monkeypatch, call, *args):
     """``call(*args)`` with every block converted in this process."""
     with monkeypatch.context() as patch:
-        patch.setattr(osls_io, "_pool", lambda: None)
+        patch.setattr(osls_pool, "_pool", lambda workers: None)
         return call(*args)
 
 

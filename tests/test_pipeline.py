@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import os
 
 import numpy as np
 import pytest
@@ -72,3 +74,39 @@ class TestClosedSetFitSettings:
         default, _ = run_sweep(*grid)
         for a, b in zip(short, default):
             assert a.method == b.method and a.w_mse_mean != b.w_mse_mean
+
+    def test_sweep_forks_no_more_workers_than_points(self, monkeypatch):
+        asked = []
+
+        class RecordingExecutor:
+            """Records the pool size asked for and runs each call at once, in this process."""
+
+            def __init__(self, max_workers=None, **kwargs):
+                asked.append(max_workers)
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.shutdown()
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        # The pool this test starts holds no processes; no later test may use it.
+        monkeypatch.setattr("osls.pool._POOL", None)
+        grid = (easy_config(2, n=200, n_ood=100), ["none"], [1.0], [1, 2], ["mlls"])
+        cells, failures = run_sweep(*grid, workers=1000)
+        assert asked and max(asked) <= 2
+        serial, _ = run_sweep(*grid)
+        assert not failures and [c.to_dict() for c in cells] == [c.to_dict() for c in serial]

@@ -340,6 +340,27 @@ class TestSubsampleToRatio:
         assert positions == sorted(positions)
 
 
+class TestColumnsKeptBitForBit:
+    """Rebuilding records for new scores or a subset does not normalize ``f`` again."""
+
+    @pytest.fixture(scope="class")
+    def target(self):
+        return make_scenario(ring_config(10, n_target=5000, seed=1))[1]
+
+    def test_distort_scorer(self, target):
+        out = distort_scorer(target, 0.2, 0.6).records
+        assert out.f.tobytes() == target.records.f.tobytes()
+        assert out.y.tobytes() == target.records.y.tobytes()
+
+    def test_subsample_to_ratio(self, target):
+        out, _ = subsample_to_ratio(target, 0.5, 3)
+        kept = np.flatnonzero(np.isin(target.features[:, 0], out.features[:, 0]))
+        assert len(kept) == len(out) < len(target)
+        for new, old in zip((out.records.f, out.records.h, out.records.y),
+                            (target.records.f, target.records.h, target.records.y)):
+            assert new.tobytes() == old[kept].tobytes() and not new.flags.writeable
+
+
 class TestDistortScorer:
     def test_identity(self):
         cfg = easy_config(k=2, seed=1, n=50)
