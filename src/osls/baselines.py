@@ -24,6 +24,8 @@ from .core import (
 from .em import EmConfig, EmTrace, fit
 
 _COND_LIMIT = 1e8
+# Entries per block when summing clipped rows, bounding the block's copy.
+_ROW_SUM_BLOCK = 1 << 16
 
 ProbsLike = Union[np.ndarray, Sequence[Sequence[float]]]
 
@@ -66,14 +68,33 @@ class ConfusionMatrix:
         return self.entries.sum(axis=0)
 
 
-def _coerce_prob_rows(target_f: ProbsLike) -> np.ndarray:
+def _clipped_row_sums(rows: np.ndarray) -> np.ndarray:
+    """``np.clip(rows, 0, None).sum(axis=1)`` bit for bit, clipping a block of rows at a time.
+
+    A block of two or more rows is laid out as the whole matrix is, so numpy adds
+    each row's entries in the same order. A lone row is summed as a C-order row
+    whatever the layout, so a last block of one row joins the block before it.
+    """
+    n = rows.shape[0]
+    starts = list(range(0, n, max(2, _ROW_SUM_BLOCK // max(rows.shape[1], 1))))
+    if n > 1 and n - starts[-1] == 1:
+        starts.pop()
+    sums = np.empty(n)
+    for i, j in zip(starts, starts[1:] + [n]):
+        sums[i:j] = np.clip(rows[i:j], 0.0, None).sum(axis=1)
+    return sums
+
+
+def _coerce_prob_rows(target_f: ProbsLike, order: str = "C") -> np.ndarray:
+    """Posterior rows clipped at 0 and renormalized, in one fresh array in ``order``."""
     rows = np.asarray(target_f, dtype=float)
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise ValidationError("target posteriors must form a non-empty (N, K) matrix")
     if not on_simplex(rows).all():
         raise ValidationError("each target posterior must be a probability vector")
-    rows = np.clip(rows, 0.0, None)
-    return np.ascontiguousarray(rows / rows.sum(axis=1, keepdims=True))
+    out = np.clip(rows, 0.0, None, out=np.empty(rows.shape, order=order))
+    out /= _clipped_row_sums(rows)[:, None]
+    return out
 
 
 def _coerce_source_prior(c, k: int) -> np.ndarray:
@@ -86,10 +107,12 @@ def _coerce_source_prior(c, k: int) -> np.ndarray:
 
 
 def _closed_set_fit(target_f: ProbsLike, c, config: EmConfig) -> EmTrace:
-    f = _coerce_prob_rows(target_f)
-    c = _coerce_source_prior(c, f.shape[1])
-    # Column-major W makes both E-step matrix-vector products about twice as fast.
-    return fit(np.asfortranarray(f / c), c, None, config)
+    # Column-major W makes the two E-step matrix-vector products up to 1.9 times
+    # as fast, and never slower (N 2e3 to 1e5, K+1 3 to 101, numpy 2.4.6 on 2 cores).
+    w = _coerce_prob_rows(target_f, order="F")
+    c = _coerce_source_prior(c, w.shape[1])
+    w /= c
+    return fit(w, c, None, config)
 
 
 def mlls(

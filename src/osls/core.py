@@ -268,8 +268,8 @@ class RecordSet:
         rows_ok = on_simplex(f)
         if not rows_ok.all():
             raise ValidationError(f"row {int(np.argmin(rows_ok))} of f is not a probability vector")
-        f = np.clip(f, 0.0, None)
-        f = f / f.sum(axis=1, keepdims=True)
+        f = np.clip(f, 0.0, None)  # a copy: the caller's array is left as it is
+        f /= f.sum(axis=1, keepdims=True)
         if np.any(h < -SIMPLEX_TOL) or np.any(h > 1.0 + SIMPLEX_TOL):
             raise ValidationError("h entries must lie in [0, 1]")
         h = np.clip(h, 0.0, 1.0)
@@ -300,9 +300,17 @@ class RecordSet:
     def k(self) -> int:
         return self.f.shape[1]
 
-    def extended_f(self) -> np.ndarray:
-        """The (N, K+1) matrix of combined outputs [h*f, 1-h]."""
-        return np.concatenate([self.f * self.h[:, None], (1.0 - self.h)[:, None]], axis=1)
+    def extended_f(self, order: str = "K") -> np.ndarray:
+        """The (N, K+1) matrix of combined outputs [h*f, 1-h], in one fresh array.
+
+        ``order`` is its memory layout, "C" or "F", or "K" for that of ``f``. Row
+        sums of the matrix depend on its layout in the last bit.
+        """
+        k = self.k
+        out = np.empty_like(self.f, shape=(len(self), k + 1), order=order)
+        np.multiply(self.f, self.h[:, None], out=out[:, :k])
+        np.subtract(1.0, self.h, out=out[:, k])
+        return out
 
     def with_h(self, h: np.ndarray) -> "RecordSet":
         """These records with scores ``h``, checked as the constructor checks them;

@@ -59,10 +59,11 @@ def correct_records(
         raise ValidationError(
             f"records have K={records.k} but distributions have K={ratios.size - 1}"
         )
-    unnorm = records.extended_f() * ratios
-    totals = unnorm.sum(axis=1)
+    posteriors = records.extended_f()
+    posteriors *= ratios
+    totals = posteriors.sum(axis=1)
     if np.any(totals <= 0.0):
         raise DegenerateSample(int(np.argmax(totals <= 0.0)))
-    posteriors = unnorm / totals[:, None]
+    posteriors /= totals[:, None]
     labels = posteriors.argmax(axis=1) + 1
     return posteriors, labels

@@ -130,59 +130,70 @@ def mixing(pi: np.ndarray, rho) -> np.ndarray:
     return pi if rho is None else np.append(rho * pi, 1.0 - rho)
 
 
-def e_step(w: np.ndarray, x: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Column sums of the responsibilities ``x_j W_ij / d_i``, given ``d = W @ x > 0``."""
-    return x * (w.T @ (1.0 / d))
+def e_step(w: np.ndarray, x: np.ndarray, d: np.ndarray, out=None) -> np.ndarray:
+    """Column sums of the responsibilities ``x_j W_ij / d_i``, given ``d = W @ x > 0``.
+
+    ``out``, an array shaped as ``d``, receives ``1 / d`` when given.
+    """
+    return x * (w.T @ np.divide(1.0, d, out=out))
 
 
-def nll(d: np.ndarray, axis=None):
-    """Negative log likelihood from per-sample likelihoods along ``axis``, floored at 1e-300."""
-    return -np.sum(np.log(np.maximum(d, LIK_FLOOR)), axis=axis)
+def nll(d: np.ndarray, axis=None, out=None):
+    """Negative log likelihood from per-sample likelihoods along ``axis``, floored at 1e-300.
+
+    ``out``, an array shaped as ``d``, receives the logs when given.
+    """
+    if not d.min(initial=math.inf) > LIK_FLOOR:
+        d = np.maximum(d, LIK_FLOOR)
+    return -np.sum(np.log(d, out=out), axis=axis)
 
 
-def objective(d, pi, rho, am1, bm1) -> float:
+def objective(d, pi, rho, am1, bm1, out=None) -> float:
     """NLL minus the log prior density (normalizing constants dropped).
 
     ``am1`` is ``alpha - 1`` per class and ``bm1`` the pair ``alpha_out - 1``
-    for rho and 1 - rho, which a closed-set fit (rho None) leaves out.
+    for rho and 1 - rho, which a closed-set fit (rho None) leaves out. ``out``
+    is as for ``nll``.
     """
-    val = nll(d) - float(np.sum(am1 * np.log(np.maximum(pi, LIK_FLOOR))))
+    val = nll(d, out=out) - float(np.sum(am1 * np.log(np.maximum(pi, LIK_FLOOR))))
     if rho is not None:
         val -= bm1[0] * np.log(max(rho, LIK_FLOOR))
         val -= bm1[1] * np.log(max(1.0 - rho, LIK_FLOOR))
     return val
 
 
-def open_m_step(s: np.ndarray, n: float, am1: np.ndarray, bm1):
+def open_m_step(s: np.ndarray, n: float, am1: np.ndarray, bm1, am1_sum=None):
     """Open-set M-step from the K+1 E-step column sums; returns (pi, rho).
 
     pi is None when its update is undefined (all mass on the OOD class under
     maximum likelihood), in which case the previous pi should be kept.
+    ``am1_sum`` is ``float(np.sum(am1))``, computed here when not given.
     """
     k = s.size - 1
     n_in = n - s[k]
-    denom_pi = n_in + float(np.sum(am1))
+    denom_pi = n_in + (float(np.sum(am1)) if am1_sum is None else am1_sum)
     pi = None if denom_pi == 0.0 else (s[:k] + am1) / denom_pi
     rho = (n_in + bm1[0]) / (n + bm1[0] + bm1[1])
     return pi, float(rho)
 
 
-def closed_m_step(s: np.ndarray, n: float, am1: np.ndarray) -> np.ndarray:
-    """Closed-set M-step from the K E-step column sums."""
-    return (s + am1) / (n + float(np.sum(am1)))
+def closed_m_step(s: np.ndarray, n: float, am1: np.ndarray, am1_sum=None) -> np.ndarray:
+    """Closed-set M-step from the K E-step column sums; ``am1_sum`` as for ``open_m_step``."""
+    return (s + am1) / (n + (float(np.sum(am1)) if am1_sum is None else am1_sum))
 
 
-def _em_map(w, n, am1, bm1, pi, rho, x, d):
+def _em_map(w, n, am1, bm1, pi, rho, x, d, am1_sum, scratch):
     """One EM map from (pi, rho), given x = mixing(pi, rho) and d = W @ x > 0.
 
-    Returns (pi, rho, change, frozen): the updated pair, its L-infinity move
-    and whether the pi update was skipped because it was undefined.
+    ``scratch`` is an N-vector the E-step may overwrite. Returns (pi, rho,
+    change, frozen): the updated pair, its L-infinity move and whether the pi
+    update was skipped because it was undefined.
     """
-    s = e_step(w, x, d)
+    s = e_step(w, x, d, scratch)
     if rho is None:
-        pi_new = closed_m_step(s, n, am1)
+        pi_new = closed_m_step(s, n, am1, am1_sum)
         return pi_new, None, float(np.max(np.abs(pi_new - pi))), False
-    pi_new, rho_new = open_m_step(s, n, am1, bm1)
+    pi_new, rho_new = open_m_step(s, n, am1, bm1, am1_sum)
     frozen = pi_new is None
     if frozen:
         pi_new = pi
@@ -237,25 +248,28 @@ def fit(w: np.ndarray, pi0, rho0, config: EmConfig) -> EmTrace:
     pi = np.array(pi0, dtype=np.float64)
     rho = None if rho0 is None else float(rho0)
     am1 = config.resolved_alpha_in(pi.size) - 1.0
+    am1_sum = float(np.sum(am1))
     bm1 = (config.alpha_out[0] - 1.0, config.alpha_out[1] - 1.0)
+    scratch = np.empty(w.shape[0])  # 1 / d and log d, one after the other
     frozen = False
     x = mixing(pi, rho)
     d = w @ x
-    obj = [objective(d, pi, rho, am1, bm1)]
+    obj = [objective(d, pi, rho, am1, bm1, scratch)]
     maps = 0
     cycle = [x]  # mixing vectors since the last extrapolation or restart
     converged = False
 
     while maps < max_iters:
-        bad = d <= 0.0
-        if bad.any():
-            raise DegenerateSample(int(np.argmax(bad)))
-        pi, rho, change, froze = _em_map(w, n, am1, bm1, pi, rho, x, d)
+        if not d.min(initial=math.inf) > 0.0:
+            bad = d <= 0.0
+            if bad.any():
+                raise DegenerateSample(int(np.argmax(bad)))
+        pi, rho, change, froze = _em_map(w, n, am1, bm1, pi, rho, x, d, am1_sum, scratch)
         maps += 1
         frozen |= froze
         x = mixing(pi, rho)
         d = w @ x
-        obj.append(objective(d, pi, rho, am1, bm1))
+        obj.append(objective(d, pi, rho, am1, bm1, scratch))
         if tol > 0.0 and change < tol:
             converged = True
             break
@@ -270,15 +284,16 @@ def fit(w: np.ndarray, pi0, rho0, config: EmConfig) -> EmTrace:
             continue
         x_ex = mixing(*trial)
         d_ex = w @ x_ex
-        if np.any(d_ex <= 0.0):
+        if d_ex.min(initial=math.inf) <= 0.0:
             continue
-        pi_y, rho_y, change, froze = _em_map(w, n, am1, bm1, *trial, x_ex, d_ex)
+        pi_y, rho_y, change, froze = _em_map(w, n, am1, bm1, *trial, x_ex, d_ex, am1_sum,
+                                             scratch)
         maps += 1
         if froze:
             continue
         x_y = mixing(pi_y, rho_y)
         d_y = w @ x_y
-        obj_y = objective(d_y, pi_y, rho_y, am1, bm1)
+        obj_y = objective(d_y, pi_y, rho_y, am1, bm1, scratch)
         if not obj_y <= obj[-1]:
             continue
         pi, rho, x, d = pi_y, rho_y, x_y, d_y
@@ -310,8 +325,9 @@ def _scaled_outputs(source: SourceLabelModel, target: RecordSet) -> np.ndarray:
     """The EM fit's W = fe / ce: combined outputs scaled by the source extended prior."""
     if target.k != source.k:
         raise ValidationError(f"target has K={target.k} but source has K={source.k}")
-    # Column-major W makes both E-step matrix-vector products about twice as fast.
-    w = np.asfortranarray(target.extended_f())
+    # Column-major W makes the two E-step matrix-vector products up to 1.9 times
+    # as fast, and never slower (N 2e3 to 1e5, K+1 3 to 101, numpy 2.4.6 on 2 cores).
+    w = target.extended_f(order="F")
     w /= source.extended().entries
     return w
 

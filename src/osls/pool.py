@@ -38,10 +38,13 @@ def _exit_when_orphaned(parent: int) -> None:
 def _start_worker(parent: int) -> None:
     """Set up a worker: leave Ctrl-C to the parent, and exit once the parent has gone.
 
-    A parent that exits normally stops its workers, but one that is killed
-    cannot, and a worker waiting for items would then wait for ever.
+    A worker starts with SIGINT blocked (see ``_pool``), and unblocks it once
+    it ignores it. A parent that exits normally stops its workers, but one
+    that is killed cannot, and a worker waiting for items would then wait for
+    ever.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     threading.Thread(target=_exit_when_orphaned, args=(parent,), daemon=True).start()
 
 
@@ -56,13 +59,20 @@ def _pool(workers: Optional[int]):
     if _POOL is None or _POOL[0] != os.getpid() or _POOL[2] != workers:
         _close_pool()
         # Forked, not spawned: a spawned worker would first import numpy and
-        # this package again, about 0.2 s of every command. A fork context
-        # starts all its workers at the first submit.
+        # this package again, about 0.2 s of every command.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                        initializer=_start_worker, initargs=(os.getpid(),))
+        # A fork context starts all its workers at the first submit, so a no-op
+        # item starts them here, with SIGINT blocked: a Ctrl-C that reached a
+        # worker before it ignored SIGINT would print a traceback and break the pool.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            executor.submit(int)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         _POOL = (os.getpid(), executor, workers)
         atexit.register(_close_pool)
     return _POOL[1:]

@@ -642,6 +642,11 @@ class TestMalformedInputExitsTwo:
         assert code == 2 and f"field {field!r}" in err and "Traceback" not in err
 
 
+NEEDS_TWO_CORES = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs Linux's /proc and two usable cores")
+
+
 class TestNoWorkerOutlivesCommand:
     """Commands that use the process pool, each run in a session of its own: ``osls correct``
     on a table of several blocks, and ``osls sweep --workers 2``."""
@@ -728,21 +733,38 @@ class TestNoWorkerOutlivesCommand:
         command.wait(timeout=60)
         assert self._group_ends(command, 10)
 
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-                        reason="needs Linux's /proc and two usable cores")
-    def test_killed_sweep(self, tmp_path):
+    @classmethod
+    def _start_sweep(cls, tmp_path):
+        """``osls sweep --workers 2`` on a long grid, once both workers run grid points."""
         cfg = tmp_path / "grid.cfg"
         cfg.write_text("k = 2\nn_source = 20000\nn_target = 20000\nn_ood_ref = 5000\n"
                        "shifts = lt:10\nr_values = 1\nmethods = osls-mle, mlls\n"
                        f"seeds = {', '.join(map(str, range(200)))}\n")
-        command = self._osls(tmp_path, "sweep", "--config", str(cfg), "--workers", "2",
-                             "--out", str(tmp_path / "sweep.json"))
-        # Kill the command once both workers run grid points.
+        command = cls._osls(tmp_path, "sweep", "--config", str(cfg), "--workers", "2",
+                            "--out", str(tmp_path / "sweep.json"))
         deadline = time.monotonic() + 120
-        while (self._group_size(command.pid) < 3 and command.poll() is None
+        while (cls._group_size(command.pid) < 3 and command.poll() is None
                and time.monotonic() < deadline):
             time.sleep(0.01)
         assert command.poll() is None, (tmp_path / "stderr.txt").read_text()
+        return command
+
+    @NEEDS_TWO_CORES
+    def test_killed_sweep(self, tmp_path):
+        command = self._start_sweep(tmp_path)
         command.kill()
         command.wait(timeout=60)
         assert self._group_ends(command, 10)
+
+    @NEEDS_TWO_CORES
+    def test_interrupted_sweep(self, tmp_path):
+        # Ctrl-C reaches the whole foreground process group: the command and its workers.
+        command = self._start_sweep(tmp_path)
+        os.killpg(command.pid, signal.SIGINT)
+        try:
+            code = command.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            code = None
+        assert self._group_ends(command, 10)  # also kills what is left
+        assert code == 130
+        assert (tmp_path / "stderr.txt").read_text().splitlines() == ["error: interrupted"]
