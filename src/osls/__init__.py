@@ -12,7 +12,6 @@ from .core import (
     AmbiguousStationary,
     DegenerateSample,
     DegenerateScorer,
-    ExtendedDistribution,
     IllConditioned,
     OslsError,
     ProbabilityVector,
@@ -37,9 +36,8 @@ from .estimators import (
     threshold_rescale,
 )
 from .baselines import ConfusionMatrix, bbse, mapls, mlls
-from .correction import correct_posterior_closed_set, correct_records
 from .metrics import EvalReport, ece, rho_abs_error, top1_accuracy, w_mse
-from .pipeline import EstimateResult, estimate
+from .pipeline import EstimateResult, correct_records, estimate
 from .simulate import (
     LabeledDataset,
     Scenario,

@@ -75,18 +75,12 @@ def validate_simplex(v: VectorLike, tol: float = SIMPLEX_TOL) -> bool:
     return arr.ndim == 1 and arr.size > 0 and bool(on_simplex(arr, tol))
 
 
-def as_simplex(v: VectorLike, tol: float = SIMPLEX_TOL) -> np.ndarray:
-    """Coerce ``v`` onto the simplex: clip in-tolerance negatives, renormalize.
-
-    Raises ValidationError if ``v`` is not within ``tol`` of the simplex.
-    """
+def _simplex_array(v: VectorLike, tol: float) -> np.ndarray:
+    """``v`` as a float array; ValidationError unless it is on the simplex within ``tol``."""
     arr = np.asarray(v, dtype=float)
     if not validate_simplex(arr, tol):
         raise ValidationError(f"not a probability vector within tol={tol}: {arr!r}")
-    arr = np.clip(arr, 0.0, None)
-    out = arr / arr.sum()
-    out.flags.writeable = False
-    return out
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +90,8 @@ class ProbabilityVector:
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", as_simplex(self.entries))
+        arr = np.clip(_simplex_array(self.entries, SIMPLEX_TOL), 0.0, None)
+        self._hold(arr / arr.sum())
 
     @classmethod
     def as_written(cls, v: VectorLike, tol: float = SIMPLEX_TOL) -> "ProbabilityVector":
@@ -106,13 +101,14 @@ class ProbabilityVector:
         also renormalizes and so can move a vector read back from a report off
         the one written in its last bit.
         """
-        arr = np.asarray(v, dtype=float)
-        as_simplex(arr, tol)  # raises unless on the simplex within tol
-        entries = np.where(arr < 0.0, 0.0, arr)
-        entries.flags.writeable = False
+        arr = _simplex_array(v, tol)
         out = object.__new__(cls)
-        object.__setattr__(out, "entries", entries)
+        out._hold(np.where(arr < 0.0, 0.0, arr))
         return out
+
+    def _hold(self, entries: np.ndarray) -> None:
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
 
     @property
     def k(self) -> int:
@@ -162,38 +158,6 @@ def _as_probability_vector(p: Union[ProbabilityVector, VectorLike]) -> Probabili
 
 
 @dataclass(frozen=True, eq=False)
-class ExtendedDistribution:
-    """A (K+1)-class distribution [rho*p_1, ..., rho*p_K, 1-rho]."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValidationError("extended distribution needs at least 2 entries")
-        object.__setattr__(self, "entries", as_simplex(arr))
-
-    @property
-    def k(self) -> int:
-        """Number of ID classes (one less than the stored length)."""
-        return self.entries.size - 1
-
-    @property
-    def rho(self) -> float:
-        return 1.0 - float(self.entries[-1])
-
-    def base(self) -> np.ndarray:
-        """Recover the ID-class distribution; requires rho > 0."""
-        r = self.rho
-        if r <= 0.0:
-            raise ValidationError("cannot recover base distribution at rho = 0")
-        return self.entries[:-1] / r
-
-    def __repr__(self) -> str:
-        return f"ExtendedDistribution({self.entries.tolist()})"
-
-
-@dataclass(frozen=True, eq=False)
 class SourceLabelModel:
     """Source ID label distribution c and source ID data ratio rho_s."""
 
@@ -217,7 +181,8 @@ class SourceLabelModel:
     def k(self) -> int:
         return self.c.k
 
-    def extended(self) -> ExtendedDistribution:
+    def extended(self) -> ProbabilityVector:
+        """The (K+1)-class source distribution [rho_s*c, 1-rho_s]."""
         return extend_distribution(self.c, self.rho_s)
 
 
@@ -239,9 +204,6 @@ class TargetLabelModel:
     @property
     def k(self) -> int:
         return self.pi.k
-
-    def extended(self) -> ExtendedDistribution:
-        return extend_distribution(self.pi, self.rho_t)
 
 
 class RecordSet:
@@ -270,8 +232,9 @@ class RecordSet:
             raise ValidationError(f"row {int(np.argmin(rows_ok))} of f is not a probability vector")
         f = np.clip(f, 0.0, None)  # a copy: the caller's array is left as it is
         f /= f.sum(axis=1, keepdims=True)
-        if np.any(h < -SIMPLEX_TOL) or np.any(h > 1.0 + SIMPLEX_TOL):
-            raise ValidationError("h entries must lie in [0, 1]")
+        h_ok = (h >= -SIMPLEX_TOL) & (h <= 1.0 + SIMPLEX_TOL)
+        if not h_ok.all():
+            raise ValidationError(f"row {int(np.argmin(h_ok))} of h is not in [0, 1]")
         h = np.clip(h, 0.0, 1.0)
         if y is not None:
             y = np.asarray(y)
@@ -329,11 +292,11 @@ class RecordSet:
         return self.h.size
 
 
-def extend_distribution(base: Union[ProbabilityVector, VectorLike], rho: float) -> ExtendedDistribution:
-    """Combine an ID distribution and an ID ratio into one (K+1)-class vector."""
+def extend_distribution(base: Union[ProbabilityVector, VectorLike], rho: float) -> ProbabilityVector:
+    """Combine an ID distribution and an ID ratio into the (K+1)-class vector [rho*p, 1-rho]."""
     base = _as_probability_vector(base)
     rho = float(rho)
     if not (0.0 <= rho <= 1.0):
         raise ValidationError(f"rho must lie in [0, 1]; got {rho}")
     entries = np.concatenate([rho * base.entries, [1.0 - rho]])
-    return ExtendedDistribution(entries)
+    return ProbabilityVector(entries)

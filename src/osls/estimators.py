@@ -246,6 +246,15 @@ def _coverage(theorem: int, estimator, trial_args: list, truth: float,
                           delta=report.delta, bound=report.bound)
 
 
+def _check_trials(mu1: float, mu0: float, n: int, trials: int) -> None:
+    """ValidationError unless the Bernoulli means lie in [0, 1] and n and trials are >= 1."""
+    if trials < 1 or n < 1:
+        raise ValidationError("trials and n must be >= 1")
+    for name, mu in (("mu1", mu1), ("mu0", mu0)):
+        if not 0.0 <= mu <= 1.0:
+            raise ValidationError(f"{name} is a Bernoulli mean and must lie in [0, 1]; got {mu}")
+
+
 def bound_coverage_rho_s(
     mu1: float = 0.9,
     mu0: float = 0.1,
@@ -261,8 +270,7 @@ def bound_coverage_rho_s(
     built from the population means. The violation rate should not exceed
     2*delta.
     """
-    if trials < 1 or n < 1:
-        raise ValidationError("trials and n must be >= 1")
+    _check_trials(mu1, mu0, n, trials)
     rng = np.random.default_rng(seed)
     mu1_hat = (rng.random((trials, n)) < mu1).mean(axis=1)
     mu0_hat = (rng.random((trials, n)) < mu0).mean(axis=1)
@@ -290,8 +298,7 @@ def bound_coverage_rho_t(
     averages h' over an n-sample target with ID fraction rho_t, applies
     ``correct_rho`` and tests the error against the population bound.
     """
-    if trials < 1 or n < 1:
-        raise ValidationError("trials and n must be >= 1")
+    _check_trials(mu1, mu0, n, trials)
     if not 0.0 <= rho_t <= 1.0:
         raise ValidationError("rho_t must lie in [0, 1]")
     lo, hi = sorted((a, a + b))

@@ -18,11 +18,12 @@ written and joined in file order, so the bytes and arrays are those of one
 process. A file is read a chunk at a time, never as one text, and split into
 lines exactly as ``str.splitlines`` splits its whole text.
 
-Values must be finite and labels integral, and in corrected files each ``g``
-row must be a probability vector and each label lie in 1..K+1. Input that is
-not raises ``ValidationError`` naming the file and the 1-based line: a block
-that fails is parsed again line by line to find it. Writers refuse
-non-finite values, which no JSON text encodes.
+Values must be finite and labels integral, each ``f`` or ``g`` row a
+probability vector, each ``h`` in [0, 1], each label in 1..K+1 and each CSV
+row as long as its header. Input that is not raises ``ValidationError``
+naming the file and the 1-based line: a block that fails is parsed again line
+by line to find it. Writers refuse non-finite values, which no JSON text
+encodes.
 """
 
 from __future__ import annotations
@@ -120,9 +121,9 @@ def _write_table(path: PathLike, header: Optional[str], template: str, columns: 
             out.write(text)
 
 
-# A prediction file kind: its vector column, its scalar column and whether it
-# is corrected, so that its vector rows are probability vectors and its scalar
-# a label in 1..width. Every kind has an optional label column ``y``.
+# A prediction file kind: its vector column of probability rows, its scalar
+# column and whether it is corrected, so that the scalar is a label in
+# 1..width, not a score. Every kind has an optional label column ``y``.
 _Layout = namedtuple("_Layout", "name vector scalar corrected")
 _RECORDS = _Layout("prediction", "f", "h", corrected=False)
 _CORRECTED = _Layout("corrected", "g", "y_hat", corrected=True)
@@ -326,22 +327,29 @@ def _prediction_columns(layout: _Layout, vectors: np.ndarray, scalar: np.ndarray
                         y: Optional[np.ndarray], nulls: Optional[np.ndarray] = None) -> tuple:
     """One block's ``(vectors, scalar, y)`` if every row is valid for ``layout``.
 
+    Labels lie in 1..K+1, K+1 the width of ``g`` or one more than that of ``f``.
     ``y`` is None for a table without labels; it comes back NaN there and
     where ``nulls`` flags a row without one, which no range test flags.
     """
     _finite(vectors, repr(layout.vector))
     (_integral if layout.corrected else _finite)(scalar, repr(layout.scalar))
     y = np.full(scalar.size, np.nan) if y is None else _integral(y, "'y'", nulls)
+    if not on_simplex(vectors).all():
+        raise ValidationError(
+            f"{layout.vector!r} is not a probability vector within {SIMPLEX_TOL}")
     if layout.corrected:
-        if not on_simplex(vectors).all():
+        classes, labels = vectors.shape[1], [(layout.scalar, scalar), ("y", y)]
+    else:
+        classes, labels = vectors.shape[1] + 1, [("y", y)]
+        outside = (scalar < -SIMPLEX_TOL) | (scalar > 1.0 + SIMPLEX_TOL)
+        if outside.any():
             raise ValidationError(
-                f"{layout.vector!r} is not a probability vector within {SIMPLEX_TOL}")
-        width = vectors.shape[1]
-        for key, col in ((layout.scalar, scalar), ("y", y)):
-            outside = (col < 1) | (col > width)
-            if outside.any():
-                raise ValidationError(
-                    f"{key!r} must lie in 1..{width}, got {col[np.argmax(outside)]}")
+                f"{layout.scalar!r} must lie in [0, 1], got {scalar[np.argmax(outside)]}")
+    for key, col in labels:
+        outside = (col < 1) | (col > classes)
+        if outside.any():
+            raise ValidationError(
+                f"{key!r} must lie in 1..{classes}, got {col[np.argmax(outside)]}")
     return vectors, scalar, y
 
 
@@ -366,17 +374,17 @@ def _split_line(line: str) -> list:
     return [line.split(",")]
 
 
-def _csv_table(rows: list, columns: list) -> np.ndarray:
-    """The cells of ``columns`` in each split CSV row, as an (n, len(columns)) array."""
-    try:
-        picked = list(map(itemgetter(*columns), rows))
-    except IndexError:
-        raise ValidationError(f"a row needs at least {max(columns) + 1} cells") from None
+def _csv_table(rows: list, columns: list, names: int) -> np.ndarray:
+    """``columns`` of split CSV rows of ``names`` cells each, as an (n, len(columns)) array."""
+    lengths = set(map(len, rows)) - {names}
+    if lengths:
+        raise ValidationError(f"a row has {lengths.pop()} cells, but the header has {names}")
+    picked = list(map(itemgetter(*columns), rows))
     return _floats(picked, "cell").reshape(len(rows), len(columns))
 
 
-def _csv_convert(layout: _Layout, k: int, columns: list, cells: list, width) -> tuple:
-    table = _csv_table(cells, columns)
+def _csv_convert(layout: _Layout, k: int, columns: list, names: int, cells: list, width) -> tuple:
+    table = _csv_table(cells, columns, names)
     return _prediction_columns(layout, table[:, :k], table[:, k],
                                table[:, k + 1] if len(columns) > k + 1 else None)
 
@@ -390,7 +398,7 @@ def _csv_columns(layout: _Layout, header: str):
     if names[:k] != [f"{layout.vector}{j + 1}" for j in range(k)]:
         raise ValidationError(f"CSV header must start with {layout.vector}1,{layout.vector}2,...")
     columns = list(range(k + 1)) + ([names.index("y")] if "y" in names else [])
-    return partial(_csv_convert, layout, k, columns)
+    return partial(_csv_convert, layout, k, columns, len(names))
 
 
 def _read_predictions(path: PathLike, layout: _Layout) -> tuple:
@@ -423,12 +431,12 @@ def read_corrected(path: PathLike) -> dict:
     return {"g": g, "y_hat": y_hat.astype(np.int64), "y": y}
 
 
-def _feature_columns(columns: list, cells: list, width) -> tuple:
-    return (_finite(_csv_table(cells, columns), "feature row"),)
+def _feature_columns(names: int, cells: list, width) -> tuple:
+    return (_finite(_csv_table(cells, range(names), names), "feature row"),)
 
 
 def _feature_converter(header: str):
-    return partial(_feature_columns, list(range(len(header.split(",")))))
+    return partial(_feature_columns, len(header.split(",")))
 
 
 def read_features(path: PathLike) -> np.ndarray:
@@ -535,7 +543,7 @@ def scenario_from_dict(obj: dict) -> ScenarioConfig:
 
 
 def parse_kv_file(path: PathLike) -> dict:
-    """Parse a plain-text key = value configuration file ('#' starts a comment)."""
+    """Parse a plain-text key = value configuration file ('#' starts a comment, no key twice)."""
     out = {}
     for raw in chain.from_iterable(_lines(Path(path))):
         line = raw.split("#", 1)[0].strip()
@@ -544,7 +552,10 @@ def parse_kv_file(path: PathLike) -> dict:
         if "=" not in line:
             raise ValidationError(f"cannot parse config line: {raw!r}")
         key, value = line.split("=", 1)
-        out[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in out:
+            raise ValidationError(f"config key {key!r} is set more than once")
+        out[key] = value.strip()
     return out
 
 
@@ -595,7 +606,9 @@ def scenario_from_kv(kv: dict) -> ScenarioConfig:
 
 
 def _distinct(key: str, tokens: list, values: list) -> list:
-    """``values`` if no two are equal; else ValidationError naming ``key`` and the repeated token."""
+    """``values`` if there are some and no two are equal; else ValidationError naming ``key``."""
+    if not values:
+        raise ValidationError(f"config key {key!r} has no values")
     for i, value in enumerate(values):
         if value in values[:i]:
             raise ValidationError(f"config key {key!r}: {tokens[i]} is repeated")
@@ -609,8 +622,9 @@ def sweep_from_kv(kv: dict) -> dict:
     ``seeds`` are separated by commas or spaces. Each axis holds distinct
     values: shifts that parse to the same spec and r values of the same number
     (``1.0, 1``) are repeats. An unknown key, a malformed value, a repeated
-    one, a method not in ``ALL_METHODS`` or an r value no scenario takes
-    raises ValidationError naming the key, before any grid point runs.
+    one, an axis without values, a method not in ``ALL_METHODS`` or an r value
+    no scenario takes raises ValidationError naming the key, before any grid
+    point runs.
     """
     grid_keys = ("shifts", "r_values", "seeds", "methods")
     shifts = [s.strip() for s in kv.get("shifts", "none").split(",") if s.strip()]

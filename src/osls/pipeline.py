@@ -1,10 +1,11 @@
 """End-to-end estimation pipeline and the experiment sweep engine.
 
 The open-set pipeline runs, in order: source class frequencies from labels,
-source ID ratio from reference score means, EM for (pi, rho_t), and the
-affine ratio correction. Closed-set baselines (mlls / mapls / bbse) and the
-uniform no-estimation baseline plug into the same report shape so sweeps can
-compare methods row for row.
+source ID ratio from reference score means, EM for (pi, rho_t), the affine
+ratio correction, and the reweighting of the classifier's outputs to the
+target. Closed-set baselines (mlls / mapls / bbse) and the uniform
+no-estimation baseline plug into the same report shape so sweeps can compare
+methods row for row.
 """
 
 from __future__ import annotations
@@ -18,15 +19,16 @@ import numpy as np
 
 from . import baselines as bl
 from .core import (
+    DegenerateSample,
     ProbabilityVector,
     RecordSet,
     SourceLabelModel,
     ValidationError,
+    _as_probability_vector,
     extend_distribution,
     json_value,
     report_dict,
 )
-from .correction import correct_records
 from .em import EmConfig, run_em
 from .estimators import ScoreMeans, correct_rho, estimate_rho_s, rescale_mu0
 from .metrics import rho_abs_error, w_mse
@@ -196,6 +198,34 @@ def estimate(
         pi_hat = ProbabilityVector(np.full(k, 1.0 / k))
         return EstimateResult(method=method, k=k, pi_hat=pi_hat, c_hat=c_hat, rho_t_hat=0.5)
     return EstimateResult(method=method, k=k, pi_hat=pi_hat, c_hat=c_hat)
+
+
+def correct_records(records: RecordSet, c, pi) -> Tuple[np.ndarray, np.ndarray]:
+    """Reweight each row by pi / c and renormalize; returns the posteriors and labels.
+
+    With K+1 entries in ``c`` and ``pi``, extended distributions, the rows are
+    the combined outputs [h*f, 1-h], so the posteriors have K+1 columns; with K
+    entries they are ``f`` alone. Labels are the 1-based argmax of each row,
+    ties broken toward the smallest index, so K+1 means OOD.
+    """
+    c = _as_probability_vector(c).entries
+    pi = _as_probability_vector(pi).entries
+    if c.size != pi.size:
+        raise ValidationError(f"c has {c.size} entries but pi has {pi.size}")
+    if np.any(c <= 0.0):
+        raise ValidationError("c must be strictly positive")
+    if c.size == records.k + 1:
+        posteriors = records.extended_f()
+    elif c.size == records.k:
+        posteriors = records.f.copy()
+    else:
+        raise ValidationError(f"records have K={records.k} but c and pi have {c.size} entries")
+    posteriors *= pi / c
+    totals = posteriors.sum(axis=1)
+    if np.any(totals <= 0.0):
+        raise DegenerateSample(int(np.argmax(totals <= 0.0)))
+    posteriors /= totals[:, None]
+    return posteriors, posteriors.argmax(axis=1) + 1
 
 
 def correct_with_estimate(result: EstimateResult, target: RecordSet):

@@ -112,18 +112,19 @@ class ShiftSpec:
 
     @classmethod
     def parse(cls, text: str) -> "ShiftSpec":
-        """Parse compact forms like "none", "dirichlet:1.0", "lt:100:forward"."""
+        """Parse "none", "dirichlet[:alpha]" or "lt[:imbalance[:order]]", as "lt:100:forward"."""
         parts = [p.strip() for p in str(text).split(":")]
         kind = parts[0].lower()
+        fields = {"none": 0, "dirichlet": 1, "lt": 2, "ordered_lt": 2}.get(kind)
+        if fields is None or len(parts) > fields + 1:
+            raise ValidationError(f"cannot parse shift spec {text!r}")
         if kind == "none":
             return cls.none()
         if kind == "dirichlet":
             return cls.dirichlet(float(parts[1]) if len(parts) > 1 else 1.0)
-        if kind in ("lt", "ordered_lt"):
-            imbalance = float(parts[1]) if len(parts) > 1 else 1.0
-            order = parts[2].lower() if len(parts) > 2 else "forward"
-            return cls.ordered_lt(imbalance, order)
-        raise ValidationError(f"cannot parse shift spec {text!r}")
+        imbalance = float(parts[1]) if len(parts) > 1 else 1.0
+        order = parts[2].lower() if len(parts) > 2 else "forward"
+        return cls.ordered_lt(imbalance, order)
 
     def key(self) -> str:
         if self.kind == "none":

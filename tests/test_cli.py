@@ -378,6 +378,17 @@ class TestBoundCheckCli:
     def test_rejects_few_trials(self):
         assert main(["bound-check", "--theorem", "1", "--trials", "50"]) == 2
 
+    @pytest.mark.parametrize("theorem,mu1,mu0,bad", [
+        ("3", "1.4", "0.2", "1.4"), ("1", "1.5", "0.9", "1.5"), ("1", "0.9", "-0.1", "-0.1"),
+        ("3", "0.9", "nan", "nan"),
+    ])
+    def test_rejects_means_outside_unit_interval(self, capsys, theorem, mu1, mu0, bad):
+        code = main(["bound-check", "--theorem", theorem, "--trials", "100", "--n", "50",
+                     "--mu1", mu1, "--mu0", mu0, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"must lie in [0, 1]; got {bad}" in captured.err
+
 
 class TestFileFormats:
     def test_csv_round_trip(self, tmp_path, rng):
@@ -484,6 +495,9 @@ class TestMalformedInputExitsTwo:
         ("t.jsonl", '{"f": [0.5, 0.5], "h": NaN, "y": 1}'),
         ("t.csv", "0.5,0.5,nan,1"),
         ("t.csv", "0.5,0.5,0.5,1.7"),
+        ("t.jsonl", '{"f": [0.5, 0.6], "h": 0.5, "y": 1}'),
+        ("t.jsonl", '{"f": [0.5, 0.5], "h": 1.9, "y": 1}'),
+        ("t.csv", "0.5,0.5,0.9,1,7"),
     ])
     def test_bad_target_line(self, estimate_path, tmp_path, capsys, name, bad):
         lines = ["f1,f2,h,y", "0.5,0.5,0.5,1"] if name.endswith(".csv") else [self.GOOD]
@@ -571,6 +585,7 @@ class TestMalformedInputExitsTwo:
         ("class_means", "3 0; -3; 0 0"),
         ("n_sourse", "100"),  # unknown keys: a typo and a sweep-only key
         ("seeds", "1, 2"),
+        ("seed", "2"),  # set twice: SCENARIO_CFG sets it too
     ])
     def test_simulate_names_bad_config_value(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "bad.cfg"
@@ -598,6 +613,13 @@ class TestMalformedInputExitsTwo:
         ("r_values", "1.0, -1"),
         ("n_source", "5e2"),
         ("n_sourse", "500"),
+        ("methods", ""),
+        ("seeds", ""),
+        ("shifts", ","),
+        ("r_values", ""),
+        ("shifts", "lt:10:forward:junk"),
+        ("shifts", "none:5"),
+        ("shifts", "dirichlet:1:2"),
     ])
     def test_sweep_names_bad_config_value(self, tmp_path, capsys, key, value):
         lines = [line for line in SWEEP_CFG.splitlines() if not line.startswith(key)]

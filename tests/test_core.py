@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osls.core import (
-    ExtendedDistribution,
     ProbabilityVector,
     RecordSet,
     SourceLabelModel,
@@ -65,9 +64,9 @@ class TestExtendDistribution:
     @settings(max_examples=200, deadline=None)
     @given(simplexes(), st.floats(1e-5, 1.0))
     def test_round_trip(self, base, rho):
-        ext = extend_distribution(base, rho)
-        assert abs(ext.rho - rho) <= 1e-12
-        np.testing.assert_allclose(ext.base(), base, atol=1e-12)
+        ext = extend_distribution(base, rho).entries
+        assert abs((1.0 - ext[-1]) - rho) <= 1e-12
+        np.testing.assert_allclose(ext[:-1] / rho, base, atol=1e-12)
 
 
 class TestExtendClassifierOutput:
@@ -113,11 +112,6 @@ class TestTypes:
         assert TargetLabelModel(ProbabilityVector([1.0]), 0.0).rho_t == 0.0
         assert TargetLabelModel(ProbabilityVector([1.0]), 1.0).rho_t == 1.0
 
-    def test_extended_distribution_fields(self):
-        ext = ExtendedDistribution([0.4, 0.4, 0.2])
-        assert ext.k == 2
-        assert abs(ext.rho - 0.8) < 1e-15
-
     def test_record_label_range(self):
         f, h = np.array([[0.5, 0.5]]), np.array([0.5])
         assert RecordSet(f, h, np.array([3])).y.tolist() == [3]
@@ -152,6 +146,12 @@ class TestRecordSet:
             ff[1, 0], hh[1] = bad_f, bad_h
             with pytest.raises(ValidationError, match="row 1 has a non-finite value"):
                 RecordSet(ff, hh)
+
+    @pytest.mark.parametrize("bad", [1.9, -0.2, 1.0 + 2e-9])
+    def test_rejects_h_outside_unit_interval_naming_the_row(self, bad):
+        f = np.full((3, 2), 0.5)
+        with pytest.raises(ValidationError, match="row 2 of h is not in"):
+            RecordSet(f, np.array([0.5, 1.0 + 5e-10, bad]))
 
     def test_rejects_non_integral_labels(self):
         f, h = np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([0.5, 0.5])

@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 
 from osls.core import (
     DegenerateSample,
-    ExtendedDistribution,
     ProbabilityVector,
     RecordSet,
     ValidationError,
     extend_distribution,
 )
-from osls.correction import correct_posterior_closed_set, correct_records
+from osls.pipeline import correct_records
 
 
 def _records(*rows):
@@ -33,8 +32,8 @@ class TestCorrectPosterior:
         np.testing.assert_allclose(posteriors, [[1.0, 0.0, 0.0]], atol=1e-15)
 
     def test_single_class_direct(self):
-        c_ext = ExtendedDistribution([0.5, 0.5])
-        pi_ext = ExtendedDistribution([0.8, 0.2])
+        c_ext = ProbabilityVector([0.5, 0.5])
+        pi_ext = ProbabilityVector([0.8, 0.2])
         posteriors, _ = correct_records(_records(([1.0], 0.5)), c_ext, pi_ext)
         np.testing.assert_allclose(posteriors, [[0.8, 0.2]], atol=1e-15)
 
@@ -93,21 +92,43 @@ class TestClassify:
 
 
 class TestClosedSet:
+    """With K-entry c and pi, correct_records reweights f alone."""
+
+    @staticmethod
+    def _correct(f, c, pi):
+        posteriors, labels = correct_records(_records((f, 0.5)), c, pi)
+        assert posteriors.shape == (1, len(f)) and labels[0] == np.argmax(posteriors[0]) + 1
+        return posteriors[0]
+
     def test_identity(self):
         f = ProbabilityVector([0.3, 0.7])
         c = ProbabilityVector([0.5, 0.5])
-        out = correct_posterior_closed_set(f, c, c)
-        np.testing.assert_allclose(out.entries, f.entries, atol=1e-15)
+        out = self._correct(f.entries, c, c)
+        np.testing.assert_allclose(out, f.entries, atol=1e-15)
 
     def test_uniform_inputs(self):
-        out = correct_posterior_closed_set([0.5, 0.5], [0.5, 0.5], [0.9, 0.1])
-        np.testing.assert_allclose(out.entries, [0.9, 0.1], atol=1e-15)
+        out = self._correct([0.5, 0.5], [0.5, 0.5], [0.9, 0.1])
+        np.testing.assert_allclose(out, [0.9, 0.1], atol=1e-15)
 
     def test_hand_arithmetic(self):
-        out = correct_posterior_closed_set([0.8, 0.2], [0.4, 0.6], [0.6, 0.4])
+        out = self._correct([0.8, 0.2], [0.4, 0.6], [0.6, 0.4])
         unnorm = np.array([0.6 / 0.4 * 0.8, 0.4 / 0.6 * 0.2])
-        np.testing.assert_allclose(out.entries, unnorm / unnorm.sum(), atol=1e-12)
-        np.testing.assert_allclose(out.entries, [0.9, 0.1], atol=1e-12)
+        np.testing.assert_allclose(out, unnorm / unnorm.sum(), atol=1e-12)
+        np.testing.assert_allclose(out, [0.9, 0.1], atol=1e-12)
+
+    def test_matches_per_record(self, rng):
+        f = rng.dirichlet(np.ones(3), size=50)
+        c, pi = np.array([0.2, 0.4, 0.4]), np.array([0.6, 0.2, 0.2])
+        posteriors, labels = correct_records(RecordSet(f, rng.random(50)), c, pi)
+        want = (pi / c) * f / ((pi / c) * f).sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(posteriors, want, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(labels, want.argmax(axis=1) + 1)
+
+    @pytest.mark.parametrize("c,pi", [([0.5, 0.5], [0.2, 0.3, 0.5]),
+                                      ([0.25] * 4, [0.25] * 4), ([1.0], [1.0])])
+    def test_rejects_other_lengths(self, c, pi):
+        with pytest.raises(ValidationError):
+            correct_records(_records(([0.5, 0.5], 0.5)), c, pi)
 
 
 class TestCorrectRecords:

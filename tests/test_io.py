@@ -536,12 +536,20 @@ BAD_RECORDS = {
     "split object": ['{"f": [0.5, 0.5], "h": 0.5}, {"f": [0.5, 0.5], "h": 0.5, "z": [{}',
                      '{}]}'],
     "split string": ['{"f": [0.5, 0.5], "h": 0.5, "z": "a', 'b"}'],
+    "f off the simplex": ['{"f": [0.5, 0.6], "h": 0.5, "y": 1}'],
+    "negative f": ['{"f": [-0.1, 1.1], "h": 0.5}'],
+    "h above one": ['{"f": [0.5, 0.5], "h": 1.9, "y": 1}'],
+    "negative h": ['{"f": [0.5, 0.5], "h": -0.2}'],
+    "label zero": ['{"f": [0.5, 0.5], "h": 0.5, "y": 0}'],
+    "label above K+1": ['{"f": [0.5, 0.5], "h": 0.5, "y": 4}'],
 }
 GOOD_CSV = "0.5,0.5,0.5,1"
 BAD_CSV = {
     "nan": "nan,0.5,0.5,1", "inf": "0.5,0.5,inf,1", "overflow": "0.5,0.5,1e999,1",
     "fractional label": "0.5,0.5,0.5,1.7", "short row": "0.5,0.5,0.5",
-    "not a number": "0.5,abc,0.5,1", "empty cell": "0.5,,0.5,1",
+    "not a number": "0.5,abc,0.5,1", "empty cell": "0.5,,0.5,1", "long row": "0.5,0.5,0.9,1,7",
+    "f off the simplex": "0.5,0.6,0.5,1", "h above one": "0.5,0.5,1.9,1",
+    "label above K+1": "0.5,0.5,0.5,4",
 }
 GOOD_CORRECTED = '{"g": [0.2, 0.3, 0.5], "y_hat": 3, "y": 2}'
 BAD_CORRECTED = {
@@ -565,9 +573,11 @@ BAD_CORRECTED_CSV = {
     "short row": "0.2,0.3,0.5,3", "not a number": "0.2,0.3,0.5,x,2", "empty cell": "0.2,,0.5,3,2",
     "g off the simplex": "7.0,-3.0,0.5,9,9", "g sums below one": "0.2,0.3,0.4,3,2",
     "y_hat zero": "0.2,0.3,0.5,0,2", "y above K+1": "0.2,0.3,0.5,3,4",
+    "long row": "0.2,0.3,0.5,3,2,7",
 }
 GOOD_FEATURE = "0.25,-1.5"
-BAD_FEATURES = {"nan": "nan,1", "short row": "1", "not a number": "1,abc", "overflow": "1e999,0"}
+BAD_FEATURES = {"nan": "nan,1", "short row": "1", "not a number": "1,abc", "overflow": "1e999,0",
+                "long row": "1,2,3"}
 
 
 def _with_bad_line(tmp_path, name, header, good, bad_lines, before):

@@ -16,9 +16,8 @@ import pytest
 from osls import baselines as bl
 from osls import em
 from osls.core import RecordSet, SourceLabelModel, extend_distribution
-from osls.correction import correct_records
 from osls.em import EmConfig
-from osls.pipeline import estimate
+from osls.pipeline import correct_records, estimate
 
 N, K = 20_000, 50
 MATRIX_BYTES = N * (K + 1) * 8

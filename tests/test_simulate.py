@@ -74,6 +74,12 @@ class TestShiftSpec:
         for text in ("none", "dirichlet:1", "lt:100:forward"):
             assert ShiftSpec.parse(ShiftSpec.parse(text).key()).key() == ShiftSpec.parse(text).key()
 
+    @pytest.mark.parametrize("text", ["lt:10:forward:junk", "none:5", "dirichlet:1:2",
+                                      "ordered_lt:10:forward:1"])
+    def test_rejects_extra_fields(self, text):
+        with pytest.raises(ValidationError, match="cannot parse shift spec"):
+            ShiftSpec.parse(text)
+
 
 class TestMakeScenario:
     def test_rho_t_from_r(self):
