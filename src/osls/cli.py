@@ -90,6 +90,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     source = osls_io.read_records(args.source)
+    if source.y is None:
+        raise ValidationError(
+            f"{args.source}: source records need ground-truth labels 'y' in every row")
     target = osls_io.read_records(args.target)
 
     mu0_hat = None

@@ -271,13 +271,13 @@ def bound_coverage_rho_s(
     2*delta.
     """
     _check_trials(mu1, mu0, n, trials)
+    report = rho_s_bound(mu1, mu0, n, n, delta)  # checks delta before any trial is drawn
     rng = np.random.default_rng(seed)
     mu1_hat = (rng.random((trials, n)) < mu1).mean(axis=1)
     mu0_hat = (rng.random((trials, n)) < mu0).mean(axis=1)
     rho_true = mu0 / (1.0 - mu1 + mu0)
     return _coverage(1, lambda m1, m0: estimate_rho_s(ScoreMeans(m1, m0, n, n)),
-                     list(zip(mu1_hat.tolist(), mu0_hat.tolist())), rho_true,
-                     rho_s_bound(mu1, mu0, n, n, delta))
+                     list(zip(mu1_hat.tolist(), mu0_hat.tolist())), rho_true, report)
 
 
 def bound_coverage_rho_t(
@@ -304,9 +304,10 @@ def bound_coverage_rho_t(
     lo, hi = sorted((a, a + b))
     if lo < 0.0 or hi > 1.0:
         raise ValidationError("distorted scores must stay in [0, 1]")
-    rng = np.random.default_rng(seed)
     mu1p = a + b * mu1
     mu0p = a + b * mu0
+    report = rho_t_bound(mu1p, mu0p, n, delta)  # checks delta and the mean gap first
+    rng = np.random.default_rng(seed)
 
     id_scores = a + b * (rng.random((trials, n)) < mu1)
     ood_scores = a + b * (rng.random((trials, n)) < mu0)
@@ -319,4 +320,4 @@ def bound_coverage_rho_t(
     rho_prime = target_scores.mean(axis=1)
     return _coverage(3, correct_rho,
                      list(zip(rho_prime.tolist(), mu1p_hat.tolist(), mu0p_hat.tolist())),
-                     rho_t, rho_t_bound(mu1p, mu0p, n, delta))
+                     rho_t, report)

@@ -5,7 +5,9 @@ Prediction files are line-delimited JSON objects ``{"f": [...], "h": x, "y": k}`
 by the ``.csv`` extension on both read and write. Corrected files hold
 ``{"g": [...], "y_hat": j, "y": k}`` lines, with the CSV alternative
 ``g1,...,gK+1,y_hat[,y]`` chosen the same way. Feature files are CSV with
-header ``x1,...,xd``. All files are UTF-8.
+header ``x1,...,xd``. All files are UTF-8. A CSV header is the table's schema,
+so a column it does not know, or one it names twice, is an error; a JSON
+object's extra keys are ignored.
 
 Tables are written and read ``BLOCK_ROWS`` rows at a time. A block of floats
 is formatted with one ``repr`` of its nested list, which spells every finite
@@ -238,7 +240,10 @@ def _read_table(path: Path, what: str, skip: int, parse_block, parse_line, conve
     if len(rows) <= skip:
         needs = "a CSV header and at least one row" if skip else "at least one row"
         raise ValidationError(f"{what} file {path} needs {needs}")
-    convert = converter(rows[0] if skip else None)
+    try:
+        convert = converter(rows[0] if skip else None)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: line {numbers[0]}: {exc}") from None
     first = (numbers[skip:], rows[skip:])
     parts, width = [], None
     for (numbers, rows), columns in map_in_order(partial(_convert_block, parse_block, convert),
@@ -390,13 +395,25 @@ def _csv_convert(layout: _Layout, k: int, columns: list, names: int, cells: list
 
 
 def _csv_columns(layout: _Layout, header: str):
-    """The block converter of a CSV table of kind ``layout`` with this header line."""
+    """The block converter of a CSV table of kind ``layout`` with this header line.
+
+    The header is the table's schema: it names the vector columns in order,
+    then the scalar, and optionally ``y``, each once, and nothing else.
+    """
     names = [name.strip() for name in header.split(",")]
+    twice = next((name for j, name in enumerate(names) if name in names[:j]), None)
+    if twice is not None:
+        raise ValidationError(f"CSV header names column {twice!r} twice")
     if layout.scalar not in names:
         raise ValidationError(f"CSV header must contain the {layout.scalar!r} column")
     k = names.index(layout.scalar)
     if names[:k] != [f"{layout.vector}{j + 1}" for j in range(k)]:
         raise ValidationError(f"CSV header must start with {layout.vector}1,{layout.vector}2,...")
+    unknown = next((name for name in names[k + 1:] if name != "y"), None)
+    if unknown is not None:
+        raise ValidationError(
+            f"CSV header names column {unknown!r}, which is not one of "
+            f"{layout.vector}1,...,{layout.vector}{k},{layout.scalar}[,y]")
     columns = list(range(k + 1)) + ([names.index("y")] if "y" in names else [])
     return partial(_csv_convert, layout, k, columns, len(names))
 

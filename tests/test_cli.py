@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -389,6 +390,22 @@ class TestBoundCheckCli:
         assert code == 2 and captured.out == ""
         assert f"must lie in [0, 1]; got {bad}" in captured.err
 
+    @pytest.mark.parametrize("extra,message", [
+        (["--delta", "0"], "delta must lie in (0, 1)"),
+        (["--mu1", "0.5", "--mu0", "0.5"], "|mu1' - mu0'| must be positive"),
+    ])
+    def test_bad_bound_exits_before_any_trial_is_drawn(self, capsys, extra, message):
+        # 1000 trials of 20000 draws would allocate hundreds of MB before the bound.
+        tracemalloc.start()
+        try:
+            code = main(["bound-check", "--theorem", "3", "--trials", "1000",
+                         "--n", "20000", *extra])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and message in capsys.readouterr().err
+        assert peak < 1 << 20
+
 
 class TestFileFormats:
     def test_csv_round_trip(self, tmp_path, rng):
@@ -506,6 +523,20 @@ class TestMalformedInputExitsTwo:
         code, err = self._correct(estimate_path, target, tmp_path, capsys)
         assert code == 2
         assert f"line {len(lines) + 1}: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("header,row,named", [
+        ("f1,f2,h", "0.5,0.5,0.5", "source records need ground-truth labels"),
+        ("f1,f2,h,label", "0.5,0.5,0.5,1", "CSV header names column 'label'"),
+        ("f1,f2,h,y,y", "0.5,0.5,0.5,1,1", "CSV header names column 'y' twice"),
+    ])
+    def test_source_csv_without_labels(self, sim_dir, tmp_path, capsys, header, row, named):
+        source = tmp_path / "source.csv"
+        source.write_text(f"{header}\n{row}\n{row}\n", encoding="utf-8")
+        code = main(["estimate", "--source", str(source),
+                     "--target", str(sim_dir / "target.jsonl"),
+                     "--ood-ref", str(sim_dir / "ood_ref.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 2 and str(source) in err and named in err and "Traceback" not in err
 
     @pytest.mark.parametrize("name,header,good,bad", [
         ("c.jsonl", None, '{"g": [0.2, 0.3, 0.5], "y_hat": 3, "y": 3}',

@@ -1,8 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osls import baselines as bl
 from osls import em
 from osls.core import (
     DegenerateSample,
@@ -21,6 +24,7 @@ from osls.em import (
     run_em,
 )
 from osls.estimators import threshold_rescale
+from osls.pipeline import source_class_frequencies
 from osls.simulate import ShiftSpec, make_scenario, ring_config
 
 from conftest import easy_config, mle_em_path, overlap_config, plain_em
@@ -462,3 +466,65 @@ class TestEmConfig:
         assert EmConfig(alpha_in=np.ones(3)).is_mle
         assert not EmConfig(alpha_in=np.array([2.0, 1.0])).is_mle
         assert not EmConfig(alpha_out=(2.0, 1.0)).is_mle
+
+
+TINY = np.finfo(float).tiny
+
+
+class TestFlushSubnormals:
+    def test_zeroes_exactly_the_entries_below_tiny(self):
+        col = np.array([0.0, 5e-324, TINY / 2, np.nextafter(TINY, 0.0), TINY, 2.0 * TINY,
+                        1e-300, 0.5, 3.0])
+        w = np.asfortranarray(np.stack([col, col[::-1], np.full(col.size, 0.25)], axis=1))
+        want = np.where(w < TINY, 0.0, w)
+        got = em.flush_subnormals(w)
+        assert got is w and w.flags.f_contiguous
+        assert w.tobytes() == want.tobytes()
+        assert np.count_nonzero(w) == 3 * col.size - 2 * 4  # the zero and three subnormals
+
+    def test_built_w_holds_no_subnormal(self, monkeypatch):
+        f = np.array([[1.0 - 3e-320, 3e-320, 0.0], [0.5, 0.25, 0.25], [1e-310, 0.5, 0.5 - 1e-310]])
+        target = RecordSet(f, np.array([0.9, 1e-320, 0.5]))
+        source = SourceLabelModel([0.25, 0.5, 0.25], 0.7)
+        unflushed = [target.extended_f() / source.extended().entries, target.f / source.c.entries]
+        built = [em._scaled_outputs(source, target)]
+        monkeypatch.setattr(bl, "fit", lambda w, *args: built.append(w.copy()))
+        bl.mlls(target.f, source.c.entries)
+        for w, old in zip(built, unflushed):
+            assert np.any((old > 0.0) & (old < TINY))
+            assert not np.any((w > 0.0) & (w < TINY))
+            assert w.tobytes(order="C") == np.where(old < TINY, 0.0, old).tobytes()
+
+    @pytest.fixture(scope="class")
+    def k100(self):
+        """A K=100 ring scenario whose target W has subnormal entries."""
+        cfg = ring_config(100, radius=30.0, ood_scale=15.0, rho_s=0.7, n_source=5000,
+                          n_target=2000, n_ood_ref=100, shift=ShiftSpec.ordered_lt(100.0),
+                          seed=3)
+        source, target, _, _ = make_scenario(cfg)
+        c = source_class_frequencies(source.records)
+        return SourceLabelModel(c, 0.7), target.records
+
+    @pytest.mark.parametrize("config", [{}, {"max_iters": 300, "tol": 0.0}])
+    @pytest.mark.parametrize("method", ["osls-mle", "osls-map", "mlls", "mapls"])
+    def test_k100_fits_match_the_unflushed_w(self, k100, method, config):
+        model, target = k100
+        c = model.c.entries
+        alpha = np.full(target.k, 2.0) if method.endswith("map") else None
+        if method.startswith("osls"):
+            config = EmConfig(alpha_in=alpha, **config)
+            w = target.extended_f(order="F")
+            w /= model.extended().entries
+            new, old = run_em(model, target, config), em.fit(w, c, model.rho_s, config)
+        else:
+            w = bl._coerce_prob_rows(target.f, order="F")
+            w /= c
+            fit = bl.mlls if alpha is None else partial(bl.mapls, alpha=alpha)
+            new = fit(target.f, c, **config)
+            old = em.fit(w, c, None, EmConfig(alpha_in=alpha, **config))
+        assert np.any((w > 0.0) & (w < TINY))  # the scenario exercises the flush
+        assert new.nll_per_iter.tobytes() == old.nll_per_iter.tobytes()
+        assert new.pi_final.entries.tobytes() == old.pi_final.entries.tobytes()
+        assert new.rho_t_final == old.rho_t_final
+        assert (new.iterations_run, new.map_evaluations, new.converged) == (
+            old.iterations_run, old.map_evaluations, old.converged)

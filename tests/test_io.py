@@ -544,7 +544,22 @@ BAD_RECORDS = {
     "label above K+1": ['{"f": [0.5, 0.5], "h": 0.5, "y": 4}'],
 }
 GOOD_CSV = "0.5,0.5,0.5,1"
+
+
+class BadHeader(str):
+    """A CSV case whose header, not a row, is at fault, so the read fails at line 1."""
+
+
+def _csv_case(header: str, bad: str) -> tuple:
+    """(header, bad rows, line of the error or None for the first bad row) of a CSV case."""
+    return (bad, [], 1) if isinstance(bad, BadHeader) else (header, [bad], None)
+
+
 BAD_CSV = {
+    "unknown column": BadHeader("f1,f2,h,label"),
+    "unknown column after y": BadHeader("f1,f2,h,y,z"),
+    "y twice": BadHeader("f1,f2,h,y,y"),
+    "h twice": BadHeader("f1,f2,h,h,y"),
     "nan": "nan,0.5,0.5,1", "inf": "0.5,0.5,inf,1", "overflow": "0.5,0.5,1e999,1",
     "fractional label": "0.5,0.5,0.5,1.7", "short row": "0.5,0.5,0.5",
     "not a number": "0.5,abc,0.5,1", "empty cell": "0.5,,0.5,1", "long row": "0.5,0.5,0.9,1,7",
@@ -574,6 +589,8 @@ BAD_CORRECTED_CSV = {
     "g off the simplex": "7.0,-3.0,0.5,9,9", "g sums below one": "0.2,0.3,0.4,3,2",
     "y_hat zero": "0.2,0.3,0.5,0,2", "y above K+1": "0.2,0.3,0.5,3,4",
     "long row": "0.2,0.3,0.5,3,2,7",
+    "unknown column": BadHeader("g1,g2,g3,y_hat,label"),
+    "y_hat twice": BadHeader("g1,g2,g3,y_hat,y_hat"),
 }
 GOOD_FEATURE = "0.25,-1.5"
 BAD_FEATURES = {"nan": "nan,1", "short row": "1", "not a number": "1,abc", "overflow": "1e999,0",
@@ -639,9 +656,9 @@ class TestMalformedInput:
     @pytest.mark.parametrize("before", POSITIONS)
     @pytest.mark.parametrize("case", sorted(BAD_CSV))
     def test_records_csv(self, tmp_path, monkeypatch, pools, case, before):
-        path, line = _with_bad_line(tmp_path, "t.csv", "f1,f2,h,y", GOOD_CSV, [BAD_CSV[case]],
-                                    before)
-        _raises_at(monkeypatch, pools, osls_io.read_records, path, line)
+        header, bad, at = _csv_case("f1,f2,h,y", BAD_CSV[case])
+        path, line = _with_bad_line(tmp_path, "t.csv", header, GOOD_CSV, bad, before)
+        _raises_at(monkeypatch, pools, osls_io.read_records, path, at or line)
 
     @pytest.mark.parametrize("before", POSITIONS)
     @pytest.mark.parametrize("case", sorted(BAD_CORRECTED))
@@ -653,9 +670,9 @@ class TestMalformedInput:
     @pytest.mark.parametrize("before", POSITIONS)
     @pytest.mark.parametrize("case", sorted(BAD_CORRECTED_CSV))
     def test_corrected_csv(self, tmp_path, monkeypatch, pools, case, before):
-        path, line = _with_bad_line(tmp_path, "c.csv", "g1,g2,g3,y_hat,y", GOOD_CORRECTED_CSV,
-                                    [BAD_CORRECTED_CSV[case]], before)
-        _raises_at(monkeypatch, pools, osls_io.read_corrected, path, line)
+        header, bad, at = _csv_case("g1,g2,g3,y_hat,y", BAD_CORRECTED_CSV[case])
+        path, line = _with_bad_line(tmp_path, "c.csv", header, GOOD_CORRECTED_CSV, bad, before)
+        _raises_at(monkeypatch, pools, osls_io.read_corrected, path, at or line)
 
     @pytest.mark.parametrize("header", ("g1,g2,g3,y", "g1,g3,g2,y_hat", ""))
     def test_corrected_csv_header(self, tmp_path, header):
@@ -663,6 +680,21 @@ class TestMalformedInput:
         path.write_text(header + "\n" + GOOD_CORRECTED_CSV + "\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="CSV"):
             osls_io.read_corrected(path)
+
+    @pytest.mark.parametrize("read,header,row,named", [
+        (osls_io.read_records, "f1,f2,h,label", "0.5,0.5,0.5,1", "column 'label', which is not"),
+        (osls_io.read_records, "f1,f2,h,y,z", "0.5,0.5,0.5,1,abc", "column 'z', which is not"),
+        (osls_io.read_records, " f1,f2,h , y,h", "0.5,0.5,0.5,1,0.5", "column 'h' twice"),
+        (osls_io.read_corrected, "g1,g2,g3,y_hat,y,g9", "0.2,0.3,0.5,3,2,1",
+         "column 'g9', which is not one of g1,...,g3,y_hat[,y]"),
+    ])
+    def test_csv_header_names_file_and_column(self, tmp_path, read, header, row, named):
+        path = tmp_path / "t.csv"
+        path.write_text(f"{header}\n{row}\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as err:
+            read(path)
+        assert str(err.value).startswith(f"{path}: line 1: CSV header ")
+        assert named in str(err.value)
 
     @pytest.mark.parametrize("before", POSITIONS)
     @pytest.mark.parametrize("case", sorted(BAD_FEATURES))
