@@ -50,8 +50,10 @@ from .core import (
 
 LIK_FLOOR = 1e-300
 
-# Grid cells evaluated at once by the K=2 grid oracle, bounding its memory.
-_GRID_CELLS_PER_BLOCK = 1 << 18
+# Cell samples (grid cell times target row) the K=2 grid oracle scores at once.
+# Its two cell buffers hold this many float64 each (256 KiB) and its block of u
+# rows half that, so all three fit in a 2 MiB L2 cache.
+_GRID_CELLS_PER_BLOCK = 1 << 15
 
 @dataclass(frozen=True, eq=False)
 class EmConfig:
@@ -144,7 +146,7 @@ def nll(d: np.ndarray, axis=None, out=None):
     ``out``, an array shaped as ``d``, receives the logs when given.
     """
     if not d.min(initial=math.inf) > LIK_FLOOR:
-        d = np.maximum(d, LIK_FLOOR)
+        d = np.maximum(d, LIK_FLOOR, out=out)
     return -np.sum(np.log(d, out=out), axis=axis)
 
 
@@ -315,12 +317,6 @@ def fit(w: np.ndarray, pi0, rho0, config: EmConfig) -> EmTrace:
     )
 
 
-def _cell_nll(grid, u, dd, j):
-    """K=2 NLL at grid columns j (shape (rows, m)) of rows with u = p1 * a + (1 - p1) * b."""
-    t = grid[j][:, :, None]
-    return nll(t * u[:, None, :] + (1.0 - t) * dd, axis=2)
-
-
 def flush_subnormals(w: np.ndarray) -> np.ndarray:
     """Set the entries of a built W below the smallest normal double to 0, in place.
 
@@ -410,37 +406,70 @@ def nll_grid_argmin(
     """NLL minimization over a uniform (pi_1, rho_t) grid, K = 2 only.
 
     Returns (pi_1, rho_t, nll) at the grid argmin, the lowest-index one on
-    ties; this is the grid route used to cross-check the EM optimizer. For a
+    ties; this is the grid route used to cross-check the EM optimizer.
+    ``resolution`` is the grid step and must be 1/n for a whole n >= 1. For a
     fixed pi_1 the NLL is -sum log of a function affine in rho_t, hence convex
     in rho_t, so each row's minimum is found by bisection on the sign of the
     forward difference: the lowest j with nll(j) <= nll(j + 1). Cells are
     evaluated with the same arithmetic as a full scan of the surface, so the
     result is the lowest-index argmin of the flattened surface.
+
+    Rows are scanned in blocks of at most ``_GRID_CELLS_PER_BLOCK`` cell
+    samples (one row if N is larger). A block's cells are scored in place in
+    two buffers of that many float64 and its u rows kept in a third of half
+    that, all made once per call; so beyond W and the grid's n_side points a
+    call's memory is set by the budget, not by the resolution.
     """
     if target.k != 2:
         raise ValidationError("grid search is implemented for K = 2 only")
-    n_side = int(round(1.0 / resolution)) + 1
+    steps = 1.0 / resolution if 0.0 < resolution <= 1.0 else math.inf
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
+        raise ValidationError(f"resolution must be 1/n for a whole number n >= 1, got {resolution}")
+    n_side = int(round(steps)) + 1
     w = _scaled_outputs(source, target)
     grid = np.linspace(0.0, 1.0, n_side)
     a, b, dd = w[:, 0], w[:, 1], w[:, 2]
-    rows_per_block = max(1, _GRID_CELLS_PER_BLOCK // (2 * max(w.shape[0], 1)))
-    best_j = np.empty(n_side, dtype=np.int64)
-    best_val = np.empty(n_side)
+    n = w.shape[0]
+    rows_per_block = max(1, _GRID_CELLS_PER_BLOCK // (2 * max(n, 1)))
+    x_buf = np.empty(2 * rows_per_block * n)
+    y_buf = np.empty_like(x_buf)
+    u_buf = np.empty(rows_per_block * n)
+
+    def cell_nll(u, j):
+        """NLL at grid columns j (shape (rows, m)) of rows with u = p1 * a + (1 - p1) * b.
+
+        Each cell's N terms are one contiguous row of x, so its sum is the
+        same pairwise reduction as in a full scan of the surface.
+        """
+        shape = j.shape + (n,)
+        x = x_buf[: math.prod(shape)].reshape(shape)
+        y = y_buf[: x.size].reshape(shape)
+        t = grid[j][:, :, None]
+        np.multiply(t, u[:, None, :], out=x)
+        np.multiply(1.0 - t, dd, out=y)
+        np.add(x, y, out=x)
+        return nll(x, axis=2, out=x)
+
+    best = (math.inf, 0, 0)  # (nll, i, j) of the lowest-index argmin so far
     for start in range(0, n_side, rows_per_block):
-        p1 = grid[start : start + rows_per_block]
-        u = p1[:, None] * a + (1.0 - p1)[:, None] * b
+        p1 = grid[start : start + rows_per_block, None]
+        u = u_buf[: p1.size * n].reshape(p1.size, n)
+        np.multiply(p1, a, out=u)
+        u += np.multiply(1.0 - p1, b, out=y_buf[: u.size].reshape(u.shape))
+        # Bisection on every row of the block at once; a finished row (lo ==
+        # hi) is scored again but keeps its bracket.
         lo = np.zeros(p1.size, dtype=np.int64)
         hi = np.full(p1.size, n_side - 1, dtype=np.int64)
-        active = np.flatnonzero(lo < hi)
-        while active.size:
-            mid = (lo[active] + hi[active]) // 2
-            vals = _cell_nll(grid, u[active], dd, np.stack([mid, mid + 1], axis=1))
-            rising = vals[:, 0] <= vals[:, 1]
-            hi[active[rising]] = mid[rising]
-            lo[active[~rising]] = mid[~rising] + 1
-            active = np.flatnonzero(lo < hi)
-        best_j[start : start + p1.size] = lo
-        best_val[start : start + p1.size] = _cell_nll(grid, u, dd, lo[:, None])[:, 0]
-    i = int(np.argmin(best_val))
+        while np.any(open_ := lo < hi):
+            mid = (lo + hi) // 2
+            vals = cell_nll(u, np.stack([mid, np.minimum(mid + 1, n_side - 1)], axis=1))
+            rising = (vals[:, 0] <= vals[:, 1]) | ~open_
+            hi = np.where(rising, mid, hi)
+            lo = np.where(rising, lo, mid + 1)
+        vals = cell_nll(u, lo[:, None])[:, 0]
+        k = int(np.argmin(vals))
+        if vals[k] < best[0]:
+            best = (float(vals[k]), start + k, int(lo[k]))
+    value, i, j = best
     step = 1.0 / (n_side - 1)
-    return i * step, int(best_j[i]) * step, float(best_val[i])
+    return i * step, j * step, value

@@ -37,6 +37,10 @@ _STREAM_OODREF_FEATURES = 5
 _STREAM_PSEUDO_NOISE = 6
 _STREAM_SUBSAMPLE = 7
 
+# Entries of the (rows, components, dim) differences that ``log_pdf`` holds at
+# once when dim >= 8.
+_LOG_PDF_CELLS = 1 << 16
+
 
 def _mask_seed(seed: int) -> int:
     return int(seed) & 0xFFFF_FFFF_FFFF_FFFF
@@ -194,8 +198,14 @@ class GaussianComponents:
                 term *= term
                 sq += term
         else:
-            diff = x[:, None, :] - self.means[None, :, :]
-            sq = np.sum(diff * diff, axis=2)
+            # Row blocks of the (N, K+1, d) squared differences: each
+            # (row, component) sum over d is the same pairwise reduction.
+            sq = np.empty((x.shape[0], self.n_components))
+            rows = max(1, _LOG_PDF_CELLS // (self.n_components * d))
+            for start in range(0, x.shape[0], rows):
+                diff = x[start : start + rows, None, :] - self.means[None, :, :]
+                diff *= diff
+                np.sum(diff, axis=2, out=sq[start : start + rows])
         sq *= -0.5
         sq /= (self.scales**2)[None, :]
         sq -= d * np.log(self.scales)[None, :]
@@ -391,12 +401,14 @@ class Scenario:
         joint_id = joint[:, : cfg.k]
         m = joint_id.max(axis=1, keepdims=True)
         tau = cfg.temperature
-        shifted = joint_id - m
-        ef = np.exp(shifted)
+        ef = np.subtract(joint_id, m)
+        np.exp(ef, out=ef)
         total = ef.sum(axis=1)
         lse_id = m[:, 0] + np.log(total)
         if tau != 1.0:
-            ef = np.exp(shifted / tau)
+            np.subtract(joint_id, m, out=ef)
+            ef /= tau
+            np.exp(ef, out=ef)
             total = ef.sum(axis=1)
         ef /= total[:, None]
         h = _sigmoid((lse_id - joint[:, cfg.k]) / tau)

@@ -1,3 +1,6 @@
+import gc
+import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -422,6 +425,70 @@ class TestGridOracle:
         p1, rho, value = nll_grid_argmin(source, target.records, resolution=0.01)
         assert (p1, rho) == (i * (1.0 / 100), j * (1.0 / 100))
         assert value == surface[i, j]
+
+    @pytest.mark.parametrize("n, cells", [
+        (20, None),  # 819 rows per block: 1001 = 819 + 182
+        (301, None),  # 54 rows per block, the last block 29 rows
+        (301, 2 * 301 + 1),  # one row per block, as for N > _GRID_CELLS_PER_BLOCK / 4
+    ])
+    def test_fine_grid_matches_full_scan(self, n, cells, monkeypatch):
+        if cells is not None:
+            monkeypatch.setattr(em, "_GRID_CELLS_PER_BLOCK", cells)
+        rows = max(1, em._GRID_CELLS_PER_BLOCK // (2 * n))
+        assert rows == 1 or 1001 % rows
+        cfg = ring_config(2, radius=2.5, scale=1.0, rho_s=0.6, n_source=500, n_target=n,
+                          n_ood_ref=500, shift=ShiftSpec.dirichlet(1.0), r=0.8, seed=n)
+        _, target, _, _ = make_scenario(cfg)
+        source = SourceLabelModel(cfg.c, cfg.rho_s)
+        surface = _full_grid_surface(target.records.extended_f(), source.extended().entries,
+                                     1001)
+        i, j = divmod(int(np.argmin(surface)), 1001)
+        p1, rho, value = nll_grid_argmin(source, target.records, resolution=0.001)
+        assert (p1, rho) == (i * (1.0 / 1000), j * (1.0 / 1000))
+        assert value == surface[i, j]
+
+    @pytest.mark.parametrize("n, resolution", [
+        (300, 0.01), (300, 0.001), (300, 0.0005),
+        (20_000, 0.01),  # one row per block
+    ])
+    def test_transient_memory_bounded_by_cell_budget(self, n, resolution):
+        # Two cell buffers of the cell budget and a u block of half that; then W and
+        # its build, and a constant for numpy's ufunc buffers and small vectors.
+        cfg = ring_config(2, radius=2.5, scale=1.0, rho_s=0.6, n_source=500, n_target=n,
+                          n_ood_ref=500, shift=ShiftSpec.dirichlet(1.0), r=0.8, seed=3)
+        _, target, _, _ = make_scenario(cfg)
+        source = SourceLabelModel(cfg.c, cfg.rho_s)
+        cells = max(em._GRID_CELLS_PER_BLOCK, 2 * n)
+        bound = 8 * (5 * cells // 2) + 64 * n + 256 * 1024
+        gc.collect()
+        tracemalloc.start()
+        try:
+            nll_grid_argmin(source, target.records, resolution=resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+    @pytest.mark.parametrize("resolution", [0.3, 0.7, 2.0, 0.0, -0.1, math.nan, math.inf,
+                                            1e-320])
+    def test_rejects_resolution_off_a_whole_grid(self, resolution):
+        cfg = easy_config(k=2, seed=0, n=50)
+        _, target, _, _ = make_scenario(cfg)
+        source = SourceLabelModel(cfg.c, cfg.rho_s)
+        with pytest.raises(ValidationError, match=f"resolution.*got {resolution}"):
+            nll_grid_argmin(source, target.records, resolution=resolution)
+
+    @pytest.mark.parametrize("resolution, n_side", [(1.0, 2), (0.5, 3), (1 / 3, 4), (0.25, 5)])
+    def test_coarse_resolutions(self, resolution, n_side):
+        cfg = easy_config(k=2, seed=0, n=50)
+        _, target, _, _ = make_scenario(cfg)
+        source = SourceLabelModel(cfg.c, cfg.rho_s)
+        surface = _full_grid_surface(target.records.extended_f(), source.extended().entries,
+                                     n_side)
+        i, j = divmod(int(np.argmin(surface)), n_side)
+        step = 1.0 / (n_side - 1)
+        assert nll_grid_argmin(source, target.records, resolution) == (
+            i * step, j * step, surface[i, j])
 
     def test_matches_em(self):
         cfg = overlap_config(k=2, seed=14, n=300, shift=ShiftSpec.ordered_lt(10), separation=2.5)

@@ -1,10 +1,13 @@
-"""Memory of the estimate and correct path, and the bits of its in-place builders.
+"""Memory of the estimate, correct and sampling paths, and the bits of their builders.
 
-Each call builds its one N x (K+1) (or N x K) matrix in a fresh array and then
-works on it in place. ``TestTransientPeak`` pins that with tracemalloc: beyond
-its inputs, a call allocates at most 1.25 times one N x (K+1) float64 matrix.
-``TestBuildersMatchOldExpressions`` restates the out-of-place expressions the
-builders replaced and asserts the same bytes, so every output stays as it was.
+Each estimate or correct call builds its one N x (K+1) (or N x K) matrix in a
+fresh array and then works on it in place. ``TestTransientPeak`` pins that with
+tracemalloc: beyond its inputs, a call allocates at most 1.25 times one
+N x (K+1) float64 matrix. Sampling's ``Scenario.oracle_scores`` holds two: the
+joint log densities and the posteriors it returns.
+``TestBuildersMatchOldExpressions`` and ``TestSamplingMatchesOldExpressions``
+restate the out-of-place expressions the builders replaced and assert the same
+bytes, so every output stays as it was.
 """
 
 import gc
@@ -15,9 +18,11 @@ import pytest
 
 from osls import baselines as bl
 from osls import em
+from osls import simulate
 from osls.core import RecordSet, SourceLabelModel, extend_distribution
 from osls.em import EmConfig
 from osls.pipeline import correct_records, estimate
+from osls.simulate import GaussianComponents, Scenario, ring_config
 
 N, K = 20_000, 50
 MATRIX_BYTES = N * (K + 1) * 8
@@ -73,6 +78,14 @@ class TestTransientPeak:
         _, target, model, pi_ext = data
         peak = _transient_peak(lambda: correct_records(target, model.extended(), pi_ext))
         assert peak <= BOUND
+
+    @pytest.mark.parametrize("dim, temperature", [(2, 1.0), (2, 1.7), (9, 1.0)])
+    def test_oracle_scores(self, dim, temperature):
+        scenario = Scenario(ring_config(K, feature_dim=dim, temperature=temperature))
+        rng = np.random.default_rng(4)
+        x = scenario.components.sample(rng.integers(0, K + 1, N), rng)
+        peak = _transient_peak(lambda: scenario.oracle_scores(x))
+        assert peak <= BOUND + MATRIX_BYTES
 
 
 # Old expressions, restated as they stood before the builders worked in place.
@@ -179,3 +192,66 @@ def test_short_tables(n):
     f, h = _inputs(9, "F", n=n)
     _same(RecordSet(f, h).f, _old_normalized(f))
     _same(bl._coerce_prob_rows(f), np.ascontiguousarray(_old_normalized(f)))
+
+
+# Sampling, restated as it stood before it worked in place.
+
+def _old_log_pdf(components, x):
+    """The (N, K+1, d) branch of ``log_pdf``, which numpy sums pairwise from d = 8."""
+    d = components.dim
+    diff = x[:, None, :] - components.means[None, :, :]
+    sq = np.sum(diff * diff, axis=2)
+    sq *= -0.5
+    sq /= (components.scales**2)[None, :]
+    sq -= d * np.log(components.scales)[None, :]
+    sq -= 0.5 * d * np.log(2.0 * np.pi)
+    return sq
+
+
+def _old_oracle_scores(scenario, x):
+    cfg = scenario.config
+    joint = scenario.components.log_pdf(x)
+    joint += np.concatenate(
+        [np.log(cfg.rho_s) + np.log(cfg.c.entries), [np.log(1.0 - cfg.rho_s)]]
+    )[None, :]
+    joint_id = joint[:, : cfg.k]
+    m = joint_id.max(axis=1, keepdims=True)
+    tau = cfg.temperature
+    shifted = joint_id - m
+    ef = np.exp(shifted)
+    total = ef.sum(axis=1)
+    lse_id = m[:, 0] + np.log(total)
+    if tau != 1.0:
+        ef = np.exp(shifted / tau)
+        total = ef.sum(axis=1)
+    ef /= total[:, None]
+    h = simulate._sigmoid((lse_id - joint[:, cfg.k]) / tau)
+    return ef, h
+
+
+class TestSamplingMatchesOldExpressions:
+    @pytest.mark.parametrize("dim", [8, 9, 16])
+    @pytest.mark.parametrize("block_rows", [None, 4])
+    def test_log_pdf(self, dim, block_rows, monkeypatch):
+        # Blocks of 4 rows leave one row over at n = 257.
+        rng = np.random.default_rng(dim)
+        k = 7
+        if block_rows is not None:
+            monkeypatch.setattr(simulate, "_LOG_PDF_CELLS", block_rows * (k + 1) * dim)
+        components = GaussianComponents(rng.normal(0.0, 3.0, (k + 1, dim)),
+                                        rng.uniform(0.5, 2.0, k + 1))
+        x = rng.normal(0.0, 3.0, (257, dim))
+        _same(components.log_pdf(x), _old_log_pdf(components, x))
+        _same(components.log_pdf(x[::-2]), _old_log_pdf(components, x[::-2]))
+
+    @pytest.mark.parametrize("dim", [2, 9, 16])
+    @pytest.mark.parametrize("temperature", [0.6, 1.0, 1.7, 3.0])
+    @pytest.mark.parametrize("k", [2, 10, 100])
+    def test_oracle_scores(self, k, temperature, dim):
+        scenario = Scenario(ring_config(k, feature_dim=dim, temperature=temperature, seed=k))
+        rng = np.random.default_rng(dim)
+        x = scenario.components.sample(rng.integers(0, k + 1, 513), rng)
+        f, h = scenario.oracle_scores(x)
+        old_f, old_h = _old_oracle_scores(scenario, x)
+        _same(f, old_f)
+        _same(h, old_h)
