@@ -73,15 +73,18 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario = Scenario(config)
+    # Each dataset is written as soon as it is sampled, so one is alive at a
+    # time; each has its own seeded stream, so the order changes no byte. The
+    # target goes first: it is the one draw that can fail, before any file is
+    # written. Its OOD count is pinned to round(r * n_ID), the subsampled-test
+    # protocol.
+    osls_io.write_records(out_dir / "target.jsonl", scenario.sample_target_exact_ratio().records)
     source = scenario.sample_source()
-    # The OOD count is pinned to round(r * n_ID), the subsampled-test protocol.
-    target = scenario.sample_target_exact_ratio()
-    ood_ref = scenario.sample_ood_ref()
-    truth = scenario.truth
     osls_io.write_records(out_dir / "source.jsonl", source.records)
-    osls_io.write_records(out_dir / "target.jsonl", target.records)
-    osls_io.write_records(out_dir / "ood_ref.jsonl", ood_ref.records)
     osls_io.write_features(out_dir / "source_features.csv", source.features)
+    del source
+    osls_io.write_records(out_dir / "ood_ref.jsonl", scenario.sample_ood_ref().records)
+    truth = scenario.truth
     osls_io.write_truth(out_dir / "truth.json", config.c, config.rho_s, truth.pi, truth.rho_t)
     osls_io.write_json(out_dir / "scenario.json", osls_io.scenario_to_dict(config))
     print(f"wrote scenario files to {out_dir}")

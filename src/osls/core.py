@@ -220,6 +220,18 @@ class RecordSet:
     def __init__(self, f: np.ndarray, h: np.ndarray, y: Optional[np.ndarray] = None):
         f = np.atleast_2d(np.asarray(f, dtype=float))
         h = np.asarray(h, dtype=float).ravel()
+        self._check(f, h, y, copy=True)
+
+    @classmethod
+    def _adopt(cls, f: np.ndarray, h: np.ndarray, y: Optional[np.ndarray] = None) -> "RecordSet":
+        """Records that hold the caller's fresh float64 arrays: an (N, K) ``f``, an (N,) ``h``
+        and ``y`` if given, checked as the constructor checks them. ``f`` is clipped
+        and normalized and ``h`` clipped in place, to the constructor's bits."""
+        return cls.__new__(cls)._check(f, h, y, copy=False)
+
+    def _check(self, f: np.ndarray, h: np.ndarray, y: Optional[np.ndarray],
+               copy: bool) -> "RecordSet":
+        """Check, clip and normalize the columns, in copies when ``copy``, and hold them."""
         if f.shape[0] != h.size:
             raise ValidationError(f"f has {f.shape[0]} rows but h has {h.size} entries")
         if f.shape[0] == 0:
@@ -230,12 +242,12 @@ class RecordSet:
         rows_ok = on_simplex(f)
         if not rows_ok.all():
             raise ValidationError(f"row {int(np.argmin(rows_ok))} of f is not a probability vector")
-        f = np.clip(f, 0.0, None)  # a copy: the caller's array is left as it is
+        f = np.clip(f, 0.0, None, out=None if copy else f)
         f /= f.sum(axis=1, keepdims=True)
         h_ok = (h >= -SIMPLEX_TOL) & (h <= 1.0 + SIMPLEX_TOL)
         if not h_ok.all():
             raise ValidationError(f"row {int(np.argmin(h_ok))} of h is not in [0, 1]")
-        h = np.clip(h, 0.0, 1.0)
+        h = np.clip(h, 0.0, 1.0, out=None if copy else h)
         if y is not None:
             y = np.asarray(y)
             if y.shape != h.shape:
@@ -248,8 +260,8 @@ class RecordSet:
                     f"label {y[np.argmax(bad)]} at row {int(np.argmax(bad))} is not an "
                     f"integer in 1..{f.shape[1] + 1}"
                 )
-            y = y.astype(np.int64)
-        self._set(f, h, y)
+            y = y.astype(np.int64, copy=copy)
+        return self._set(f, h, y)
 
     def _set(self, f: np.ndarray, h: np.ndarray, y: Optional[np.ndarray]) -> "RecordSet":
         """Hold the checked columns, read-only and as they are."""

@@ -9,30 +9,38 @@ header ``x1,...,xd``. All files are UTF-8. A CSV header is the table's schema,
 so a column it does not know, or one it names twice, is an error; a JSON
 object's extra keys are ignored.
 
-Tables are written and read ``BLOCK_ROWS`` rows at a time. A block of floats
-is formatted with one ``repr`` of its nested list, which spells every finite
+Tables are written ``BLOCK_ROWS`` rows at a time. A block of floats is
+formatted with one ``repr`` of its nested list, which spells every finite
 float as ``float.__repr__`` (shortest exact round-trip) does, exactly as
-``json.dumps`` would, so fixed inputs produce byte-identical outputs. A block
-of JSON lines is parsed with one ``json.loads`` and its columns are converted
-with numpy. A table of more than one block is formatted and parsed on
-``osls.pool``'s workers, one per core the process may use, and the blocks are
-written and joined in file order, so the bytes and arrays are those of one
-process. A file is read a chunk at a time, never as one text, and split into
-lines exactly as ``str.splitlines`` splits its whole text.
+``json.dumps`` would, so fixed inputs produce byte-identical outputs.
+
+A table is read in byte ranges. One scan of the raw bytes cuts the file after
+every ``BLOCK_ROWS``-th ``b"\\n"``; a cut there ends a line as ``str.splitlines``
+ends it and never falls inside a UTF-8 sequence. Each range is then read,
+decoded, split into lines and converted on its own: a block of JSON lines with
+one ``json.loads`` and numpy, a block of CSV rows with numpy. A table of more
+than one range is converted on ``osls.pool``'s workers, one per core the
+process may use; each worker reads its range of a regular file itself, and is
+sent the range's bytes when the file is a stream such as a pipe. The parent
+copies each block's columns, in file order, into columns allocated once, so a
+read holds one copy of the table's arrays and a few blocks of text, and the
+bytes and arrays are those of one process.
 
 Values must be finite and labels integral, each ``f`` or ``g`` row a
 probability vector, each ``h`` in [0, 1], each label in 1..K+1 and each CSV
 row as long as its header. Input that is not raises ``ValidationError``
 naming the file and the 1-based line: a block that fails is parsed again line
-by line to find it. Writers refuse non-finite values, which no JSON text
-encodes.
+by line, in the parent, to find it. A byte that is not UTF-8 is named by its
+line and its offset in the file. Writers refuse non-finite values, which no
+JSON text encodes, and check them a block at a time before the file is opened.
 """
 
 from __future__ import annotations
 
-import codecs
 import json
 import math
+import os
+import stat
 from collections import namedtuple
 from dataclasses import MISSING, astuple, fields, replace
 from functools import partial
@@ -51,16 +59,13 @@ from .simulate import ScenarioConfig, ShiftSpec, ring_config
 
 PathLike = Union[str, Path]
 
-# Rows formatted or parsed per step: large enough that the per-block calls
-# and their trips to a worker are cheap, small enough that only a few blocks
-# of Python objects are alive.
+# Rows formatted, or lines parsed, per step: large enough that the per-block
+# calls and their trips to a worker are cheap, small enough that only a few
+# blocks of Python objects are alive.
 BLOCK_ROWS = 4096
 
-# Bytes read and decoded per step.
-_CHUNK_BYTES = 1 << 20
-
-# What ``str.splitlines`` ends a line at, besides "\r\n".
-_LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+# Bytes read per step of the scan that cuts a table file into ranges.
+_SCAN_BYTES = 1 << 16
 
 # Joins a block of JSON lines into one array text. A raw newline can sit in no
 # JSON string, so each separator parses as one NaN constant; the block then
@@ -102,18 +107,20 @@ def _write_table(path: PathLike, header: Optional[str], template: str, columns: 
     """Write one ``template.format(*cells)`` line per row, BLOCK_ROWS rows at a time.
 
     ``columns`` holds 2-D float arrays, whose rows become ``sep``-joined reprs,
-    and 1-D integer arrays. Nothing is written unless every float is finite.
+    and 1-D integer arrays. Nothing is written unless every float is finite;
+    else the error names the first bad row of the first column that has one.
     """
     n = columns[0].shape[0]
     for col in columns:
         if col.shape[0] != n:
             raise ValidationError(f"cannot write {path}: columns have {n} and {col.shape[0]} rows")
-        if col.ndim == 2:
-            finite = np.isfinite(col).all(axis=1)
+        if col.ndim != 2:
+            continue
+        for start in range(0, n, BLOCK_ROWS):
+            finite = np.isfinite(col[start : start + BLOCK_ROWS]).all(axis=1)
             if not finite.all():
-                raise ValidationError(
-                    f"cannot write {path}: row {int(np.argmin(finite))} has a non-finite value"
-                )
+                raise ValidationError(f"cannot write {path}: row {start + int(np.argmin(finite))} "
+                                      "has a non-finite value")
     blocks = ([col[start : start + BLOCK_ROWS] for col in columns]
               for start in range(0, n, BLOCK_ROWS))
     with open(path, "wb") as out:
@@ -169,63 +176,149 @@ def write_features(path: PathLike, x: np.ndarray) -> None:
 # --- reading -----------------------------------------------------------------
 
 
-def _lines(path: Path):
-    """The lines of the UTF-8 file at ``path``, as ``str.splitlines`` of its text.
+# A byte range of a table file: its start offset, then its end offset in a
+# regular file or its bytes in a stream, and how many non-blank lines to drop
+# from its start, 1 where the CSV header is.
+_Range = namedtuple("_Range", "start data skip")
 
-    The file is read and decoded ``_CHUNK_BYTES`` at a time; a chunk's last
-    line is held back until the next chunk shows where it ends, and a line
-    ending in "\\r" until it shows whether "\\n" follows. Yields lists of lines.
+# A regular table file as workers open it: its absolute path, and its device
+# and inode, so that a worker reads the file the parent scanned.
+_File = namedtuple("_File", "path identity")
+
+
+def _ranges(handle, stream: bool):
+    """Cut the file read from ``handle`` into ranges that each end after a BLOCK_ROWS-th b"\\n".
+
+    Yields a ``_Range`` per range, the last ending at the end of the file; a
+    file without bytes is one empty range, and lines that end in other breaks
+    than "\\n" make fewer, longer ranges. Only ``_SCAN_BYTES`` of a regular
+    file are held at a time, and of a stream, one range more.
     """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    tail = ""
-    with open(path, "rb") as handle:
-        while True:
-            chunk = handle.read(_CHUNK_BYTES)
-            try:
-                text = tail + decoder.decode(chunk, final=not chunk)
-            except UnicodeDecodeError as exc:
-                raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
-            lines = text.splitlines()
-            if not chunk:
-                yield lines
-                return
-            end, tail = text[-1:], ""
-            if end == "\r":
-                tail = lines.pop() + "\r"
-            elif end and end not in _LINE_BREAKS:
-                tail = lines.pop()
-            yield lines
+    buf = bytearray(_SCAN_BYTES)
+    view = np.frombuffer(buf, np.uint8)
+    parts, start, offset, need = [], 0, 0, BLOCK_ROWS  # need: b"\n"s to the next cut
+    while True:
+        n = handle.readinto(buf)
+        if not n:
+            break
+        breaks = view[:n] == ord("\n")
+        count, mark = int(np.count_nonzero(breaks)), 0
+        if count >= need:
+            for pos in (np.flatnonzero(breaks)[need - 1 :: BLOCK_ROWS] + 1).tolist():
+                if stream:
+                    parts.append(buf[mark:pos])
+                yield _Range(start, b"".join(parts) if stream else offset + pos, 0)
+                parts, start, mark = [], offset + pos, pos
+            need = BLOCK_ROWS - (count - need) % BLOCK_ROWS
+        else:
+            need -= count
+        if stream:
+            parts.append(buf[mark:n])
+        offset += n
+    if offset > start or not offset:
+        yield _Range(start, b"".join(parts) if stream else offset, 0)
 
 
-def _row_blocks(path: Path):
-    """The non-blank lines of the file at ``path`` as ``(numbers, rows)`` blocks.
+def _range_bytes(fd: int, item: _Range) -> bytes:
+    """The bytes of range ``item``: its own in a stream, else read from the file open as ``fd``."""
+    if isinstance(item.data, bytes):
+        return item.data
+    return os.pread(fd, item.data - item.start, item.start)
 
-    ``rows`` are BLOCK_ROWS lines, fewer in the last block, and ``numbers``
-    their 1-based line numbers. A file without such a line yields one empty block.
+
+def _decoded(path: Path, raw: bytes, offset: int, first: int) -> str:
+    """``raw`` as UTF-8 text; it is the file's bytes from ``offset`` on, from line ``first``.
+
+    Bytes that are not UTF-8 raise ValidationError naming the line and the
+    file offset of the first bad byte.
     """
-    numbers, rows, start = [], [], 1
-    for lines in _lines(path):
-        kept = [line for line in lines if line.strip()]
-        numbers += (range(start, start + len(lines)) if len(kept) == len(lines)
-                    else [i for i, line in enumerate(lines, start) if line.strip()])
-        rows += kept
-        start += len(lines)
-        while len(rows) > BLOCK_ROWS:
-            yield numbers[:BLOCK_ROWS], rows[:BLOCK_ROWS]
-            del numbers[:BLOCK_ROWS], rows[:BLOCK_ROWS]
-    yield numbers, rows
-
-
-def _convert_block(parse_block, convert, block: tuple):
-    """``convert(parse_block(rows), None)`` of a ``(numbers, rows)`` block, or None if it fails."""
     try:
-        return convert(parse_block(block[1]), None)
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = first + len((raw[: exc.start].decode("utf-8") + ".").splitlines()) - 1
+        raise ValidationError(
+            f"{path}: line {line}: not UTF-8 text: byte 0x{raw[exc.start]:02x} at offset "
+            f"{offset + exc.start} ({exc.reason})") from None
+
+
+def _range_lines(path: Path, fd: int, item: _Range, first: int) -> list:
+    """The lines of range ``item`` of the file at ``path`` open as ``fd``, from line ``first``."""
+    return _decoded(path, _range_bytes(fd, item), item.start, first).splitlines()
+
+
+def _convert_range(file: _File, parse_block, convert, item: _Range) -> tuple:
+    """``(lines, columns)``: range ``item``'s line count and ``convert(parse_block(rows), None)``.
+
+    ``columns`` is empty for a range without rows, and None, as is ``lines``,
+    when the range is not UTF-8 or its rows do not convert as one block; the
+    parent then converts them line by line to find the bad one.
+    """
+    raw = item.data
+    if not isinstance(raw, bytes):
+        with open(file.path, "rb", buffering=0) as handle:
+            info = os.fstat(handle.fileno())
+            if (info.st_dev, info.st_ino) != file.identity:
+                return None, None
+            raw = _range_bytes(handle.fileno(), item)
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        return None, None
+    del raw
+    rows = [line for line in lines if line.strip()]
+    del rows[: item.skip]
+    if not rows:
+        return len(lines), ()
+    try:
+        return len(lines), convert(parse_block(rows), None)
     except _ROW_ERRORS:
-        return None
+        return None, None
+
+
+def _convert_lines(path: Path, fd: int, item: _Range, first: int, parse_line, convert,
+                   width) -> tuple:
+    """``_convert_range``'s result for range ``item``, from line ``first``, converted line by line.
+
+    The first line that fails raises ValidationError naming it.
+    """
+    lines = _range_lines(path, fd, item, first)
+    rows, skip = [], item.skip
+    for number, line in enumerate(lines, first):
+        if not line.strip():
+            continue
+        if skip:
+            skip -= 1
+            continue
+        try:
+            columns = convert(parse_line(line), width)
+        except _ROW_ERRORS as exc:
+            raise ValidationError(f"{path}: line {number}: {exc}") from None
+        width = columns[0].shape[1]
+        rows.append(columns)
+    return len(lines), [np.concatenate(parts) for parts in zip(*rows)]
+
+
+def _header(path: Path, fd: int, ranges, needs: str) -> tuple:
+    """``(number, header, ranges)``: the first non-blank line of the file, its
+    number, and ``ranges`` again with the one that holds it set to skip it.
+
+    A file without a non-blank line after the header raises ValidationError.
+    """
+    peeked, found, first = [], [], 1
+    for item in ranges:
+        if not found:
+            item = item._replace(skip=1)
+        peeked.append(item)
+        lines = _range_lines(path, fd, item, first)
+        found += [(number, line) for number, line in enumerate(lines, first) if line.strip()][:2]
+        first += len(lines)
+        if len(found) > 1:
+            return found[0] + (chain(peeked, ranges),)
+    raise ValidationError(needs)
 
 
 def _read_table(path: Path, what: str, skip: int, parse_block, parse_line, converter) -> list:
-    """The checked column arrays of the table at ``path``, BLOCK_ROWS rows at a time.
+    """The checked column arrays of the table at ``path``, a range at a time.
 
     The table's rows are its non-blank lines after the first ``skip`` of them,
     the header. ``converter(header)`` gives the block converter: ``convert(parsed,
@@ -233,38 +326,51 @@ def _read_table(path: Path, what: str, skip: int, parse_block, parse_line, conve
     ``parse_line`` (one line) into checked column arrays, the first 2-D and
     ``width`` wide once a block has set it. A block that fails, or has another
     width than the first, is converted again line by line, so the error names
-    the first bad line.
+    the first bad line. Each block is copied into columns allocated once, with
+    a row for each line a regular file's ranges can hold; they grow in place by
+    a quarter at a time for a stream, or when other line breaks than "\\n" make
+    more lines, and are cut to the rows read at the end.
     """
-    blocks = _row_blocks(path)
-    numbers, rows = next(blocks)
-    if len(rows) <= skip:
-        needs = "a CSV header and at least one row" if skip else "at least one row"
-        raise ValidationError(f"{what} file {path} needs {needs}")
-    try:
-        convert = converter(rows[0] if skip else None)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: line {numbers[0]}: {exc}") from None
-    first = (numbers[skip:], rows[skip:])
-    parts, width = [], None
-    for (numbers, rows), columns in map_in_order(partial(_convert_block, parse_block, convert),
-                                                 chain([first], blocks)):
-        if columns is None or (width is not None and columns[0].shape[1] != width):
-            columns = _convert_lines(path, rows, numbers, parse_line, convert, width)
-        width = columns[0].shape[1]
-        parts.append(columns)
-    return [np.concatenate(part) for part in zip(*parts)]
-
-
-def _convert_lines(path, block, numbers, parse_line, convert, width) -> list:
-    rows = []
-    for number, line in zip(numbers, block):
+    needs = (f"{what} file {path} needs "
+             + ("a CSV header and at least one row" if skip else "at least one row"))
+    with open(path, "rb", buffering=0) as handle:
+        fd, info = handle.fileno(), os.fstat(handle.fileno())
+        ranges = _ranges(handle, not stat.S_ISREG(info.st_mode))
+        capacity = 0
+        if stat.S_ISREG(info.st_mode):
+            ranges = list(ranges)
+            capacity = len(ranges) * BLOCK_ROWS
+        file = _File(os.path.abspath(path), (info.st_dev, info.st_ino))
+        header, number = None, 0
+        if skip:
+            number, header, ranges = _header(path, fd, iter(ranges), needs)
         try:
-            columns = convert(parse_line(line), width)
-        except _ROW_ERRORS as exc:
+            convert = converter(header)
+        except ValidationError as exc:
             raise ValidationError(f"{path}: line {number}: {exc}") from None
-        width = columns[0].shape[1]
-        rows.append(columns)
-    return [np.concatenate(parts) for parts in zip(*rows)]
+        out, rows, width, first = [], 0, None, 1
+        for item, (count, columns) in map_in_order(
+                partial(_convert_range, file, parse_block, convert), ranges):
+            if columns is None or (columns and width is not None and columns[0].shape[1] != width):
+                count, columns = _convert_lines(path, fd, item, first, parse_line, convert, width)
+            first += count
+            if not columns:
+                continue
+            width, n = columns[0].shape[1], len(columns[0])
+            if not out:
+                out = [np.empty((max(capacity, n),) + col.shape[1:], col.dtype) for col in columns]
+            elif rows + n > len(out[0]):
+                size = max(rows + n, len(out[0]) * 5 // 4)
+                for col in out:
+                    col.resize((size,) + col.shape[1:], refcheck=False)
+            for col, part in zip(out, columns):
+                col[rows : rows + n] = part
+            rows += n
+    if not rows:
+        raise ValidationError(needs)
+    for col in out:
+        col.resize((rows,) + col.shape[1:], refcheck=False)
+    return out
 
 
 def _non_finite_constant(name: str):
@@ -332,9 +438,9 @@ def _prediction_columns(layout: _Layout, vectors: np.ndarray, scalar: np.ndarray
                         y: Optional[np.ndarray], nulls: Optional[np.ndarray] = None) -> tuple:
     """One block's ``(vectors, scalar, y)`` if every row is valid for ``layout``.
 
-    Labels lie in 1..K+1, K+1 the width of ``g`` or one more than that of ``f``.
-    ``y`` is None for a table without labels; it comes back NaN there and
-    where ``nulls`` flags a row without one, which no range test flags.
+    Labels lie in 1..K+1, K+1 the width of ``g`` or one more than that of ``f``,
+    and come back as int64. ``y`` is None for a table without labels; it comes
+    back 0, which no label is, there and where ``nulls`` flags a row without one.
     """
     _finite(vectors, repr(layout.vector))
     (_integral if layout.corrected else _finite)(scalar, repr(layout.scalar))
@@ -355,7 +461,9 @@ def _prediction_columns(layout: _Layout, vectors: np.ndarray, scalar: np.ndarray
         if outside.any():
             raise ValidationError(
                 f"{key!r} must lie in 1..{classes}, got {col[np.argmax(outside)]}")
-    return vectors, scalar, y
+    if layout.corrected:
+        scalar = scalar.astype(np.int64)
+    return vectors, scalar, np.where(np.isnan(y), 0.0, y).astype(np.int64)
 
 
 def _json_columns(layout: _Layout, objs: list, width: Optional[int]) -> tuple:
@@ -421,7 +529,7 @@ def _csv_columns(layout: _Layout, header: str):
 def _read_predictions(path: PathLike, layout: _Layout) -> tuple:
     """The ``(vectors, scalar, y)`` columns of a JSONL, or by extension CSV, prediction table.
 
-    ``y`` holds int64 labels, or is None unless every row has one.
+    The labels are int64, and ``y`` is None unless every row has one.
     """
     path = Path(path)
     if _is_csv(path):
@@ -429,12 +537,12 @@ def _read_predictions(path: PathLike, layout: _Layout) -> tuple:
     else:
         parsers = (0, _loads_block, _loads_line, lambda header: partial(_json_columns, layout))
     vectors, scalar, y = _read_table(path, layout.name, *parsers)
-    return vectors, scalar, None if np.isnan(y).any() else y.astype(np.int64)
+    return vectors, scalar, y if y.all() else None
 
 
 def read_records(path: PathLike) -> RecordSet:
     """Read a prediction file (JSONL by default, CSV by extension)."""
-    return RecordSet(*_read_predictions(path, _RECORDS))
+    return RecordSet._adopt(*_read_predictions(path, _RECORDS))
 
 
 def read_corrected(path: PathLike) -> dict:
@@ -445,7 +553,7 @@ def read_corrected(path: PathLike) -> dict:
     ``SIMPLEX_TOL`` and each label must lie in 1..K+1, K+1 being the width of ``g``.
     """
     g, y_hat, y = _read_predictions(path, _CORRECTED)
-    return {"g": g, "y_hat": y_hat.astype(np.int64), "y": y}
+    return {"g": g, "y_hat": y_hat, "y": y}
 
 
 def _feature_columns(names: int, cells: list, width) -> tuple:
@@ -562,7 +670,9 @@ def scenario_from_dict(obj: dict) -> ScenarioConfig:
 def parse_kv_file(path: PathLike) -> dict:
     """Parse a plain-text key = value configuration file ('#' starts a comment, no key twice)."""
     out = {}
-    for raw in chain.from_iterable(_lines(Path(path))):
+    with open(path, "rb") as handle:
+        text = _decoded(path, handle.read(), 0, 1)
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

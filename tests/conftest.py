@@ -8,6 +8,7 @@ settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 
 from osls import em
+from osls import pool as osls_pool
 from osls.simulate import ShiftSpec, ring_config
 
 
@@ -44,6 +45,21 @@ def overlap_config(k=5, *, seed=0, shift=None, r=1.0, n=10_000, n_ood=5000, rho_
         r=r,
         seed=seed,
     )
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The block pools handed out during a test, run even on a one-core machine."""
+    monkeypatch.setattr(osls_pool.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    handed_out, real = [], osls_pool._pool
+
+    def spy(workers):
+        pool = real(workers)
+        handed_out.append(pool)
+        return pool
+
+    monkeypatch.setattr(osls_pool, "_pool", spy)
+    return handed_out
 
 
 @pytest.fixture

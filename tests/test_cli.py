@@ -625,6 +625,16 @@ class TestMalformedInputExitsTwo:
         err = capsys.readouterr().err
         assert code == 2 and f"key {key!r}" in err and "Traceback" not in err
 
+    def test_simulate_writes_nothing_when_the_target_rounds_to_zero(self, tmp_path, capsys):
+        # rho_t = 1/(1+r) = 0.25 of one target row rounds to no ID row and no OOD row.
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(SCENARIO_CFG.replace("n_target = 2000", "n_target = 1")
+                       .replace("r = 1.0", "r = 3.0"))
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(cfg), "--out-dir", str(out)])
+        assert code == 2 and "rounds to zero" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_config_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(SCENARIO_CFG.encode() + b"# \xff\n")

@@ -1,5 +1,6 @@
 """Text parsing stays at the edge: importing the package does not load ``osls.io``, and
-importing the CLI does not load the process pool that only table files use."""
+importing the CLI, or reading a table of one range, does not load the process pool that
+only larger table files use."""
 
 import subprocess
 import sys
@@ -14,3 +15,13 @@ def test_import_cli_does_not_load_the_process_pool():
     code = ("import sys, osls.cli; loaded = [m for m in sys.modules if m.split('.')[0] in "
             "('multiprocessing', 'concurrent')]; assert not loaded, loaded")
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+def test_one_range_table_is_read_without_the_process_pool(tmp_path):
+    # A table of one range is parsed in this process, even on a machine of many cores.
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"f": [0.5, 0.5], "h": 0.5, "y": 1}\n' * 100, encoding="utf-8")
+    code = ("import sys, osls.io; osls.io.read_records(sys.argv[1]); loaded = [m for m in "
+            "sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')]; "
+            "assert not loaded, loaded")
+    subprocess.run([sys.executable, "-c", code, str(path)], check=True, timeout=60)

@@ -6,7 +6,11 @@ new readers the same arrays on every valid file, while malformed and
 non-finite input must raise ``ValidationError`` naming the line.
 """
 
+import io
 import json
+import os
+import subprocess
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional, Union
@@ -451,6 +455,15 @@ class TestReadersMatchReference:
             _assert_same_bits(from_csv["y"], from_jsonl["y"])
 
 
+def _columns(table) -> list:
+    """The arrays a reader returned, in order, leaving out a missing ``y``."""
+    if isinstance(table, RecordSet):
+        table = {"f": table.f, "h": table.h, "y": table.y}
+    if isinstance(table, dict):
+        return [col for col in table.values() if col is not None]
+    return [table]
+
+
 class TestPoolMatchesInProcess:
     """Tables of three blocks, converted on the block pool and in this process."""
 
@@ -472,16 +485,9 @@ class TestPoolMatchesInProcess:
         _in_process(monkeypatch, write, tmp_path / f"local{ext}", *args)
         assert (tmp_path / f"pool{ext}").read_bytes() == (tmp_path / f"local{ext}").read_bytes()
 
-        def columns(table):
-            if isinstance(table, RecordSet):
-                table = {"f": table.f, "h": table.h, "y": table.y}
-            if isinstance(table, dict):
-                return [col for col in table.values() if col is not None]
-            return [table]
-
-        pooled = columns(read(tmp_path / f"pool{ext}"))
+        pooled = _columns(read(tmp_path / f"pool{ext}"))
         assert len(pools) == 2 and pools[1] == pools[0]
-        local = columns(_in_process(monkeypatch, read, tmp_path / f"pool{ext}"))
+        local = _columns(_in_process(monkeypatch, read, tmp_path / f"pool{ext}"))
         assert len(pooled) == len(local) == 1 + (kind != "features") + with_y
         for new, ref in zip(pooled, local):
             _assert_same_bits(new, ref)
@@ -493,20 +499,46 @@ LINE_PIECES = ("a", "é", "€", "\U0001F600", " ", "\r", "\n", "\r\n", "\x0b", 
                "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 
-class TestLines:
+def _cut(path_or_text, stream: bool) -> list:
+    """The ranges ``osls.io`` cuts a file, or a stream of ``text``'s bytes, into."""
+    if stream:
+        return list(osls_io._ranges(io.BytesIO(path_or_text.encode("utf-8")), True))
+    with open(path_or_text, "rb", buffering=0) as handle:
+        return list(osls_io._ranges(handle, False))
+
+
+class TestRanges:
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.sampled_from(LINE_PIECES), max_size=40), st.integers(1, 9))
-    @example(["a", "\r", "\n", "b"], 2)  # a chunk ends inside "\r\n"
-    @example(["\r"], 1)
-    @example(["a", "\r"], 2)
-    def test_lines_are_splitlines(self, tmp_path_factory, pieces, chunk_bytes):
+    @given(st.lists(st.sampled_from(LINE_PIECES), max_size=40), st.integers(1, 9),
+           st.integers(1, 9))
+    @example(["a", "\r", "\n", "b"], 1, 2)  # a scan step ends inside "\r\n"
+    @example(["\r"], 1, 1)
+    @example(["a", "\r"], 2, 1)
+    @example([], 1, 1)
+    def test_ranges_are_splitlines(self, tmp_path_factory, pieces, block_rows, scan_bytes):
         text = "".join(pieces)
+        raw = text.encode("utf-8")
         path = tmp_path_factory.mktemp("l") / "t.txt"
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(raw)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(osls_io, "_CHUNK_BYTES", chunk_bytes)
-            lines = [line for chunk in osls_io._lines(path) for line in chunk]
-        assert lines == text.splitlines()
+            patch.setattr(osls_io, "BLOCK_ROWS", block_rows)
+            patch.setattr(osls_io, "_SCAN_BYTES", scan_bytes)
+            ranges, streamed = _cut(path, False), _cut(text, True)
+        # The stream is cut where the file is, and its ranges carry their bytes.
+        assert [r.start for r in streamed] == [r.start for r in ranges]
+        assert [r.data for r in streamed] == [raw[r.start : r.data] for r in ranges]
+        ends = [r.data for r in ranges]
+        assert [r.start for r in ranges] == [0] + ends[:-1] and ends[-1] == len(raw)
+        for r in ranges[:-1]:
+            assert raw[r.start : r.data].count(b"\n") == block_rows and raw[r.data - 1] == 10
+        numbered, first = [], 1
+        with open(path, "rb", buffering=0) as handle:
+            for r, streamed_r in zip(ranges, streamed):
+                lines = osls_io._range_lines(path, handle.fileno(), r, first)
+                assert osls_io._range_lines(path, -1, streamed_r, first) == lines
+                numbered += enumerate(lines, first)
+                first += len(lines)
+        assert numbered == list(enumerate(text.splitlines(), 1))
 
 
 # --- malformed and non-finite input ------------------------------------------
@@ -613,21 +645,6 @@ def _with_bad_line(tmp_path, name, header, good, bad_lines, before):
 POSITIONS = (1, BLOCK + 5, 2 * BLOCK + 5)
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """The block pools handed out during a test, run even on a one-core machine."""
-    monkeypatch.setattr(osls_pool.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    handed_out, real = [], osls_pool._pool
-
-    def spy(workers):
-        pool = real(workers)
-        handed_out.append(pool)
-        return pool
-
-    monkeypatch.setattr(osls_pool, "_pool", spy)
-    return handed_out
-
-
 def _in_process(monkeypatch, call, *args):
     """``call(*args)`` with every block converted in this process."""
     with monkeypatch.context() as patch:
@@ -727,15 +744,35 @@ class TestMalformedInput:
             osls_io.read_records(path)
 
     def test_not_utf8_in_a_late_chunk(self, tmp_path, pools):
-        # The bad byte lies past the first read chunk, after blocks of the
-        # first chunk have gone to the pool.
+        # The bad byte lies past the first scan step, in a range a worker reads.
         path = tmp_path / "t.jsonl"
         good = (GOOD_RECORD + "\n").encode() * (10 * BLOCK)
         path.write_bytes(good + b'{"f": [0.5, 0.5], "h": 0.5, "y": "\xff"}\n')
-        assert len(good) > osls_io._CHUNK_BYTES
+        assert len(good) > osls_io._SCAN_BYTES
         with pytest.raises(ValidationError, match="not UTF-8"):
             osls_io.read_records(path)
         assert pools and all(pools)
+
+    @pytest.mark.parametrize("name,header", [("t.jsonl", None), ("t.csv", "f1,f2,h,y")])
+    @pytest.mark.parametrize("before", POSITIONS)
+    def test_not_utf8_names_line_and_offset(self, tmp_path, monkeypatch, pools, name, header,
+                                            before):
+        # Blank lines, CRLF line ends and multi-byte characters come before the
+        # bad byte, which sits after the first three bytes of its line.
+        good = GOOD_RECORD if header is None else GOOD_CSV
+        head = ("" if header is None else header + "\r\n") + "\u2028\n" + (good + "\r\n") * before
+        bad = good.encode()[:3] + b"\xe9" + good.encode()[3:] + b"\n"
+        path = tmp_path / name
+        path.write_bytes(head.encode() + bad + (good + "\n").encode() * 3)
+        line = len(head.splitlines()) + 1
+        offset = len(head.encode()) + 3
+        expected = (f"{path}: line {line}: not UTF-8 text: byte 0xe9 at offset {offset} "
+                    "(invalid continuation byte)")
+        read = osls_io.read_records
+        for read in (read, partial(_in_process, monkeypatch, read)):
+            with pytest.raises(ValidationError) as err:
+                read(path)
+            assert str(err.value) == expected
 
     @pytest.mark.parametrize("text", ['{"a": NaN}', '{"a": [Infinity]}', '{"a": 1e400}', "{"])
     def test_json_files(self, tmp_path, text):
@@ -743,6 +780,118 @@ class TestMalformedInput:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValidationError, match="e.json"):
             osls_io.read_json(path)
+
+
+def _feed_fifo(fifo: Path, source: Path) -> subprocess.Popen:
+    """A process that copies ``source`` into the FIFO at ``fifo`` once a reader opens it.
+
+    The writer is another process, as for a pipe into /dev/stdin: a process
+    that held the FIFO's write end would pass it on to the workers it forks,
+    and the FIFO would never end.
+    """
+    return subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', str(source), str(fifo)])
+
+
+def _join_fifo(fifo: Path, writer: subprocess.Popen) -> None:
+    """Wait for ``writer``, first releasing it if no reader ever opened the FIFO."""
+    if writer.poll() is None:
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+    writer.wait(10)
+
+
+class TestStreams:
+    """Tables read from a FIFO, as from /dev/stdin, and tables whose header is in a late range."""
+
+    @pytest.mark.parametrize("read,name,header,row", [
+        (osls_io.read_records, "t.jsonl", None, GOOD_RECORD),
+        (osls_io.read_records, "t.csv", "f1,f2,h,y", GOOD_CSV),
+        (osls_io.read_corrected, "c.jsonl", None, GOOD_CORRECTED),
+        (osls_io.read_features, "x.csv", "x1,x2", GOOD_FEATURE),
+    ])
+    def test_fifo_reads_as_the_file(self, tmp_path, monkeypatch, pools, read, name, header,
+                                    row):
+        rows = [row] * (2 * BLOCK + 3)
+        text = "\n".join(([header] if header else []) + rows[:BLOCK] + [""] + rows[BLOCK:])
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")  # no line break at the end
+        expected = _columns(_in_process(monkeypatch, read, path))
+        for pooled in (True, False):
+            fifo = tmp_path / f"fifo{pooled}{name}"
+            os.mkfifo(fifo)
+            writer = _feed_fifo(fifo, path)
+            try:
+                got = _columns(read(fifo) if pooled else _in_process(monkeypatch, read, fifo))
+            finally:
+                _join_fifo(fifo, writer)
+            assert len(got) == len(expected)
+            for new, ref in zip(got, expected):
+                _assert_same_bits(new, ref)
+        assert len(pools) == 1 and pools[0] is not None
+
+    def test_fifo_names_the_bad_line(self, tmp_path, monkeypatch, pools):
+        path, line = _with_bad_line(tmp_path, "t.jsonl", None, GOOD_RECORD,
+                                    BAD_RECORDS["negative h"], POSITIONS[-1])
+        read = osls_io.read_records
+        for pooled in (True, False):
+            fifo = tmp_path / f"fifo{pooled}.jsonl"
+            os.mkfifo(fifo)
+            writer = _feed_fifo(fifo, path)
+            try:
+                with pytest.raises(ValidationError) as err:
+                    read(fifo) if pooled else _in_process(monkeypatch, read, fifo)
+            finally:
+                _join_fifo(fifo, writer)
+            assert str(err.value).startswith(f"{fifo}: line {line}: 'h' must lie in [0, 1]")
+
+    def test_other_line_breaks_grow_the_columns(self, tmp_path, monkeypatch, pools):
+        # Lines ending in "\r" or "\u2028" hold no b"\n", so ranges hold more lines
+        # than the BLOCK_ROWS rows a range of "\n" lines bounds the columns at.
+        plain, mixed = tmp_path / "plain.jsonl", tmp_path / "mixed.jsonl"
+        plain.write_text((GOOD_RECORD + "\n") * (6 * BLOCK), encoding="utf-8")
+        mixed.write_text((GOOD_RECORD + "\r" + GOOD_RECORD + "\u2028" + GOOD_RECORD + "\n")
+                         * (2 * BLOCK), encoding="utf-8")
+        expected = _columns(osls_io.read_records(plain))
+        for got in (osls_io.read_records(mixed),
+                    _in_process(monkeypatch, osls_io.read_records, mixed)):
+            for new, ref in zip(_columns(got), expected):
+                _assert_same_bits(new, ref)
+
+    def test_a_file_replaced_while_read(self, tmp_path, monkeypatch, pools):
+        # The file at the path is replaced after the scan: the workers see
+        # another file there, and the read returns the one that was scanned.
+        old, new = tmp_path / "t.jsonl", tmp_path / "new.jsonl"
+        old.write_text((GOOD_RECORD + "\n") * (3 * BLOCK), encoding="utf-8")
+        replacement = '{"f": [0.7, 0.3], "h": 0.5, "y": 2}'
+        assert len(replacement) == len(GOOD_RECORD)  # so its ranges parse, to other values
+        new.write_text((replacement + "\n") * (3 * BLOCK), encoding="utf-8")
+        expected = _columns(osls_io.read_records(old))
+        cut = osls_io._ranges
+
+        def cut_then_replace(handle, stream):
+            yield from cut(handle, stream)
+            new.replace(old)
+
+        monkeypatch.setattr(osls_io, "_ranges", cut_then_replace)
+        for new_col, ref in zip(_columns(osls_io.read_records(old)), expected):
+            _assert_same_bits(new_col, ref)
+
+    def test_header_after_blank_ranges(self, tmp_path, monkeypatch, pools):
+        # More than a range of blank lines comes first, so a later range holds the header.
+        rows = [GOOD_CSV] * (2 * BLOCK + 3)
+        plain, late = tmp_path / "plain.csv", tmp_path / "late.csv"
+        plain.write_text("\n".join(["f1,f2,h,y"] + rows) + "\n", encoding="utf-8")
+        late.write_text("\n" * (BLOCK + 10) + plain.read_text(), encoding="utf-8")
+        expected = _columns(osls_io.read_records(plain))
+        for got in (osls_io.read_records(late),
+                    _in_process(monkeypatch, osls_io.read_records, late)):
+            for new, ref in zip(_columns(got), expected):
+                _assert_same_bits(new, ref)
+        late.write_text("\n" * (BLOCK + 10) + "f1,f2,h,label\n" + GOOD_CSV + "\n")
+        with pytest.raises(ValidationError, match=f"line {BLOCK + 11}: CSV header names"):
+            osls_io.read_records(late)
+        late.write_text("\n" * (BLOCK + 10) + "f1,f2,h,label\n\n")
+        with pytest.raises(ValidationError, match="needs a CSV header and at least one row"):
+            osls_io.read_records(late)
 
 
 class TestWritersRefuseNonFinite:
@@ -761,6 +910,26 @@ class TestWritersRefuseNonFinite:
             with pytest.raises(ValidationError, match="row 3 has a non-finite value"):
                 write(path, *args)
             assert not path.exists()
+
+    @pytest.mark.parametrize("ext", [".jsonl", ".csv"])
+    def test_bad_row_in_the_third_block(self, tmp_path, ext):
+        # Checked a block at a time, the row named is still the first bad one
+        # of the first column that has one, and a file already there is kept.
+        n, bad_row = 2 * BLOCK + 5, 2 * BLOCK + 2
+        values = np.full((n, 3), 0.25)
+        values[bad_row, 2] = np.inf
+        values[bad_row + 1, 0] = np.nan
+        records = RawRecords(f=values[:, :2], h=values[:, 2], y=None, k=2)
+        for write, args, row in (
+            (osls_io.write_records, (records,), bad_row + 1),
+            (osls_io.write_corrected, (values, np.ones(n, dtype=np.int64)), bad_row),
+            (osls_io.write_features, (values,), bad_row),
+        ):
+            path = tmp_path / f"out{ext}"
+            path.write_bytes(b"kept\n")
+            with pytest.raises(ValidationError, match=f"row {row} has a non-finite value"):
+                write(path, *args)
+            assert path.read_bytes() == b"kept\n"
 
     def test_json(self, tmp_path):
         with pytest.raises(ValidationError, match="out.json"):

@@ -1,13 +1,15 @@
-"""Memory of the estimate, correct and sampling paths, and the bits of their builders.
+"""Memory of the read, estimate, correct, sampling and simulate paths, and the bits they make.
 
 Each estimate or correct call builds its one N x (K+1) (or N x K) matrix in a
 fresh array and then works on it in place. ``TestTransientPeak`` pins that with
 tracemalloc: beyond its inputs, a call allocates at most 1.25 times one
 N x (K+1) float64 matrix. Sampling's ``Scenario.oracle_scores`` holds two: the
-joint log densities and the posteriors it returns.
+joint log densities and the posteriors it returns. A table reader holds one
+copy of the arrays it returns, plus a few blocks of rows.
 ``TestBuildersMatchOldExpressions`` and ``TestSamplingMatchesOldExpressions``
 restate the out-of-place expressions the builders replaced and assert the same
-bytes, so every output stays as it was.
+bytes, so every output stays as it was, and ``test_simulate_files_match_sampling_first``
+does the same for ``osls simulate``'s order of sampling and writing.
 """
 
 import gc
@@ -18,7 +20,10 @@ import pytest
 
 from osls import baselines as bl
 from osls import em
+from osls import io as osls_io
+from osls import pool as osls_pool
 from osls import simulate
+from osls.cli import main
 from osls.core import RecordSet, SourceLabelModel, extend_distribution
 from osls.em import EmConfig
 from osls.pipeline import correct_records, estimate
@@ -43,6 +48,21 @@ def data():
     model = SourceLabelModel(rng.dirichlet(np.full(K, 20.0)), 0.7)
     pi_ext = extend_distribution(rng.dirichlet(np.ones(K)), 0.4)
     return source, target, model, pi_ext
+
+
+READ_N, READ_K, READ_BLOCK_ROWS = 40_000, 10, 256
+
+
+@pytest.fixture(scope="module")
+def tables(tmp_path_factory):
+    """A directory of one prediction, corrected and feature table, each READ_N rows."""
+    rng = np.random.default_rng(6)
+    out = tmp_path_factory.mktemp("tables")
+    records = _records(rng, READ_N, READ_K, labels=True)
+    osls_io.write_records(out / "records.jsonl", records)
+    osls_io.write_corrected(out / "corrected.jsonl", records.extended_f(), records.y, records.y)
+    osls_io.write_features(out / "features.csv", rng.normal(size=(READ_N, READ_K)))
+    return out
 
 
 def _transient_peak(call) -> int:
@@ -78,6 +98,32 @@ class TestTransientPeak:
         _, target, model, pi_ext = data
         peak = _transient_peak(lambda: correct_records(target, model.extended(), pi_ext))
         assert peak <= BOUND
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pool"])
+    @pytest.mark.parametrize("read, name", [
+        (osls_io.read_records, "records.jsonl"),
+        (osls_io.read_corrected, "corrected.jsonl"),
+        (osls_io.read_features, "features.csv"),
+    ], ids=["read_records", "read_corrected", "read_features"])
+    def test_reader(self, request, monkeypatch, tables, read, name, pooled):
+        # One copy of the returned arrays, plus a few blocks of rows and their
+        # text: small blocks here, so that a block is small next to the table.
+        monkeypatch.setattr(osls_io, "BLOCK_ROWS", READ_BLOCK_ROWS)
+        if pooled:
+            pools = request.getfixturevalue("pools")
+        else:
+            monkeypatch.setattr(osls_pool, "_pool", lambda workers: None)
+        read(tables / name)  # start the pool outside the trace
+        returned = []
+        peak = _transient_peak(lambda: returned.append(read(tables / name)))
+        if pooled:
+            assert pools and all(pools)
+        table = returned[0]
+        if isinstance(table, RecordSet):
+            table = {"f": table.f, "h": table.h, "y": table.y}
+        arrays = table.values() if isinstance(table, dict) else [table]
+        nbytes = sum(col.nbytes for col in arrays)
+        assert peak <= 1.25 * nbytes + 2 * READ_BLOCK_ROWS * nbytes / READ_N
 
     @pytest.mark.parametrize("dim, temperature", [(2, 1.0), (2, 1.7), (9, 1.0)])
     def test_oracle_scores(self, dim, temperature):
@@ -139,6 +185,18 @@ class TestBuildersMatchOldExpressions:
         _same(rs.f, _old_normalized(f))
         assert np.array_equal(f, kept)  # the caller's array is not normalized in place
         assert not np.shares_memory(rs.f, f)
+
+    def test_recordset_adopt(self, k, layout):
+        # The readers' private constructor works in the arrays it is given, to
+        # the public constructor's bits.
+        f, h = _inputs(k, layout)
+        y = np.arange(f.shape[0]) % (k + 1) + 1
+        ref = RecordSet(f, h, y)
+        fresh_f, fresh_h = f.copy(order="K"), h.copy()
+        rs = RecordSet._adopt(fresh_f, fresh_h, y.astype(np.int64))
+        for new, old in ((rs.f, ref.f), (rs.h, ref.h), (rs.y, ref.y)):
+            _same(new, old)
+        assert rs.f is fresh_f and rs.h is fresh_h and not rs.f.flags.writeable
 
     def test_extended_f(self, k, layout):
         rs = RecordSet(*_inputs(k, layout))
@@ -255,3 +313,30 @@ class TestSamplingMatchesOldExpressions:
         old_f, old_h = _old_oracle_scores(scenario, x)
         _same(f, old_f)
         _same(h, old_h)
+
+
+def test_simulate_files_match_sampling_first(tmp_path):
+    """``osls simulate`` writes each dataset as soon as it samples it; its files are
+    those written after sampling all three first, as it once did."""
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("k = 4\nn_source = 3000\nn_target = 2500\nn_ood_ref = 1200\nr = 0.7\n"
+                   "shift = lt:10\nseed = 11\ntemperature = 1.3\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "new")]) == 0
+    config = osls_io.scenario_from_kv(osls_io.parse_kv_file(cfg))
+    scenario = Scenario(config)
+    source = scenario.sample_source()
+    target = scenario.sample_target_exact_ratio()
+    ood_ref = scenario.sample_ood_ref()
+    old = tmp_path / "old"
+    old.mkdir()
+    osls_io.write_records(old / "source.jsonl", source.records)
+    osls_io.write_records(old / "target.jsonl", target.records)
+    osls_io.write_records(old / "ood_ref.jsonl", ood_ref.records)
+    osls_io.write_features(old / "source_features.csv", source.features)
+    truth = scenario.truth
+    osls_io.write_truth(old / "truth.json", config.c, config.rho_s, truth.pi, truth.rho_t)
+    osls_io.write_json(old / "scenario.json", osls_io.scenario_to_dict(config))
+    names = sorted(p.name for p in old.iterdir())
+    assert sorted(p.name for p in (tmp_path / "new").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "new" / name).read_bytes() == (old / name).read_bytes(), name
