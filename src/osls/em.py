@@ -28,11 +28,18 @@ than ``tol``, and SQUAREM (Varadhan & Roland 2008, Scand. J. Statist.
 35:335-353) extrapolates along every two maps, falling back to the plain
 iterate whenever the extrapolation would leave the open simplex or raise the
 objective. ``tol = 0`` runs exactly ``max_iters`` plain EM updates.
+
+``nll_grid_argmin`` is the brute-force check of the K=2 fit: the lowest NLL
+on a uniform (pi_1, rho_t) grid. It bisects each row's convex NLL in rho_t
+and scores exactly only the rows that a certified lower bound, and the
+quasiconvexity of the row minimum in pi_1, leave able to hold the argmin, so
+it returns the cell and the bits a scan of every row returns.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -72,19 +79,24 @@ class EmConfig:
     alpha_out: Tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be >= 1")
+        try:
+            max_iters = operator.index(self.max_iters)
+        except TypeError:
+            max_iters = 0
+        if max_iters < 1:
+            raise ValidationError(f"max_iters must be a whole number >= 1, got {self.max_iters!r}")
+        object.__setattr__(self, "max_iters", max_iters)
         if not (0.0 <= self.tol < math.inf):
             raise ValidationError(f"tol must be a finite number >= 0, got {self.tol}")
         if self.alpha_in is not None:
             arr = np.asarray(self.alpha_in, dtype=float)
-            if arr.ndim != 1 or not np.all(arr >= 1.0):
-                raise ValidationError("alpha_in entries must be >= 1")
+            if arr.ndim != 1 or not np.all((arr >= 1.0) & (arr < math.inf)):
+                raise ValidationError("alpha_in entries must be finite numbers >= 1")
             arr.flags.writeable = False
             object.__setattr__(self, "alpha_in", arr)
         a1, a2 = self.alpha_out
-        if not (a1 >= 1.0 and a2 >= 1.0):
-            raise ValidationError("alpha_out entries must be >= 1")
+        if not (1.0 <= a1 < math.inf and 1.0 <= a2 < math.inf):
+            raise ValidationError(f"alpha_out entries must be finite numbers >= 1, got ({a1}, {a2})")
         object.__setattr__(self, "alpha_out", (float(a1), float(a2)))
 
     def resolved_alpha_in(self, k: int) -> np.ndarray:
@@ -398,6 +410,189 @@ def closed_form_rho_t(target: RecordSet) -> float:
     return float(np.mean(target.h))
 
 
+# The K=2 grid oracle's pruning (see ``nll_grid_argmin``): the stride of the
+# rows whose bounds pick the start row, the rows the outward walk bounds at once
+# in each direction, and the Newton steps that place a row's tangent, which
+# stop at a slope of _GRID_SLOPE_TOL.
+_GRID_COARSE_STRIDE = 32
+_GRID_WALK_ROWS = 8
+_GRID_NEWTON_STEPS = 40
+_GRID_SLOPE_TOL = 1e-9
+
+
+class _K2Grid:
+    """Buffers and row scorers of ``nll_grid_argmin`` on W's columns a, b and dd."""
+
+    def __init__(self, w: np.ndarray, n_side: int):
+        self.a, self.b, self.dd = w[:, 0], w[:, 1], w[:, 2]
+        self.n = n = w.shape[0]
+        self.n_side = n_side
+        self.grid = np.linspace(0.0, 1.0, n_side)
+        self.rows_per_block = max(1, _GRID_CELLS_PER_BLOCK // (2 * max(n, 1)))
+        self.x_buf = np.empty(2 * self.rows_per_block * n)
+        self.y_buf = np.empty_like(self.x_buf)
+        self.u_buf = np.empty(self.rows_per_block * n)
+        self.log_scale = math.nan  # the margin's sum_n M_n + N, set by pruned_argmin
+
+    def _u(self, rows) -> np.ndarray:
+        """u = p1 * a + (1 - p1) * b of grid rows ``rows``, at most a block, in u_buf."""
+        p1 = self.grid[rows, None]
+        u = self.u_buf[: p1.size * self.n].reshape(p1.size, self.n)
+        np.multiply(p1, self.a, out=u)
+        u += np.multiply(1.0 - p1, self.b, out=self.y_buf[: u.size].reshape(u.shape))
+        return u
+
+    def _cell_nll(self, u: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """NLL at grid columns j (shape (rows, m)) of the rows whose u is given.
+
+        Each cell's N terms are one contiguous row of x, so its sum is the
+        same pairwise reduction as in a full scan of the surface.
+        """
+        shape = j.shape + (self.n,)
+        x = self.x_buf[: math.prod(shape)].reshape(shape)
+        y = self.y_buf[: x.size].reshape(shape)
+        t = self.grid[j][:, :, None]
+        np.multiply(t, u[:, None, :], out=x)
+        np.multiply(1.0 - t, self.dd, out=y)
+        np.add(x, y, out=x)
+        return nll(x, axis=2, out=x)
+
+    def scan(self, rows: np.ndarray, best=(math.inf, 0, 0)):
+        """(nll, i, j) of the lowest-index argmin over ascending ``rows``, or ``best`` if lower.
+
+        Each row's j is the lowest column whose NLL is no higher than the next
+        one's, found by bisection on every row of a block at once.
+        """
+        last = self.n_side - 1
+        for start in range(0, rows.size, self.rows_per_block):
+            block = rows[start : start + self.rows_per_block]
+            u = self._u(block)
+            # A finished row (lo == hi) is scored again but keeps its bracket.
+            lo = np.zeros(block.size, dtype=np.int64)
+            hi = np.full(block.size, last, dtype=np.int64)
+            while np.any(open_ := lo < hi):
+                mid = (lo + hi) // 2
+                vals = self._cell_nll(u, np.stack([mid, np.minimum(mid + 1, last)], axis=1))
+                rising = (vals[:, 0] <= vals[:, 1]) | ~open_
+                hi = np.where(rising, mid, hi)
+                lo = np.where(rising, lo, mid + 1)
+            vals = self._cell_nll(u, lo[:, None])[:, 0]
+            k = int(np.argmin(vals))
+            best = min(best, (float(vals[k]), int(block[k]), int(lo[k])))
+        return best
+
+    def bounds(self, rows: np.ndarray, t0: float = 0.5) -> np.ndarray:
+        """Rows (lower, phi, margin, t*) over ``rows``; see ``_block_bounds``."""
+        out = np.empty((4, rows.size))
+        for start in range(0, rows.size, self.rows_per_block):
+            block = rows[start : start + self.rows_per_block]
+            out[:, start : start + block.size] = self._block_bounds(block, t0)
+        return out
+
+    def _block_bounds(self, rows: np.ndarray, t0: float):
+        """Per row: a lower bound on its interior cells, phi(t*), the rounding margin and t*.
+
+        phi(t) = -sum log D is convex, so its tangent at t* bounds it from
+        below; the bound's minimum over I = [t_1, t_{m-2}] is at an end. t*
+        comes from Newton steps on phi' from ``t0``, kept inside a bracket of
+        phi's minimizer in I that each step's sign of phi' narrows, with a
+        bisection of the bracket where a step would leave it. A row stops once
+        |phi'(t*)|, which caps its bound's distance below phi(t*), is at most
+        ``_GRID_SLOPE_TOL``, or t* is an end of I that phi' points past.
+        """
+        u = self._u(rows)
+        v = np.subtract(self.dd, u, out=self.y_buf[: u.size].reshape(u.shape))
+        d = self.x_buf[: u.size].reshape(u.shape)
+        r = self.x_buf[u.size : 2 * u.size].reshape(u.shape)
+        t_lo, t_hi = self.grid[1], self.grid[-2]
+        lo, hi = np.full(rows.size, t_lo), np.full(rows.size, t_hi)
+        t = np.full(rows.size, t0)
+        for step in range(_GRID_NEWTON_STEPS + 1):
+            np.multiply(u, t[:, None], out=d)
+            d += np.multiply(self.dd, (1.0 - t)[:, None], out=r)
+            np.divide(v, d, out=r)  # phi' = sum r, phi'' = sum r^2
+            slope = r.sum(axis=1)
+            done = ((np.abs(slope) <= _GRID_SLOPE_TOL) | ((t == t_lo) & (slope >= 0.0))
+                    | ((t == t_hi) & (slope <= 0.0)))
+            if step == _GRID_NEWTON_STEPS or done.all():
+                break
+            curv = np.square(r, out=r).sum(axis=1)
+            lo = np.where(slope < 0.0, t, lo)
+            hi = np.where(slope > 0.0, t, hi)
+            newton = t - np.divide(slope, curv, out=np.zeros_like(slope), where=curv > 0.0)
+            newton = np.clip(newton, t_lo, t_hi)
+            inside = ((lo < newton) & (newton < hi) | (newton == t_lo) & (lo == t_lo)
+                      | (newton == t_hi) & (hi == t_hi))
+            t = np.where(done, t, np.where(inside, newton, 0.5 * (lo + hi)))
+        spread = np.abs(r, out=r).sum(axis=1)
+        phi = -np.log(d, out=d).sum(axis=1)
+        lower = phi + np.minimum(slope * (t_lo - t), slope * (t_hi - t))
+        margin = 4.0 * (self.n + 8) * np.finfo(float).eps * (self.log_scale + spread)
+        return lower, phi, margin, t
+
+    def pruned_argmin(self):
+        """``scan`` over every row, from the rows that can hold its result.
+
+        None where the pruning's argument does not hold; see ``nll_grid_argmin``.
+        """
+        m, n, a, b, dd = self.n_side, self.n, self.a, self.b, self.dd
+        if m < 4 or n == 0:
+            return None
+        # Per-sample ends of D over the interior columns, in buffer scratch.
+        d_lo = np.maximum(np.minimum(a, b, out=self.x_buf[:n]), dd, out=self.x_buf[:n])
+        d_lo *= 0.5 * self.grid[1]
+        if not d_lo.min() > LIK_FLOOR:
+            return None
+        d_hi = np.maximum(np.maximum(a, b, out=self.y_buf[:n]), dd, out=self.y_buf[:n])
+        np.abs(np.log(d_lo, out=d_lo), out=d_lo)
+        np.abs(np.log(d_hi, out=d_hi), out=d_hi)
+        self.log_scale = n + float(np.maximum(d_lo, d_hi, out=d_lo).sum())
+        corner = float(nll(dd, out=self.x_buf[:n]))  # every row's t = 0 cell
+        end = np.empty(m)  # every row's t = 1 cell
+        for start in range(0, m, self.rows_per_block):
+            u = self._u(slice(start, start + self.rows_per_block))
+            end[start : start + len(u)] = nll(u, axis=1, out=self.x_buf[: u.size].reshape(u.shape))
+
+        coarse = np.arange(0, m + _GRID_COARSE_STRIDE - 1, _GRID_COARSE_STRIDE).clip(max=m - 1)
+        lower, _, _, t_star = self.bounds(coarse)
+        s = int(np.argmin(lower))
+        s, t0 = int(coarse[s]), float(t_star[s])
+        ends = [min(s + 1, m - 1), max(s - 1, 0)]  # the walk's right and left edge rows
+        window = np.arange(ends[1], ends[0] + 1)
+        _, phi, _, t_star = self.bounds(window, t0)
+        starts = [float(t_star[-1]), float(t_star[0])]  # t* at each edge row
+        witness = float(np.min(phi, initial=math.inf, where=phi == phi))
+        scanned = np.zeros(m, dtype=bool)
+        scanned[0] = True
+        scanned[window] = True
+        best = self.scan(np.flatnonzero(scanned))
+        walking = [ends[0] < m - 1, ends[1] > 0]
+        while any(walking):
+            pending = np.zeros(m, dtype=bool)
+            for side, step in enumerate((1, -1)):
+                if not walking[side]:
+                    continue
+                rows = np.arange(ends[side] + step, ends[side] + step * (_GRID_WALK_ROWS + 1), step)
+                rows = rows[(rows >= 0) & (rows < m)]
+                lower, phi, margin, t_star = self.bounds(rows, starts[side])
+                for k, row in enumerate(rows):
+                    if lower[k] > max(best[0], witness) + margin[k]:
+                        walking[side] = False
+                        break
+                    pending[row] = not lower[k] > best[0] + margin[k]
+                    ends[side], starts[side] = int(row), float(t_star[k])
+                    if phi[k] < witness:
+                        witness = float(phi[k])
+                else:
+                    walking[side] = 0 < ends[side] < m - 1
+            best = self.scan(np.flatnonzero(pending), best)
+            scanned |= pending
+        best = self.scan(np.flatnonzero((end <= best[0]) & ~scanned), best)
+        if corner < best[0] or (corner == best[0] and best[1] > 0):
+            return None
+        return best
+
+
 def nll_grid_argmin(
     source: SourceLabelModel,
     target: RecordSet,
@@ -407,69 +602,67 @@ def nll_grid_argmin(
 
     Returns (pi_1, rho_t, nll) at the grid argmin, the lowest-index one on
     ties; this is the grid route used to cross-check the EM optimizer.
-    ``resolution`` is the grid step and must be 1/n for a whole n >= 1. For a
-    fixed pi_1 the NLL is -sum log of a function affine in rho_t, hence convex
-    in rho_t, so each row's minimum is found by bisection on the sign of the
-    forward difference: the lowest j with nll(j) <= nll(j + 1). Cells are
-    evaluated with the same arithmetic as a full scan of the surface, so the
-    result is the lowest-index argmin of the flattened surface.
+    ``resolution`` is the grid step and must be 1/n for a whole n >= 1.
 
-    Rows are scanned in blocks of at most ``_GRID_CELLS_PER_BLOCK`` cell
-    samples (one row if N is larger). A block's cells are scored in place in
-    two buffers of that many float64 and its u rows kept in a third of half
-    that, all made once per call; so beyond W and the grid's n_side points a
-    call's memory is set by the budget, not by the resolution.
+    **Exact scorer.** For a fixed pi_1 (a row) the NLL is -sum log of
+    ``D = t * u + (1 - t) * dd``, affine in t = rho_t with ``u = pi_1 * a +
+    (1 - pi_1) * b``, hence convex in t, so a row's minimum is found by
+    bisection on the sign of the forward difference: the lowest j with
+    nll(j) <= nll(j + 1). Cells are evaluated with the same arithmetic as a
+    full scan of the surface, so the result is the lowest-index argmin of the
+    flattened surface. Rows are scored in blocks of at most
+    ``_GRID_CELLS_PER_BLOCK`` cell samples (one row if N is larger). A block's
+    cells are scored in place in two buffers of that many float64 and its u
+    rows kept in a third of half that, all made once per call; every other
+    array is one value per row or per sample, so beyond W and the grid's
+    n_side points a call's memory is set by the budget, not by the resolution.
+
+    **Pruning.** Only rows that can hold the argmin reach the exact scorer;
+    the rest are ruled out, so the result is the one a scan of every row
+    gives, bit for bit:
+
+    * Every row's t = 0 cell is ``nll(dd)``, the same bits in each row, so
+      only row 0's can be the lowest-index argmin: row 0 is always scored.
+      The t = 1 cell, ``nll(u)``, is scored for every row, and a row whose
+      t = 1 cell is no higher than the best value found is scored too.
+    * On the interior columns I = [t_1, t_{m-2}] (m = n_side) a row's NLL,
+      phi(t), is convex, so for any t* in I its tangent
+      ``phi(t*) + min(phi'(t*) (t_1 - t*), phi'(t*) (t_{m-2} - t*))`` bounds
+      every interior cell of the row from below. Safeguarded Newton steps
+      pick t*; they tighten the bound but it holds for any t*. A row whose
+      bound exceeds the best value found plus a rounding margin has no
+      interior cell at or below that value.
+    * g(pi_1) = min over I of phi is quasiconvex in pi_1: -sum log(W x) is
+      convex in the mixing weights x = (t pi_1, t (1 - pi_1), 1 - t), and
+      the linear-fractional map x -> x_1 / (x_1 + x_2) sends its sublevel
+      sets, cut to the slab t in I, to intervals. The scan starts at the row
+      with the lowest bound among every 32nd row, scores it and its two
+      neighbours, and walks outward in both directions, scoring a walked row
+      only if its bound is at or below the best value plus the margin. A row
+      whose bound exceeds by more than the margin both the best value and
+      phi(t*) of a row walked before it has g above that row's; by
+      quasiconvexity every row beyond it is at least as high, and the walk
+      stops there.
+    * The margin is ``4 (N + 8) eps (sum_n M_n + N + sum_n |r_n|)``, with
+      M_n >= |log D_n| on I and r_n = (dd_n - u_n) / D_n(t*) the terms of
+      phi'(t*). It covers the rounding of u, of the computed bound, of
+      phi(t*) and of any computed cell, whose N terms sum pairwise.
+      ``t_1 max(min(a_n, b_n), dd_n) <= D_n <= max(a_n, b_n, dd_n)`` on I
+      gives M_n.
+
+    Every row is scored when the argument does not hold: grids with fewer
+    than two interior columns (n_side < 4), targets where that lower end
+    t_1 max(min(a, b), dd), halved, is at or below the 1e-300 floor for some
+    sample (an interior cell could be floored), and the rounding case where
+    row 0's t = 0 cell is at or below the best value without being row 0's
+    scored minimum.
     """
     if target.k != 2:
         raise ValidationError("grid search is implemented for K = 2 only")
     steps = 1.0 / resolution if 0.0 < resolution <= 1.0 else math.inf
     if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
         raise ValidationError(f"resolution must be 1/n for a whole number n >= 1, got {resolution}")
-    n_side = int(round(steps)) + 1
-    w = _scaled_outputs(source, target)
-    grid = np.linspace(0.0, 1.0, n_side)
-    a, b, dd = w[:, 0], w[:, 1], w[:, 2]
-    n = w.shape[0]
-    rows_per_block = max(1, _GRID_CELLS_PER_BLOCK // (2 * max(n, 1)))
-    x_buf = np.empty(2 * rows_per_block * n)
-    y_buf = np.empty_like(x_buf)
-    u_buf = np.empty(rows_per_block * n)
-
-    def cell_nll(u, j):
-        """NLL at grid columns j (shape (rows, m)) of rows with u = p1 * a + (1 - p1) * b.
-
-        Each cell's N terms are one contiguous row of x, so its sum is the
-        same pairwise reduction as in a full scan of the surface.
-        """
-        shape = j.shape + (n,)
-        x = x_buf[: math.prod(shape)].reshape(shape)
-        y = y_buf[: x.size].reshape(shape)
-        t = grid[j][:, :, None]
-        np.multiply(t, u[:, None, :], out=x)
-        np.multiply(1.0 - t, dd, out=y)
-        np.add(x, y, out=x)
-        return nll(x, axis=2, out=x)
-
-    best = (math.inf, 0, 0)  # (nll, i, j) of the lowest-index argmin so far
-    for start in range(0, n_side, rows_per_block):
-        p1 = grid[start : start + rows_per_block, None]
-        u = u_buf[: p1.size * n].reshape(p1.size, n)
-        np.multiply(p1, a, out=u)
-        u += np.multiply(1.0 - p1, b, out=y_buf[: u.size].reshape(u.shape))
-        # Bisection on every row of the block at once; a finished row (lo ==
-        # hi) is scored again but keeps its bracket.
-        lo = np.zeros(p1.size, dtype=np.int64)
-        hi = np.full(p1.size, n_side - 1, dtype=np.int64)
-        while np.any(open_ := lo < hi):
-            mid = (lo + hi) // 2
-            vals = cell_nll(u, np.stack([mid, np.minimum(mid + 1, n_side - 1)], axis=1))
-            rising = (vals[:, 0] <= vals[:, 1]) | ~open_
-            hi = np.where(rising, mid, hi)
-            lo = np.where(rising, lo, mid + 1)
-        vals = cell_nll(u, lo[:, None])[:, 0]
-        k = int(np.argmin(vals))
-        if vals[k] < best[0]:
-            best = (float(vals[k]), start + k, int(lo[k]))
-    value, i, j = best
-    step = 1.0 / (n_side - 1)
+    grid = _K2Grid(_scaled_outputs(source, target), int(round(steps)) + 1)
+    value, i, j = grid.pruned_argmin() or grid.scan(np.arange(grid.n_side))
+    step = 1.0 / (grid.n_side - 1)
     return i * step, j * step, value

@@ -129,9 +129,9 @@ def rho_t_bound(mu1p: float, mu0p: float, n_min: int, delta: float) -> BoundRepo
 
 
 def rescale_mu0(mu0_gamma: float, T: float) -> float:
-    """Divide the pseudo-OOD score mean by the reweight factor T >= 1."""
-    if T < 1.0:
-        raise ValidationError(f"T must be >= 1; got {T}")
+    """Divide the pseudo-OOD score mean by the reweight factor T, finite and >= 1."""
+    if not 1.0 <= T < math.inf:
+        raise ValidationError(f"T must be a finite number >= 1; got {T}")
     if not 0.0 <= mu0_gamma <= 1.0:
         raise ValidationError("mu0_gamma must lie in [0, 1]")
     return mu0_gamma / T

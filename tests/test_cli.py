@@ -139,6 +139,30 @@ class TestEstimate:
         report = json.loads(p.read_text())
         assert 0.0 <= report["mu0_hat"] <= 0.5  # rescaled by T = 2
 
+    @pytest.mark.parametrize("flags, prior", [
+        (["--alpha-out", "inf", "1"], "alpha_out"),
+        (["--alpha-in", "inf"], "alpha_in"),
+    ])
+    def test_infinite_prior_exits_2(self, sim_dir, capsys, flags, prior):
+        code = main([
+            "estimate", "--source", str(sim_dir / "source.jsonl"),
+            "--target", str(sim_dir / "target.jsonl"),
+            "--ood-ref", str(sim_dir / "ood_ref.jsonl"), "--map", *flags,
+        ])
+        assert code == 2
+        assert f"{prior} entries must be finite numbers >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("T", ["inf", "nan"])
+    def test_non_finite_T_exits_2(self, sim_dir, capsys, T):
+        code = main([
+            "estimate", "--source", str(sim_dir / "source.jsonl"),
+            "--target", str(sim_dir / "target.jsonl"),
+            "--pseudo-ood", "--features", str(sim_dir / "source_features.csv"),
+            "--scenario", str(sim_dir / "scenario.json"), "--T", T,
+        ])
+        assert code == 2
+        assert f"T must be a finite number >= 1; got {T}" in capsys.readouterr().err
+
     def test_degenerate_scorer_exits_1(self, tmp_path, capsys):
         # a scorer that responds identically (h = 1) to ID and OOD references
         ids = RecordSet(np.full((5, 2), 0.5), np.ones(5), np.array([1, 2, 1, 2, 1]))

@@ -31,6 +31,7 @@ from osls.pipeline import source_class_frequencies
 from osls.simulate import ShiftSpec, make_scenario, ring_config
 
 from conftest import easy_config, mle_em_path, overlap_config, plain_em
+from test_acceptance import _random_k2_scenario
 
 
 def _direct_nll(pi, rho_t, c, rho_s, f, h):
@@ -407,6 +408,35 @@ def _full_grid_surface(fe, ce, n_side):
     return out
 
 
+def _k2_target(shape, n=60):
+    """(source, target) whose grid argmin sits where ``shape`` says, K = 2.
+
+    "h_ends" has some h exactly 0 and 1; "certain_sample" adds one sample with
+    h = 1 and f = (1, 0), whose D is 0 on row pi_1 = 0; "row_0" and
+    "row_last" favour class 2 and class 1 in every sample; "column_t1" has
+    every h = 1 and "vertex_t0" every h = 0.
+    """
+    rng = np.random.default_rng(17)
+    source = SourceLabelModel(ProbabilityVector([0.4, 0.6]), 0.7)
+    f = rng.dirichlet([1.0, 1.0], n)
+    h = rng.uniform(0.0, 1.0, n)
+    if shape in ("h_ends", "certain_sample"):
+        h[: n // 10], h[n // 10 : n // 5] = 0.0, 1.0
+    if shape == "certain_sample":
+        f[n // 2], h[n // 2] = (1.0, 0.0), 1.0
+    if shape in ("row_0", "row_last"):
+        f[:, 0] = rng.uniform(0.02, 0.2, n)
+        f[:, 1] = 1.0 - f[:, 0]
+        h = rng.uniform(0.2, 0.8, n)
+        if shape == "row_last":
+            f = f[:, ::-1].copy()
+    if shape == "column_t1":
+        h[:] = 1.0
+    if shape == "vertex_t0":
+        h[:] = 0.0
+    return source, RecordSet(f, h)
+
+
 class TestGridOracle:
     @pytest.mark.parametrize("seed", range(8))
     def test_bisection_matches_full_scan(self, seed):
@@ -446,6 +476,41 @@ class TestGridOracle:
         p1, rho, value = nll_grid_argmin(source, target.records, resolution=0.001)
         assert (p1, rho) == (i * (1.0 / 1000), j * (1.0 / 1000))
         assert value == surface[i, j]
+
+    @pytest.mark.parametrize("resolution", [0.01, 0.001])
+    @pytest.mark.parametrize("shape", ["h_ends", "certain_sample", "row_0", "row_last",
+                                       "column_t1", "vertex_t0"])
+    def test_edge_targets_match_full_scan(self, shape, resolution, monkeypatch):
+        pruned = []
+        prune = em._K2Grid.pruned_argmin
+        monkeypatch.setattr(em._K2Grid, "pruned_argmin",
+                            lambda grid: pruned.append(prune(grid)) or pruned[-1])
+        source, target = _k2_target(shape)
+        n_side = int(round(1.0 / resolution)) + 1
+        surface = _full_grid_surface(target.extended_f(), source.extended().entries, n_side)
+        i, j = divmod(int(np.argmin(surface)), n_side)
+        step = 1.0 / (n_side - 1)
+        assert nll_grid_argmin(source, target, resolution) == (i * step, j * step, surface[i, j])
+        # The certain sample floors interior cells, so every row is scored.
+        assert (pruned[0] is None) == (shape == "certain_sample")
+        where = {"row_0": i == 0, "row_last": i == n_side - 1, "column_t1": j == n_side - 1,
+                 "vertex_t0": (i, j) == (0, 0)}
+        assert where.get(shape, 0 < j < n_side - 1)
+
+    def test_scores_few_rows_exactly(self, monkeypatch):
+        # c01's first scenario at 0.001: the bounds rule out all but a few rows.
+        scored = []
+        scan = em._K2Grid.scan
+
+        def spy(grid, rows, *best):
+            scored.append(rows.size)
+            return scan(grid, rows, *best)
+
+        monkeypatch.setattr(em._K2Grid, "scan", spy)
+        cfg = _random_k2_scenario(np.random.default_rng(101), seed=1000)
+        _, target, _, _ = make_scenario(cfg)
+        nll_grid_argmin(SourceLabelModel(cfg.c, cfg.rho_s), target.records, resolution=0.001)
+        assert 0 < sum(scored) <= 64
 
     @pytest.mark.parametrize("n, resolution", [
         (300, 0.01), (300, 0.001), (300, 0.0005),
@@ -519,6 +584,14 @@ class TestEmConfig:
             EmConfig(alpha_out=(np.nan, 1.0))
         with pytest.raises(ValidationError):
             EmConfig(max_iters=0)
+        for prior in ({"alpha_in": np.array([math.inf, 2.0])}, {"alpha_out": (math.inf, 1.0)},
+                      {"alpha_out": (1.0, -math.inf)}):
+            with pytest.raises(ValidationError, match=f"{next(iter(prior))} entries"):
+                EmConfig(**prior)
+        for max_iters in (2.5, 100.0, "100", None):
+            with pytest.raises(ValidationError, match="max_iters"):
+                EmConfig(max_iters=max_iters)
+        assert EmConfig(max_iters=np.int64(7)).max_iters == 7
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-12])
     def test_tol_validation(self, tol):

@@ -202,6 +202,11 @@ class TestRescaleMu0:
         with pytest.raises(ValidationError):
             rescale_mu0(0.4, 0.5)
 
+    @pytest.mark.parametrize("T", [math.inf, math.nan])
+    def test_rejects_non_finite_T(self, T):
+        with pytest.raises(ValidationError, match=f"T must be a finite number >= 1; got {T}"):
+            rescale_mu0(0.4, T)
+
 
 class TestThresholdRescale:
     def test_basic(self):
