@@ -20,11 +20,13 @@ from .core import (
     ValidationError,
     _as_probability_vector,
     on_simplex,
+    row_blocks,
 )
 from .em import EmConfig, EmTrace, fit, flush_subnormals
 
 _COND_LIMIT = 1e8
-# Entries per block when summing clipped rows, bounding the block's copy.
+# Entries per row block when summing, or normalizing for an argmax, clipped rows,
+# bounding the block's copy.
 _ROW_SUM_BLOCK = 1 << 16
 
 ProbsLike = Union[np.ndarray, Sequence[Sequence[float]]]
@@ -69,29 +71,29 @@ class ConfusionMatrix:
 
 
 def _clipped_row_sums(rows: np.ndarray) -> np.ndarray:
-    """``np.clip(rows, 0, None).sum(axis=1)`` bit for bit, clipping a block of rows at a time.
-
-    A block of two or more rows is laid out as the whole matrix is, so numpy adds
-    each row's entries in the same order. A lone row is summed as a C-order row
-    whatever the layout, so a last block of one row joins the block before it.
-    """
-    n = rows.shape[0]
-    starts = list(range(0, n, max(2, _ROW_SUM_BLOCK // max(rows.shape[1], 1))))
-    if n > 1 and n - starts[-1] == 1:
-        starts.pop()
-    sums = np.empty(n)
-    for i, j in zip(starts, starts[1:] + [n]):
+    """``np.clip(rows, 0, None).sum(axis=1)`` bit for bit, clipping a block of rows at a time."""
+    sums = np.empty(rows.shape[0])
+    for i, j in row_blocks(*rows.shape, _ROW_SUM_BLOCK):
         sums[i:j] = np.clip(rows[i:j], 0.0, None).sum(axis=1)
     return sums
 
 
-def _coerce_prob_rows(target_f: ProbsLike, order: str = "C") -> np.ndarray:
-    """Posterior rows clipped at 0 and renormalized, in one fresh array in ``order``."""
+def _prob_rows(target_f: ProbsLike) -> np.ndarray:
     rows = np.asarray(target_f, dtype=float)
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise ValidationError("target posteriors must form a non-empty (N, K) matrix")
+    return rows
+
+
+def _require_simplex(rows: np.ndarray) -> None:
     if not on_simplex(rows).all():
         raise ValidationError("each target posterior must be a probability vector")
+
+
+def _coerce_prob_rows(target_f: ProbsLike, order: str = "C") -> np.ndarray:
+    """Posterior rows clipped at 0 and renormalized, in one fresh array in ``order``."""
+    rows = _prob_rows(target_f)
+    _require_simplex(rows)
     out = np.clip(rows, 0.0, None, out=np.empty(rows.shape, order=order))
     out /= _clipped_row_sums(rows)[:, None]
     return out
@@ -174,13 +176,24 @@ def bbse(confusion: ConfusionMatrix, target_pred_freq) -> ProbabilityVector:
 
 def predicted_class_frequencies(f_rows: ProbsLike, k: Optional[int] = None) -> ProbabilityVector:
     """Empirical frequencies of the argmax class over a set of posteriors."""
-    rows = _coerce_prob_rows(f_rows)
-    k = k or rows.shape[1]
-    pred = rows.argmax(axis=1)
-    counts = np.bincount(pred, minlength=k).astype(float)
+    rows = _prob_rows(f_rows)
+    pred = argmax_labels(rows) - 1
+    counts = np.bincount(pred, minlength=k or rows.shape[1]).astype(float)
     return ProbabilityVector(counts / counts.sum())
 
 
 def argmax_labels(f_rows: ProbsLike) -> np.ndarray:
-    """1-based argmax labels, ties broken toward the smallest index."""
-    return _coerce_prob_rows(f_rows).argmax(axis=1) + 1
+    """1-based argmax labels, ties broken toward the smallest index.
+
+    Each block of rows is checked, clipped and normalized as ``_coerce_prob_rows``
+    does the whole matrix, to the same bits, so the same entries tie.
+    """
+    rows = _prob_rows(f_rows)
+    labels = np.empty(rows.shape[0], dtype=np.int64)
+    for i, j in row_blocks(*rows.shape, _ROW_SUM_BLOCK):
+        _require_simplex(rows[i:j])
+        block = np.clip(rows[i:j], 0.0, None)
+        block /= block.sum(axis=1, keepdims=True)
+        np.argmax(block, axis=1, out=labels[i:j])
+    labels += 1
+    return labels

@@ -20,6 +20,8 @@ SIMPLEX_TOL = 1e-9
 MIN_CLASS_PROB = 1e-6
 # Open-interval clamp for ID-ratio estimates that seed EM divisions.
 RHO_EPS = 1e-6
+# Entries per row block when ``RecordSet`` checks its rows, bounding the block's masks.
+_CHECK_BLOCK = 1 << 16
 
 
 class OslsError(Exception):
@@ -67,6 +69,25 @@ def on_simplex(rows: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
     if (rows < -tol).any():
         ok &= (rows >= -tol).all(axis=-1)
     return ok
+
+
+def row_blocks(n: int, width: int, cells: int) -> list:
+    """(start, stop) pairs that cover ``n`` rows of ``width`` entries, about ``cells`` a block.
+
+    A block of two or more rows is laid out as the whole matrix is, so numpy adds
+    each row's entries in the same order. A lone row is summed as a C-order row
+    whatever the layout, so a last block of one row joins the block before it.
+    """
+    starts = list(range(0, n, max(2, cells // max(width, 1))))
+    if n > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _require_rows(ok: np.ndarray, what: str, start: int = 0) -> None:
+    """ValidationError "row <i> <what>" for the first row ``i`` where ``ok`` is False."""
+    if not ok.all():
+        raise ValidationError(f"row {start + int(np.argmin(ok))} {what}")
 
 
 def validate_simplex(v: VectorLike, tol: float = SIMPLEX_TOL) -> bool:
@@ -236,18 +257,17 @@ class RecordSet:
             raise ValidationError(f"f has {f.shape[0]} rows but h has {h.size} entries")
         if f.shape[0] == 0:
             raise ValidationError("empty record set")
-        finite = np.isfinite(f).all(axis=1) & np.isfinite(h)
-        if not finite.all():
-            raise ValidationError(f"row {int(np.argmin(finite))} has a non-finite value in f or h")
-        rows_ok = on_simplex(f)
-        if not rows_ok.all():
-            raise ValidationError(f"row {int(np.argmin(rows_ok))} of f is not a probability vector")
+        # A block of rows at a time, so no mask is as large as f; each check
+        # runs over every row before the next, so the first failure is named.
+        blocks = row_blocks(f.shape[0], f.shape[1], _CHECK_BLOCK)
+        for i, j in blocks:
+            finite = np.isfinite(f[i:j]).all(axis=1) & np.isfinite(h[i:j])
+            _require_rows(finite, "has a non-finite value in f or h", i)
+        for i, j in blocks:
+            _require_rows(on_simplex(f[i:j]), "of f is not a probability vector", i)
         f = np.clip(f, 0.0, None, out=None if copy else f)
         f /= f.sum(axis=1, keepdims=True)
-        h_ok = (h >= -SIMPLEX_TOL) & (h <= 1.0 + SIMPLEX_TOL)
-        if not h_ok.all():
-            raise ValidationError(f"row {int(np.argmin(h_ok))} of h is not in [0, 1]")
-        h = np.clip(h, 0.0, 1.0, out=None if copy else h)
+        h = _clipped_h(h, copy)
         if y is not None:
             y = np.asarray(y)
             if y.shape != h.shape:
@@ -288,9 +308,13 @@ class RecordSet:
         return out
 
     def with_h(self, h: np.ndarray) -> "RecordSet":
-        """These records with scores ``h``, checked as the constructor checks them;
+        """These records with scores ``h``, checked and clipped as the constructor does;
         ``f`` and ``y`` are kept bit for bit, not normalized again."""
-        return RecordSet.__new__(RecordSet)._set(self.f, RecordSet(self.f, h).h, self.y)
+        h = np.asarray(h, dtype=float).ravel()
+        if h.size != len(self):
+            raise ValidationError(f"f has {len(self)} rows but h has {h.size} entries")
+        _require_rows(np.isfinite(h), "has a non-finite value in f or h")
+        return RecordSet.__new__(RecordSet)._set(self.f, _clipped_h(h, copy=True), self.y)
 
     def take(self, idx: np.ndarray) -> "RecordSet":
         """The records at the indices ``idx``, each column kept bit for bit."""
@@ -302,6 +326,13 @@ class RecordSet:
 
     def __len__(self) -> int:
         return self.h.size
+
+
+def _clipped_h(h: np.ndarray, copy: bool) -> np.ndarray:
+    """Finite scores ``h`` clipped to [0, 1], in a copy when ``copy``; ValidationError
+    naming the first score more than ``SIMPLEX_TOL`` outside."""
+    _require_rows((h >= -SIMPLEX_TOL) & (h <= 1.0 + SIMPLEX_TOL), "of h is not in [0, 1]")
+    return np.clip(h, 0.0, 1.0, out=None if copy else h)
 
 
 def extend_distribution(base: Union[ProbabilityVector, VectorLike], rho: float) -> ProbabilityVector:

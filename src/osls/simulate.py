@@ -346,10 +346,18 @@ class LabeledDataset:
         features = np.atleast_2d(np.asarray(features, dtype=float))
         if features.shape[0] != len(records):
             raise ValidationError("one feature row per record is required")
-        features = features.copy()
+        self._hold(records, features.copy())
+
+    @classmethod
+    def _adopt(cls, records: RecordSet, features: np.ndarray) -> "LabeledDataset":
+        """A dataset that holds the caller's fresh (N, d) float64 features, not a copy."""
+        return cls.__new__(cls)._hold(records, features)
+
+    def _hold(self, records: RecordSet, features: np.ndarray) -> "LabeledDataset":
         features.flags.writeable = False
         self.records = records
         self.features = features
+        return self
 
     @property
     def y(self) -> np.ndarray:
@@ -393,39 +401,67 @@ class Scenario:
 
     def oracle_scores(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Exact posteriors (f, h) under the source priors, temperature applied."""
-        cfg = self.config
-        joint = self.components.log_pdf(x)
-        joint += np.concatenate(
-            [np.log(cfg.rho_s) + np.log(cfg.c.entries), [np.log(1.0 - cfg.rho_s)]]
-        )[None, :]
-        joint_id = joint[:, : cfg.k]
-        m = joint_id.max(axis=1, keepdims=True)
-        tau = cfg.temperature
-        ef = np.subtract(joint_id, m)
-        np.exp(ef, out=ef)
-        total = ef.sum(axis=1)
-        lse_id = m[:, 0] + np.log(total)
-        if tau != 1.0:
-            np.subtract(joint_id, m, out=ef)
-            ef /= tau
-            np.exp(ef, out=ef)
-            total = ef.sum(axis=1)
-        ef /= total[:, None]
-        h = _sigmoid((lse_id - joint[:, cfg.k]) / tau)
-        return ef, h
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        f = np.empty((x.shape[0], self.k))
+        return f, self._score(x, "given features", f)
 
-    def _dataset(self, labels0: np.ndarray, rng: np.random.Generator) -> LabeledDataset:
+    def _score(self, x: np.ndarray, sample: str, f: Optional[np.ndarray] = None) -> np.ndarray:
+        """h for ``x``'s rows, and their f written into ``f`` if given, a row block at a time.
+
+        Every step works row by row on C-order blocks, so each entry has the bits
+        of the whole-array computation; no array as large as f is made.
+        """
+        cfg = self.config
+        k, tau, n = cfg.k, cfg.temperature, x.shape[0]
+        log_prior = np.concatenate(
+            [np.log(cfg.rho_s) + np.log(cfg.c.entries), [np.log(1.0 - cfg.rho_s)]]
+        )
+        rows = max(1, _LOG_PDF_CELLS // (k + 1))
+        block = np.empty((min(rows, n), k)) if f is None else None
+        h = np.empty(n)
+        # Overflow in a log density is reported below, as the one error it causes.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for start in range(0, n, rows):
+                stop = min(start + rows, n)
+                joint = self.components.log_pdf(x[start:stop])
+                joint += log_prior
+                joint_id = joint[:, :k]
+                m = joint_id.max(axis=1, keepdims=True)
+                # Only here can f or h turn non-finite: when no ID class has a
+                # finite log density, or the OOD class's is NaN, because the
+                # scales' squares or the squared distances overflowed or underflowed.
+                if not np.isfinite(m).all() or np.isnan(joint[:, k]).any():
+                    raise ValidationError(
+                        "class_means and class_scales are too extreme for float64: "
+                        f"the log densities of the {sample} are not finite"
+                    )
+                ef = block[: stop - start] if f is None else f[start:stop]
+                np.subtract(joint_id, m, out=ef)
+                np.exp(ef, out=ef)
+                total = ef.sum(axis=1)
+                lse_id = m[:, 0] + np.log(total)
+                if tau != 1.0:
+                    np.subtract(joint_id, m, out=ef)
+                    ef /= tau
+                    np.exp(ef, out=ef)
+                    total = ef.sum(axis=1)
+                ef /= total[:, None]
+                h[start:stop] = _sigmoid((lse_id - joint[:, k]) / tau)
+        return h
+
+    def _dataset(self, labels0: np.ndarray, rng: np.random.Generator,
+                 sample: str) -> LabeledDataset:
         x = self.components.sample(labels0, rng)
-        f, h = self.oracle_scores(x)
-        records = RecordSet(f, h, labels0 + 1)
-        return LabeledDataset(records, x)
+        f = np.empty((x.shape[0], self.k))
+        h = self._score(x, f"{sample} sample", f)
+        return LabeledDataset._adopt(RecordSet._adopt(f, h, labels0 + 1), x)
 
     def sample_source(self) -> LabeledDataset:
         """ID-only labeled source data with labels drawn from c."""
         cfg = self.config
         rng_labels = _stream(cfg.seed, _STREAM_SOURCE_LABELS)
         labels0 = rng_labels.choice(cfg.k, size=cfg.n_source, p=cfg.c.entries)
-        return self._dataset(labels0, _stream(cfg.seed, _STREAM_SOURCE_FEATURES))
+        return self._dataset(labels0, _stream(cfg.seed, _STREAM_SOURCE_FEATURES), "source")
 
     def sample_target(self) -> LabeledDataset:
         """Unlabeled-by-convention target mixture; truth labels kept for scoring."""
@@ -434,7 +470,7 @@ class Scenario:
         is_id = rng_labels.random(cfg.n_target) < self.truth.rho_t
         id_labels = rng_labels.choice(cfg.k, size=cfg.n_target, p=self.truth.pi.entries)
         labels0 = np.where(is_id, id_labels, cfg.k)
-        return self._dataset(labels0, _stream(cfg.seed, _STREAM_TARGET_FEATURES))
+        return self._dataset(labels0, _stream(cfg.seed, _STREAM_TARGET_FEATURES), "target")
 
     def sample_target_exact_ratio(self) -> LabeledDataset:
         """Target draw with the OOD count pinned to round(r * n_ID).
@@ -451,21 +487,21 @@ class Scenario:
         id_labels = rng_labels.choice(cfg.k, size=n_id, p=self.truth.pi.entries)
         labels0 = np.concatenate([id_labels, np.full(n_ood, cfg.k, dtype=np.int64)])
         labels0 = labels0[rng_labels.permutation(labels0.size)]
-        return self._dataset(labels0, _stream(cfg.seed, _STREAM_TARGET_FEATURES))
+        return self._dataset(labels0, _stream(cfg.seed, _STREAM_TARGET_FEATURES), "target")
 
     def sample_ood_ref(self) -> LabeledDataset:
         """Reference draws from the OOD class-conditional."""
         cfg = self.config
         labels0 = np.full(cfg.n_ood_ref, cfg.k, dtype=np.int64)
-        return self._dataset(labels0, _stream(cfg.seed, _STREAM_OODREF_FEATURES))
+        return self._dataset(labels0, _stream(cfg.seed, _STREAM_OODREF_FEATURES),
+                             "OOD reference")
 
     def pseudo_ood_scores(self, features: np.ndarray, gamma: float) -> np.ndarray:
         """ID scores of noise-blended copies of the given features."""
         blended = gen_pseudo_ood(
             features, gamma, [_mask_seed(self.config.seed), _STREAM_PSEUDO_NOISE]
         )
-        _, h = self.oracle_scores(blended)
-        return h
+        return self._score(blended, "pseudo-OOD features")
 
 
 def make_scenario(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from osls import baselines as bl
 from osls.baselines import (
     ConfusionMatrix,
     _cond_1,
@@ -143,3 +144,35 @@ class TestBbse:
         np.testing.assert_array_equal(argmax_labels(f), [1, 2, 1])
         freq = predicted_class_frequencies(f)
         np.testing.assert_allclose(freq.entries, [2 / 3, 1 / 3])
+
+
+# Nine rows, all tied but rows 2 and 6; a row of a third below zero within the
+# simplex tolerance; and a tie in the lone last row.
+TIED_ROWS = np.array([
+    [0.5, 0.5, 0.0], [0.25, 0.375, 0.375], [0.1, 0.2, 0.7], [0.4, 0.2, 0.4],
+    [0.0, 0.5, 0.5], [0.5 + 2e-10, 0.5, -2e-10], [0.2, 0.7, 0.1], [1 / 3, 1 / 3, 1 / 3],
+    [0.0, 0.5, 0.5],
+])
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "reversed"])
+@pytest.mark.parametrize("block", [None, 3, 4])
+def test_argmax_labels_in_blocks(monkeypatch, layout, block):
+    # Blocks of 3 rows end at rows 2 and 5; blocks of 4 end at rows 3 and 7 and
+    # leave row 8 alone, so it joins the block before it.
+    if block is not None:
+        monkeypatch.setattr(bl, "_ROW_SUM_BLOCK", 3 * block)
+    f = {"C": TIED_ROWS, "F": np.asfortranarray(TIED_ROWS), "reversed": TIED_ROWS[::-1]}[layout]
+    expected = np.array([1, 2, 3, 1, 2, 1, 2, 1, 2])
+    if layout == "reversed":
+        expected = expected[::-1]
+    rows = np.clip(f, 0.0, None)
+    np.testing.assert_array_equal(argmax_labels(f), expected)
+    old = (rows / rows.sum(axis=1)[:, None]).argmax(axis=1) + 1
+    np.testing.assert_array_equal(argmax_labels(f), old)
+    counts = np.bincount(expected - 1, minlength=3)
+    assert predicted_class_frequencies(f).entries.tolist() == (counts / counts.sum()).tolist()
+    bad = np.array(f)
+    bad[8] = [0.6, 0.5, 0.0]
+    with pytest.raises(ValidationError, match="each target posterior"):
+        argmax_labels(bad)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -657,6 +658,22 @@ class TestMalformedInputExitsTwo:
         out = tmp_path / "out"
         code = main(["simulate", "--config", str(cfg), "--out-dir", str(out)])
         assert code == 2 and "rounds to zero" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("extra", ["scale = 1e-160", "radius = 1e200", "scale = 1e160"])
+    def test_simulate_names_a_config_too_extreme_for_float64(self, tmp_path, capsys, extra):
+        # The scales' squares or the squared distances overflow or underflow.
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text(f"k = 3\nn_source = 200\nn_target = 200\nn_ood_ref = 100\n{extra}\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["simulate", "--config", str(cfg), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(
+            "error: class_means and class_scales are too extreme for float64: "
+            "the log densities of the target sample are not finite")
+        assert "row" not in err
         assert not any(out.iterdir())
 
     def test_config_not_utf8(self, tmp_path, capsys):

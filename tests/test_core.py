@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osls import core
 from osls.core import (
     ProbabilityVector,
     RecordSet,
@@ -139,13 +142,36 @@ class TestRecordSet:
         with pytest.raises(ValidationError):
             RecordSet(np.array([[1.0]]), np.array([1.0]), np.array([3]))
 
-    def test_rejects_non_finite_values_naming_the_row(self):
-        f = np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
-        for bad_f, bad_h in ((np.nan, 0.5), (0.5, np.nan), (0.5, np.inf), (-np.inf, 0.5)):
-            ff, hh = f.copy(), np.full(3, 0.5)
-            ff[1, 0], hh[1] = bad_f, bad_h
-            with pytest.raises(ValidationError, match="row 1 has a non-finite value"):
-                RecordSet(ff, hh)
+    # (rows, block rows, bad row): one block; the last row of a block and the
+    # first of the next; and the lone last row, which joins the block before it.
+    BLOCK_CASES = [(3, None, 1), (9, 4, 3), (9, 4, 4), (9, 4, 8)]
+
+    def test_rejects_non_finite_values_naming_the_row(self, monkeypatch):
+        for n, block, row in self.BLOCK_CASES:
+            if block is not None:
+                monkeypatch.setattr(core, "_CHECK_BLOCK", 2 * block)
+            for bad_f, bad_h in ((np.nan, 0.5), (0.5, np.nan), (0.5, np.inf), (-np.inf, 0.5)):
+                ff, hh = np.full((n, 2), 0.5), np.full(n, 0.5)
+                ff[row, 0], hh[row] = bad_f, bad_h
+                with pytest.raises(ValidationError, match=f"row {row} has a non-finite value"):
+                    RecordSet(ff, hh)
+                with pytest.raises(ValidationError, match=f"row {row} has a non-finite value"):
+                    RecordSet._adopt(ff, hh)
+
+    def test_rejects_rows_off_the_simplex_naming_the_first(self, monkeypatch):
+        for n, block, row in self.BLOCK_CASES:
+            if block is not None:
+                monkeypatch.setattr(core, "_CHECK_BLOCK", 2 * block)
+            f, h = np.full((n, 2), 0.5), np.full(n, 0.5)
+            f[row] = [0.6, 0.5]
+            f[n - 1, 1] = -0.1  # a later bad row is not the one named
+            f = np.asfortranarray(f)
+            with pytest.raises(ValidationError, match=f"row {row} of f is not a probability"):
+                RecordSet(f, h)
+            # A non-finite value is named first, even in a later block.
+            f[n - 1, 1] = np.nan
+            with pytest.raises(ValidationError, match=f"row {n - 1} has a non-finite value"):
+                RecordSet(f, h)
 
     @pytest.mark.parametrize("bad", [1.9, -0.2, 1.0 + 2e-9])
     def test_rejects_h_outside_unit_interval_naming_the_row(self, bad):
@@ -172,6 +198,20 @@ class TestRecordSet:
             rs.take(np.array([], dtype=int))
         taken = rs.take(np.array([1]))
         assert taken.f.tolist() == [[0.25, 0.75]] and taken.y.tolist() == [3]
+
+    def test_with_h_makes_no_copy_of_f(self):
+        n, k = 20_000, 50
+        rng = np.random.default_rng(0)
+        rs = RecordSet(rng.dirichlet(np.ones(k), size=n), rng.random(n))
+        h = rng.random(n)
+        tracemalloc.start()
+        try:
+            out = rs.with_h(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.f is rs.f and np.array_equal(out.h, h) and not out.h.flags.writeable
+        assert peak <= 3 * h.nbytes
 
     def test_immutable(self):
         rs = RecordSet(np.array([[0.5, 0.5]]), np.array([0.5]))

@@ -3,9 +3,11 @@
 Each estimate or correct call builds its one N x (K+1) (or N x K) matrix in a
 fresh array and then works on it in place. ``TestTransientPeak`` pins that with
 tracemalloc: beyond its inputs, a call allocates at most 1.25 times one
-N x (K+1) float64 matrix. Sampling's ``Scenario.oracle_scores`` holds two: the
-joint log densities and the posteriors it returns. A table reader holds one
-copy of the arrays it returns, plus a few blocks of rows.
+N x (K+1) float64 matrix. Sampling scores a block of rows at a time into the
+N x K posteriors it returns, and the records adopt them, so it holds a few MiB
+beyond what it returns, at any N; BBSE's argmax, ``RecordSet``'s checks and
+``RecordSet.with_h`` also work in blocks of rows or on ``h`` alone. A table
+reader holds one copy of the arrays it returns, plus a few blocks of rows.
 ``TestBuildersMatchOldExpressions`` and ``TestSamplingMatchesOldExpressions``
 restate the out-of-place expressions the builders replaced and assert the same
 bytes, so every output stays as it was, and ``test_simulate_files_match_sampling_first``
@@ -32,6 +34,8 @@ from osls.simulate import GaussianComponents, Scenario, ring_config
 N, K = 20_000, 50
 MATRIX_BYTES = N * (K + 1) * 8
 BOUND = 1.25 * MATRIX_BYTES
+# What sampling and BBSE may hold beyond the arrays they return: their blocks of rows.
+SAMPLING_SLACK = 3 << 20
 
 
 def _records(rng, n, k, labels):
@@ -131,7 +135,31 @@ class TestTransientPeak:
         rng = np.random.default_rng(4)
         x = scenario.components.sample(rng.integers(0, K + 1, N), rng)
         peak = _transient_peak(lambda: scenario.oracle_scores(x))
-        assert peak <= BOUND + MATRIX_BYTES
+        assert peak <= N * K * 8 + N * 8 + SAMPLING_SLACK
+
+    def test_pseudo_ood_scores(self):
+        # h alone: the posteriors are scored into one block's buffer.
+        scenario = Scenario(ring_config(K))
+        x = np.random.default_rng(4).normal(size=(N, 2))
+        peak = _transient_peak(lambda: scenario.pseudo_ood_scores(x, 0.3))
+        assert peak <= 3 * x.nbytes + N * 8 + SAMPLING_SLACK
+
+    @pytest.mark.parametrize("n", [20_000, 80_000])
+    def test_sample_source(self, n):
+        # The excess over the returned arrays does not grow with N.
+        scenario = Scenario(ring_config(K, n_source=n, seed=3))
+        returned = []
+        peak = _transient_peak(lambda: returned.append(scenario.sample_source()))
+        source = returned[0]
+        nbytes = sum(a.nbytes for a in (source.records.f, source.records.h,
+                                        source.records.y, source.features))
+        assert peak <= nbytes + SAMPLING_SLACK
+
+    def test_bbse_argmax(self, data):
+        source, target, _, _ = data
+        peak = _transient_peak(lambda: (bl.argmax_labels(source.f),
+                                        bl.predicted_class_frequencies(target.f)))
+        assert peak <= 2 * N * 8 + SAMPLING_SLACK
 
 
 # Old expressions, restated as they stood before the builders worked in place.
@@ -313,6 +341,40 @@ class TestSamplingMatchesOldExpressions:
         old_f, old_h = _old_oracle_scores(scenario, x)
         _same(f, old_f)
         _same(h, old_h)
+
+    @pytest.mark.parametrize("dim", [2, 9])
+    @pytest.mark.parametrize("temperature", [0.6, 1.0, 1.7])
+    @pytest.mark.parametrize("k", [2, 10, 100])
+    def test_oracle_scores_in_blocks(self, k, temperature, dim, monkeypatch):
+        # Blocks of 4 rows leave one row over at n = 513; the pseudo-OOD scores
+        # reuse one block's buffer for f.
+        monkeypatch.setattr(simulate, "_LOG_PDF_CELLS", 4 * (k + 1))
+        self.test_oracle_scores(k, temperature, dim)
+        scenario = Scenario(ring_config(k, feature_dim=dim, temperature=temperature, seed=k))
+        x = np.random.default_rng(dim).normal(0.0, 3.0, (513, dim))
+        blended = simulate.gen_pseudo_ood(x, 0.3, [k, simulate._STREAM_PSEUDO_NOISE])
+        _same(scenario.pseudo_ood_scores(x, 0.3), _old_oracle_scores(scenario, blended)[1])
+
+    @pytest.mark.parametrize("block", [None, 4])
+    @pytest.mark.parametrize("k, dim, temperature", [(10, 2, 1.0), (100, 2, 1.0),
+                                                     (10, 9, 1.7), (3, 2, 0.6)])
+    def test_sample_source(self, k, dim, temperature, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(simulate, "_LOG_PDF_CELLS", block * (k + 1))
+        config = ring_config(k, feature_dim=dim, temperature=temperature, n_source=2001,
+                             seed=k + dim)
+        new = Scenario(config).sample_source()
+        # As sampled before: the whole array's scores, then the copying constructors.
+        scenario = Scenario(config)
+        labels0 = simulate._stream(config.seed, simulate._STREAM_SOURCE_LABELS).choice(
+            k, size=config.n_source, p=config.c.entries)
+        rng = simulate._stream(config.seed, simulate._STREAM_SOURCE_FEATURES)
+        x = scenario.components.sample(labels0, rng)
+        old = simulate.LabeledDataset(RecordSet(*_old_oracle_scores(scenario, x), labels0 + 1), x)
+        for a, b in ((new.records.f, old.records.f), (new.records.h, old.records.h),
+                     (new.records.y, old.records.y), (new.features, old.features)):
+            _same(a, b)
+            assert not a.flags.writeable
 
 
 def test_simulate_files_match_sampling_first(tmp_path):
