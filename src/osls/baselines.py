@@ -14,6 +14,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import (
+    BLOCK_CELLS,
     SIMPLEX_TOL,
     IllConditioned,
     ProbabilityVector,
@@ -25,9 +26,6 @@ from .core import (
 from .em import EmConfig, EmTrace, fit, flush_subnormals
 
 _COND_LIMIT = 1e8
-# Entries per row block when summing, or normalizing for an argmax, clipped rows,
-# bounding the block's copy.
-_ROW_SUM_BLOCK = 1 << 16
 
 ProbsLike = Union[np.ndarray, Sequence[Sequence[float]]]
 
@@ -73,7 +71,7 @@ class ConfusionMatrix:
 def _clipped_row_sums(rows: np.ndarray) -> np.ndarray:
     """``np.clip(rows, 0, None).sum(axis=1)`` bit for bit, clipping a block of rows at a time."""
     sums = np.empty(rows.shape[0])
-    for i, j in row_blocks(*rows.shape, _ROW_SUM_BLOCK):
+    for i, j in row_blocks(*rows.shape, BLOCK_CELLS):
         sums[i:j] = np.clip(rows[i:j], 0.0, None).sum(axis=1)
     return sums
 
@@ -190,7 +188,7 @@ def argmax_labels(f_rows: ProbsLike) -> np.ndarray:
     """
     rows = _prob_rows(f_rows)
     labels = np.empty(rows.shape[0], dtype=np.int64)
-    for i, j in row_blocks(*rows.shape, _ROW_SUM_BLOCK):
+    for i, j in row_blocks(*rows.shape, BLOCK_CELLS):
         _require_simplex(rows[i:j])
         block = np.clip(rows[i:j], 0.0, None)
         block /= block.sum(axis=1, keepdims=True)

@@ -20,8 +20,9 @@ SIMPLEX_TOL = 1e-9
 MIN_CLASS_PROB = 1e-6
 # Open-interval clamp for ID-ratio estimates that seed EM divisions.
 RHO_EPS = 1e-6
-# Entries per row block when ``RecordSet`` checks its rows, bounding the block's masks.
-_CHECK_BLOCK = 1 << 16
+# Entries per row block wherever a pass over an N-row matrix works a block of
+# rows at a time, bounding each block's masks, copies and temporaries.
+BLOCK_CELLS = 1 << 16
 
 
 class OslsError(Exception):
@@ -146,7 +147,10 @@ class ProbabilityVector:
 
 
 def json_value(kind: type, value):
-    """A JSON ``value`` as ``kind``: int, float (an int too), bool, str or an ndarray of numbers."""
+    """A JSON ``value`` as ``kind``: int, float (an int too), bool, str, an ndarray of
+    numbers or a ``ProbabilityVector`` taken as written."""
+    if kind is ProbabilityVector:
+        return ProbabilityVector.as_written(json_value(np.ndarray, value))
     if kind is np.ndarray:
         arr = np.array(value)
         if arr.dtype.kind not in "iuf":
@@ -156,6 +160,28 @@ def json_value(kind: type, value):
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ValidationError(f"must be {kind.__name__}, got {value!r}")
     return kind(value)
+
+
+def json_fields(obj, what: str, kinds: dict, optional=()) -> dict:
+    """``obj``'s value at each key of ``kinds`` as ``json_value`` reads that key's kind.
+
+    A key in ``optional`` may be missing or null, and is then left out of the
+    result. ``obj`` that is not a JSON object, or a key that is missing or
+    mistyped, raises ValidationError naming ``what`` and the key.
+    """
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    values = {}
+    for key, kind in kinds.items():
+        if obj.get(key) is None and key in optional:
+            continue
+        if key not in obj:
+            raise ValidationError(f"{what} is missing field {key!r}")
+        try:
+            values[key] = json_value(kind, obj[key])
+        except ValueError as exc:
+            raise ValidationError(f"{what} field {key!r}: {exc}") from None
+    return values
 
 
 def report_dict(report) -> dict:
@@ -189,7 +215,7 @@ class SourceLabelModel:
         c = _as_probability_vector(self.c)
         if np.any(c.entries < MIN_CLASS_PROB):
             raise ValidationError(
-                f"source class probabilities must be >= {MIN_CLASS_PROB}; got {c.entries!r}"
+                f"source class probabilities c must be >= {MIN_CLASS_PROB}; got {c.entries!r}"
             )
         rho = float(self.rho_s)
         if not (0.0 < rho < 1.0):
@@ -259,7 +285,7 @@ class RecordSet:
             raise ValidationError("empty record set")
         # A block of rows at a time, so no mask is as large as f; each check
         # runs over every row before the next, so the first failure is named.
-        blocks = row_blocks(f.shape[0], f.shape[1], _CHECK_BLOCK)
+        blocks = row_blocks(f.shape[0], f.shape[1], BLOCK_CELLS)
         for i, j in blocks:
             finite = np.isfinite(f[i:j]).all(axis=1) & np.isfinite(h[i:j])
             _require_rows(finite, "has a non-finite value in f or h", i)

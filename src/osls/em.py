@@ -180,13 +180,15 @@ def open_m_step(s: np.ndarray, n: float, am1: np.ndarray, bm1, am1_sum=None):
     """Open-set M-step from the K+1 E-step column sums; returns (pi, rho).
 
     pi is None when its update is undefined (all mass on the OOD class under
-    maximum likelihood), in which case the previous pi should be kept.
+    maximum likelihood), in which case the previous pi should be kept. The ID
+    mass ``n - s[K]`` is clamped at 0, as rounding can leave it a few ulp below.
     ``am1_sum`` is ``float(np.sum(am1))``, computed here when not given.
     """
     k = s.size - 1
-    n_in = n - s[k]
+    n_in = max(n - s[k], 0.0)
+    mass = s[:k] + am1
     denom_pi = n_in + (float(np.sum(am1)) if am1_sum is None else am1_sum)
-    pi = None if denom_pi == 0.0 else (s[:k] + am1) / denom_pi
+    pi = None if denom_pi == 0.0 or not mass.any() else mass / denom_pi
     rho = (n_in + bm1[0]) / (n + bm1[0] + bm1[1])
     return pi, float(rho)
 

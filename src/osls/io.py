@@ -51,7 +51,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import (SIMPLEX_TOL, ProbabilityVector, RecordSet, ValidationError, json_value,
+from .core import (SIMPLEX_TOL, ProbabilityVector, RecordSet, ValidationError, json_fields,
                    on_simplex)
 from .pipeline import ALL_METHODS
 from .pool import map_in_order
@@ -246,8 +246,9 @@ def _range_lines(path: Path, fd: int, item: _Range, first: int) -> list:
     return _decoded(path, _range_bytes(fd, item), item.start, first).splitlines()
 
 
-def _convert_range(file: _File, parse_block, convert, item: _Range) -> tuple:
-    """``(lines, columns)``: range ``item``'s line count and ``convert(parse_block(rows), None)``.
+def _convert_range(file: _File, csv: bool, convert, item: _Range) -> tuple:
+    """``(lines, columns)``: range ``item``'s line count and ``convert(parsed, None)`` of
+    its rows, parsed as one block of CSV (when ``csv``) or JSON lines.
 
     ``columns`` is empty for a range without rows, and None, as is ``lines``,
     when the range is not UTF-8 or its rows do not convert as one block; the
@@ -270,12 +271,12 @@ def _convert_range(file: _File, parse_block, convert, item: _Range) -> tuple:
     if not rows:
         return len(lines), ()
     try:
-        return len(lines), convert(parse_block(rows), None)
+        return len(lines), convert(_split_cells(rows) if csv else _loads_block(rows), None)
     except _ROW_ERRORS:
         return None, None
 
 
-def _convert_lines(path: Path, fd: int, item: _Range, first: int, parse_line, convert,
+def _convert_lines(path: Path, fd: int, item: _Range, first: int, csv: bool, convert,
                    width) -> tuple:
     """``_convert_range``'s result for range ``item``, from line ``first``, converted line by line.
 
@@ -290,7 +291,7 @@ def _convert_lines(path: Path, fd: int, item: _Range, first: int, parse_line, co
             skip -= 1
             continue
         try:
-            columns = convert(parse_line(line), width)
+            columns = convert(_split_cells([line]) if csv else _loads_line(line), width)
         except _ROW_ERRORS as exc:
             raise ValidationError(f"{path}: line {number}: {exc}") from None
         width = columns[0].shape[1]
@@ -317,22 +318,23 @@ def _header(path: Path, fd: int, ranges, needs: str) -> tuple:
     raise ValidationError(needs)
 
 
-def _read_table(path: Path, what: str, skip: int, parse_block, parse_line, converter) -> list:
+def _read_table(path: Path, what: str, csv: bool, converter) -> list:
     """The checked column arrays of the table at ``path``, a range at a time.
 
-    The table's rows are its non-blank lines after the first ``skip`` of them,
-    the header. ``converter(header)`` gives the block converter: ``convert(parsed,
-    width)`` turns rows parsed by ``parse_block`` (a list of lines) or
-    ``parse_line`` (one line) into checked column arrays, the first 2-D and
-    ``width`` wide once a block has set it. A block that fails, or has another
-    width than the first, is converted again line by line, so the error names
-    the first bad line. Each block is copied into columns allocated once, with
-    a row for each line a regular file's ranges can hold; they grow in place by
-    a quarter at a time for a stream, or when other line breaks than "\\n" make
-    more lines, and are cut to the rows read at the end.
+    The table is CSV when ``csv`` is true, else JSON lines. Its rows are its
+    non-blank lines, after the first, the header, of a CSV table.
+    ``converter(header)`` gives the block converter: ``convert(parsed, width)``
+    turns rows split into cells or parsed as JSON, a block or a line at a time,
+    into checked column arrays, the first 2-D and ``width`` wide once a block
+    has set it. A block that fails, or has another width than the first, is
+    converted again line by line, so the error names the first bad line. Each
+    block is copied into columns allocated once, with a row for each line a
+    regular file's ranges can hold; they grow in place by a quarter at a time
+    for a stream, or when other line breaks than "\\n" make more lines, and are
+    cut to the rows read at the end.
     """
     needs = (f"{what} file {path} needs "
-             + ("a CSV header and at least one row" if skip else "at least one row"))
+             + ("a CSV header and at least one row" if csv else "at least one row"))
     with open(path, "rb", buffering=0) as handle:
         fd, info = handle.fileno(), os.fstat(handle.fileno())
         ranges = _ranges(handle, not stat.S_ISREG(info.st_mode))
@@ -342,7 +344,7 @@ def _read_table(path: Path, what: str, skip: int, parse_block, parse_line, conve
             capacity = len(ranges) * BLOCK_ROWS
         file = _File(os.path.abspath(path), (info.st_dev, info.st_ino))
         header, number = None, 0
-        if skip:
+        if csv:
             number, header, ranges = _header(path, fd, iter(ranges), needs)
         try:
             convert = converter(header)
@@ -350,9 +352,9 @@ def _read_table(path: Path, what: str, skip: int, parse_block, parse_line, conve
             raise ValidationError(f"{path}: line {number}: {exc}") from None
         out, rows, width, first = [], 0, None, 1
         for item, (count, columns) in map_in_order(
-                partial(_convert_range, file, parse_block, convert), ranges):
+                partial(_convert_range, file, csv, convert), ranges):
             if columns is None or (columns and width is not None and columns[0].shape[1] != width):
-                count, columns = _convert_lines(path, fd, item, first, parse_line, convert, width)
+                count, columns = _convert_lines(path, fd, item, first, csv, convert, width)
             first += count
             if not columns:
                 continue
@@ -483,10 +485,6 @@ def _split_cells(lines: list) -> list:
     return [line.split(",") for line in lines]
 
 
-def _split_line(line: str) -> list:
-    return [line.split(",")]
-
-
 def _csv_table(rows: list, columns: list, names: int) -> np.ndarray:
     """``columns`` of split CSV rows of ``names`` cells each, as an (n, len(columns)) array."""
     lengths = set(map(len, rows)) - {names}
@@ -532,11 +530,10 @@ def _read_predictions(path: PathLike, layout: _Layout) -> tuple:
     The labels are int64, and ``y`` is None unless every row has one.
     """
     path = Path(path)
-    if _is_csv(path):
-        parsers = (1, _split_cells, _split_line, partial(_csv_columns, layout))
-    else:
-        parsers = (0, _loads_block, _loads_line, lambda header: partial(_json_columns, layout))
-    vectors, scalar, y = _read_table(path, layout.name, *parsers)
+    csv = _is_csv(path)
+    converter = (partial(_csv_columns, layout) if csv
+                 else lambda header: partial(_json_columns, layout))
+    vectors, scalar, y = _read_table(path, layout.name, csv, converter)
     return vectors, scalar, y if y.all() else None
 
 
@@ -566,8 +563,7 @@ def _feature_converter(header: str):
 
 def read_features(path: PathLike) -> np.ndarray:
     """Read a feature CSV written by ``write_features``."""
-    return _read_table(Path(path), "feature", 1, _split_cells, _split_line,
-                       _feature_converter)[0]
+    return _read_table(Path(path), "feature", True, _feature_converter)[0]
 
 
 def _finite_float(text: str) -> float:
@@ -596,19 +592,15 @@ def read_json(path: PathLike) -> dict:
         raise ValidationError(f"cannot parse JSON file {path}: {exc}") from None
 
 
+# The truth file's fields in order, each with the type of its JSON value.
+_TRUTH_JSON = dict(K=int, c=np.ndarray, rho_s=float, pi=np.ndarray, rho_t=float)
+
+
 def write_truth(path: PathLike, c, rho_s: float, pi, rho_t: float) -> None:
-    c = c.entries if isinstance(c, ProbabilityVector) else np.asarray(c, dtype=float)
-    pi = pi.entries if isinstance(pi, ProbabilityVector) else np.asarray(pi, dtype=float)
-    write_json(
-        path,
-        {
-            "K": int(c.size),
-            "c": [float(v) for v in c],
-            "rho_s": float(rho_s),
-            "pi": [float(v) for v in pi],
-            "rho_t": float(rho_t),
-        },
-    )
+    c, pi = (v.entries if isinstance(v, ProbabilityVector) else v for v in (c, pi))
+    values = zip(_TRUTH_JSON.items(), (len(c), c, rho_s, pi, rho_t))
+    write_json(path, {key: np.asarray(value, dtype=float).tolist() if kind is np.ndarray
+                      else kind(value) for (key, kind), value in values})
 
 
 def _parsed(what: str, key: str, parse, *args):
@@ -619,25 +611,13 @@ def _parsed(what: str, key: str, parse, *args):
         raise ValidationError(f"{what} {key!r}: {exc}") from None
 
 
-def _json_fields(obj, what: str, kinds: dict, optional=()) -> dict:
-    """``obj``'s values as ``kinds`` gives; a missing or mistyped key raises ValidationError."""
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{what} must be a JSON object")
-    missing = [key for key in kinds if key not in obj and key not in optional]
-    if missing:
-        raise ValidationError(f"{what} is missing field {missing[0]!r}")
-    return {key: _parsed(f"{what} field", key, json_value, kind, obj[key])
-            for key, kind in kinds.items() if key in obj}
-
-
 def read_truth(path: PathLike) -> dict:
     """Read a truth file: integer ``K``, lists ``c`` and ``pi`` of K numbers and
     numbers ``rho_s`` and ``rho_t``; a missing or mistyped field raises ValidationError.
     """
     obj = read_json(path)
     what = f"truth file {path}"
-    truth = _json_fields(obj, what, dict(K=int, c=np.ndarray, rho_s=float, pi=np.ndarray,
-                                         rho_t=float))
+    truth = json_fields(obj, what, _TRUTH_JSON)
     for key in ("c", "pi"):
         if truth[key].shape != (truth["K"],):
             raise ValidationError(f"{what} field {key!r} must be a list of {truth['K']} numbers")
@@ -662,7 +642,7 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
 def scenario_from_dict(obj: dict) -> ScenarioConfig:
     """Rebuild ``scenario_to_dict``'s config; fields with a default may be left out."""
     optional = [f.name for f in fields(ScenarioConfig) if f.default is not MISSING]
-    values = _json_fields(obj, "scenario", _SCENARIO_JSON, optional)
+    values = json_fields(obj, "scenario", _SCENARIO_JSON, optional)
     values["shift"] = _parsed("scenario field", "shift", ShiftSpec.parse, values["shift"])
     return ScenarioConfig(**values)
 

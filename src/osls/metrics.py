@@ -7,9 +7,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ValidationError, _as_probability_vector, report_dict
-
-MIN_METRIC_CLASS_PROB = 1e-6
+from .core import MIN_CLASS_PROB, ValidationError, _as_probability_vector, report_dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,8 +31,8 @@ def w_mse(pi_hat, pi_true, c) -> float:
     c = _as_probability_vector(c).entries
     if not (pi_hat.size == pi_true.size == c.size):
         raise ValidationError("pi_hat, pi_true and c must have matching length")
-    if np.any(c < MIN_METRIC_CLASS_PROB):
-        raise ValidationError(f"c entries must be >= {MIN_METRIC_CLASS_PROB}")
+    if np.any(c < MIN_CLASS_PROB):
+        raise ValidationError(f"c entries must be >= {MIN_CLASS_PROB}")
     w_true = pi_true / c
     w_hat = pi_hat / c
     return float(np.mean((w_true - w_hat) ** 2))

@@ -26,14 +26,14 @@ from .core import (
     ValidationError,
     _as_probability_vector,
     extend_distribution,
-    json_value,
+    json_fields,
     report_dict,
 )
 from .em import EmConfig, run_em
 from .estimators import ScoreMeans, correct_rho, estimate_rho_s, rescale_mu0
 from .metrics import rho_abs_error, w_mse
 from .pool import map_in_order
-from .simulate import Scenario, ScenarioConfig, ShiftSpec
+from .simulate import Scenario, ScenarioConfig, ShiftSpec, make_scenario
 
 OSLS_METHODS = ("osls-mle", "osls-map")
 CLOSED_SET_METHODS = ("mlls", "mapls", "bbse")
@@ -76,34 +76,21 @@ class EstimateResult:
     @classmethod
     def from_dict(cls, obj: dict) -> "EstimateResult":
         """Rebuild an estimate from its report; a bad or missing field raises ValidationError."""
-        if not isinstance(obj, dict):
-            raise ValidationError("estimate report must be a JSON object")
         hints = get_type_hints(cls)
-        values = {}
+        names, kinds, optional = {}, {}, []
         for f in fields(cls):
             key = f.metadata.get("key", f.name)
-            required = f.default is MISSING
-            if required and key not in obj:
-                raise ValidationError(f"estimate report is missing field {key!r}")
-            value = obj.get(key)
-            if required or value is not None:
-                values[f.name] = _report_value(key, hints[f.name], value)
-        result = cls(**values)
+            names[key] = f.name
+            kinds[key] = next((t for t in get_args(hints[f.name]) if t is not type(None)),
+                              hints[f.name])
+            if f.default is not MISSING:
+                optional.append(key)
+        values = json_fields(obj, "estimate report", kinds, optional)
+        result = cls(**{names[key]: value for key, value in values.items()})
         if not result.k == result.c_hat.k == result.pi_hat.k:
             raise ValidationError(f"estimate report field 'K' is {result.k}, but c_hat has "
                                   f"{result.c_hat.k} entries and pi_hat {result.pi_hat.k}")
         return result
-
-
-def _report_value(key: str, hint, value):
-    """``value`` of report field ``key``, checked against its declared type."""
-    kind = next((t for t in get_args(hint) if t is not type(None)), hint)
-    try:
-        if kind is ProbabilityVector:
-            return ProbabilityVector.as_written(json_value(np.ndarray, value))
-        return json_value(kind, value)
-    except ValueError as exc:
-        raise ValidationError(f"estimate report field {key!r}: {exc}") from None
 
 
 def source_class_frequencies(source: RecordSet) -> ProbabilityVector:
@@ -261,8 +248,6 @@ class SweepCell:
 
 def _run_sweep_point(base: ScenarioConfig, methods: tuple, em_iters: int, point: tuple) -> dict:
     """One (shift, r, seed) grid point: simulate once, estimate with all methods."""
-    from .simulate import make_scenario
-
     shift, r, seed = point
     config = replace(base, shift=ShiftSpec.parse(shift), r=r, seed=seed)
     source, target, ood_ref, truth = make_scenario(config)

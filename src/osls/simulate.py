@@ -20,11 +20,12 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import (
+    BLOCK_CELLS,
     ProbabilityVector,
     RecordSet,
+    SourceLabelModel,
     TargetLabelModel,
     ValidationError,
-    _as_probability_vector,
 )
 
 # Purpose offsets for per-stream seeding.
@@ -36,10 +37,6 @@ _STREAM_TARGET_FEATURES = 4
 _STREAM_OODREF_FEATURES = 5
 _STREAM_PSEUDO_NOISE = 6
 _STREAM_SUBSAMPLE = 7
-
-# Entries of the (rows, components, dim) differences that ``log_pdf`` holds at
-# once when dim >= 8.
-_LOG_PDF_CELLS = 1 << 16
 
 
 def _mask_seed(seed: int) -> int:
@@ -201,7 +198,7 @@ class GaussianComponents:
             # Row blocks of the (N, K+1, d) squared differences: each
             # (row, component) sum over d is the same pairwise reduction.
             sq = np.empty((x.shape[0], self.n_components))
-            rows = max(1, _LOG_PDF_CELLS // (self.n_components * d))
+            rows = max(1, BLOCK_CELLS // (self.n_components * d))
             for start in range(0, x.shape[0], rows):
                 diff = x[start : start + rows, None, :] - self.means[None, :, :]
                 diff *= diff
@@ -257,11 +254,10 @@ class ScenarioConfig:
             scales = np.full(self.k + 1, float(scales[0]))
         if scales.size != self.k + 1:
             raise ValidationError(f"class_scales must have {self.k + 1} entries")
-        c = _as_probability_vector(self.c)
+        # The estimators' rules for the source prior and ratio.
+        c = SourceLabelModel(self.c, self.rho_s).c
         if c.k != self.k:
             raise ValidationError(f"c must have {self.k} entries")
-        if not 0.0 < self.rho_s < 1.0:
-            raise ValidationError("rho_s must lie strictly in (0, 1)")
         for name in ("n_source", "n_target", "n_ood_ref"):
             if int(getattr(self, name)) < 1:
                 raise ValidationError(f"{name} must be >= 1")
@@ -416,7 +412,7 @@ class Scenario:
         log_prior = np.concatenate(
             [np.log(cfg.rho_s) + np.log(cfg.c.entries), [np.log(1.0 - cfg.rho_s)]]
         )
-        rows = max(1, _LOG_PDF_CELLS // (k + 1))
+        rows = max(1, BLOCK_CELLS // (k + 1))
         block = np.empty((min(rows, n), k)) if f is None else None
         h = np.empty(n)
         # Overflow in a log density is reported below, as the one error it causes.

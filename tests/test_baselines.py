@@ -161,7 +161,7 @@ def test_argmax_labels_in_blocks(monkeypatch, layout, block):
     # Blocks of 3 rows end at rows 2 and 5; blocks of 4 end at rows 3 and 7 and
     # leave row 8 alone, so it joins the block before it.
     if block is not None:
-        monkeypatch.setattr(bl, "_ROW_SUM_BLOCK", 3 * block)
+        monkeypatch.setattr(bl, "BLOCK_CELLS", 3 * block)
     f = {"C": TIED_ROWS, "F": np.asfortranarray(TIED_ROWS), "reversed": TIED_ROWS[::-1]}[layout]
     expected = np.array([1, 2, 3, 1, 2, 1, 2, 1, 2])
     if layout == "reversed":

@@ -315,6 +315,25 @@ class TestSweep:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_failed_cells_are_recorded_and_exit_1(self, tmp_path, capsys):
+        # Class 2's mean sits 0.1 from class 1's and its prior is 0.1, so no
+        # source row is predicted as class 2 and bbse's confusion matrix is singular.
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("k = 2\nclass_means = 0 0; 0.1 0; 1.5 1.5\nclass_scales = 1 1 1\n"
+                       "c = 0.9 0.1\nn_source = 300\nn_target = 300\nn_ood_ref = 100\n"
+                       "shifts = none\nr_values = 1\nseeds = 1, 2\n"
+                       "methods = osls-mle, mlls, bbse\n")
+        out = tmp_path / "sweep.json"
+        code = main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "2 sweep cell(s) failed\n"
+        report = json.loads(out.read_text())
+        assert report["failures"] == [
+            {"method": "bbse", "shift": "none", "r": 1.0, "seed": seed,
+             "error": "IllConditioned: singular confusion matrix"} for seed in (1, 2)]
+        assert [(cell["method"], cell["seeds"]) for cell in report["cells"]] == [
+            ("mlls", 2), ("osls-mle", 2)]
+
     def test_rejects_no_workers(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(SWEEP_CFG)
@@ -659,6 +678,33 @@ class TestMalformedInputExitsTwo:
         code = main(["simulate", "--config", str(cfg), "--out-dir", str(out)])
         assert code == 2 and "rounds to zero" in capsys.readouterr().err
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("c", ["1 0", "0.9999999 1e-7"])
+    def test_simulate_rejects_a_source_prior_below_the_floor(self, tmp_path, capsys, c):
+        # The estimators divide by c, so a scenario may not have a class they refuse.
+        cfg = tmp_path / "prior.cfg"
+        cfg.write_text(SCENARIO_CFG + f"c = {c}\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["simulate", "--config", str(cfg), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and "c must be >= 1e-06" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,text,needs", [
+        ("t.jsonl", "", "at least one row"),
+        ("t.jsonl", " \n\n\t\n", "at least one row"),
+        ("t.jsonl", "\n" * 5000, "at least one row"),
+        ("t.csv", "f1,f2,h,y\n", "a CSV header and at least one row"),
+    ])
+    def test_table_without_rows(self, sim_dir, tmp_path, capsys, name, text, needs):
+        target = tmp_path / name
+        target.write_text(text, encoding="utf-8")
+        code = main(["estimate", "--source", str(sim_dir / "source.jsonl"),
+                     "--target", str(target), "--ood-ref", str(sim_dir / "ood_ref.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 2 and err == f"error: prediction file {target} needs {needs}\n"
 
     @pytest.mark.parametrize("extra", ["scale = 1e-160", "radius = 1e200", "scale = 1e160"])
     def test_simulate_names_a_config_too_extreme_for_float64(self, tmp_path, capsys, extra):

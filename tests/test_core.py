@@ -149,7 +149,7 @@ class TestRecordSet:
     def test_rejects_non_finite_values_naming_the_row(self, monkeypatch):
         for n, block, row in self.BLOCK_CASES:
             if block is not None:
-                monkeypatch.setattr(core, "_CHECK_BLOCK", 2 * block)
+                monkeypatch.setattr(core, "BLOCK_CELLS", 2 * block)
             for bad_f, bad_h in ((np.nan, 0.5), (0.5, np.nan), (0.5, np.inf), (-np.inf, 0.5)):
                 ff, hh = np.full((n, 2), 0.5), np.full(n, 0.5)
                 ff[row, 0], hh[row] = bad_f, bad_h
@@ -161,7 +161,7 @@ class TestRecordSet:
     def test_rejects_rows_off_the_simplex_naming_the_first(self, monkeypatch):
         for n, block, row in self.BLOCK_CASES:
             if block is not None:
-                monkeypatch.setattr(core, "_CHECK_BLOCK", 2 * block)
+                monkeypatch.setattr(core, "BLOCK_CELLS", 2 * block)
             f, h = np.full((n, 2), 0.5), np.full(n, 0.5)
             f[row] = [0.6, 0.5]
             f[n - 1, 1] = -0.1  # a later bad row is not the one named

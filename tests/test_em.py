@@ -265,6 +265,22 @@ class TestRunEm:
         err = info.value
         assert err.index == 0 and "0" in str(err)  # first sample has zero posterior mass
 
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_target_with_no_id_score(self, n):
+        # Every target row has h = 0, so the ID classes get no responsibility
+        # mass, and rounding leaves n - s[K] a few ulp from 0 on either side.
+        rng = np.random.default_rng(n)
+        target = RecordSet(rng.dirichlet(np.ones(3), n), np.zeros(n))
+        source = SourceLabelModel([0.2, 0.3, 0.5], 0.7)
+        for tol in (EmConfig.tol, 0.0):
+            mle = run_em(source, target, EmConfig(tol=tol))
+            assert mle.rho_t_final == 0.0 and mle.pi_update_frozen
+            assert np.array_equal(mle.pi_final.entries, source.c.entries)
+            assert mle.converged == (tol > 0.0)
+            prior = run_em(source, target, EmConfig(tol=tol, alpha_in=np.full(3, 2.0)))
+            assert prior.rho_t_final == 0.0 and not prior.pi_update_frozen
+            np.testing.assert_allclose(prior.pi_final.entries, 1.0 / 3.0)
+
     def test_init_validation(self):
         cfg = easy_config(k=2, seed=1, n=100)
         _, target, _, _ = make_scenario(cfg)

@@ -249,7 +249,7 @@ class TestBuildersMatchOldExpressions:
     def test_prob_rows(self, k, layout, block, monkeypatch):
         # A block of 4 rows leaves one row over at n = 257, which joins the block before.
         if block is not None:
-            monkeypatch.setattr(bl, "_ROW_SUM_BLOCK", block * k)
+            monkeypatch.setattr(bl, "BLOCK_CELLS", block * k)
         f, _ = _inputs(k, layout)
         old = np.ascontiguousarray(_old_normalized(f))
         _same(bl._clipped_row_sums(f), np.clip(f, 0.0, None).sum(axis=1))
@@ -323,7 +323,7 @@ class TestSamplingMatchesOldExpressions:
         rng = np.random.default_rng(dim)
         k = 7
         if block_rows is not None:
-            monkeypatch.setattr(simulate, "_LOG_PDF_CELLS", block_rows * (k + 1) * dim)
+            monkeypatch.setattr(simulate, "BLOCK_CELLS", block_rows * (k + 1) * dim)
         components = GaussianComponents(rng.normal(0.0, 3.0, (k + 1, dim)),
                                         rng.uniform(0.5, 2.0, k + 1))
         x = rng.normal(0.0, 3.0, (257, dim))
@@ -348,7 +348,7 @@ class TestSamplingMatchesOldExpressions:
     def test_oracle_scores_in_blocks(self, k, temperature, dim, monkeypatch):
         # Blocks of 4 rows leave one row over at n = 513; the pseudo-OOD scores
         # reuse one block's buffer for f.
-        monkeypatch.setattr(simulate, "_LOG_PDF_CELLS", 4 * (k + 1))
+        monkeypatch.setattr(simulate, "BLOCK_CELLS", 4 * (k + 1))
         self.test_oracle_scores(k, temperature, dim)
         scenario = Scenario(ring_config(k, feature_dim=dim, temperature=temperature, seed=k))
         x = np.random.default_rng(dim).normal(0.0, 3.0, (513, dim))
@@ -360,7 +360,7 @@ class TestSamplingMatchesOldExpressions:
                                                      (10, 9, 1.7), (3, 2, 0.6)])
     def test_sample_source(self, k, dim, temperature, block, monkeypatch):
         if block is not None:
-            monkeypatch.setattr(simulate, "_LOG_PDF_CELLS", block * (k + 1))
+            monkeypatch.setattr(simulate, "BLOCK_CELLS", block * (k + 1))
         config = ring_config(k, feature_dim=dim, temperature=temperature, n_source=2001,
                              seed=k + dim)
         new = Scenario(config).sample_source()

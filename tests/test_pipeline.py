@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from osls import baselines as bl
+from osls.core import ValidationError
 from osls.em import EmConfig
 from osls.io import scenario_from_kv
 from osls.pipeline import EstimateResult, estimate, run_sweep, source_class_frequencies
@@ -40,6 +41,14 @@ class TestEstimateReport:
         back = EstimateResult.from_dict(json.loads(json.dumps(report))).to_dict()
         assert list(back) == keys
         assert back == report
+
+    def test_null_optional_field_reads_as_absent(self, scenario):
+        source, target, mu0_hat = scenario
+        report = estimate("osls-mle", source, target, mu0_hat=mu0_hat).to_dict()
+        back = EstimateResult.from_dict({**report, "rho_t_star": None})
+        assert back.rho_t_star is None and back.rho_t == report["rho_t_hat"]
+        with pytest.raises(ValidationError, match="report field 'K': must be int, got None"):
+            EstimateResult.from_dict({**report, "K": None})
 
     def test_correction_ratio_rule(self, scenario):
         source, target, mu0_hat = scenario
