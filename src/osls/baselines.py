@@ -13,14 +13,15 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import core
 from .core import (
-    BLOCK_CELLS,
     SIMPLEX_TOL,
     IllConditioned,
     ProbabilityVector,
     ValidationError,
     _as_probability_vector,
-    on_simplex,
+    normalized_rows,
+    positive_prior,
     row_blocks,
 )
 from .em import EmConfig, EmTrace, fit, flush_subnormals
@@ -68,14 +69,6 @@ class ConfusionMatrix:
         return self.entries.sum(axis=0)
 
 
-def _clipped_row_sums(rows: np.ndarray) -> np.ndarray:
-    """``np.clip(rows, 0, None).sum(axis=1)`` bit for bit, clipping a block of rows at a time."""
-    sums = np.empty(rows.shape[0])
-    for i, j in row_blocks(*rows.shape, BLOCK_CELLS):
-        sums[i:j] = np.clip(rows[i:j], 0.0, None).sum(axis=1)
-    return sums
-
-
 def _prob_rows(target_f: ProbsLike) -> np.ndarray:
     rows = np.asarray(target_f, dtype=float)
     if rows.ndim != 2 or rows.shape[0] == 0:
@@ -83,32 +76,10 @@ def _prob_rows(target_f: ProbsLike) -> np.ndarray:
     return rows
 
 
-def _require_simplex(rows: np.ndarray) -> None:
-    if not on_simplex(rows).all():
-        raise ValidationError("each target posterior must be a probability vector")
-
-
-def _coerce_prob_rows(target_f: ProbsLike, order: str = "C") -> np.ndarray:
-    """Posterior rows clipped at 0 and renormalized, in one fresh array in ``order``."""
-    rows = _prob_rows(target_f)
-    _require_simplex(rows)
-    out = np.clip(rows, 0.0, None, out=np.empty(rows.shape, order=order))
-    out /= _clipped_row_sums(rows)[:, None]
-    return out
-
-
-def _coerce_source_prior(c, k: int) -> np.ndarray:
-    c = _as_probability_vector(c).entries
-    if c.size != k:
-        raise ValidationError(f"c has {c.size} entries, expected {k}")
-    if np.any(c <= 0.0):
-        raise ValidationError("c must be strictly positive")
-    return np.ascontiguousarray(c)
-
-
 def _closed_set_fit(target_f: ProbsLike, c, config: EmConfig) -> EmTrace:
-    w = _coerce_prob_rows(target_f, order="F")
-    c = _coerce_source_prior(c, w.shape[1])
+    rows = _prob_rows(target_f)
+    w = normalized_rows(rows, "the posteriors", out=np.empty(rows.shape, order="F"))
+    c = positive_prior(c, w.shape[1])
     w /= c
     return fit(flush_subnormals(w), c, None, config)
 
@@ -174,24 +145,21 @@ def bbse(confusion: ConfusionMatrix, target_pred_freq) -> ProbabilityVector:
 
 def predicted_class_frequencies(f_rows: ProbsLike, k: Optional[int] = None) -> ProbabilityVector:
     """Empirical frequencies of the argmax class over a set of posteriors."""
-    rows = _prob_rows(f_rows)
-    pred = argmax_labels(rows) - 1
-    counts = np.bincount(pred, minlength=k or rows.shape[1]).astype(float)
+    labels = argmax_labels(f_rows)
+    counts = np.bincount(labels - 1, minlength=k or np.shape(f_rows)[1]).astype(float)
     return ProbabilityVector(counts / counts.sum())
 
 
 def argmax_labels(f_rows: ProbsLike) -> np.ndarray:
     """1-based argmax labels, ties broken toward the smallest index.
 
-    Each block of rows is checked, clipped and normalized as ``_coerce_prob_rows``
-    does the whole matrix, to the same bits, so the same entries tie.
+    Each block of rows is checked, clipped and normalized by ``normalized_rows``,
+    to the bits of the whole matrix's, so the same entries tie.
     """
     rows = _prob_rows(f_rows)
     labels = np.empty(rows.shape[0], dtype=np.int64)
-    for i, j in row_blocks(*rows.shape, BLOCK_CELLS):
-        _require_simplex(rows[i:j])
-        block = np.clip(rows[i:j], 0.0, None)
-        block /= block.sum(axis=1, keepdims=True)
+    for i, j in row_blocks(*rows.shape, core.BLOCK_CELLS):
+        block = normalized_rows(rows[i:j], "the posteriors", start=i)
         np.argmax(block, axis=1, out=labels[i:j])
     labels += 1
     return labels

@@ -257,9 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate target label distribution and ID ratio")
     p.add_argument("--source", required=True, help="labeled ID prediction file")
     p.add_argument("--target", required=True, help="target prediction file")
-    p.add_argument("--ood-ref", help="OOD reference prediction file")
-    p.add_argument("--pseudo-ood", action="store_true",
-                   help="derive the OOD reference from blended source features")
+    ood = p.add_mutually_exclusive_group()
+    ood.add_argument("--ood-ref", help="OOD reference prediction file")
+    ood.add_argument("--pseudo-ood", action="store_true",
+                     help="derive the OOD reference from blended source features")
     p.add_argument("--features", help="source feature file (pseudo-OOD, simulated mode)")
     p.add_argument("--scenario", help="scenario JSON for re-scoring blended features")
     p.add_argument("--method", choices=ALL_METHODS, default="osls-mle")

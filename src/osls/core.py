@@ -91,6 +91,35 @@ def _require_rows(ok: np.ndarray, what: str, start: int = 0) -> None:
         raise ValidationError(f"row {start + int(np.argmin(ok))} {what}")
 
 
+def normalized_rows(rows: np.ndarray, what: str, out: Optional[np.ndarray] = None,
+                    start: int = 0) -> np.ndarray:
+    """``rows`` clipped at 0 and divided by their row sums, written to ``out``: ``rows``
+    itself, another array of their shape, or None for a new one.
+
+    A block of rows at a time, each checked before it is written: ValidationError
+    "row <start + i> of <what> is not a probability vector" names the first row
+    off the simplex within ``SIMPLEX_TOL``. Each row sum is taken over a clipped
+    block laid out as ``rows`` is, to the bits of ``np.clip(rows, 0, None).sum(axis=1)``.
+    """
+    out = np.empty_like(rows) if out is None else out
+    for i, j in row_blocks(*rows.shape, BLOCK_CELLS):
+        _require_rows(on_simplex(rows[i:j]), f"of {what} is not a probability vector", start + i)
+        block = np.clip(rows[i:j], 0.0, None, out=rows[i:j] if out is rows else None)
+        np.divide(block, block.sum(axis=1, keepdims=True), out=out[i:j])
+    return out
+
+
+def positive_prior(c, k: int) -> np.ndarray:
+    """The entries of a source prior ``c``; ValidationError unless it is a probability
+    vector of ``k`` entries, each above 0."""
+    c = _as_probability_vector(c).entries
+    if c.size != k:
+        raise ValidationError(f"c has {c.size} entries, expected {k}")
+    if np.any(c <= 0.0):
+        raise ValidationError("c must be strictly positive")
+    return c
+
+
 def validate_simplex(v: VectorLike, tol: float = SIMPLEX_TOL) -> bool:
     """True iff ``v`` is a non-empty vector on the simplex within ``tol``."""
     arr = np.asarray(v, dtype=float)
@@ -265,37 +294,30 @@ class RecordSet:
     __slots__ = ("f", "h", "y")
 
     def __init__(self, f: np.ndarray, h: np.ndarray, y: Optional[np.ndarray] = None):
-        f = np.atleast_2d(np.asarray(f, dtype=float))
-        h = np.asarray(h, dtype=float).ravel()
-        self._check(f, h, y, copy=True)
+        self._check(np.atleast_2d(np.array(f, dtype=float)), np.array(h, dtype=float).ravel(),
+                    None if y is None else np.array(y))
 
     @classmethod
     def _adopt(cls, f: np.ndarray, h: np.ndarray, y: Optional[np.ndarray] = None) -> "RecordSet":
         """Records that hold the caller's fresh float64 arrays: an (N, K) ``f``, an (N,) ``h``
         and ``y`` if given, checked as the constructor checks them. ``f`` is clipped
         and normalized and ``h`` clipped in place, to the constructor's bits."""
-        return cls.__new__(cls)._check(f, h, y, copy=False)
+        return cls.__new__(cls)._check(f, h, y)
 
-    def _check(self, f: np.ndarray, h: np.ndarray, y: Optional[np.ndarray],
-               copy: bool) -> "RecordSet":
-        """Check, clip and normalize the columns, in copies when ``copy``, and hold them."""
+    def _check(self, f: np.ndarray, h: np.ndarray, y: Optional[np.ndarray]) -> "RecordSet":
+        """Check, clip and normalize the columns in place, and hold them."""
         if f.shape[0] != h.size:
             raise ValidationError(f"f has {f.shape[0]} rows but h has {h.size} entries")
         if f.shape[0] == 0:
             raise ValidationError("empty record set")
-        # A block of rows at a time, so no mask is as large as f; each check
-        # runs over every row before the next, so the first failure is named.
-        blocks = row_blocks(f.shape[0], f.shape[1], BLOCK_CELLS)
-        for i, j in blocks:
+        # A block of rows at a time, so no mask is as large as f; the finite
+        # check runs over every row first, so a non-finite value is named first.
+        for i, j in row_blocks(f.shape[0], f.shape[1], BLOCK_CELLS):
             finite = np.isfinite(f[i:j]).all(axis=1) & np.isfinite(h[i:j])
             _require_rows(finite, "has a non-finite value in f or h", i)
-        for i, j in blocks:
-            _require_rows(on_simplex(f[i:j]), "of f is not a probability vector", i)
-        f = np.clip(f, 0.0, None, out=None if copy else f)
-        f /= f.sum(axis=1, keepdims=True)
-        h = _clipped_h(h, copy)
+        normalized_rows(f, "f", out=f)
+        h = _clipped_h(h)
         if y is not None:
-            y = np.asarray(y)
             if y.shape != h.shape:
                 raise ValidationError("y must have one entry per record")
             bad = (y < 1) | (y > f.shape[1] + 1)
@@ -306,7 +328,7 @@ class RecordSet:
                     f"label {y[np.argmax(bad)]} at row {int(np.argmax(bad))} is not an "
                     f"integer in 1..{f.shape[1] + 1}"
                 )
-            y = y.astype(np.int64, copy=copy)
+            y = y.astype(np.int64, copy=False)
         return self._set(f, h, y)
 
     def _set(self, f: np.ndarray, h: np.ndarray, y: Optional[np.ndarray]) -> "RecordSet":
@@ -336,11 +358,11 @@ class RecordSet:
     def with_h(self, h: np.ndarray) -> "RecordSet":
         """These records with scores ``h``, checked and clipped as the constructor does;
         ``f`` and ``y`` are kept bit for bit, not normalized again."""
-        h = np.asarray(h, dtype=float).ravel()
+        h = np.array(h, dtype=float).ravel()
         if h.size != len(self):
             raise ValidationError(f"f has {len(self)} rows but h has {h.size} entries")
         _require_rows(np.isfinite(h), "has a non-finite value in f or h")
-        return RecordSet.__new__(RecordSet)._set(self.f, _clipped_h(h, copy=True), self.y)
+        return RecordSet.__new__(RecordSet)._set(self.f, _clipped_h(h), self.y)
 
     def take(self, idx: np.ndarray) -> "RecordSet":
         """The records at the indices ``idx``, each column kept bit for bit."""
@@ -354,11 +376,11 @@ class RecordSet:
         return self.h.size
 
 
-def _clipped_h(h: np.ndarray, copy: bool) -> np.ndarray:
-    """Finite scores ``h`` clipped to [0, 1], in a copy when ``copy``; ValidationError
-    naming the first score more than ``SIMPLEX_TOL`` outside."""
+def _clipped_h(h: np.ndarray) -> np.ndarray:
+    """Finite scores ``h`` clipped to [0, 1] in place; ValidationError naming the
+    first score more than ``SIMPLEX_TOL`` outside."""
     _require_rows((h >= -SIMPLEX_TOL) & (h <= 1.0 + SIMPLEX_TOL), "of h is not in [0, 1]")
-    return np.clip(h, 0.0, 1.0, out=None if copy else h)
+    return np.clip(h, 0.0, 1.0, out=h)
 
 
 def extend_distribution(base: Union[ProbabilityVector, VectorLike], rho: float) -> ProbabilityVector:

@@ -18,10 +18,12 @@ A table is read in byte ranges. One scan of the raw bytes cuts the file after
 every ``BLOCK_ROWS``-th ``b"\\n"``; a cut there ends a line as ``str.splitlines``
 ends it and never falls inside a UTF-8 sequence. Each range is then read,
 decoded, split into lines and converted on its own: a block of JSON lines with
-one ``json.loads`` and numpy, a block of CSV rows with numpy. A table of more
-than one range is converted on ``osls.pool``'s workers, one per core the
-process may use; each worker reads its range of a regular file itself, and is
-sent the range's bytes when the file is a stream such as a pipe. The parent
+one ``json.loads`` and numpy, a block of CSV rows with numpy. A regular file
+of more than one range is converted on ``osls.pool``'s workers, one per core
+the process may use, each reading its range itself. A stream such as a pipe
+is converted in the reading process, a range at a time: sending its bytes to
+workers would hold several ranges at once, and workers forked while this
+process holds the pipe's write end would keep the pipe open for ever. The parent
 copies each block's columns, in file order, into columns allocated once, so a
 read holds one copy of the table's arrays and a few blocks of text, and the
 bytes and arrays are those of one process.
@@ -337,9 +339,10 @@ def _read_table(path: Path, what: str, csv: bool, converter) -> list:
              + ("a CSV header and at least one row" if csv else "at least one row"))
     with open(path, "rb", buffering=0) as handle:
         fd, info = handle.fileno(), os.fstat(handle.fileno())
-        ranges = _ranges(handle, not stat.S_ISREG(info.st_mode))
+        regular = stat.S_ISREG(info.st_mode)
+        ranges = _ranges(handle, not regular)
         capacity = 0
-        if stat.S_ISREG(info.st_mode):
+        if regular:
             ranges = list(ranges)
             capacity = len(ranges) * BLOCK_ROWS
         file = _File(os.path.abspath(path), (info.st_dev, info.st_ino))
@@ -352,7 +355,7 @@ def _read_table(path: Path, what: str, csv: bool, converter) -> list:
             raise ValidationError(f"{path}: line {number}: {exc}") from None
         out, rows, width, first = [], 0, None, 1
         for item, (count, columns) in map_in_order(
-                partial(_convert_range, file, csv, convert), ranges):
+                partial(_convert_range, file, csv, convert), ranges, None if regular else 1):
             if columns is None or (columns and width is not None and columns[0].shape[1] != width):
                 count, columns = _convert_lines(path, fd, item, first, csv, convert, width)
             first += count

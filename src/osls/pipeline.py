@@ -27,6 +27,7 @@ from .core import (
     _as_probability_vector,
     extend_distribution,
     json_fields,
+    positive_prior,
     report_dict,
 )
 from .em import EmConfig, run_em
@@ -195,18 +196,11 @@ def correct_records(records: RecordSet, c, pi) -> Tuple[np.ndarray, np.ndarray]:
     entries they are ``f`` alone. Labels are the 1-based argmax of each row,
     ties broken toward the smallest index, so K+1 means OOD.
     """
-    c = _as_probability_vector(c).entries
     pi = _as_probability_vector(pi).entries
-    if c.size != pi.size:
-        raise ValidationError(f"c has {c.size} entries but pi has {pi.size}")
-    if np.any(c <= 0.0):
-        raise ValidationError("c must be strictly positive")
-    if c.size == records.k + 1:
-        posteriors = records.extended_f()
-    elif c.size == records.k:
-        posteriors = records.f.copy()
-    else:
-        raise ValidationError(f"records have K={records.k} but c and pi have {c.size} entries")
+    if pi.size not in (records.k, records.k + 1):
+        raise ValidationError(f"records have K={records.k} but pi has {pi.size} entries")
+    c = positive_prior(c, pi.size)
+    posteriors = records.extended_f() if pi.size > records.k else records.f.copy()
     posteriors *= pi / c
     totals = posteriors.sum(axis=1)
     if np.any(totals <= 0.0):

@@ -51,8 +51,8 @@ def dirichlet_shift(k: int, alpha: float, seed) -> ProbabilityVector:
     """One draw from the symmetric Dirichlet(alpha) via normalized Gamma draws."""
     if k < 1:
         raise ValidationError("k must be >= 1")
-    if alpha <= 0.0:
-        raise ValidationError("alpha must be > 0")
+    if not 0.0 < alpha < np.inf:
+        raise ValidationError(f"alpha must be finite and > 0; got {alpha}")
     if k == 1:
         return ProbabilityVector([1.0])
     rng = np.random.default_rng(seed)
@@ -67,8 +67,8 @@ def ordered_lt_shift(k: int, imbalance: float, order: str = "forward") -> Probab
     """Long-tailed distribution pi_j proportional to imbalance^(-(j-1)/(K-1))."""
     if k < 1:
         raise ValidationError("k must be >= 1")
-    if imbalance < 1.0:
-        raise ValidationError("imbalance must be >= 1")
+    if not 1.0 <= imbalance < np.inf:
+        raise ValidationError(f"imbalance must be finite and >= 1; got {imbalance}")
     if order not in ("forward", "backward"):
         raise ValidationError(f"order must be forward or backward; got {order!r}")
     if k == 1:
@@ -91,11 +91,12 @@ class ShiftSpec:
     def __post_init__(self):
         if self.kind not in ("none", "dirichlet", "ordered_lt"):
             raise ValidationError(f"unknown shift kind {self.kind!r}")
-        if self.kind == "dirichlet" and self.alpha <= 0.0:
-            raise ValidationError("dirichlet shift needs alpha > 0")
+        if self.kind == "dirichlet" and not 0.0 < self.alpha < np.inf:
+            raise ValidationError(f"dirichlet shift needs finite alpha > 0; got {self.alpha}")
         if self.kind == "ordered_lt":
-            if self.imbalance < 1.0:
-                raise ValidationError("ordered_lt shift needs imbalance >= 1")
+            if not 1.0 <= self.imbalance < np.inf:
+                raise ValidationError(
+                    f"ordered_lt shift needs finite imbalance >= 1; got {self.imbalance}")
             if self.order not in ("forward", "backward"):
                 raise ValidationError("order must be forward or backward")
 

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -10,6 +13,13 @@ settings.load_profile("deterministic")
 from osls import em
 from osls import pool as osls_pool
 from osls.simulate import ShiftSpec, ring_config
+
+
+def child_env() -> dict:
+    """This process's environment with the package's source first on PYTHONPATH,
+    for a child Python that imports ``osls``."""
+    paths = [str(Path(osls_pool.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
 
 
 def easy_config(k=3, *, seed=0, shift=None, r=1.0, n=5000, n_ood=2500, rho_s=0.7,

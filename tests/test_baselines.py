@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from osls import baselines as bl
+from osls import core
 from osls.baselines import (
     ConfusionMatrix,
     _cond_1,
@@ -13,6 +14,7 @@ from osls.baselines import (
 )
 from osls.core import IllConditioned, ProbabilityVector, ValidationError
 from osls.em import EmConfig, fit
+from osls.pipeline import correct_records
 
 
 def _closed_set_grid_argmin(f, c, resolution=0.001):
@@ -161,7 +163,7 @@ def test_argmax_labels_in_blocks(monkeypatch, layout, block):
     # Blocks of 3 rows end at rows 2 and 5; blocks of 4 end at rows 3 and 7 and
     # leave row 8 alone, so it joins the block before it.
     if block is not None:
-        monkeypatch.setattr(bl, "BLOCK_CELLS", 3 * block)
+        monkeypatch.setattr(core, "BLOCK_CELLS", 3 * block)
     f = {"C": TIED_ROWS, "F": np.asfortranarray(TIED_ROWS), "reversed": TIED_ROWS[::-1]}[layout]
     expected = np.array([1, 2, 3, 1, 2, 1, 2, 1, 2])
     if layout == "reversed":
@@ -174,5 +176,39 @@ def test_argmax_labels_in_blocks(monkeypatch, layout, block):
     assert predicted_class_frequencies(f).entries.tolist() == (counts / counts.sum()).tolist()
     bad = np.array(f)
     bad[8] = [0.6, 0.5, 0.0]
-    with pytest.raises(ValidationError, match="each target posterior"):
+    with pytest.raises(ValidationError, match="row 8 of the posteriors is not a probability"):
         argmax_labels(bad)
+
+
+# Every reader of posterior rows checks them by ``core.normalized_rows``. With
+# blocks of 4 rows, 13 rows make blocks [0, 4), [4, 8) and [8, 13): the lone
+# last row joins the block before it.
+ROW_READERS = {
+    "RecordSet": lambda f: core.RecordSet(f, np.full(len(f), 0.5)),
+    "RecordSet._adopt": lambda f: core.RecordSet._adopt(f.copy(), np.full(len(f), 0.5)),
+    "mlls": lambda f: mlls(f, [0.5, 0.5]),
+    "mapls": lambda f: mapls(f, [0.5, 0.5], [2.0, 2.0]),
+    "argmax_labels": argmax_labels,
+    "predicted_class_frequencies": predicted_class_frequencies,
+}
+
+
+@pytest.mark.parametrize("reader", ROW_READERS)
+@pytest.mark.parametrize("row", [1, 5, 12])
+def test_readers_name_the_same_first_bad_row(monkeypatch, reader, row):
+    monkeypatch.setattr(core, "BLOCK_CELLS", 2 * 4)
+    f = np.full((13, 2), 0.5)
+    f[min(row + 4, 12):] = [1.2, -0.2]  # later rows off the simplex are not named
+    f[row] = [0.6, 0.5]
+    with pytest.raises(ValidationError, match=f"^row {row} of .+ is not a probability vector$"):
+        ROW_READERS[reader](f)
+
+
+@pytest.mark.parametrize("c", [[1.0, 0.0], [0.5, 0.25, 0.25]], ids=["zero", "length"])
+def test_mlls_and_correct_records_reject_the_same_priors(c):
+    f = np.array([[0.7, 0.3], [0.2, 0.8]])
+    with pytest.raises(ValidationError) as fit_error:
+        mlls(f, c)
+    with pytest.raises(ValidationError) as correct_error:
+        correct_records(core.RecordSet(f, np.ones(2)), c, [0.5, 0.5])
+    assert str(fit_error.value) == str(correct_error.value)

@@ -15,6 +15,8 @@ from osls import io as osls_io
 from osls.cli import main
 from osls.core import RecordSet
 
+from conftest import child_env
+
 
 SCENARIO_CFG = """
 # two-class oracle scenario
@@ -139,6 +141,19 @@ class TestEstimate:
         assert code == 0
         report = json.loads(p.read_text())
         assert 0.0 <= report["mu0_hat"] <= 0.5  # rescaled by T = 2
+
+    def test_ood_ref_and_pseudo_ood_exit_2(self, sim_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "estimate", "--source", str(sim_dir / "source.jsonl"),
+                "--target", str(sim_dir / "target.jsonl"),
+                "--ood-ref", str(sim_dir / "ood_ref.jsonl"), "--pseudo-ood",
+                "--features", str(sim_dir / "source_features.csv"),
+                "--scenario", str(sim_dir / "scenario.json"), "--out", str(tmp_path / "e.json"),
+            ])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "e.json").exists()
 
     @pytest.mark.parametrize("flags, prior", [
         (["--alpha-out", "inf", "1"], "alpha_out"),
@@ -692,6 +707,20 @@ class TestMalformedInputExitsTwo:
         assert code == 2 and "c must be >= 1e-06" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("shift", ["dirichlet:nan", "dirichlet:inf", "lt:nan", "lt:inf"])
+    def test_non_finite_shift_exits_2(self, tmp_path, capsys, shift):
+        # All gamma draws of dirichlet:nan are NaN, and lt:inf puts all mass on class 1.
+        cfg = tmp_path / "shift.cfg"
+        cfg.write_text(SCENARIO_CFG.replace("shift = lt:10:forward", f"shift = {shift}"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: config key 'shift': ")
+        assert not out.exists()
+        cfg.write_text(SWEEP_CFG.replace("dirichlet:1.0", shift))
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: config key 'shifts': ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("name,text,needs", [
         ("t.jsonl", "", "at least one row"),
         ("t.jsonl", " \n\n\t\n", "at least one row"),
@@ -803,12 +832,9 @@ class TestNoWorkerOutlivesCommand:
 
     @staticmethod
     def _osls(tmp_path, *args):
-        src = str(Path(osls_io.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
         # stderr goes to a file: a worker left running would hold a pipe open.
         with open(tmp_path / "stderr.txt", "wb") as err:
-            return subprocess.Popen([sys.executable, "-m", "osls.cli", *args], env=env,
+            return subprocess.Popen([sys.executable, "-m", "osls.cli", *args], env=child_env(),
                                     start_new_session=True, stdout=subprocess.DEVNULL,
                                     stderr=err)
 

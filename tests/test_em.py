@@ -18,6 +18,7 @@ from osls.core import (
     TargetLabelModel,
     ValidationError,
     extend_distribution,
+    normalized_rows,
 )
 from osls.em import (
     EmConfig,
@@ -673,7 +674,7 @@ class TestFlushSubnormals:
             w /= model.extended().entries
             new, old = run_em(model, target, config), em.fit(w, c, model.rho_s, config)
         else:
-            w = bl._coerce_prob_rows(target.f, order="F")
+            w = normalized_rows(target.f, "f", out=np.empty(target.f.shape, order="F"))
             w /= c
             fit = bl.mlls if alpha is None else partial(bl.mapls, alpha=alpha)
             new = fit(target.f, c, **config)

@@ -5,16 +5,18 @@ only larger table files use."""
 import subprocess
 import sys
 
+from conftest import child_env
+
 
 def test_import_osls_does_not_load_io():
     code = "import sys, osls; assert 'osls.io' not in sys.modules, sorted(sys.modules)"
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=child_env())
 
 
 def test_import_cli_does_not_load_the_process_pool():
     code = ("import sys, osls.cli; loaded = [m for m in sys.modules if m.split('.')[0] in "
             "('multiprocessing', 'concurrent')]; assert not loaded, loaded")
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=child_env())
 
 
 def test_one_range_table_is_read_without_the_process_pool(tmp_path):
@@ -24,4 +26,4 @@ def test_one_range_table_is_read_without_the_process_pool(tmp_path):
     code = ("import sys, osls.io; osls.io.read_records(sys.argv[1]); loaded = [m for m in "
             "sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')]; "
             "assert not loaded, loaded")
-    subprocess.run([sys.executable, "-c", code, str(path)], check=True, timeout=60)
+    subprocess.run([sys.executable, "-c", code, str(path)], check=True, timeout=60, env=child_env())

@@ -10,6 +10,7 @@ import io
 import json
 import os
 import subprocess
+import sys
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,6 +24,8 @@ from hypothesis import strategies as st
 from osls import io as osls_io
 from osls import pool as osls_pool
 from osls.core import RecordSet, ValidationError
+
+from conftest import child_env
 
 # --- reference codec (the previous osls.io row loops, verbatim) -------------
 
@@ -826,7 +829,30 @@ class TestStreams:
             assert len(got) == len(expected)
             for new, ref in zip(got, expected):
                 _assert_same_bits(new, ref)
-        assert len(pools) == 1 and pools[0] is not None
+        assert len(pools) == 1 and pools[0] is None  # a stream is parsed in this process
+
+    def test_fifo_fed_by_the_reading_process(self, tmp_path):
+        # A child that feeds the FIFO from a thread of its own holds its write
+        # end; a worker forked during the read would hold it too, and the read
+        # would never end. Forced to two cores, as the ``pools`` fixture does.
+        path, fifo = tmp_path / "t.jsonl", tmp_path / "fifo.jsonl"
+        path.write_text((GOOD_RECORD + "\n") * (4 * BLOCK), encoding="utf-8")
+        os.mkfifo(fifo)
+        code = (
+            "import os, shutil, sys, threading\n"
+            "from osls import io\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "def feed():\n"
+            "    with open(sys.argv[1], 'rb') as src, open(sys.argv[2], 'wb') as dst:\n"
+            "        shutil.copyfileobj(src, dst)\n"
+            "threading.Thread(target=feed).start()\n"
+            "got, ref = io.read_records(sys.argv[2]), io.read_records(sys.argv[1])\n"
+            "print(all(a.tobytes() == b.tobytes() for a, b in\n"
+            "          ((got.f, ref.f), (got.h, ref.h), (got.y, ref.y))), len(got))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code, str(path), str(fifo)], env=child_env(),
+                              capture_output=True, text=True, timeout=30)
+        assert (done.returncode, done.stdout) == (0, f"True {4 * BLOCK}\n"), done.stderr
 
     def test_fifo_names_the_bad_line(self, tmp_path, monkeypatch, pools):
         path, line = _with_bad_line(tmp_path, "t.jsonl", None, GOOD_RECORD,

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from osls import baselines as bl
+from osls import core
 from osls import em
 from osls import io as osls_io
 from osls import pool as osls_pool
@@ -249,13 +250,15 @@ class TestBuildersMatchOldExpressions:
     def test_prob_rows(self, k, layout, block, monkeypatch):
         # A block of 4 rows leaves one row over at n = 257, which joins the block before.
         if block is not None:
-            monkeypatch.setattr(bl, "BLOCK_CELLS", block * k)
+            monkeypatch.setattr(core, "BLOCK_CELLS", block * k)
         f, _ = _inputs(k, layout)
         old = np.ascontiguousarray(_old_normalized(f))
-        _same(bl._clipped_row_sums(f), np.clip(f, 0.0, None).sum(axis=1))
-        _same(bl._coerce_prob_rows(f), old)
+        in_place = f.copy(order="K")
+        assert core.normalized_rows(in_place, "f", out=in_place) is in_place
+        _same(in_place, old)
+        _same(core.normalized_rows(f, "f"), old)
         c = np.random.default_rng(2).dirichlet(np.full(k, 5.0))
-        w = bl._coerce_prob_rows(f, order="F")
+        w = core.normalized_rows(f, "f", out=np.empty(f.shape, order="F"))
         w /= c
         _same(w, np.asfortranarray(old / c))
         assert w.flags.f_contiguous
@@ -277,7 +280,7 @@ class TestBuildersMatchOldExpressions:
 def test_short_tables(n):
     f, h = _inputs(9, "F", n=n)
     _same(RecordSet(f, h).f, _old_normalized(f))
-    _same(bl._coerce_prob_rows(f), np.ascontiguousarray(_old_normalized(f)))
+    _same(core.normalized_rows(f, "f"), np.ascontiguousarray(_old_normalized(f)))
 
 
 # Sampling, restated as it stood before it worked in place.

@@ -37,8 +37,11 @@ class TestDirichletShift:
         )
 
     def test_validates(self):
-        with pytest.raises(ValidationError):
-            dirichlet_shift(3, 0.0, 1)
+        for alpha in (0.0, np.nan, np.inf):
+            with pytest.raises(ValidationError, match="alpha must be finite and > 0"):
+                dirichlet_shift(3, alpha, 1)
+            with pytest.raises(ValidationError, match="needs finite alpha > 0"):
+                ShiftSpec.dirichlet(alpha)
 
 
 class TestOrderedLtShift:
@@ -56,8 +59,11 @@ class TestOrderedLtShift:
         np.testing.assert_allclose(bwd, fwd[::-1])
 
     def test_validates(self):
-        with pytest.raises(ValidationError):
-            ordered_lt_shift(3, 0.5)
+        for imbalance in (0.5, np.nan, np.inf):
+            with pytest.raises(ValidationError, match="imbalance must be finite and >= 1"):
+                ordered_lt_shift(3, imbalance)
+            with pytest.raises(ValidationError, match="needs finite imbalance >= 1"):
+                ShiftSpec.ordered_lt(imbalance)
         with pytest.raises(ValidationError):
             ordered_lt_shift(3, 10.0, "sideways")
 
