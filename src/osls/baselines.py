@@ -41,7 +41,7 @@ class ConfusionMatrix:
         arr = np.asarray(self.entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError("confusion matrix must be square")
-        if np.any(arr < 0.0) or abs(float(arr.sum()) - 1.0) > SIMPLEX_TOL:
+        if not (np.all(arr >= 0.0) and abs(float(arr.sum()) - 1.0) <= SIMPLEX_TOL):
             raise ValidationError("confusion entries must be >= 0 and sum to 1")
         arr = arr / arr.sum()
         arr.flags.writeable = False

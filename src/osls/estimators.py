@@ -75,7 +75,7 @@ def score_mean(scores: Union[Sequence[float], np.ndarray]) -> float:
     arr = np.asarray(scores, dtype=float).ravel()
     if arr.size == 0:
         raise ValidationError("score list is empty")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValidationError("scores must lie in [0, 1]")
     return float(arr.mean())
 
@@ -145,14 +145,16 @@ def threshold_rescale(
     """Binarize raw scorer outputs at the midpoint of the two reference medians.
 
     Scores exactly at the threshold map to 0 (OOD side), which keeps the rule
-    deterministic and conservative toward flagging OOD.
+    deterministic and conservative toward flagging OOD. Every score must be finite.
     """
     id_ref = np.asarray(id_ref, dtype=float).ravel()
     ood_ref = np.asarray(ood_ref, dtype=float).ravel()
     if id_ref.size == 0 or ood_ref.size == 0:
         raise ValidationError("reference score lists must be non-empty")
-    threshold = 0.5 * (float(np.median(id_ref)) + float(np.median(ood_ref)))
     raw = np.asarray(raw_scores, dtype=float).ravel()
+    if not all(np.isfinite(scores).all() for scores in (raw, id_ref, ood_ref)):
+        raise ValidationError("scores must be finite")
+    threshold = 0.5 * (float(np.median(id_ref)) + float(np.median(ood_ref)))
     return (raw > threshold).astype(float)
 
 
@@ -181,7 +183,7 @@ def estimate_source_prior_multiclass(mu_hat: np.ndarray) -> ProbabilityVector:
         raise ValidationError("mu_hat must be a square matrix with K >= 2")
     k = mu.shape[0]
     col_sums = mu.sum(axis=0)
-    if np.any(mu < -1e-6) or np.any(np.abs(col_sums - 1.0) > 1e-6):
+    if not (np.all(mu >= -1e-6) and np.all(np.abs(col_sums - 1.0) <= 1e-6)):
         raise ValidationError("mu_hat must be column-stochastic within 1e-6")
 
     a = mu - np.eye(k)

@@ -14,27 +14,36 @@ formatted with one ``repr`` of its nested list, which spells every finite
 float as ``float.__repr__`` (shortest exact round-trip) does, exactly as
 ``json.dumps`` would, so fixed inputs produce byte-identical outputs.
 
+A line ends at ``b"\\n"`` only, in tables and ``key = value`` configs alike: no
+other line break Python knows (``\\r``, VT, FF, FS/GS/RS, NEL, U+2028, U+2029)
+ends one, so JSON Lines may hold them where JSON allows. ``\\r\\n``
+line ends still work, as ``\\r`` is JSON whitespace and CSV cells and header
+names are stripped; lines that end in a lone ``\\r`` make one long line.
+
 A table is read in byte ranges. One scan of the raw bytes cuts the file after
-every ``BLOCK_ROWS``-th ``b"\\n"``; a cut there ends a line as ``str.splitlines``
-ends it and never falls inside a UTF-8 sequence. Each range is then read,
-decoded, split into lines and converted on its own: a block of JSON lines with
-one ``json.loads`` and numpy, a block of CSV rows with numpy. A regular file
-of more than one range is converted on ``osls.pool``'s workers, one per core
-the process may use, each reading its range itself. A stream such as a pipe
-is converted in the reading process, a range at a time: sending its bytes to
-workers would hold several ranges at once, and workers forked while this
-process holds the pipe's write end would keep the pipe open for ever. The parent
-copies each block's columns, in file order, into columns allocated once, so a
-read holds one copy of the table's arrays and a few blocks of text, and the
-bytes and arrays are those of one process.
+every ``BLOCK_ROWS``-th ``b"\\n"``, which never falls inside a UTF-8 sequence,
+so the i-th range starts at line ``1 + i * BLOCK_ROWS``. The table's first
+non-blank line fixes its shape before any range is converted: a CSV table's
+header, or the first JSON row, whose ``f`` or ``g`` fixes K. Each range is then
+read, decoded, split into lines and converted on its own: a block of JSON
+lines with one ``json.loads`` and numpy, a block of CSV rows with numpy. A
+regular file of more than one range is converted on ``osls.pool``'s workers,
+one per core the process may use, each reading its range itself. A stream
+such as a pipe is converted in the reading process, a range at a time:
+sending its bytes to workers would hold several ranges at once, and workers
+forked while this process holds the pipe's write end would keep the pipe open
+for ever. The parent copies each block's columns, in file order, into columns
+allocated once, so a read holds one copy of the table's arrays and a few
+blocks of text, and the bytes and arrays are those of one process.
 
 Values must be finite and labels integral, each ``f`` or ``g`` row a
 probability vector, each ``h`` in [0, 1], each label in 1..K+1 and each CSV
 row as long as its header. Input that is not raises ``ValidationError``
-naming the file and the 1-based line: a block that fails is parsed again line
-by line, in the parent, to find it. A byte that is not UTF-8 is named by its
-line and its offset in the file. Writers refuse non-finite values, which no
-JSON text encodes, and check them a block at a time before the file is opened.
+naming the file and the 1-based line: the process that reads a range parses
+a block that fails again line by line to find it. A byte that is not UTF-8 is
+named by its line and its offset in the file. Writers refuse non-finite
+values, which no JSON text encodes, and check them a block at a time before
+the file is opened.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ import stat
 from collections import namedtuple
 from dataclasses import MISSING, astuple, fields, replace
 from functools import partial
-from itertools import chain
+from itertools import chain, count
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Union
@@ -178,27 +187,28 @@ def write_features(path: PathLike, x: np.ndarray) -> None:
 # --- reading -----------------------------------------------------------------
 
 
-# A byte range of a table file: its start offset, then its end offset in a
-# regular file or its bytes in a stream, and how many non-blank lines to drop
-# from its start, 1 where the CSV header is.
-_Range = namedtuple("_Range", "start data skip")
+# A byte range of a table file: the number of its first line, its start offset,
+# then its end offset in a regular file or its bytes in a stream.
+_Range = namedtuple("_Range", "first start data")
 
-# A regular table file as workers open it: its absolute path, and its device
-# and inode, so that a worker reads the file the parent scanned.
-_File = namedtuple("_File", "path identity")
+# A regular table file as workers open it: its path as given, for messages, its
+# absolute path, and its device and inode, so that a worker reads the file the
+# parent scanned.
+_File = namedtuple("_File", "name path identity")
 
 
 def _ranges(handle, stream: bool):
     """Cut the file read from ``handle`` into ranges that each end after a BLOCK_ROWS-th b"\\n".
 
     Yields a ``_Range`` per range, the last ending at the end of the file; a
-    file without bytes is one empty range, and lines that end in other breaks
-    than "\\n" make fewer, longer ranges. Only ``_SCAN_BYTES`` of a regular
-    file are held at a time, and of a stream, one range more.
+    file without bytes is one empty range. As a line ends only at b"\\n", the
+    i-th range starts at line ``1 + i * BLOCK_ROWS``. Only ``_SCAN_BYTES`` of a
+    regular file are held at a time, and of a stream, one range more.
     """
     buf = bytearray(_SCAN_BYTES)
     view = np.frombuffer(buf, np.uint8)
-    parts, start, offset, need = [], 0, 0, BLOCK_ROWS  # need: b"\n"s to the next cut
+    # need: b"\n"s to the next cut; first: the number of the next range's first line
+    parts, start, offset, need, first = [], 0, 0, BLOCK_ROWS, 1
     while True:
         n = handle.readinto(buf)
         if not n:
@@ -209,8 +219,8 @@ def _ranges(handle, stream: bool):
             for pos in (np.flatnonzero(breaks)[need - 1 :: BLOCK_ROWS] + 1).tolist():
                 if stream:
                     parts.append(buf[mark:pos])
-                yield _Range(start, b"".join(parts) if stream else offset + pos, 0)
-                parts, start, mark = [], offset + pos, pos
+                yield _Range(first, start, b"".join(parts) if stream else offset + pos)
+                parts, start, mark, first = [], offset + pos, pos, first + BLOCK_ROWS
             need = BLOCK_ROWS - (count - need) % BLOCK_ROWS
         else:
             need -= count
@@ -218,7 +228,7 @@ def _ranges(handle, stream: bool):
             parts.append(buf[mark:n])
         offset += n
     if offset > start or not offset:
-        yield _Range(start, b"".join(parts) if stream else offset, 0)
+        yield _Range(first, start, b"".join(parts) if stream else offset)
 
 
 def _range_bytes(fd: int, item: _Range) -> bytes:
@@ -237,103 +247,80 @@ def _decoded(path: Path, raw: bytes, offset: int, first: int) -> str:
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = first + len((raw[: exc.start].decode("utf-8") + ".").splitlines()) - 1
+        line = first + raw.count(b"\n", 0, exc.start)
         raise ValidationError(
             f"{path}: line {line}: not UTF-8 text: byte 0x{raw[exc.start]:02x} at offset "
             f"{offset + exc.start} ({exc.reason})") from None
 
 
-def _range_lines(path: Path, fd: int, item: _Range, first: int) -> list:
-    """The lines of range ``item`` of the file at ``path`` open as ``fd``, from line ``first``."""
-    return _decoded(path, _range_bytes(fd, item), item.start, first).splitlines()
+def _first_line(path: Path, fd: int, ranges, past: bool, needs: str) -> tuple:
+    """``(number, line, ranges)``: the first non-blank line of ``ranges``, read here, its
+    number, and the ranges from the one that holds it on, that one cut to start at
+    the line, or after it when ``past``.
+
+    Without a non-blank line, raises ``ValidationError(needs)``.
+    """
+    for item in ranges:
+        raw, at = _range_bytes(fd, item), 0  # at: the offset of line ``number`` in ``raw``
+        for number in count(item.first):
+            after = raw.find(b"\n", at) + 1 or len(raw)
+            line = _decoded(path, raw[at:after], item.start + at, number).rstrip("\n")
+            if line.strip():
+                cut, first = (after, number + 1) if past else (at, number)
+                data = raw[cut:] if isinstance(item.data, bytes) else item.data
+                return number, line, chain([_Range(first, item.start + cut, data)], ranges)
+            if after == len(raw):
+                break
+            at = after
+    raise ValidationError(needs)
 
 
-def _convert_range(file: _File, csv: bool, convert, item: _Range) -> tuple:
-    """``(lines, columns)``: range ``item``'s line count and ``convert(parsed, None)`` of
-    its rows, parsed as one block of CSV (when ``csv``) or JSON lines.
+def _convert_range(file: _File, csv: bool, convert, item: _Range):
+    """The checked column arrays ``convert`` makes of range ``item``'s rows, its
+    non-blank lines, parsed as one block of CSV (when ``csv``) or JSON lines.
 
-    ``columns`` is empty for a range without rows, and None, as is ``lines``,
-    when the range is not UTF-8 or its rows do not convert as one block; the
-    parent then converts them line by line to find the bad one.
+    They are empty for a range without rows, and None when the regular file at
+    ``file.path`` is no longer the one scanned. A block that fails is converted
+    again line by line, and the first line that fails raises ValidationError
+    naming it.
     """
     raw = item.data
     if not isinstance(raw, bytes):
         with open(file.path, "rb", buffering=0) as handle:
             info = os.fstat(handle.fileno())
             if (info.st_dev, info.st_ino) != file.identity:
-                return None, None
+                return None
             raw = _range_bytes(handle.fileno(), item)
-    try:
-        lines = raw.decode("utf-8").splitlines()
-    except UnicodeDecodeError:
-        return None, None
+    lines = _decoded(file.name, raw, item.start, item.first).split("\n")
     del raw
     rows = [line for line in lines if line.strip()]
-    del rows[: item.skip]
     if not rows:
-        return len(lines), ()
+        return ()
     try:
-        return len(lines), convert(_split_cells(rows) if csv else _loads_block(rows), None)
+        return convert(_split_cells(rows) if csv else _loads_block(rows))
     except _ROW_ERRORS:
-        return None, None
-
-
-def _convert_lines(path: Path, fd: int, item: _Range, first: int, csv: bool, convert,
-                   width) -> tuple:
-    """``_convert_range``'s result for range ``item``, from line ``first``, converted line by line.
-
-    The first line that fails raises ValidationError naming it.
-    """
-    lines = _range_lines(path, fd, item, first)
-    rows, skip = [], item.skip
-    for number, line in enumerate(lines, first):
-        if not line.strip():
-            continue
-        if skip:
-            skip -= 1
-            continue
-        try:
-            columns = convert(_split_cells([line]) if csv else _loads_line(line), width)
-        except _ROW_ERRORS as exc:
-            raise ValidationError(f"{path}: line {number}: {exc}") from None
-        width = columns[0].shape[1]
-        rows.append(columns)
-    return len(lines), [np.concatenate(parts) for parts in zip(*rows)]
-
-
-def _header(path: Path, fd: int, ranges, needs: str) -> tuple:
-    """``(number, header, ranges)``: the first non-blank line of the file, its
-    number, and ``ranges`` again with the one that holds it set to skip it.
-
-    A file without a non-blank line after the header raises ValidationError.
-    """
-    peeked, found, first = [], [], 1
-    for item in ranges:
-        if not found:
-            item = item._replace(skip=1)
-        peeked.append(item)
-        lines = _range_lines(path, fd, item, first)
-        found += [(number, line) for number, line in enumerate(lines, first) if line.strip()][:2]
-        first += len(lines)
-        if len(found) > 1:
-            return found[0] + (chain(peeked, ranges),)
-    raise ValidationError(needs)
+        pass  # converted again line by line, to find the bad one
+    parts = []
+    for number, line in enumerate(lines, item.first):
+        if line.strip():
+            try:
+                parts.append(convert(_split_cells([line]) if csv else _loads_line(line)))
+            except _ROW_ERRORS as exc:
+                raise ValidationError(f"{file.name}: line {number}: {exc}") from None
+    return [np.concatenate(cols) for cols in zip(*parts)]
 
 
 def _read_table(path: Path, what: str, csv: bool, converter) -> list:
     """The checked column arrays of the table at ``path``, a range at a time.
 
-    The table is CSV when ``csv`` is true, else JSON lines. Its rows are its
-    non-blank lines, after the first, the header, of a CSV table.
-    ``converter(header)`` gives the block converter: ``convert(parsed, width)``
-    turns rows split into cells or parsed as JSON, a block or a line at a time,
-    into checked column arrays, the first 2-D and ``width`` wide once a block
-    has set it. A block that fails, or has another width than the first, is
-    converted again line by line, so the error names the first bad line. Each
-    block is copied into columns allocated once, with a row for each line a
-    regular file's ranges can hold; they grow in place by a quarter at a time
-    for a stream, or when other line breaks than "\\n" make more lines, and are
-    cut to the rows read at the end.
+    The table is CSV when ``csv`` is true, else JSON lines. Its first non-blank
+    line fixes its shape: ``converter(line)`` gives the block converter, which
+    turns rows split into cells or parsed as JSON into checked column arrays.
+    That line is a CSV table's header; its rows are the non-blank lines after
+    it, or all of them in JSON lines. Each block is copied into columns
+    allocated once, with a row for each line a regular file's ranges hold;
+    for a stream they grow in place by a quarter at a time, and are cut to
+    the rows read at the end.
     """
     needs = (f"{what} file {path} needs "
              + ("a CSV header and at least one row" if csv else "at least one row"))
@@ -345,23 +332,22 @@ def _read_table(path: Path, what: str, csv: bool, converter) -> list:
         if regular:
             ranges = list(ranges)
             capacity = len(ranges) * BLOCK_ROWS
-        file = _File(os.path.abspath(path), (info.st_dev, info.st_ino))
-        header, number = None, 0
-        if csv:
-            number, header, ranges = _header(path, fd, iter(ranges), needs)
+        number, line, ranges = _first_line(path, fd, iter(ranges), csv, needs)
         try:
-            convert = converter(header)
-        except ValidationError as exc:
+            convert = converter(line)
+        except _ROW_ERRORS as exc:
+            _first_line(path, fd, ranges, True, needs)  # a table without rows says so first
             raise ValidationError(f"{path}: line {number}: {exc}") from None
-        out, rows, width, first = [], 0, None, 1
-        for item, (count, columns) in map_in_order(
-                partial(_convert_range, file, csv, convert), ranges, None if regular else 1):
-            if columns is None or (columns and width is not None and columns[0].shape[1] != width):
-                count, columns = _convert_lines(path, fd, item, first, csv, convert, width)
-            first += count
+        file = _File(path, os.path.abspath(path), (info.st_dev, info.st_ino))
+        out, rows = [], 0
+        for item, columns in map_in_order(partial(_convert_range, file, csv, convert), ranges,
+                                          None if regular else 1):
+            if columns is None:  # the file at the path was replaced after the scan
+                columns = _convert_range(file, csv, convert,
+                                         item._replace(data=_range_bytes(fd, item)))
             if not columns:
                 continue
-            width, n = columns[0].shape[1], len(columns[0])
+            n = len(columns[0])
             if not out:
                 out = [np.empty((max(capacity, n),) + col.shape[1:], col.dtype) for col in columns]
             elif rows + n > len(out[0]):
@@ -471,10 +457,18 @@ def _prediction_columns(layout: _Layout, vectors: np.ndarray, scalar: np.ndarray
     return vectors, scalar, np.where(np.isnan(y), 0.0, y).astype(np.int64)
 
 
-def _json_columns(layout: _Layout, objs: list, width: Optional[int]) -> tuple:
+def _json_converter(layout: _Layout, line: str):
+    """The block converter of JSON lines of kind ``layout``; the first row, ``line``, fixes K."""
+    vectors = _floats(_field(_loads_line(line), layout.vector), repr(layout.vector))
+    if vectors.ndim != 2:
+        raise ValidationError(f"{layout.vector!r} must be a list of K numbers")
+    return partial(_json_columns, layout, vectors.shape[1])
+
+
+def _json_columns(layout: _Layout, k: int, objs: list) -> tuple:
     vectors = _floats(_field(objs, layout.vector), repr(layout.vector))
-    if vectors.ndim != 2 or (width is not None and vectors.shape[1] != width):
-        raise ValidationError(f"{layout.vector!r} must be a list of {width or 'K'} numbers")
+    if vectors.shape[1:] != (k,):
+        raise ValidationError(f"{layout.vector!r} must be a list of {k} numbers")
     scalar = _floats(_field(objs, layout.scalar), repr(layout.scalar))
     labels = [obj.get("y") for obj in objs]
     y = _floats(labels, "'y'")
@@ -497,7 +491,7 @@ def _csv_table(rows: list, columns: list, names: int) -> np.ndarray:
     return _floats(picked, "cell").reshape(len(rows), len(columns))
 
 
-def _csv_convert(layout: _Layout, k: int, columns: list, names: int, cells: list, width) -> tuple:
+def _csv_convert(layout: _Layout, k: int, columns: list, names: int, cells: list) -> tuple:
     table = _csv_table(cells, columns, names)
     return _prediction_columns(layout, table[:, :k], table[:, k],
                                table[:, k + 1] if len(columns) > k + 1 else None)
@@ -534,8 +528,7 @@ def _read_predictions(path: PathLike, layout: _Layout) -> tuple:
     """
     path = Path(path)
     csv = _is_csv(path)
-    converter = (partial(_csv_columns, layout) if csv
-                 else lambda header: partial(_json_columns, layout))
+    converter = partial(_csv_columns if csv else _json_converter, layout)
     vectors, scalar, y = _read_table(path, layout.name, csv, converter)
     return vectors, scalar, y if y.all() else None
 
@@ -556,7 +549,7 @@ def read_corrected(path: PathLike) -> dict:
     return {"g": g, "y_hat": y_hat, "y": y}
 
 
-def _feature_columns(names: int, cells: list, width) -> tuple:
+def _feature_columns(names: int, cells: list) -> tuple:
     return (_finite(_csv_table(cells, range(names), names), "feature row"),)
 
 
@@ -655,7 +648,7 @@ def parse_kv_file(path: PathLike) -> dict:
     out = {}
     with open(path, "rb") as handle:
         text = _decoded(path, handle.read(), 0, 1)
-    for raw in text.splitlines():
+    for raw in text.split("\n"):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -71,7 +71,7 @@ def ece(
         raise ValidationError(f"length mismatch: {probs.size} confidences vs {hits.size} outcomes")
     if probs.size == 0:
         raise ValidationError("empty confidence list")
-    if np.any(probs < 0.0) or np.any(probs > 1.0):
+    if not np.all((probs >= 0.0) & (probs <= 1.0)):
         raise ValidationError("confidences must lie in [0, 1]")
     bins = np.clip(np.ceil(probs * n_bins).astype(int) - 1, 0, n_bins - 1)
     counts = np.bincount(bins, minlength=n_bins).astype(float)

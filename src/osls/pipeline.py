@@ -210,7 +210,9 @@ def correct_records(records: RecordSet, c, pi) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def correct_with_estimate(result: EstimateResult, target: RecordSet):
-    """Apply the (K+1)-class correction using a pipeline estimate."""
+    """Apply the (K+1)-class correction using a pipeline estimate made for the target's K."""
+    if result.k != target.k:
+        raise ValidationError(f"the estimate is for K={result.k} but the target has K={target.k}")
     if result.rho_s_hat is None or result.rho_t_hat is None:
         raise ValidationError(f"method {result.method!r} does not produce ratio estimates")
     c_ext = extend_distribution(result.c_hat, result.rho_s_hat)

@@ -583,6 +583,24 @@ class TestMalformedInputExitsTwo:
         assert code == 2
         assert f"line {len(lines) + 1}: " in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("name,lines", [
+        ("t.jsonl", [GOOD] * 3),
+        ("t.csv", ["f1,f2,h,y"] + ["0.5,0.5,0.5,1"] * 3),
+    ])
+    def test_lone_carriage_returns(self, estimate_path, tmp_path, capsys, name, lines):
+        # A line ends at "\n" only, so the whole file is one line.
+        target = tmp_path / name
+        target.write_bytes(("\r".join(lines) + "\r").encode())
+        code, err = self._correct(estimate_path, target, tmp_path, capsys)
+        assert code == 2 and str(target) in err and "Traceback" not in err
+
+    def test_estimate_for_another_k(self, estimate_path, tmp_path, capsys):
+        target = tmp_path / "t.jsonl"
+        target.write_text('{"f": [0.2, 0.3, 0.5], "h": 0.5}\n' * 3, encoding="utf-8")
+        code, err = self._correct(estimate_path, target, tmp_path, capsys)
+        assert code == 2
+        assert "the estimate is for K=2 but the target has K=3" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("header,row,named", [
         ("f1,f2,h", "0.5,0.5,0.5", "source records need ground-truth labels"),
         ("f1,f2,h,label", "0.5,0.5,0.5,1", "CSV header names column 'label'"),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osls.baselines import ConfusionMatrix
 from osls.core import AmbiguousStationary, DegenerateScorer, ValidationError
 from osls.estimators import (
     BoundReport,
@@ -21,6 +22,7 @@ from osls.estimators import (
     score_mean,
     threshold_rescale,
 )
+from osls.metrics import ece
 
 
 class TestScoreMean:
@@ -224,6 +226,21 @@ class TestThresholdRescale:
     def test_empty_reference(self):
         with pytest.raises(ValidationError):
             threshold_rescale([0.5], [], [0.2])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: score_mean([0.5, math.nan]), "scores must lie in"),
+    (lambda: ConfusionMatrix([[math.nan, 0.0], [0.0, 1.0]]), "confusion entries must be"),
+    (lambda: ece([math.nan, 0.5], [True, False]), "confidences must lie in"),
+    (lambda: estimate_source_prior_multiclass([[math.nan, 0.5], [0.5, 0.5]]), "column-stochastic"),
+    (lambda: threshold_rescale([0.6, 0.4], [math.nan, 0.8], [0.2]), "scores must be finite"),
+    (lambda: threshold_rescale([math.nan, 0.4], [0.8], [0.2]), "scores must be finite"),
+    (lambda: threshold_rescale([0.6], [0.8], [-math.inf]), "scores must be finite"),
+], ids=["score_mean", "confusion", "ece", "multiclass_prior", "threshold_reference",
+        "threshold_score", "threshold_infinite"])
+def test_nan_fails_the_input_check(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 class TestCoverage:

@@ -496,8 +496,8 @@ class TestPoolMatchesInProcess:
             _assert_same_bits(new, ref)
 
 
-# Pieces of text that hold each line break ``str.splitlines`` knows, next to
-# characters of one to four UTF-8 bytes.
+# Pieces of text that hold "\n", the only line end, and each other line break
+# ``str.splitlines`` knows, next to characters of one to four UTF-8 bytes.
 LINE_PIECES = ("a", "é", "€", "\U0001F600", " ", "\r", "\n", "\r\n", "\x0b", "\x0c", "\x1c",
                "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
@@ -518,7 +518,7 @@ class TestRanges:
     @example(["\r"], 1, 1)
     @example(["a", "\r"], 2, 1)
     @example([], 1, 1)
-    def test_ranges_are_splitlines(self, tmp_path_factory, pieces, block_rows, scan_bytes):
+    def test_ranges_split_at_newlines(self, tmp_path_factory, pieces, block_rows, scan_bytes):
         text = "".join(pieces)
         raw = text.encode("utf-8")
         path = tmp_path_factory.mktemp("l") / "t.txt"
@@ -534,14 +534,36 @@ class TestRanges:
         assert [r.start for r in ranges] == [0] + ends[:-1] and ends[-1] == len(raw)
         for r in ranges[:-1]:
             assert raw[r.start : r.data].count(b"\n") == block_rows and raw[r.data - 1] == 10
-        numbered, first = [], 1
-        with open(path, "rb", buffering=0) as handle:
-            for r, streamed_r in zip(ranges, streamed):
-                lines = osls_io._range_lines(path, handle.fileno(), r, first)
-                assert osls_io._range_lines(path, -1, streamed_r, first) == lines
-                numbered += enumerate(lines, first)
-                first += len(lines)
-        assert numbered == list(enumerate(text.splitlines(), 1))
+        # The i-th range starts at line 1 + i * block_rows, in the file and the stream.
+        firsts = [1 + i * block_rows for i in range(len(ranges))]
+        assert [r.first for r in ranges] == [r.first for r in streamed] == firsts
+        numbered = []
+        for i, r in enumerate(streamed):
+            lines = r.data.decode("utf-8").split("\n")
+            if i < len(streamed) - 1:  # its last b"\n" ends its last line
+                assert len(lines) == block_rows + 1 and lines.pop() == ""
+            numbered += enumerate(lines, r.first)
+        assert numbered == list(enumerate(text.split("\n"), 1))
+
+
+class TestLineEnds:
+    """A line ends at "\\n" only; JSON may hold other breaks where it allows whitespace."""
+
+    def test_other_breaks_inside_json_lines(self, tmp_path, monkeypatch, pools):
+        # Raw U+2028, U+2029 and U+0085 in a string, "\r" between tokens and
+        # "\r\n" line ends, in the first row too, which fixes K.
+        rng = np.random.default_rng(3)
+        f, h, y = _prediction_rows(rng, 2 * BLOCK + 3, 3, np.array(SPECIAL_FLOATS))
+        plain, odd = tmp_path / "plain.jsonl", tmp_path / "odd.jsonl"
+        osls_io.write_records(plain, RecordSet(f, h, y))
+        odd.write_text("".join(
+            line.replace(", ", ",\r ")[:-1] + ', "note": "a\u2028b\u2029c\x85d"}\r\n'
+            for line in plain.read_text(encoding="utf-8").split("\n")[:-1]), encoding="utf-8")
+        expected = _columns(osls_io.read_records(plain))
+        for got in (osls_io.read_records(odd), _in_process(monkeypatch, osls_io.read_records, odd)):
+            for new, ref in zip(_columns(got), expected):
+                _assert_same_bits(new, ref)
+        assert len(pools) == 3 and all(pools)
 
 
 # --- malformed and non-finite input ------------------------------------------
@@ -760,14 +782,14 @@ class TestMalformedInput:
     @pytest.mark.parametrize("before", POSITIONS)
     def test_not_utf8_names_line_and_offset(self, tmp_path, monkeypatch, pools, name, header,
                                             before):
-        # Blank lines, CRLF line ends and multi-byte characters come before the
-        # bad byte, which sits after the first three bytes of its line.
+        # Blank lines, CRLF line ends, multi-byte characters and a U+2028, which
+        # ends no line, come before the bad byte, three bytes into its line.
         good = GOOD_RECORD if header is None else GOOD_CSV
         head = ("" if header is None else header + "\r\n") + "\u2028\n" + (good + "\r\n") * before
         bad = good.encode()[:3] + b"\xe9" + good.encode()[3:] + b"\n"
         path = tmp_path / name
         path.write_bytes(head.encode() + bad + (good + "\n").encode() * 3)
-        line = len(head.splitlines()) + 1
+        line = head.count("\n") + 1
         offset = len(head.encode()) + 3
         expected = (f"{path}: line {line}: not UTF-8 text: byte 0xe9 at offset {offset} "
                     "(invalid continuation byte)")
@@ -868,19 +890,6 @@ class TestStreams:
             finally:
                 _join_fifo(fifo, writer)
             assert str(err.value).startswith(f"{fifo}: line {line}: 'h' must lie in [0, 1]")
-
-    def test_other_line_breaks_grow_the_columns(self, tmp_path, monkeypatch, pools):
-        # Lines ending in "\r" or "\u2028" hold no b"\n", so ranges hold more lines
-        # than the BLOCK_ROWS rows a range of "\n" lines bounds the columns at.
-        plain, mixed = tmp_path / "plain.jsonl", tmp_path / "mixed.jsonl"
-        plain.write_text((GOOD_RECORD + "\n") * (6 * BLOCK), encoding="utf-8")
-        mixed.write_text((GOOD_RECORD + "\r" + GOOD_RECORD + "\u2028" + GOOD_RECORD + "\n")
-                         * (2 * BLOCK), encoding="utf-8")
-        expected = _columns(osls_io.read_records(plain))
-        for got in (osls_io.read_records(mixed),
-                    _in_process(monkeypatch, osls_io.read_records, mixed)):
-            for new, ref in zip(_columns(got), expected):
-                _assert_same_bits(new, ref)
 
     def test_a_file_replaced_while_read(self, tmp_path, monkeypatch, pools):
         # The file at the path is replaced after the scan: the workers see
