@@ -9,7 +9,7 @@ argmax predictions, joint-frequency confusion matrix).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .core import (
     normalized_rows,
     positive_prior,
     row_blocks,
+    whole_number,
 )
 from .em import EmConfig, EmTrace, fit, flush_subnormals
 
@@ -50,6 +51,7 @@ class ConfusionMatrix:
     @classmethod
     def from_labels(cls, predicted: np.ndarray, true: np.ndarray, k: int) -> "ConfusionMatrix":
         """Build joint frequencies from 1-based predicted and true labels."""
+        k = whole_number("k", k, 1)
         predicted = np.asarray(predicted, dtype=np.int64)
         true = np.asarray(true, dtype=np.int64)
         if predicted.shape != true.shape or predicted.size == 0:
@@ -143,10 +145,10 @@ def bbse(confusion: ConfusionMatrix, target_pred_freq) -> ProbabilityVector:
     return ProbabilityVector(pi_unnorm / total)
 
 
-def predicted_class_frequencies(f_rows: ProbsLike, k: Optional[int] = None) -> ProbabilityVector:
-    """Empirical frequencies of the argmax class over a set of posteriors."""
+def predicted_class_frequencies(f_rows: ProbsLike) -> ProbabilityVector:
+    """Empirical frequencies of the argmax class over a set of posteriors, one per column."""
     labels = argmax_labels(f_rows)
-    counts = np.bincount(labels - 1, minlength=k or np.shape(f_rows)[1]).astype(float)
+    counts = np.bincount(labels - 1, minlength=np.shape(f_rows)[1]).astype(float)
     return ProbabilityVector(counts / counts.sum())
 
 

@@ -8,6 +8,8 @@ share across threads.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
@@ -58,6 +60,40 @@ class IllConditioned(OslsError):
 
 
 VectorLike = Union[Sequence[float], np.ndarray]
+
+
+def real_in(name: str, value, low: float, high: float = math.inf, strict: bool = False) -> float:
+    """``float(value)`` if it lies between ``low`` and ``high``, ends included unless ``strict``.
+
+    An infinite end is always open and NaN lies in no interval, so the value is
+    finite. Otherwise ValidationError names the parameter, the range and the
+    value: "delta must lie in (0, 1); got 0.0", "T must be a finite number >= 1; got nan".
+    """
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if (low < x < high if strict else low <= x <= high) and math.isfinite(x):
+        return x
+    if math.isinf(high):
+        rule = f"be a finite number {'>' if strict else '>='} {low:g}"
+    else:
+        rule = f"lie in {'(' if strict else '['}{low:g}, {high:g}{')' if strict else ']'}"
+    raise ValidationError(f"{name} must {rule}; got {value}")
+
+
+def whole_number(name: str, value, least: Optional[int] = None) -> int:
+    """``operator.index(value)``: an int or a numpy integer, never a float, NaN or inf,
+    and at least ``least`` when that is given; otherwise ValidationError names the
+    parameter and the value: "k must be a whole number >= 1; got 2.5"."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or (least is not None and n < least):
+        rule = "" if least is None else f" >= {least}"
+        raise ValidationError(f"{name} must be a whole number{rule}; got {value}")
+    return n
 
 
 def on_simplex(rows: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
@@ -246,10 +282,7 @@ class SourceLabelModel:
             raise ValidationError(
                 f"source class probabilities c must be >= {MIN_CLASS_PROB}; got {c.entries!r}"
             )
-        rho = float(self.rho_s)
-        if not (0.0 < rho < 1.0):
-            raise ValidationError(f"rho_s must lie strictly in (0, 1); got {rho}")
-        rho = min(max(rho, RHO_EPS), 1.0 - RHO_EPS)
+        rho = min(max(real_in("rho_s", self.rho_s, 0, 1, strict=True), RHO_EPS), 1.0 - RHO_EPS)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "rho_s", rho)
 
@@ -270,12 +303,8 @@ class TargetLabelModel:
     rho_t: float
 
     def __post_init__(self):
-        pi = _as_probability_vector(self.pi)
-        rho = float(self.rho_t)
-        if not (0.0 <= rho <= 1.0):
-            raise ValidationError(f"rho_t must lie in [0, 1]; got {rho}")
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "rho_t", rho)
+        object.__setattr__(self, "pi", _as_probability_vector(self.pi))
+        object.__setattr__(self, "rho_t", real_in("rho_t", self.rho_t, 0, 1))
 
     @property
     def k(self) -> int:
@@ -386,8 +415,6 @@ def _clipped_h(h: np.ndarray) -> np.ndarray:
 def extend_distribution(base: Union[ProbabilityVector, VectorLike], rho: float) -> ProbabilityVector:
     """Combine an ID distribution and an ID ratio into the (K+1)-class vector [rho*p, 1-rho]."""
     base = _as_probability_vector(base)
-    rho = float(rho)
-    if not (0.0 <= rho <= 1.0):
-        raise ValidationError(f"rho must lie in [0, 1]; got {rho}")
+    rho = real_in("rho", rho, 0, 1)
     entries = np.concatenate([rho * base.entries, [1.0 - rho]])
     return ProbabilityVector(entries)

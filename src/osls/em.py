@@ -39,7 +39,6 @@ it returns the cell and the bits a scan of every row returns.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -53,6 +52,8 @@ from .core import (
     TargetLabelModel,
     ValidationError,
     extend_distribution,
+    real_in,
+    whole_number,
 )
 
 LIK_FLOOR = 1e-300
@@ -79,15 +80,8 @@ class EmConfig:
     alpha_out: Tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
-        try:
-            max_iters = operator.index(self.max_iters)
-        except TypeError:
-            max_iters = 0
-        if max_iters < 1:
-            raise ValidationError(f"max_iters must be a whole number >= 1, got {self.max_iters!r}")
-        object.__setattr__(self, "max_iters", max_iters)
-        if not (0.0 <= self.tol < math.inf):
-            raise ValidationError(f"tol must be a finite number >= 0, got {self.tol}")
+        object.__setattr__(self, "max_iters", whole_number("max_iters", self.max_iters, 1))
+        object.__setattr__(self, "tol", real_in("tol", self.tol, 0))
         if self.alpha_in is not None:
             arr = np.asarray(self.alpha_in, dtype=float)
             if arr.ndim != 1 or not np.all((arr >= 1.0) & (arr < math.inf)):
@@ -393,11 +387,9 @@ def run_em(
         rho0 = source.rho_s
     else:
         pi0 = init.pi.entries
-        rho0 = float(init.rho_t)
         if np.any(pi0 <= 0.0):
             raise ValidationError("initial pi must be strictly positive")
-        if not (0.0 < rho0 < 1.0):
-            raise ValidationError("initial rho_t must lie strictly in (0, 1)")
+        rho0 = real_in("initial rho_t", init.rho_t, 0, 1, strict=True)
     return fit(w, pi0, rho0, config)
 
 

@@ -21,6 +21,8 @@ from .core import (
     DegenerateScorer,
     ProbabilityVector,
     ValidationError,
+    real_in,
+    whole_number,
 )
 
 # Below this denominator magnitude the scorer is treated as non-identifying:
@@ -44,15 +46,9 @@ class ScoreMeans:
 
     def __post_init__(self):
         for name in ("mu1_hat", "mu0_hat"):
-            v = float(getattr(self, name))
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1]; got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, real_in(name, getattr(self, name), 0, 1))
         for name in ("n_id", "n_ood"):
-            v = int(getattr(self, name))
-            if v < 1:
-                raise ValidationError(f"{name} must be >= 1")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, whole_number(name, getattr(self, name), 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,8 +60,7 @@ class BoundReport:
     n_min: int
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValidationError("delta must lie in (0, 1)")
+        object.__setattr__(self, "delta", real_in("delta", self.delta, 0, 1, strict=True))
         if not math.isfinite(self.bound) or self.bound < 0.0:
             raise ValidationError("bound must be finite and >= 0")
 
@@ -93,20 +88,19 @@ def estimate_rho_s(means: ScoreMeans) -> float:
 
 def rho_s_bound(mu1: float, mu0: float, n_ood: int, n_id: int, delta: float) -> BoundReport:
     """Hoeffding bound on |rho_s - rho_s_hat| holding with probability 1 - 2*delta."""
-    if not 0.0 < delta < 1.0:
-        raise ValidationError("delta must lie in (0, 1)")
-    if n_ood < 1 or n_id < 1:
-        raise ValidationError("counts must be >= 1")
-    den = 1.0 - mu1 + mu0
+    delta = real_in("delta", delta, 0, 1, strict=True)
+    n_min = min(whole_number("n_ood", n_ood, 1), whole_number("n_id", n_id, 1))
+    den = 1.0 - real_in("mu1", mu1, 0, 1) + real_in("mu0", mu0, 0, 1)
     if den <= 0.0:
         raise ValidationError("1 - mu1 + mu0 must be positive")
-    n_min = min(int(n_ood), int(n_id))
     bound = (1.0 / den) * math.sqrt(math.log(1.0 / delta) / (2.0 * n_min))
-    return BoundReport(delta=float(delta), bound=bound, n_min=n_min)
+    return BoundReport(delta=delta, bound=bound, n_min=n_min)
 
 
 def correct_rho(rho_raw: float, mu1p: float, mu0p: float) -> float:
     """Invert the affine mean response of a mis-specified scorer; clamps to [0, 1]."""
+    rho_raw, mu1p, mu0p = (real_in(name, v, 0, 1) for name, v in
+                           (("rho_raw", rho_raw), ("mu1p", mu1p), ("mu0p", mu0p)))
     den = mu1p - mu0p
     if abs(den) < EPS_DEN:
         raise DegenerateScorer(
@@ -117,24 +111,19 @@ def correct_rho(rho_raw: float, mu1p: float, mu0p: float) -> float:
 
 def rho_t_bound(mu1p: float, mu0p: float, n_min: int, delta: float) -> BoundReport:
     """Error bound on the corrected target ID ratio, probability >= 1 - 2*delta."""
-    if not 0.0 < delta < 1.0:
-        raise ValidationError("delta must lie in (0, 1)")
-    if n_min < 1:
-        raise ValidationError("n_min must be >= 1")
-    gap = abs(mu1p - mu0p)
+    delta = real_in("delta", delta, 0, 1, strict=True)
+    n_min = whole_number("n_min", n_min, 1)
+    gap = abs(real_in("mu1p", mu1p, 0, 1) - real_in("mu0p", mu0p, 0, 1))
     if gap == 0.0:
         raise ValidationError("|mu1' - mu0'| must be positive")
     bound = (1.0 / gap) * math.sqrt(2.0 * math.log(1.0 / delta) / n_min)
-    return BoundReport(delta=float(delta), bound=bound, n_min=int(n_min))
+    return BoundReport(delta=delta, bound=bound, n_min=n_min)
 
 
 def rescale_mu0(mu0_gamma: float, T: float) -> float:
-    """Divide the pseudo-OOD score mean by the reweight factor T, finite and >= 1."""
-    if not 1.0 <= T < math.inf:
-        raise ValidationError(f"T must be a finite number >= 1; got {T}")
-    if not 0.0 <= mu0_gamma <= 1.0:
-        raise ValidationError("mu0_gamma must lie in [0, 1]")
-    return mu0_gamma / T
+    """Divide the pseudo-OOD score mean by the reweight factor T."""
+    T = real_in("T", T, 1)
+    return real_in("mu0_gamma", mu0_gamma, 0, 1) / T
 
 
 def threshold_rescale(
@@ -248,15 +237,6 @@ def _coverage(theorem: int, estimator, trial_args: list, truth: float,
                           delta=report.delta, bound=report.bound)
 
 
-def _check_trials(mu1: float, mu0: float, n: int, trials: int) -> None:
-    """ValidationError unless the Bernoulli means lie in [0, 1] and n and trials are >= 1."""
-    if trials < 1 or n < 1:
-        raise ValidationError("trials and n must be >= 1")
-    for name, mu in (("mu1", mu1), ("mu0", mu0)):
-        if not 0.0 <= mu <= 1.0:
-            raise ValidationError(f"{name} is a Bernoulli mean and must lie in [0, 1]; got {mu}")
-
-
 def bound_coverage_rho_s(
     mu1: float = 0.9,
     mu0: float = 0.1,
@@ -272,8 +252,8 @@ def bound_coverage_rho_s(
     built from the population means. The violation rate should not exceed
     2*delta.
     """
-    _check_trials(mu1, mu0, n, trials)
-    report = rho_s_bound(mu1, mu0, n, n, delta)  # checks delta before any trial is drawn
+    trials, n = whole_number("trials", trials, 1), whole_number("n", n, 1)
+    report = rho_s_bound(mu1, mu0, n, n, delta)  # checks the means and delta before any trial
     rng = np.random.default_rng(seed)
     mu1_hat = (rng.random((trials, n)) < mu1).mean(axis=1)
     mu0_hat = (rng.random((trials, n)) < mu0).mean(axis=1)
@@ -300,12 +280,9 @@ def bound_coverage_rho_t(
     averages h' over an n-sample target with ID fraction rho_t, applies
     ``correct_rho`` and tests the error against the population bound.
     """
-    _check_trials(mu1, mu0, n, trials)
-    if not 0.0 <= rho_t <= 1.0:
-        raise ValidationError("rho_t must lie in [0, 1]")
-    lo, hi = sorted((a, a + b))
-    if lo < 0.0 or hi > 1.0:
-        raise ValidationError("distorted scores must stay in [0, 1]")
+    trials, n = whole_number("trials", trials, 1), whole_number("n", n, 1)
+    for name, value in (("mu1", mu1), ("mu0", mu0), ("rho_t", rho_t), ("a", a), ("a + b", a + b)):
+        real_in(name, value, 0, 1)  # the distorted scores lie between a and a + b
     mu1p = a + b * mu1
     mu0p = a + b * mu0
     report = rho_t_bound(mu1p, mu0p, n, delta)  # checks delta and the mean gap first

@@ -7,7 +7,14 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import MIN_CLASS_PROB, ValidationError, _as_probability_vector, report_dict
+from .core import (
+    MIN_CLASS_PROB,
+    ValidationError,
+    _as_probability_vector,
+    real_in,
+    report_dict,
+    whole_number,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +70,7 @@ def ece(
     was right. Bin boundaries are assigned to the lower bin (1.0 therefore
     lands in the top bin); empty bins contribute nothing.
     """
-    if n_bins < 1:
-        raise ValidationError("n_bins must be >= 1")
+    n_bins = whole_number("n_bins", n_bins, 1)
     probs = np.asarray(confidences, dtype=float).ravel()
     hits = np.asarray(correct, dtype=bool).ravel().astype(float)
     if probs.size != hits.size:
@@ -83,8 +89,5 @@ def ece(
 
 
 def rho_abs_error(rho_hat: float, rho_true: float) -> float:
-    """Absolute error between two ID-ratio values in [0, 1]."""
-    for name, v in (("rho_hat", rho_hat), ("rho_true", rho_true)):
-        if not 0.0 <= float(v) <= 1.0:
-            raise ValidationError(f"{name} must lie in [0, 1]; got {v}")
-    return abs(float(rho_hat) - float(rho_true))
+    """Absolute error between two ID-ratio values."""
+    return abs(real_in("rho_hat", rho_hat, 0, 1) - real_in("rho_true", rho_true, 0, 1))

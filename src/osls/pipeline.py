@@ -29,6 +29,7 @@ from .core import (
     json_fields,
     positive_prior,
     report_dict,
+    whole_number,
 )
 from .em import EmConfig, run_em
 from .estimators import ScoreMeans, correct_rho, estimate_rho_s, rescale_mu0
@@ -142,27 +143,26 @@ def estimate(
             method = "osls-mle"
         if method == "osls-mle" and not em_config.is_mle:
             raise ValidationError("osls-mle requested but em_config carries non-trivial priors")
-        mu1_hat = float(np.mean(source.h))
         means = ScoreMeans(
-            mu1_hat=mu1_hat,
-            mu0_hat=float(mu0_hat),
+            mu1_hat=np.mean(source.h),
+            mu0_hat=mu0_hat,
             n_id=len(source),
-            n_ood=int(n_ood) if n_ood is not None else len(source),
+            n_ood=len(source) if n_ood is None else n_ood,
         )
         rho_s_hat = estimate_rho_s(means)
         source_model = SourceLabelModel(c_hat, rho_s_hat)
         trace = run_em(source_model, target, em_config)
         rho_t_star = None
         if apply_rho_correction:
-            rho_t_star = correct_rho(trace.rho_t_final, mu1_hat, float(mu0_hat))
+            rho_t_star = correct_rho(trace.rho_t_final, means.mu1_hat, means.mu0_hat)
         return EstimateResult(
             method=method,
             k=k,
             pi_hat=trace.pi_final,
             c_hat=c_hat,
             rho_s_hat=rho_s_hat,
-            mu1_hat=mu1_hat,
-            mu0_hat=float(mu0_hat),
+            mu1_hat=means.mu1_hat,
+            mu0_hat=means.mu0_hat,
             rho_t_hat=trace.rho_t_final,
             rho_t_star=rho_t_star,
             nll_initial=float(trace.nll_per_iter[0]),
@@ -180,7 +180,7 @@ def estimate(
     elif method == "bbse":
         pred = bl.argmax_labels(source.f)
         confusion = bl.ConfusionMatrix.from_labels(pred, source.y, k)
-        q = bl.predicted_class_frequencies(target.f, k)
+        q = bl.predicted_class_frequencies(target.f)
         pi_hat = bl.bbse(confusion, q)
     else:  # uniform baseline: no estimation, assume uniform labels and r = 1
         pi_hat = ProbabilityVector(np.full(k, 1.0 / k))
@@ -283,8 +283,7 @@ def run_sweep(
     Cells aggregate mean and standard deviation across seeds per (method,
     shift, r) and come back sorted by that key.
     """
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1; got {workers}")
+    workers = whole_number("workers", workers, 1)
     points = [(shift, r, seed) for shift in shifts for r in r_values for seed in seeds]
     run = partial(_run_sweep_point, base, tuple(methods), em_iters)
     scores, failures = {}, []

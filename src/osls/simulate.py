@@ -26,6 +26,8 @@ from .core import (
     SourceLabelModel,
     TargetLabelModel,
     ValidationError,
+    real_in,
+    whole_number,
 )
 
 # Purpose offsets for per-stream seeding.
@@ -49,10 +51,8 @@ def _stream(seed: int, purpose: int) -> np.random.Generator:
 
 def dirichlet_shift(k: int, alpha: float, seed) -> ProbabilityVector:
     """One draw from the symmetric Dirichlet(alpha) via normalized Gamma draws."""
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if not 0.0 < alpha < np.inf:
-        raise ValidationError(f"alpha must be finite and > 0; got {alpha}")
+    k = whole_number("k", k, 1)
+    alpha = real_in("alpha", alpha, 0, strict=True)
     if k == 1:
         return ProbabilityVector([1.0])
     rng = np.random.default_rng(seed)
@@ -65,10 +65,8 @@ def dirichlet_shift(k: int, alpha: float, seed) -> ProbabilityVector:
 
 def ordered_lt_shift(k: int, imbalance: float, order: str = "forward") -> ProbabilityVector:
     """Long-tailed distribution pi_j proportional to imbalance^(-(j-1)/(K-1))."""
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if not 1.0 <= imbalance < np.inf:
-        raise ValidationError(f"imbalance must be finite and >= 1; got {imbalance}")
+    k = whole_number("k", k, 1)
+    imbalance = real_in("imbalance", imbalance, 1)
     if order not in ("forward", "backward"):
         raise ValidationError(f"order must be forward or backward; got {order!r}")
     if k == 1:
@@ -91,12 +89,10 @@ class ShiftSpec:
     def __post_init__(self):
         if self.kind not in ("none", "dirichlet", "ordered_lt"):
             raise ValidationError(f"unknown shift kind {self.kind!r}")
-        if self.kind == "dirichlet" and not 0.0 < self.alpha < np.inf:
-            raise ValidationError(f"dirichlet shift needs finite alpha > 0; got {self.alpha}")
+        if self.kind == "dirichlet":
+            object.__setattr__(self, "alpha", real_in("alpha", self.alpha, 0, strict=True))
         if self.kind == "ordered_lt":
-            if not 1.0 <= self.imbalance < np.inf:
-                raise ValidationError(
-                    f"ordered_lt shift needs finite imbalance >= 1; got {self.imbalance}")
+            object.__setattr__(self, "imbalance", real_in("imbalance", self.imbalance, 1))
             if self.order not in ("forward", "backward"):
                 raise ValidationError("order must be forward or backward")
 
@@ -117,16 +113,18 @@ class ShiftSpec:
         """Parse "none", "dirichlet[:alpha]" or "lt[:imbalance[:order]]", as "lt:100:forward"."""
         parts = [p.strip() for p in str(text).split(":")]
         kind = parts[0].lower()
-        fields = {"none": 0, "dirichlet": 1, "lt": 2, "ordered_lt": 2}.get(kind)
-        if fields is None or len(parts) > fields + 1:
+        fields = {"none": 0, "dirichlet": 1, "lt": 2, "ordered_lt": 2}.get(kind, -1)
+        try:
+            number = float(parts[1]) if len(parts) > 1 else 1.0
+        except ValueError:
+            fields = -1
+        if len(parts) > fields + 1:
             raise ValidationError(f"cannot parse shift spec {text!r}")
         if kind == "none":
             return cls.none()
         if kind == "dirichlet":
-            return cls.dirichlet(float(parts[1]) if len(parts) > 1 else 1.0)
-        imbalance = float(parts[1]) if len(parts) > 1 else 1.0
-        order = parts[2].lower() if len(parts) > 2 else "forward"
-        return cls.ordered_lt(imbalance, order)
+            return cls.dirichlet(number)
+        return cls.ordered_lt(number, parts[2].lower() if len(parts) > 2 else "forward")
 
     def key(self) -> str:
         if self.kind == "none":
@@ -243,8 +241,11 @@ class ScenarioConfig:
     components: GaussianComponents = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValidationError("k must be >= 1")
+        for name in ("k", "n_source", "n_target", "n_ood_ref"):
+            object.__setattr__(self, name, whole_number(name, getattr(self, name), 1))
+        object.__setattr__(self, "seed", whole_number("seed", self.seed))
+        for name in ("r", "temperature"):
+            object.__setattr__(self, name, real_in(name, getattr(self, name), 0, strict=True))
         means = np.atleast_2d(np.asarray(self.class_means, dtype=float))
         scales = np.asarray(self.class_scales, dtype=float).ravel()
         if means.shape != (self.k + 1, self.feature_dim):
@@ -259,14 +260,6 @@ class ScenarioConfig:
         c = SourceLabelModel(self.c, self.rho_s).c
         if c.k != self.k:
             raise ValidationError(f"c must have {self.k} entries")
-        for name in ("n_source", "n_target", "n_ood_ref"):
-            if int(getattr(self, name)) < 1:
-                raise ValidationError(f"{name} must be >= 1")
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if self.r <= 0.0:
-            raise ValidationError("r must be > 0")
-        if self.temperature <= 0.0:
-            raise ValidationError("temperature must be > 0")
         # Means must be pairwise distinct for the posteriors to be informative.
         components = GaussianComponents(means, scales)
         object.__setattr__(self, "components", components)
@@ -274,9 +267,6 @@ class ScenarioConfig:
         object.__setattr__(self, "class_scales", components.scales)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "rho_s", float(self.rho_s))
-        object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "temperature", float(self.temperature))
 
     @property
     def rho_t(self) -> float:
@@ -301,10 +291,8 @@ def ring_config(
     temperature: float = 1.0,
 ) -> ScenarioConfig:
     """Standard layout: ID means on a circle of given radius, OOD at the origin."""
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if feature_dim < 2:
-        raise ValidationError("ring layout needs feature_dim >= 2")
+    k = whole_number("k", k, 1)
+    feature_dim = whole_number("feature_dim", feature_dim, 2)
     angles = 2.0 * np.pi * np.arange(k) / k
     means = np.zeros((k + 1, feature_dim))
     means[:k, 0] = radius * np.cos(angles)
@@ -519,8 +507,7 @@ def gen_pseudo_ood(source_features: np.ndarray, gamma: float, seed) -> np.ndarra
 
     eps is drawn fresh per sample and per coordinate.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValidationError(f"gamma must lie in [0, 1]; got {gamma}")
+    gamma = real_in("gamma", gamma, 0, 1)
     x = np.atleast_2d(np.asarray(source_features, dtype=float))
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal(x.shape)
@@ -552,8 +539,7 @@ def subsample_to_ratio(target: DatasetLike, r: float, seed) -> Tuple[DatasetLike
     Returns the subsampled data (original order preserved) and a flag that is
     True when fewer OOD samples were available than requested.
     """
-    if r <= 0.0:
-        raise ValidationError("r must be > 0")
+    r = real_in("r", r, 0, strict=True)
     records, features = _coerce_labeled(target)
     k = records.k
     id_idx = np.flatnonzero(records.y <= k)

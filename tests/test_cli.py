@@ -354,7 +354,7 @@ class TestSweep:
         cfg.write_text(SWEEP_CFG)
         out = tmp_path / "sweep.json"
         code = main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "0"])
-        assert code == 2 and "workers must be >= 1" in capsys.readouterr().err
+        assert code == 2 and "workers must be a whole number >= 1; got 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_single_cell_matches_direct_estimate(self, tmp_path):
@@ -725,9 +725,11 @@ class TestMalformedInputExitsTwo:
         assert code == 2 and "c must be >= 1e-06" in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("shift", ["dirichlet:nan", "dirichlet:inf", "lt:nan", "lt:inf"])
+    @pytest.mark.parametrize("shift", ["dirichlet:nan", "dirichlet:inf", "lt:nan", "lt:inf",
+                                       "dirichlet:", "lt:x"])
     def test_non_finite_shift_exits_2(self, tmp_path, capsys, shift):
-        # All gamma draws of dirichlet:nan are NaN, and lt:inf puts all mass on class 1.
+        # All gamma draws of dirichlet:nan are NaN, and lt:inf puts all mass on class 1;
+        # the last two have a field that is not a number.
         cfg = tmp_path / "shift.cfg"
         cfg.write_text(SCENARIO_CFG.replace("shift = lt:10:forward", f"shift = {shift}"))
         out = tmp_path / "out"

@@ -1,4 +1,7 @@
+import math
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +16,31 @@ from osls.core import (
     TargetLabelModel,
     ValidationError,
     extend_distribution,
+    real_in,
     validate_simplex,
+    whole_number,
+)
+from osls.baselines import ConfusionMatrix
+from osls.em import EmConfig, run_em
+from osls.estimators import (
+    BoundReport,
+    ScoreMeans,
+    bound_coverage_rho_s,
+    bound_coverage_rho_t,
+    correct_rho,
+    rescale_mu0,
+    rho_s_bound,
+    rho_t_bound,
+)
+from osls.metrics import ece, rho_abs_error
+from osls.pipeline import run_sweep
+from osls.simulate import (
+    ShiftSpec,
+    dirichlet_shift,
+    gen_pseudo_ood,
+    ordered_lt_shift,
+    ring_config,
+    subsample_to_ratio,
 )
 
 
@@ -217,3 +244,127 @@ class TestRecordSet:
         rs = RecordSet(np.array([[0.5, 0.5]]), np.array([0.5]))
         with pytest.raises(ValueError):
             rs.f[0, 0] = 0.9
+
+
+class TestScalarRule:
+    def test_real_in(self):
+        assert real_in("x", np.float64(0.25), 0, 1) == 0.25
+        assert type(real_in("x", 1, 0, 1)) is float
+        assert real_in("T", 1, 1) == 1.0
+        for value, low, high, strict, message in [
+            (0.0, 0, 1, True, "delta must lie in (0, 1); got 0.0"),
+            (1.5, 0, 1, False, "delta must lie in [0, 1]; got 1.5"),
+            (math.nan, 1, math.inf, False, "delta must be a finite number >= 1; got nan"),
+            (math.inf, 0, math.inf, True, "delta must be a finite number > 0; got inf"),
+            (None, 0, 1, False, "delta must lie in [0, 1]; got None"),
+        ]:
+            with pytest.raises(ValidationError) as err:
+                real_in("delta", value, low, high, strict)
+            assert str(err.value) == message
+
+    def test_whole_number(self):
+        assert whole_number("k", np.int64(3), 1) == 3
+        assert type(whole_number("k", np.int64(3))) is int
+        assert whole_number("seed", -5) == -5
+        for value, least, message in [
+            (2.5, 1, "k must be a whole number >= 1; got 2.5"),
+            (0, 1, "k must be a whole number >= 1; got 0"),
+            (3.0, None, "k must be a whole number; got 3.0"),
+            (math.nan, None, "k must be a whole number; got nan"),
+        ]:
+            with pytest.raises(ValidationError) as err:
+                whole_number("k", value, least)
+            assert str(err.value) == message
+
+
+_BASE = ring_config(2, n_source=10, n_target=10, n_ood_ref=10)
+_LABELED = RecordSet(np.full((2, 2), 0.5), np.array([0.5, 0.5]), np.array([1, 3]))
+_SOURCE = SourceLabelModel([0.5, 0.5], 0.5)
+_REALS = (math.nan, math.inf, -math.inf)
+_COUNTS = (2.5, math.nan, math.inf)
+
+# Every scalar parameter check: (site, the name its message starts with, the call
+# with the bad value, the bad values). Reals get NaN and both infinities, counts
+# a fraction, NaN and inf.
+_SCALAR_SITES = [
+    ("ScoreMeans.mu1_hat", "mu1_hat", lambda x: ScoreMeans(x, 0.1, 3, 3), _REALS),
+    ("ScoreMeans.mu0_hat", "mu0_hat", lambda x: ScoreMeans(0.9, x, 3, 3), _REALS),
+    ("ScoreMeans.n_id", "n_id", lambda x: ScoreMeans(0.9, 0.1, x, 3), _COUNTS),
+    ("ScoreMeans.n_ood", "n_ood", lambda x: ScoreMeans(0.9, 0.1, 3, x), _COUNTS),
+    ("BoundReport.delta", "delta", lambda x: BoundReport(x, 0.1, 3), _REALS),
+    ("rho_s_bound.mu1", "mu1", lambda x: rho_s_bound(x, 0.1, 3, 3, 0.05), _REALS),
+    ("rho_s_bound.mu0", "mu0", lambda x: rho_s_bound(0.9, x, 3, 3, 0.05), _REALS),
+    ("rho_s_bound.n_ood", "n_ood", lambda x: rho_s_bound(0.9, 0.1, x, 3, 0.05), _COUNTS),
+    ("rho_s_bound.n_id", "n_id", lambda x: rho_s_bound(0.9, 0.1, 3, x, 0.05), _COUNTS),
+    ("rho_s_bound.delta", "delta", lambda x: rho_s_bound(0.9, 0.1, 3, 3, x), _REALS),
+    ("correct_rho.rho_raw", "rho_raw", lambda x: correct_rho(x, 0.9, 0.1), _REALS),
+    ("correct_rho.mu1p", "mu1p", lambda x: correct_rho(0.5, x, 0.1), _REALS),
+    ("correct_rho.mu0p", "mu0p", lambda x: correct_rho(0.5, 0.9, x), _REALS),
+    ("rho_t_bound.mu1p", "mu1p", lambda x: rho_t_bound(x, 0.1, 3, 0.05), _REALS),
+    ("rho_t_bound.mu0p", "mu0p", lambda x: rho_t_bound(0.9, x, 3, 0.05), _REALS),
+    ("rho_t_bound.n_min", "n_min", lambda x: rho_t_bound(0.9, 0.1, x, 0.05), _COUNTS),
+    ("rho_t_bound.delta", "delta", lambda x: rho_t_bound(0.9, 0.1, 3, x), _REALS),
+    ("rescale_mu0.mu0_gamma", "mu0_gamma", lambda x: rescale_mu0(x, 2.0), _REALS),
+    ("rescale_mu0.T", "T", lambda x: rescale_mu0(0.5, x), _REALS),
+    ("bound_coverage_rho_s.mu1", "mu1", lambda x: bound_coverage_rho_s(mu1=x), _REALS),
+    ("bound_coverage_rho_s.mu0", "mu0", lambda x: bound_coverage_rho_s(mu0=x), _REALS),
+    ("bound_coverage_rho_s.n", "n", lambda x: bound_coverage_rho_s(n=x), _COUNTS),
+    ("bound_coverage_rho_s.trials", "trials", lambda x: bound_coverage_rho_s(trials=x), _COUNTS),
+    ("bound_coverage_rho_s.delta", "delta", lambda x: bound_coverage_rho_s(delta=x), _REALS),
+    ("bound_coverage_rho_t.mu1", "mu1", lambda x: bound_coverage_rho_t(mu1=x), _REALS),
+    ("bound_coverage_rho_t.mu0", "mu0", lambda x: bound_coverage_rho_t(mu0=x), _REALS),
+    ("bound_coverage_rho_t.a", "a", lambda x: bound_coverage_rho_t(a=x), _REALS),
+    ("bound_coverage_rho_t.b", "a + b", lambda x: bound_coverage_rho_t(b=x), _REALS),
+    ("bound_coverage_rho_t.rho_t", "rho_t", lambda x: bound_coverage_rho_t(rho_t=x), _REALS),
+    ("bound_coverage_rho_t.n", "n", lambda x: bound_coverage_rho_t(n=x), _COUNTS),
+    ("bound_coverage_rho_t.trials", "trials", lambda x: bound_coverage_rho_t(trials=x), _COUNTS),
+    ("bound_coverage_rho_t.delta", "delta", lambda x: bound_coverage_rho_t(delta=x), _REALS),
+    ("dirichlet_shift.k", "k", lambda x: dirichlet_shift(x, 1.0, 0), _COUNTS),
+    ("dirichlet_shift.alpha", "alpha", lambda x: dirichlet_shift(2, x, 0), _REALS),
+    ("ordered_lt_shift.k", "k", lambda x: ordered_lt_shift(x, 10.0), _COUNTS),
+    ("ordered_lt_shift.imbalance", "imbalance", lambda x: ordered_lt_shift(2, x), _REALS),
+    ("ShiftSpec.alpha", "alpha", lambda x: ShiftSpec("dirichlet", alpha=x), _REALS),
+    ("ShiftSpec.imbalance", "imbalance", lambda x: ShiftSpec("ordered_lt", imbalance=x),
+     _REALS),
+    ("ScenarioConfig.k", "k", lambda x: replace(_BASE, k=x), _COUNTS),
+    ("ScenarioConfig.n_source", "n_source", lambda x: replace(_BASE, n_source=x), _COUNTS),
+    ("ScenarioConfig.n_target", "n_target", lambda x: replace(_BASE, n_target=x), _COUNTS),
+    ("ScenarioConfig.n_ood_ref", "n_ood_ref", lambda x: replace(_BASE, n_ood_ref=x), _COUNTS),
+    ("ScenarioConfig.seed", "seed", lambda x: replace(_BASE, seed=x), _COUNTS),
+    ("ScenarioConfig.r", "r", lambda x: replace(_BASE, r=x), _REALS),
+    ("ScenarioConfig.temperature", "temperature", lambda x: replace(_BASE, temperature=x),
+     _REALS),
+    ("ring_config.k", "k", lambda x: ring_config(x), _COUNTS),
+    ("ring_config.feature_dim", "feature_dim", lambda x: ring_config(2, feature_dim=x), _COUNTS),
+    ("ring_config.n_source", "n_source", lambda x: ring_config(2, n_source=x), _COUNTS),
+    ("ring_config.seed", "seed", lambda x: ring_config(2, seed=x), _COUNTS),
+    ("ring_config.r", "r", lambda x: ring_config(2, r=x), _REALS),
+    ("ring_config.temperature", "temperature", lambda x: ring_config(2, temperature=x), _REALS),
+    ("gen_pseudo_ood.gamma", "gamma", lambda x: gen_pseudo_ood(np.zeros((2, 2)), x, 0), _REALS),
+    ("subsample_to_ratio.r", "r", lambda x: subsample_to_ratio(_LABELED, x, 0), _REALS),
+    ("ece.n_bins", "n_bins", lambda x: ece([0.5], [True], x), _COUNTS),
+    ("rho_abs_error.rho_hat", "rho_hat", lambda x: rho_abs_error(x, 0.5), _REALS),
+    ("rho_abs_error.rho_true", "rho_true", lambda x: rho_abs_error(0.5, x), _REALS),
+    ("EmConfig.max_iters", "max_iters", lambda x: EmConfig(max_iters=x), _COUNTS),
+    ("EmConfig.tol", "tol", lambda x: EmConfig(tol=x), _REALS),
+    # TargetLabelModel names a non-finite rho_t first; run_em's rule is the open interval.
+    ("run_em.init", "initial rho_t",
+     lambda x: run_em(_SOURCE, _LABELED, init=TargetLabelModel([0.5, 0.5], x)), (0.0, 1.0)),
+    ("SourceLabelModel.rho_s", "rho_s", lambda x: SourceLabelModel([0.5, 0.5], x), _REALS),
+    ("TargetLabelModel.rho_t", "rho_t", lambda x: TargetLabelModel([0.5, 0.5], x), _REALS),
+    ("extend_distribution.rho", "rho", lambda x: extend_distribution([0.5, 0.5], x), _REALS),
+    ("run_sweep.workers", "workers",
+     lambda x: run_sweep(_BASE, ["none"], [1.0], [0], ["uniform"], workers=x), _COUNTS),
+    ("ConfusionMatrix.from_labels.k", "k", lambda x: ConfusionMatrix.from_labels([1], [1], x),
+     _COUNTS),
+]
+
+
+@pytest.mark.parametrize("name,call,bad", [
+    pytest.param(name, call, bad, id=f"{site}-{bad}")
+    for site, name, call, bads in _SCALAR_SITES for bad in bads
+])
+def test_bad_scalar_names_its_parameter(name, call, bad):
+    message = rf"^{re.escape(name)} must .*; got {re.escape(str(bad))}$"
+    with pytest.raises(ValidationError, match=message):
+        call(bad)

@@ -38,9 +38,9 @@ class TestDirichletShift:
 
     def test_validates(self):
         for alpha in (0.0, np.nan, np.inf):
-            with pytest.raises(ValidationError, match="alpha must be finite and > 0"):
+            with pytest.raises(ValidationError, match="alpha must be a finite number > 0"):
                 dirichlet_shift(3, alpha, 1)
-            with pytest.raises(ValidationError, match="needs finite alpha > 0"):
+            with pytest.raises(ValidationError, match="alpha must be a finite number > 0"):
                 ShiftSpec.dirichlet(alpha)
 
 
@@ -60,9 +60,9 @@ class TestOrderedLtShift:
 
     def test_validates(self):
         for imbalance in (0.5, np.nan, np.inf):
-            with pytest.raises(ValidationError, match="imbalance must be finite and >= 1"):
+            with pytest.raises(ValidationError, match="imbalance must be a finite number >= 1"):
                 ordered_lt_shift(3, imbalance)
-            with pytest.raises(ValidationError, match="needs finite imbalance >= 1"):
+            with pytest.raises(ValidationError, match="imbalance must be a finite number >= 1"):
                 ShiftSpec.ordered_lt(imbalance)
         with pytest.raises(ValidationError):
             ordered_lt_shift(3, 10.0, "sideways")
@@ -80,8 +80,10 @@ class TestShiftSpec:
         for text in ("none", "dirichlet:1", "lt:100:forward"):
             assert ShiftSpec.parse(ShiftSpec.parse(text).key()).key() == ShiftSpec.parse(text).key()
 
+    # The last three have a field that is not a number.
     @pytest.mark.parametrize("text", ["lt:10:forward:junk", "none:5", "dirichlet:1:2",
-                                      "ordered_lt:10:forward:1"])
+                                      "ordered_lt:10:forward:1", "dirichlet:", "lt:x",
+                                      "lt::forward"])
     def test_rejects_extra_fields(self, text):
         with pytest.raises(ValidationError, match="cannot parse shift spec"):
             ShiftSpec.parse(text)
@@ -163,7 +165,7 @@ class TestMakeScenario:
         with pytest.raises(ValidationError):
             ring_config(2, scale=-1.0)
         for k in (0, -1):
-            with pytest.raises(ValidationError, match="k must be >= 1"):
+            with pytest.raises(ValidationError, match="k must be a whole number >= 1"):
                 ring_config(k)
         with pytest.raises(ValidationError):
             easy_config(k=2, r=-0.5)
