@@ -20,8 +20,10 @@ from .core import (
     ProbabilityVector,
     ValidationError,
     _as_probability_vector,
+    labels_in,
     normalized_rows,
     positive_prior,
+    reals_in,
     row_blocks,
     whole_number,
 )
@@ -39,11 +41,11 @@ class ConfusionMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
+        arr = reals_in("entries", self.entries, 0)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValidationError("confusion matrix must be square")
-        if not (np.all(arr >= 0.0) and abs(float(arr.sum()) - 1.0) <= SIMPLEX_TOL):
-            raise ValidationError("confusion entries must be >= 0 and sum to 1")
+            raise ValidationError(f"entries must be a square matrix; got shape {arr.shape}")
+        if not abs(float(arr.sum()) - 1.0) <= SIMPLEX_TOL:
+            raise ValidationError(f"entries must sum to 1; got {float(arr.sum())}")
         arr = arr / arr.sum()
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
@@ -52,12 +54,9 @@ class ConfusionMatrix:
     def from_labels(cls, predicted: np.ndarray, true: np.ndarray, k: int) -> "ConfusionMatrix":
         """Build joint frequencies from 1-based predicted and true labels."""
         k = whole_number("k", k, 1)
-        predicted = np.asarray(predicted, dtype=np.int64)
-        true = np.asarray(true, dtype=np.int64)
+        predicted, true = labels_in("predicted", predicted, k), labels_in("true", true, k)
         if predicted.shape != true.shape or predicted.size == 0:
             raise ValidationError("predicted and true labels must be equal-length, non-empty")
-        if np.any(predicted < 1) or np.any(predicted > k) or np.any(true < 1) or np.any(true > k):
-            raise ValidationError(f"labels must lie in 1..{k}")
         counts = np.zeros((k, k))
         np.add.at(counts, (predicted - 1, true - 1), 1.0)
         return cls(counts / predicted.size)

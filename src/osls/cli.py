@@ -141,8 +141,17 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+def _read_estimate(path) -> EstimateResult:
+    """The estimate report at ``path``; a bad field raises ValidationError naming the file."""
+    obj = osls_io.read_json(path)
+    try:
+        return EstimateResult.from_dict(obj)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
 def cmd_correct(args) -> int:
-    result = EstimateResult.from_dict(osls_io.read_json(args.estimate))
+    result = _read_estimate(args.estimate)
     target = osls_io.read_records(args.target)
     posteriors, labels = correct_with_estimate(result, target)
     osls_io.write_corrected(args.out, posteriors, labels, target.y)
@@ -155,7 +164,7 @@ def cmd_evaluate(args) -> int:
 
     rows = []
     for path in args.estimate or []:
-        result = EstimateResult.from_dict(osls_io.read_json(path))
+        result = _read_estimate(path)
         report = EvalReport(
             w_mse=w_mse(result.pi_hat, truth["pi"], truth["c"]),
             rho_t_abs_err=(

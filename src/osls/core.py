@@ -1,8 +1,11 @@
 """Shared probability types, simplex arithmetic and extended (K+1)-class constructions.
 
 Label convention: ID classes are 1..K, the out-of-distribution class is K+1.
-Classifier outputs enter only as a ``RecordSet``, which validates whole
-columns at once. All types are immutable after construction and safe to
+Classifier outputs enter only as a ``RecordSet``, whose columns meet
+``record_columns``. Every array argument of the package is checked by one of
+three rules: ``reals_in`` (entries in an interval), ``labels_in`` (labels in
+1..n) or ``simplex_rows`` (rows on the simplex); each names the parameter and
+the first bad row. All types are immutable after construction and safe to
 share across threads.
 """
 
@@ -62,6 +65,16 @@ class IllConditioned(OslsError):
 VectorLike = Union[Sequence[float], np.ndarray]
 
 
+def _rule(low: float, high: float, strict: bool, many: bool) -> str:
+    """The words of the range rule of ``real_in`` (one number) or ``reals_in`` (``many``)."""
+    numbers = "finite numbers" if many else "a finite number"
+    if math.isinf(high) and math.isinf(low):
+        return f"be {numbers}"
+    if math.isinf(high):
+        return f"be {numbers} {'>' if strict else '>='} {low:.12g}"
+    return f"lie in {'(' if strict else '['}{low:.12g}, {high:.12g}{')' if strict else ']'}"
+
+
 def real_in(name: str, value, low: float, high: float = math.inf, strict: bool = False) -> float:
     """``float(value)`` if it lies between ``low`` and ``high``, ends included unless ``strict``.
 
@@ -75,11 +88,7 @@ def real_in(name: str, value, low: float, high: float = math.inf, strict: bool =
         x = math.nan
     if (low < x < high if strict else low <= x <= high) and math.isfinite(x):
         return x
-    if math.isinf(high):
-        rule = f"be a finite number {'>' if strict else '>='} {low:g}"
-    else:
-        rule = f"lie in {'(' if strict else '['}{low:g}, {high:g}{')' if strict else ']'}"
-    raise ValidationError(f"{name} must {rule}; got {value}")
+    raise ValidationError(f"{name} must {_rule(low, high, strict, False)}; got {value}")
 
 
 def whole_number(name: str, value, least: Optional[int] = None) -> int:
@@ -94,6 +103,84 @@ def whole_number(name: str, value, least: Optional[int] = None) -> int:
         rule = "" if least is None else f" >= {least}"
         raise ValidationError(f"{name} must be a whole number{rule}; got {value}")
     return n
+
+
+class RowError(ValidationError):
+    """A ValidationError about row ``row`` of an array argument: "<what> at row <row>"."""
+
+    def __init__(self, what: str, row: int):
+        super().__init__(what, row)
+        self.what, self.row = what, row
+
+    def __str__(self) -> str:
+        return f"{self.what} at row {self.row}"
+
+
+def _numbers(name: str, values, rule: str) -> np.ndarray:
+    """``values`` as an array of numbers; else RowError names the first row that is not
+    a number, or an array of numbers shaped as the row before it."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # rows of unequal lengths
+        arr = None
+    if arr is not None and arr.dtype.kind in "biuf":
+        return arr
+    rows = values.tolist() if isinstance(values, np.ndarray) else values
+    for i, row in enumerate([rows] if arr is not None and arr.ndim == 0 else rows):
+        try:
+            cells = np.asarray(row)
+        except ValueError:
+            cells = None
+        if cells is None or cells.dtype.kind not in "biuf" or (i and cells.shape != shape):
+            raise RowError(f"{name} must {rule}; got {row!r}", i)
+        shape = cells.shape
+    raise RowError(f"{name} must {rule}; got {values!r}", 0)
+
+
+def _require(name: str, rule: str, arr: np.ndarray, ok_of, start: int = 0) -> None:
+    """RowError naming the first entry of ``arr`` in row order where the mask
+    ``ok_of(block)`` is False, or the first row where a one-column mask is, with
+    rows counted from ``start``. A block of rows at a time, so no mask is as large as ``arr``."""
+    if not arr.size:
+        return
+    rows = arr.reshape(arr.shape[0], -1) if arr.ndim else arr.reshape(1, 1)
+    for i, j in row_blocks(*rows.shape, BLOCK_CELLS):
+        ok = ok_of(rows[i:j])
+        if not ok.all():
+            r, c = divmod(int(np.argmin(ok)), ok.shape[1])
+            got = rows[i + r] if ok.shape[1] < rows.shape[1] else rows[i + r, c]
+            got = np.array2string(got, separator=", ", threshold=8) if got.ndim else got
+            raise RowError(f"{name} must {rule}; got {got}", start + i + r)
+
+
+def reals_in(name: str, values, low: float, high: float = math.inf,
+             strict: bool = False) -> np.ndarray:
+    """``values`` as a float64 array, itself if it is one, whose every entry lies in
+    ``real_in``'s interval, so is finite; else RowError names the parameter, the
+    rule, the first bad entry in row order and its row, a string or a row shaped
+    unlike the rest too: "alpha_in must be finite numbers >= 1; got nan at row 2"."""
+    rule = _rule(low, high, strict, True)
+    arr = _numbers(name, values, rule).astype(float, copy=False)
+    above = np.greater if strict or math.isinf(low) else np.greater_equal
+    below = np.less if strict or math.isinf(high) else np.less_equal
+    _require(name, rule, arr, lambda block: above(block, low) & below(block, high))
+    return arr
+
+
+def labels_in(name: str, values, n: int, nulls: Optional[np.ndarray] = None) -> np.ndarray:
+    """``values`` as int64 labels in 1..``n``, each float label integral; entries that
+    ``nulls`` flags hold no label and come back 0. Else RowError names the
+    parameter, the rule, the first bad label, a string too, and its row:
+    "y must be whole numbers in 1..3; got 1.7 at row 1"."""
+    rule = f"be whole numbers in 1..{n}"
+    arr = _numbers(name, values, rule)
+    if nulls is not None:
+        arr = np.where(nulls, 1, arr)
+    _require(name, rule, arr, lambda b: (b >= 1) & (b <= n) & (b == np.floor(b)))
+    labels = arr.astype(np.int64, copy=False)
+    if nulls is not None:
+        labels[nulls] = 0
+    return labels
 
 
 def on_simplex(rows: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
@@ -121,10 +208,12 @@ def row_blocks(n: int, width: int, cells: int) -> list:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _require_rows(ok: np.ndarray, what: str, start: int = 0) -> None:
-    """ValidationError "row <i> <what>" for the first row ``i`` where ``ok`` is False."""
-    if not ok.all():
-        raise ValidationError(f"row {start + int(np.argmin(ok))} {what}")
+def simplex_rows(name: str, rows: np.ndarray, start: int = 0) -> np.ndarray:
+    """``rows``, an (N, K) array, if each row is a probability vector within ``SIMPLEX_TOL``;
+    else RowError names the first that is not, counting rows from ``start``."""
+    rule = f"be probability vectors within {SIMPLEX_TOL:g}"
+    _require(name, rule, rows, lambda block: on_simplex(block)[:, None], start)
+    return rows
 
 
 def normalized_rows(rows: np.ndarray, what: str, out: Optional[np.ndarray] = None,
@@ -132,27 +221,33 @@ def normalized_rows(rows: np.ndarray, what: str, out: Optional[np.ndarray] = Non
     """``rows`` clipped at 0 and divided by their row sums, written to ``out``: ``rows``
     itself, another array of their shape, or None for a new one.
 
-    A block of rows at a time, each checked before it is written: ValidationError
-    "row <start + i> of <what> is not a probability vector" names the first row
-    off the simplex within ``SIMPLEX_TOL``. Each row sum is taken over a clipped
+    A block of rows at a time, each checked by ``simplex_rows(what, ...)`` before it
+    is written, counting rows from ``start``. Each row sum is taken over a clipped
     block laid out as ``rows`` is, to the bits of ``np.clip(rows, 0, None).sum(axis=1)``.
     """
     out = np.empty_like(rows) if out is None else out
     for i, j in row_blocks(*rows.shape, BLOCK_CELLS):
-        _require_rows(on_simplex(rows[i:j]), f"of {what} is not a probability vector", start + i)
+        simplex_rows(what, rows[i:j], start + i)
         block = np.clip(rows[i:j], 0.0, None, out=rows[i:j] if out is rows else None)
         np.divide(block, block.sum(axis=1, keepdims=True), out=out[i:j])
     return out
 
 
+def _vector_in(name: str, v, low: float, strict: bool = False) -> "ProbabilityVector":
+    """``v`` as a ProbabilityVector, kept if it is one, its entries checked by
+    ``reals_in(name, ..., low, strict=strict)`` before the simplex rule."""
+    if isinstance(v, ProbabilityVector):
+        reals_in(name, v.entries, low, strict=strict)
+        return v
+    return ProbabilityVector(reals_in(name, v, low, strict=strict))
+
+
 def positive_prior(c, k: int) -> np.ndarray:
     """The entries of a source prior ``c``; ValidationError unless it is a probability
     vector of ``k`` entries, each above 0."""
-    c = _as_probability_vector(c).entries
+    c = _vector_in("c", c, 0.0, strict=True).entries
     if c.size != k:
         raise ValidationError(f"c has {c.size} entries, expected {k}")
-    if np.any(c <= 0.0):
-        raise ValidationError("c must be strictly positive")
     return c
 
 
@@ -277,11 +372,7 @@ class SourceLabelModel:
     rho_s: float
 
     def __post_init__(self):
-        c = _as_probability_vector(self.c)
-        if np.any(c.entries < MIN_CLASS_PROB):
-            raise ValidationError(
-                f"source class probabilities c must be >= {MIN_CLASS_PROB}; got {c.entries!r}"
-            )
+        c = _vector_in("c", self.c, MIN_CLASS_PROB)
         rho = min(max(real_in("rho_s", self.rho_s, 0, 1, strict=True), RHO_EPS), 1.0 - RHO_EPS)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "rho_s", rho)
@@ -303,7 +394,7 @@ class TargetLabelModel:
     rho_t: float
 
     def __post_init__(self):
-        object.__setattr__(self, "pi", _as_probability_vector(self.pi))
+        object.__setattr__(self, "pi", _vector_in("pi", self.pi, -SIMPLEX_TOL))
         object.__setattr__(self, "rho_t", real_in("rho_t", self.rho_t, 0, 1))
 
     @property
@@ -323,45 +414,21 @@ class RecordSet:
     __slots__ = ("f", "h", "y")
 
     def __init__(self, f: np.ndarray, h: np.ndarray, y: Optional[np.ndarray] = None):
-        self._check(np.atleast_2d(np.array(f, dtype=float)), np.array(h, dtype=float).ravel(),
-                    None if y is None else np.array(y))
+        self._set(*record_columns(_owned(f), _owned(h), _owned(y)))
 
     @classmethod
     def _adopt(cls, f: np.ndarray, h: np.ndarray, y: Optional[np.ndarray] = None) -> "RecordSet":
         """Records that hold the caller's fresh float64 arrays: an (N, K) ``f``, an (N,) ``h``
         and ``y`` if given, checked as the constructor checks them. ``f`` is clipped
         and normalized and ``h`` clipped in place, to the constructor's bits."""
-        return cls.__new__(cls)._check(f, h, y)
+        return cls._holding(*record_columns(f, h, y))
 
-    def _check(self, f: np.ndarray, h: np.ndarray, y: Optional[np.ndarray]) -> "RecordSet":
-        """Check, clip and normalize the columns in place, and hold them."""
-        if f.shape[0] != h.size:
-            raise ValidationError(f"f has {f.shape[0]} rows but h has {h.size} entries")
-        if f.shape[0] == 0:
-            raise ValidationError("empty record set")
-        # A block of rows at a time, so no mask is as large as f; the finite
-        # check runs over every row first, so a non-finite value is named first.
-        for i, j in row_blocks(f.shape[0], f.shape[1], BLOCK_CELLS):
-            finite = np.isfinite(f[i:j]).all(axis=1) & np.isfinite(h[i:j])
-            _require_rows(finite, "has a non-finite value in f or h", i)
-        normalized_rows(f, "f", out=f)
-        h = _clipped_h(h)
-        if y is not None:
-            if y.shape != h.shape:
-                raise ValidationError("y must have one entry per record")
-            bad = (y < 1) | (y > f.shape[1] + 1)
-            if y.dtype.kind == "f":
-                bad |= y != np.floor(y)
-            if bad.any():
-                raise ValidationError(
-                    f"label {y[np.argmax(bad)]} at row {int(np.argmax(bad))} is not an "
-                    f"integer in 1..{f.shape[1] + 1}"
-                )
-            y = y.astype(np.int64, copy=False)
-        return self._set(f, h, y)
+    @classmethod
+    def _holding(cls, f: np.ndarray, h: np.ndarray, y: Optional[np.ndarray]) -> "RecordSet":
+        """Records that hold columns ``record_columns`` has checked, read-only and as they are."""
+        return cls.__new__(cls)._set(f, h, y)
 
     def _set(self, f: np.ndarray, h: np.ndarray, y: Optional[np.ndarray]) -> "RecordSet":
-        """Hold the checked columns, read-only and as they are."""
         for column in (f, h, y):
             if column is not None:
                 column.flags.writeable = False
@@ -387,11 +454,10 @@ class RecordSet:
     def with_h(self, h: np.ndarray) -> "RecordSet":
         """These records with scores ``h``, checked and clipped as the constructor does;
         ``f`` and ``y`` are kept bit for bit, not normalized again."""
-        h = np.array(h, dtype=float).ravel()
+        h = _clipped_h(_owned(h))
         if h.size != len(self):
             raise ValidationError(f"f has {len(self)} rows but h has {h.size} entries")
-        _require_rows(np.isfinite(h), "has a non-finite value in f or h")
-        return RecordSet.__new__(RecordSet)._set(self.f, _clipped_h(h), self.y)
+        return RecordSet._holding(self.f, h, self.y)
 
     def take(self, idx: np.ndarray) -> "RecordSet":
         """The records at the indices ``idx``, each column kept bit for bit."""
@@ -399,17 +465,44 @@ class RecordSet:
         if h.size == 0:
             raise ValidationError("empty record set")
         y = None if self.y is None else self.y[idx]
-        return RecordSet.__new__(RecordSet)._set(self.f[idx], h, y)
+        return RecordSet._holding(self.f[idx], h, y)
 
     def __len__(self) -> int:
         return self.h.size
 
 
-def _clipped_h(h: np.ndarray) -> np.ndarray:
-    """Finite scores ``h`` clipped to [0, 1] in place; ValidationError naming the
-    first score more than ``SIMPLEX_TOL`` outside."""
-    _require_rows((h >= -SIMPLEX_TOL) & (h <= 1.0 + SIMPLEX_TOL), "of h is not in [0, 1]")
-    return np.clip(h, 0.0, 1.0, out=h)
+def _owned(values):
+    """A copy of an array, so that checks in place leave the caller's alone; anything
+    else as it is, for the checks to convert, and name its own entries."""
+    return np.array(values) if isinstance(values, np.ndarray) else values
+
+
+def _clipped_h(h) -> np.ndarray:
+    """Scores ``h`` in [0, 1] within ``SIMPLEX_TOL``, clipped to it, as a vector."""
+    h = reals_in("h", h, -SIMPLEX_TOL, 1.0 + SIMPLEX_TOL)
+    np.clip(h, 0.0, 1.0, out=h)
+    return h if h.ndim == 1 else h.ravel()
+
+
+def record_columns(f, h, y=None, nulls: Optional[np.ndarray] = None) -> tuple:
+    """``(f, h, y)`` checked as a record set's columns: an (N, K) ``f`` of finite
+    probability rows, N scores ``h`` and, if given, N labels ``y`` in 1..K+1, those
+    ``nulls`` flags coming back 0. ``f`` is normalized and ``h`` clipped in place
+    when they are float64 arrays. ``f``'s finite check covers every row before
+    the simplex check, so a non-finite value is named first."""
+    f = np.atleast_2d(reals_in("f", f, -math.inf))
+    if f.ndim != 2:
+        raise ValidationError(f"f must be an (N, K) matrix; got shape {f.shape}")
+    h = _clipped_h(h)
+    if f.shape[0] != h.size:
+        raise ValidationError(f"f has {f.shape[0]} rows but h has {h.size} entries")
+    if f.shape[0] == 0:
+        raise ValidationError("empty record set")
+    if y is not None:
+        y = labels_in("y", y, f.shape[1] + 1, nulls)
+        if y.shape != h.shape:
+            raise ValidationError("y must have one entry per record")
+    return normalized_rows(f, "f", out=f), h, y
 
 
 def extend_distribution(base: Union[ProbabilityVector, VectorLike], rho: float) -> ProbabilityVector:

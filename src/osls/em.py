@@ -53,6 +53,7 @@ from .core import (
     ValidationError,
     extend_distribution,
     real_in,
+    reals_in,
     whole_number,
 )
 
@@ -83,15 +84,15 @@ class EmConfig:
         object.__setattr__(self, "max_iters", whole_number("max_iters", self.max_iters, 1))
         object.__setattr__(self, "tol", real_in("tol", self.tol, 0))
         if self.alpha_in is not None:
-            arr = np.asarray(self.alpha_in, dtype=float)
-            if arr.ndim != 1 or not np.all((arr >= 1.0) & (arr < math.inf)):
-                raise ValidationError("alpha_in entries must be finite numbers >= 1")
+            arr = np.array(reals_in("alpha_in", self.alpha_in, 1))  # not the caller's array
+            if arr.ndim != 1:
+                raise ValidationError(f"alpha_in must be a list of numbers; got {self.alpha_in}")
             arr.flags.writeable = False
             object.__setattr__(self, "alpha_in", arr)
-        a1, a2 = self.alpha_out
-        if not (1.0 <= a1 < math.inf and 1.0 <= a2 < math.inf):
-            raise ValidationError(f"alpha_out entries must be finite numbers >= 1, got ({a1}, {a2})")
-        object.__setattr__(self, "alpha_out", (float(a1), float(a2)))
+        pair = reals_in("alpha_out", self.alpha_out, 1)
+        if pair.shape != (2,):
+            raise ValidationError(f"alpha_out must be a pair of numbers; got {self.alpha_out}")
+        object.__setattr__(self, "alpha_out", tuple(pair.tolist()))
 
     def resolved_alpha_in(self, k: int) -> np.ndarray:
         if self.alpha_in is None:
@@ -386,9 +387,9 @@ def run_em(
         pi0 = source.c.entries
         rho0 = source.rho_s
     else:
-        pi0 = init.pi.entries
-        if np.any(pi0 <= 0.0):
-            raise ValidationError("initial pi must be strictly positive")
+        pi0 = reals_in("initial pi", init.pi.entries, 0, strict=True)
+        if pi0.size != source.k:
+            raise ValidationError(f"initial pi has {pi0.size} entries, expected {source.k}")
         rho0 = real_in("initial rho_t", init.rho_t, 0, 1, strict=True)
     return fit(w, pi0, rho0, config)
 

@@ -22,6 +22,7 @@ from .core import (
     ProbabilityVector,
     ValidationError,
     real_in,
+    reals_in,
     whole_number,
 )
 
@@ -61,17 +62,14 @@ class BoundReport:
 
     def __post_init__(self):
         object.__setattr__(self, "delta", real_in("delta", self.delta, 0, 1, strict=True))
-        if not math.isfinite(self.bound) or self.bound < 0.0:
-            raise ValidationError("bound must be finite and >= 0")
+        object.__setattr__(self, "bound", real_in("bound", self.bound, 0))
 
 
 def score_mean(scores: Union[Sequence[float], np.ndarray]) -> float:
     """Arithmetic mean of scores in [0, 1]."""
-    arr = np.asarray(scores, dtype=float).ravel()
+    arr = reals_in("scores", scores, 0, 1).ravel()
     if arr.size == 0:
-        raise ValidationError("score list is empty")
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
-        raise ValidationError("scores must lie in [0, 1]")
+        raise ValidationError("scores must not be empty")
     return float(arr.mean())
 
 
@@ -136,13 +134,11 @@ def threshold_rescale(
     Scores exactly at the threshold map to 0 (OOD side), which keeps the rule
     deterministic and conservative toward flagging OOD. Every score must be finite.
     """
-    id_ref = np.asarray(id_ref, dtype=float).ravel()
-    ood_ref = np.asarray(ood_ref, dtype=float).ravel()
-    if id_ref.size == 0 or ood_ref.size == 0:
-        raise ValidationError("reference score lists must be non-empty")
-    raw = np.asarray(raw_scores, dtype=float).ravel()
-    if not all(np.isfinite(scores).all() for scores in (raw, id_ref, ood_ref)):
-        raise ValidationError("scores must be finite")
+    raw, id_ref, ood_ref = (reals_in(name, scores, -math.inf).ravel() for name, scores in
+                            (("raw_scores", raw_scores), ("id_ref", id_ref), ("ood_ref", ood_ref)))
+    for name, scores in (("id_ref", id_ref), ("ood_ref", ood_ref)):
+        if scores.size == 0:
+            raise ValidationError(f"{name} must not be empty")
     threshold = 0.5 * (float(np.median(id_ref)) + float(np.median(ood_ref)))
     return (raw > threshold).astype(float)
 
@@ -167,12 +163,12 @@ def estimate_source_prior_multiclass(mu_hat: np.ndarray) -> ProbabilityVector:
     minimum across multiple simplex vertices (e.g. mu_hat equal to the
     identity), in which case no unique minimizer exists.
     """
-    mu = np.asarray(mu_hat, dtype=float)
+    mu = reals_in("mu_hat", mu_hat, -1e-6)
     if mu.ndim != 2 or mu.shape[0] != mu.shape[1] or mu.shape[0] < 2:
         raise ValidationError("mu_hat must be a square matrix with K >= 2")
     k = mu.shape[0]
     col_sums = mu.sum(axis=0)
-    if not (np.all(mu >= -1e-6) and np.all(np.abs(col_sums - 1.0) <= 1e-6)):
+    if not np.all(np.abs(col_sums - 1.0) <= 1e-6):
         raise ValidationError("mu_hat must be column-stochastic within 1e-6")
 
     a = mu - np.eye(k)

@@ -36,14 +36,16 @@ for ever. The parent copies each block's columns, in file order, into columns
 allocated once, so a read holds one copy of the table's arrays and a few
 blocks of text, and the bytes and arrays are those of one process.
 
-Values must be finite and labels integral, each ``f`` or ``g`` row a
-probability vector, each ``h`` in [0, 1], each label in 1..K+1 and each CSV
-row as long as its header. Input that is not raises ``ValidationError``
-naming the file and the 1-based line: the process that reads a range parses
-a block that fails again line by line to find it. A byte that is not UTF-8 is
-named by its line and its offset in the file. Writers refuse non-finite
-values, which no JSON text encodes, and check them a block at a time before
-the file is opened.
+Each row is checked once, by the process that converts its range, with the
+core's rules: a prediction row by ``record_columns``, as in a ``RecordSet``,
+which normalizes ``f`` and clips ``h`` in place, so ``read_records`` holds the
+columns as read; a corrected row by ``reals_in``, ``simplex_rows`` and
+``labels_in``; a feature row by ``reals_in``. A row that fails, or a CSV row
+not as long as its header, raises ``ValidationError`` naming the file and the
+1-based line: a block that fails is converted again line by line to find it.
+A byte that is not UTF-8 is named by its line and its offset in the file.
+Writers refuse non-finite values, which no JSON text encodes, before the file
+is opened.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import (SIMPLEX_TOL, ProbabilityVector, RecordSet, ValidationError, json_fields,
-                   on_simplex)
+from .core import (ProbabilityVector, RecordSet, RowError, ValidationError, json_fields,
+                   labels_in, reals_in, record_columns, simplex_rows)
 from .pipeline import ALL_METHODS
 from .pool import map_in_order
 from .simulate import ScenarioConfig, ShiftSpec, ring_config
@@ -84,9 +86,6 @@ _SCAN_BYTES = 1 << 16
 # constant, only when each of the n lines holds exactly one value.
 _SEPARATOR = "\n,NaN,\n"
 _SEPARATOR_MARK = object()
-
-# Labels beyond this magnitude are not exact as float64 and not sensible labels.
-_MAX_LABEL = 2.0**53
 
 # What converting a malformed row can raise; ValidationError is a ValueError.
 _ROW_ERRORS = (ValueError, TypeError, LookupError, AttributeError, OverflowError, RecursionError)
@@ -125,13 +124,11 @@ def _write_table(path: PathLike, header: Optional[str], template: str, columns: 
     for col in columns:
         if col.shape[0] != n:
             raise ValidationError(f"cannot write {path}: columns have {n} and {col.shape[0]} rows")
-        if col.ndim != 2:
-            continue
-        for start in range(0, n, BLOCK_ROWS):
-            finite = np.isfinite(col[start : start + BLOCK_ROWS]).all(axis=1)
-            if not finite.all():
-                raise ValidationError(f"cannot write {path}: row {start + int(np.argmin(finite))} "
-                                      "has a non-finite value")
+        if col.ndim == 2:
+            try:
+                reals_in("values", col, -math.inf)
+            except ValidationError as exc:
+                raise ValidationError(f"cannot write {path}: {exc}") from None
     blocks = ([col[start : start + BLOCK_ROWS] for col in columns]
               for start in range(0, n, BLOCK_ROWS))
     with open(path, "wb") as out:
@@ -306,7 +303,8 @@ def _convert_range(file: _File, csv: bool, convert, item: _Range):
             try:
                 parts.append(convert(_split_cells([line]) if csv else _loads_line(line)))
             except _ROW_ERRORS as exc:
-                raise ValidationError(f"{file.name}: line {number}: {exc}") from None
+                what = exc.what if isinstance(exc, RowError) else exc  # its row is this line
+                raise ValidationError(f"{file.name}: line {number}: {what}") from None
     return [np.concatenate(cols) for cols in zip(*parts)]
 
 
@@ -408,53 +406,21 @@ def _floats(values, what: str) -> np.ndarray:
         raise ValidationError(f"{what}: {exc}") from None
 
 
-def _finite(col: np.ndarray, what: str) -> np.ndarray:
-    ok = np.isfinite(col) if col.ndim == 1 else np.isfinite(col).all(axis=1)
-    if not ok.all():
-        raise ValidationError(f"{what} is not finite")
-    return col
-
-
-def _integral(col: np.ndarray, what: str, nulls: Optional[np.ndarray] = None) -> np.ndarray:
-    """``col`` if every entry not flagged in ``nulls`` is an integer label."""
-    ok = (col == np.floor(col)) & (np.abs(col) <= _MAX_LABEL)
-    if nulls is not None:
-        ok |= nulls
-    if not ok.all():
-        raise ValidationError(f"{what} must be an integer, got {col[np.argmin(ok)]}")
-    return col
-
-
 def _prediction_columns(layout: _Layout, vectors: np.ndarray, scalar: np.ndarray,
                         y: Optional[np.ndarray], nulls: Optional[np.ndarray] = None) -> tuple:
-    """One block's ``(vectors, scalar, y)`` if every row is valid for ``layout``.
+    """One block's ``(vectors, scalar, y)`` checked by the core's rules for ``layout``.
 
-    Labels lie in 1..K+1, K+1 the width of ``g`` or one more than that of ``f``,
-    and come back as int64. ``y`` is None for a table without labels; it comes
-    back 0, which no label is, there and where ``nulls`` flags a row without one.
+    A corrected row's ``g`` is kept as written and its labels lie in 1..K+1, K+1
+    the width of ``g``. ``y`` is None for a table without labels; it comes back
+    0, which no label is, there and where ``nulls`` flags a row without one.
     """
-    _finite(vectors, repr(layout.vector))
-    (_integral if layout.corrected else _finite)(scalar, repr(layout.scalar))
-    y = np.full(scalar.size, np.nan) if y is None else _integral(y, "'y'", nulls)
-    if not on_simplex(vectors).all():
-        raise ValidationError(
-            f"{layout.vector!r} is not a probability vector within {SIMPLEX_TOL}")
-    if layout.corrected:
-        classes, labels = vectors.shape[1], [(layout.scalar, scalar), ("y", y)]
-    else:
-        classes, labels = vectors.shape[1] + 1, [("y", y)]
-        outside = (scalar < -SIMPLEX_TOL) | (scalar > 1.0 + SIMPLEX_TOL)
-        if outside.any():
-            raise ValidationError(
-                f"{layout.scalar!r} must lie in [0, 1], got {scalar[np.argmax(outside)]}")
-    for key, col in labels:
-        outside = (col < 1) | (col > classes)
-        if outside.any():
-            raise ValidationError(
-                f"{key!r} must lie in 1..{classes}, got {col[np.argmax(outside)]}")
-    if layout.corrected:
-        scalar = scalar.astype(np.int64)
-    return vectors, scalar, np.where(np.isnan(y), 0.0, y).astype(np.int64)
+    if y is None:
+        y, nulls = np.zeros(scalar.size), np.ones(scalar.size, dtype=bool)
+    if not layout.corrected:
+        return record_columns(vectors, scalar, y, nulls)
+    width = vectors.shape[1]
+    simplex_rows("g", reals_in("g", vectors, -math.inf))
+    return vectors, labels_in("y_hat", scalar, width), labels_in("y", y, width, nulls)
 
 
 def _json_converter(layout: _Layout, line: str):
@@ -535,7 +501,7 @@ def _read_predictions(path: PathLike, layout: _Layout) -> tuple:
 
 def read_records(path: PathLike) -> RecordSet:
     """Read a prediction file (JSONL by default, CSV by extension)."""
-    return RecordSet._adopt(*_read_predictions(path, _RECORDS))
+    return RecordSet._holding(*_read_predictions(path, _RECORDS))
 
 
 def read_corrected(path: PathLike) -> dict:
@@ -550,7 +516,7 @@ def read_corrected(path: PathLike) -> dict:
 
 
 def _feature_columns(names: int, cells: list) -> tuple:
-    return (_finite(_csv_table(cells, range(names), names), "feature row"),)
+    return (reals_in("features", _csv_table(cells, range(names), names), -math.inf),)
 
 
 def _feature_converter(header: str):

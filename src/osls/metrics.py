@@ -11,7 +11,9 @@ from .core import (
     MIN_CLASS_PROB,
     ValidationError,
     _as_probability_vector,
+    _vector_in,
     real_in,
+    reals_in,
     report_dict,
     whole_number,
 )
@@ -35,11 +37,9 @@ def w_mse(pi_hat, pi_true, c) -> float:
     """Mean squared error between target/source class-ratio vectors pi/c."""
     pi_hat = _as_probability_vector(pi_hat).entries
     pi_true = _as_probability_vector(pi_true).entries
-    c = _as_probability_vector(c).entries
+    c = _vector_in("c", c, MIN_CLASS_PROB).entries
     if not (pi_hat.size == pi_true.size == c.size):
         raise ValidationError("pi_hat, pi_true and c must have matching length")
-    if np.any(c < MIN_CLASS_PROB):
-        raise ValidationError(f"c entries must be >= {MIN_CLASS_PROB}")
     w_true = pi_true / c
     w_hat = pi_hat / c
     return float(np.mean((w_true - w_hat) ** 2))
@@ -71,14 +71,12 @@ def ece(
     lands in the top bin); empty bins contribute nothing.
     """
     n_bins = whole_number("n_bins", n_bins, 1)
-    probs = np.asarray(confidences, dtype=float).ravel()
+    probs = reals_in("confidences", confidences, 0, 1).ravel()
     hits = np.asarray(correct, dtype=bool).ravel().astype(float)
     if probs.size != hits.size:
         raise ValidationError(f"length mismatch: {probs.size} confidences vs {hits.size} outcomes")
     if probs.size == 0:
         raise ValidationError("empty confidence list")
-    if not np.all((probs >= 0.0) & (probs <= 1.0)):
-        raise ValidationError("confidences must lie in [0, 1]")
     bins = np.clip(np.ceil(probs * n_bins).astype(int) - 1, 0, n_bins - 1)
     counts = np.bincount(bins, minlength=n_bins).astype(float)
     conf_sums = np.bincount(bins, weights=probs, minlength=n_bins)

@@ -27,7 +27,9 @@ from .core import (
     _as_probability_vector,
     extend_distribution,
     json_fields,
+    labels_in,
     positive_prior,
+    real_in,
     report_dict,
     whole_number,
 )
@@ -42,6 +44,10 @@ CLOSED_SET_METHODS = ("mlls", "mapls", "bbse")
 ALL_METHODS = OSLS_METHODS + CLOSED_SET_METHODS + ("uniform",)
 # Dirichlet prior strength of osls-map and mapls when no other is given.
 DEFAULT_ALPHA = 2.0
+
+
+# Report fields that are ratios or score means, each in [0, 1].
+_UNIT_FIELDS = {"rho_s_hat", "mu1_hat", "mu0_hat", "rho_t_hat", "rho_t_star"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,6 +94,12 @@ class EstimateResult:
             if f.default is not MISSING:
                 optional.append(key)
         values = json_fields(obj, "estimate report", kinds, optional)
+        for key in _UNIT_FIELDS & values.keys():
+            real_in(f"estimate report field {key!r}", values[key], 0, 1)
+        whole_number("estimate report field 'iterations'", values.get("iterations", 0), 0)
+        if values["method"] not in ALL_METHODS:
+            raise ValidationError(f"estimate report field 'method' is {values['method']!r}; "
+                                  f"expected one of {ALL_METHODS}")
         result = cls(**{names[key]: value for key, value in values.items()})
         if not result.k == result.c_hat.k == result.pi_hat.k:
             raise ValidationError(f"estimate report field 'K' is {result.k}, but c_hat has "
@@ -99,9 +111,8 @@ def source_class_frequencies(source: RecordSet) -> ProbabilityVector:
     """Empirical ID class frequencies from source ground-truth labels."""
     if source.y is None:
         raise ValidationError("source records need ground-truth labels")
-    if np.any(source.y > source.k):
-        raise ValidationError("source records must be ID-only (labels in 1..K)")
-    counts = np.bincount(source.y - 1, minlength=source.k).astype(float)
+    y = labels_in("source.y", source.y, source.k)  # ID labels only
+    counts = np.bincount(y - 1, minlength=source.k).astype(float)
     if np.any(counts == 0):
         missing = int(np.argmax(counts == 0)) + 1
         raise ValidationError(f"source class {missing} has no samples")

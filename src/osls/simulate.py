@@ -14,6 +14,7 @@ drawing more OOD reference samples never perturbs the target data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
@@ -27,6 +28,7 @@ from .core import (
     TargetLabelModel,
     ValidationError,
     real_in,
+    reals_in,
     whole_number,
 )
 
@@ -66,13 +68,11 @@ def dirichlet_shift(k: int, alpha: float, seed) -> ProbabilityVector:
 def ordered_lt_shift(k: int, imbalance: float, order: str = "forward") -> ProbabilityVector:
     """Long-tailed distribution pi_j proportional to imbalance^(-(j-1)/(K-1))."""
     k = whole_number("k", k, 1)
-    imbalance = real_in("imbalance", imbalance, 1)
-    if order not in ("forward", "backward"):
-        raise ValidationError(f"order must be forward or backward; got {order!r}")
+    spec = ShiftSpec("ordered_lt", imbalance=imbalance, order=order)  # the shift's rules
     if k == 1:
         return ProbabilityVector([1.0])
-    weights = imbalance ** (-np.arange(k) / (k - 1.0))
-    if order == "backward":
+    weights = spec.imbalance ** (-np.arange(k) / (k - 1.0))
+    if spec.order == "backward":
         weights = weights[::-1]
     return ProbabilityVector(weights / weights.sum())
 
@@ -89,12 +89,12 @@ class ShiftSpec:
     def __post_init__(self):
         if self.kind not in ("none", "dirichlet", "ordered_lt"):
             raise ValidationError(f"unknown shift kind {self.kind!r}")
+        if self.order not in ("forward", "backward"):
+            raise ValidationError(f"order must be forward or backward; got {self.order!r}")
         if self.kind == "dirichlet":
             object.__setattr__(self, "alpha", real_in("alpha", self.alpha, 0, strict=True))
         if self.kind == "ordered_lt":
             object.__setattr__(self, "imbalance", real_in("imbalance", self.imbalance, 1))
-            if self.order not in ("forward", "backward"):
-                raise ValidationError("order must be forward or backward")
 
     @classmethod
     def none(cls) -> "ShiftSpec":
@@ -145,16 +145,11 @@ class GaussianComponents:
     """Isotropic Gaussian class-conditionals shared by source and target."""
 
     def __init__(self, means: np.ndarray, scales: np.ndarray):
-        means = np.atleast_2d(np.asarray(means, dtype=float))
-        scales = np.asarray(scales, dtype=float).ravel()
+        means = np.atleast_2d(reals_in("means", means, -math.inf))
+        scales = reals_in("scales", scales, 0, strict=True).ravel()
         if means.shape[0] != scales.size:
-            raise ValidationError("one scale per component is required")
-        if not np.all(np.isfinite(means)):
-            raise ValidationError("component means must be finite")
-        if not np.all(np.isfinite(scales)):
-            raise ValidationError("scales must be finite")
-        if np.any(scales <= 0.0):
-            raise ValidationError("scales must be > 0")
+            raise ValidationError(f"scales must have one entry per row of means; "
+                                  f"got {scales.size} for {means.shape[0]}")
         # np.allclose(means[i], means[j]) for every pair at once: on finite
         # values it is |m_i - m_j| <= 1e-8 + 1e-5 * |m_j| on every coordinate.
         close = np.all(
@@ -246,8 +241,8 @@ class ScenarioConfig:
         object.__setattr__(self, "seed", whole_number("seed", self.seed))
         for name in ("r", "temperature"):
             object.__setattr__(self, name, real_in(name, getattr(self, name), 0, strict=True))
-        means = np.atleast_2d(np.asarray(self.class_means, dtype=float))
-        scales = np.asarray(self.class_scales, dtype=float).ravel()
+        means = np.atleast_2d(reals_in("class_means", self.class_means, -math.inf))
+        scales = reals_in("class_scales", self.class_scales, 0, strict=True).ravel()
         if means.shape != (self.k + 1, self.feature_dim):
             raise ValidationError(
                 f"class_means must have shape ({self.k + 1}, {self.feature_dim}); got {means.shape}"
@@ -328,9 +323,10 @@ class LabeledDataset:
     def __init__(self, records: RecordSet, features: np.ndarray):
         if records.y is None:
             raise ValidationError("labeled dataset needs ground-truth labels")
-        features = np.atleast_2d(np.asarray(features, dtype=float))
+        features = np.atleast_2d(reals_in("features", features, -math.inf))
         if features.shape[0] != len(records):
-            raise ValidationError("one feature row per record is required")
+            raise ValidationError(f"features must have one row per record; "
+                                  f"got {features.shape[0]} for {len(records)}")
         self._hold(records, features.copy())
 
     @classmethod
@@ -508,7 +504,7 @@ def gen_pseudo_ood(source_features: np.ndarray, gamma: float, seed) -> np.ndarra
     eps is drawn fresh per sample and per coordinate.
     """
     gamma = real_in("gamma", gamma, 0, 1)
-    x = np.atleast_2d(np.asarray(source_features, dtype=float))
+    x = np.atleast_2d(reals_in("source_features", source_features, -math.inf))
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal(x.shape)
     return (1.0 - gamma) * x + gamma * eps
@@ -565,9 +561,6 @@ def distort_scorer(samples: DatasetLike, a: float, b: float) -> DatasetLike:
     per-ID-class mean responses whenever the original scorer had them.
     """
     records, features = _coerce_labeled(samples)
-    new_h = a + b * records.h
-    if new_h.min() < 0.0 or new_h.max() > 1.0:
-        raise ValidationError(
-            f"distorted scores fall outside [0, 1]: range [{new_h.min():.3g}, {new_h.max():.3g}]"
-        )
+    a, b = real_in("a", a, -math.inf), real_in("b", b, -math.inf)
+    new_h = reals_in("a + b*h", a + b * records.h, 0, 1)
     return _rebuild(records.with_h(new_h), features)

@@ -176,7 +176,8 @@ def test_argmax_labels_in_blocks(monkeypatch, layout, block):
     assert predicted_class_frequencies(f).entries.tolist() == (counts / counts.sum()).tolist()
     bad = np.array(f)
     bad[8] = [0.6, 0.5, 0.0]
-    with pytest.raises(ValidationError, match="row 8 of the posteriors is not a probability"):
+    message = "^the posteriors must be probability vectors .* at row 8$"
+    with pytest.raises(ValidationError, match=message):
         argmax_labels(bad)
 
 
@@ -200,7 +201,7 @@ def test_readers_name_the_same_first_bad_row(monkeypatch, reader, row):
     f = np.full((13, 2), 0.5)
     f[min(row + 4, 12):] = [1.2, -0.2]  # later rows off the simplex are not named
     f[row] = [0.6, 0.5]
-    with pytest.raises(ValidationError, match=f"^row {row} of .+ is not a probability vector$"):
+    with pytest.raises(ValidationError, match=f"^.+ must be probability vectors .* at row {row}$"):
         ROW_READERS[reader](f)
 
 

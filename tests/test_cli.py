@@ -166,7 +166,7 @@ class TestEstimate:
             "--ood-ref", str(sim_dir / "ood_ref.jsonl"), "--map", *flags,
         ])
         assert code == 2
-        assert f"{prior} entries must be finite numbers >= 1" in capsys.readouterr().err
+        assert f"{prior} must be finite numbers >= 1; got inf at row 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("T", ["inf", "nan"])
     def test_non_finite_T_exits_2(self, sim_dir, capsys, T):
@@ -668,6 +668,27 @@ class TestMalformedInputExitsTwo:
         err = capsys.readouterr().err
         assert code == 2 and f"field {field!r}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("field,value,rule", [
+        ("rho_t_hat", 1.5, "must lie in [0, 1]; got 1.5"),
+        ("rho_s_hat", -0.1, "must lie in [0, 1]; got -0.1"),
+        ("mu1_hat", 1.5, "must lie in [0, 1]; got 1.5"),
+        ("rho_t_star", 2, "must lie in [0, 1]; got 2.0"),
+        ("iterations", -3, "must be a whole number >= 0; got -3"),
+        ("method", "nope", "is 'nope'; expected one of"),
+    ])
+    def test_estimate_with_field_out_of_range(self, estimate_path, sim_dir, tmp_path, capsys,
+                                              field, value, rule):
+        report = json.loads(estimate_path.read_text())
+        report[field] = value
+        estimate_path.write_text(json.dumps(report))
+        named = f"error: {estimate_path}: estimate report field {field!r} {rule}"
+        code, err = self._correct(estimate_path, sim_dir / "target.jsonl", tmp_path, capsys)
+        assert code == 2 and err.startswith(named), err
+        code = main(["evaluate", "--estimate", str(estimate_path),
+                     "--truth", str(sim_dir / "truth.json")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(named), err
+
     def test_estimate_with_nan(self, estimate_path, sim_dir, tmp_path, capsys):
         text = estimate_path.read_text()
         report = json.loads(text)
@@ -722,7 +743,8 @@ class TestMalformedInputExitsTwo:
             warnings.simplefilter("error", RuntimeWarning)
             code = main(["simulate", "--config", str(cfg), "--out-dir", str(out)])
         err = capsys.readouterr().err
-        assert code == 2 and "c must be >= 1e-06" in err and "Traceback" not in err
+        assert code == 2 and "c must be finite numbers >= 1e-06; got " in err
+        assert err.endswith(" at row 1\n") and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("shift", ["dirichlet:nan", "dirichlet:inf", "lt:nan", "lt:inf",

@@ -1,7 +1,10 @@
 import math
 import re
+import tempfile
 import tracemalloc
 from dataclasses import replace
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,18 +12,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osls import core
+from osls import io as osls_io
 from osls.core import (
     ProbabilityVector,
     RecordSet,
+    RowError,
     SourceLabelModel,
     TargetLabelModel,
     ValidationError,
     extend_distribution,
+    labels_in,
     real_in,
+    reals_in,
     validate_simplex,
     whole_number,
 )
-from osls.baselines import ConfusionMatrix
+from osls.baselines import ConfusionMatrix, mlls
 from osls.em import EmConfig, run_em
 from osls.estimators import (
     BoundReport,
@@ -28,15 +35,21 @@ from osls.estimators import (
     bound_coverage_rho_s,
     bound_coverage_rho_t,
     correct_rho,
+    estimate_source_prior_multiclass,
     rescale_mu0,
     rho_s_bound,
     rho_t_bound,
+    score_mean,
+    threshold_rescale,
 )
-from osls.metrics import ece, rho_abs_error
-from osls.pipeline import run_sweep
+from osls.metrics import ece, rho_abs_error, w_mse
+from osls.pipeline import run_sweep, source_class_frequencies
 from osls.simulate import (
+    GaussianComponents,
+    LabeledDataset,
     ShiftSpec,
     dirichlet_shift,
+    distort_scorer,
     gen_pseudo_ood,
     ordered_lt_shift,
     ring_config,
@@ -180,9 +193,10 @@ class TestRecordSet:
             for bad_f, bad_h in ((np.nan, 0.5), (0.5, np.nan), (0.5, np.inf), (-np.inf, 0.5)):
                 ff, hh = np.full((n, 2), 0.5), np.full(n, 0.5)
                 ff[row, 0], hh[row] = bad_f, bad_h
-                with pytest.raises(ValidationError, match=f"row {row} has a non-finite value"):
+                message = rf"^[fh] must .*; got (nan|-?inf) at row {row}$"
+                with pytest.raises(ValidationError, match=message):
                     RecordSet(ff, hh)
-                with pytest.raises(ValidationError, match=f"row {row} has a non-finite value"):
+                with pytest.raises(ValidationError, match=message):
                     RecordSet._adopt(ff, hh)
 
     def test_rejects_rows_off_the_simplex_naming_the_first(self, monkeypatch):
@@ -193,23 +207,27 @@ class TestRecordSet:
             f[row] = [0.6, 0.5]
             f[n - 1, 1] = -0.1  # a later bad row is not the one named
             f = np.asfortranarray(f)
-            with pytest.raises(ValidationError, match=f"row {row} of f is not a probability"):
+            message = f"^f must be probability vectors .* at row {row}$"
+            with pytest.raises(ValidationError, match=message):
                 RecordSet(f, h)
             # A non-finite value is named first, even in a later block.
             f[n - 1, 1] = np.nan
-            with pytest.raises(ValidationError, match=f"row {n - 1} has a non-finite value"):
+            message = f"^f must be finite numbers; got nan at row {n - 1}$"
+            with pytest.raises(ValidationError, match=message):
                 RecordSet(f, h)
 
     @pytest.mark.parametrize("bad", [1.9, -0.2, 1.0 + 2e-9])
     def test_rejects_h_outside_unit_interval_naming_the_row(self, bad):
         f = np.full((3, 2), 0.5)
-        with pytest.raises(ValidationError, match="row 2 of h is not in"):
+        message = r"^h must lie in \[-1e-09, 1.000000001\]; got .* at row 2$"
+        with pytest.raises(ValidationError, match=message):
             RecordSet(f, np.array([0.5, 1.0 + 5e-10, bad]))
 
     def test_rejects_non_integral_labels(self):
         f, h = np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([0.5, 0.5])
+        message = r"^y must be whole numbers in 1\.\.3; got .* at row 1$"
         for bad in (1.7, np.nan, np.inf):
-            with pytest.raises(ValidationError, match="at row 1 is not an integer"):
+            with pytest.raises(ValidationError, match=message):
                 RecordSet(f, h, np.array([1.0, bad]))
         rs = RecordSet(f, h, np.array([3.0, 1.0]))
         assert rs.y.dtype == np.int64 and rs.y.tolist() == [3, 1]
@@ -292,6 +310,7 @@ _SCALAR_SITES = [
     ("ScoreMeans.n_id", "n_id", lambda x: ScoreMeans(0.9, 0.1, x, 3), _COUNTS),
     ("ScoreMeans.n_ood", "n_ood", lambda x: ScoreMeans(0.9, 0.1, 3, x), _COUNTS),
     ("BoundReport.delta", "delta", lambda x: BoundReport(x, 0.1, 3), _REALS),
+    ("BoundReport.bound", "bound", lambda x: BoundReport(0.05, x, 3), _REALS),
     ("rho_s_bound.mu1", "mu1", lambda x: rho_s_bound(x, 0.1, 3, 3, 0.05), _REALS),
     ("rho_s_bound.mu0", "mu0", lambda x: rho_s_bound(0.9, x, 3, 3, 0.05), _REALS),
     ("rho_s_bound.n_ood", "n_ood", lambda x: rho_s_bound(0.9, 0.1, x, 3, 0.05), _COUNTS),
@@ -357,6 +376,8 @@ _SCALAR_SITES = [
      lambda x: run_sweep(_BASE, ["none"], [1.0], [0], ["uniform"], workers=x), _COUNTS),
     ("ConfusionMatrix.from_labels.k", "k", lambda x: ConfusionMatrix.from_labels([1], [1], x),
      _COUNTS),
+    ("distort_scorer.a", "a", lambda x: distort_scorer(_LABELED, x, 0.5), _REALS),
+    ("distort_scorer.b", "b", lambda x: distort_scorer(_LABELED, 0.25, x), _REALS),
 ]
 
 
@@ -368,3 +389,187 @@ def test_bad_scalar_names_its_parameter(name, call, bad):
     message = rf"^{re.escape(name)} must .*; got {re.escape(str(bad))}$"
     with pytest.raises(ValidationError, match=message):
         call(bad)
+
+
+class TestArrayRule:
+    def test_reals_in(self):
+        values = np.array([[0.25, 1.0], [0.5, 0.75]])
+        assert reals_in("x", values, 0, 1) is values  # a float64 array comes back as itself
+        assert reals_in("x", [1, 2], 1).dtype == np.float64
+        assert reals_in("x", [], 0).shape == (0,)
+        for values, low, high, strict, message in [
+            ([0.5, 0.0], 0, 1, True, "x must lie in (0, 1); got 0.0 at row 1"),
+            ([[0.5, 0.5], [1.5, 0.5]], 0, 1, False, "x must lie in [0, 1]; got 1.5 at row 1"),
+            ([1.0, math.nan], 1, math.inf, False,
+             "x must be finite numbers >= 1; got nan at row 1"),
+            ([math.inf], 0, math.inf, True, "x must be finite numbers > 0; got inf at row 0"),
+            ([-math.inf], -math.inf, math.inf, False,
+             "x must be finite numbers; got -inf at row 0"),
+            ([0.5, "a"], 0, 1, False, "x must lie in [0, 1]; got 'a' at row 1"),
+            ([[0.5], [0.5, 0.5]], 0, 1, False, "x must lie in [0, 1]; got [0.5, 0.5] at row 1"),
+            ([0.5, None], 0, 1, False, "x must lie in [0, 1]; got None at row 1"),
+        ]:
+            with pytest.raises(RowError) as err:
+                reals_in("x", values, low, high, strict)
+            assert str(err.value) == message
+
+    def test_labels_in(self):
+        labels = labels_in("y", [1.0, 3.0], 3)
+        assert labels.dtype == np.int64 and labels.tolist() == [1, 3]
+        nulls = np.array([False, True, False])
+        assert labels_in("y", [2.0, math.nan, 1.0], 3, nulls).tolist() == [2, 0, 1]
+        for values, message in [
+            ([1, 4], "y must be whole numbers in 1..3; got 4 at row 1"),
+            ([0], "y must be whole numbers in 1..3; got 0 at row 0"),
+            ([1.0, 1.7], "y must be whole numbers in 1..3; got 1.7 at row 1"),
+            ([math.inf], "y must be whole numbers in 1..3; got inf at row 0"),
+            (["1"], "y must be whole numbers in 1..3; got '1' at row 0"),
+        ]:
+            with pytest.raises(RowError) as err:
+                labels_in("y", values, 3)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_entries_are_checked_in_row_blocks(self, monkeypatch, layout):
+        # Blocks of 4 rows: the first bad entry in row order is named, in any
+        # block, and never one in a later row.
+        monkeypatch.setattr(core, "BLOCK_CELLS", 8)
+        for row in (0, 3, 4, 12):
+            values = np.full((13, 2), 0.5, order=layout)
+            values[row, 1] = math.nan
+            values[row + 1 :, 0] = -1.0
+            with pytest.raises(RowError) as err:
+                reals_in("x", values, 0, 1)
+            assert (err.value.row, err.value.what) == (row, "x must lie in [0, 1]; got nan")
+
+    def test_row_error_pickles(self):
+        import pickle
+
+        err = pickle.loads(pickle.dumps(RowError("x must be finite numbers; got nan", 3)))
+        assert (str(err), err.row) == ("x must be finite numbers; got nan at row 3", 3)
+
+
+def _with_entry(good, row, value, col=0):
+    """``good`` as nested lists, with entry ``col`` of row ``row`` replaced by ``value``."""
+    rows = [list(r) if isinstance(r, (list, tuple)) else r for r in good]
+    if isinstance(rows[row], list):
+        rows[row][col] = value
+    else:
+        rows[row] = value
+    return rows
+
+
+def _csv_read(read, header, rows):
+    """``read`` of a CSV table of ``header`` and ``rows``, each a list of cells."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_text("\n".join([header] + [",".join(map(str, r)) for r in rows]) + "\n")
+        return read(path)
+
+
+_F3, _H3 = [[0.5, 0.5]] * 3, [0.5] * 3
+_LABELED3 = RecordSet(_F3, _H3, [1, 2, 3])
+_G3 = [[0.25, 0.25, 0.5]] * 3
+_MEANS3 = [[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]
+
+# Every array argument check, in memory: (site, the name its message starts with,
+# the call, an argument that passes but for the entry put in, that entry's row,
+# an out-of-range entry or None where every finite number is in range, and an
+# argument of the wrong shape or length, or None where no shape is wrong). Each
+# gets NaN, both infinities, the out-of-range entry and a string in that row.
+_ARRAY_SITES = [
+    ("RecordSet.f", "f", lambda v: RecordSet(v, _H3), _F3, 1, 2.0, [_F3]),
+    ("RecordSet.h", "h", lambda v: RecordSet(_F3, v), _H3, 1, 1.5, [0.5, 0.5]),
+    ("RecordSet.y", "y", lambda v: RecordSet(_F3, _H3, v), [1, 2, 3], 1, 1.7, [1, 2]),
+    ("RecordSet.with_h", "h", _LABELED3.with_h, _H3, 2, -0.5, [0.5]),
+    ("EmConfig.alpha_in", "alpha_in", lambda v: EmConfig(alpha_in=v), [2.0] * 3, 1, 0.5,
+     [[2.0, 2.0]]),
+    ("EmConfig.alpha_out", "alpha_out", lambda v: EmConfig(alpha_out=v), (1.0, 1.0), 1, 0.5,
+     (1.0, 1.0, 1.0)),
+    ("TargetLabelModel.pi", "pi", lambda v: TargetLabelModel(v, 0.5), [0.5, 0.5], 1, -0.5,
+     None),
+    # The initial pi is a TargetLabelModel's pi, which names a non-finite entry first.
+    ("run_em.init", "(initial )?pi",
+     lambda v: run_em(_SOURCE, _LABELED, init=TargetLabelModel(v, 0.5)), [1.0, 0.0], 1, 0.0,
+     [0.25, 0.25, 0.5]),
+    ("positive_prior", "c", lambda v: mlls(_F3, v), [0.5, 0.5], 1, 0.0, [0.25, 0.25, 0.5]),
+    ("SourceLabelModel.c", "c", lambda v: SourceLabelModel(v, 0.5), [0.5, 0.5], 1, 1e-7, None),
+    ("w_mse.c", "c", lambda v: w_mse([0.5, 0.5], [0.5, 0.5], v), [0.5, 0.5], 1, 1e-7,
+     [0.25, 0.25, 0.5]),
+    ("ece", "confidences", lambda v: ece(v, [True, False, True]), _H3, 1, 1.5, [0.5, 0.5]),
+    ("score_mean", "scores", score_mean, _H3, 1, 1.5, []),
+    ("threshold_rescale.raw_scores", "raw_scores", lambda v: threshold_rescale(v, [0.8], [0.2]),
+     _H3, 1, None, None),
+    ("threshold_rescale.id_ref", "id_ref", lambda v: threshold_rescale(_H3, v, [0.2]), _H3, 1,
+     None, []),
+    ("threshold_rescale.ood_ref", "ood_ref", lambda v: threshold_rescale(_H3, [0.8], v), _H3,
+     1, None, []),
+    ("ConfusionMatrix", "entries", ConfusionMatrix, [[0.5, 0.0], [0.0, 0.5]], 1, -0.5,
+     [[0.5, 0.5]]),
+    ("ConfusionMatrix.from_labels.predicted", "predicted",
+     lambda v: ConfusionMatrix.from_labels(v, [1, 2, 2], 2), [1, 2, 2], 1, 1.7, [1, 2]),
+    ("ConfusionMatrix.from_labels.true", "true",
+     lambda v: ConfusionMatrix.from_labels([1, 2, 2], v, 2), [1, 2, 2], 1, 3, None),
+    ("estimate_source_prior_multiclass", "mu_hat", estimate_source_prior_multiclass,
+     [[0.5, 0.5], [0.5, 0.5]], 1, -0.5, [[0.5, 0.5]]),
+    ("GaussianComponents.means", "means", lambda v: GaussianComponents(v, [1.0] * 3), _MEANS3,
+     1, None, None),
+    ("GaussianComponents.scales", "scales", lambda v: GaussianComponents(_MEANS3, v),
+     [1.0] * 3, 1, 0.0, [1.0, 1.0]),
+    ("LabeledDataset.features", "features", lambda v: LabeledDataset(_LABELED3, v), _MEANS3, 1,
+     None, _MEANS3[:2]),
+    ("gen_pseudo_ood", "source_features", lambda v: gen_pseudo_ood(v, 0.2, 0), _MEANS3, 1,
+     None, None),
+]
+
+# The same rules where a table is read, a CSV row at a time: the row is named
+# by its line (the header is line 1). Strings and short rows fail as CSV text,
+# before these rules, and are named by line in ``tests/test_io.py``.
+_RECORD_ROWS, _CORRECTED_ROWS = [[0.5, 0.5, 0.5, 1]] * 3, [[0.5, 0.5, 1, 2]] * 3
+_FILE_SITES = [
+    ("read_records.f", "f", partial(_csv_read, osls_io.read_records, "f1,f2,h,y"),
+     _RECORD_ROWS, 1, 0, 2.0),
+    ("read_records.h", "h", partial(_csv_read, osls_io.read_records, "f1,f2,h,y"),
+     _RECORD_ROWS, 1, 2, 1.5),
+    ("read_records.y", "y", partial(_csv_read, osls_io.read_records, "f1,f2,h,y"),
+     _RECORD_ROWS, 1, 3, 1.7),
+    ("read_corrected.g", "g", partial(_csv_read, osls_io.read_corrected, "g1,g2,y_hat,y"),
+     _CORRECTED_ROWS, 1, 0, 2.0),
+    ("read_corrected.y_hat", "y_hat",
+     partial(_csv_read, osls_io.read_corrected, "g1,g2,y_hat,y"), _CORRECTED_ROWS, 1, 2, 3),
+    ("read_corrected.y", "y", partial(_csv_read, osls_io.read_corrected, "g1,g2,y_hat,y"),
+     _CORRECTED_ROWS, 1, 3, 0),
+    ("read_features", "features", partial(_csv_read, osls_io.read_features, "x1,x2"),
+     _MEANS3, 1, 0, None),
+]
+
+
+def _array_cases():
+    for site, name, call, good, row, out_of_range, bad_shape in _ARRAY_SITES:
+        entry = rf"^{name} must .*; got .* at row {row}$"
+        for bad in (math.nan, math.inf, -math.inf, out_of_range, "x"):
+            if bad is not None:
+                yield pytest.param(name, call, _with_entry(good, row, bad), entry,
+                                   id=f"{site}-{bad}")
+        if bad_shape is not None:
+            yield pytest.param(name, call, bad_shape, rf"\b{name}\b",
+                               id=f"{site}-shape")
+    for site, name, call, good, row, col, out_of_range in _FILE_SITES:
+        entry = rf": line {row + 2}: {name} must .*; got [^;]*$"
+        for bad in (math.nan, math.inf, -math.inf, out_of_range):
+            if bad is not None:
+                yield pytest.param(name, call, _with_entry(good, row, bad, col), entry,
+                                   id=f"{site}-{bad}")
+
+
+@pytest.mark.parametrize("name,call,bad,message", _array_cases())
+def test_bad_array_names_its_parameter(name, call, bad, message):
+    with pytest.raises(ValidationError) as err:
+        call(bad)
+    assert re.search(message, str(err.value)), str(err.value)
+
+
+def test_labels_of_source_records_are_id_labels():
+    message = r"^source.y must be whole numbers in 1..2; got 3 at row 2$"
+    with pytest.raises(ValidationError, match=message):
+        source_class_frequencies(RecordSet(_F3, _H3, [1, 2, 3]))

@@ -603,12 +603,19 @@ class TestEmConfig:
             EmConfig(max_iters=0)
         for prior in ({"alpha_in": np.array([math.inf, 2.0])}, {"alpha_out": (math.inf, 1.0)},
                       {"alpha_out": (1.0, -math.inf)}):
-            with pytest.raises(ValidationError, match=f"{next(iter(prior))} entries"):
+            name = next(iter(prior))
+            with pytest.raises(ValidationError, match=f"^{name} must be finite numbers >= 1; got "):
                 EmConfig(**prior)
         for max_iters in (2.5, 100.0, "100", None):
             with pytest.raises(ValidationError, match="max_iters"):
                 EmConfig(max_iters=max_iters)
         assert EmConfig(max_iters=np.int64(7)).max_iters == 7
+
+    def test_alpha_in_is_a_copy(self):
+        alpha = np.full(3, 2.0)
+        config = EmConfig(alpha_in=alpha)
+        alpha[0] = 5.0  # the caller's array stays writeable, and the config's is its own
+        assert config.alpha_in.tolist() == [2.0, 2.0, 2.0] and not config.alpha_in.flags.writeable
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-12])
     def test_tol_validation(self, tol):

@@ -230,12 +230,13 @@ class TestThresholdRescale:
 
 @pytest.mark.parametrize("call,message", [
     (lambda: score_mean([0.5, math.nan]), "scores must lie in"),
-    (lambda: ConfusionMatrix([[math.nan, 0.0], [0.0, 1.0]]), "confusion entries must be"),
+    (lambda: ConfusionMatrix([[math.nan, 0.0], [0.0, 1.0]]), "^entries must be .* at row 0$"),
     (lambda: ece([math.nan, 0.5], [True, False]), "confidences must lie in"),
-    (lambda: estimate_source_prior_multiclass([[math.nan, 0.5], [0.5, 0.5]]), "column-stochastic"),
-    (lambda: threshold_rescale([0.6, 0.4], [math.nan, 0.8], [0.2]), "scores must be finite"),
+    (lambda: estimate_source_prior_multiclass([[math.nan, 0.5], [0.5, 0.5]]),
+     "^mu_hat must be .*; got nan at row 0$"),
+    (lambda: threshold_rescale([0.6, 0.4], [math.nan, 0.8], [0.2]), "^id_ref must be finite"),
     (lambda: threshold_rescale([math.nan, 0.4], [0.8], [0.2]), "scores must be finite"),
-    (lambda: threshold_rescale([0.6], [0.8], [-math.inf]), "scores must be finite"),
+    (lambda: threshold_rescale([0.6], [0.8], [-math.inf]), "^ood_ref must be finite"),
 ], ids=["score_mean", "confusion", "ece", "multiclass_prior", "threshold_reference",
         "threshold_score", "threshold_infinite"])
 def test_nan_fails_the_input_check(call, message):

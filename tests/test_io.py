@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from osls import core
 from osls import io as osls_io
 from osls import pool as osls_pool
 from osls.core import RecordSet, ValidationError
@@ -496,6 +497,38 @@ class TestPoolMatchesInProcess:
             _assert_same_bits(new, ref)
 
 
+class TestRowsCheckedOnce:
+    """A table's rows meet the row rules once, in the process that converts their range."""
+
+    @pytest.mark.parametrize("pooled", [True, False], ids=["pool", "in-process"])
+    @pytest.mark.parametrize("name", ["t.jsonl", "t.csv"])
+    def test_read_records_checks_each_row_once(self, tmp_path, monkeypatch, pools, name,
+                                               pooled):
+        n = 2 * BLOCK + 3
+        rng = np.random.default_rng(5)
+        path, log = tmp_path / name, tmp_path / "rows.log"
+        osls_io.write_records(path, RecordSet(*_prediction_rows(rng, n, 3, np.array([0.5]))))
+        real = core.on_simplex
+
+        def spy(rows, tol=core.SIMPLEX_TOL):
+            with open(log, "a", encoding="utf-8") as out:  # workers append too
+                out.write(f"{len(rows)}\n")
+            return real(rows, tol)
+
+        # Wherever the simplex rule is bound; workers forked after this inherit the spy.
+        for module in (core, osls_io):
+            if hasattr(module, "on_simplex"):
+                monkeypatch.setattr(module, "on_simplex", spy)
+        osls_pool._close_pool()
+        try:
+            read = osls_io.read_records
+            records = read(path) if pooled else _in_process(monkeypatch, read, path)
+        finally:
+            osls_pool._close_pool()  # no later read may reach a worker that holds the spy
+        assert len(records) == n and all(pools)
+        assert sum(map(int, log.read_text(encoding="utf-8").split())) == n
+
+
 # Pieces of text that hold "\n", the only line end, and each other line break
 # ``str.splitlines`` knows, next to characters of one to four UTF-8 bytes.
 LINE_PIECES = ("a", "é", "€", "\U0001F600", " ", "\r", "\n", "\r\n", "\x0b", "\x0c", "\x1c",
@@ -889,7 +922,8 @@ class TestStreams:
                     read(fifo) if pooled else _in_process(monkeypatch, read, fifo)
             finally:
                 _join_fifo(fifo, writer)
-            assert str(err.value).startswith(f"{fifo}: line {line}: 'h' must lie in [0, 1]")
+            assert str(err.value) == (f"{fifo}: line {line}: "
+                                      "h must lie in [-1e-09, 1.000000001]; got -0.2")
 
     def test_a_file_replaced_while_read(self, tmp_path, monkeypatch, pools):
         # The file at the path is replaced after the scan: the workers see
@@ -942,7 +976,7 @@ class TestWritersRefuseNonFinite:
             (osls_io.write_features, (values,)),
         ):
             path = tmp_path / f"out{ext}"
-            with pytest.raises(ValidationError, match="row 3 has a non-finite value"):
+            with pytest.raises(ValidationError, match="must be finite numbers; got .* at row 3$"):
                 write(path, *args)
             assert not path.exists()
 
@@ -962,7 +996,8 @@ class TestWritersRefuseNonFinite:
         ):
             path = tmp_path / f"out{ext}"
             path.write_bytes(b"kept\n")
-            with pytest.raises(ValidationError, match=f"row {row} has a non-finite value"):
+            message = f"must be finite numbers; got .* at row {row}$"
+            with pytest.raises(ValidationError, match=message):
                 write(path, *args)
             assert path.read_bytes() == b"kept\n"
 

@@ -50,6 +50,16 @@ class TestEstimateReport:
         with pytest.raises(ValidationError, match="report field 'K': must be int, got None"):
             EstimateResult.from_dict({**report, "K": None})
 
+    @pytest.mark.parametrize("field,value", [
+        ("rho_t_hat", 1.5), ("rho_t_star", -3.0), ("mu0_hat", 1.01), ("iterations", -3),
+        ("method", "nope"),
+    ])
+    def test_fields_out_of_range_are_named(self, scenario, field, value):
+        source, target, mu0_hat = scenario
+        report = estimate("osls-mle", source, target, mu0_hat=mu0_hat).to_dict()
+        with pytest.raises(ValidationError, match=f"^estimate report field '{field}' "):
+            EstimateResult.from_dict({**report, field: value})
+
     def test_correction_ratio_rule(self, scenario):
         source, target, mu0_hat = scenario
         osls = estimate("osls-mle", source, target, mu0_hat=mu0_hat)

@@ -80,6 +80,14 @@ class TestShiftSpec:
         for text in ("none", "dirichlet:1", "lt:100:forward"):
             assert ShiftSpec.parse(ShiftSpec.parse(text).key()).key() == ShiftSpec.parse(text).key()
 
+    @pytest.mark.parametrize("kind", ["none", "dirichlet", "ordered_lt"])
+    def test_one_order_rule_for_every_kind(self, kind):
+        message = "^order must be forward or backward; got 'sideways'$"
+        with pytest.raises(ValidationError, match=message):
+            ShiftSpec(kind, order="sideways")
+        with pytest.raises(ValidationError, match=message):
+            ordered_lt_shift(3, 10.0, "sideways")
+
     # The last three have a field that is not a number.
     @pytest.mark.parametrize("text", ["lt:10:forward:junk", "none:5", "dirichlet:1:2",
                                       "ordered_lt:10:forward:1", "dirichlet:", "lt:x",
