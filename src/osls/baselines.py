@@ -19,9 +19,10 @@ from .core import (
     IllConditioned,
     ProbabilityVector,
     ValidationError,
-    _as_probability_vector,
+    _vector_in,
     labels_in,
     normalized_rows,
+    numbers,
     positive_prior,
     reals_in,
     row_blocks,
@@ -71,7 +72,7 @@ class ConfusionMatrix:
 
 
 def _prob_rows(target_f: ProbsLike) -> np.ndarray:
-    rows = np.asarray(target_f, dtype=float)
+    rows = numbers("the posteriors", target_f)
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise ValidationError("target posteriors must form a non-empty (N, K) matrix")
     return rows
@@ -129,7 +130,7 @@ def bbse(confusion: ConfusionMatrix, target_pred_freq) -> ProbabilityVector:
     predicted-label frequencies), clips negative weights to zero, and maps
     back to a distribution via pi_j proportional to w_j * c_j.
     """
-    q = _as_probability_vector(target_pred_freq).entries
+    q = _vector_in("target_pred_freq", target_pred_freq).entries
     if q.size != confusion.k:
         raise ValidationError(f"target frequencies have {q.size} entries, expected {confusion.k}")
     cm = confusion.entries

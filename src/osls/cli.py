@@ -162,22 +162,15 @@ def cmd_correct(args) -> int:
 def cmd_evaluate(args) -> int:
     truth = osls_io.read_truth(args.truth)
 
+    def rho_error(rho):
+        return None if rho is None else rho_abs_error(rho, truth["rho_t"])
+
     rows = []
     for path in args.estimate or []:
         result = _read_estimate(path)
-        report = EvalReport(
-            w_mse=w_mse(result.pi_hat, truth["pi"], truth["c"]),
-            rho_t_abs_err=(
-                rho_abs_error(result.rho_t_hat, truth["rho_t"])
-                if result.rho_t_hat is not None
-                else None
-            ),
-            rho_t_star_abs_err=(
-                rho_abs_error(result.rho_t_star, truth["rho_t"])
-                if result.rho_t_star is not None
-                else None
-            ),
-        )
+        report = EvalReport(w_mse=w_mse(result.pi_hat, truth["pi"], truth["c"]),
+                            rho_t_abs_err=rho_error(result.rho_t_hat),
+                            rho_t_star_abs_err=rho_error(result.rho_t_star))
         rows.append({"source": result.method, **report.to_dict()})
     if args.corrected:
         corrected = osls_io.read_corrected(args.corrected)
@@ -230,16 +223,9 @@ def cmd_bound_check(args) -> int:
             rho_t=args.rho_t, n=args.n,
             delta=args.delta, trials=args.trials, seed=args.seed,
         )
-    obj = {
-        "theorem": report.theorem,
-        "trials": report.trials,
-        "violations": report.violations,
-        "violation_rate": report.violation_rate,
-        "bound": report.bound,
-        "delta": report.delta,
-        "threshold": report.threshold,
-        "passed": report.passed,
-    }
+    keys = ("theorem", "trials", "violations", "violation_rate", "bound", "delta", "threshold",
+            "passed")
+    obj = {key: getattr(report, key) for key in keys}
     rows = [{"field": key, "value": value} for key, value in obj.items()]
     _emit(obj, rows, ["field", "value"], args.format, args.out)
     return 0 if report.passed else 1
@@ -342,10 +328,7 @@ def main(argv=None) -> int:
     except _COMPUTE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValidationError, OslsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (OslsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

@@ -2,11 +2,12 @@
 
 Label convention: ID classes are 1..K, the out-of-distribution class is K+1.
 Classifier outputs enter only as a ``RecordSet``, whose columns meet
-``record_columns``. Every array argument of the package is checked by one of
-three rules: ``reals_in`` (entries in an interval), ``labels_in`` (labels in
-1..n) or ``simplex_rows`` (rows on the simplex); each names the parameter and
-the first bad row. All types are immutable after construction and safe to
-share across threads.
+``record_columns``. A number, in files and library calls alike, is an int or a
+float, numpy's included (what ``np.asarray`` makes an integer or floating array
+of), never a bool, a string or None. Every array argument is converted by
+``numbers`` and checked by ``reals_in``, ``labels_in`` or ``simplex_rows``, each
+naming the parameter and the first bad row. All types are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -75,33 +76,40 @@ def _rule(low: float, high: float, strict: bool, many: bool) -> str:
     return f"lie in {'(' if strict else '['}{low:.12g}, {high:.12g}{')' if strict else ']'}"
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is one number: an int or a float, numpy's included, not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def real_in(name: str, value, low: float, high: float = math.inf, strict: bool = False) -> float:
-    """``float(value)`` if it lies between ``low`` and ``high``, ends included unless ``strict``.
+    """``float(value)`` for a number between ``low`` and ``high``, ends included unless ``strict``.
 
     An infinite end is always open and NaN lies in no interval, so the value is
     finite. Otherwise ValidationError names the parameter, the range and the
     value: "delta must lie in (0, 1); got 0.0", "T must be a finite number >= 1; got nan".
     """
     try:
-        x = float(value)
-    except (TypeError, ValueError):
+        x = float(value) if _is_number(value) else math.nan
+    except OverflowError:  # an int beyond float64
         x = math.nan
     if (low < x < high if strict else low <= x <= high) and math.isfinite(x):
         return x
-    raise ValidationError(f"{name} must {_rule(low, high, strict, False)}; got {value}")
+    shown = value if _is_number(value) else repr(value)
+    raise ValidationError(f"{name} must {_rule(low, high, strict, False)}; got {shown}")
 
 
 def whole_number(name: str, value, least: Optional[int] = None) -> int:
-    """``operator.index(value)``: an int or a numpy integer, never a float, NaN or inf,
-    and at least ``least`` when that is given; otherwise ValidationError names the
-    parameter and the value: "k must be a whole number >= 1; got 2.5"."""
+    """``operator.index(value)``: an int or a numpy integer, never a bool, a float, NaN or
+    inf, and at least ``least`` when that is given; otherwise ValidationError names
+    the parameter and the value: "k must be a whole number >= 1; got 2.5"."""
     try:
-        n = operator.index(value)
+        n = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         n = None
     if n is None or (least is not None and n < least):
         rule = "" if least is None else f" >= {least}"
-        raise ValidationError(f"{name} must be a whole number{rule}; got {value}")
+        shown = value if _is_number(value) else repr(value)
+        raise ValidationError(f"{name} must be a whole number{rule}; got {shown}")
     return n
 
 
@@ -116,14 +124,24 @@ class RowError(ValidationError):
         return f"{self.what} at row {self.row}"
 
 
+def _holds_bool(values, arr: np.ndarray) -> bool:
+    """Whether ``values``, of which ``np.asarray`` made the number array ``arr``, hold a bool,
+    which it reads as 0 or 1: only rows with such an entry are looked at."""
+    if isinstance(values, np.ndarray) or arr.ndim == 0 or arr.size == 0:
+        return False
+    rows = arr.reshape(arr.shape[0], -1)
+    rows = [values[i] for i in np.flatnonzero(((rows == 0) | (rows == 1)).any(axis=1))]
+    return any(isinstance(x, (bool, np.bool_)) for x in np.asarray(rows, dtype=object).flat)
+
+
 def _numbers(name: str, values, rule: str) -> np.ndarray:
-    """``values`` as an array of numbers; else RowError names the first row that is not
-    a number, or an array of numbers shaped as the row before it."""
+    """``values`` as an array of numbers, its integer or floating dtype kept; else RowError
+    names the first row that is not numbers, or not shaped as the row before it."""
     try:
         arr = np.asarray(values)
     except ValueError:  # rows of unequal lengths
         arr = None
-    if arr is not None and arr.dtype.kind in "biuf":
+    if arr is not None and arr.dtype.kind in "iuf" and not _holds_bool(values, arr):
         return arr
     rows = values.tolist() if isinstance(values, np.ndarray) else values
     for i, row in enumerate([rows] if arr is not None and arr.ndim == 0 else rows):
@@ -131,10 +149,17 @@ def _numbers(name: str, values, rule: str) -> np.ndarray:
             cells = np.asarray(row)
         except ValueError:
             cells = None
-        if cells is None or cells.dtype.kind not in "biuf" or (i and cells.shape != shape):
+        if (cells is None or cells.dtype.kind not in "iuf" or (i and cells.shape != shape)
+                or _holds_bool(row, cells)):
             raise RowError(f"{name} must {rule}; got {row!r}", i)
         shape = cells.shape
     raise RowError(f"{name} must {rule}; got {values!r}", 0)
+
+
+def numbers(name: str, values, rule: str = "be numbers") -> np.ndarray:
+    """``values`` as a float64 array, itself if it is one, with no range check; else
+    RowError names the parameter, the rule and the first row that is not numbers."""
+    return _numbers(name, values, rule).astype(float, copy=False)
 
 
 def _require(name: str, rule: str, arr: np.ndarray, ok_of, start: int = 0) -> None:
@@ -160,7 +185,7 @@ def reals_in(name: str, values, low: float, high: float = math.inf,
     rule, the first bad entry in row order and its row, a string or a row shaped
     unlike the rest too: "alpha_in must be finite numbers >= 1; got nan at row 2"."""
     rule = _rule(low, high, strict, True)
-    arr = _numbers(name, values, rule).astype(float, copy=False)
+    arr = numbers(name, values, rule)
     above = np.greater if strict or math.isinf(low) else np.greater_equal
     below = np.less if strict or math.isinf(high) else np.less_equal
     _require(name, rule, arr, lambda block: above(block, low) & below(block, high))
@@ -233,7 +258,7 @@ def normalized_rows(rows: np.ndarray, what: str, out: Optional[np.ndarray] = Non
     return out
 
 
-def _vector_in(name: str, v, low: float, strict: bool = False) -> "ProbabilityVector":
+def _vector_in(name: str, v, low: float = -math.inf, strict: bool = False) -> "ProbabilityVector":
     """``v`` as a ProbabilityVector, kept if it is one, its entries checked by
     ``reals_in(name, ..., low, strict=strict)`` before the simplex rule."""
     if isinstance(v, ProbabilityVector):
@@ -252,14 +277,14 @@ def positive_prior(c, k: int) -> np.ndarray:
 
 
 def validate_simplex(v: VectorLike, tol: float = SIMPLEX_TOL) -> bool:
-    """True iff ``v`` is a non-empty vector on the simplex within ``tol``."""
-    arr = np.asarray(v, dtype=float)
+    """True iff the numbers ``v`` are a non-empty vector on the simplex within ``tol``."""
+    arr = numbers("v", v)
     return arr.ndim == 1 and arr.size > 0 and bool(on_simplex(arr, tol))
 
 
 def _simplex_array(v: VectorLike, tol: float) -> np.ndarray:
     """``v`` as a float array; ValidationError unless it is on the simplex within ``tol``."""
-    arr = np.asarray(v, dtype=float)
+    arr = numbers("entries", v)
     if not validate_simplex(arr, tol):
         raise ValidationError(f"not a probability vector within tol={tol}: {arr!r}")
     return arr
@@ -306,20 +331,20 @@ class ProbabilityVector:
         return f"ProbabilityVector({self.entries.tolist()})"
 
 
-def json_value(kind: type, value):
-    """A JSON ``value`` as ``kind``: int, float (an int too), bool, str, an ndarray of
-    numbers or a ``ProbabilityVector`` taken as written."""
+def json_value(name: str, kind: type, value):
+    """JSON field ``name``'s ``value`` as ``kind``: a whole number (int), a finite number
+    (float), a bool, a str, an ndarray of numbers or a ``ProbabilityVector`` taken as written."""
     if kind is ProbabilityVector:
-        return ProbabilityVector.as_written(json_value(np.ndarray, value))
+        return ProbabilityVector.as_written(json_value(name, np.ndarray, value))
+    if kind is int:
+        return whole_number(name, value)
+    if kind is float:
+        return real_in(name, value, -math.inf)
     if kind is np.ndarray:
-        arr = np.array(value)
-        if arr.dtype.kind not in "iuf":
-            raise ValidationError(f"must be numbers, got {value!r}")
-        return arr.astype(float)
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise ValidationError(f"must be {kind.__name__}, got {value!r}")
-    return kind(value)
+        return numbers(name, value)
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name} must be {kind.__name__}; got {value!r}")
+    return value
 
 
 def json_fields(obj, what: str, kinds: dict, optional=()) -> dict:
@@ -338,7 +363,7 @@ def json_fields(obj, what: str, kinds: dict, optional=()) -> dict:
         if key not in obj:
             raise ValidationError(f"{what} is missing field {key!r}")
         try:
-            values[key] = json_value(kind, obj[key])
+            values[key] = json_value(key, kind, obj[key])
         except ValueError as exc:
             raise ValidationError(f"{what} field {key!r}: {exc}") from None
     return values
@@ -358,10 +383,6 @@ def report_dict(report) -> dict:
                 value = value.entries.tolist()
             out[f.metadata.get("key", f.name)] = value
     return out
-
-
-def _as_probability_vector(p: Union[ProbabilityVector, VectorLike]) -> ProbabilityVector:
-    return p if isinstance(p, ProbabilityVector) else ProbabilityVector(np.asarray(p, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -507,7 +528,7 @@ def record_columns(f, h, y=None, nulls: Optional[np.ndarray] = None) -> tuple:
 
 def extend_distribution(base: Union[ProbabilityVector, VectorLike], rho: float) -> ProbabilityVector:
     """Combine an ID distribution and an ID ratio into the (K+1)-class vector [rho*p, 1-rho]."""
-    base = _as_probability_vector(base)
+    base = _vector_in("base", base)
     rho = real_in("rho", rho, 0, 1)
     entries = np.concatenate([rho * base.entries, [1.0 - rho]])
     return ProbabilityVector(entries)

@@ -277,7 +277,8 @@ def bound_coverage_rho_t(
     ``correct_rho`` and tests the error against the population bound.
     """
     trials, n = whole_number("trials", trials, 1), whole_number("n", n, 1)
-    for name, value in (("mu1", mu1), ("mu0", mu0), ("rho_t", rho_t), ("a", a), ("a + b", a + b)):
+    a, b = real_in("a", a, 0, 1), real_in("b", b, -math.inf)
+    for name, value in (("mu1", mu1), ("mu0", mu0), ("rho_t", rho_t), ("a + b", a + b)):
         real_in(name, value, 0, 1)  # the distorted scores lie between a and a + b
     mu1p = a + b * mu1
     mu0p = a + b * mu0

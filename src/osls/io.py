@@ -37,15 +37,16 @@ allocated once, so a read holds one copy of the table's arrays and a few
 blocks of text, and the bytes and arrays are those of one process.
 
 Each row is checked once, by the process that converts its range, with the
-core's rules: a prediction row by ``record_columns``, as in a ``RecordSet``,
+core's rules, its JSON values converted by ``numbers`` (a string or a bool is
+no number): a prediction row by ``record_columns``, as in a ``RecordSet``,
 which normalizes ``f`` and clips ``h`` in place, so ``read_records`` holds the
 columns as read; a corrected row by ``reals_in``, ``simplex_rows`` and
 ``labels_in``; a feature row by ``reals_in``. A row that fails, or a CSV row
 not as long as its header, raises ``ValidationError`` naming the file and the
 1-based line: a block that fails is converted again line by line to find it.
 A byte that is not UTF-8 is named by its line and its offset in the file.
-Writers refuse non-finite values, which no JSON text encodes, before the file
-is opened.
+Writers refuse what readers refuse, before the file is opened: a corrected or
+feature row by the rules it is read with; ``write_records`` takes a checked ``RecordSet``.
 """
 
 from __future__ import annotations
@@ -54,20 +55,20 @@ import json
 import math
 import os
 import stat
-from collections import namedtuple
+from collections import deque, namedtuple
 from dataclasses import MISSING, astuple, fields, replace
 from functools import partial
-from itertools import chain, count
+from itertools import count
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
-from .core import (ProbabilityVector, RecordSet, RowError, ValidationError, json_fields,
-                   labels_in, reals_in, record_columns, simplex_rows)
+from .core import (ProbabilityVector, RecordSet, ValidationError, json_fields,
+                   json_value, labels_in, numbers, reals_in, record_columns, simplex_rows)
 from .pipeline import ALL_METHODS
-from .pool import map_in_order
+from .pool import map_in_order, pushed_back
 from .simulate import ScenarioConfig, ShiftSpec, ring_config
 
 PathLike = Union[str, Path]
@@ -116,19 +117,10 @@ def _write_table(path: PathLike, header: Optional[str], template: str, columns: 
                  sep: str) -> None:
     """Write one ``template.format(*cells)`` line per row, BLOCK_ROWS rows at a time.
 
-    ``columns`` holds 2-D float arrays, whose rows become ``sep``-joined reprs,
-    and 1-D integer arrays. Nothing is written unless every float is finite;
-    else the error names the first bad row of the first column that has one.
+    ``columns`` holds checked 2-D float arrays, whose rows become ``sep``-joined
+    reprs, and 1-D integer arrays, all with the same number of rows.
     """
     n = columns[0].shape[0]
-    for col in columns:
-        if col.shape[0] != n:
-            raise ValidationError(f"cannot write {path}: columns have {n} and {col.shape[0]} rows")
-        if col.ndim == 2:
-            try:
-                reals_in("values", col, -math.inf)
-            except ValidationError as exc:
-                raise ValidationError(f"cannot write {path}: {exc}") from None
     blocks = ([col[start : start + BLOCK_ROWS] for col in columns]
               for start in range(0, n, BLOCK_ROWS))
     with open(path, "wb") as out:
@@ -146,17 +138,21 @@ _RECORDS = _Layout("prediction", "f", "h", corrected=False)
 _CORRECTED = _Layout("corrected", "g", "y_hat", corrected=True)
 
 
-def _write_predictions(path: PathLike, layout: _Layout, vectors, scalar, y) -> None:
-    """Write a prediction table of kind ``layout``; format chosen by extension."""
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    columns = [vectors, np.asarray(scalar, dtype=np.int64).ravel() if layout.corrected
-               else np.asarray(scalar, dtype=float)[:, None]]
-    keys = [layout.scalar]
-    if y is not None:
-        columns.append(np.asarray(y, dtype=np.int64).ravel())
-        keys.append("y")
+def _named(what: str, call, *args, **kwargs):
+    """``call(*args, **kwargs)``; a ValueError becomes a ValidationError led by ``what``."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        raise ValidationError(f"{what}: {exc}") from None
+
+
+def _write_predictions(path: PathLike, layout: _Layout, *columns) -> None:
+    """Write a prediction table of kind ``layout``, by extension, from checked columns:
+    (N, width) vectors, a float (N, 1) scalar or (N,) labels, and (N,) labels y or None."""
+    columns = [col for col in columns if col is not None]
+    keys = [layout.scalar, "y"][: len(columns) - 1]
     if _is_csv(path):
-        header = [f"{layout.vector}{j + 1}" for j in range(vectors.shape[1])] + keys
+        header = [f"{layout.vector}{j + 1}" for j in range(columns[0].shape[1])] + keys
         _write_table(path, ",".join(header), ",".join(["{}"] * len(columns)), columns, ",")
     else:
         members = [f'"{layout.vector}": [{{}}]'] + [f'"{key}": {{}}' for key in keys]
@@ -165,18 +161,20 @@ def _write_predictions(path: PathLike, layout: _Layout, vectors, scalar, y) -> N
 
 def write_records(path: PathLike, records: RecordSet) -> None:
     """Write a prediction file; format chosen by extension."""
-    _write_predictions(path, _RECORDS, records.f, records.h, records.y)
+    _write_predictions(path, _RECORDS, records.f, records.h[:, None], records.y)
 
 
 def write_corrected(path: PathLike, posteriors: np.ndarray, labels: np.ndarray,
                     y: Optional[np.ndarray] = None) -> None:
-    """Write corrected (K+1)-class posteriors with argmax labels."""
-    _write_predictions(path, _CORRECTED, posteriors, labels, y)
+    """Write corrected (K+1)-class posteriors with argmax labels, checked as they are read."""
+    g, y_hat, labels = _named(f"cannot write {path}", _prediction_columns, _CORRECTED,
+                              posteriors, labels, y)
+    _write_predictions(path, _CORRECTED, g, y_hat.ravel(), None if y is None else labels.ravel())
 
 
 def write_features(path: PathLike, x: np.ndarray) -> None:
     """Write raw feature rows as CSV with header x1,...,xd."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = np.atleast_2d(_named(f"cannot write {path}", reals_in, "features", x, -math.inf))
     header = ",".join(f"x{j + 1}" for j in range(x.shape[1]))
     _write_table(path, header, "{}", [x], ",")
 
@@ -200,12 +198,13 @@ def _ranges(handle, stream: bool):
     Yields a ``_Range`` per range, the last ending at the end of the file; a
     file without bytes is one empty range. As a line ends only at b"\\n", the
     i-th range starts at line ``1 + i * BLOCK_ROWS``. Only ``_SCAN_BYTES`` of a
-    regular file are held at a time, and of a stream, one range more.
+    regular file are held at a time, and of a stream, one range more, built in
+    one bytearray.
     """
     buf = bytearray(_SCAN_BYTES)
-    view = np.frombuffer(buf, np.uint8)
+    view, chunk = np.frombuffer(buf, np.uint8), memoryview(buf)
     # need: b"\n"s to the next cut; first: the number of the next range's first line
-    parts, start, offset, need, first = [], 0, 0, BLOCK_ROWS, 1
+    data, start, offset, need, first = bytearray(), 0, 0, BLOCK_ROWS, 1
     while True:
         n = handle.readinto(buf)
         if not n:
@@ -215,22 +214,22 @@ def _ranges(handle, stream: bool):
         if count >= need:
             for pos in (np.flatnonzero(breaks)[need - 1 :: BLOCK_ROWS] + 1).tolist():
                 if stream:
-                    parts.append(buf[mark:pos])
-                yield _Range(first, start, b"".join(parts) if stream else offset + pos)
-                parts, start, mark, first = [], offset + pos, pos, first + BLOCK_ROWS
+                    data += chunk[mark:pos]
+                yield _Range(first, start, data if stream else offset + pos)
+                data, start, mark, first = bytearray(), offset + pos, pos, first + BLOCK_ROWS
             need = BLOCK_ROWS - (count - need) % BLOCK_ROWS
         else:
             need -= count
         if stream:
-            parts.append(buf[mark:n])
+            data += chunk[mark:n]
         offset += n
     if offset > start or not offset:
-        yield _Range(first, start, b"".join(parts) if stream else offset)
+        yield _Range(first, start, data if stream else offset)
 
 
 def _range_bytes(fd: int, item: _Range) -> bytes:
     """The bytes of range ``item``: its own in a stream, else read from the file open as ``fd``."""
-    if isinstance(item.data, bytes):
+    if not isinstance(item.data, int):
         return item.data
     return os.pread(fd, item.data - item.start, item.start)
 
@@ -264,8 +263,9 @@ def _first_line(path: Path, fd: int, ranges, past: bool, needs: str) -> tuple:
             line = _decoded(path, raw[at:after], item.start + at, number).rstrip("\n")
             if line.strip():
                 cut, first = (after, number + 1) if past else (at, number)
-                data = raw[cut:] if isinstance(item.data, bytes) else item.data
-                return number, line, chain([_Range(first, item.start + cut, data)], ranges)
+                data = item.data if isinstance(item.data, int) else raw[cut:]
+                head = deque([_Range(first, item.start + cut, data)])
+                return number, line, pushed_back(head, ranges)
             if after == len(raw):
                 break
             at = after
@@ -282,7 +282,7 @@ def _convert_range(file: _File, csv: bool, convert, item: _Range):
     naming it.
     """
     raw = item.data
-    if not isinstance(raw, bytes):
+    if isinstance(raw, int):
         with open(file.path, "rb", buffering=0) as handle:
             info = os.fstat(handle.fileno())
             if (info.st_dev, info.st_ino) != file.identity:
@@ -302,8 +302,8 @@ def _convert_range(file: _File, csv: bool, convert, item: _Range):
         if line.strip():
             try:
                 parts.append(convert(_split_cells([line]) if csv else _loads_line(line)))
-            except _ROW_ERRORS as exc:
-                what = exc.what if isinstance(exc, RowError) else exc  # its row is this line
+            except _ROW_ERRORS as exc:  # a RowError's row is this line
+                what = getattr(exc, "what", exc)
                 raise ValidationError(f"{file.name}: line {number}: {what}") from None
     return [np.concatenate(cols) for cols in zip(*parts)]
 
@@ -335,7 +335,7 @@ def _read_table(path: Path, what: str, csv: bool, converter) -> list:
             convert = converter(line)
         except _ROW_ERRORS as exc:
             _first_line(path, fd, ranges, True, needs)  # a table without rows says so first
-            raise ValidationError(f"{path}: line {number}: {exc}") from None
+            raise ValidationError(f"{path}: line {number}: {getattr(exc, 'what', exc)}") from None
         file = _File(path, os.path.abspath(path), (info.st_dev, info.st_ino))
         out, rows = [], 0
         for item, columns in map_in_order(partial(_convert_range, file, csv, convert), ranges,
@@ -343,6 +343,7 @@ def _read_table(path: Path, what: str, csv: bool, converter) -> list:
             if columns is None:  # the file at the path was replaced after the scan
                 columns = _convert_range(file, csv, convert,
                                          item._replace(data=_range_bytes(fd, item)))
+            del item  # a stream's range of text, not held while the next is converted
             if not columns:
                 continue
             n = len(columns[0])
@@ -399,49 +400,42 @@ def _field(objs: list, key: str) -> list:
         raise ValidationError("a record must be a JSON object") from None
 
 
-def _floats(values, what: str) -> np.ndarray:
-    try:
-        return np.array(values, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{what}: {exc}") from None
-
-
-def _prediction_columns(layout: _Layout, vectors: np.ndarray, scalar: np.ndarray,
-                        y: Optional[np.ndarray], nulls: Optional[np.ndarray] = None) -> tuple:
-    """One block's ``(vectors, scalar, y)`` checked by the core's rules for ``layout``.
+def _prediction_columns(layout: _Layout, vectors, scalar, y, nulls=None) -> tuple:
+    """One block's ``(vectors, scalar, y)`` checked by the core's rules for ``layout``, as
+    it is read or before it is written.
 
     A corrected row's ``g`` is kept as written and its labels lie in 1..K+1, K+1
     the width of ``g``. ``y`` is None for a table without labels; it comes back
     0, which no label is, there and where ``nulls`` flags a row without one.
     """
     if y is None:
-        y, nulls = np.zeros(scalar.size), np.ones(scalar.size, dtype=bool)
+        y, nulls = np.zeros(np.size(scalar)), np.ones(np.size(scalar), dtype=bool)
     if not layout.corrected:
         return record_columns(vectors, scalar, y, nulls)
-    width = vectors.shape[1]
-    simplex_rows("g", reals_in("g", vectors, -math.inf))
-    return vectors, labels_in("y_hat", scalar, width), labels_in("y", y, width, nulls)
+    g = simplex_rows("g", np.atleast_2d(reals_in("g", vectors, -math.inf)))
+    y_hat, y = labels_in("y_hat", scalar, g.shape[1]), labels_in("y", y, g.shape[1], nulls)
+    if not g.shape[0] == y_hat.size == y.size:
+        raise ValidationError(f"g has {g.shape[0]} rows, y_hat {y_hat.size} and y {y.size}")
+    return g, y_hat, y
 
 
 def _json_converter(layout: _Layout, line: str):
     """The block converter of JSON lines of kind ``layout``; the first row, ``line``, fixes K."""
-    vectors = _floats(_field(_loads_line(line), layout.vector), repr(layout.vector))
+    vectors = numbers(layout.vector, _field(_loads_line(line), layout.vector))
     if vectors.ndim != 2:
         raise ValidationError(f"{layout.vector!r} must be a list of K numbers")
     return partial(_json_columns, layout, vectors.shape[1])
 
 
 def _json_columns(layout: _Layout, k: int, objs: list) -> tuple:
-    vectors = _floats(_field(objs, layout.vector), repr(layout.vector))
+    vectors = numbers(layout.vector, _field(objs, layout.vector))
     if vectors.shape[1:] != (k,):
         raise ValidationError(f"{layout.vector!r} must be a list of {k} numbers")
-    scalar = _floats(_field(objs, layout.scalar), repr(layout.scalar))
-    labels = [obj.get("y") for obj in objs]
-    y = _floats(labels, "'y'")
+    scalar = numbers(layout.scalar, _field(objs, layout.scalar))
+    y = numbers("y", [math.nan if obj.get("y") is None else obj["y"] for obj in objs])
     if scalar.ndim != 1 or y.ndim != 1:
         raise ValidationError(f"{layout.scalar!r} and 'y' must be numbers")
-    return _prediction_columns(layout, vectors, scalar, y,
-                               np.array([label is None for label in labels]))
+    return _prediction_columns(layout, vectors, scalar, y, np.isnan(y))  # NaN: no label
 
 
 def _split_cells(lines: list) -> list:
@@ -454,7 +448,10 @@ def _csv_table(rows: list, columns: list, names: int) -> np.ndarray:
     if lengths:
         raise ValidationError(f"a row has {lengths.pop()} cells, but the header has {names}")
     picked = list(map(itemgetter(*columns), rows))
-    return _floats(picked, "cell").reshape(len(rows), len(columns))
+    try:  # cells are text: float() reads "0.5", and no "true"
+        return np.array(picked, dtype=float).reshape(len(rows), len(columns))
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError(f"cell: {exc}") from None
 
 
 def _csv_convert(layout: _Layout, k: int, columns: list, names: int, cells: list) -> tuple:
@@ -537,21 +534,16 @@ def _finite_float(text: str) -> float:
 
 def write_json(path: PathLike, obj: dict) -> None:
     """Write ``obj`` as indented JSON; non-finite floats raise ValidationError."""
-    try:
-        text = json.dumps(obj, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from None
+    text = _named(f"cannot write {path}", json.dumps, obj, indent=2, allow_nan=False)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def read_json(path: PathLike) -> dict:
     """Read a JSON file; NaN, Infinity and overflowing numbers raise ValidationError."""
-    path = Path(path)
-    try:
-        return json.loads(path.read_text(encoding="utf-8"),
-                          parse_constant=_non_finite_constant, parse_float=_finite_float)
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse JSON file {path}: {exc}") from None
+    what = f"cannot parse JSON file {path}"
+    text = _named(what, Path(path).read_text, encoding="utf-8")
+    return _named(what, json.loads, text, parse_constant=_non_finite_constant,
+                  parse_float=_finite_float)
 
 
 # The truth file's fields in order, each with the type of its JSON value.
@@ -561,16 +553,9 @@ _TRUTH_JSON = dict(K=int, c=np.ndarray, rho_s=float, pi=np.ndarray, rho_t=float)
 def write_truth(path: PathLike, c, rho_s: float, pi, rho_t: float) -> None:
     c, pi = (v.entries if isinstance(v, ProbabilityVector) else v for v in (c, pi))
     values = zip(_TRUTH_JSON.items(), (len(c), c, rho_s, pi, rho_t))
-    write_json(path, {key: np.asarray(value, dtype=float).tolist() if kind is np.ndarray
-                      else kind(value) for (key, kind), value in values})
-
-
-def _parsed(what: str, key: str, parse, *args):
-    """``parse(*args)``; a failure raises ValidationError naming ``key``."""
-    try:
-        return parse(*args)
-    except ValueError as exc:
-        raise ValidationError(f"{what} {key!r}: {exc}") from None
+    obj = {key: _named(f"cannot write {path}", json_value, key, kind, value)
+           for (key, kind), value in values}
+    write_json(path, {key: np.asarray(value).tolist() for key, value in obj.items()})
 
 
 def read_truth(path: PathLike) -> dict:
@@ -605,7 +590,7 @@ def scenario_from_dict(obj: dict) -> ScenarioConfig:
     """Rebuild ``scenario_to_dict``'s config; fields with a default may be left out."""
     optional = [f.name for f in fields(ScenarioConfig) if f.default is not MISSING]
     values = json_fields(obj, "scenario", _SCENARIO_JSON, optional)
-    values["shift"] = _parsed("scenario field", "shift", ShiftSpec.parse, values["shift"])
+    values["shift"] = _named("scenario field 'shift'", ShiftSpec.parse, values["shift"])
     return ScenarioConfig(**values)
 
 
@@ -662,7 +647,7 @@ def scenario_from_kv(kv: dict) -> ScenarioConfig:
     unknown = [key for key in kv if key not in _KV_PARSERS]
     if unknown:
         raise ValidationError(f"unknown config key {unknown[0]!r}")
-    values = {key: _parsed("config key", key, parse, kv[key])
+    values = {key: _named(f"config key {key!r}", parse, kv[key])
               for key, parse in _KV_PARSERS.items() if key in kv}
     if "k" not in values:
         raise ValidationError("scenario config is missing key 'k'")
@@ -698,13 +683,13 @@ def sweep_from_kv(kv: dict) -> dict:
     grid_keys = ("shifts", "r_values", "seeds", "methods")
     shifts = [s.strip() for s in kv.get("shifts", "none").split(",") if s.strip()]
     _distinct("shifts", shifts,
-              [astuple(_parsed("config key", "shifts", ShiftSpec.parse, s)) for s in shifts])
+              [astuple(_named("config key 'shifts'", ShiftSpec.parse, s)) for s in shifts])
     r_text = kv.get("r_values", "1.0")
     r_values = _distinct("r_values", _tokens(r_text),
-                         _parsed("config key", "r_values", _kv_numbers, r_text).tolist())
+                         _named("config key 'r_values'", _kv_numbers, r_text).tolist())
     seed_tokens = _tokens(kv.get("seeds", "0"))
     seeds = _distinct("seeds", seed_tokens,
-                      [_parsed("config key", "seeds", int, tok) for tok in seed_tokens])
+                      [_named("config key 'seeds'", int, tok) for tok in seed_tokens])
     methods = [m.strip().lower() for m in kv.get("methods", "osls-mle,mlls").split(",") if m.strip()]
     _distinct("methods", methods, methods)
     unknown = [method for method in methods if method not in ALL_METHODS]
@@ -713,5 +698,5 @@ def sweep_from_kv(kv: dict) -> dict:
                               f"expected one of {ALL_METHODS}")
     base = scenario_from_kv({key: value for key, value in kv.items() if key not in grid_keys})
     for r in r_values:
-        _parsed("config key", "r_values", partial(replace, base, r=r))
+        _named("config key 'r_values'", partial(replace, base, r=r))
     return dict(shifts=shifts, r_values=r_values, seeds=seeds, methods=methods, base=base)

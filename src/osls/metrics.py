@@ -10,8 +10,8 @@ import numpy as np
 from .core import (
     MIN_CLASS_PROB,
     ValidationError,
-    _as_probability_vector,
     _vector_in,
+    numbers,
     real_in,
     reals_in,
     report_dict,
@@ -35,8 +35,8 @@ class EvalReport:
 
 def w_mse(pi_hat, pi_true, c) -> float:
     """Mean squared error between target/source class-ratio vectors pi/c."""
-    pi_hat = _as_probability_vector(pi_hat).entries
-    pi_true = _as_probability_vector(pi_true).entries
+    pi_hat = _vector_in("pi_hat", pi_hat).entries
+    pi_true = _vector_in("pi_true", pi_true).entries
     c = _vector_in("c", c, MIN_CLASS_PROB).entries
     if not (pi_hat.size == pi_true.size == c.size):
         raise ValidationError("pi_hat, pi_true and c must have matching length")
@@ -50,8 +50,8 @@ def top1_accuracy(
     truths: Union[Sequence[int], np.ndarray],
 ) -> float:
     """Fraction of exact label matches."""
-    pred = np.asarray(predictions).ravel()
-    true = np.asarray(truths).ravel()
+    pred = numbers("predictions", predictions).ravel()
+    true = numbers("truths", truths).ravel()
     if pred.size != true.size:
         raise ValidationError(f"length mismatch: {pred.size} predictions vs {true.size} truths")
     if pred.size == 0:

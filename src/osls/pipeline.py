@@ -24,7 +24,7 @@ from .core import (
     RecordSet,
     SourceLabelModel,
     ValidationError,
-    _as_probability_vector,
+    _vector_in,
     extend_distribution,
     json_fields,
     labels_in,
@@ -185,7 +185,7 @@ def estimate(
     if method == "mlls":
         pi_hat = bl.mlls(target.f, c_hat, em_config.max_iters, tol=em_config.tol).pi_final
     elif method == "mapls":
-        alpha = np.full(k, float(mapls_alpha))
+        alpha = np.full(k, real_in("mapls_alpha", mapls_alpha, 1))
         pi_hat = bl.mapls(target.f, c_hat, alpha, em_config.max_iters,
                           tol=em_config.tol).pi_final
     elif method == "bbse":
@@ -207,7 +207,7 @@ def correct_records(records: RecordSet, c, pi) -> Tuple[np.ndarray, np.ndarray]:
     entries they are ``f`` alone. Labels are the 1-based argmax of each row,
     ties broken toward the smallest index, so K+1 means OOD.
     """
-    pi = _as_probability_vector(pi).entries
+    pi = _vector_in("pi", pi).entries
     if pi.size not in (records.k, records.k + 1):
         raise ValidationError(f"records have K={records.k} but pi has {pi.size} entries")
     c = positive_prior(c, pi.size)

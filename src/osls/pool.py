@@ -13,7 +13,7 @@ import signal
 import threading
 import time
 from collections import deque
-from itertools import chain, islice
+from itertools import islice
 from typing import Optional
 
 # The pool as (pid of the process that forked it, executor, worker count). A process
@@ -78,6 +78,13 @@ def _pool(workers: Optional[int]):
     return _POOL[1:]
 
 
+def pushed_back(head: deque, items):
+    """The items of ``head``, each taken out as it is yielded, then those of ``items``."""
+    while head:
+        yield head.popleft()
+    yield from items
+
+
 def map_in_order(fn, items, workers: Optional[int] = None):
     """``(item, fn(item))`` for each of ``items``, in order.
 
@@ -86,16 +93,17 @@ def map_in_order(fn, items, workers: Optional[int] = None):
     most two items per worker are in flight, so only a few are alive at once.
     """
     items = iter(items)
-    head = list(islice(items, 2))
+    head = deque(islice(items, 2))
     pool = _pool(workers) if len(head) == 2 else None
+    items = pushed_back(head, items)
     if pool is None:
-        for item in chain(head, items):
+        for item in items:
             yield item, fn(item)
         return
     executor, workers = pool
     pending, window = deque(), 2 * workers
     try:
-        for item in chain(head, items):
+        for item in items:
             pending.append((item, executor.submit(fn, item)))
             if len(pending) >= window:
                 item, future = pending.popleft()

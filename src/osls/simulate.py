@@ -27,6 +27,7 @@ from .core import (
     SourceLabelModel,
     TargetLabelModel,
     ValidationError,
+    numbers,
     real_in,
     reals_in,
     whole_number,
@@ -102,11 +103,11 @@ class ShiftSpec:
 
     @classmethod
     def dirichlet(cls, alpha: float) -> "ShiftSpec":
-        return cls(kind="dirichlet", alpha=float(alpha))
+        return cls(kind="dirichlet", alpha=alpha)
 
     @classmethod
     def ordered_lt(cls, imbalance: float, order: str = "forward") -> "ShiftSpec":
-        return cls(kind="ordered_lt", imbalance=float(imbalance), order=order)
+        return cls(kind="ordered_lt", imbalance=imbalance, order=order)
 
     @classmethod
     def parse(cls, text: str) -> "ShiftSpec":
@@ -177,7 +178,7 @@ class GaussianComponents:
 
     def log_pdf(self, x: np.ndarray) -> np.ndarray:
         """(N, n_components) log densities (isotropic normal, constants kept)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = np.atleast_2d(numbers("x", x))
         d = self.dim
         if d < 8:
             # np.sum adds fewer than 8 terms left to right, so summing one
@@ -298,7 +299,7 @@ def ring_config(
         k=k,
         class_means=means,
         class_scales=scales,
-        c=ProbabilityVector(np.full(k, 1.0 / k) if c is None else np.asarray(c, dtype=float)),
+        c=np.full(k, 1.0 / k) if c is None else c,
         rho_s=rho_s,
         n_source=n_source,
         n_target=n_target,
@@ -382,7 +383,7 @@ class Scenario:
 
     def oracle_scores(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Exact posteriors (f, h) under the source priors, temperature applied."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = np.atleast_2d(numbers("x", x))
         f = np.empty((x.shape[0], self.k))
         return f, self._score(x, "given features", f)
 

@@ -1,4 +1,5 @@
 import os
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,23 @@ def child_env() -> dict:
     for a child Python that imports ``osls``."""
     paths = [str(Path(osls_pool.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
+def feed_fifo(fifo: Path, source: Path) -> subprocess.Popen:
+    """A process that copies ``source`` into the FIFO at ``fifo`` once a reader opens it.
+
+    The writer is another process, as for a pipe into /dev/stdin: a process
+    that held the FIFO's write end would pass it on to the workers it forks,
+    and the FIFO would never end.
+    """
+    return subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', str(source), str(fifo)])
+
+
+def join_fifo(fifo: Path, writer: subprocess.Popen) -> None:
+    """Wait for ``writer``, first releasing it if no reader ever opened the FIFO."""
+    if writer.poll() is None:
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+    writer.wait(10)
 
 
 def easy_config(k=3, *, seed=0, shift=None, r=1.0, n=5000, n_ood=2500, rho_s=0.7,

@@ -168,6 +168,24 @@ class TestEstimate:
         assert code == 2
         assert f"{prior} must be finite numbers >= 1; got inf at row 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("h", "0.5"), ("y", True)])
+    def test_target_value_not_a_number_exits_2(self, sim_dir, tmp_path, capsys, key, value):
+        # A string or a bool is no number, whatever the lines around it hold.
+        lines = (sim_dir / "target.jsonl").read_text().splitlines()
+        row = json.loads(lines[2])
+        row[key] = value
+        lines[2] = json.dumps(row)
+        target = tmp_path / "target.jsonl"
+        target.write_text("\n".join(lines) + "\n")
+        code = main([
+            "estimate", "--source", str(sim_dir / "source.jsonl"), "--target", str(target),
+            "--ood-ref", str(sim_dir / "ood_ref.jsonl"), "--out", str(tmp_path / "e.json"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{target}: line 3: {key} must be numbers; got {value!r}" in err
+        assert not (tmp_path / "e.json").exists()
+
     @pytest.mark.parametrize("T", ["inf", "nan"])
     def test_non_finite_T_exits_2(self, sim_dir, capsys, T):
         code = main([

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tempfile
@@ -21,13 +22,21 @@ from osls.core import (
     TargetLabelModel,
     ValidationError,
     extend_distribution,
+    json_fields,
     labels_in,
     real_in,
     reals_in,
     validate_simplex,
     whole_number,
 )
-from osls.baselines import ConfusionMatrix, mlls
+from osls.baselines import (
+    ConfusionMatrix,
+    argmax_labels,
+    bbse,
+    mapls,
+    mlls,
+    predicted_class_frequencies,
+)
 from osls.em import EmConfig, run_em
 from osls.estimators import (
     BoundReport,
@@ -42,11 +51,12 @@ from osls.estimators import (
     score_mean,
     threshold_rescale,
 )
-from osls.metrics import ece, rho_abs_error, w_mse
-from osls.pipeline import run_sweep, source_class_frequencies
+from osls.metrics import ece, rho_abs_error, top1_accuracy, w_mse
+from osls.pipeline import correct_records, estimate, run_sweep, source_class_frequencies
 from osls.simulate import (
     GaussianComponents,
     LabeledDataset,
+    Scenario,
     ShiftSpec,
     dirichlet_shift,
     distort_scorer,
@@ -333,7 +343,7 @@ _SCALAR_SITES = [
     ("bound_coverage_rho_t.mu1", "mu1", lambda x: bound_coverage_rho_t(mu1=x), _REALS),
     ("bound_coverage_rho_t.mu0", "mu0", lambda x: bound_coverage_rho_t(mu0=x), _REALS),
     ("bound_coverage_rho_t.a", "a", lambda x: bound_coverage_rho_t(a=x), _REALS),
-    ("bound_coverage_rho_t.b", "a + b", lambda x: bound_coverage_rho_t(b=x), _REALS),
+    ("bound_coverage_rho_t.b", "b", lambda x: bound_coverage_rho_t(b=x), _REALS),
     ("bound_coverage_rho_t.rho_t", "rho_t", lambda x: bound_coverage_rho_t(rho_t=x), _REALS),
     ("bound_coverage_rho_t.n", "n", lambda x: bound_coverage_rho_t(n=x), _COUNTS),
     ("bound_coverage_rho_t.trials", "trials", lambda x: bound_coverage_rho_t(trials=x), _COUNTS),
@@ -573,3 +583,121 @@ def test_labels_of_source_records_are_id_labels():
     message = r"^source.y must be whole numbers in 1..2; got 3 at row 2$"
     with pytest.raises(ValidationError, match=message):
         source_class_frequencies(RecordSet(_F3, _H3, [1, 2, 3]))
+
+
+def _in_tmp(write, name, *args):
+    """``write`` of ``args`` to a file ``name`` in a fresh directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return write(Path(tmp) / name, *args)
+
+
+def _jsonl_read(read, rows):
+    """``read`` of a JSON lines table with one line per object of ``rows``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        return read(path)
+
+
+def _with_field(rows, row, key, value):
+    """``rows``, JSON objects, with ``value`` at ``key`` of row ``row``, or at the first
+    entry of that list when ``key`` names one."""
+    rows = [dict(r) for r in rows]
+    if isinstance(rows[row][key], list):
+        rows[row][key] = [value] + rows[row][key][1:]
+    else:
+        rows[row][key] = value
+    return rows
+
+
+_ID3 = RecordSet(_F3, _H3, [1, 2, 1])
+_JSON_RECORDS = [{"f": [0.5, 0.5], "h": 0.5, "y": 1}] * 3
+_JSON_CORRECTED = [{"g": [0.25, 0.25, 0.5], "y_hat": 3, "y": 1}] * 3
+
+# The scalar parameters and array arguments that converted numbers on their own,
+# besides those of ``_SCALAR_SITES`` and ``_ARRAY_SITES``: (site, name, call, the bad
+# values) and (site, name, call, an argument that passes but for the entry put in,
+# that entry's row).
+_MORE_SCALAR_SITES = [
+    ("ShiftSpec.dirichlet", "alpha", ShiftSpec.dirichlet, _REALS),
+    ("ShiftSpec.ordered_lt", "imbalance", ShiftSpec.ordered_lt, _REALS),
+    ("estimate.mapls_alpha", "mapls_alpha", lambda x: estimate("mapls", _ID3, _ID3, mapls_alpha=x),
+     _REALS),
+    ("json_fields.float", "x", lambda x: json_fields({"x": x}, "report", {"x": float}), _REALS),
+    ("json_fields.int", "x", lambda x: json_fields({"x": x}, "report", {"x": int}), _COUNTS),
+    ("write_truth.rho_s", "rho_s",
+     lambda x: _in_tmp(osls_io.write_truth, "t.json", [0.5, 0.5], x, [0.5, 0.5], 0.5), _REALS),
+    ("write_truth.rho_t", "rho_t",
+     lambda x: _in_tmp(osls_io.write_truth, "t.json", [0.5, 0.5], 0.5, [0.5, 0.5], x), _REALS),
+]
+_MORE_ARRAY_SITES = [
+    ("ProbabilityVector", "entries", ProbabilityVector, [0.5, 0.5], 1),
+    ("ProbabilityVector.as_written", "entries", ProbabilityVector.as_written, [0.5, 0.5], 1),
+    ("validate_simplex", "v", validate_simplex, [0.5, 0.5], 1),
+    ("extend_distribution.base", "base", lambda v: extend_distribution(v, 0.5), [0.5, 0.5], 1),
+    ("w_mse.pi_hat", "pi_hat", lambda v: w_mse(v, [0.5, 0.5], [0.5, 0.5]), [0.5, 0.5], 1),
+    ("w_mse.pi_true", "pi_true", lambda v: w_mse([0.5, 0.5], v, [0.5, 0.5]), [0.5, 0.5], 1),
+    ("bbse.target_pred_freq", "target_pred_freq",
+     lambda v: bbse(ConfusionMatrix([[0.5, 0.0], [0.0, 0.5]]), v), [0.5, 0.5], 1),
+    ("correct_records.pi", "pi", lambda v: correct_records(_ID3, [0.5, 0.5], v), [0.5, 0.5], 1),
+    ("mlls.target_f", "the posteriors", lambda v: mlls(v, [0.5, 0.5]), _F3, 1),
+    ("mapls.target_f", "the posteriors", lambda v: mapls(v, [0.5, 0.5], [2.0, 2.0]), _F3, 1),
+    ("argmax_labels", "the posteriors", argmax_labels, _F3, 1),
+    ("predicted_class_frequencies", "the posteriors", predicted_class_frequencies, _F3, 1),
+    ("ring_config.c", "c", lambda v: ring_config(2, c=v), [0.5, 0.5], 1),
+    ("top1_accuracy.predictions", "predictions", lambda v: top1_accuracy(v, [1, 2, 1]),
+     [1, 2, 1], 1),
+    ("top1_accuracy.truths", "truths", lambda v: top1_accuracy([1, 2, 1], v), [1, 2, 1], 1),
+    ("log_pdf", "x", GaussianComponents(_MEANS3, [1.0] * 3).log_pdf, _MEANS3, 1),
+    ("oracle_scores", "x", Scenario(_BASE).oracle_scores, _MEANS3, 1),
+    ("json_fields.ndarray", "c", lambda v: json_fields({"c": v}, "report", {"c": np.ndarray}),
+     [0.5, 0.5], 1),
+    ("json_fields.ProbabilityVector", "c",
+     lambda v: json_fields({"c": v}, "report", {"c": ProbabilityVector}), [0.5, 0.5], 1),
+    ("write_truth.c", "c",
+     lambda v: _in_tmp(osls_io.write_truth, "t.json", v, 0.7, [0.5, 0.5], 0.5), [0.5, 0.5], 1),
+    ("write_corrected.g", "g",
+     lambda v: _in_tmp(osls_io.write_corrected, "c.jsonl", v, [3, 3, 3]), _G3, 1),
+    ("write_corrected.y_hat", "y_hat",
+     lambda v: _in_tmp(osls_io.write_corrected, "c.jsonl", _G3, v), [3, 3, 3], 1),
+    ("write_corrected.y", "y",
+     lambda v: _in_tmp(osls_io.write_corrected, "c.csv", _G3, [3, 3, 3], v), [1, 2, 3], 1),
+    ("write_features", "features", lambda v: _in_tmp(osls_io.write_features, "x.csv", v),
+     _MEANS3, 1),
+]
+# JSON lines tables, a bad value on line 3: (site, name, reader, rows, key).
+_JSONL_SITES = [
+    ("read_records.f", "f", osls_io.read_records, _JSON_RECORDS, "f"),
+    ("read_records.h", "h", osls_io.read_records, _JSON_RECORDS, "h"),
+    ("read_records.y", "y", osls_io.read_records, _JSON_RECORDS, "y"),
+    ("read_corrected.g", "g", osls_io.read_corrected, _JSON_CORRECTED, "g"),
+    ("read_corrected.y_hat", "y_hat", osls_io.read_corrected, _JSON_CORRECTED, "y_hat"),
+    ("read_corrected.y", "y", osls_io.read_corrected, _JSON_CORRECTED, "y"),
+]
+
+
+def _not_number_cases():
+    """Each site given a numeric string and True, where a number belongs."""
+    for site, name, call, bads in _SCALAR_SITES + _MORE_SCALAR_SITES:
+        if bads in (_REALS, _COUNTS):
+            for bad in ("0.5" if bads is _REALS else "3", True):
+                message = rf"\b{re.escape(name)} must .*; got {re.escape(repr(bad))}$"
+                yield pytest.param(call, bad, message, id=f"{site}-{bad!r}")
+    for site, name, call, good, row, *_ in _ARRAY_SITES + _MORE_ARRAY_SITES:
+        for bad in ("0.5", True):
+            yield pytest.param(call, _with_entry(good, row, bad),
+                               rf"\b{name} must .*; got .* at row {row}$", id=f"{site}-{bad!r}")
+    for site, name, read, rows, key in _JSONL_SITES:
+        for bad in ("1", True):
+            yield pytest.param(partial(_jsonl_read, read), _with_field(rows, 2, key, bad),
+                               rf"t\.jsonl: line 3: {name} must .*; got [^;]*$",
+                               id=f"{site}-{bad!r}")
+
+
+@pytest.mark.parametrize("call,bad,message", _not_number_cases())
+def test_numeric_string_and_bool_are_not_numbers(call, bad, message):
+    # A number is an int or a float, numpy's included: never a bool or a string,
+    # whether it comes from a file or a library call.
+    with pytest.raises(ValidationError) as err:
+        call(bad)
+    assert re.search(message, str(err.value)), str(err.value)

@@ -9,6 +9,7 @@ non-finite input must raise ``ValidationError`` naming the line.
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from functools import partial
@@ -26,7 +27,7 @@ from osls import io as osls_io
 from osls import pool as osls_pool
 from osls.core import RecordSet, ValidationError
 
-from conftest import child_env
+from conftest import child_env, feed_fifo, join_fifo
 
 # --- reference codec (the previous osls.io row loops, verbatim) -------------
 
@@ -240,8 +241,9 @@ def _writer_args(kind, with_y, n, k, pool, rng):
     y = rng.integers(-3, 10**6, n) if with_y else None
     if kind == "records":
         return (RawRecords(f=_fill(rng, pool, (n, k)), h=_fill(rng, pool, n), y=y, k=k),)
-    if kind == "corrected":
-        return (_fill(rng, pool, (n, k)), rng.integers(1, k + 2, n), y)
+    if kind == "corrected":  # rows a corrected file may hold: probability rows, labels in 1..k
+        g = _prediction_rows(rng, n, k, pool)[0]
+        return (g, rng.integers(1, k + 1, n), None if y is None else y % k + 1)
     return (_fill(rng, pool, (n, k)),)
 
 
@@ -840,23 +842,6 @@ class TestMalformedInput:
             osls_io.read_json(path)
 
 
-def _feed_fifo(fifo: Path, source: Path) -> subprocess.Popen:
-    """A process that copies ``source`` into the FIFO at ``fifo`` once a reader opens it.
-
-    The writer is another process, as for a pipe into /dev/stdin: a process
-    that held the FIFO's write end would pass it on to the workers it forks,
-    and the FIFO would never end.
-    """
-    return subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', str(source), str(fifo)])
-
-
-def _join_fifo(fifo: Path, writer: subprocess.Popen) -> None:
-    """Wait for ``writer``, first releasing it if no reader ever opened the FIFO."""
-    if writer.poll() is None:
-        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
-    writer.wait(10)
-
-
 class TestStreams:
     """Tables read from a FIFO, as from /dev/stdin, and tables whose header is in a late range."""
 
@@ -876,11 +861,11 @@ class TestStreams:
         for pooled in (True, False):
             fifo = tmp_path / f"fifo{pooled}{name}"
             os.mkfifo(fifo)
-            writer = _feed_fifo(fifo, path)
+            writer = feed_fifo(fifo, path)
             try:
                 got = _columns(read(fifo) if pooled else _in_process(monkeypatch, read, fifo))
             finally:
-                _join_fifo(fifo, writer)
+                join_fifo(fifo, writer)
             assert len(got) == len(expected)
             for new, ref in zip(got, expected):
                 _assert_same_bits(new, ref)
@@ -916,12 +901,12 @@ class TestStreams:
         for pooled in (True, False):
             fifo = tmp_path / f"fifo{pooled}.jsonl"
             os.mkfifo(fifo)
-            writer = _feed_fifo(fifo, path)
+            writer = feed_fifo(fifo, path)
             try:
                 with pytest.raises(ValidationError) as err:
                     read(fifo) if pooled else _in_process(monkeypatch, read, fifo)
             finally:
-                _join_fifo(fifo, writer)
+                join_fifo(fifo, writer)
             assert str(err.value) == (f"{fifo}: line {line}: "
                                       "h must lie in [-1e-09, 1.000000001]; got -0.2")
 
@@ -963,15 +948,37 @@ class TestStreams:
             osls_io.read_records(late)
 
 
+class TestWritersRefuseWhatReadersRefuse:
+    # Every corrected row a reader refuses that a writer can be given (all but a
+    # missing y_hat): the writer refuses it before it opens the file.
+    @pytest.mark.parametrize("ext", [".jsonl", ".csv"])
+    @pytest.mark.parametrize("case", sorted(set(BAD_CORRECTED) - {"missing y_hat"}))
+    def test_corrected(self, tmp_path, case, ext):
+        rows = [json.loads(GOOD_CORRECTED), json.loads(BAD_CORRECTED[case])]
+        g, y_hat = [row["g"] for row in rows], [row["y_hat"] for row in rows]
+        y = [row.get("y", 1) for row in rows]
+        fresh, kept = tmp_path / f"fresh{ext}", tmp_path / f"kept{ext}"
+        kept.write_bytes(b"kept\n")
+        for path in (fresh, kept):
+            with pytest.raises(ValidationError, match=f"^cannot write {re.escape(str(path))}: "):
+                osls_io.write_corrected(path, g, y_hat, y)
+        assert not fresh.exists()
+        assert kept.read_bytes() == b"kept\n"
+
+
+def _write_record_set(path, f, h):
+    """write_records of the columns as a RecordSet, which refuses what the writer would."""
+    osls_io.write_records(path, RecordSet(f, h))
+
+
 class TestWritersRefuseNonFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("ext", [".jsonl", ".csv"])
     def test_table_writers(self, tmp_path, bad, ext):
         values = np.full((5, 3), 0.25)
         values[3, 1] = bad
-        records = RawRecords(f=values[:, :2], h=values[:, 2], y=None, k=2)
         for write, args in (
-            (osls_io.write_records, (records,)),
+            (_write_record_set, (values[:, :2], values[:, 2])),
             (osls_io.write_corrected, (values, np.ones(5, dtype=np.int64))),
             (osls_io.write_features, (values,)),
         ):
@@ -988,9 +995,8 @@ class TestWritersRefuseNonFinite:
         values = np.full((n, 3), 0.25)
         values[bad_row, 2] = np.inf
         values[bad_row + 1, 0] = np.nan
-        records = RawRecords(f=values[:, :2], h=values[:, 2], y=None, k=2)
         for write, args, row in (
-            (osls_io.write_records, (records,), bad_row + 1),
+            (_write_record_set, (values[:, :2], values[:, 2]), bad_row + 1),
             (osls_io.write_corrected, (values, np.ones(n, dtype=np.int64)), bad_row),
             (osls_io.write_features, (values,), bad_row),
         ):

@@ -15,6 +15,7 @@ does the same for ``osls simulate``'s order of sampling and writing.
 """
 
 import gc
+import os
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,8 @@ from osls.core import RecordSet, SourceLabelModel, extend_distribution
 from osls.em import EmConfig
 from osls.pipeline import correct_records, estimate
 from osls.simulate import GaussianComponents, Scenario, ring_config
+
+from conftest import feed_fifo, join_fifo
 
 N, K = 20_000, 50
 MATRIX_BYTES = N * (K + 1) * 8
@@ -56,6 +59,9 @@ def data():
 
 
 READ_N, READ_K, READ_BLOCK_ROWS = 40_000, 10, 256
+# Ranges of a table read from a stream: large enough that the text of a few
+# ranges outweighs a quarter of the arrays read.
+STREAM_BLOCK_ROWS = 2048
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +135,27 @@ class TestTransientPeak:
         arrays = table.values() if isinstance(table, dict) else [table]
         nbytes = sum(col.nbytes for col in arrays)
         assert peak <= 1.25 * nbytes + 2 * READ_BLOCK_ROWS * nbytes / READ_N
+
+    def test_stream_reader(self, monkeypatch, tmp_path, tables):
+        # A stream is read in this process a range at a time, its columns grown
+        # by a quarter at a time. Beyond the same file read in this process, it
+        # holds at most the range being converted and the columns' growth step.
+        monkeypatch.setattr(osls_io, "BLOCK_ROWS", STREAM_BLOCK_ROWS)
+        monkeypatch.setattr(osls_pool, "_pool", lambda workers: None)
+        path, fifo = tables / "records.jsonl", tmp_path / "records.jsonl"
+        returned = []
+        file_peak = _transient_peak(lambda: returned.append(osls_io.read_records(path)))
+        os.mkfifo(fifo)
+        writer = feed_fifo(fifo, path)
+        try:
+            fifo_peak = _transient_peak(lambda: returned.append(osls_io.read_records(fifo)))
+        finally:
+            join_fifo(fifo, writer)
+        nbytes = sum(col.nbytes for col in (returned[0].f, returned[0].h, returned[0].y))
+        lines = path.read_bytes().splitlines(keepends=True)
+        range_bytes = max(sum(map(len, lines[i : i + STREAM_BLOCK_ROWS]))
+                          for i in range(0, len(lines), STREAM_BLOCK_ROWS))
+        assert fifo_peak - nbytes <= file_peak - nbytes + range_bytes + nbytes / 4
 
     @pytest.mark.parametrize("dim, temperature", [(2, 1.0), (2, 1.7), (9, 1.0)])
     def test_oracle_scores(self, dim, temperature):

@@ -47,7 +47,7 @@ class TestEstimateReport:
         report = estimate("osls-mle", source, target, mu0_hat=mu0_hat).to_dict()
         back = EstimateResult.from_dict({**report, "rho_t_star": None})
         assert back.rho_t_star is None and back.rho_t == report["rho_t_hat"]
-        with pytest.raises(ValidationError, match="report field 'K': must be int, got None"):
+        with pytest.raises(ValidationError, match="report field 'K': K must be a whole number; got None"):
             EstimateResult.from_dict({**report, "K": None})
 
     @pytest.mark.parametrize("field,value", [
