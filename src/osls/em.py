@@ -654,6 +654,7 @@ def nll_grid_argmin(
     """
     if target.k != 2:
         raise ValidationError("grid search is implemented for K = 2 only")
+    resolution = real_in("resolution", resolution, -math.inf)
     steps = 1.0 / resolution if 0.0 < resolution <= 1.0 else math.inf
     if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
         raise ValidationError(f"resolution must be 1/n for a whole number n >= 1, got {resolution}")

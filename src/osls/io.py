@@ -56,7 +56,7 @@ import math
 import os
 import stat
 from collections import deque, namedtuple
-from dataclasses import MISSING, astuple, fields, replace
+from dataclasses import MISSING, fields
 from functools import partial
 from itertools import count
 from operator import itemgetter
@@ -67,7 +67,6 @@ import numpy as np
 
 from .core import (ProbabilityVector, RecordSet, ValidationError, json_fields,
                    json_value, labels_in, numbers, reals_in, record_columns, simplex_rows)
-from .pipeline import ALL_METHODS
 from .pool import map_in_order, pushed_back
 from .simulate import ScenarioConfig, ShiftSpec, ring_config
 
@@ -517,7 +516,13 @@ def _feature_columns(names: int, cells: list) -> tuple:
 
 
 def _feature_converter(header: str):
-    return partial(_feature_columns, len(header.split(",")))
+    """The block converter of a feature table; its header, the table's schema, is x1,...,xd."""
+    names = [name.strip() for name in header.split(",")]
+    wrong = next((j for j, name in enumerate(names) if name != f"x{j + 1}"), None)
+    if wrong is not None:
+        raise ValidationError(f"CSV header names column {names[wrong]!r} where x{wrong + 1} "
+                              f"belongs; a feature header is x1,...,x{len(names)}")
+    return partial(_feature_columns, len(names))
 
 
 def read_features(path: PathLike) -> np.ndarray:
@@ -625,8 +630,7 @@ def _kv_rows(text: str) -> np.ndarray:
     return np.array([_kv_numbers(row) for row in text.split(";")])
 
 
-# The parser of each scenario config key's text: the ring layout's keys
-# radius, scale and ood_scale, or explicit class_means and class_scales.
+# The parser of each scenario config key's text; the keys are ``ring_config``'s parameters.
 _KV_PARSERS = {
     **dict.fromkeys(("k", "seed", "feature_dim", "n_source", "n_target", "n_ood_ref"), int),
     **dict.fromkeys(("rho_s", "r", "temperature", "radius", "scale", "ood_scale"), _finite_float),
@@ -637,12 +641,11 @@ _KV_PARSERS = {
 
 
 def scenario_from_kv(kv: dict) -> ScenarioConfig:
-    """Build a scenario config from key-value pairs; only ``k`` is required.
+    """Build a scenario config from key-value pairs with ``ring_config``; only ``k`` is required.
 
-    Omitted keys take ``ring_config``'s defaults. Explicit ``class_means``
-    (rows separated by semicolons) and ``class_scales`` replace the ring
-    layout's; ``class_means`` then sets the feature dimension. An unknown key
-    or a malformed value raises ValidationError naming the key.
+    Omitted keys take ``ring_config``'s defaults. ``class_means`` holds rows
+    separated by semicolons. An unknown key or a malformed value raises
+    ValidationError naming the key.
     """
     unknown = [key for key in kv if key not in _KV_PARSERS]
     if unknown:
@@ -651,52 +654,22 @@ def scenario_from_kv(kv: dict) -> ScenarioConfig:
               for key, parse in _KV_PARSERS.items() if key in kv}
     if "k" not in values:
         raise ValidationError("scenario config is missing key 'k'")
-    explicit = {key: values.pop(key) for key in ("class_means", "class_scales") if key in values}
-    if "class_means" in explicit:
-        values.pop("feature_dim", None)
-        explicit["feature_dim"] = explicit["class_means"].shape[1]
-    config = ring_config(**values)
-    return replace(config, **explicit) if explicit else config
+    return ring_config(**values)
 
 
-def _distinct(key: str, tokens: list, values: list) -> list:
-    """``values`` if there are some and no two are equal; else ValidationError naming ``key``."""
-    if not values:
-        raise ValidationError(f"config key {key!r} has no values")
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise ValidationError(f"config key {key!r}: {tokens[i]} is repeated")
-    return values
+def _items(text: str) -> list:
+    return [item.strip() for item in text.split(",") if item.strip()]
 
 
 def sweep_from_kv(kv: dict) -> dict:
-    """Split a sweep config into ``run_sweep``'s grid: axes and the parsed base scenario.
+    """``run_sweep``'s arguments from a sweep config: the grid axes and the base scenario.
 
-    ``shifts`` and ``methods`` are comma-separated; ``r_values`` and integer
-    ``seeds`` are separated by commas or spaces. Each axis holds distinct
-    values: shifts that parse to the same spec and r values of the same number
-    (``1.0, 1``) are repeats. An unknown key, a malformed value, a repeated
-    one, an axis without values, a method not in ``ALL_METHODS`` or an r value
-    no scenario takes raises ValidationError naming the key, before any grid
-    point runs.
-    """
+    ``shifts`` and ``methods`` are comma-separated; ``r_values`` and integer ``seeds`` are
+    separated by commas or spaces. ``run_sweep`` checks the grid; a malformed number or an
+    unknown key raises ValidationError naming the key here."""
     grid_keys = ("shifts", "r_values", "seeds", "methods")
-    shifts = [s.strip() for s in kv.get("shifts", "none").split(",") if s.strip()]
-    _distinct("shifts", shifts,
-              [astuple(_named("config key 'shifts'", ShiftSpec.parse, s)) for s in shifts])
-    r_text = kv.get("r_values", "1.0")
-    r_values = _distinct("r_values", _tokens(r_text),
-                         _named("config key 'r_values'", _kv_numbers, r_text).tolist())
-    seed_tokens = _tokens(kv.get("seeds", "0"))
-    seeds = _distinct("seeds", seed_tokens,
-                      [_named("config key 'seeds'", int, tok) for tok in seed_tokens])
-    methods = [m.strip().lower() for m in kv.get("methods", "osls-mle,mlls").split(",") if m.strip()]
-    _distinct("methods", methods, methods)
-    unknown = [method for method in methods if method not in ALL_METHODS]
-    if unknown:
-        raise ValidationError(f"config key 'methods': unknown method {unknown[0]!r}; "
-                              f"expected one of {ALL_METHODS}")
     base = scenario_from_kv({key: value for key, value in kv.items() if key not in grid_keys})
-    for r in r_values:
-        _named("config key 'r_values'", partial(replace, base, r=r))
-    return dict(shifts=shifts, r_values=r_values, seeds=seeds, methods=methods, base=base)
+    r_values = _named("config key 'r_values'", _kv_numbers, kv.get("r_values", "1.0"))
+    seeds = [_named("config key 'seeds'", int, tok) for tok in _tokens(kv.get("seeds", "0"))]
+    return dict(base=base, shifts=_items(kv.get("shifts", "none")), r_values=r_values.tolist(),
+                seeds=seeds, methods=_items(kv.get("methods", "osls-mle,mlls")))

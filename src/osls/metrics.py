@@ -10,6 +10,7 @@ import numpy as np
 from .core import (
     MIN_CLASS_PROB,
     ValidationError,
+    _require,
     _vector_in,
     numbers,
     real_in,
@@ -67,12 +68,21 @@ def ece(
     """Expected calibration error with equal-width confidence bins on [0, 1].
 
     ``correct[i]`` says whether the prediction made with ``confidences[i]``
-    was right. Bin boundaries are assigned to the lower bin (1.0 therefore
-    lands in the top bin); empty bins contribute nothing.
+    was right: all bools, numpy's included, or all numbers 0 or 1. Bin
+    boundaries are assigned to the lower bin (1.0 therefore lands in the top
+    bin); empty bins contribute nothing.
     """
     n_bins = whole_number("n_bins", n_bins, 1)
     probs = reals_in("confidences", confidences, 0, 1).ravel()
-    hits = np.asarray(correct, dtype=bool).ravel().astype(float)
+    rule = "be bools or the numbers 0 and 1"
+    try:
+        hits = np.asarray(correct)
+    except ValueError:  # rows of unequal lengths
+        hits = None
+    if hits is None or hits.dtype != bool:
+        hits = numbers("correct", correct, rule)
+        _require("correct", rule, hits, lambda block: (block == 0) | (block == 1))
+    hits = hits.ravel().astype(float)
     if probs.size != hits.size:
         raise ValidationError(f"length mismatch: {probs.size} confidences vs {hits.size} outcomes")
     if probs.size == 0:

@@ -10,9 +10,9 @@ methods row for row.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 from functools import partial
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Optional, Sequence, Tuple, get_args, get_type_hints
 
 import numpy as np
@@ -107,6 +107,14 @@ class EstimateResult:
         return result
 
 
+def _method(name) -> str:
+    """``name`` case-folded, which must be one of ALL_METHODS."""
+    method = str(name).lower()
+    if method not in ALL_METHODS:
+        raise ValidationError(f"unknown method {method!r}; expected one of {ALL_METHODS}")
+    return method
+
+
 def source_class_frequencies(source: RecordSet) -> ProbabilityVector:
     """Empirical ID class frequencies from source ground-truth labels."""
     if source.y is None:
@@ -138,9 +146,7 @@ def estimate(
     apply to every EM fit (osls, mlls and mapls); its priors apply to the osls
     fits only, and mapls takes ``mapls_alpha``.
     """
-    method = method.lower()
-    if method not in ALL_METHODS:
-        raise ValidationError(f"unknown method {method!r}; expected one of {ALL_METHODS}")
+    method = _method(method)
     if target.k != source.k:
         raise ValidationError("source and target record sets have different K")
     c_hat = source_class_frequencies(source)
@@ -253,10 +259,9 @@ class SweepCell:
         return report_dict(self)
 
 
-def _run_sweep_point(base: ScenarioConfig, methods: tuple, em_iters: int, point: tuple) -> dict:
-    """One (shift, r, seed) grid point: simulate once, estimate with all methods."""
-    shift, r, seed = point
-    config = replace(base, shift=ShiftSpec.parse(shift), r=r, seed=seed)
+def _run_sweep_point(methods: list, em_iters: int, point: tuple) -> dict:
+    """One grid point, (shift, config): simulate once, estimate with all methods."""
+    _, config = point
     source, target, ood_ref, truth = make_scenario(config)
     mu0_hat = float(np.mean(ood_ref.records.h))
     mle_config = EmConfig(max_iters=em_iters)
@@ -275,6 +280,22 @@ def _run_sweep_point(base: ScenarioConfig, methods: tuple, em_iters: int, point:
     return out
 
 
+def _axis(key: str, values: Sequence, build, same) -> list:
+    """``build(value)`` of each of ``values``, which must be some and no two alike by ``same``;
+    else ValidationError naming ``key``, the axis as ``run_sweep`` and a sweep config name it."""
+    built = []
+    for value in values:
+        try:
+            built.append(build(value))
+        except ValidationError as exc:
+            raise ValidationError(f"config key {key!r}: {exc}") from None
+        if same(built[-1]) in map(same, built[:-1]):
+            raise ValidationError(f"config key {key!r}: {value} is repeated")
+    if not built:
+        raise ValidationError(f"config key {key!r} has no values")
+    return built
+
+
 def run_sweep(
     base: ScenarioConfig,
     shifts: Sequence[str],
@@ -287,24 +308,35 @@ def run_sweep(
 ) -> Tuple[list, list]:
     """Run the simulate-estimate-evaluate grid; returns (cells, failures).
 
-    Each grid point is ``base`` with its shift (parsed by ``ShiftSpec.parse``),
-    r and seed replaced. The points run on ``osls.pool``'s workers, at most
-    ``workers`` of them and no more than there are usable cores or points, and
-    come back in grid order, so the result is the same for any worker count.
-    Cells aggregate mean and standard deviation across seeds per (method,
-    shift, r) and come back sorted by that key.
+    The grid is checked whole before any point runs: no axis is empty or repeats
+    a value (shifts compared as parsed, r values as numbers, methods case-folded),
+    each method is one of ALL_METHODS, and each point's config, ``base`` with its
+    shift, r and seed, is built here. A bad value raises ValidationError naming
+    its axis. The points run on ``osls.pool``'s workers, at most ``workers`` and no
+    more than there are usable cores or points, and come back in grid order, so
+    the result is the same for any worker count. Cells aggregate mean and standard
+    deviation across seeds per (method, shift as given, r), sorted by that key.
     """
     workers = whole_number("workers", workers, 1)
-    points = [(shift, r, seed) for shift in shifts for r in r_values for seed in seeds]
-    run = partial(_run_sweep_point, base, tuple(methods), em_iters)
+    methods = _axis("methods", methods, _method, str)
+    shifts = _axis("shifts", shifts, lambda text: (text, ShiftSpec.parse(text)),
+                   lambda shift: astuple(shift[1]))
+    by_r = _axis("r_values", r_values, lambda r: replace(base, r=r), attrgetter("r"))
+    points = []  # (shift as given, config)
+    for shift, spec in shifts:
+        for with_r in by_r:
+            configs = _axis("seeds", seeds, lambda seed: replace(with_r, shift=spec, seed=seed),
+                            attrgetter("seed"))
+            points += [(shift, config) for config in configs]
+    run = partial(_run_sweep_point, methods, em_iters)
     scores, failures = {}, []
-    for (shift, r, seed), out in map_in_order(run, points, min(workers, len(points))):
+    for (shift, config), out in map_in_order(run, points, min(workers, len(points))):
         for method, res in out.items():
             if "error" in res:
-                failures.append({"method": method, "shift": shift, "r": float(r),
-                                 "seed": int(seed), "error": res["error"]})
+                failures.append({"method": method, "shift": shift, "r": config.r,
+                                 "seed": config.seed, "error": res["error"]})
             else:
-                scores.setdefault((method, shift, float(r)), []).append(res)
+                scores.setdefault((method, shift, config.r), []).append(res)
     cells = []
     for (method, shift, r), found in sorted(scores.items(), key=itemgetter(0)):
         vals = [res["w_mse"] for res in found]

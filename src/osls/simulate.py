@@ -275,6 +275,8 @@ def ring_config(
     radius: float = 3.0,
     scale: float = 1.0,
     ood_scale: Optional[float] = None,
+    class_means: Optional[np.ndarray] = None,
+    class_scales: Optional[Sequence[float]] = None,
     c: Optional[Sequence[float]] = None,
     rho_s: float = 0.7,
     n_source: int = 10_000,
@@ -286,19 +288,32 @@ def ring_config(
     feature_dim: int = 2,
     temperature: float = 1.0,
 ) -> ScenarioConfig:
-    """Standard layout: ID means on a circle of given radius, OOD at the origin."""
+    """Standard layout: ID means on a circle of given radius, OOD at the origin.
+
+    Explicit ``class_means`` (K+1 rows, OOD last) replace the ring's and set the
+    feature dimension; explicit ``class_scales`` replace those ``scale`` and
+    ``ood_scale`` give. A parameter is checked only where it is used.
+    """
     k = whole_number("k", k, 1)
-    feature_dim = whole_number("feature_dim", feature_dim, 2)
-    angles = 2.0 * np.pi * np.arange(k) / k
-    means = np.zeros((k + 1, feature_dim))
-    means[:k, 0] = radius * np.cos(angles)
-    means[:k, 1] = radius * np.sin(angles)
-    scales = np.full(k + 1, scale)
-    scales[k] = scale if ood_scale is None else ood_scale
+    if class_means is None:
+        feature_dim = whole_number("feature_dim", feature_dim, 2)
+        radius = real_in("radius", radius, -math.inf)
+        angles = 2.0 * np.pi * np.arange(k) / k
+        class_means = np.zeros((k + 1, feature_dim))
+        class_means[:k, 0] = radius * np.cos(angles)
+        class_means[:k, 1] = radius * np.sin(angles)
+    else:
+        class_means = np.atleast_2d(reals_in("class_means", class_means, -math.inf))
+        feature_dim = class_means.shape[1]
+    if class_scales is None:
+        scale = real_in("scale", scale, 0, strict=True)
+        class_scales = np.full(k + 1, scale)
+        if ood_scale is not None:
+            class_scales[k] = real_in("ood_scale", ood_scale, 0, strict=True)
     return ScenarioConfig(
         k=k,
-        class_means=means,
-        class_scales=scales,
+        class_means=class_means,
+        class_scales=class_scales,
         c=np.full(k, 1.0 / k) if c is None else c,
         rho_s=rho_s,
         n_source=n_source,

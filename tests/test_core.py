@@ -37,7 +37,7 @@ from osls.baselines import (
     mlls,
     predicted_class_frequencies,
 )
-from osls.em import EmConfig, run_em
+from osls.em import EmConfig, nll_grid_argmin, run_em
 from osls.estimators import (
     BoundReport,
     ScoreMeans,
@@ -369,6 +369,9 @@ _SCALAR_SITES = [
     ("ring_config.seed", "seed", lambda x: ring_config(2, seed=x), _COUNTS),
     ("ring_config.r", "r", lambda x: ring_config(2, r=x), _REALS),
     ("ring_config.temperature", "temperature", lambda x: ring_config(2, temperature=x), _REALS),
+    ("ring_config.radius", "radius", lambda x: ring_config(2, radius=x), _REALS),
+    ("ring_config.scale", "scale", lambda x: ring_config(2, scale=x), _REALS),
+    ("ring_config.ood_scale", "ood_scale", lambda x: ring_config(2, ood_scale=x), _REALS),
     ("gen_pseudo_ood.gamma", "gamma", lambda x: gen_pseudo_ood(np.zeros((2, 2)), x, 0), _REALS),
     ("subsample_to_ratio.r", "r", lambda x: subsample_to_ratio(_LABELED, x, 0), _REALS),
     ("ece.n_bins", "n_bins", lambda x: ece([0.5], [True], x), _COUNTS),
@@ -376,6 +379,8 @@ _SCALAR_SITES = [
     ("rho_abs_error.rho_true", "rho_true", lambda x: rho_abs_error(0.5, x), _REALS),
     ("EmConfig.max_iters", "max_iters", lambda x: EmConfig(max_iters=x), _COUNTS),
     ("EmConfig.tol", "tol", lambda x: EmConfig(tol=x), _REALS),
+    ("nll_grid_argmin.resolution", "resolution",
+     lambda x: nll_grid_argmin(_SOURCE, _LABELED, x), _REALS),
     # TargetLabelModel names a non-finite rho_t first; run_em's rule is the open interval.
     ("run_em.init", "initial rho_t",
      lambda x: run_em(_SOURCE, _LABELED, init=TargetLabelModel([0.5, 0.5], x)), (0.0, 1.0)),
@@ -507,6 +512,7 @@ _ARRAY_SITES = [
     ("w_mse.c", "c", lambda v: w_mse([0.5, 0.5], [0.5, 0.5], v), [0.5, 0.5], 1, 1e-7,
      [0.25, 0.25, 0.5]),
     ("ece", "confidences", lambda v: ece(v, [True, False, True]), _H3, 1, 1.5, [0.5, 0.5]),
+    ("ece.correct", "correct", lambda v: ece(_H3, v), [1, 0, 1], 1, 0.5, None),
     ("score_mean", "scores", score_mean, _H3, 1, 1.5, []),
     ("threshold_rescale.raw_scores", "raw_scores", lambda v: threshold_rescale(v, [0.8], [0.2]),
      _H3, 1, None, None),

@@ -1,6 +1,7 @@
-"""Text parsing stays at the edge: importing the package does not load ``osls.io``, and
-importing the CLI, or reading a table of one range, does not load the process pool that
-only larger table files use."""
+"""Text parsing stays at the edge: importing the package does not load ``osls.io``,
+``osls.io`` does not load the pipeline that runs what it parses, and importing the
+CLI, or reading a table of one range, does not load the process pool that only larger
+table files use."""
 
 import subprocess
 import sys
@@ -10,6 +11,16 @@ from conftest import child_env
 
 def test_import_osls_does_not_load_io():
     code = "import sys, osls; assert 'osls.io' not in sys.modules, sorted(sys.modules)"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=child_env())
+
+
+def test_io_does_not_load_the_pipeline():
+    # The package's __init__ loads every module, so osls.io is imported under a bare
+    # package of the same path: only what osls.io itself imports is loaded.
+    code = ("import importlib.util, sys, types; spec = importlib.util.find_spec('osls'); "
+            "bare = types.ModuleType('osls'); bare.__path__ = spec.submodule_search_locations; "
+            "sys.modules['osls'] = bare; import osls.io; "
+            "assert 'osls.pipeline' not in sys.modules, sorted(sys.modules)")
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=child_env())
 
 

@@ -6,6 +6,7 @@ new readers the same arrays on every valid file, while malformed and
 non-finite input must raise ``ValidationError`` naming the line.
 """
 
+import inspect
 import io
 import json
 import os
@@ -26,6 +27,7 @@ from osls import core
 from osls import io as osls_io
 from osls import pool as osls_pool
 from osls.core import RecordSet, ValidationError
+from osls.simulate import ring_config
 
 from conftest import child_env, feed_fifo, join_fifo
 
@@ -764,6 +766,10 @@ class TestMalformedInput:
         (osls_io.read_records, " f1,f2,h , y,h", "0.5,0.5,0.5,1,0.5", "column 'h' twice"),
         (osls_io.read_corrected, "g1,g2,g3,y_hat,y,g9", "0.2,0.3,0.5,3,2,1",
          "column 'g9', which is not one of g1,...,g3,y_hat[,y]"),
+        (osls_io.read_features, "foo,foo", "1,2", "column 'foo' where x1 belongs"),
+        (osls_io.read_features, "x1,x1", "1,2", "column 'x1' where x2 belongs"),
+        (osls_io.read_features, "x2,x1", "1,2", "column 'x2' where x1 belongs"),
+        (osls_io.read_features, "x1,x2,y", "1,2,3", "column 'y' where x3 belongs"),
     ])
     def test_csv_header_names_file_and_column(self, tmp_path, read, header, row, named):
         path = tmp_path / "t.csv"
@@ -840,6 +846,33 @@ class TestMalformedInput:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValidationError, match="e.json"):
             osls_io.read_json(path)
+
+
+class TestScenarioConfigs:
+    @pytest.mark.parametrize("kv,means,scales", [
+        # Explicit means leave radius unused; radius = 0 alone puts the ring's means together.
+        ({"k": "2", "class_means": "3 0; -3 0; 0 0", "radius": "0"},
+         [[3.0, 0.0], [-3.0, 0.0], [0.0, 0.0]], [1.0, 1.0, 1.0]),
+        # Explicit scales leave scale unused; scale = 0 alone is no scale.
+        ({"k": "2", "scale": "0", "class_scales": "1 1 2"}, None, [1.0, 1.0, 2.0]),
+    ])
+    def test_explicit_layout(self, kv, means, scales):
+        config = osls_io.scenario_from_kv(kv)
+        ring = osls_io.scenario_from_kv({"k": "2"})
+        np.testing.assert_array_equal(config.class_means,
+                                      ring.class_means if means is None else means)
+        assert config.feature_dim == config.class_means.shape[1]
+        np.testing.assert_array_equal(config.class_scales, scales)
+
+    def test_config_keys_are_ring_config_parameters(self):
+        keys = set(inspect.signature(ring_config).parameters)
+        assert set(osls_io._KV_PARSERS) == keys
+
+    def test_sweep_config_leaves_the_grid_to_run_sweep(self):
+        grid = osls_io.sweep_from_kv({"k": "2", "shifts": "lt:10, lt:10", "seeds": "1 1",
+                                      "r_values": "1, 1.0", "methods": "mlls, MLLS, foo"})
+        assert (grid["shifts"], grid["r_values"], grid["seeds"], grid["methods"]) == (
+            ["lt:10", "lt:10"], [1.0, 1.0], [1, 1], ["mlls", "MLLS", "foo"])
 
 
 class TestStreams:

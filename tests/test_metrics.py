@@ -87,6 +87,19 @@ class TestEce:
         with pytest.raises(ValidationError, match="length mismatch"):
             ece([0.5, 0.5], [True])
 
+    @pytest.mark.parametrize("correct", [["False"], ["1"], [None], [2], [0.5], [[1], [1, 0]]])
+    def test_correct_must_be_bools_or_zero_and_one(self, correct):
+        with pytest.raises(ValidationError, match="^correct must be bools or the numbers 0 and 1"):
+            ece([0.9] * len(correct), correct)
+
+    def test_numbers_zero_and_one_read_as_bools(self):
+        confidences = [0.9, 0.2, 0.65, 0.4]
+        hits = [True, False, False, True]
+        value = ece(confidences, hits, n_bins=3)
+        assert ece(confidences, np.array(hits), n_bins=3) == value
+        assert ece(confidences, [1, 0, 0, 1], n_bins=3) == value
+        assert ece(confidences, [1.0, 0.0, 0.0, 1.0], n_bins=3) == value
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.booleans()), min_size=1, max_size=60))
     def test_range_and_permutation_invariance(self, pairs):

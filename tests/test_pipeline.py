@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -129,3 +130,48 @@ class TestClosedSetFitSettings:
         assert asked and max(asked) <= 2
         serial, _ = run_sweep(*grid)
         assert not failures and [c.to_dict() for c in cells] == [c.to_dict() for c in serial]
+
+
+class TestSweepGrid:
+    """``run_sweep`` checks its whole grid, the rules a sweep config is held to,
+    before any point runs."""
+
+    AXES = dict(shifts=["lt:10"], r_values=[1.0], seeds=[1], methods=["mlls"])
+
+    @pytest.mark.parametrize("axis,values,message", [
+        ("shifts", ["lt:10", "lt:10"], "'shifts': lt:10 is repeated"),
+        ("shifts", ["lt:10", "ordered_lt:10:forward"], "'shifts': ordered_lt:10:forward is rep"),
+        ("r_values", [1.0, 1], "'r_values': 1 is repeated"),
+        ("seeds", [1, 1], "'seeds': 1 is repeated"),
+        ("methods", ["mlls", "MLLS"], "'methods': MLLS is repeated"),
+        ("methods", ["mlls", "foo"], "'methods': unknown method 'foo'"),
+        ("shifts", ["lt:10", "lt:junk"], "'shifts': cannot parse shift spec 'lt:junk'"),
+        ("shifts", ["lt:10", "dirichlet:nan"], "'shifts': alpha must be a finite number > 0"),
+        ("r_values", [1.0, -1.0], "'r_values': r must be a finite number > 0; got -1.0"),
+        ("r_values", [1.0, "2"], "'r_values': r must be a finite number > 0; got '2'"),
+        ("seeds", [1, 1.5], "'seeds': seed must be a whole number; got 1.5"),
+        ("seeds", [1, True], "'seeds': seed must be a whole number; got True"),
+        ("shifts", [], "'shifts' has no values"),
+        ("r_values", [], "'r_values' has no values"),
+        ("seeds", [], "'seeds' has no values"),
+        ("methods", [], "'methods' has no values"),
+    ])
+    def test_bad_grid_raises_before_any_point_runs(self, monkeypatch, axis, values, message):
+        ran = []
+
+        def make_scenario(config):
+            ran.append(config)
+            raise AssertionError("a grid point ran")
+
+        monkeypatch.setattr("osls.pipeline.make_scenario", make_scenario)
+        with pytest.raises(ValidationError, match=f"^config key {re.escape(message)}"):
+            run_sweep(easy_config(2, n=200, n_ood=100), **dict(self.AXES, **{axis: values}))
+        assert not ran
+
+    def test_cells_keep_the_shift_as_given_and_fold_the_method(self):
+        cells, failures = run_sweep(easy_config(2, n=200, n_ood=100), ["lt:10", "none"],
+                                    [1, 0.5], [1, 2], ["MLLS"])
+        assert not failures
+        assert [(c.method, c.shift, c.r, c.seeds) for c in cells] == [
+            ("mlls", shift, r, 2) for shift in ("lt:10", "none") for r in (0.5, 1.0)]
+        assert all(type(c.r) is float for c in cells)

@@ -188,6 +188,33 @@ def _loop_first_coinciding_pair(means):
     return None
 
 
+class TestRingConfig:
+    # A string or a bool in place of radius, scale or ood_scale is named by
+    # tests/test_core.py's scalar table.
+    @pytest.mark.parametrize("name", ["scale", "ood_scale"])
+    def test_scales_must_be_positive(self, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be a finite number > 0; got 0$"):
+            ring_config(2, **{name: 0})
+
+    def test_explicit_means_replace_the_ring(self):
+        # radius = 0 puts every ring mean at the origin; explicit means leave it unused.
+        means = [[3.0, 0.0, 1.0], [-3.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
+        cfg = ring_config(2, radius=0, class_means=means, feature_dim=2, scale=0.5,
+                          ood_scale=2)
+        np.testing.assert_array_equal(cfg.class_means, means)
+        assert cfg.feature_dim == 3
+        np.testing.assert_array_equal(cfg.class_scales, [0.5, 0.5, 2.0])
+
+    def test_explicit_scales_replace_scale_and_ood_scale(self):
+        cfg = ring_config(2, scale=0, ood_scale="x", class_scales=[1, 1, 2])
+        np.testing.assert_array_equal(cfg.class_scales, [1.0, 1.0, 2.0])
+        np.testing.assert_array_equal(cfg.class_means, ring_config(2).class_means)
+
+    def test_int_scale_keeps_a_fractional_ood_scale(self):
+        np.testing.assert_array_equal(ring_config(2, scale=1, ood_scale=1.5).class_scales,
+                                      [1.0, 1.0, 1.5])
+
+
 class TestComponentCheck:
     def test_names_the_loops_first_pair(self):
         means = np.stack([np.arange(10.0), np.zeros(10)], axis=1)
@@ -223,7 +250,7 @@ class TestComponentCheck:
             GaussianComponents(means, np.ones(3))
         with pytest.raises(ValidationError, match="scales must be finite"):
             GaussianComponents(means[:2], np.array([1.0, bad]))
-        with pytest.raises(ValidationError, match="scales must be finite"):
+        with pytest.raises(ValidationError, match="ood_scale must be a finite number > 0"):
             ring_config(2, ood_scale=bad)
 
     def test_scenario_shares_the_configs_components(self):
