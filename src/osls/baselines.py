@@ -18,6 +18,7 @@ from .core import (
     SIMPLEX_TOL,
     IllConditioned,
     ProbabilityVector,
+    RecordSet,
     ValidationError,
     _vector_in,
     labels_in,
@@ -32,7 +33,9 @@ from .em import EmConfig, EmTrace, fit, flush_subnormals
 
 _COND_LIMIT = 1e8
 
-ProbsLike = Union[np.ndarray, Sequence[Sequence[float]]]
+# Posterior rows: a RecordSet, whose rows were checked and normalized when it was
+# built and are taken as they are, or an (N, K) array-like, which is checked here.
+ProbsLike = Union[RecordSet, np.ndarray, Sequence[Sequence[float]]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,10 +82,14 @@ def _prob_rows(target_f: ProbsLike) -> np.ndarray:
 
 
 def _closed_set_fit(target_f: ProbsLike, c, config: EmConfig) -> EmTrace:
-    rows = _prob_rows(target_f)
-    w = normalized_rows(rows, "the posteriors", out=np.empty(rows.shape, order="F"))
-    c = positive_prior(c, w.shape[1])
-    w /= c
+    if isinstance(target_f, RecordSet):
+        c = positive_prior(c, target_f.k)
+        w = np.divide(target_f.f, c, out=np.empty(target_f.f.shape, order="F"))
+    else:
+        rows = _prob_rows(target_f)
+        w = normalized_rows(rows, "the posteriors", out=np.empty(rows.shape, order="F"))
+        c = positive_prior(c, w.shape[1])
+        w /= c
     return fit(flush_subnormals(w), c, None, config)
 
 
@@ -95,9 +102,10 @@ def mlls(
 ) -> EmTrace:
     """Maximum-likelihood target label distribution from classifier posteriors.
 
-    EM stops once one map moves pi by less than ``tol``, with SQUAREM
-    acceleration, or after ``max_iters`` maps; ``tol=0.0`` runs exactly
-    ``max_iters`` plain EM updates. The estimate is the trace's ``pi_final``.
+    The fit stops once its certificate is at or below ``tol``, with SQUAREM
+    and Newton steps (see ``osls.em``), or after ``max_iters`` maps and steps;
+    ``tol=0.0`` runs exactly ``max_iters`` plain EM updates. The estimate is
+    the trace's ``pi_final``.
     """
     return _closed_set_fit(target_f, c, EmConfig(max_iters, tol))
 
@@ -148,16 +156,20 @@ def bbse(confusion: ConfusionMatrix, target_pred_freq) -> ProbabilityVector:
 def predicted_class_frequencies(f_rows: ProbsLike) -> ProbabilityVector:
     """Empirical frequencies of the argmax class over a set of posteriors, one per column."""
     labels = argmax_labels(f_rows)
-    counts = np.bincount(labels - 1, minlength=np.shape(f_rows)[1]).astype(float)
+    k = f_rows.k if isinstance(f_rows, RecordSet) else np.shape(f_rows)[1]
+    counts = np.bincount(labels - 1, minlength=k).astype(float)
     return ProbabilityVector(counts / counts.sum())
 
 
 def argmax_labels(f_rows: ProbsLike) -> np.ndarray:
     """1-based argmax labels, ties broken toward the smallest index.
 
-    Each block of rows is checked, clipped and normalized by ``normalized_rows``,
-    to the bits of the whole matrix's, so the same entries tie.
+    Each block of an array's rows is checked, clipped and normalized by
+    ``normalized_rows``, to the bits of the whole matrix's, so the same entries
+    tie; a RecordSet's rows went through it when the records were built.
     """
+    if isinstance(f_rows, RecordSet):
+        return np.argmax(f_rows.f, axis=1) + 1
     rows = _prob_rows(f_rows)
     labels = np.empty(rows.shape[0], dtype=np.int64)
     for i, j in row_blocks(*rows.shape, core.BLOCK_CELLS):

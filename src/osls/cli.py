@@ -268,11 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-out", type=float, nargs=2, default=(1.0, 1.0),
                    metavar=("A1", "A2"), help="Beta prior on the target ID ratio")
     p.add_argument("--iters", type=int, default=EmConfig.max_iters,
-                   help="most EM map evaluations per EM fit (default: %(default)s)")
+                   help="most EM maps plus Newton steps per EM fit (default: %(default)s)")
     p.add_argument("--tol", type=float, default=EmConfig.tol,
-                   help="stop once one EM map moves (pi, rho_t) by less than this in "
-                        "L-infinity, with SQUAREM acceleration; 0 runs exactly --iters "
-                        "plain EM updates (default: %(default)s)")
+                   help="stop once the fit's certificate, the Frank-Wolfe gap of its "
+                        "objective per target row, is at or below this, with SQUAREM and "
+                        "Newton steps; 0 runs exactly --iters plain EM updates "
+                        "(default: %(default)s)")
     p.add_argument("--no-rho-correction", action="store_true")
     _add_common_output(p)
     p.set_defaults(func=cmd_estimate)

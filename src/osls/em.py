@@ -23,11 +23,37 @@ the Dirichlet/Beta priors through ``alpha - 1``; all-ones priors make every
 prior term exactly zero, so maximum likelihood is MAP with unit priors.
 
 One EM map is the E-step followed by ``open_m_step`` or ``closed_m_step``.
-With a tolerance ``tol > 0`` the fit stops once a map moves (pi, rho) by less
-than ``tol``, and SQUAREM (Varadhan & Roland 2008, Scand. J. Statist.
-35:335-353) extrapolates along every two maps, falling back to the plain
-iterate whenever the extrapolation would leave the open simplex or raise the
-objective. ``tol = 0`` runs exactly ``max_iters`` plain EM updates.
+``tol = 0`` runs exactly ``max_iters`` plain EM updates. With ``tol > 0``:
+
+* **Certificate and stop.** The E-step's product ``u = W.T @ (1 / d)`` also
+  gives the fit's certificate (``certificate``): the Frank-Wolfe gap of its
+  objective per target row (Jaggi 2013, ICML), at no extra cost. For maximum
+  likelihood it is ``max_j u_j / n - 1``, which bounds the excess NLL per row
+  and is 0 exactly at the optimum; for the open-set fit with a prior it is a
+  stationarity residual. The fit stops once the certificate is at or below
+  ``tol``: ``converged`` means exactly that.
+* **SQUAREM.** Every two accepted maps are followed by a SQUAREM
+  extrapolation (Varadhan & Roland 2008, Scand. J. Statist. 35:335-353) and
+  a stabilising map, kept only if it does not raise the objective.
+* **Newton hand-over.** EM converges sublinearly where the optimum sits on
+  the simplex boundary. Once the certificate is at or below 3e-3, and
+  Newton steps would reach ``tol`` for less work than SQUAREM at its
+  observed rate (``_newton_pays``: a step forms the Hessian
+  ``W_S' diag(1 / d^2) W_S`` on the support S of x, which costs about
+  ``2 + |S|^2 / (4 (K + 1))`` maps), the fit takes damped Newton steps on S
+  under ``sum(x) = 1``, as in mixSQP (Kim, Carbonetto, Stephens & Anitescu
+  2020, JCGS 29:261-273). A small QP, solved by an active set, gives each
+  step: coordinates that reach 0 are set to exactly 0, all at once, and a
+  zero coordinate whose gradient breaks the KKT conditions comes back in.
+  The line search never raises the objective. The open-set prior on
+  ``pi = x_in / sum(x_in)`` is not convex in x, so that fit takes a step only
+  where the reduced Hessian's Cholesky factorization succeeds. A declined
+  or stalled step hands back to SQUAREM.
+* **Budget.** ``max_iters`` caps EM maps plus Newton steps.
+  ``map_evaluations`` counts maps (stabilising maps included) and
+  ``newton_steps`` Newton steps (declined ones included); ``iterations_run``
+  counts accepted iterates, each of which adds one objective to
+  ``nll_per_iter``.
 
 ``nll_grid_argmin`` is the brute-force check of the K=2 fit: the lowest NLL
 on a uniform (pi_1, rho_t) grid. It bisects each row's convex NLL in rho_t
@@ -45,6 +71,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import (
+    BLOCK_CELLS,
     DegenerateSample,
     ProbabilityVector,
     RecordSet,
@@ -54,6 +81,7 @@ from .core import (
     extend_distribution,
     real_in,
     reals_in,
+    row_blocks,
     whole_number,
 )
 
@@ -66,13 +94,13 @@ _GRID_CELLS_PER_BLOCK = 1 << 15
 
 @dataclass(frozen=True, eq=False)
 class EmConfig:
-    """EM settings: map budget, stopping tolerance and prior strengths.
+    """EM settings: step budget, stopping tolerance and prior strengths.
 
-    ``max_iters`` caps the number of EM map evaluations. ``tol`` is the
-    L-infinity move of (pi, rho_t) under one EM map below which the fit stops
-    as converged; any ``tol > 0`` also turns on SQUAREM extrapolation. ``tol =
-    0.0`` runs exactly ``max_iters`` plain EM updates. All-ones priors reduce
-    the MAP updates to plain maximum likelihood.
+    ``max_iters`` caps the EM maps plus Newton steps a fit takes. With ``tol >
+    0`` the fit stops as converged once its certificate is at or below
+    ``tol`` (see ``certificate``), and SQUAREM extrapolation and Newton steps
+    are on. ``tol = 0.0`` runs exactly ``max_iters`` plain EM updates. All-ones
+    priors reduce the MAP updates to plain maximum likelihood.
     """
 
     max_iters: int = 100
@@ -116,11 +144,14 @@ class EmTrace:
 
     ``rho_t_final`` is None for a closed-set fit. ``nll_per_iter[0]`` is the
     objective at the initial iterate and each later entry follows one accepted
-    iterate, so ``iterations_run == len(nll_per_iter) - 1``; for MAP runs the
-    objective is the negative log-posterior (prior normalizing constants
-    dropped). ``map_evaluations``
+    iterate, an EM map or a Newton step, so ``iterations_run ==
+    len(nll_per_iter) - 1``; for MAP runs the objective is the negative
+    log-posterior (prior normalizing constants dropped). ``map_evaluations``
     counts EM maps, including stabilising maps after rejected SQUAREM
-    extrapolations, and never exceeds ``EmConfig.max_iters``.
+    extrapolations, and ``newton_steps`` Newton steps, including declined
+    ones; together they never exceed ``EmConfig.max_iters``. ``certificate``
+    is ``certificate`` at the final iterate (inf when a sample has zero
+    likelihood there), and ``converged`` means it is at or below ``tol``.
     ``pi_update_frozen`` flags iterations where all responsibility mass fell
     on the OOD class and the pi update was skipped.
     """
@@ -132,6 +163,8 @@ class EmTrace:
     converged: bool
     pi_update_frozen: bool
     map_evaluations: int
+    newton_steps: int
+    certificate: float
 
 
 def mixing(pi: np.ndarray, rho) -> np.ndarray:
@@ -193,23 +226,64 @@ def closed_m_step(s: np.ndarray, n: float, am1: np.ndarray, am1_sum=None) -> np.
     return (s + am1) / (n + (float(np.sum(am1)) if am1_sum is None else am1_sum))
 
 
-def _em_map(w, n, am1, bm1, pi, rho, x, d, am1_sum, scratch):
-    """One EM map from (pi, rho), given x = mixing(pi, rho) and d = W @ x > 0.
+def _em_map(n, am1, bm1, pi, rho, x, u, am1_sum):
+    """One EM map from (pi, rho), given x = mixing(pi, rho) and ``u = W.T @ (1 / d)`` at x.
 
-    ``scratch`` is an N-vector the E-step may overwrite. Returns (pi, rho,
-    change, frozen): the updated pair, its L-infinity move and whether the pi
-    update was skipped because it was undefined.
+    Returns (pi, rho, frozen): the updated pair and whether the pi update was
+    skipped because it was undefined.
     """
-    s = e_step(w, x, d, scratch)
+    s = x * u  # the E-step's column sums, as ``e_step`` forms them
     if rho is None:
-        pi_new = closed_m_step(s, n, am1, am1_sum)
-        return pi_new, None, float(np.max(np.abs(pi_new - pi))), False
+        return closed_m_step(s, n, am1, am1_sum), None, False
     pi_new, rho_new = open_m_step(s, n, am1, bm1, am1_sum)
-    frozen = pi_new is None
-    if frozen:
-        pi_new = pi
-    change = max(float(np.max(np.abs(pi_new - pi))), abs(rho_new - rho))
-    return pi_new, rho_new, change, frozen
+    if pi_new is None:
+        return pi, rho_new, True
+    return pi_new, rho_new, False
+
+
+def _over(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a / b`` where ``a > 0`` and 0 elsewhere, so a zero prior weight never meets a zero."""
+    return np.divide(a, b, out=np.zeros(a.size), where=a > 0.0)
+
+
+def certificate(u: np.ndarray, n: float, am1: np.ndarray, bm1, pi: np.ndarray, rho) -> float:
+    """The certificate of a fit at (pi, rho), given ``u = W.T @ (1 / d)`` there.
+
+    It is the Frank-Wolfe gap of the fit's objective, ``max over feasible s of
+    (p - s) . grad``, divided by the number of target rows (by 1 for none). It is
+    never negative, and 0 exactly where no feasible direction lowers the
+    objective. Every fit but the open-set one with a prior is convex in its
+    mixing weights x, so its gap is taken over x on the simplex, where it bounds
+    the excess objective per row; for maximum likelihood it is
+    ``max_j u_j / n - 1`` (``x . u = n``). The open-set prior on
+    ``pi = x_in / sum(x_in)`` is not convex in x, so that fit's gap is taken
+    over (pi, rho) in the simplex times [0, 1], where it is a stationarity
+    residual.
+    """
+    scale = max(n, 1.0)
+    if rho is None:
+        q = -u - _over(am1, pi) if am1.any() else -u
+        return max(float(pi @ q - q.min()), 0.0) / scale
+    if not (am1.any() or bm1[0] or bm1[1]):
+        return max(float(u.max() - mixing(pi, rho) @ u), 0.0) / scale
+    k = pi.size
+    g_pi = -rho * u[:k] - _over(am1, pi)
+    g_rho = float(u[k] - pi @ u[:k])
+    if bm1[0] > 0.0:
+        g_rho -= bm1[0] / rho
+    if bm1[1] > 0.0:
+        g_rho += bm1[1] / (1.0 - rho)
+    gap = float(pi @ g_pi - g_pi.min()) + max(rho * g_rho, (rho - 1.0) * g_rho)
+    return max(gap, 0.0) / scale
+
+
+def _from_mixing(x: np.ndarray, open_set: bool):
+    """(pi, rho) of mixing weights x >= 0 with a positive sum; rho None closed-set."""
+    if not open_set:
+        return x / x.sum(), None
+    x_in = float(x[:-1].sum())
+    pi = x[:-1] / x_in if x_in > 0.0 else None
+    return pi, x_in / (x_in + float(x[-1]))
 
 
 def _extrapolate(x0, x1, x2, open_set: bool):
@@ -228,28 +302,270 @@ def _extrapolate(x0, x1, x2, open_set: bool):
     x = x0 - 2.0 * a * r + (a * a) * v
     if not np.all(x > 0.0):
         return None
-    if not open_set:
-        return x / x.sum(), None
-    x_in = float(x[:-1].sum())
-    return x[:-1] / x_in, x_in / (x_in + float(x[-1]))
+    return _from_mixing(x, open_set)
+
+
+# A Newton step's QP releases a held coordinate only where its multiplier is
+# below this share of the largest free gradient entry, so rounding cannot cycle.
+_QP_RELEASE_TOL = 64 * np.finfo(float).eps
+# Entries of W / d below this are left out of the Hessian, so no product of two
+# entries is subnormal: such a product takes a slow path on x86, and an entry
+# this small moves no Hessian entry that a step depends on.
+_HALF_TINY = math.sqrt(np.finfo(float).tiny)
+# Halvings of a Newton step before the line search declines it.
+_NEWTON_HALVINGS = 10
+# Two objectives closer than this share of ``|objective| + N``, about the rounding
+# of a sum of N logs, are compared as a sum of log1p terms (``_Newton.no_higher``).
+_ROUNDING = 64 * np.finfo(float).eps
+# The certificate at or below which the hand-over rule first weighs Newton steps.
+_NEWTON_START = 1e-2
+# SQUAREM's rate is read over at least this many of the fit's last steps.
+_RATE_WINDOW = 6
+
+
+def _reduced_solve(h: np.ndarray, grad: np.ndarray, free: np.ndarray, convex: bool):
+    """The step on ``free`` minimizing ``grad . p + p' h p / 2`` under ``sum(p) = 0``.
+
+    The constraint eliminates ``free[-1]``. None when the reduced Hessian is
+    singular or, for an objective that is not ``convex``, not positive
+    definite, as its Cholesky factorization then fails.
+    """
+    step = np.zeros(grad.size)
+    last, rest = free[-1], free[:-1]
+    if rest.size == 0:
+        return step
+    col = h[rest, last]
+    reduced = h[np.ix_(rest, rest)] - col[:, None] - col[None, :] + h[last, last]
+    try:
+        if not convex:
+            np.linalg.cholesky(reduced)
+        p = np.linalg.solve(reduced, grad[last] - grad[rest])
+    except np.linalg.LinAlgError:
+        return None
+    step[rest] = p
+    step[last] = -p.sum()
+    return step
+
+
+def _simplex_qp(h: np.ndarray, g: np.ndarray, x0: np.ndarray, convex: bool):
+    """Minimize ``g . (y - x0) + (y - x0)' h (y - x0) / 2`` over ``y >= 0``, ``sum(y) = 1``.
+
+    A primal active set from the feasible ``x0 / sum(x0)``: a step that would
+    take coordinates below 0 stops where the first reaches 0, and every
+    coordinate at 0 there is set to exactly 0 and held, all at once. At the
+    minimum over the free coordinates, the held one whose multiplier breaks
+    the KKT conditions most is released. Each step lowers the model. None when
+    ``_reduced_solve`` declines.
+    """
+    y = x0 / x0.sum()
+    free = y > 0.0
+    for _ in range(4 * y.size + 8):
+        idx = np.flatnonzero(free)
+        idx = idx[np.argsort(y[idx], kind="stable")]  # eliminate the largest coordinate
+        step = _reduced_solve(h, g + h @ (y - x0), idx, convex)
+        if step is None:
+            return None
+        falling = step < 0.0
+        ratio = np.full(y.size, math.inf)
+        ratio[falling] = y[falling] / -step[falling]
+        t = min(1.0, float(ratio.min()))
+        y += t * step
+        if t < 1.0:
+            hit = falling & (ratio <= t)
+            y[hit] = 0.0
+            free &= ~hit
+            continue
+        held = np.flatnonzero(~free)
+        if held.size == 0:
+            break
+        grad = g + h @ (y - x0)
+        mult = grad[held] - grad[idx[-1]]
+        worst = int(np.argmin(mult))
+        if not mult[worst] < -_QP_RELEASE_TOL * float(np.abs(grad[idx]).max()):
+            break
+        free[held[worst]] = True
+    return np.maximum(y, 0.0, out=y)
+
+
+class _Newton:
+    """Damped Newton steps for one fit's objective in its mixing weights x.
+
+    The objective is ``-sum(log(W x))`` plus a prior term P: ``-sum(am1 log x)``
+    closed-set, and open-set ``-sum(am1 log x_in) + (sum(am1) - bm1[0])
+    log(1 - x_K) - bm1[1] log x_K``, which on the simplex is the negative log
+    prior of ``pi = x_in / (1 - x_K)`` and ``rho = 1 - x_K``.
+    """
+
+    def __init__(self, w: np.ndarray, am1: np.ndarray, bm1, open_set: bool, scratch: np.ndarray):
+        self.w, self.am1, self.bm1, self.open_set, self.scratch = w, am1, bm1, open_set, scratch
+        self.weights = np.zeros(w.shape[1])  # P's weight on each -log x_j
+        self.weights[: am1.size] = am1
+        self.tail = 0.0  # P's weight on log(1 - x_K)
+        if open_set:
+            self.weights[-1] = bm1[1]
+            self.tail = float(np.sum(am1)) - bm1[0]
+        self.prior = bool(self.tail or self.weights.any())
+        # Only the open-set prior on pi = x_in / sum(x_in) can make the objective nonconvex.
+        self.convex = not (open_set and self.prior)
+
+    def _prior(self, x):
+        """Gradient and Hessian diagonal of P at x, or None where P is infinite."""
+        if not self.prior:
+            return np.zeros(x.size), np.zeros(x.size)
+        if np.any((self.weights > 0.0) & (x <= 0.0)):
+            return None
+        grad, curv = -_over(self.weights, x), _over(self.weights, x * x)
+        if self.tail:
+            rest = 1.0 - x[-1]
+            if not rest > 0.0:
+                return None
+            grad[-1] -= self.tail / rest
+            curv[-1] -= self.tail / (rest * rest)
+        return grad, curv
+
+    def step(self, old, d: np.ndarray, inv_d: np.ndarray, u: np.ndarray, obj: float):
+        """The next (pi, rho, x, d, objective, clear) from x, or None if the step is declined.
+
+        ``old`` is (pi, rho, x), ``d = W x > 0``, ``inv_d = 1 / d``, which may
+        be the fit's scratch vector, ``u = W.T @ inv_d`` and ``obj`` is the
+        objective at x. The QP over the support of x, plus each zero coordinate whose
+        gradient breaks the KKT conditions, gives the full step; halving it
+        until the objective does not rise (``no_higher``) is the line search.
+        The last item returned says whether the objective fell by more than
+        its rounding.
+        """
+        x = old[2]
+        prior = self._prior(x)
+        if prior is None:
+            return None
+        grad, curv = prior
+        grad -= u
+        support = np.flatnonzero((x > 0.0) | (grad < float(x @ grad)))
+        h = self._hessian(inv_d, support)
+        h[np.diag_indices_from(h)] += curv[support]
+        y = _simplex_qp(h, grad[support], x[support], self.convex)
+        if y is None:
+            return None
+        full = np.zeros(x.size)
+        full[support] = y  # exact zeros where the QP set them
+        # Each point is taken as its own sum divides it, so the direction is
+        # too: near the optimum a sum's last bit outweighs the step.
+        step = full / full.sum() - x / x.sum()
+        if not float((grad - float(x @ grad)) @ step) < 0.0:  # the slope along the simplex
+            return None
+        t = 1.0
+        for _ in range(_NEWTON_HALVINGS):
+            pi, rho = _from_mixing(full if t == 1.0 else np.maximum(x + t * step, 0.0),
+                                   self.open_set)
+            if pi is None:
+                return None
+            x_new = mixing(pi, rho)
+            d_new = self.w @ x_new
+            if d_new.min(initial=math.inf) > 0.0:
+                obj_new = objective(d_new, pi, rho, self.am1, self.bm1, self.scratch)
+                clear = obj_new < obj - _ROUNDING * (abs(obj) + d.size)
+                if clear or self.no_higher(old, (pi, rho, x_new), d, obj, obj_new):
+                    return pi, rho, x_new, d_new, obj_new, clear
+            t *= 0.5
+        return None
+
+    def no_higher(self, old, new, d, obj: float, obj_new: float) -> bool:
+        """Whether the objective at ``new`` is no higher than ``obj`` at ``old``.
+
+        ``old`` and ``new`` are (pi, rho, x) and ``d = W x`` at ``old``. Where
+        the two objectives lie within ``_ROUNDING`` of each other, their
+        computed difference is rounding, so the change is summed as log1p terms.
+        """
+        band = _ROUNDING * (abs(obj) + d.size)
+        if obj_new < obj - band or obj_new > obj + band:
+            return obj_new < obj
+        return self._change(old, new, d) <= 0.0
+
+    def _change(self, old, new, d) -> float:
+        """The objective's change from ``old`` to ``new``, each (pi, rho, x), as log1p terms.
+
+        Each x sums to 1 only up to rounding, and scaling x by ``s`` moves the
+        NLL by ``-N log(s)``, so that term is taken out: near the optimum it is
+        larger than the change itself.
+        """
+        (pi, rho, x), (pi_new, rho_new, x_new) = old, new
+        step = x_new - x
+        ratio = np.divide(self.w @ step, d, out=self.scratch)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            change = -float(np.sum(np.log1p(ratio, out=ratio)))
+            change += self.w.shape[0] * math.log1p(float(step.sum()) / float(x.sum()))
+            rel = np.divide(pi_new - pi, pi, out=np.zeros(pi.size), where=self.am1 > 0.0)
+            change -= float(self.am1 @ np.log1p(rel))
+            if rho is not None:
+                ends = np.array([rho, 1.0 - rho])
+                rel = np.divide([rho_new - rho, rho - rho_new], ends, out=np.zeros(2),
+                                where=np.array(self.bm1) > 0.0)
+                change -= float(np.array(self.bm1) @ np.log1p(rel))
+        return change
+
+    def _hessian(self, inv_d: np.ndarray, support: np.ndarray) -> np.ndarray:
+        """``W_S' diag(1 / d^2) W_S`` on the columns ``support``, summed over blocks of rows."""
+        w = self.w
+        whole = support.size == w.shape[1]
+        h = np.zeros((support.size, support.size))
+        for i, j in row_blocks(w.shape[0], support.size, BLOCK_CELLS):
+            block = np.multiply(w[i:j] if whole else w[i:j, support], inv_d[i:j, None])
+            if block.min() < _HALF_TINY:
+                np.multiply(block, block >= _HALF_TINY, out=block)
+            h += block.T @ block
+        return h
+
+
+def _step_cost(x: np.ndarray) -> float:
+    """One Newton step's cost in EM maps on the support of x.
+
+    A step forms H, about ``N m^2 / 2`` multiply-adds on a support of m
+    columns, where one map's two matrix-vector products are ``2 N K1`` on all
+    K1 columns; with the objective, the QP and the E-step at the new point it
+    costs about ``2 + m^2 / (4 K1)`` maps (measured: 4 to 6 at K1 = 11 and 19
+    to 24 at K1 = 101, N 5e3 to 1e5).
+    """
+    support = int(np.count_nonzero(x > 0.0))
+    return 2.0 + support * support / (4.0 * x.size)
+
+
+def _newton_pays(cert: float, tol: float, rate: float, x: np.ndarray) -> bool:
+    """Whether Newton steps from x reach ``tol`` for less work than more EM maps.
+
+    Newton steps square the certificate, so about ``2 + log2(log(tol) /
+    log(cert))`` of them reach tol, each costing ``_step_cost(x)`` maps;
+    SQUAREM, at its observed ``rate`` per map, needs ``log(tol / cert) /
+    log(rate)`` maps. Newton steps are weighed only once the certificate is at
+    or below ``_NEWTON_START``, where the support of x has settled.
+    """
+    if not (cert <= _NEWTON_START and tol < cert):
+        return False
+    steps = 2.0 + math.log2(max(math.log(tol) / math.log(cert), 1.0))
+    return rate >= 1.0 or math.log(tol / cert) / math.log(rate) > steps * _step_cost(x)
 
 
 def fit(w: np.ndarray, pi0, rho0, config: EmConfig) -> EmTrace:
     """EM for (pi, rho) on W = fe / ce, or for pi alone on W = f / c when rho0 is None.
 
     ``config`` gives the K Dirichlet parameters on pi, the Beta pair on
-    (rho, 1 - rho), which a closed-set fit ignores, and the stopping rule: at
-    most ``config.max_iters`` EM maps are evaluated.
+    (rho, 1 - rho), which a closed-set fit ignores, and the budget: at most
+    ``config.max_iters`` EM maps and Newton steps in all.
 
-    With ``tol = 0`` every map is a plain EM update and all ``max_iters`` run.
-    With ``tol > 0`` the fit stops once one map moves (pi, rho) by less than
-    ``tol`` in L-infinity, and every two accepted maps are followed by a
-    SQUAREM extrapolation (Varadhan & Roland 2008) on the mixing weights x and
+    With ``tol = 0`` every step is a plain EM update and all ``max_iters`` run.
+    With ``tol > 0`` the fit stops once its certificate, read from each
+    E-step's matrix-vector product, is at or below ``tol``. Every two accepted
+    maps are followed by a SQUAREM extrapolation on the mixing weights x and
     one stabilising map from the extrapolated point. The stabilised point is
     kept only if the extrapolation stayed in the open simplex with every
     ``d > 0``, its map did not freeze pi, and its objective is no higher than
-    the last accepted one; otherwise the fit goes on from the plain iterate,
-    so the objective never rises at an extrapolation.
+    the last accepted one; otherwise the fit goes on from the plain iterate.
+
+    Once ``_newton_pays`` finds Newton steps cheaper than the maps SQUAREM
+    still needs, the fit hands over to damped Newton steps on the support of
+    x (``_Newton``). A step the Cholesky test or the line search declines, or
+    one that lowers neither the certificate nor the objective by more than
+    its rounding, hands back to SQUAREM until as many maps as a step costs
+    have run. The objective never rises at an accepted step.
 
     Raises DegenerateSample, naming the first sample, when an iterate gives a
     sample zero likelihood.
@@ -258,6 +574,7 @@ def fit(w: np.ndarray, pi0, rho0, config: EmConfig) -> EmTrace:
     n = float(w.shape[0])
     pi = np.array(pi0, dtype=np.float64)
     rho = None if rho0 is None else float(rho0)
+    open_set = rho is not None
     am1 = config.resolved_alpha_in(pi.size) - 1.0
     am1_sum = float(np.sum(am1))
     bm1 = (config.alpha_out[0] - 1.0, config.alpha_out[1] - 1.0)
@@ -266,30 +583,61 @@ def fit(w: np.ndarray, pi0, rho0, config: EmConfig) -> EmTrace:
     x = mixing(pi, rho)
     d = w @ x
     obj = [objective(d, pi, rho, am1, bm1, scratch)]
-    maps = 0
+    maps = steps = 0
     cycle = [x]  # mixing vectors since the last extrapolation or restart
     converged = False
+    cert = math.inf
+    newton = _Newton(w, am1, bm1, open_set, scratch) if tol > 0.0 else None
+    newton_on = False
+    newton_cert = math.inf  # the certificate where the last Newton step started
+    newton_clear = True  # whether that step lowered the objective by more than its rounding
+    newton_after = 0  # maps and steps spent before the hand-over rule is weighed again
+    history = []  # (maps and steps spent, lowest certificate yet) at each iterate SQUAREM accepted
 
-    while maps < max_iters:
+    while True:
+        spent = maps + steps
         if not d.min(initial=math.inf) > 0.0:
-            bad = d <= 0.0
-            if bad.any():
-                raise DegenerateSample(int(np.argmax(bad)))
-        pi, rho, change, froze = _em_map(w, n, am1, bm1, pi, rho, x, d, am1_sum, scratch)
+            if spent >= max_iters:
+                cert = math.inf
+                break
+            raise DegenerateSample(int(np.argmax(d <= 0.0)))
+        u = w.T @ np.divide(1.0, d, out=scratch)  # the E-step's product at x
+        cert = certificate(u, n, am1, bm1, pi, rho)
+        if tol > 0.0 and cert <= tol:
+            converged = True
+            break
+        if spent >= max_iters:
+            break
+        if newton_on and not (newton_clear or cert < newton_cert):
+            newton_on, newton_after = False, spent + _step_cost(x)
+        if tol > 0.0 and not newton_on:
+            history.append((spent, min(cert, history[-1][1]) if history else cert))
+            if spent >= newton_after:
+                newton_on = _newton_pays(cert, tol, _rate(history), x)
+        if newton_on:
+            steps += 1
+            newton_cert = cert
+            y = newton.step((pi, rho, x), d, scratch, u, obj[-1])
+            if y is not None:
+                pi, rho, x, d, obj_y, newton_clear = y
+                obj.append(obj_y)
+                cycle = [x]
+                continue
+            newton_on, newton_after = False, spent + 1 + _step_cost(x)
+            if maps + steps >= max_iters:
+                continue
+        pi, rho, froze = _em_map(n, am1, bm1, pi, rho, x, u, am1_sum)
         maps += 1
         frozen |= froze
         x = mixing(pi, rho)
         d = w @ x
         obj.append(objective(d, pi, rho, am1, bm1, scratch))
-        if tol > 0.0 and change < tol:
-            converged = True
-            break
         if tol == 0.0:
             continue
         cycle = [x] if froze else cycle + [x]
-        if len(cycle) < 3 or maps == max_iters:
+        if len(cycle) < 3 or maps + steps == max_iters:
             continue
-        trial = _extrapolate(*cycle, rho is not None)
+        trial = _extrapolate(*cycle, open_set)
         cycle = [x]
         if trial is None:
             continue
@@ -297,22 +645,19 @@ def fit(w: np.ndarray, pi0, rho0, config: EmConfig) -> EmTrace:
         d_ex = w @ x_ex
         if d_ex.min(initial=math.inf) <= 0.0:
             continue
-        pi_y, rho_y, change, froze = _em_map(w, n, am1, bm1, *trial, x_ex, d_ex, am1_sum,
-                                             scratch)
+        u_ex = w.T @ np.divide(1.0, d_ex, out=scratch)
+        pi_y, rho_y, froze = _em_map(n, am1, bm1, *trial, x_ex, u_ex, am1_sum)
         maps += 1
         if froze:
             continue
         x_y = mixing(pi_y, rho_y)
         d_y = w @ x_y
         obj_y = objective(d_y, pi_y, rho_y, am1, bm1, scratch)
-        if not obj_y <= obj[-1]:
+        if not newton.no_higher((pi, rho, x), (pi_y, rho_y, x_y), d, obj[-1], obj_y):
             continue
         pi, rho, x, d = pi_y, rho_y, x_y, d_y
         obj.append(obj_y)
         cycle = [x]
-        if change < tol:
-            converged = True
-            break
     trace = np.array(obj)
     trace.flags.writeable = False
     return EmTrace(
@@ -323,7 +668,24 @@ def fit(w: np.ndarray, pi0, rho0, config: EmConfig) -> EmTrace:
         converged=converged,
         pi_update_frozen=frozen,
         map_evaluations=maps,
+        newton_steps=steps,
+        certificate=cert,
     )
+
+
+def _rate(history: list) -> float:
+    """The lowest certificate's observed factor per step over at least ``_RATE_WINDOW`` steps.
+
+    SQUAREM's certificate rises and falls within a cycle; its running minimum
+    does not rise, so its rate is read from that.
+    """
+    spent, cert = history[-1]
+    for before, old in reversed(history[:-1]):
+        if spent - before >= _RATE_WINDOW:
+            if not (old > 0.0 and cert > 0.0):
+                return 1.0
+            return (cert / old) ** (1.0 / (spent - before))
+    return 1.0
 
 
 def flush_subnormals(w: np.ndarray) -> np.ndarray:

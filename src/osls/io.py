@@ -287,8 +287,12 @@ def _convert_range(file: _File, csv: bool, convert, item: _Range):
             if (info.st_dev, info.st_ino) != file.identity:
                 return None
             raw = _range_bytes(handle.fileno(), item)
-    lines = _decoded(file.name, raw, item.start, item.first).split("\n")
+    text = _decoded(file.name, raw, item.start, item.first)
     del raw
+    if csv and "_" in text:  # float() reads digit-group underscores, which no cell may hold
+        number = item.first + text.count("\n", 0, text.index("_"))
+        raise ValidationError(f"{file.name}: line {number}: cell: '_' is not part of a number")
+    lines = text.split("\n")
     rows = [line for line in lines if line.strip()]
     if not rows:
         return ()
@@ -530,8 +534,20 @@ def read_features(path: PathLike) -> np.ndarray:
     return _read_table(Path(path), "feature", True, _feature_converter)[0]
 
 
+def _number_text(text: str) -> str:
+    """``text``, which must hold no ``_``: ``int()`` and ``float()`` read digit-group
+    underscores, which no JSON number may hold."""
+    if "_" in text:
+        raise ValueError(f"{text!r} is not a number: '_' is not part of one")
+    return text
+
+
+def _whole_text(text: str) -> int:
+    return int(_number_text(text))
+
+
 def _finite_float(text: str) -> float:
-    value = float(text)
+    value = float(_number_text(text))
     if not math.isfinite(value):
         raise ValidationError(f"{text} is not a finite number")
     return value
@@ -632,7 +648,8 @@ def _kv_rows(text: str) -> np.ndarray:
 
 # The parser of each scenario config key's text; the keys are ``ring_config``'s parameters.
 _KV_PARSERS = {
-    **dict.fromkeys(("k", "seed", "feature_dim", "n_source", "n_target", "n_ood_ref"), int),
+    **dict.fromkeys(("k", "seed", "feature_dim", "n_source", "n_target", "n_ood_ref"),
+                    _whole_text),
     **dict.fromkeys(("rho_s", "r", "temperature", "radius", "scale", "ood_scale"), _finite_float),
     **dict.fromkeys(("c", "class_scales"), _kv_numbers),
     "class_means": _kv_rows,
@@ -670,6 +687,7 @@ def sweep_from_kv(kv: dict) -> dict:
     grid_keys = ("shifts", "r_values", "seeds", "methods")
     base = scenario_from_kv({key: value for key, value in kv.items() if key not in grid_keys})
     r_values = _named("config key 'r_values'", _kv_numbers, kv.get("r_values", "1.0"))
-    seeds = [_named("config key 'seeds'", int, tok) for tok in _tokens(kv.get("seeds", "0"))]
+    seeds = [_named("config key 'seeds'", _whole_text, tok)
+             for tok in _tokens(kv.get("seeds", "0"))]
     return dict(base=base, shifts=_items(kv.get("shifts", "none")), r_values=r_values.tolist(),
                 seeds=seeds, methods=_items(kv.get("methods", "osls-mle,mlls")))

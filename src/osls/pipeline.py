@@ -56,7 +56,9 @@ class EstimateResult:
 
     Ratio fields are None for closed-set methods, which do not model the OOD
     class. ``method`` records the effective estimator: an OSLS run whose
-    priors are all ones is reported as "osls-mle".
+    priors are all ones is reported as "osls-mle". ``certificate`` is the EM
+    fit's certificate (``osls.em.certificate``), at or below the tolerance
+    exactly when ``converged``; reports written before it was added lack it.
     """
 
     method: str
@@ -72,6 +74,7 @@ class EstimateResult:
     nll_final: Optional[float] = None
     iterations: Optional[int] = None
     converged: Optional[bool] = None
+    certificate: Optional[float] = None
 
     @property
     def rho_t(self) -> Optional[float]:
@@ -97,6 +100,7 @@ class EstimateResult:
         for key in _UNIT_FIELDS & values.keys():
             real_in(f"estimate report field {key!r}", values[key], 0, 1)
         whole_number("estimate report field 'iterations'", values.get("iterations", 0), 0)
+        real_in("estimate report field 'certificate'", values.get("certificate", 0.0), 0)
         if values["method"] not in ALL_METHODS:
             raise ValidationError(f"estimate report field 'method' is {values['method']!r}; "
                                   f"expected one of {ALL_METHODS}")
@@ -186,18 +190,19 @@ def estimate(
             nll_final=float(trace.nll_per_iter[-1]),
             iterations=trace.iterations_run,
             converged=trace.converged,
+            certificate=trace.certificate,
         )
 
     if method == "mlls":
-        pi_hat = bl.mlls(target.f, c_hat, em_config.max_iters, tol=em_config.tol).pi_final
+        pi_hat = bl.mlls(target, c_hat, em_config.max_iters, tol=em_config.tol).pi_final
     elif method == "mapls":
         alpha = np.full(k, real_in("mapls_alpha", mapls_alpha, 1))
-        pi_hat = bl.mapls(target.f, c_hat, alpha, em_config.max_iters,
+        pi_hat = bl.mapls(target, c_hat, alpha, em_config.max_iters,
                           tol=em_config.tol).pi_final
     elif method == "bbse":
-        pred = bl.argmax_labels(source.f)
+        pred = bl.argmax_labels(source)
         confusion = bl.ConfusionMatrix.from_labels(pred, source.y, k)
-        q = bl.predicted_class_frequencies(target.f)
+        q = bl.predicted_class_frequencies(target)
         pi_hat = bl.bbse(confusion, q)
     else:  # uniform baseline: no estimation, assume uniform labels and r = 1
         pi_hat = ProbabilityVector(np.full(k, 1.0 / k))

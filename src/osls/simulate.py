@@ -115,9 +115,12 @@ class ShiftSpec:
         parts = [p.strip() for p in str(text).split(":")]
         kind = parts[0].lower()
         fields = {"none": 0, "dirichlet": 1, "lt": 2, "ordered_lt": 2}.get(kind, -1)
+        text_number = parts[1] if len(parts) > 1 else "1"
         try:
-            number = float(parts[1]) if len(parts) > 1 else 1.0
+            number = float(text_number)
         except ValueError:
+            fields = -1
+        if "_" in text_number:  # float() reads digit-group underscores; no spec number holds one
             fields = -1
         if len(parts) > fields + 1:
             raise ValidationError(f"cannot parse shift spec {text!r}")

@@ -28,7 +28,7 @@ from osls.em import (
     run_em,
 )
 from osls.estimators import threshold_rescale
-from osls.pipeline import source_class_frequencies
+from osls.pipeline import run_sweep, source_class_frequencies
 from osls.simulate import ShiftSpec, make_scenario, ring_config
 
 from conftest import easy_config, mle_em_path, overlap_config, plain_em
@@ -337,17 +337,31 @@ class TestSquarem:
                 plain_updates += plain_em(*args, self.DEFAULT.tol, 100_000)[3]
         assert maps < 0.6 * plain_updates  # extrapolation saves maps over plain EM
 
-    def test_rejected_extrapolation_keeps_trace_non_increasing(self):
+    def test_rejected_extrapolation_keeps_trace_non_increasing(self, monkeypatch):
+        # Newton steps now finish these fits before rounding can reject an
+        # extrapolation, so every extrapolation here goes halfway to the vertex
+        # of the smallest mixing weight instead, which raises the objective.
+        def far(x0, x1, x2, open_set):
+            vertex = np.zeros(x2.size)
+            vertex[np.argmin(x2)] = 1.0
+            return em._from_mixing(0.5 * (x2 + vertex), open_set)
+
+        declined = []
+        step = em._Newton.step
+        monkeypatch.setattr(em, "_extrapolate", far)
+        monkeypatch.setattr(em._Newton, "step",
+                            lambda *args: declined.append(step(*args)) or declined[-1])
         cfg = overlap_config(k=10, seed=0, n=3000, shift=ShiftSpec.ordered_lt(10))
-        rejected = 0
         for args in _fit_cases(cfg):
+            declined.clear()
             fit = _fit(*args, EmConfig(100, 1e-10))
             # stabilising maps whose point was not kept
-            rejected += fit.map_evaluations - fit.iterations_run
-            assert fit.map_evaluations <= 100
+            rejected = (fit.map_evaluations + fit.newton_steps - fit.iterations_run
+                        - sum(point is None for point in declined))
+            assert rejected > 0
+            assert fit.map_evaluations + fit.newton_steps <= 100
             assert fit.iterations_run == fit.nll_per_iter.size - 1
             assert np.all(np.diff(fit.nll_per_iter) <= 1e-9)
-        assert rejected > 0
 
     @pytest.mark.parametrize("max_iters", [1, 2, 3, 4, 5, 7, 10, 31])
     def test_map_evaluations_within_cap(self, max_iters):
@@ -358,9 +372,9 @@ class TestSquarem:
             for alpha in (None, np.full(cfg.k, 2.0)):
                 config = EmConfig(max_iters=max_iters, alpha_in=alpha)
                 trace = run_em(source, target.records, config)
-                assert 1 <= trace.map_evaluations <= max_iters
+                assert 1 <= trace.map_evaluations + trace.newton_steps <= max_iters
                 assert trace.iterations_run == trace.nll_per_iter.size - 1
-                assert trace.iterations_run <= trace.map_evaluations
+                assert trace.iterations_run <= trace.map_evaluations + trace.newton_steps
                 if max_iters == 1:  # no room to extrapolate: one plain update
                     plain = run_em(source, target.records,
                                    EmConfig(max_iters=1, tol=0.0, alpha_in=alpha))
@@ -692,3 +706,122 @@ class TestFlushSubnormals:
         assert new.rho_t_final == old.rho_t_final
         assert (new.iterations_run, new.map_evaluations, new.converged) == (
             old.iterations_run, old.map_evaluations, old.converged)
+
+
+def _fw_gap(w, x):
+    """Frank-Wolfe gap per row of the NLL ``-sum(log(W x))`` on the simplex, at x."""
+    g = w.T @ (1.0 / (w @ x)) / w.shape[0]
+    return float(g.max() - x @ g)
+
+
+class TestCertificate:
+    """The certificate every fit with tol > 0 stops on, and the Newton steps that reach it."""
+
+    # The sweep-small benchmark grid: 18 scenarios, four EM fits each, 3926 EM maps
+    # in all and six fits stopped unconverged at the 100-map cap before Newton steps.
+    GRID_WORK_BEFORE = 3926
+
+    def test_sweep_grid_fits_converge_in_half_the_work(self, monkeypatch):
+        traces = []
+        fit = em.fit
+        spy = lambda *args: traces.append(fit(*args)) or traces[-1]
+        monkeypatch.setattr(em, "fit", spy)
+        monkeypatch.setattr(bl, "fit", spy)
+        base = ring_config(10, radius=3.0, scale=1.0, rho_s=0.7, n_source=5000,
+                           n_target=5000, n_ood_ref=2500)
+        cells, failures = run_sweep(base, ["lt:10", "lt:100", "dirichlet:1"], [1.0, 0.1],
+                                    [101, 102, 103], ["osls-mle", "osls-map", "mlls", "mapls"])
+        assert not failures and len(traces) == 72
+        for trace in traces:
+            assert trace.converged and trace.certificate <= EmConfig.tol
+        work = sum(t.map_evaluations + t.newton_steps for t in traces)
+        assert work <= self.GRID_WORK_BEFORE / 2
+
+    def test_capped_k100_mlls_converges(self):
+        # fit-inmem's K=100 case at seed 1: its mlls fit stopped at the cap, 2.4e-5 off.
+        cfg = ring_config(100, radius=30.0, ood_scale=15.0, rho_s=0.7, n_source=20_000,
+                          n_target=5000, n_ood_ref=5000, shift=ShiftSpec.ordered_lt(100.0),
+                          r=1.0, seed=11)
+        source, target, _, _ = make_scenario(cfg)
+        c = source_class_frequencies(source.records)
+        trace = bl.mlls(target.records, c)
+        assert trace.converged and trace.certificate <= EmConfig.tol
+        assert trace.map_evaluations + trace.newton_steps < 100
+        w = target.records.f / c.entries
+        np.testing.assert_allclose(w.T @ (1.0 / (w @ trace.pi_final.entries)) / w.shape[0],
+                                   1.0, atol=1e-9)  # every class is on the support here
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mle_certificate_is_the_frank_wolfe_gap(self, seed):
+        cfg = overlap_config(k=5, seed=seed, n=2000, shift=ShiftSpec.dirichlet(1.0))
+        _, target, _, _ = make_scenario(cfg)
+        source = SourceLabelModel(cfg.c, cfg.rho_s)
+        open_w = target.records.extended_f() / source.extended().entries
+        closed_w = target.records.f / source.c.entries
+        for max_iters in (3, 100):
+            for trace, w in ((run_em(source, target.records, EmConfig(max_iters)), open_w),
+                             (bl.mlls(target.records, source.c, max_iters), closed_w)):
+                x = em.mixing(trace.pi_final.entries, trace.rho_t_final)
+                gap = _fw_gap(w, x)
+                assert abs(trace.certificate - max(gap, 0.0)) <= 1e-13
+                assert trace.converged == (trace.certificate <= EmConfig.tol)
+
+    @pytest.mark.parametrize("open_set", [False, True])
+    def test_class_without_target_rows_ends_at_exactly_zero(self, open_set):
+        # No target row comes from class 3, and every row gives it 1%: the
+        # likelihood rises as its share falls, so the optimum puts it at 0.
+        rng = np.random.default_rng(7)
+        n = 3000
+        f = np.zeros((n, 3))
+        f[:, :2] = 0.99 * rng.dirichlet([2.0, 2.0], n)
+        f[:, 2] = 0.01
+        records = RecordSet(f, np.full(n, 0.9) if open_set else np.ones(n))
+        c = np.full(3, 1.0 / 3.0)
+        if open_set:
+            source = SourceLabelModel(c, 0.7)
+            trace = run_em(source, records)
+            w = records.extended_f() / source.extended().entries
+        else:
+            trace = bl.mlls(records, c)
+            w = records.f / c
+        x = em.mixing(trace.pi_final.entries, trace.rho_t_final)
+        assert trace.pi_final.entries[2] == 0.0
+        assert trace.converged and trace.newton_steps > 0
+        g = w.T @ (1.0 / (w @ x)) / n
+        support = x > 0.0
+        np.testing.assert_allclose(g[support], 1.0, atol=1e-9)  # KKT: equal on the support
+        assert np.all(g[~support] <= 1.0)  # and no lower off it
+
+    def test_osls_map_declined_cholesky_goes_on_with_squarem(self, monkeypatch):
+        # Two classes, six target rows and strong unequal priors: the prior's
+        # nonconvexity in x outweighs the data's curvature at some iterate.
+        declined = []
+        solve = em._reduced_solve
+
+        def spy(h, grad, free, convex):
+            step = solve(h, grad, free, convex)
+            declined.append(step is None and not convex)
+            return step
+
+        monkeypatch.setattr(em, "_reduced_solve", spy)
+        rng = np.random.default_rng(11)
+        k, n = int(rng.integers(2, 5)), int(rng.integers(3, 30))  # two classes, six rows
+        f, h = rng.dirichlet(np.full(k, 0.5), n), rng.random(n)
+        c = rng.dirichlet(np.full(k, 5.0))
+        alpha = 1.0 + 20.0 * rng.random(k)
+        w = np.concatenate([f * h[:, None], (1.0 - h)[:, None]], axis=1) / np.append(0.7 * c, 0.3)
+        trace = em.fit(np.asfortranarray(w), c, 0.7, EmConfig(alpha_in=alpha))
+        assert any(declined)
+        assert trace.converged and trace.certificate <= EmConfig.tol
+        assert np.all(np.diff(trace.nll_per_iter) <= 1e-9)
+        assert trace.map_evaluations + trace.newton_steps <= EmConfig.max_iters
+
+    def test_zero_tol_reports_the_certificate_of_plain_em(self):
+        cfg = easy_config(k=3, seed=1, n=500)
+        _, target, _, _ = make_scenario(cfg)
+        source = SourceLabelModel(cfg.c, cfg.rho_s)
+        trace = run_em(source, target.records, EmConfig(max_iters=5, tol=0.0))
+        assert trace.newton_steps == 0 and not trace.converged
+        w = target.records.extended_f() / source.extended().entries
+        x = em.mixing(trace.pi_final.entries, trace.rho_t_final)
+        assert abs(trace.certificate - _fw_gap(w, x)) <= 1e-13

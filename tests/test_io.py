@@ -1044,3 +1044,39 @@ class TestWritersRefuseNonFinite:
         with pytest.raises(ValidationError, match="out.json"):
             osls_io.write_json(tmp_path / "out.json", {"a": [1.0, float("nan")]})
         assert not (tmp_path / "out.json").exists()
+
+
+class TestDigitGroupUnderscores:
+    """``int()``, ``float()`` and numpy read ``1_0`` as 10, and no JSON number holds ``_``."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", "1_0"), ("n_source", "1_000"), ("r", "1_0.0"), ("c", "0.5 0.2_5"),
+        ("shift", "lt:1_0"),
+    ])
+    def test_scenario_config_names_the_key(self, key, value):
+        with pytest.raises(ValidationError, match=f"config key '{key}'"):
+            osls_io.scenario_from_kv({"k": "2", key: value})
+
+    @pytest.mark.parametrize("key, value", [("seeds", "1_0, 2"), ("r_values", "1_0.0")])
+    def test_sweep_axis_names_the_key(self, key, value):
+        with pytest.raises(ValidationError, match=f"config key '{key}'"):
+            osls_io.sweep_from_kv({"k": "2", key: value})
+
+    def test_shift_spec(self):
+        from osls.simulate import ShiftSpec
+        with pytest.raises(ValidationError, match="cannot parse shift spec"):
+            ShiftSpec.parse("lt:1_0")
+        assert ShiftSpec.parse("lt:10").imbalance == 10.0
+
+    def test_csv_cell_names_file_and_line(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("f1,f2,h,y\n0.5,0.5,0.5,1\n\n0.2_5,0.75,0.5,2\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"records\.csv: line 4: cell: '_'"):
+            osls_io.read_records(path)
+
+    def test_cli_exits_2(self, tmp_path, capsys):
+        from osls.cli import main
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("k = 2\nseed = 1_0\n", encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "config key 'seed'" in capsys.readouterr().err

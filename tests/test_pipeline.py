@@ -18,7 +18,7 @@ from conftest import easy_config
 # The estimate report's keys in the order every report has written them.
 REPORT_KEYS = ["method", "K", "c_hat", "pi_hat", "rho_s_hat", "mu1_hat", "mu0_hat",
                "rho_t_hat", "rho_t_star", "nll_initial", "nll_final", "iterations",
-               "converged"]
+               "converged", "certificate"]
 
 
 @pytest.fixture(scope="module")
@@ -53,13 +53,35 @@ class TestEstimateReport:
 
     @pytest.mark.parametrize("field,value", [
         ("rho_t_hat", 1.5), ("rho_t_star", -3.0), ("mu0_hat", 1.01), ("iterations", -3),
-        ("method", "nope"),
+        ("method", "nope"), ("certificate", -1e-3),
     ])
     def test_fields_out_of_range_are_named(self, scenario, field, value):
         source, target, mu0_hat = scenario
         report = estimate("osls-mle", source, target, mu0_hat=mu0_hat).to_dict()
         with pytest.raises(ValidationError, match=f"^estimate report field '{field}' "):
             EstimateResult.from_dict({**report, field: value})
+
+    def test_certificate_beside_converged(self, scenario):
+        source, target, mu0_hat = scenario
+        report = estimate("osls-mle", source, target, mu0_hat=mu0_hat).to_dict()
+        assert report["converged"] and 0.0 <= report["certificate"] <= EmConfig.tol
+        older = {key: value for key, value in report.items() if key != "certificate"}
+        assert EstimateResult.from_dict(older).certificate is None  # reports before it read
+
+    def test_record_rows_are_checked_once(self, scenario, monkeypatch):
+        # A RecordSet's rows were checked and normalized when it was built; the
+        # closed-set estimators take them as they are, and bbse keeps its bytes.
+        source, target, _ = scenario
+        want = bl.bbse(bl.ConfusionMatrix.from_labels(bl.argmax_labels(source.f), source.y, 3),
+                       bl.predicted_class_frequencies(target.f))
+        mlls = bl.mlls(target.f, source_class_frequencies(source)).pi_final.entries
+        monkeypatch.setattr(bl, "normalized_rows", None)  # any call would raise
+        assert estimate("bbse", source, target).pi_hat.entries.tobytes() == want.entries.tobytes()
+        np.testing.assert_allclose(estimate("mlls", source, target).pi_hat.entries, mlls,
+                                   rtol=0, atol=1e-12)
+        estimate("mapls", source, target)
+        with pytest.raises(TypeError):
+            bl.mlls(target.f, source_class_frequencies(source))  # arrays are still checked
 
     def test_correction_ratio_rule(self, scenario):
         source, target, mu0_hat = scenario
