@@ -166,14 +166,15 @@ def argmax_labels(f_rows: ProbsLike) -> np.ndarray:
 
     Each block of an array's rows is checked, clipped and normalized by
     ``normalized_rows``, to the bits of the whole matrix's, so the same entries
-    tie; a RecordSet's rows went through it when the records were built.
+    tie; a RecordSet's rows went through it when the records were built. Both
+    are taken a block at a time, as ``np.argmax`` over a whole matrix's rows
+    holds a copy of the matrix.
     """
-    if isinstance(f_rows, RecordSet):
-        return np.argmax(f_rows.f, axis=1) + 1
-    rows = _prob_rows(f_rows)
+    checked = isinstance(f_rows, RecordSet)
+    rows = f_rows.f if checked else _prob_rows(f_rows)
     labels = np.empty(rows.shape[0], dtype=np.int64)
     for i, j in row_blocks(*rows.shape, core.BLOCK_CELLS):
-        block = normalized_rows(rows[i:j], "the posteriors", start=i)
+        block = rows[i:j] if checked else normalized_rows(rows[i:j], "the posteriors", start=i)
         np.argmax(block, axis=1, out=labels[i:j])
     labels += 1
     return labels

@@ -34,21 +34,29 @@ One EM map is the E-step followed by ``open_m_step`` or ``closed_m_step``.
   ``tol``: ``converged`` means exactly that.
 * **SQUAREM.** Every two accepted maps are followed by a SQUAREM
   extrapolation (Varadhan & Roland 2008, Scand. J. Statist. 35:335-353) and
-  a stabilising map, kept only if it does not raise the objective.
+  a stabilising map, kept only if it is better than the plain iterate, as
+  below.
+* **Better.** A point is better than another when its objective is lower by
+  more than the rounding of a sum of N logs (``_lower``). Nearer than that,
+  near the optimum, the objective cannot tell the two apart, and the
+  certificate decides instead: the new point is better when its certificate
+  is below the last one the fit computed, at the start of the Newton step or
+  of the SQUAREM cycle. So no accepted iterate raises the objective by more
+  than that rounding.
 * **Newton hand-over.** EM converges sublinearly where the optimum sits on
-  the simplex boundary. Once the certificate is at or below 3e-3, and
-  Newton steps would reach ``tol`` for less work than SQUAREM at its
-  observed rate (``_newton_pays``: a step forms the Hessian
-  ``W_S' diag(1 / d^2) W_S`` on the support S of x, which costs about
-  ``2 + |S|^2 / (4 (K + 1))`` maps), the fit takes damped Newton steps on S
-  under ``sum(x) = 1``, as in mixSQP (Kim, Carbonetto, Stephens & Anitescu
-  2020, JCGS 29:261-273). A small QP, solved by an active set, gives each
-  step: coordinates that reach 0 are set to exactly 0, all at once, and a
-  zero coordinate whose gradient breaks the KKT conditions comes back in.
-  The line search never raises the objective. The open-set prior on
-  ``pi = x_in / sum(x_in)`` is not convex in x, so that fit takes a step only
-  where the reduced Hessian's Cholesky factorization succeeds. A declined
-  or stalled step hands back to SQUAREM.
+  the simplex boundary. Once the certificate is at or below
+  ``_NEWTON_START`` (1e-2), and Newton steps would reach ``tol`` for less
+  work than SQUAREM at its observed rate (``_newton_pays``: a step forms the
+  Hessian ``W_S' diag(1 / d^2) W_S`` on the support S of x, which costs
+  about ``2 + |S|^2 / (4 (K + 1))`` maps), the fit takes damped Newton steps
+  on S under ``sum(x) = 1``, as in mixSQP (Kim, Carbonetto, Stephens &
+  Anitescu 2020, JCGS 29:261-273). A small QP, solved by an active set,
+  gives each step: coordinates that reach 0 are set to exactly 0, all at
+  once, and a zero coordinate whose gradient breaks the KKT conditions comes
+  back in. The line search halves the step until the point is better. The
+  open-set prior on ``pi = x_in / sum(x_in)`` is not convex in x, so that
+  fit takes a step only where the reduced Hessian's Cholesky factorization
+  succeeds. A declined step hands back to SQUAREM.
 * **Budget.** ``max_iters`` caps EM maps plus Newton steps.
   ``map_evaluations`` counts maps (stabilising maps included) and
   ``newton_steps`` Newton steps (declined ones included); ``iterations_run``
@@ -312,10 +320,16 @@ _QP_RELEASE_TOL = 64 * np.finfo(float).eps
 # entries is subnormal: such a product takes a slow path on x86, and an entry
 # this small moves no Hessian entry that a step depends on.
 _HALF_TINY = math.sqrt(np.finfo(float).tiny)
+# Newton's Hessian blocks narrower than this are multiplied by a copy (``_Newton._hessian``).
+_SYRK_COLUMNS = 16
+# Newton's Hessian is summed over at least this many blocks of rows, so its block
+# buffers stay small beside W: a buffer the size of W is fresh memory at each
+# step, and its page faults cost more than the product (N = 5000, K + 1 = 11).
+_HESSIAN_SPLIT = 8
 # Halvings of a Newton step before the line search declines it.
 _NEWTON_HALVINGS = 10
 # Two objectives closer than this share of ``|objective| + N``, about the rounding
-# of a sum of N logs, are compared as a sum of log1p terms (``_Newton.no_higher``).
+# of a sum of N logs, are compared by their certificates (``_lower``).
 _ROUNDING = 64 * np.finfo(float).eps
 # The certificate at or below which the hand-over rule first weighs Newton steps.
 _NEWTON_START = 1e-2
@@ -335,7 +349,10 @@ def _reduced_solve(h: np.ndarray, grad: np.ndarray, free: np.ndarray, convex: bo
     if rest.size == 0:
         return step
     col = h[rest, last]
-    reduced = h[np.ix_(rest, rest)] - col[:, None] - col[None, :] + h[last, last]
+    reduced = h[rest[:, None], rest]
+    reduced -= col[:, None]
+    reduced -= col
+    reduced += h[last, last]
     try:
         if not convex:
             np.linalg.cholesky(reduced)
@@ -366,8 +383,7 @@ def _simplex_qp(h: np.ndarray, g: np.ndarray, x0: np.ndarray, convex: bool):
         if step is None:
             return None
         falling = step < 0.0
-        ratio = np.full(y.size, math.inf)
-        ratio[falling] = y[falling] / -step[falling]
+        ratio = np.divide(y, -step, out=np.full(y.size, math.inf), where=falling)
         t = min(1.0, float(ratio.min()))
         y += t * step
         if t < 1.0:
@@ -423,16 +439,16 @@ class _Newton:
             curv[-1] -= self.tail / (rest * rest)
         return grad, curv
 
-    def step(self, old, d: np.ndarray, inv_d: np.ndarray, u: np.ndarray, obj: float):
-        """The next (pi, rho, x, d, objective, clear) from x, or None if the step is declined.
+    def step(self, old, d: np.ndarray, u: np.ndarray, obj: float, cert: float):
+        """The next (pi, rho, x, d, u, objective) from x, or None if the step is declined.
 
-        ``old`` is (pi, rho, x), ``d = W x > 0``, ``inv_d = 1 / d``, which may
-        be the fit's scratch vector, ``u = W.T @ inv_d`` and ``obj`` is the
-        objective at x. The QP over the support of x, plus each zero coordinate whose
-        gradient breaks the KKT conditions, gives the full step; halving it
-        until the objective does not rise (``no_higher``) is the line search.
-        The last item returned says whether the objective fell by more than
-        its rounding.
+        ``old`` is (pi, rho, x), ``d = W x > 0``, ``u = W.T @ (1 / d)`` and
+        ``obj`` and ``cert`` are the objective and certificate at x. The QP over
+        the support of x, plus each zero coordinate whose gradient breaks the
+        KKT conditions, gives the full step; halving it until the point is
+        lower (``_lower``, and where that cannot tell, a lower certificate) is
+        the line search. The u returned is None unless the certificate was
+        needed.
         """
         x = old[2]
         prior = self._prior(x)
@@ -441,8 +457,8 @@ class _Newton:
         grad, curv = prior
         grad -= u
         support = np.flatnonzero((x > 0.0) | (grad < float(x @ grad)))
-        h = self._hessian(inv_d, support)
-        h[np.diag_indices_from(h)] += curv[support]
+        h = self._hessian(np.divide(1.0, d, out=self.scratch), support)
+        h.flat[:: support.size + 1] += curv[support]
         y = _simplex_qp(h, grad[support], x[support], self.convex)
         if y is None:
             return None
@@ -463,57 +479,59 @@ class _Newton:
             d_new = self.w @ x_new
             if d_new.min(initial=math.inf) > 0.0:
                 obj_new = objective(d_new, pi, rho, self.am1, self.bm1, self.scratch)
-                clear = obj_new < obj - _ROUNDING * (abs(obj) + d.size)
-                if clear or self.no_higher(old, (pi, rho, x_new), d, obj, obj_new):
-                    return pi, rho, x_new, d_new, obj_new, clear
+                better, u_new = _lower(obj, obj_new, d.size), None
+                if better is None:
+                    u_new = self.w.T @ np.divide(1.0, d_new, out=self.scratch)
+                    better = certificate(u_new, float(d.size), self.am1, self.bm1, pi, rho) < cert
+                if better:
+                    return pi, rho, x_new, d_new, u_new, obj_new
             t *= 0.5
         return None
 
-    def no_higher(self, old, new, d, obj: float, obj_new: float) -> bool:
-        """Whether the objective at ``new`` is no higher than ``obj`` at ``old``.
-
-        ``old`` and ``new`` are (pi, rho, x) and ``d = W x`` at ``old``. Where
-        the two objectives lie within ``_ROUNDING`` of each other, their
-        computed difference is rounding, so the change is summed as log1p terms.
-        """
-        band = _ROUNDING * (abs(obj) + d.size)
-        if obj_new < obj - band or obj_new > obj + band:
-            return obj_new < obj
-        return self._change(old, new, d) <= 0.0
-
-    def _change(self, old, new, d) -> float:
-        """The objective's change from ``old`` to ``new``, each (pi, rho, x), as log1p terms.
-
-        Each x sums to 1 only up to rounding, and scaling x by ``s`` moves the
-        NLL by ``-N log(s)``, so that term is taken out: near the optimum it is
-        larger than the change itself.
-        """
-        (pi, rho, x), (pi_new, rho_new, x_new) = old, new
-        step = x_new - x
-        ratio = np.divide(self.w @ step, d, out=self.scratch)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            change = -float(np.sum(np.log1p(ratio, out=ratio)))
-            change += self.w.shape[0] * math.log1p(float(step.sum()) / float(x.sum()))
-            rel = np.divide(pi_new - pi, pi, out=np.zeros(pi.size), where=self.am1 > 0.0)
-            change -= float(self.am1 @ np.log1p(rel))
-            if rho is not None:
-                ends = np.array([rho, 1.0 - rho])
-                rel = np.divide([rho_new - rho, rho - rho_new], ends, out=np.zeros(2),
-                                where=np.array(self.bm1) > 0.0)
-                change -= float(np.array(self.bm1) @ np.log1p(rel))
-        return change
-
     def _hessian(self, inv_d: np.ndarray, support: np.ndarray) -> np.ndarray:
-        """``W_S' diag(1 / d^2) W_S`` on the columns ``support``, summed over blocks of rows."""
-        w = self.w
-        whole = support.size == w.shape[1]
-        h = np.zeros((support.size, support.size))
-        for i, j in row_blocks(w.shape[0], support.size, BLOCK_CELLS):
-            block = np.multiply(w[i:j] if whole else w[i:j, support], inv_d[i:j, None])
+        """``W_S' diag(1 / d^2) W_S`` on the columns ``support``, summed over blocks of rows.
+
+        B is ``W_S / d``, a block of rows at a time. numpy hands ``B.T @ B`` to
+        BLAS syrk; below ``_SYRK_COLUMNS`` columns a general product with a copy
+        of B is faster (OpenBLAS on 2 cores: 95 against 163 us for a block of
+        5957 x 11), so narrow blocks take that.
+        """
+        w, m = self.w, support.size
+        whole = m == w.shape[1]
+        h = np.zeros((m, m))
+        cells = min(BLOCK_CELLS, max(w.shape[0] * m // _HESSIAN_SPLIT, 1))
+        blocks = row_blocks(w.shape[0], m, cells)
+        narrow = m < _SYRK_COLUMNS
+        # Column-major block buffers, as W is: the scaled block and its copy.
+        rows = max((j - i for i, j in blocks), default=0)
+        buf = [np.empty((m, rows)).T for _ in range(1 + narrow)]
+        for i, j in blocks:
+            block = buf[0][: j - i]
+            if whole:
+                np.multiply(w[i:j], inv_d[i:j, None], out=block)
+            else:
+                np.take(w[i:j], support, axis=1, out=block)
+                block *= inv_d[i:j, None]
             if block.min() < _HALF_TINY:
                 np.multiply(block, block >= _HALF_TINY, out=block)
-            h += block.T @ block
+            other = block
+            if narrow:
+                other = buf[1][: j - i]
+                other[...] = block
+            h += block.T @ other
         return h
+
+
+def _lower(obj: float, obj_new: float, rows: int) -> Optional[bool]:
+    """Whether the objective ``obj_new`` is below ``obj``, summed over ``rows`` rows.
+
+    None where the two lie within ``_ROUNDING`` of each other: their difference
+    is then rounding, and the caller compares certificates instead.
+    """
+    band = _ROUNDING * (abs(obj) + rows)
+    if obj - band <= obj_new <= obj + band:
+        return None
+    return obj_new < obj
 
 
 def _step_cost(x: np.ndarray) -> float:
@@ -557,15 +575,14 @@ def fit(w: np.ndarray, pi0, rho0, config: EmConfig) -> EmTrace:
     maps are followed by a SQUAREM extrapolation on the mixing weights x and
     one stabilising map from the extrapolated point. The stabilised point is
     kept only if the extrapolation stayed in the open simplex with every
-    ``d > 0``, its map did not freeze pi, and its objective is no higher than
-    the last accepted one; otherwise the fit goes on from the plain iterate.
+    ``d > 0``, its map did not freeze pi, and it is better than the plain
+    iterate (see the module docstring); otherwise the fit goes on from the
+    plain iterate.
 
     Once ``_newton_pays`` finds Newton steps cheaper than the maps SQUAREM
     still needs, the fit hands over to damped Newton steps on the support of
-    x (``_Newton``). A step the Cholesky test or the line search declines, or
-    one that lowers neither the certificate nor the objective by more than
-    its rounding, hands back to SQUAREM until as many maps as a step costs
-    have run. The objective never rises at an accepted step.
+    x (``_Newton``). A step the Cholesky test or the line search declines
+    hands back to SQUAREM until as many maps as a step costs have run.
 
     Raises DegenerateSample, naming the first sample, when an iterate gives a
     sample zero likelihood.
@@ -587,10 +604,9 @@ def fit(w: np.ndarray, pi0, rho0, config: EmConfig) -> EmTrace:
     cycle = [x]  # mixing vectors since the last extrapolation or restart
     converged = False
     cert = math.inf
+    u = None  # the E-step's product W.T @ (1 / d) at x, once formed
     newton = _Newton(w, am1, bm1, open_set, scratch) if tol > 0.0 else None
     newton_on = False
-    newton_cert = math.inf  # the certificate where the last Newton step started
-    newton_clear = True  # whether that step lowered the objective by more than its rounding
     newton_after = 0  # maps and steps spent before the hand-over rule is weighed again
     history = []  # (maps and steps spent, lowest certificate yet) at each iterate SQUAREM accepted
 
@@ -601,25 +617,23 @@ def fit(w: np.ndarray, pi0, rho0, config: EmConfig) -> EmTrace:
                 cert = math.inf
                 break
             raise DegenerateSample(int(np.argmax(d <= 0.0)))
-        u = w.T @ np.divide(1.0, d, out=scratch)  # the E-step's product at x
+        if u is None:
+            u = w.T @ np.divide(1.0, d, out=scratch)
         cert = certificate(u, n, am1, bm1, pi, rho)
         if tol > 0.0 and cert <= tol:
             converged = True
             break
         if spent >= max_iters:
             break
-        if newton_on and not (newton_clear or cert < newton_cert):
-            newton_on, newton_after = False, spent + _step_cost(x)
         if tol > 0.0 and not newton_on:
             history.append((spent, min(cert, history[-1][1]) if history else cert))
             if spent >= newton_after:
                 newton_on = _newton_pays(cert, tol, _rate(history), x)
         if newton_on:
             steps += 1
-            newton_cert = cert
-            y = newton.step((pi, rho, x), d, scratch, u, obj[-1])
+            y = newton.step((pi, rho, x), d, u, obj[-1], cert)
             if y is not None:
-                pi, rho, x, d, obj_y, newton_clear = y
+                pi, rho, x, d, u, obj_y = y
                 obj.append(obj_y)
                 cycle = [x]
                 continue
@@ -631,6 +645,7 @@ def fit(w: np.ndarray, pi0, rho0, config: EmConfig) -> EmTrace:
         frozen |= froze
         x = mixing(pi, rho)
         d = w @ x
+        u = None
         obj.append(objective(d, pi, rho, am1, bm1, scratch))
         if tol == 0.0:
             continue
@@ -653,9 +668,13 @@ def fit(w: np.ndarray, pi0, rho0, config: EmConfig) -> EmTrace:
         x_y = mixing(pi_y, rho_y)
         d_y = w @ x_y
         obj_y = objective(d_y, pi_y, rho_y, am1, bm1, scratch)
-        if not newton.no_higher((pi, rho, x), (pi_y, rho_y, x_y), d, obj[-1], obj_y):
+        better, u_y = _lower(obj[-1], obj_y, d.size), None
+        if better is None:
+            u_y = w.T @ np.divide(1.0, d_y, out=scratch)
+            better = certificate(u_y, n, am1, bm1, pi_y, rho_y) < cert
+        if not better:
             continue
-        pi, rho, x, d = pi_y, rho_y, x_y, d_y
+        pi, rho, x, d, u = pi_y, rho_y, x_y, d_y, u_y
         obj.append(obj_y)
         cycle = [x]
     trace = np.array(obj)

@@ -28,7 +28,7 @@ from osls.em import (
     run_em,
 )
 from osls.estimators import threshold_rescale
-from osls.pipeline import run_sweep, source_class_frequencies
+from osls.pipeline import estimate, run_sweep, source_class_frequencies
 from osls.simulate import ShiftSpec, make_scenario, ring_config
 
 from conftest import easy_config, mle_em_path, overlap_config, plain_em
@@ -791,6 +791,38 @@ class TestCertificate:
         support = x > 0.0
         np.testing.assert_allclose(g[support], 1.0, atol=1e-9)  # KKT: equal on the support
         assert np.all(g[~support] <= 1.0)  # and no lower off it
+
+    def test_zero_rows_start_near_the_prior_mode(self):
+        # With no target rows the objective is the prior alone; a start near its
+        # mode hands over to Newton steps at once, on a Hessian with no rows.
+        trace = em.fit(np.zeros((0, 2)), np.array([0.334, 0.666]), None,
+                       EmConfig(alpha_in=np.array([2.0, 3.0])))
+        assert trace.newton_steps > 0 and trace.converged
+        np.testing.assert_allclose(trace.pi_final.entries, [1 / 3, 2 / 3], rtol=0, atol=1e-10)
+
+    def test_rounding_is_left_to_the_certificate(self):
+        assert em._lower(-1000.0, -1001.0, 5000) is True
+        assert em._lower(-1000.0, -999.0, 5000) is False
+        assert em._lower(-1000.0, -1000.0 - 1e-12, 5000) is None
+        assert em._lower(-1000.0, -1000.0 + 1e-12, 5000) is None
+
+    def test_newton_steps_near_the_optimum_are_judged_by_the_certificate(self, monkeypatch):
+        # A sweep-small grid point whose osls-map fit reaches a certificate of
+        # about 1e-9, where a full Newton step lowers the objective by less than
+        # the rounding of its sum of 5000 logs. Judged by the objective alone,
+        # that step was declined and the fit went back to SQUAREM.
+        steps = []
+        step = em._Newton.step
+        monkeypatch.setattr(em._Newton, "step",
+                            lambda *args: steps.append(step(*args)) or steps[-1])
+        cfg = ring_config(10, radius=3.0, scale=1.0, rho_s=0.7, n_source=5000, n_target=5000,
+                          n_ood_ref=2500, shift=ShiftSpec.parse("lt:10"), r=1.0, seed=101)
+        source, target, ood_ref, _ = make_scenario(cfg)
+        h = ood_ref.records.h
+        report = estimate("osls-map", source.records, target.records, mu0_hat=float(np.mean(h)),
+                          n_ood=h.size, em_config=EmConfig(alpha_in=np.full(10, 2.0)))
+        assert report.converged and report.certificate <= EmConfig.tol
+        assert steps and all(point is not None for point in steps)
 
     def test_osls_map_declined_cholesky_goes_on_with_squarem(self, monkeypatch):
         # Two classes, six target rows and strong unequal priors: the prior's

@@ -189,6 +189,14 @@ class TestTransientPeak:
                                         bl.predicted_class_frequencies(target.f)))
         assert peak <= 2 * N * 8 + SAMPLING_SLACK
 
+    def test_bbse_argmax_of_record_sets(self, data):
+        # Their rows were checked when they were built, and are still taken a
+        # block at a time: np.argmax over the whole matrix holds a copy of it.
+        source, target, _, _ = data
+        peak = _transient_peak(lambda: (bl.argmax_labels(source),
+                                        bl.predicted_class_frequencies(target)))
+        assert peak <= 2 * N * 8 + SAMPLING_SLACK
+
 
 # Old expressions, restated as they stood before the builders worked in place.
 
