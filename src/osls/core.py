@@ -526,9 +526,11 @@ def record_columns(f, h, y=None, nulls: Optional[np.ndarray] = None) -> tuple:
     return normalized_rows(f, "f", out=f), h, y
 
 
+def mixing(p: np.ndarray, rho) -> np.ndarray:
+    """The extended vector ``[rho * p, 1 - rho]``, or ``p`` itself when rho is None."""
+    return p if rho is None else np.append(rho * p, 1.0 - rho)
+
+
 def extend_distribution(base: Union[ProbabilityVector, VectorLike], rho: float) -> ProbabilityVector:
     """Combine an ID distribution and an ID ratio into the (K+1)-class vector [rho*p, 1-rho]."""
-    base = _vector_in("base", base)
-    rho = real_in("rho", rho, 0, 1)
-    entries = np.concatenate([rho * base.entries, [1.0 - rho]])
-    return ProbabilityVector(entries)
+    return ProbabilityVector(mixing(_vector_in("base", base).entries, real_in("rho", rho, 0, 1)))

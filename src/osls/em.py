@@ -15,34 +15,33 @@ per-sample likelihoods ``d = W @ x``:
   ``x = [rho * pi, 1 - rho]``;
 * closed-set: ``W = f / c`` over the K classes and ``x = pi``.
 
-The E-step needs only the column sums of the responsibilities
-``x_j W_ij / d_i``, which are ``x * (W.T @ (1 / d))``: two matrix-vector
-products, with no N x K responsibility matrix. The responsibilities are
-normalized over all K+1 classes (the OOD class included). The M-steps apply
-the Dirichlet/Beta priors through ``alpha - 1``; all-ones priors make every
-prior term exactly zero, so maximum likelihood is MAP with unit priors.
+The E-step (``e_step``) forms ``u = W.T @ (1 / d)``; the column sums of the
+responsibilities ``x_j W_ij / d_i`` are ``x * u``: two matrix-vector products,
+with no N x K responsibility matrix. The responsibilities are normalized over
+all K+1 classes (the OOD class included). The M-steps apply the Dirichlet/Beta
+priors in closed form through ``alpha - 1``; the objective, the certificate
+and the Newton steps read the same priors as one term of x, ``Prior``. All-ones
+priors make every prior term exactly zero, so maximum likelihood is MAP with
+unit priors.
 
 One EM map is the E-step followed by ``open_m_step`` or ``closed_m_step``.
 ``tol = 0`` runs exactly ``max_iters`` plain EM updates. With ``tol > 0``:
 
-* **Certificate and stop.** The E-step's product ``u = W.T @ (1 / d)`` also
-  gives the fit's certificate (``certificate``): the Frank-Wolfe gap of its
-  objective per target row (Jaggi 2013, ICML), at no extra cost. For maximum
-  likelihood it is ``max_j u_j / n - 1``, which bounds the excess NLL per row
-  and is 0 exactly at the optimum; for the open-set fit with a prior it is a
-  stationarity residual. The fit stops once the certificate is at or below
-  ``tol``: ``converged`` means exactly that.
+* **Certificate and stop.** ``certificate`` is the Frank-Wolfe gap of the
+  objective over x per target row (Jaggi 2013, ICML), read from u at no
+  extra cost. For maximum likelihood it is ``max_j u_j / n - 1``, which bounds
+  the excess NLL per row and is 0 exactly at the optimum; for the open-set fit
+  with a prior it is a stationarity residual. The fit stops once the
+  certificate is at or below ``tol``: ``converged`` means exactly that.
 * **SQUAREM.** Every two accepted maps are followed by a SQUAREM
   extrapolation (Varadhan & Roland 2008, Scand. J. Statist. 35:335-353) and
-  a stabilising map, kept only if it is better than the plain iterate, as
-  below.
-* **Better.** A point is better than another when its objective is lower by
-  more than the rounding of a sum of N logs (``_lower``). Nearer than that,
-  near the optimum, the objective cannot tell the two apart, and the
-  certificate decides instead: the new point is better when its certificate
-  is below the last one the fit computed, at the start of the Newton step or
-  of the SQUAREM cycle. So no accepted iterate raises the objective by more
-  than that rounding.
+  a stabilising map, kept only if it is better than the plain iterate.
+* **Better** (``_better``). A point is better than another when every ``d >
+  0`` and its objective is lower by more than the rounding of a sum of N logs
+  (``_lower``). Nearer than that the objective cannot tell the two apart, and
+  the certificate decides: the new point is better when its certificate is
+  below the last one the fit computed. So no accepted iterate raises the
+  objective by more than that rounding.
 * **Newton hand-over.** EM converges sublinearly where the optimum sits on
   the simplex boundary. Once the certificate is at or below
   ``_NEWTON_START`` (1e-2), and Newton steps would reach ``tol`` for less
@@ -53,10 +52,10 @@ One EM map is the E-step followed by ``open_m_step`` or ``closed_m_step``.
   Anitescu 2020, JCGS 29:261-273). A small QP, solved by an active set,
   gives each step: coordinates that reach 0 are set to exactly 0, all at
   once, and a zero coordinate whose gradient breaks the KKT conditions comes
-  back in. The line search halves the step until the point is better. The
-  open-set prior on ``pi = x_in / sum(x_in)`` is not convex in x, so that
-  fit takes a step only where the reduced Hessian's Cholesky factorization
-  succeeds. A declined step hands back to SQUAREM.
+  back in. The line search halves the step until the point is better. Where
+  the open-set prior makes the objective nonconvex in x (``Prior.convex``),
+  the fit takes a step only where the reduced Hessian's Cholesky
+  factorization succeeds. A declined step hands back to SQUAREM.
 * **Budget.** ``max_iters`` caps EM maps plus Newton steps.
   ``map_evaluations`` counts maps (stabilising maps included) and
   ``newton_steps`` Newton steps (declined ones included); ``iterations_run``
@@ -87,6 +86,7 @@ from .core import (
     TargetLabelModel,
     ValidationError,
     extend_distribution,
+    mixing,
     real_in,
     reals_in,
     row_blocks,
@@ -175,17 +175,14 @@ class EmTrace:
     certificate: float
 
 
-def mixing(pi: np.ndarray, rho) -> np.ndarray:
-    """Column weights x: ``[rho * pi, 1 - rho]`` open-set, ``pi`` when rho is None."""
-    return pi if rho is None else np.append(rho * pi, 1.0 - rho)
+def e_step(w: np.ndarray, d: np.ndarray, out=None) -> np.ndarray:
+    """``u = W.T @ (1 / d)``, given ``d = W @ x > 0``.
 
-
-def e_step(w: np.ndarray, x: np.ndarray, d: np.ndarray, out=None) -> np.ndarray:
-    """Column sums of the responsibilities ``x_j W_ij / d_i``, given ``d = W @ x > 0``.
-
-    ``out``, an array shaped as ``d``, receives ``1 / d`` when given.
+    ``x * u`` are the column sums of the responsibilities ``x_j W_ij / d_i``,
+    and ``-u`` is the NLL's gradient in x. ``out``, an array shaped as ``d``,
+    receives ``1 / d`` when given.
     """
-    return x * (w.T @ np.divide(1.0, d, out=out))
+    return w.T @ np.divide(1.0, d, out=out)
 
 
 def nll(d: np.ndarray, axis=None, out=None):
@@ -198,18 +195,77 @@ def nll(d: np.ndarray, axis=None, out=None):
     return -np.sum(np.log(d, out=out), axis=axis)
 
 
-def objective(d, pi, rho, am1, bm1, out=None) -> float:
-    """NLL minus the log prior density (normalizing constants dropped).
+class Prior:
+    """A fit's negative log prior as a term of its mixing weights x.
 
-    ``am1`` is ``alpha - 1`` per class and ``bm1`` the pair ``alpha_out - 1``
-    for rho and 1 - rho, which a closed-set fit (rho None) leaves out. ``out``
-    is as for ``nll``.
+    ``P(x) = -sum_j weights_j log x_j + tail log(1 - x_K)``, normalizing
+    constants dropped. ``am1`` is ``alpha - 1`` per class and ``bm1`` the pair
+    ``alpha_out - 1`` for rho and 1 - rho, None for a closed-set fit, whose
+    weights are ``am1`` and whose tail is 0. Open-set, the weights are ``am1``
+    and ``bm1[1]`` and the tail is ``sum(am1) - bm1[0]``: on the simplex this
+    is the negative log prior of ``pi = x_in / (1 - x_K)`` and ``rho = 1 - x_K``.
     """
-    val = nll(d, out=out) - float(np.sum(am1 * np.log(np.maximum(pi, LIK_FLOOR))))
-    if rho is not None:
-        val -= bm1[0] * np.log(max(rho, LIK_FLOOR))
-        val -= bm1[1] * np.log(max(1.0 - rho, LIK_FLOOR))
-    return val
+
+    def __init__(self, am1: np.ndarray, bm1=None):
+        self.weights = np.append(am1, [] if bm1 is None else [bm1[1]])
+        self.tail = 0.0 if bm1 is None else float(np.sum(am1)) - bm1[0]
+        self.weighted = self.weights > 0.0
+        self.active = bool(self.tail or self.weighted.any())
+        # -w log x_j is convex for w >= 0, and t log(1 - x_K) for t <= 0 only.
+        self.convex = self.tail <= 0.0
+
+    def value(self, x: np.ndarray) -> float:
+        """P(x), with each log's argument floored at 1e-300; 0.0 for all-ones priors."""
+        if not self.active:
+            return 0.0
+        val = -float(np.sum(self.weights * np.log(np.maximum(x, LIK_FLOOR))))
+        if self.tail:
+            val += self.tail * math.log(max(1.0 - x[-1], LIK_FLOOR))
+        return val
+
+    def derivatives(self, x: np.ndarray, curvature: bool = True):
+        """Gradient and, if ``curvature``, Hessian diagonal of P at x; None where P is infinite."""
+        if not self.active:
+            return np.zeros(x.size), np.zeros(x.size) if curvature else None
+        rest = 1.0 - x[-1]
+        if not x.min(initial=math.inf, where=self.weighted) > 0.0 or (self.tail and not rest > 0.0):
+            return None
+        grad = -self._over(x)
+        curv = self._over(x * x) if curvature else None
+        if self.tail:
+            grad[-1] -= self.tail / rest
+            if curvature:
+                curv[-1] -= self.tail / (rest * rest)
+        return grad, curv
+
+    def _over(self, x: np.ndarray) -> np.ndarray:
+        """``weights / x`` where the weight is positive, 0 elsewhere (where x may be 0)."""
+        return np.divide(self.weights, x, out=np.zeros(x.size), where=self.weighted)
+
+
+def objective(d: np.ndarray, x: np.ndarray, prior: Prior, out=None) -> float:
+    """The fit's objective at x: the NLL of ``d = W @ x`` plus ``prior.value(x)``.
+
+    For MAP fits it is the negative log-posterior, normalizing constants
+    dropped. ``out`` is as for ``nll``.
+    """
+    return nll(d, out=out) + prior.value(x)
+
+
+def certificate(x: np.ndarray, u: np.ndarray, n: float, prior: Prior) -> float:
+    """The certificate of a fit at mixing weights x, given ``u = e_step(W, W @ x)``.
+
+    The Frank-Wolfe gap of the objective over x on the simplex, ``x . g - min_j
+    g_j`` with ``g = grad P(x) - u``, per target row (of ``n``, or 1 for none);
+    +inf where P is infinite. Where the objective is convex in x
+    (``Prior.convex``) it bounds the excess objective per row, and elsewhere it
+    is a stationarity residual.
+    """
+    derivs = prior.derivatives(x, curvature=False)
+    if derivs is None:
+        return math.inf
+    g = derivs[0] - u
+    return max(float(x @ g - g.min()), 0.0) / max(n, 1.0)
 
 
 def open_m_step(s: np.ndarray, n: float, am1: np.ndarray, bm1, am1_sum=None):
@@ -235,54 +291,18 @@ def closed_m_step(s: np.ndarray, n: float, am1: np.ndarray, am1_sum=None) -> np.
 
 
 def _em_map(n, am1, bm1, pi, rho, x, u, am1_sum):
-    """One EM map from (pi, rho), given x = mixing(pi, rho) and ``u = W.T @ (1 / d)`` at x.
+    """One EM map from (pi, rho), given x = mixing(pi, rho) and ``u = e_step(W, W @ x)``.
 
     Returns (pi, rho, frozen): the updated pair and whether the pi update was
     skipped because it was undefined.
     """
-    s = x * u  # the E-step's column sums, as ``e_step`` forms them
+    s = x * u  # the E-step's column sums
     if rho is None:
         return closed_m_step(s, n, am1, am1_sum), None, False
     pi_new, rho_new = open_m_step(s, n, am1, bm1, am1_sum)
     if pi_new is None:
         return pi, rho_new, True
     return pi_new, rho_new, False
-
-
-def _over(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a / b`` where ``a > 0`` and 0 elsewhere, so a zero prior weight never meets a zero."""
-    return np.divide(a, b, out=np.zeros(a.size), where=a > 0.0)
-
-
-def certificate(u: np.ndarray, n: float, am1: np.ndarray, bm1, pi: np.ndarray, rho) -> float:
-    """The certificate of a fit at (pi, rho), given ``u = W.T @ (1 / d)`` there.
-
-    It is the Frank-Wolfe gap of the fit's objective, ``max over feasible s of
-    (p - s) . grad``, divided by the number of target rows (by 1 for none). It is
-    never negative, and 0 exactly where no feasible direction lowers the
-    objective. Every fit but the open-set one with a prior is convex in its
-    mixing weights x, so its gap is taken over x on the simplex, where it bounds
-    the excess objective per row; for maximum likelihood it is
-    ``max_j u_j / n - 1`` (``x . u = n``). The open-set prior on
-    ``pi = x_in / sum(x_in)`` is not convex in x, so that fit's gap is taken
-    over (pi, rho) in the simplex times [0, 1], where it is a stationarity
-    residual.
-    """
-    scale = max(n, 1.0)
-    if rho is None:
-        q = -u - _over(am1, pi) if am1.any() else -u
-        return max(float(pi @ q - q.min()), 0.0) / scale
-    if not (am1.any() or bm1[0] or bm1[1]):
-        return max(float(u.max() - mixing(pi, rho) @ u), 0.0) / scale
-    k = pi.size
-    g_pi = -rho * u[:k] - _over(am1, pi)
-    g_rho = float(u[k] - pi @ u[:k])
-    if bm1[0] > 0.0:
-        g_rho -= bm1[0] / rho
-    if bm1[1] > 0.0:
-        g_rho += bm1[1] / (1.0 - rho)
-    gap = float(pi @ g_pi - g_pi.min()) + max(rho * g_rho, (rho - 1.0) * g_rho)
-    return max(gap, 0.0) / scale
 
 
 def _from_mixing(x: np.ndarray, open_set: bool):
@@ -404,62 +424,29 @@ def _simplex_qp(h: np.ndarray, g: np.ndarray, x0: np.ndarray, convex: bool):
 
 
 class _Newton:
-    """Damped Newton steps for one fit's objective in its mixing weights x.
+    """Damped Newton steps for one fit's objective, ``-sum(log(W x)) + prior.value(x)``."""
 
-    The objective is ``-sum(log(W x))`` plus a prior term P: ``-sum(am1 log x)``
-    closed-set, and open-set ``-sum(am1 log x_in) + (sum(am1) - bm1[0])
-    log(1 - x_K) - bm1[1] log x_K``, which on the simplex is the negative log
-    prior of ``pi = x_in / (1 - x_K)`` and ``rho = 1 - x_K``.
-    """
+    def __init__(self, w: np.ndarray, prior: Prior, open_set: bool, scratch: np.ndarray):
+        self.w, self.prior, self.open_set, self.scratch = w, prior, open_set, scratch
 
-    def __init__(self, w: np.ndarray, am1: np.ndarray, bm1, open_set: bool, scratch: np.ndarray):
-        self.w, self.am1, self.bm1, self.open_set, self.scratch = w, am1, bm1, open_set, scratch
-        self.weights = np.zeros(w.shape[1])  # P's weight on each -log x_j
-        self.weights[: am1.size] = am1
-        self.tail = 0.0  # P's weight on log(1 - x_K)
-        if open_set:
-            self.weights[-1] = bm1[1]
-            self.tail = float(np.sum(am1)) - bm1[0]
-        self.prior = bool(self.tail or self.weights.any())
-        # Only the open-set prior on pi = x_in / sum(x_in) can make the objective nonconvex.
-        self.convex = not (open_set and self.prior)
+    def step(self, x: np.ndarray, d: np.ndarray, u: np.ndarray, obj: float, cert: float):
+        """The next (pi, rho, x, d, objective, u) from x, or None if the step is declined.
 
-    def _prior(self, x):
-        """Gradient and Hessian diagonal of P at x, or None where P is infinite."""
-        if not self.prior:
-            return np.zeros(x.size), np.zeros(x.size)
-        if np.any((self.weights > 0.0) & (x <= 0.0)):
-            return None
-        grad, curv = -_over(self.weights, x), _over(self.weights, x * x)
-        if self.tail:
-            rest = 1.0 - x[-1]
-            if not rest > 0.0:
-                return None
-            grad[-1] -= self.tail / rest
-            curv[-1] -= self.tail / (rest * rest)
-        return grad, curv
-
-    def step(self, old, d: np.ndarray, u: np.ndarray, obj: float, cert: float):
-        """The next (pi, rho, x, d, u, objective) from x, or None if the step is declined.
-
-        ``old`` is (pi, rho, x), ``d = W x > 0``, ``u = W.T @ (1 / d)`` and
-        ``obj`` and ``cert`` are the objective and certificate at x. The QP over
-        the support of x, plus each zero coordinate whose gradient breaks the
-        KKT conditions, gives the full step; halving it until the point is
-        lower (``_lower``, and where that cannot tell, a lower certificate) is
-        the line search. The u returned is None unless the certificate was
-        needed.
+        ``d = W x > 0``, ``u = e_step(W, d)`` and ``obj`` and ``cert`` are the
+        objective and certificate at x. The QP over the support of x, plus each
+        zero coordinate whose gradient breaks the KKT conditions, gives the full
+        step; halving it until the point is better (``_better``) is the line
+        search.
         """
-        x = old[2]
-        prior = self._prior(x)
-        if prior is None:
+        derivs = self.prior.derivatives(x)
+        if derivs is None:
             return None
-        grad, curv = prior
+        grad, curv = derivs
         grad -= u
         support = np.flatnonzero((x > 0.0) | (grad < float(x @ grad)))
         h = self._hessian(np.divide(1.0, d, out=self.scratch), support)
         h.flat[:: support.size + 1] += curv[support]
-        y = _simplex_qp(h, grad[support], x[support], self.convex)
+        y = _simplex_qp(h, grad[support], x[support], self.prior.convex)
         if y is None:
             return None
         full = np.zeros(x.size)
@@ -475,16 +462,9 @@ class _Newton:
                                    self.open_set)
             if pi is None:
                 return None
-            x_new = mixing(pi, rho)
-            d_new = self.w @ x_new
-            if d_new.min(initial=math.inf) > 0.0:
-                obj_new = objective(d_new, pi, rho, self.am1, self.bm1, self.scratch)
-                better, u_new = _lower(obj, obj_new, d.size), None
-                if better is None:
-                    u_new = self.w.T @ np.divide(1.0, d_new, out=self.scratch)
-                    better = certificate(u_new, float(d.size), self.am1, self.bm1, pi, rho) < cert
-                if better:
-                    return pi, rho, x_new, d_new, u_new, obj_new
+            point = _better(self.w, pi, rho, obj, cert, self.prior, self.scratch)
+            if point is not None:
+                return point
             t *= 0.5
         return None
 
@@ -532,6 +512,26 @@ def _lower(obj: float, obj_new: float, rows: int) -> Optional[bool]:
     if obj - band <= obj_new <= obj + band:
         return None
     return obj_new < obj
+
+
+def _better(w: np.ndarray, pi, rho, obj: float, cert: float, prior: Prior, scratch):
+    """(pi, rho, x, d, objective, u) at (pi, rho) if it is better than a point of objective
+    ``obj`` and certificate ``cert``, else None.
+
+    Better: every ``d = W @ mixing(pi, rho)`` is positive, and the objective is
+    lower (``_lower``) or, where the two lie within rounding, the certificate is
+    below ``cert``. u is ``e_step(W, d)`` where the certificate was needed.
+    """
+    x = mixing(pi, rho)
+    d = w @ x
+    if not d.min(initial=math.inf) > 0.0:
+        return None
+    obj_x = objective(d, x, prior, scratch)
+    better, u = _lower(obj, obj_x, d.size), None
+    if better is None:
+        u = e_step(w, d, scratch)
+        better = certificate(x, u, d.size, prior) < cert
+    return (pi, rho, x, d, obj_x, u) if better else None
 
 
 def _step_cost(x: np.ndarray) -> float:
@@ -595,17 +595,18 @@ def fit(w: np.ndarray, pi0, rho0, config: EmConfig) -> EmTrace:
     am1 = config.resolved_alpha_in(pi.size) - 1.0
     am1_sum = float(np.sum(am1))
     bm1 = (config.alpha_out[0] - 1.0, config.alpha_out[1] - 1.0)
+    prior = Prior(am1, bm1 if open_set else None)
     scratch = np.empty(w.shape[0])  # 1 / d and log d, one after the other
     frozen = False
     x = mixing(pi, rho)
     d = w @ x
-    obj = [objective(d, pi, rho, am1, bm1, scratch)]
+    obj = [objective(d, x, prior, scratch)]
     maps = steps = 0
     cycle = [x]  # mixing vectors since the last extrapolation or restart
     converged = False
     cert = math.inf
-    u = None  # the E-step's product W.T @ (1 / d) at x, once formed
-    newton = _Newton(w, am1, bm1, open_set, scratch) if tol > 0.0 else None
+    u = None  # e_step(w, d) at x, once formed
+    newton = _Newton(w, prior, open_set, scratch) if tol > 0.0 else None
     newton_on = False
     newton_after = 0  # maps and steps spent before the hand-over rule is weighed again
     history = []  # (maps and steps spent, lowest certificate yet) at each iterate SQUAREM accepted
@@ -618,8 +619,8 @@ def fit(w: np.ndarray, pi0, rho0, config: EmConfig) -> EmTrace:
                 break
             raise DegenerateSample(int(np.argmax(d <= 0.0)))
         if u is None:
-            u = w.T @ np.divide(1.0, d, out=scratch)
-        cert = certificate(u, n, am1, bm1, pi, rho)
+            u = e_step(w, d, scratch)
+        cert = certificate(x, u, n, prior)
         if tol > 0.0 and cert <= tol:
             converged = True
             break
@@ -631,9 +632,9 @@ def fit(w: np.ndarray, pi0, rho0, config: EmConfig) -> EmTrace:
                 newton_on = _newton_pays(cert, tol, _rate(history), x)
         if newton_on:
             steps += 1
-            y = newton.step((pi, rho, x), d, u, obj[-1], cert)
+            y = newton.step(x, d, u, obj[-1], cert)
             if y is not None:
-                pi, rho, x, d, u, obj_y = y
+                pi, rho, x, d, obj_y, u = y
                 obj.append(obj_y)
                 cycle = [x]
                 continue
@@ -646,7 +647,7 @@ def fit(w: np.ndarray, pi0, rho0, config: EmConfig) -> EmTrace:
         x = mixing(pi, rho)
         d = w @ x
         u = None
-        obj.append(objective(d, pi, rho, am1, bm1, scratch))
+        obj.append(objective(d, x, prior, scratch))
         if tol == 0.0:
             continue
         cycle = [x] if froze else cycle + [x]
@@ -660,21 +661,15 @@ def fit(w: np.ndarray, pi0, rho0, config: EmConfig) -> EmTrace:
         d_ex = w @ x_ex
         if d_ex.min(initial=math.inf) <= 0.0:
             continue
-        u_ex = w.T @ np.divide(1.0, d_ex, out=scratch)
-        pi_y, rho_y, froze = _em_map(n, am1, bm1, *trial, x_ex, u_ex, am1_sum)
+        pi_y, rho_y, froze = _em_map(n, am1, bm1, *trial, x_ex, e_step(w, d_ex, scratch),
+                                     am1_sum)
         maps += 1
         if froze:
             continue
-        x_y = mixing(pi_y, rho_y)
-        d_y = w @ x_y
-        obj_y = objective(d_y, pi_y, rho_y, am1, bm1, scratch)
-        better, u_y = _lower(obj[-1], obj_y, d.size), None
-        if better is None:
-            u_y = w.T @ np.divide(1.0, d_y, out=scratch)
-            better = certificate(u_y, n, am1, bm1, pi_y, rho_y) < cert
-        if not better:
+        point = _better(w, pi_y, rho_y, obj[-1], cert, prior, scratch)
+        if point is None:
             continue
-        pi, rho, x, d, u = pi_y, rho_y, x_y, d_y, u_y
+        pi, rho, x, d, obj_y, u = point
         obj.append(obj_y)
         cycle = [x]
     trace = np.array(obj)

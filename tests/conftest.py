@@ -109,7 +109,7 @@ def mle_em_path(w, pi0, rho0, iters):
     d = w @ x
     trace = [em.nll(d)]
     for _ in range(iters):
-        s = em.e_step(w, x, d)
+        s = x * em.e_step(w, d)
         n_in = n - s[k]
         pi, rho = s[:k] / n_in, float(n_in / n)
         x = np.append(rho * pi, 1.0 - rho)
@@ -131,7 +131,7 @@ def plain_em(w, pi0, rho0, alpha, alpha_out, tol, max_iters):
     pi, rho = np.array(pi0, dtype=float), rho0
     d = w @ em.mixing(pi, rho)
     for update in range(1, max_iters + 1):
-        s = em.e_step(w, em.mixing(pi, rho), d)
+        s = em.mixing(pi, rho) * em.e_step(w, d)
         if rho is None:
             pi_new, rho_new, change = em.closed_m_step(s, n, am1), None, 0.0
         else:
@@ -142,4 +142,5 @@ def plain_em(w, pi0, rho0, alpha, alpha_out, tol, max_iters):
         d = w @ em.mixing(pi, rho)
         if change < tol:
             break
-    return pi, rho, em.objective(d, pi, rho, am1, bm1), update, change < tol
+    prior = em.Prior(am1, None if rho is None else bm1)
+    return pi, rho, em.objective(d, em.mixing(pi, rho), prior), update, change < tol

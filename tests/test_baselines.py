@@ -98,6 +98,12 @@ class TestBbse:
         pi = bbse(confusion, ProbabilityVector(q))
         np.testing.assert_allclose(pi.entries, confusion.class_marginals(), atol=1e-10)
 
+    def test_negative_weight_is_clipped_to_exactly_zero(self):
+        # C w = q gives w = (8/3, -2/3): class 2 gets no share at all.
+        confusion = ConfusionMatrix(np.array([[0.4, 0.1], [0.1, 0.4]]))
+        pi = bbse(confusion, ProbabilityVector([1.0, 0.0]))
+        np.testing.assert_array_equal(pi.entries, [1.0, 0.0])
+
     def test_hand_solved_two_by_two(self):
         confusion = ConfusionMatrix(np.array([[0.4, 0.1], [0.1, 0.4]]))
         q = np.array([0.7, 0.3])

@@ -44,6 +44,20 @@ class TestCorrectPosterior:
         with pytest.raises(DegenerateSample):
             correct_records(rec, c_ext, pi_ext)
 
+    def test_small_positive_normalizer(self):
+        # The row's reweighted total is 2e-4: small, but positive, so it normalizes.
+        posteriors, labels = correct_records(_records(([1.0, 0.0], 0.5), ([0.5, 0.5], 0.5)),
+                                             [0.5, 0.5], [1e-4, 1.0 - 1e-4])
+        np.testing.assert_allclose(posteriors, [[1.0, 0.0], [1e-4, 1.0 - 1e-4]], atol=1e-15)
+        np.testing.assert_array_equal(labels, [1, 2])
+
+    def test_zero_normalizer_is_named_after_a_small_one(self):
+        # Row 0's total is 3e-4 and row 1's is 0: the error names row 1.
+        rec = _records(([1.0, 0.0, 0.0], 0.5), ([0.0, 0.0, 1.0], 0.5))
+        with pytest.raises(DegenerateSample) as info:
+            correct_records(rec, np.full(3, 1.0 / 3.0), [1e-4, 1.0 - 1e-4, 0.0])
+        assert info.value.index == 1
+
     def test_requires_positive_source(self):
         c_ext = extend_distribution([1.0], 1.0)  # zero OOD entry
         pi_ext = extend_distribution([1.0], 0.5)

@@ -154,7 +154,7 @@ class TestEStepKernel:
             row = x * w[i]
             resp[i] = row / row.sum()
         want = resp.sum(axis=0)
-        np.testing.assert_allclose(em.e_step(w, x, d), want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(x * em.e_step(w, d), want, rtol=1e-12, atol=0.0)
 
 
 class TestRunEm:
@@ -714,6 +714,74 @@ def _fw_gap(w, x):
     return float(g.max() - x @ g)
 
 
+def _map_fw_gap(w, x, alpha, alpha_out=None):
+    """Frank-Wolfe gap per row of the MAP objective over mixing weights x on the simplex.
+
+    The objective is the NLL ``-sum(log(W x))`` minus the log prior of ``pi =
+    x_in / sum(x_in)`` (Dirichlet ``alpha``) and, open-set (``alpha_out`` given),
+    of ``rho = sum(x_in) / sum(x)`` (Beta ``alpha_out``), written in (pi, rho).
+    Its gradient in x is taken by complex steps, one coordinate at a time.
+    """
+    def objective(z):
+        z_in = z if alpha_out is None else z[:-1]
+        val = -np.sum(np.log(w @ z)) - np.sum((alpha - 1.0) * np.log(z_in / z_in.sum()))
+        if alpha_out is not None:
+            rho = z_in.sum() / z.sum()
+            val -= (alpha_out[0] - 1.0) * np.log(rho) + (alpha_out[1] - 1.0) * np.log(1.0 - rho)
+        return val
+
+    step = 1e-30
+    g = np.array([objective(x + 1j * step * np.eye(x.size)[j]).imag / step
+                  for j in range(x.size)])
+    return float(x @ g - g.min()) / w.shape[0]
+
+
+class TestRules:
+    """The prior in x, the certificate's scale and the "better point" test, on small inputs."""
+
+    @pytest.mark.parametrize("am1,bm1,x", [
+        ([5e-4, 1.0], None, [0.0, 1.0]),  # a small weight on a zero share
+        ([0.0, 0.0], (1.0, 0.0), [0.0, 0.0, 1.0]),  # a tail weight where 1 - x_K is 0
+        ([0.0, 0.0], (0.0, 5e-4), [0.5, 0.5, 0.0]),
+    ])
+    def test_derivatives_are_none_where_the_prior_is_infinite(self, am1, bm1, x):
+        assert em.Prior(np.array(am1), bm1).derivatives(np.array(x)) is None
+
+    def test_derivatives_near_the_tail_end(self):
+        # 1 - x_K is 5e-4: small, but P is finite there.
+        grad, curv = em.Prior(np.zeros(2), (1.0, 0.0)).derivatives(np.array([2e-4, 3e-4, 0.9995]))
+        np.testing.assert_allclose(grad, [0.0, 0.0, 2000.0], rtol=1e-9)
+        np.testing.assert_allclose(curv, [0.0, 0.0, 4e6], rtol=1e-9)
+
+    def test_certificate_is_per_row_and_the_gap_itself_for_no_rows(self):
+        x, u, prior = np.array([0.5, 0.5]), np.array([1.0, 3.0]), em.Prior(np.zeros(2))
+        assert em.certificate(x, u, 0, prior) == 1.0  # x . (-u) - min(-u) = -2 + 3
+        assert em.certificate(x, u, 4, prior) == 0.25
+
+    @pytest.mark.parametrize("pi,better", [([1.0, 0.0], False), ([0.9999, 1e-4], True)])
+    def test_better_needs_every_likelihood_positive(self, pi, better):
+        w, prior = np.eye(2), em.Prior(np.zeros(2))
+        point = em._better(w, np.array(pi), None, 1e9, math.inf, prior, np.empty(2))
+        assert (point is not None) == better
+
+    def test_equal_certificate_is_not_better(self):
+        # The same point again: its objective ties, and so does its certificate.
+        w = np.array([[1.0, 0.5], [0.2, 1.0], [0.7, 0.7]])
+        pi, prior = np.array([0.3, 0.7]), em.Prior(np.array([1.0, 0.0]))
+        d = w @ pi
+        cert = em.certificate(pi, em.e_step(w, d), 3, prior)
+        assert em._better(w, pi, None, em.objective(d, pi, prior), cert, prior, np.empty(3)) is None
+        point = em._better(w, pi, None, em.objective(d, pi, prior), 2.0 * cert, prior, np.empty(3))
+        assert point is not None and point[5] is not None  # u was formed for the certificate
+
+    def test_rounding_band_includes_its_ends(self):
+        band = 64 * float(np.finfo(float).eps)  # the band at objective 0 over one row: 2**-46
+        assert em._lower(0.0, band, 1) is None
+        assert em._lower(0.0, -band, 1) is None
+        assert em._lower(0.0, 2.0 * band, 1) is False
+        assert em._lower(0.0, -2.0 * band, 1) is True
+
+
 class TestCertificate:
     """The certificate every fit with tol > 0 stops on, and the Newton steps that reach it."""
 
@@ -766,6 +834,27 @@ class TestCertificate:
                 assert abs(trace.certificate - max(gap, 0.0)) <= 1e-13
                 assert trace.converged == (trace.certificate <= EmConfig.tol)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_map_certificate_is_the_frank_wolfe_gap_over_the_mixing_weights(self, seed):
+        # osls-map's certificate, like mapls's, is the gap over x, though its
+        # objective is not convex in x; the two Beta parameters differ, so a
+        # slip between rho and 1 - rho shows.
+        cfg = overlap_config(k=5, seed=seed, n=2000, shift=ShiftSpec.dirichlet(1.0))
+        _, target, _, _ = make_scenario(cfg)
+        source = SourceLabelModel(cfg.c, cfg.rho_s)
+        open_w = target.records.extended_f() / source.extended().entries
+        closed_w = target.records.f / source.c.entries
+        alpha, alpha_out = 1.0 + np.arange(1.0, 6.0) / 2.0, (3.0, 1.5)
+        for max_iters in (3, 100):
+            open_trace = run_em(source, target.records,
+                                EmConfig(max_iters, alpha_in=alpha, alpha_out=alpha_out))
+            closed_trace = bl.mapls(target.records, source.c, alpha, max_iters)
+            for trace, w, beta in ((open_trace, open_w, alpha_out), (closed_trace, closed_w, None)):
+                x = em.mixing(trace.pi_final.entries, trace.rho_t_final)
+                gap = _map_fw_gap(w, x, alpha, beta)
+                assert abs(trace.certificate - max(gap, 0.0)) <= 1e-13
+                assert trace.converged == (trace.certificate <= EmConfig.tol)
+
     @pytest.mark.parametrize("open_set", [False, True])
     def test_class_without_target_rows_ends_at_exactly_zero(self, open_set):
         # No target row comes from class 3, and every row gives it 1%: the
@@ -791,6 +880,35 @@ class TestCertificate:
         support = x > 0.0
         np.testing.assert_allclose(g[support], 1.0, atol=1e-9)  # KKT: equal on the support
         assert np.all(g[~support] <= 1.0)  # and no lower off it
+
+    @pytest.mark.parametrize("open_set", [False, True])
+    def test_class_without_target_rows_or_prior_weight_ends_at_exactly_zero(self, open_set):
+        # As above under a MAP fit whose prior gives class 3 no weight: the prior
+        # is finite where that share is 0, and so is the certificate.
+        rng = np.random.default_rng(7)
+        n = 3000
+        f = np.zeros((n, 3))
+        f[:, :2] = 0.99 * rng.dirichlet([2.0, 2.0], n)
+        f[:, 2] = 0.01
+        alpha = np.array([2.0, 3.0, 1.0])
+        c = np.full(3, 1.0 / 3.0)
+        if open_set:  # scores spread, so that rho_t lies inside (0, 1)
+            trace = run_em(SourceLabelModel(c, 0.7), RecordSet(f, rng.uniform(0.3, 1.0, n)),
+                           EmConfig(alpha_in=alpha))
+        else:
+            trace = bl.mapls(RecordSet(f, np.ones(n)), c, alpha)
+        assert trace.pi_final.entries[2] == 0.0
+        assert trace.converged and trace.certificate <= EmConfig.tol
+
+    @pytest.mark.parametrize("am1,bm1", [([0.0, 0.0], (2.0, 0.0)), ([0.0, 0.0], (0.0, 0.0)),
+                                         ([5e-4, 0.0], (0.0, 0.0)), ([1.0, 2.0], (0.5, 1.0)),
+                                         ([0.0, 0.0], (0.0, 3.0))])
+    def test_prior_is_convex_exactly_where_its_hessian_is(self, am1, bm1):
+        # P's Hessian is diagonal; its last entry falls below 0 as x_K nears 1
+        # exactly when the tail weight on log(1 - x_K) is positive.
+        prior = em.Prior(np.array(am1), bm1)
+        _, curv = prior.derivatives(np.array([5e-4, 5e-4, 0.999]))
+        assert prior.convex == bool(np.all(curv >= 0.0))
 
     def test_zero_rows_start_near_the_prior_mode(self):
         # With no target rows the objective is the prior alone; a start near its

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osls import estimators
 from osls.baselines import ConfusionMatrix
 from osls.core import AmbiguousStationary, DegenerateScorer, ValidationError
 from osls.estimators import (
@@ -56,6 +57,10 @@ class TestEstimateRhoS:
     def test_clamped(self):
         assert estimate_rho_s(ScoreMeans(0.5, 0.0, 10, 10)) == 1e-6
 
+    def test_clamped_at_the_top(self):
+        # mu0 / (1 - mu1 + mu0) is exactly 1 here; the estimate stays below it.
+        assert estimate_rho_s(ScoreMeans(1.0, 1.0, 10, 10)) == 1.0 - 1e-6
+
     @settings(max_examples=200, deadline=None)
     @given(st.floats(0.1, 0.9), st.floats(0.05, 0.45), st.floats(0.55, 0.95))
     def test_population_identity(self, q1, v1, v2):
@@ -87,6 +92,16 @@ class TestRhoSBound:
     def test_invalid_delta(self):
         with pytest.raises(ValidationError):
             rho_s_bound(0.9, 0.1, 100, 100, 1.5)
+
+    def test_small_positive_gap(self):
+        # 1 - mu1 + mu0 is 5e-4: small, but the bound is defined, if wide.
+        rep = rho_s_bound(0.9995, 0.0, 5000, 5000, math.exp(-2.0))
+        assert rep.bound == pytest.approx((1 / 5e-4) * math.sqrt(2.0 / 10_000), rel=1e-9)
+
+    def test_perfect_scorer_is_named(self):
+        # 1 - mu1 + mu0 is exactly 0: a named ValidationError, not a division by zero.
+        with pytest.raises(ValidationError, match="1 - mu1 \\+ mu0 must be positive"):
+            rho_s_bound(1.0, 0.0, 100, 100, 0.05)
 
 
 def _grid_min_simplex(a, resolution=0.001):
@@ -121,6 +136,31 @@ class TestMulticlassPrior:
             estimate_source_prior_multiclass(np.eye(2))
         with pytest.raises(AmbiguousStationary):
             estimate_source_prior_multiclass(np.eye(4))
+
+    def test_near_identity_with_a_unique_stationary_point(self):
+        # mu_hat - I is small (its largest eigenvalue is 6.5e-4), but the
+        # stationary distribution is unique: 0.015 r2 = 0.01 r1.
+        rho = estimate_source_prior_multiclass(np.array([[0.99, 0.015], [0.01, 0.985]]))
+        np.testing.assert_allclose(rho.entries, [0.6, 0.4], atol=1e-8)
+
+    def test_descent_stops_once_its_projected_gradient_is_small(self, monkeypatch):
+        # Near the identity the step 1 / lam_max is long (about 300 here); the
+        # descent stops on its projected gradient, |x - x_next| / step < 1e-10,
+        # after 30 steps (a stop at |x - x_next| * step < 1e-10 takes 52).
+        mu = np.array([[0.98, 0.01, 0.03], [0.01, 0.97, 0.01], [0.01, 0.02, 0.96]])
+        steps = []
+        monkeypatch.setattr(estimators, "project_to_simplex",
+                            lambda v: steps.append(v) or project_to_simplex(v))
+        rho = estimate_source_prior_multiclass(mu)
+        assert len(steps) <= 40
+        np.testing.assert_allclose(mu @ rho.entries, rho.entries, atol=1e-9)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_near_identity_ambiguous(self, k):
+        # Columns summing to 1 - 1e-7: every vertex's objective is 1e-14, within
+        # the flatness tolerance of the minimum's 1e-14 / k, so no vertex wins.
+        with pytest.raises(AmbiguousStationary):
+            estimate_source_prior_multiclass((1.0 - 1e-7) * np.eye(k))
 
     def test_symmetric(self):
         mu = np.full((2, 2), 0.5)
@@ -222,6 +262,12 @@ class TestThresholdRescale:
     def test_tie_maps_to_zero(self):
         out = threshold_rescale([0.5], [0.8], [0.2])
         np.testing.assert_array_equal(out, [0.0])
+
+    def test_asymmetric_medians(self):
+        # Medians 0.9 and 0.3 put the threshold at 0.6; their sum is not 1, so a
+        # threshold of 0.5 / (m1 + m0) or a plain 0.5 reads 0.45 and 0.55 as ID.
+        out = threshold_rescale([0.45, 0.55, 0.59, 0.61], [0.9, 0.9, 0.95], [0.3, 0.2, 0.3])
+        np.testing.assert_array_equal(out, [0.0, 0.0, 0.0, 1.0])
 
     def test_empty_reference(self):
         with pytest.raises(ValidationError):
