@@ -736,6 +736,13 @@ def _map_fw_gap(w, x, alpha, alpha_out=None):
     return float(x @ g - g.min()) / w.shape[0]
 
 
+def _no_rows_from_class_3(rng, n):
+    """Posteriors of n rows from classes 1 and 2 alone, each giving class 3 a share of 1%."""
+    f = np.full((n, 3), 0.01)
+    f[:, :2] = 0.99 * rng.dirichlet([2.0, 2.0], n)
+    return f
+
+
 class TestRules:
     """The prior in x, the certificate's scale and the "better point" test, on small inputs."""
 
@@ -859,11 +866,8 @@ class TestCertificate:
     def test_class_without_target_rows_ends_at_exactly_zero(self, open_set):
         # No target row comes from class 3, and every row gives it 1%: the
         # likelihood rises as its share falls, so the optimum puts it at 0.
-        rng = np.random.default_rng(7)
         n = 3000
-        f = np.zeros((n, 3))
-        f[:, :2] = 0.99 * rng.dirichlet([2.0, 2.0], n)
-        f[:, 2] = 0.01
+        f = _no_rows_from_class_3(np.random.default_rng(7), n)
         records = RecordSet(f, np.full(n, 0.9) if open_set else np.ones(n))
         c = np.full(3, 1.0 / 3.0)
         if open_set:
@@ -887,9 +891,7 @@ class TestCertificate:
         # is finite where that share is 0, and so is the certificate.
         rng = np.random.default_rng(7)
         n = 3000
-        f = np.zeros((n, 3))
-        f[:, :2] = 0.99 * rng.dirichlet([2.0, 2.0], n)
-        f[:, 2] = 0.01
+        f = _no_rows_from_class_3(rng, n)
         alpha = np.array([2.0, 3.0, 1.0])
         c = np.full(3, 1.0 / 3.0)
         if open_set:  # scores spread, so that rho_t lies inside (0, 1)

@@ -135,9 +135,9 @@ def _functions(tree: ast.Module):
 
 
 def _changes(func: ast.FunctionDef):
-    """(change, node, apply) for each site in a function, in source order.
+    """(change, apply) for each site in a function, in source order.
 
-    ``apply`` makes the change in place on the node.
+    ``apply()`` makes the change in place on the function's tree.
     """
     found = []
     for node in ast.walk(func):
