@@ -20,19 +20,22 @@ responsibilities ``x_j W_ij / d_i`` are ``x * u``: two matrix-vector products,
 with no N x K responsibility matrix. The responsibilities are normalized over
 all K+1 classes (the OOD class included). The M-steps apply the Dirichlet/Beta
 priors in closed form through ``alpha - 1``; the objective, the certificate
-and the Newton steps read the same priors as one term of x, ``Prior``. All-ones
-priors make every prior term exactly zero, so maximum likelihood is MAP with
-unit priors.
+and the Newton steps read the same priors from one object, ``Prior``, which
+states them in (pi, rho) and in x. All-ones priors make every prior term
+exactly zero, so maximum likelihood is MAP with unit priors.
 
 One EM map is the E-step followed by ``open_m_step`` or ``closed_m_step``.
 ``tol = 0`` runs exactly ``max_iters`` plain EM updates. With ``tol > 0``:
 
 * **Certificate and stop.** ``certificate`` is the Frank-Wolfe gap of the
-  objective over x per target row (Jaggi 2013, ICML), read from u at no
-  extra cost. For maximum likelihood it is ``max_j u_j / n - 1``, which bounds
-  the excess NLL per row and is 0 exactly at the optimum; for the open-set fit
-  with a prior it is a stationarity residual. The fit stops once the
-  certificate is at or below ``tol``: ``converged`` means exactly that.
+  objective per target row (Jaggi 2013, ICML), read from u at no extra cost.
+  Where the objective is convex in x the gap is taken over x and bounds the
+  excess objective per row; for maximum likelihood it is ``max_j u_j / n -
+  1``, 0 exactly at the optimum. The open-set prior whose tail is positive
+  makes the objective nonconvex in x, with a gradient in x that grows as 1 /
+  rho; that fit's gap is taken over (pi, rho), where it is a stationarity
+  residual that stays finite at rho = 0. The fit stops once the certificate
+  is at or below ``tol``: ``converged`` means exactly that.
 * **SQUAREM.** Every two accepted maps are followed by a SQUAREM
   extrapolation (Varadhan & Roland 2008, Scand. J. Statist. 35:335-353) and
   a stabilising map, kept only if it is better than the plain iterate.
@@ -196,76 +199,95 @@ def nll(d: np.ndarray, axis=None, out=None):
 
 
 class Prior:
-    """A fit's negative log prior as a term of its mixing weights x.
+    """A fit's negative log prior P, normalizing constants dropped.
 
-    ``P(x) = -sum_j weights_j log x_j + tail log(1 - x_K)``, normalizing
-    constants dropped. ``am1`` is ``alpha - 1`` per class and ``bm1`` the pair
-    ``alpha_out - 1`` for rho and 1 - rho, None for a closed-set fit, whose
-    weights are ``am1`` and whose tail is 0. Open-set, the weights are ``am1``
-    and ``bm1[1]`` and the tail is ``sum(am1) - bm1[0]``: on the simplex this
-    is the negative log prior of ``pi = x_in / (1 - x_K)`` and ``rho = 1 - x_K``.
+    ``am1`` is ``alpha - 1`` per class and ``bm1`` the pair ``alpha_out - 1``
+    for rho and 1 - rho, None closed-set. In (pi, rho), ``P = -sum_j am1_j log
+    pi_j - bm1[0] log rho - bm1[1] log(1 - rho)``, the last two terms open-set
+    only. In ``x = [rho pi, 1 - rho]``, ``P = -sum_j weights_j log x_j + tail
+    log(1 - x_K)``, with weights ``am1`` (and ``bm1[1]``) and tail ``sum(am1) -
+    bm1[0]`` (0 closed-set). A positive tail makes P nonconvex in x, with a
+    gradient in x that grows as 1 / rho: at rho = 0, P depends on pi, not on x alone.
     """
 
     def __init__(self, am1: np.ndarray, bm1=None):
+        self.am1, self.bm1 = am1, bm1
         self.weights = np.append(am1, [] if bm1 is None else [bm1[1]])
         self.tail = 0.0 if bm1 is None else float(np.sum(am1)) - bm1[0]
         self.weighted = self.weights > 0.0
-        self.active = bool(self.tail or self.weighted.any())
         # -w log x_j is convex for w >= 0, and t log(1 - x_K) for t <= 0 only.
         self.convex = self.tail <= 0.0
 
-    def value(self, x: np.ndarray) -> float:
-        """P(x), with each log's argument floored at 1e-300; 0.0 for all-ones priors."""
-        if not self.active:
-            return 0.0
-        val = -float(np.sum(self.weights * np.log(np.maximum(x, LIK_FLOOR))))
-        if self.tail:
-            val += self.tail * math.log(max(1.0 - x[-1], LIK_FLOOR))
+    def value(self, pi: np.ndarray, rho) -> float:
+        """P at (pi, rho), each log's argument floored at 1e-300; rho None closed-set."""
+        val = -float(np.sum(self.am1 * np.log(np.maximum(pi, LIK_FLOOR))))
+        if rho is not None:
+            val -= self.bm1[0] * math.log(max(rho, LIK_FLOOR))
+            val -= self.bm1[1] * math.log(max(1.0 - rho, LIK_FLOOR))
         return val
 
     def derivatives(self, x: np.ndarray, curvature: bool = True):
-        """Gradient and, if ``curvature``, Hessian diagonal of P at x; None where P is infinite."""
-        if not self.active:
-            return np.zeros(x.size), np.zeros(x.size) if curvature else None
+        """Gradient and, if ``curvature``, Hessian diagonal of P in x; None where P is infinite."""
         rest = 1.0 - x[-1]
         if not x.min(initial=math.inf, where=self.weighted) > 0.0 or (self.tail and not rest > 0.0):
             return None
-        grad = -self._over(x)
-        curv = self._over(x * x) if curvature else None
+        grad = -_over(self.weights, x, self.weighted)
+        curv = _over(self.weights, x * x, self.weighted) if curvature else None
         if self.tail:
             grad[-1] -= self.tail / rest
             if curvature:
                 curv[-1] -= self.tail / (rest * rest)
         return grad, curv
 
-    def _over(self, x: np.ndarray) -> np.ndarray:
-        """``weights / x`` where the weight is positive, 0 elsewhere (where x may be 0)."""
-        return np.divide(self.weights, x, out=np.zeros(x.size), where=self.weighted)
+    def chart_gradient(self, pi: np.ndarray, rho: float):
+        """P's gradient in pi and its derivative in rho, open-set; None where P is infinite."""
+        b0, b1 = self.bm1
+        weighted = self.weighted[:-1]
+        if not (pi.min(initial=math.inf, where=weighted) > 0.0
+                and (b0 == 0.0 or rho > 0.0) and (b1 == 0.0 or rho < 1.0)):
+            return None
+        g_rho = (b1 / (1.0 - rho) if b1 else 0.0) - (b0 / rho if b0 else 0.0)
+        return -_over(self.am1, pi, weighted), g_rho
 
 
-def objective(d: np.ndarray, x: np.ndarray, prior: Prior, out=None) -> float:
-    """The fit's objective at x: the NLL of ``d = W @ x`` plus ``prior.value(x)``.
+def _over(a: np.ndarray, b: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """``a / b`` where ``where`` (``a > 0``) holds and 0 elsewhere, where b may be 0."""
+    return np.divide(a, b, out=np.zeros(a.size), where=where)
+
+
+def objective(d: np.ndarray, pi: np.ndarray, rho, prior: Prior, out=None) -> float:
+    """The fit's objective at (pi, rho): the NLL of ``d = W @ mixing(pi, rho)`` plus P.
 
     For MAP fits it is the negative log-posterior, normalizing constants
     dropped. ``out`` is as for ``nll``.
     """
-    return nll(d, out=out) + prior.value(x)
+    return nll(d, out=out) + prior.value(pi, rho)
 
 
-def certificate(x: np.ndarray, u: np.ndarray, n: float, prior: Prior) -> float:
-    """The certificate of a fit at mixing weights x, given ``u = e_step(W, W @ x)``.
+def certificate(pi: np.ndarray, rho, x: np.ndarray, u: np.ndarray, n: float, prior: Prior) -> float:
+    """The certificate at (pi, rho), given ``x = mixing(pi, rho)`` and ``u = e_step(W, W @ x)``.
 
-    The Frank-Wolfe gap of the objective over x on the simplex, ``x . g - min_j
-    g_j`` with ``g = grad P(x) - u``, per target row (of ``n``, or 1 for none);
-    +inf where P is infinite. Where the objective is convex in x
-    (``Prior.convex``) it bounds the excess objective per row, and elsewhere it
-    is a stationarity residual.
+    The Frank-Wolfe gap of the objective per target row (of ``n``, or 1 for
+    none); +inf where P is infinite. Where the objective is convex in x
+    (``Prior.convex``) it is taken over x on the simplex, ``x . g - min_j g_j``
+    with ``g = grad P(x) - u``; elsewhere over (pi, rho) in the simplex times
+    [0, 1], where it stays finite as rho falls to 0.
     """
-    derivs = prior.derivatives(x, curvature=False)
-    if derivs is None:
-        return math.inf
-    g = derivs[0] - u
-    return max(float(x @ g - g.min()), 0.0) / max(n, 1.0)
+    if prior.convex:
+        derivs = prior.derivatives(x, curvature=False)
+        if derivs is None:
+            return math.inf
+        g = derivs[0] - u
+        gap = float(x @ g - g.min())
+    else:
+        derivs = prior.chart_gradient(pi, rho)
+        if derivs is None:
+            return math.inf
+        k = pi.size
+        g_pi = derivs[0] - rho * u[:k]
+        g_rho = derivs[1] + float(u[k] - pi @ u[:k])
+        gap = float(pi @ g_pi - g_pi.min()) + max(rho * g_rho, (rho - 1.0) * g_rho)
+    return max(gap, 0.0) / max(n, 1.0)
 
 
 def open_m_step(s: np.ndarray, n: float, am1: np.ndarray, bm1, am1_sum=None):
@@ -424,7 +446,7 @@ def _simplex_qp(h: np.ndarray, g: np.ndarray, x0: np.ndarray, convex: bool):
 
 
 class _Newton:
-    """Damped Newton steps for one fit's objective, ``-sum(log(W x)) + prior.value(x)``."""
+    """Damped Newton steps for one fit's objective in its mixing weights x, ``-sum(log(W x)) + P``."""
 
     def __init__(self, w: np.ndarray, prior: Prior, open_set: bool, scratch: np.ndarray):
         self.w, self.prior, self.open_set, self.scratch = w, prior, open_set, scratch
@@ -526,11 +548,11 @@ def _better(w: np.ndarray, pi, rho, obj: float, cert: float, prior: Prior, scrat
     d = w @ x
     if not d.min(initial=math.inf) > 0.0:
         return None
-    obj_x = objective(d, x, prior, scratch)
+    obj_x = objective(d, pi, rho, prior, scratch)
     better, u = _lower(obj, obj_x, d.size), None
     if better is None:
         u = e_step(w, d, scratch)
-        better = certificate(x, u, d.size, prior) < cert
+        better = certificate(pi, rho, x, u, d.size, prior) < cert
     return (pi, rho, x, d, obj_x, u) if better else None
 
 
@@ -600,7 +622,7 @@ def fit(w: np.ndarray, pi0, rho0, config: EmConfig) -> EmTrace:
     frozen = False
     x = mixing(pi, rho)
     d = w @ x
-    obj = [objective(d, x, prior, scratch)]
+    obj = [objective(d, pi, rho, prior, scratch)]
     maps = steps = 0
     cycle = [x]  # mixing vectors since the last extrapolation or restart
     converged = False
@@ -620,7 +642,7 @@ def fit(w: np.ndarray, pi0, rho0, config: EmConfig) -> EmTrace:
             raise DegenerateSample(int(np.argmax(d <= 0.0)))
         if u is None:
             u = e_step(w, d, scratch)
-        cert = certificate(x, u, n, prior)
+        cert = certificate(pi, rho, x, u, n, prior)
         if tol > 0.0 and cert <= tol:
             converged = True
             break
@@ -647,7 +669,7 @@ def fit(w: np.ndarray, pi0, rho0, config: EmConfig) -> EmTrace:
         x = mixing(pi, rho)
         d = w @ x
         u = None
-        obj.append(objective(d, x, prior, scratch))
+        obj.append(objective(d, pi, rho, prior, scratch))
         if tol == 0.0:
             continue
         cycle = [x] if froze else cycle + [x]

@@ -143,4 +143,4 @@ def plain_em(w, pi0, rho0, alpha, alpha_out, tol, max_iters):
         if change < tol:
             break
     prior = em.Prior(am1, None if rho is None else bm1)
-    return pi, rho, em.objective(d, em.mixing(pi, rho), prior), update, change < tol
+    return pi, rho, em.objective(d, pi, rho, prior), update, change < tol

@@ -281,6 +281,9 @@ class TestRunEm:
             prior = run_em(source, target, EmConfig(tol=tol, alpha_in=np.full(3, 2.0)))
             assert prior.rho_t_final == 0.0 and not prior.pi_update_frozen
             np.testing.assert_allclose(prior.pi_final.entries, 1.0 / 3.0)
+            # The prior is finite at rho = 0 (alpha_out[0] is 1), and so is the certificate.
+            assert prior.converged == (tol > 0.0) and math.isfinite(prior.certificate)
+            assert prior.map_evaluations == (1 if tol > 0.0 else EmConfig.max_iters)
 
     def test_init_validation(self):
         cfg = easy_config(k=2, seed=1, n=100)
@@ -724,16 +727,38 @@ def _map_fw_gap(w, x, alpha, alpha_out=None):
     """
     def objective(z):
         z_in = z if alpha_out is None else z[:-1]
-        val = -np.sum(np.log(w @ z)) - np.sum((alpha - 1.0) * np.log(z_in / z_in.sum()))
-        if alpha_out is not None:
-            rho = z_in.sum() / z.sum()
-            val -= (alpha_out[0] - 1.0) * np.log(rho) + (alpha_out[1] - 1.0) * np.log(1.0 - rho)
-        return val
+        rho = None if alpha_out is None else z_in.sum() / z.sum()
+        return _map_objective(w, z, z_in / z_in.sum(), rho, alpha, alpha_out)
 
-    step = 1e-30
-    g = np.array([objective(x + 1j * step * np.eye(x.size)[j]).imag / step
-                  for j in range(x.size)])
+    g = _complex_step_gradient(objective, x)
     return float(x @ g - g.min()) / w.shape[0]
+
+
+def _map_product_gap(w, pi, rho, alpha, alpha_out):
+    """Frank-Wolfe gap per row of the open-set MAP objective over (pi, rho).
+
+    The domain is the simplex of pi times [0, 1] for rho, so the gap is pi's
+    gap plus rho's; the gradient is taken by complex steps.
+    """
+    def objective(z):
+        return _map_objective(w, em.mixing(z[:-1], z[-1]), z[:-1], z[-1], alpha, alpha_out)
+
+    g = _complex_step_gradient(objective, np.append(pi, rho))
+    g_pi, g_rho = g[:-1], g[-1]
+    return (float(pi @ g_pi - g_pi.min()) + max(rho * g_rho, (rho - 1.0) * g_rho)) / w.shape[0]
+
+
+def _map_objective(w, x, pi, rho, alpha, alpha_out):
+    """NLL of mixing weights x minus the log prior of (pi, rho); closed-set for rho None."""
+    val = -np.sum(np.log(w @ x)) - np.sum((alpha - 1.0) * np.log(pi))
+    if rho is not None:
+        val -= (alpha_out[0] - 1.0) * np.log(rho) + (alpha_out[1] - 1.0) * np.log(1.0 - rho)
+    return val
+
+
+def _complex_step_gradient(fn, z, step=1e-30):
+    """The gradient of a real-analytic ``fn`` at z, one complex step per coordinate."""
+    return np.array([fn(z + 1j * step * np.eye(z.size)[j]).imag / step for j in range(z.size)])
 
 
 def _no_rows_from_class_3(rng, n):
@@ -754,6 +779,35 @@ class TestRules:
     def test_derivatives_are_none_where_the_prior_is_infinite(self, am1, bm1, x):
         assert em.Prior(np.array(am1), bm1).derivatives(np.array(x)) is None
 
+    @pytest.mark.parametrize("am1,bm1,pi,rho", [
+        ([5e-4, 1.0], (0.0, 0.0), [0.0, 1.0], 0.5),  # a small weight on a zero share
+        ([0.0, 0.0], (1.0, 0.0), [0.5, 0.5], 0.0),  # a weight on log rho at rho = 0
+        ([0.0, 0.0], (0.0, 1.0), [0.5, 0.5], 1.0),  # a weight on log(1 - rho) at rho = 1
+    ])
+    def test_chart_gradient_is_none_where_the_prior_is_infinite(self, am1, bm1, pi, rho):
+        assert em.Prior(np.array(am1), bm1).chart_gradient(np.array(pi), rho) is None
+
+    def test_chart_gradient_is_finite_at_the_ends_of_rho_without_their_weight(self):
+        g_pi, g_rho = em.Prior(np.array([5e-4, 3.0]), (0.0, 2.0)).chart_gradient(
+            np.array([4e-4, 0.9996]), 0.0)
+        np.testing.assert_allclose(g_pi, [-1.25, -3.0 / 0.9996], rtol=1e-15)
+        assert g_rho == 2.0
+        _, g_rho = em.Prior(np.array([1.0, 3.0]), (2.0, 0.0)).chart_gradient(
+            np.array([0.25, 0.75]), 1.0)
+        assert g_rho == -2.0
+        # Small, but P is finite: rho and 1 - rho are 5e-4.
+        prior, pi = em.Prior(np.zeros(2), (1.0, 1.0)), np.array([0.5, 0.5])
+        assert prior.chart_gradient(pi, 5e-4)[1] == pytest.approx(-1998.9995)
+        assert prior.chart_gradient(pi, 1.0 - 5e-4)[1] == pytest.approx(1998.9995)
+
+    def test_value_in_pi_and_rho(self):
+        pi, rho = np.array([0.25, 0.75]), 0.2
+        value = em.Prior(np.array([1.0, 2.0]), (2.0, 3.0)).value(pi, rho)
+        want = -(np.log(0.25) + 2.0 * np.log(0.75) + 2.0 * np.log(0.2) + 3.0 * np.log(0.8))
+        assert value == pytest.approx(want, rel=1e-15)
+        assert em.Prior(np.array([1.0, 2.0])).value(pi, None) == pytest.approx(
+            -(np.log(0.25) + 2.0 * np.log(0.75)), rel=1e-15)
+
     def test_derivatives_near_the_tail_end(self):
         # 1 - x_K is 5e-4: small, but P is finite there.
         grad, curv = em.Prior(np.zeros(2), (1.0, 0.0)).derivatives(np.array([2e-4, 3e-4, 0.9995]))
@@ -762,8 +816,8 @@ class TestRules:
 
     def test_certificate_is_per_row_and_the_gap_itself_for_no_rows(self):
         x, u, prior = np.array([0.5, 0.5]), np.array([1.0, 3.0]), em.Prior(np.zeros(2))
-        assert em.certificate(x, u, 0, prior) == 1.0  # x . (-u) - min(-u) = -2 + 3
-        assert em.certificate(x, u, 4, prior) == 0.25
+        assert em.certificate(x, None, x, u, 0, prior) == 1.0  # x . (-u) - min(-u) = -2 + 3
+        assert em.certificate(x, None, x, u, 4, prior) == 0.25
 
     @pytest.mark.parametrize("pi,better", [([1.0, 0.0], False), ([0.9999, 1e-4], True)])
     def test_better_needs_every_likelihood_positive(self, pi, better):
@@ -776,9 +830,10 @@ class TestRules:
         w = np.array([[1.0, 0.5], [0.2, 1.0], [0.7, 0.7]])
         pi, prior = np.array([0.3, 0.7]), em.Prior(np.array([1.0, 0.0]))
         d = w @ pi
-        cert = em.certificate(pi, em.e_step(w, d), 3, prior)
-        assert em._better(w, pi, None, em.objective(d, pi, prior), cert, prior, np.empty(3)) is None
-        point = em._better(w, pi, None, em.objective(d, pi, prior), 2.0 * cert, prior, np.empty(3))
+        cert = em.certificate(pi, None, pi, em.e_step(w, d), 3, prior)
+        obj = em.objective(d, pi, None, prior)
+        assert em._better(w, pi, None, obj, cert, prior, np.empty(3)) is None
+        point = em._better(w, pi, None, obj, 2.0 * cert, prior, np.empty(3))
         assert point is not None and point[5] is not None  # u was formed for the certificate
 
     def test_rounding_band_includes_its_ends(self):
@@ -842,16 +897,18 @@ class TestCertificate:
                 assert trace.converged == (trace.certificate <= EmConfig.tol)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_map_certificate_is_the_frank_wolfe_gap_over_the_mixing_weights(self, seed):
-        # osls-map's certificate, like mapls's, is the gap over x, though its
-        # objective is not convex in x; the two Beta parameters differ, so a
-        # slip between rho and 1 - rho shows.
+    def test_map_certificate_is_the_frank_wolfe_gap_where_the_objective_is_convex(self, seed):
+        # mapls's objective is convex in x, and so is osls-map's where the Beta
+        # parameter on rho outweighs the Dirichlet's sum (Prior.convex): their
+        # certificate is the gap over x. Beta (9, 1.5) makes the tail
+        # sum(alpha - 1) - 8 = -0.5; the two Beta parameters differ, so a slip
+        # between rho and 1 - rho shows.
         cfg = overlap_config(k=5, seed=seed, n=2000, shift=ShiftSpec.dirichlet(1.0))
         _, target, _, _ = make_scenario(cfg)
         source = SourceLabelModel(cfg.c, cfg.rho_s)
         open_w = target.records.extended_f() / source.extended().entries
         closed_w = target.records.f / source.c.entries
-        alpha, alpha_out = 1.0 + np.arange(1.0, 6.0) / 2.0, (3.0, 1.5)
+        alpha, alpha_out = 1.0 + np.arange(1.0, 6.0) / 2.0, (9.0, 1.5)
         for max_iters in (3, 100):
             open_trace = run_em(source, target.records,
                                 EmConfig(max_iters, alpha_in=alpha, alpha_out=alpha_out))
@@ -861,6 +918,46 @@ class TestCertificate:
                 gap = _map_fw_gap(w, x, alpha, beta)
                 assert abs(trace.certificate - max(gap, 0.0)) <= 1e-13
                 assert trace.converged == (trace.certificate <= EmConfig.tol)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nonconvex_map_certificate_is_the_frank_wolfe_gap_over_pi_and_rho(self, seed):
+        # Beta (3, 1.5) leaves the tail positive (7.5 - 2), so the objective is
+        # not convex in x; the certificate is then the gap over (pi, rho).
+        cfg = overlap_config(k=5, seed=seed, n=2000, shift=ShiftSpec.dirichlet(1.0))
+        _, target, _, _ = make_scenario(cfg)
+        source = SourceLabelModel(cfg.c, cfg.rho_s)
+        w = target.records.extended_f() / source.extended().entries
+        alpha, alpha_out = 1.0 + np.arange(1.0, 6.0) / 2.0, (3.0, 1.5)
+        # From rho_t = 0.02 one map leaves rho_t below its optimum, where the gap
+        # comes from raising it.
+        low = TargetLabelModel(source.c, 0.02)
+        for max_iters, init in ((3, None), (100, None), (1, low)):
+            trace = run_em(source, target.records,
+                           EmConfig(max_iters, alpha_in=alpha, alpha_out=alpha_out), init)
+            gap = _map_product_gap(w, trace.pi_final.entries, trace.rho_t_final, alpha, alpha_out)
+            assert abs(trace.certificate - max(gap, 0.0)) <= 1e-13
+            assert trace.converged == (trace.certificate <= EmConfig.tol)
+
+    @pytest.mark.parametrize("alpha", [[1.0, 1.0, 1.0], [1.0, 1.5, 1.0]])
+    def test_convex_open_set_map_fit_takes_newton_steps_to_the_plain_em_optimum(self, alpha):
+        # A Beta (3, 1) prior on rho makes the tail sum(alpha - 1) - 2 negative, so
+        # Newton steps skip the Cholesky test. Class 3 has no target rows, so
+        # the optimum puts its share at 0 and the fit hands over to Newton.
+        rng = np.random.default_rng(7)
+        n = 3000
+        records = RecordSet(_no_rows_from_class_3(rng, n), rng.uniform(0.3, 1.0, n))
+        source = SourceLabelModel(np.full(3, 1.0 / 3.0), 0.7)
+        alpha, alpha_out = np.array(alpha), (3.0, 1.0)
+        assert em.Prior(alpha - 1.0, (2.0, 0.0)).convex
+        trace = run_em(source, records, EmConfig(alpha_in=alpha, alpha_out=alpha_out))
+        assert trace.converged and trace.certificate <= EmConfig.tol and trace.newton_steps > 0
+        assert trace.pi_final.entries[2] == 0.0
+        w = records.extended_f() / source.extended().entries
+        pi, rho, obj, _, done = plain_em(w, source.c.entries, 0.7, alpha, alpha_out, 1e-15, 5000)
+        assert done
+        np.testing.assert_allclose(trace.pi_final.entries, pi, rtol=0.0, atol=1e-10)
+        assert abs(trace.rho_t_final - rho) <= 1e-10
+        assert trace.nll_per_iter[-1] <= obj + 1e-12 * abs(obj)
 
     @pytest.mark.parametrize("open_set", [False, True])
     def test_class_without_target_rows_ends_at_exactly_zero(self, open_set):

@@ -37,13 +37,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "osls"
 
-# The functions whose sites are listed and run by default: the EM rules (one prior
-# in x, the objective, the certificate, the E-step, the EM map and the "better"
+# The functions whose sites are listed and run by default: the EM rules (the one
+# prior, the objective, the certificate, the E-step, the EM map and the "better"
 # rule) and the estimator functions an earlier sampled run found gaps in.
 FUNCTIONS = (
     "em.py:Prior.__init__",
     "em.py:Prior.value",
     "em.py:Prior.derivatives",
+    "em.py:Prior.chart_gradient",
     "em.py:objective",
     "em.py:certificate",
     "em.py:e_step",
