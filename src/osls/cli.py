@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="most processes running grid points, capped by usable cores and grid "
                         "points; they exit with the command or when it is killed (default: 1)")
     p.add_argument("--iters", type=int, default=EmConfig.max_iters,
-                   help="most EM map evaluations per EM fit; each fit stops at the "
+                   help="most EM maps plus Newton steps per EM fit; each fit stops at the "
                         f"default tolerance {EmConfig.tol:g} (default: %(default)s)")
     _add_common_output(p)
     p.set_defaults(func=cmd_sweep)

@@ -534,3 +534,87 @@ def mixing(p: np.ndarray, rho) -> np.ndarray:
 def extend_distribution(base: Union[ProbabilityVector, VectorLike], rho: float) -> ProbabilityVector:
     """Combine an ID distribution and an ID ratio into the (K+1)-class vector [rho*p, 1-rho]."""
     return ProbabilityVector(mixing(_vector_in("base", base).entries, real_in("rho", rho, 0, 1)))
+
+
+# simplex_qp releases a held coordinate only where its multiplier is below this
+# share of the largest free gradient entry, so rounding cannot cycle.
+_QP_RELEASE_TOL = 64 * np.finfo(float).eps
+
+
+def reduced_hessian(h: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """``h`` on the plane ``sum(p) = 0`` over ``free``, in the coordinates ``free[:-1]``.
+
+    The constraint eliminates ``last = free[-1]``: a p on the plane has
+    ``p' h p = q' R q`` with ``q = p[rest]``, ``rest = free[:-1]``, ``R =
+    h[rest, rest] - col - col' + h[last, last]`` and ``col = h[rest, last]``.
+    ``free`` holds two or more coordinates.
+    """
+    last, rest = free[-1], free[:-1]
+    col = h[rest, last]
+    reduced = h[rest[:, None], rest]
+    reduced -= col[:, None]
+    reduced -= col
+    reduced += h[last, last]
+    return reduced
+
+
+def _reduced_solve(h: np.ndarray, grad: np.ndarray, free: np.ndarray, convex: bool):
+    """The step on ``free`` minimizing ``grad . p + p' h p / 2`` under ``sum(p) = 0``.
+
+    The constraint eliminates ``free[-1]`` (``reduced_hessian``). None when the
+    reduced Hessian is singular or, for an objective that is not ``convex``,
+    not positive definite, as its Cholesky factorization then fails.
+    """
+    step = np.zeros(grad.size)
+    last, rest = free[-1], free[:-1]
+    if rest.size == 0:
+        return step
+    reduced = reduced_hessian(h, free)
+    try:
+        if not convex:
+            np.linalg.cholesky(reduced)
+        p = np.linalg.solve(reduced, grad[last] - grad[rest])
+    except np.linalg.LinAlgError:
+        return None
+    step[rest] = p
+    step[last] = -p.sum()
+    return step
+
+
+def simplex_qp(h: np.ndarray, g: np.ndarray, x0: np.ndarray, convex: bool):
+    """Minimize ``g . (y - x0) + (y - x0)' h (y - x0) / 2`` over ``y >= 0``, ``sum(y) = 1``.
+
+    A primal active set from the feasible ``x0 / sum(x0)``: a step that would
+    take coordinates below 0 stops where the first reaches 0, and every
+    coordinate at 0 there is set to exactly 0 and held, all at once. At the
+    minimum over the free coordinates, the held one whose multiplier breaks
+    the KKT conditions most is released. Each step lowers the model. None when
+    ``_reduced_solve`` declines.
+    """
+    y = x0 / x0.sum()
+    free = y > 0.0
+    for _ in range(4 * y.size + 8):
+        idx = np.flatnonzero(free)
+        idx = idx[np.argsort(y[idx], kind="stable")]  # eliminate the largest coordinate
+        step = _reduced_solve(h, g + h @ (y - x0), idx, convex)
+        if step is None:
+            return None
+        falling = step < 0.0
+        ratio = np.divide(y, -step, out=np.full(y.size, math.inf), where=falling)
+        t = min(1.0, float(ratio.min()))
+        y += t * step
+        if t < 1.0:
+            hit = falling & (ratio <= t)
+            y[hit] = 0.0
+            free &= ~hit
+            continue
+        held = np.flatnonzero(~free)
+        if held.size == 0:
+            break
+        grad = g + h @ (y - x0)
+        mult = grad[held] - grad[idx[-1]]
+        worst = int(np.argmin(mult))
+        if not mult[worst] < -_QP_RELEASE_TOL * float(np.abs(grad[idx]).max()):
+            break
+        free[held[worst]] = True
+    return np.maximum(y, 0.0, out=y)

@@ -19,10 +19,10 @@ The E-step (``e_step``) forms ``u = W.T @ (1 / d)``; the column sums of the
 responsibilities ``x_j W_ij / d_i`` are ``x * u``: two matrix-vector products,
 with no N x K responsibility matrix. The responsibilities are normalized over
 all K+1 classes (the OOD class included). The M-steps apply the Dirichlet/Beta
-priors in closed form through ``alpha - 1``; the objective, the certificate
-and the Newton steps read the same priors from one object, ``Prior``, which
-states them in (pi, rho) and in x. All-ones priors make every prior term
-exactly zero, so maximum likelihood is MAP with unit priors.
+priors in closed form through ``alpha - 1``. They, the objective, the
+certificate and the Newton steps read the priors from one object, ``Prior``,
+which states them in (pi, rho) and in x. All-ones priors make every prior
+term exactly zero, so maximum likelihood is MAP with unit priors.
 
 One EM map is the E-step followed by ``open_m_step`` or ``closed_m_step``.
 ``tol = 0`` runs exactly ``max_iters`` plain EM updates. With ``tol > 0``:
@@ -52,13 +52,14 @@ One EM map is the E-step followed by ``open_m_step`` or ``closed_m_step``.
   Hessian ``W_S' diag(1 / d^2) W_S`` on the support S of x, which costs
   about ``2 + |S|^2 / (4 (K + 1))`` maps), the fit takes damped Newton steps
   on S under ``sum(x) = 1``, as in mixSQP (Kim, Carbonetto, Stephens &
-  Anitescu 2020, JCGS 29:261-273). A small QP, solved by an active set,
-  gives each step: coordinates that reach 0 are set to exactly 0, all at
-  once, and a zero coordinate whose gradient breaks the KKT conditions comes
-  back in. The line search halves the step until the point is better. Where
-  the open-set prior makes the objective nonconvex in x (``Prior.convex``),
-  the fit takes a step only where the reduced Hessian's Cholesky
-  factorization succeeds. A declined step hands back to SQUAREM.
+  Anitescu 2020, JCGS 29:261-273). A small QP over the simplex gives each
+  step. Its active-set solver, ``osls.core.simplex_qp``, is the one the
+  multiclass stationary estimator uses: coordinates that reach 0 are set to
+  exactly 0, all at once, and a zero coordinate whose gradient breaks the KKT
+  conditions comes back in. The line search halves the step until the point
+  is better. Where the open-set prior makes the objective nonconvex in x
+  (``Prior.convex``), the fit takes a step only where the reduced Hessian's
+  Cholesky factorization succeeds. A declined step hands back to SQUAREM.
 * **Budget.** ``max_iters`` caps EM maps plus Newton steps.
   ``map_evaluations`` counts maps (stabilising maps included) and
   ``newton_steps`` Newton steps (declined ones included); ``iterations_run``
@@ -93,6 +94,7 @@ from .core import (
     real_in,
     reals_in,
     row_blocks,
+    simplex_qp,
     whole_number,
 )
 
@@ -208,12 +210,13 @@ class Prior:
     log(1 - x_K)``, with weights ``am1`` (and ``bm1[1]``) and tail ``sum(am1) -
     bm1[0]`` (0 closed-set). A positive tail makes P nonconvex in x, with a
     gradient in x that grows as 1 / rho: at rho = 0, P depends on pi, not on x alone.
+    ``am1_sum`` is ``sum(am1)``, which the tail and the M-steps read.
     """
 
     def __init__(self, am1: np.ndarray, bm1=None):
-        self.am1, self.bm1 = am1, bm1
+        self.am1, self.bm1, self.am1_sum = am1, bm1, float(np.sum(am1))
         self.weights = np.append(am1, [] if bm1 is None else [bm1[1]])
-        self.tail = 0.0 if bm1 is None else float(np.sum(am1)) - bm1[0]
+        self.tail = 0.0 if bm1 is None else self.am1_sum - bm1[0]
         self.weighted = self.weights > 0.0
         # -w log x_j is convex for w >= 0, and t log(1 - x_K) for t <= 0 only.
         self.convex = self.tail <= 0.0
@@ -290,29 +293,29 @@ def certificate(pi: np.ndarray, rho, x: np.ndarray, u: np.ndarray, n: float, pri
     return max(gap, 0.0) / max(n, 1.0)
 
 
-def open_m_step(s: np.ndarray, n: float, am1: np.ndarray, bm1, am1_sum=None):
-    """Open-set M-step from the K+1 E-step column sums; returns (pi, rho).
+def open_m_step(s: np.ndarray, n: float, prior: Prior):
+    """Open-set M-step from the K+1 E-step column sums under ``prior``; returns (pi, rho).
 
     pi is None when its update is undefined (all mass on the OOD class under
     maximum likelihood), in which case the previous pi should be kept. The ID
     mass ``n - s[K]`` is clamped at 0, as rounding can leave it a few ulp below.
-    ``am1_sum`` is ``float(np.sum(am1))``, computed here when not given.
     """
     k = s.size - 1
+    b0, b1 = prior.bm1
     n_in = max(n - s[k], 0.0)
-    mass = s[:k] + am1
-    denom_pi = n_in + (float(np.sum(am1)) if am1_sum is None else am1_sum)
+    mass = s[:k] + prior.am1
+    denom_pi = n_in + prior.am1_sum
     pi = None if denom_pi == 0.0 or not mass.any() else mass / denom_pi
-    rho = (n_in + bm1[0]) / (n + bm1[0] + bm1[1])
+    rho = (n_in + b0) / (n + b0 + b1)
     return pi, float(rho)
 
 
-def closed_m_step(s: np.ndarray, n: float, am1: np.ndarray, am1_sum=None) -> np.ndarray:
-    """Closed-set M-step from the K E-step column sums; ``am1_sum`` as for ``open_m_step``."""
-    return (s + am1) / (n + (float(np.sum(am1)) if am1_sum is None else am1_sum))
+def closed_m_step(s: np.ndarray, n: float, prior: Prior) -> np.ndarray:
+    """Closed-set M-step from the K E-step column sums under ``prior``."""
+    return (s + prior.am1) / (n + prior.am1_sum)
 
 
-def _em_map(n, am1, bm1, pi, rho, x, u, am1_sum):
+def _em_map(n, prior: Prior, pi, rho, x, u):
     """One EM map from (pi, rho), given x = mixing(pi, rho) and ``u = e_step(W, W @ x)``.
 
     Returns (pi, rho, frozen): the updated pair and whether the pi update was
@@ -320,8 +323,8 @@ def _em_map(n, am1, bm1, pi, rho, x, u, am1_sum):
     """
     s = x * u  # the E-step's column sums
     if rho is None:
-        return closed_m_step(s, n, am1, am1_sum), None, False
-    pi_new, rho_new = open_m_step(s, n, am1, bm1, am1_sum)
+        return closed_m_step(s, n, prior), None, False
+    pi_new, rho_new = open_m_step(s, n, prior)
     if pi_new is None:
         return pi, rho_new, True
     return pi_new, rho_new, False
@@ -355,9 +358,6 @@ def _extrapolate(x0, x1, x2, open_set: bool):
     return _from_mixing(x, open_set)
 
 
-# A Newton step's QP releases a held coordinate only where its multiplier is
-# below this share of the largest free gradient entry, so rounding cannot cycle.
-_QP_RELEASE_TOL = 64 * np.finfo(float).eps
 # Entries of W / d below this are left out of the Hessian, so no product of two
 # entries is subnormal: such a product takes a slow path on x86, and an entry
 # this small moves no Hessian entry that a step depends on.
@@ -377,72 +377,6 @@ _ROUNDING = 64 * np.finfo(float).eps
 _NEWTON_START = 1e-2
 # SQUAREM's rate is read over at least this many of the fit's last steps.
 _RATE_WINDOW = 6
-
-
-def _reduced_solve(h: np.ndarray, grad: np.ndarray, free: np.ndarray, convex: bool):
-    """The step on ``free`` minimizing ``grad . p + p' h p / 2`` under ``sum(p) = 0``.
-
-    The constraint eliminates ``free[-1]``. None when the reduced Hessian is
-    singular or, for an objective that is not ``convex``, not positive
-    definite, as its Cholesky factorization then fails.
-    """
-    step = np.zeros(grad.size)
-    last, rest = free[-1], free[:-1]
-    if rest.size == 0:
-        return step
-    col = h[rest, last]
-    reduced = h[rest[:, None], rest]
-    reduced -= col[:, None]
-    reduced -= col
-    reduced += h[last, last]
-    try:
-        if not convex:
-            np.linalg.cholesky(reduced)
-        p = np.linalg.solve(reduced, grad[last] - grad[rest])
-    except np.linalg.LinAlgError:
-        return None
-    step[rest] = p
-    step[last] = -p.sum()
-    return step
-
-
-def _simplex_qp(h: np.ndarray, g: np.ndarray, x0: np.ndarray, convex: bool):
-    """Minimize ``g . (y - x0) + (y - x0)' h (y - x0) / 2`` over ``y >= 0``, ``sum(y) = 1``.
-
-    A primal active set from the feasible ``x0 / sum(x0)``: a step that would
-    take coordinates below 0 stops where the first reaches 0, and every
-    coordinate at 0 there is set to exactly 0 and held, all at once. At the
-    minimum over the free coordinates, the held one whose multiplier breaks
-    the KKT conditions most is released. Each step lowers the model. None when
-    ``_reduced_solve`` declines.
-    """
-    y = x0 / x0.sum()
-    free = y > 0.0
-    for _ in range(4 * y.size + 8):
-        idx = np.flatnonzero(free)
-        idx = idx[np.argsort(y[idx], kind="stable")]  # eliminate the largest coordinate
-        step = _reduced_solve(h, g + h @ (y - x0), idx, convex)
-        if step is None:
-            return None
-        falling = step < 0.0
-        ratio = np.divide(y, -step, out=np.full(y.size, math.inf), where=falling)
-        t = min(1.0, float(ratio.min()))
-        y += t * step
-        if t < 1.0:
-            hit = falling & (ratio <= t)
-            y[hit] = 0.0
-            free &= ~hit
-            continue
-        held = np.flatnonzero(~free)
-        if held.size == 0:
-            break
-        grad = g + h @ (y - x0)
-        mult = grad[held] - grad[idx[-1]]
-        worst = int(np.argmin(mult))
-        if not mult[worst] < -_QP_RELEASE_TOL * float(np.abs(grad[idx]).max()):
-            break
-        free[held[worst]] = True
-    return np.maximum(y, 0.0, out=y)
 
 
 class _Newton:
@@ -468,7 +402,7 @@ class _Newton:
         support = np.flatnonzero((x > 0.0) | (grad < float(x @ grad)))
         h = self._hessian(np.divide(1.0, d, out=self.scratch), support)
         h.flat[:: support.size + 1] += curv[support]
-        y = _simplex_qp(h, grad[support], x[support], self.prior.convex)
+        y = simplex_qp(h, grad[support], x[support], self.prior.convex)
         if y is None:
             return None
         full = np.zeros(x.size)
@@ -614,10 +548,8 @@ def fit(w: np.ndarray, pi0, rho0, config: EmConfig) -> EmTrace:
     pi = np.array(pi0, dtype=np.float64)
     rho = None if rho0 is None else float(rho0)
     open_set = rho is not None
-    am1 = config.resolved_alpha_in(pi.size) - 1.0
-    am1_sum = float(np.sum(am1))
     bm1 = (config.alpha_out[0] - 1.0, config.alpha_out[1] - 1.0)
-    prior = Prior(am1, bm1 if open_set else None)
+    prior = Prior(config.resolved_alpha_in(pi.size) - 1.0, bm1 if open_set else None)
     scratch = np.empty(w.shape[0])  # 1 / d and log d, one after the other
     frozen = False
     x = mixing(pi, rho)
@@ -663,7 +595,7 @@ def fit(w: np.ndarray, pi0, rho0, config: EmConfig) -> EmTrace:
             newton_on, newton_after = False, spent + 1 + _step_cost(x)
             if maps + steps >= max_iters:
                 continue
-        pi, rho, froze = _em_map(n, am1, bm1, pi, rho, x, u, am1_sum)
+        pi, rho, froze = _em_map(n, prior, pi, rho, x, u)
         maps += 1
         frozen |= froze
         x = mixing(pi, rho)
@@ -683,8 +615,7 @@ def fit(w: np.ndarray, pi0, rho0, config: EmConfig) -> EmTrace:
         d_ex = w @ x_ex
         if d_ex.min(initial=math.inf) <= 0.0:
             continue
-        pi_y, rho_y, froze = _em_map(n, am1, bm1, *trial, x_ex, e_step(w, d_ex, scratch),
-                                     am1_sum)
+        pi_y, rho_y, froze = _em_map(n, prior, *trial, x_ex, e_step(w, d_ex, scratch))
         maps += 1
         if froze:
             continue

@@ -23,6 +23,8 @@ from .core import (
     ValidationError,
     real_in,
     reals_in,
+    reduced_hessian,
+    simplex_qp,
     whole_number,
 )
 
@@ -31,8 +33,8 @@ from .core import (
 # matching bounds blow up as the denominator vanishes.
 EPS_DEN = 1e-6
 
-_PGD_MAX_ITERS = 10_000
-_PGD_GRAD_TOL = 1e-10
+# At or below this smallest eigenvalue on the plane sum(p) = 0, the stationary
+# objective is flat along a direction in the simplex's plane.
 _FLAT_TOL = 1e-12
 
 
@@ -143,25 +145,17 @@ def threshold_rescale(
     return (raw > threshold).astype(float)
 
 
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    v = np.asarray(v, dtype=float).ravel()
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, v.size + 1)
-    cond = u + (1.0 - css) / idx > 0.0
-    r = int(idx[cond][-1])
-    lam = (1.0 - css[r - 1]) / r
-    return np.maximum(v + lam, 0.0)
-
-
 def estimate_source_prior_multiclass(mu_hat: np.ndarray) -> ProbabilityVector:
     """Label distribution solving the stationarity system mu_hat @ rho = rho.
 
-    Minimizes ||(mu_hat - I) rho||^2 over the simplex by projected gradient
-    descent. Raises AmbiguousStationary when the objective is flat at its
-    minimum across multiple simplex vertices (e.g. mu_hat equal to the
-    identity), in which case no unique minimizer exists.
+    Minimizes ``||(mu_hat - I) rho||^2`` over the simplex exactly, as the QP
+    ``simplex_qp(h, h @ x0, x0, True)`` with ``h = (mu_hat - I)'(mu_hat - I)``
+    from the uniform ``x0``: the active-set solver of EM's Newton steps. The
+    minimizer is unique exactly when h is positive definite on the plane
+    ``sum(p) = 0``, that is, when eigenvalue 1 of mu_hat is simple. Raises
+    AmbiguousStationary when the smallest eigenvalue of h on that plane, in
+    the coordinates of ``reduced_hessian``, is at or below 1e-12, as for
+    mu_hat equal to the identity or made of two closed blocks.
     """
     mu = reals_in("mu_hat", mu_hat, -1e-6)
     if mu.ndim != 2 or mu.shape[0] != mu.shape[1] or mu.shape[0] < 2:
@@ -173,25 +167,12 @@ def estimate_source_prior_multiclass(mu_hat: np.ndarray) -> ProbabilityVector:
 
     a = mu - np.eye(k)
     h = a.T @ a
-    lam_max = float(np.linalg.eigvalsh(h)[-1])
-    x = np.full(k, 1.0 / k)
-    if lam_max > 0.0:
-        step = 1.0 / lam_max
-        for _ in range(_PGD_MAX_ITERS):
-            grad = h @ x
-            x_next = project_to_simplex(x - step * grad)
-            pg_norm = float(np.linalg.norm((x - x_next) / step))
-            x = x_next
-            if pg_norm < _PGD_GRAD_TOL:
-                break
-
-    f_star = float(np.sum((a @ x) ** 2))
-    vertex_objs = np.sum(a * a, axis=0)
-    if int(np.sum(vertex_objs <= f_star + _FLAT_TOL)) >= 2:
+    if np.linalg.eigvalsh(reduced_hessian(h, np.arange(k)))[0] <= _FLAT_TOL:
         raise AmbiguousStationary(
-            "stationary objective is flat across multiple vertices; minimizer not unique"
+            "eigenvalue 1 of mu_hat is not simple; the stationary distribution is not unique"
         )
-    return ProbabilityVector(x)
+    x0 = np.full(k, 1.0 / k)
+    return ProbabilityVector(simplex_qp(h, h @ x0, x0, True))
 
 
 @dataclass(frozen=True, eq=False)

@@ -128,19 +128,19 @@ def plain_em(w, pi0, rho0, alpha, alpha_out, tol, max_iters):
     n = float(w.shape[0])
     am1 = np.asarray(alpha, dtype=float) - 1.0
     bm1 = (alpha_out[0] - 1.0, alpha_out[1] - 1.0)
+    prior = em.Prior(am1, None if rho0 is None else bm1)
     pi, rho = np.array(pi0, dtype=float), rho0
     d = w @ em.mixing(pi, rho)
     for update in range(1, max_iters + 1):
         s = em.mixing(pi, rho) * em.e_step(w, d)
         if rho is None:
-            pi_new, rho_new, change = em.closed_m_step(s, n, am1), None, 0.0
+            pi_new, rho_new, change = em.closed_m_step(s, n, prior), None, 0.0
         else:
-            pi_new, rho_new = em.open_m_step(s, n, am1, bm1)
+            pi_new, rho_new = em.open_m_step(s, n, prior)
             change = abs(rho_new - rho)
         change = max(change, float(np.max(np.abs(pi_new - pi))))
         pi, rho = pi_new, rho_new
         d = w @ em.mixing(pi, rho)
         if change < tol:
             break
-    prior = em.Prior(am1, None if rho is None else bm1)
     return pi, rho, em.objective(d, pi, rho, prior), update, change < tol

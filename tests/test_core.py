@@ -122,6 +122,53 @@ class TestExtendDistribution:
         np.testing.assert_allclose(ext[:-1] / rho, base, atol=1e-12)
 
 
+def _convex_qps(seed, count):
+    """(h, g, x0) of ``count`` strictly convex QPs over the simplex.
+
+    Each start ``x0`` sums to 1.5, not 1, and holds a zero in about a third of
+    its coordinates; gradients of scale 1 to 10 put most minimizers on a face.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k = int(rng.integers(2, 9))
+        a = rng.normal(size=(k + 2, k))
+        x0 = rng.dirichlet(np.ones(k)) * (rng.random(k) > 1.0 / 3.0)
+        if not x0.any():
+            x0[0] = 1.0
+        yield a.T @ a, rng.normal(size=k) * 10.0 ** rng.uniform(0, 1), 1.5 * x0 / x0.sum()
+
+
+class TestSimplexQp:
+    def test_meets_the_kkt_conditions(self):
+        # At the minimizer y, with grad = g + h (y - x0): grad_j >= y . grad for
+        # every j, with equality on the support of y.
+        for h, g, x0 in _convex_qps(3, 200):
+            y = core.simplex_qp(h, g, x0, True)
+            assert y.min() >= 0.0 and abs(y.sum() - 1.0) <= 1e-12
+            grad = g + h @ (y - x0)
+            slack = grad - y @ grad
+            scale = np.abs(grad).max()
+            assert slack.min() >= -1e-10 * scale
+            assert np.abs(slack[y > 0.0]).max() <= 1e-10 * scale
+
+    @pytest.mark.parametrize("scale", [2.0 ** -30, 2.0 ** 30])
+    def test_same_minimizer_at_any_scale(self, scale):
+        # The release test is relative to the free gradient, so scaling h and g
+        # together moves no coordinate in or out of the support.
+        for h, g, x0 in _convex_qps(4, 50):
+            np.testing.assert_allclose(core.simplex_qp(scale * h, scale * g, x0, True),
+                                       core.simplex_qp(h, g, x0, True), rtol=1e-12, atol=1e-15)
+
+    def test_nonconvex_factors_only_the_support(self):
+        # x0's zero coordinate stays held, as its multiplier 10 keeps the KKT
+        # conditions, so the reduced Hessian on all three coordinates, which
+        # is not positive definite, is never factored.
+        h, g = np.diag([1.0, 1.0, -1.0]), np.array([0.0, 0.0, 10.0])
+        y = core.simplex_qp(h, g, np.array([0.5, 0.5, 0.0]), False)
+        np.testing.assert_array_equal(y, [0.5, 0.5, 0.0])
+        assert core.simplex_qp(h, g, np.array([0.4, 0.4, 0.2]), False) is None
+
+
 class TestExtendClassifierOutput:
     def test_basic(self):
         rs = RecordSet(np.array([[0.7, 0.3]]), np.array([0.9]))

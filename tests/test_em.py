@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osls import baselines as bl
-from osls import em
+from osls import core, em
 from osls.core import (
     DegenerateSample,
     ProbabilityVector,
@@ -94,7 +94,8 @@ def _m_step(col_sums, n, alpha_in=None, alpha_out=(1.0, 1.0)):
     """The open-set M-step from K+1 column sums and the prior parameters."""
     k = col_sums.size - 1
     am1 = (np.ones(k) if alpha_in is None else np.asarray(alpha_in, dtype=float)) - 1.0
-    return em.open_m_step(col_sums, float(n), am1, (alpha_out[0] - 1.0, alpha_out[1] - 1.0))
+    prior = em.Prior(am1, (alpha_out[0] - 1.0, alpha_out[1] - 1.0))
+    return em.open_m_step(col_sums, float(n), prior)
 
 
 class TestEmStep:
@@ -129,6 +130,13 @@ class TestEmStep:
         pi, rho = _m_step(np.array([0.0, 0.0, 5.0]), 5)
         assert pi is None
         assert rho == pytest.approx(0.0)
+
+    def test_m_step_all_mass_ood_with_rounding_on_an_id_class(self):
+        # The E-step's column sums can leave a few ulp on an ID class while the
+        # OOD sum is n: the ID mass is 0, so the pi update is undefined.
+        pi, rho = _m_step(np.array([1e-17, 0.0, 5.0]), 5)
+        assert pi is None
+        assert rho == 0.0
 
     def test_validates_inputs(self):
         source = SourceLabelModel(ProbabilityVector([0.5, 0.5]), 0.5)
@@ -1045,14 +1053,14 @@ class TestCertificate:
         # Two classes, six target rows and strong unequal priors: the prior's
         # nonconvexity in x outweighs the data's curvature at some iterate.
         declined = []
-        solve = em._reduced_solve
+        solve = core._reduced_solve
 
         def spy(h, grad, free, convex):
             step = solve(h, grad, free, convex)
             declined.append(step is None and not convex)
             return step
 
-        monkeypatch.setattr(em, "_reduced_solve", spy)
+        monkeypatch.setattr(core, "_reduced_solve", spy)
         rng = np.random.default_rng(11)
         k, n = int(rng.integers(2, 5)), int(rng.integers(3, 30))  # two classes, six rows
         f, h = rng.dirichlet(np.full(k, 0.5), n), rng.random(n)

@@ -38,8 +38,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "osls"
 
 # The functions whose sites are listed and run by default: the EM rules (the one
-# prior, the objective, the certificate, the E-step, the EM map and the "better"
-# rule) and the estimator functions an earlier sampled run found gaps in.
+# prior, the objective, the certificate, the E-step, the M-steps, the EM map and
+# the "better" rule), the simplex QP of the Newton steps and the stationary
+# estimator, and the estimator functions an earlier sampled run found gaps in.
 FUNCTIONS = (
     "em.py:Prior.__init__",
     "em.py:Prior.value",
@@ -48,11 +49,18 @@ FUNCTIONS = (
     "em.py:objective",
     "em.py:certificate",
     "em.py:e_step",
+    "em.py:open_m_step",
+    "em.py:closed_m_step",
     "em.py:_em_map",
     "em.py:_better",
     "em.py:_lower",
+    "core.py:reduced_hessian",
+    "core.py:_reduced_solve",
+    "core.py:simplex_qp",
     "estimators.py:estimate_rho_s",
     "estimators.py:rho_s_bound",
+    "estimators.py:correct_rho",
+    "estimators.py:rho_t_bound",
     "estimators.py:threshold_rescale",
     "estimators.py:estimate_source_prior_multiclass",
     "baselines.py:bbse",
@@ -60,6 +68,7 @@ FUNCTIONS = (
 )
 
 TESTS = (
+    "tests/test_core.py",
     "tests/test_em.py",
     "tests/test_estimators.py",
     "tests/test_baselines.py",
@@ -83,24 +92,25 @@ EQUIVALENT = {
         "`col_sums - 1.0` is exact near 1 (Sterbenz) and a multiple of 2**-53, and 1e-6 "
         "is not, so no column sum lies on the tolerance's end."
     ),
+    "estimators.py:estimate_source_prior_multiclass:LtE->Lt#1": (
+        "a smallest reduced eigenvalue of exactly 1e-12, the flatness cutoff's own end, "
+        "is accepted instead of refused; either side of the cutoff is a valid rule."
+    ),
     "estimators.py:estimate_source_prior_multiclass:Div->Mult#0": (
-        "the start `k` instead of `1 / k`: the first step projects onto the simplex, "
-        "and where no step is taken (mu_hat = I) every start is flat and raises."
+        "the start `k` instead of `1 / k`: simplex_qp starts from `x0 / sum(x0)`, and "
+        "the QP's gradient there, `h @ x0 + h @ (y - x0) = h @ y`, holds for any x0."
     ),
     "estimators.py:estimate_source_prior_multiclass:1.0->1.001#1": (
         "the start 1.001 / k: as for the start k."
     ),
-    "estimators.py:estimate_source_prior_multiclass:1.0->1.001#2": (
-        "the step 1.001 / lam_max: any step below 2 / lam_max converges to the same "
-        "minimizer."
+    "estimators.py:correct_rho:Lt->LtE#0": (
+        "the cutoff's own end, as for estimate_rho_s: a gap of exactly EPS_DEN is "
+        "refused instead of accepted."
     ),
-    "estimators.py:estimate_source_prior_multiclass:Lt->LtE#1": (
-        "stopping at a projected gradient of exactly 1e-10 as well: one step fewer, "
-        "from a point on the tolerance's own end."
-    ),
-    "estimators.py:estimate_source_prior_multiclass:LtE->Lt#1": (
-        "a vertex objective exactly at the minimum plus 1e-12: a flatness cutoff's own "
-        "end, where either side is a valid rule."
+    "core.py:simplex_qp:Lt->LtE#2": (
+        "a multiplier exactly at the release tolerance's own end. At 0 on both sides "
+        "(a free gradient of 0 and a multiplier of 0), the released coordinate's step "
+        "is 0, as is every other, so y stays where it is."
     ),
     "baselines.py:bbse:Lt->LtE#0": (
         "a condition number of exactly 1e8, the limit's own end, is refused as well."
