@@ -37,7 +37,7 @@ from .em import EmConfig, run_em
 from .estimators import ScoreMeans, correct_rho, estimate_rho_s, rescale_mu0
 from .metrics import rho_abs_error, w_mse
 from .pool import map_in_order
-from .simulate import Scenario, ScenarioConfig, ShiftSpec, make_scenario
+from .simulate import Scenario, ScenarioConfig, ShiftSpec
 
 OSLS_METHODS = ("osls-mle", "osls-map")
 CLOSED_SET_METHODS = ("mlls", "mapls", "bbse")
@@ -264,25 +264,42 @@ class SweepCell:
         return report_dict(self)
 
 
-def _run_sweep_point(methods: list, em_iters: int, point: tuple) -> dict:
-    """One grid point, (shift, config): simulate once, estimate with all methods."""
-    _, config = point
-    source, target, ood_ref, truth = make_scenario(config)
-    mu0_hat = float(np.mean(ood_ref.records.h))
+def _run_sweep_chunk(methods: list, em_iters: int, chunk: list) -> list:
+    """Each point's method results, for consecutive grid points ``(shift, config)`` of one
+    seed: the source and OOD reference are drawn once, at the first point, and only the
+    target per point.
+
+    Those two draws read only the seed's own streams and the base scenario, never the
+    shift or r, so they are the very ones each point would draw alone. The first target
+    is drawn before the OOD reference, as ``make_scenario`` draws them, so a sample that
+    cannot be scored is named the same way.
+    """
+    scenario = Scenario(chunk[0][1])
+    source, target = scenario.sample_source().records, scenario.sample_target().records
+    ood_h = scenario.sample_ood_ref().records.h
+    mu0_hat, n_ood = float(np.mean(ood_h)), len(ood_h)
     mle_config = EmConfig(max_iters=em_iters)
-    map_config = EmConfig(max_iters=em_iters, alpha_in=np.full(config.k, DEFAULT_ALPHA))
-    out = {}
-    for method in methods:
-        try:
-            result = estimate(method, source.records, target.records, mu0_hat=mu0_hat,
-                              n_ood=len(ood_ref),
-                              em_config=map_config if method == "osls-map" else mle_config)
-            err = w_mse(result.pi_hat, truth.pi, config.c)
-            rho_err = None if result.rho_t is None else rho_abs_error(result.rho_t, truth.rho_t)
-            out[method] = {"w_mse": err, "rho_err": rho_err}
-        except Exception as exc:  # cell failures are recorded, sweep continues
-            out[method] = {"error": f"{type(exc).__name__}: {exc}"}
-    return out
+    map_config = EmConfig(max_iters=em_iters, alpha_in=np.full(scenario.k, DEFAULT_ALPHA))
+    outs = []
+    for _, config in chunk:
+        if outs:
+            scenario = Scenario(config)
+            del target  # before the next is drawn: two alive at once raise the peak memory
+            target = scenario.sample_target().records
+        out = {}
+        for method in methods:
+            try:
+                result = estimate(method, source, target, mu0_hat=mu0_hat,
+                                  n_ood=n_ood,
+                                  em_config=map_config if method == "osls-map" else mle_config)
+                err = w_mse(result.pi_hat, scenario.truth.pi, config.c)
+                rho_err = (None if result.rho_t is None
+                           else rho_abs_error(result.rho_t, scenario.truth.rho_t))
+                out[method] = {"w_mse": err, "rho_err": rho_err}
+            except Exception as exc:  # cell failures are recorded, sweep continues
+                out[method] = {"error": f"{type(exc).__name__}: {exc}"}
+        outs.append(out)
+    return outs
 
 
 def _axis(key: str, values: Sequence, build, same) -> list:
@@ -317,25 +334,43 @@ def run_sweep(
     a value (shifts compared as parsed, r values as numbers, methods case-folded),
     each method is one of ALL_METHODS, and each point's config, ``base`` with its
     shift, r and seed, is built here. A bad value raises ValidationError naming
-    its axis. The points run on ``osls.pool``'s workers, at most ``workers`` and no
-    more than there are usable cores or points, and come back in grid order, so
-    the result is the same for any worker count. Cells aggregate mean and standard
-    deviation across seeds per (method, shift as given, r), sorted by that key.
+    its axis. One task is a chunk of one seed's points, consecutive in grid order:
+    each seed's points are split into ceil(min(workers, points) / seeds) chunks,
+    one per seed at ``workers=1``, and a chunk draws its seed's source and OOD
+    reference once and a target per point (``_run_sweep_chunk``). The tasks run on
+    ``osls.pool``'s workers, at most ``workers`` and no more than there are usable
+    cores or tasks, which never outnumber the points. Their results are put back
+    in grid order, and a point's draws depend on its seed and ``base`` alone,
+    never on the chunk it ran in, so the result is the same for any worker count.
+    Cells aggregate mean and standard deviation across seeds per (method, shift
+    as given, r), sorted by that key.
     """
     workers = whole_number("workers", workers, 1)
     methods = _axis("methods", methods, _method, str)
     shifts = _axis("shifts", shifts, lambda text: (text, ShiftSpec.parse(text)),
                    lambda shift: astuple(shift[1]))
     by_r = _axis("r_values", r_values, lambda r: replace(base, r=r), attrgetter("r"))
-    points = []  # (shift as given, config)
+    points = []  # (shift as given, config), seeds innermost
     for shift, spec in shifts:
         for with_r in by_r:
             configs = _axis("seeds", seeds, lambda seed: replace(with_r, shift=spec, seed=seed),
                             attrgetter("seed"))
             points += [(shift, config) for config in configs]
-    run = partial(_run_sweep_point, methods, em_iters)
+    n_seeds = len(seeds)
+    parts = -(-min(workers, len(points)) // n_seeds)  # chunks per seed, each of one point or more
+    chunks = []  # the grid indices of one seed's consecutive points
+    for first in range(n_seeds):
+        mine = range(first, len(points), n_seeds)
+        chunks += [mine[part * len(mine) // parts:(part + 1) * len(mine) // parts]
+                   for part in range(parts)]
+    run = partial(_run_sweep_chunk, methods, em_iters)
+    tasks = [[points[i] for i in chunk] for chunk in chunks]
+    outs = [None] * len(points)  # back in grid order
+    for chunk, (_, done) in zip(chunks, map_in_order(run, tasks, min(workers, len(tasks)))):
+        for i, out in zip(chunk, done):
+            outs[i] = out
     scores, failures = {}, []
-    for (shift, config), out in map_in_order(run, points, min(workers, len(points))):
+    for (shift, config), out in zip(points, outs):
         for method, res in out.items():
             if "error" in res:
                 failures.append({"method": method, "shift": shift, "r": config.r,

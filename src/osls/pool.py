@@ -1,4 +1,10 @@
-"""The process pool: one ordered map over forked workers, for table blocks and sweep points.
+"""The process pool: one ordered map over forked workers, for table blocks and sweep chunks.
+
+One sweep task is a chunk of one seed's grid points, consecutive in grid order: it
+draws that seed's source and OOD reference once and a target per point, and its
+results come back in order. A point's draws depend on its seed and the base
+scenario alone, never on the chunk it ran in, so a sweep's output has the same
+bytes for any worker count.
 
 The pool is kept for the process's life and started again for a caller that asks for
 another worker count, so it never holds more processes than asked for. Workers leave

@@ -335,6 +335,19 @@ class TestCoverage:
         bound_coverage_rho_t(trials=20, n=50)
         assert calls == ["estimate_rho_s"] * 10 + ["correct_rho"] * 20
 
+    def test_an_error_equal_to_the_bound_is_no_violation(self):
+        # The bound holds when |estimate - truth| <= bound; 0.75 and 0.25 miss 0.5
+        # by exactly 0.25, and only 0.8 misses it by more.
+        report = estimators._coverage(1, float, [(0.75,), (0.25,), (0.8,)], 0.5,
+                                      BoundReport(delta=0.05, bound=0.25, n_min=1))
+        assert report.violations == 1
+
+    def test_a_constant_scorer_meets_a_tight_source_bound(self):
+        # Every score is 1 (mu1 = mu0 = 1), so rho_s = 1 / (1 - 1 + 1) = 1 and each
+        # trial's estimate is 1 - RHO_EPS, inside a bound of 7e-4.
+        report = bound_coverage_rho_s(mu1=1.0, mu0=1.0, n=10_000, delta=0.99, trials=3)
+        assert report.bound < 1e-3 and report.violations == 0
+
     def test_unidentifiable_trial_is_a_violation(self):
         # With one draw per reference, mu1' and mu0' coincide in about half the
         # trials; the bound is wider than [0, 1], so only those can violate it.

@@ -2,6 +2,8 @@ import concurrent.futures
 import json
 import os
 import re
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +12,15 @@ from osls import baselines as bl
 from osls.core import ValidationError
 from osls.em import EmConfig
 from osls.io import scenario_from_kv
-from osls.pipeline import EstimateResult, estimate, run_sweep, source_class_frequencies
-from osls.simulate import ShiftSpec, make_scenario
+from osls.pipeline import (
+    EstimateResult,
+    SweepCell,
+    estimate,
+    run_sweep,
+    source_class_frequencies,
+)
+from osls.metrics import rho_abs_error, w_mse
+from osls.simulate import Scenario, ShiftSpec, make_scenario
 
 from conftest import easy_config
 
@@ -181,11 +190,11 @@ class TestSweepGrid:
     def test_bad_grid_raises_before_any_point_runs(self, monkeypatch, axis, values, message):
         ran = []
 
-        def make_scenario(config):
+        def scenario(config):
             ran.append(config)
             raise AssertionError("a grid point ran")
 
-        monkeypatch.setattr("osls.pipeline.make_scenario", make_scenario)
+        monkeypatch.setattr("osls.pipeline.Scenario", scenario)
         with pytest.raises(ValidationError, match=f"^config key {re.escape(message)}"):
             run_sweep(easy_config(2, n=200, n_ood=100), **dict(self.AXES, **{axis: values}))
         assert not ran
@@ -197,3 +206,129 @@ class TestSweepGrid:
         assert [(c.method, c.shift, c.r, c.seeds) for c in cells] == [
             ("mlls", shift, r, 2) for shift in ("lt:10", "none") for r in (0.5, 1.0)]
         assert all(type(c.r) is float for c in cells)
+
+
+def _sweep_point_by_point(base, shifts, r_values, seeds, methods):
+    """``run_sweep``'s (cells, failures) as dicts, each point drawn whole by ``make_scenario``."""
+    scores, failures = {}, []
+    for shift in shifts:
+        for r in r_values:
+            for seed in seeds:
+                config = replace(base, shift=ShiftSpec.parse(shift), r=r, seed=seed)
+                source, target, ood_ref, truth = make_scenario(config)
+                for method in methods:
+                    try:
+                        result = estimate(method, source.records, target.records,
+                                          mu0_hat=float(np.mean(ood_ref.records.h)),
+                                          n_ood=len(ood_ref))
+                    except Exception as exc:
+                        failures.append({"method": method, "shift": shift, "r": r, "seed": seed,
+                                         "error": f"{type(exc).__name__}: {exc}"})
+                        continue
+                    rho_err = (None if result.rho_t is None
+                               else rho_abs_error(result.rho_t, truth.rho_t))
+                    scores.setdefault((method, shift, r), []).append(
+                        (w_mse(result.pi_hat, truth.pi, config.c), rho_err))
+    cells = []
+    for (method, shift, r), found in sorted(scores.items()):
+        errs, rho_errs = zip(*found)
+        rho = ([None, None] if rho_errs[0] is None
+               else [float(np.mean(rho_errs)), float(np.std(rho_errs))])
+        cells.append(SweepCell(method, shift, r, len(errs), float(np.mean(errs)),
+                               float(np.std(errs)), *rho).to_dict())
+    return cells, failures
+
+
+class RecordingExecutor:
+    """Records the pool size asked for and runs each call at once, in this process."""
+
+    asked = []
+
+    def __init__(self, max_workers=None, **kwargs):
+        self.asked.append(max_workers)
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestChunkedSweep:
+    """A sweep draws each seed's source and OOD reference once per chunk of its points and
+    a target per point, and its cells and failures are those of drawing each point whole."""
+
+    # Class 2's mean sits 0.1 from class 1's and its prior is 0.1, so bbse's source
+    # confusion matrix is singular and every bbse cell fails.
+    BASE = {"k": "2", "class_means": "0 0; 0.1 0; 1.5 1.5", "class_scales": "1 1 1",
+            "c": "0.9 0.1", "n_source": "300", "n_target": "300", "n_ood_ref": "100"}
+    GRID = dict(shifts=["lt:10", "none"], r_values=[1.0, 0.5], seeds=[1, 2],
+                methods=["osls-mle", "mlls", "bbse"])
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The (draw, shift, r, seed) of each sample a Scenario draws, in order."""
+        made = []
+
+        def spy(name):
+            sample = getattr(Scenario, name)
+
+            def counted(self):
+                cfg = self.config
+                made.append((name, cfg.shift.key(), cfg.r, cfg.seed))
+                return sample(self)
+            monkeypatch.setattr(Scenario, name, counted)
+
+        for name in ("sample_source", "sample_ood_ref", "sample_target"):
+            spy(name)
+        return made
+
+    @pytest.fixture
+    def recording_pool(self, monkeypatch):
+        """The pool sizes asked for, by a pool that runs each task at once in this process."""
+        monkeypatch.setattr(RecordingExecutor, "asked", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        # The pool this test starts holds no processes; no later test may use it.
+        monkeypatch.setattr("osls.pool._POOL", None)
+        return RecordingExecutor.asked
+
+    def test_one_source_and_ood_draw_per_seed_and_one_target_per_point(self, draws):
+        run_sweep(scenario_from_kv(self.BASE), **self.GRID)
+        counts = Counter((name, seed) for name, _, _, seed in draws)
+        assert counts == {("sample_source", 1): 1, ("sample_source", 2): 1,
+                          ("sample_ood_ref", 1): 1, ("sample_ood_ref", 2): 1,
+                          ("sample_target", 1): 4, ("sample_target", 2): 4}
+        targets = [(shift, r, seed) for name, shift, r, seed in draws if name == "sample_target"]
+        assert sorted(targets) == sorted(
+            (ShiftSpec.parse(shift).key(), r, seed) for shift in self.GRID["shifts"]
+            for r in self.GRID["r_values"] for seed in self.GRID["seeds"])
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_cells_and_failures_are_those_of_whole_points(self, recording_pool, workers):
+        base = scenario_from_kv(self.BASE)
+        cells, failures = run_sweep(base, **self.GRID, workers=workers)
+        want_cells, want_failures = _sweep_point_by_point(base, **self.GRID)
+        assert len(want_failures) == 8 and len(want_cells) == 8
+        assert [cell.to_dict() for cell in cells] == want_cells
+        assert failures == want_failures
+        assert recording_pool == ([] if workers == 1 else [2])
+
+    def test_one_seed_of_four_points_still_asks_for_two_workers(self, recording_pool, draws):
+        base = scenario_from_kv(self.BASE)
+        grid = dict(self.GRID, seeds=[1])
+        cells, failures = run_sweep(base, **grid, workers=2)
+        assert recording_pool == [2]
+        # Two chunks of two points: the seed's source is drawn once for each.
+        assert Counter(name for name, *_ in draws) == {
+            "sample_source": 2, "sample_ood_ref": 2, "sample_target": 4}
+        assert ([cell.to_dict() for cell in cells], failures) == _sweep_point_by_point(base, **grid)
+
+    def test_first_target_is_drawn_before_the_ood_reference(self):
+        # Both samples hold OOD rows the scales cannot score; a point drawn whole
+        # names the target, and so does the sweep.
+        base = scenario_from_kv(dict(self.BASE, class_scales="1e-160 1e-160 1e-160"))
+        with pytest.raises(ValidationError, match="log densities of the target sample"):
+            run_sweep(base, **self.GRID)

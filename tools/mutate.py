@@ -40,7 +40,8 @@ PACKAGE = ROOT / "src" / "osls"
 # The functions whose sites are listed and run by default: the EM rules (the one
 # prior, the objective, the certificate, the E-step, the M-steps, the EM map and
 # the "better" rule), the simplex QP of the Newton steps and the stationary
-# estimator, and the estimator functions an earlier sampled run found gaps in.
+# estimator, the estimator functions an earlier sampled run found gaps in, and
+# the Monte-Carlo drivers of the bounds' coverage.
 FUNCTIONS = (
     "em.py:Prior.__init__",
     "em.py:Prior.value",
@@ -63,6 +64,9 @@ FUNCTIONS = (
     "estimators.py:rho_t_bound",
     "estimators.py:threshold_rescale",
     "estimators.py:estimate_source_prior_multiclass",
+    "estimators.py:_coverage",
+    "estimators.py:bound_coverage_rho_s",
+    "estimators.py:bound_coverage_rho_t",
     "baselines.py:bbse",
     "pipeline.py:correct_records",
 )
@@ -112,6 +116,17 @@ EQUIVALENT = {
         "(a free gradient of 0 and a multiplier of 0), the released coordinate's step "
         "is 0, as is every other, so y stays where it is."
     ),
+    "estimators.py:bound_coverage_rho_s:Lt->LtE#0": (
+        "the ID Bernoulli draw `rng.random(...) < mu1` as `<= mu1`: the two differ only "
+        "on a uniform draw exactly equal to mu1, of probability at most 2**-53 per draw, "
+        "so no seed within reach draws another sample."
+    ),
+    "estimators.py:bound_coverage_rho_s:Lt->LtE#1": "the OOD draw `< mu0`: as for the ID draw.",
+    "estimators.py:bound_coverage_rho_t:Lt->LtE#0": "the ID reference draw: as for rho_s.",
+    "estimators.py:bound_coverage_rho_t:Lt->LtE#1": "the OOD reference draw: as for rho_s.",
+    "estimators.py:bound_coverage_rho_t:Lt->LtE#2": "the target's ID draw `< rho_t`: as for rho_s.",
+    "estimators.py:bound_coverage_rho_t:Lt->LtE#3": "the target's ID scores: as for rho_s.",
+    "estimators.py:bound_coverage_rho_t:Lt->LtE#4": "the target's OOD scores: as for rho_s.",
     "baselines.py:bbse:Lt->LtE#0": (
         "a condition number of exactly 1e8, the limit's own end, is refused as well."
     ),
